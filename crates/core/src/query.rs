@@ -8,10 +8,10 @@
 
 use crate::pack::body_elements;
 use sdds_lh::{PreparedQuery, ScanFilter};
-use serde::{Deserialize, Serialize};
+use sdds_net::codec::{put_bytes, put_seq, put_u32, put_usize, Reader};
 
 /// How sites match query series against index-record bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryKind {
     /// Ciphertext equality of fixed-width elements (ECB chunks, dispersed
     /// shares) — the paper's main scheme.
@@ -23,34 +23,65 @@ pub enum QueryKind {
 }
 
 /// A compiled, encrypted search query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncryptedQuery {
     /// Tag width of the LH\* key layout.
     pub tag_bits: u32,
     /// Fixed element width in the record bodies (per chunk).
     pub element_bytes: usize,
     /// Matching semantics.
-    #[serde(default)]
     pub kind: QueryKind,
     /// Alignment drop of each series (indexes the per-tag body lists;
     /// identical across tags). Needed to translate a chunk-level match
     /// back into a record offset.
-    #[serde(default)]
     pub series_drops: Vec<usize>,
     /// Per tag: the encrypted series bodies (one per alignment drop).
     pub per_tag: Vec<(u32, Vec<Vec<u8>>)>,
 }
 
+const KIND_EQUALITY: u8 = 0;
+const KIND_SWP: u8 = 1;
+
 impl EncryptedQuery {
-    /// Serializes for the scan wire.
+    /// Serializes for the scan wire, in the binary layout of
+    /// [`sdds_net::codec`]: `kind` as one byte (`0` = equality, `1` =
+    /// SWP), `tag_bits`, `element_bytes`, the counted `series_drops`, then
+    /// per tag its number and its counted, length-prefixed series.
     pub fn encode(&self) -> Vec<u8> {
-        // lint: allow(panic-freedom) -- plain-data struct with no map keys or non-string tags; serialization is infallible
-        serde_json::to_vec(self).expect("query serializes")
+        let mut out = Vec::new();
+        out.push(match self.kind {
+            QueryKind::Equality => KIND_EQUALITY,
+            QueryKind::Swp => KIND_SWP,
+        });
+        put_u32(&mut out, self.tag_bits);
+        put_usize(&mut out, self.element_bytes);
+        put_seq(&mut out, &self.series_drops, |out, d| put_usize(out, *d));
+        put_seq(&mut out, &self.per_tag, |out, (tag, series)| {
+            put_u32(out, *tag);
+            put_seq(out, series, |out, s| put_bytes(out, s));
+        });
+        out
     }
 
-    /// Deserializes from the scan wire.
+    /// Deserializes from the scan wire; `None` for anything that is not
+    /// exactly one well-formed query. Lengths and counts are checked
+    /// against the remaining bytes before anything is allocated.
     pub fn decode(bytes: &[u8]) -> Option<EncryptedQuery> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::new(bytes);
+        let kind = match r.u8()? {
+            KIND_EQUALITY => QueryKind::Equality,
+            KIND_SWP => QueryKind::Swp,
+            _ => return None,
+        };
+        let q = EncryptedQuery {
+            kind,
+            tag_bits: r.u32()?,
+            element_bytes: r.usize()?,
+            series_drops: r.seq(8, Reader::usize)?,
+            per_tag: r.seq(4 + 4, |r| Some((r.u32()?, r.seq(4, Reader::vec)?)))?,
+        };
+        r.finish()?;
+        Some(q)
     }
 
     /// The series bodies for one tag, if present.
@@ -161,9 +192,10 @@ impl EncryptedIndexFilter {
 /// indexed buckets answer instantly with zero candidates.
 struct PreparedEncryptedQuery {
     query: Option<EncryptedQuery>,
-    /// First element of every well-formed series, deduplicated — every
-    /// matching record must contain at least one of these. `None` when
-    /// the query kind cannot be probed by element equality (SWP).
+    /// First element of every well-formed series, sorted and
+    /// deduplicated — every matching record must contain at least one of
+    /// these. `None` when the query kind cannot be probed by element
+    /// equality (SWP).
     probes: Option<Vec<Vec<u8>>>,
 }
 
@@ -189,8 +221,8 @@ impl PreparedEncryptedQuery {
 }
 
 /// The posting-index probe set of `q`: the first element of every series
-/// body, across all tags, deduplicated. Sound because a series matches a
-/// body only if the body contains the series' first element somewhere;
+/// body, across all tags, sorted and deduplicated. Sound because a series
+/// matches a body only if the body contains the series' first element;
 /// empty or ragged series match nothing (`find_series`), so skipping them
 /// loses no candidates. SWP trapdoors are matched by keyed test, not
 /// ciphertext equality, so SWP queries cannot be probed at all.
@@ -199,19 +231,19 @@ fn probe_elements(q: &EncryptedQuery) -> Option<Vec<Vec<u8>>> {
         return None;
     }
     let w = q.element_bytes;
-    let mut probes: Vec<Vec<u8>> = Vec::new();
-    for (_, series) in &q.per_tag {
-        for s in series {
-            if s.is_empty() || !s.len().is_multiple_of(w) {
-                continue; // matches nothing, contributes no candidates
-            }
-            let first = s[..w].to_vec();
-            if !probes.contains(&first) {
-                probes.push(first);
-            }
-        }
-    }
-    Some(probes)
+    let mut firsts: Vec<&[u8]> = q
+        .per_tag
+        .iter()
+        .flat_map(|(_, series)| series)
+        // empty or ragged: matches nothing, contributes no candidates
+        .filter(|s| !s.is_empty() && s.len().is_multiple_of(w))
+        .filter_map(|s| s.get(..w))
+        .collect();
+    // The series count comes off the wire: deduplicate by sorting, not by
+    // comparing every first element with every earlier one.
+    firsts.sort_unstable();
+    firsts.dedup();
+    Some(firsts.into_iter().map(<[u8]>::to_vec).collect())
 }
 
 impl PreparedQuery for PreparedEncryptedQuery {
@@ -258,6 +290,7 @@ impl ScanFilter for EncryptedIndexFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdds_net::codec::check::{hostile_length, prefixes_and_bitflips};
 
     fn query() -> EncryptedQuery {
         EncryptedQuery {
@@ -272,11 +305,92 @@ mod tests {
         }
     }
 
+    /// `query()` plus the boundary shapes: nothing at all, SWP, empty
+    /// series, a tag without series, the widest integers.
+    fn samples() -> Vec<EncryptedQuery> {
+        vec![
+            query(),
+            EncryptedQuery {
+                tag_bits: 0,
+                element_bytes: 0,
+                kind: QueryKind::Equality,
+                series_drops: vec![],
+                per_tag: vec![],
+            },
+            EncryptedQuery {
+                tag_bits: u32::MAX,
+                element_bytes: usize::MAX,
+                kind: QueryKind::Swp,
+                series_drops: vec![0, usize::MAX],
+                per_tag: vec![(u32::MAX, vec![]), (1, vec![vec![], vec![0xEE; 32]])],
+            },
+        ]
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let q = query();
-        assert_eq!(EncryptedQuery::decode(&q.encode()), Some(q));
+        for q in samples() {
+            assert_eq!(EncryptedQuery::decode(&q.encode()), Some(q));
+        }
+    }
+
+    #[test]
+    fn decode_fails_closed() {
+        let encodings: Vec<Vec<u8>> = samples().iter().map(EncryptedQuery::encode).collect();
+        prefixes_and_bitflips(&encodings, EncryptedQuery::decode);
         assert_eq!(EncryptedQuery::decode(b"junk"), None);
+        assert_eq!(EncryptedQuery::decode(&[2]), None, "unknown kind");
+        let mut trailing = query().encode();
+        trailing.push(0);
+        assert_eq!(EncryptedQuery::decode(&trailing), None);
+        // the JSON this layout replaced
+        let old = br#"{"tag_bits":2,"element_bytes":2,"kind":"Equality","series_drops":[0],"per_tag":[[1,[[170,187]]]]}"#;
+        assert_eq!(EncryptedQuery::decode(old), None);
+        // kind, tag_bits, element_bytes, then: drops, tags, a tag's
+        // series, a series' bytes
+        let fixed = [0u8; 1 + 4 + 8];
+        let cases: [(Vec<u8>, &[u8]); 4] = [
+            (fixed.to_vec(), &[0; 4]),
+            ([&fixed[..], &[0; 4]].concat(), &[]),
+            ([&fixed[..], &[0; 4], &[1, 0, 0, 0], &[0; 4]].concat(), &[]),
+            (
+                [&fixed[..], &[0; 4], &[1, 0, 0, 0], &[0; 4], &[1, 0, 0, 0]].concat(),
+                &[],
+            ),
+        ];
+        for (head, tail) in &cases {
+            hostile_length(head, tail, EncryptedQuery::decode);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_bytes_never_panic(
+            kind in 0u8..3,
+            data in proptest::collection::vec(proptest::any::<u8>(), 0..96),
+        ) {
+            let _ = EncryptedQuery::decode(&data);
+            let _ = EncryptedQuery::decode(&[&[kind][..], &data].concat());
+            // whatever the bytes, a bucket can prepare and evaluate them
+            let f = EncryptedIndexFilter::new(2, 2);
+            let prepared = f.prepare(&data);
+            let _ = prepared.probes();
+            let _ = prepared.matches(0b101, &[0xAA, 0xBB]);
+        }
+    }
+
+    #[test]
+    fn many_series_deduplicate_without_quadratic_compare() {
+        let mut q = query();
+        // 120 000 series over 60 000 distinct first elements: comparing
+        // each with every earlier one would take some 10^9 steps
+        let series: Vec<Vec<u8>> = (0..60_000u16)
+            .map(|i| [i.to_le_bytes(), [0xEE; 2]].concat())
+            .collect();
+        q.per_tag = vec![(1, series.clone()), (2, series)];
+        let probes = probe_elements(&q).expect("equality queries have probes");
+        assert_eq!(probes.len(), 60_000);
+        assert!(probes.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]
@@ -338,8 +452,8 @@ mod tests {
         let wire = q.encode();
         let prepared = f.prepare(&wire);
         let probes = prepared.probes().expect("equality queries have probes");
-        // tag 1 series starts [AA BB], tag 2 series starts [11 22]
-        assert_eq!(probes, [vec![0xAA, 0xBB], vec![0x11, 0x22]]);
+        // tag 1 series starts [AA BB], tag 2 series starts [11 22]; sorted
+        assert_eq!(probes, [vec![0x11, 0x22], vec![0xAA, 0xBB]]);
     }
 
     #[test]

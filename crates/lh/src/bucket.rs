@@ -188,6 +188,7 @@ impl BucketState {
                     Wire::ScanResp {
                         req_id,
                         bucket: self.addr,
+                        level: self.level,
                         matches,
                     },
                 )]

@@ -1,13 +1,13 @@
 //! The LH\* client: key operations through a possibly-stale file image.
 
 use crate::cluster::Directory;
-use crate::hash::ClientImage;
+use crate::hash::{split_children, ClientImage};
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use bytes::Bytes;
 use sdds_net::{Endpoint, NetError, SiteId};
 use sdds_obs::trace;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -576,8 +576,10 @@ impl LhClient {
     /// Waits until no splits or merges are running or queued, then returns
     /// the exact extent. Scans and snapshots call this so a record
     /// mid-transfer between buckets cannot be missed; with writers still
-    /// active the wait can time out (scans concurrent with sustained
-    /// inserts see the usual SDDS weak-consistency caveat).
+    /// active the wait can time out, and a split can start right after it
+    /// — scans follow those through the levels in the answers (see
+    /// [`scan`](Self::scan)); snapshots and merges keep the usual SDDS
+    /// weak-consistency caveat.
     pub(crate) fn refresh_image_quiescent(&self) -> Result<u64, LhError> {
         let deadline = Instant::now() + self.timeout.get();
         loop {
@@ -595,7 +597,10 @@ impl LhClient {
     /// Parallel scan: sends the opaque `query` to every bucket, which
     /// evaluates its installed [`ScanFilter`](crate::ScanFilter); gathers
     /// all answers. This is the paper's "search records … by content in
-    /// parallel at all storage sites".
+    /// parallel at all storage sites". Every answer carries the bucket's
+    /// level; a level that reveals a bucket beyond the extent the scan
+    /// started from (a split finished in between) adds that bucket to the
+    /// fan-out, as LH\* scans do to terminate deterministically.
     pub fn scan(&self, query: &[u8], keys_only: bool) -> Result<Vec<ScanMatch>, LhError> {
         // The scan fan-out span: every ScanReq sent below (including
         // retries) carries this context, so each bucket's scan span —
@@ -607,34 +612,35 @@ impl LhClient {
         span.set_detail(extent);
         sdds_obs::counter("lh.scan_fanout_buckets").add(extent);
         let req_id = self.fresh_req_id();
-        let msg = Wire::ScanReq {
-            req_id,
-            client: self.endpoint.id().0,
-            query: query.to_vec(),
-            keys_only,
-        };
-        let payload = msg.encode();
+        let payload = Wire::encode_scan_req(req_id, self.endpoint.id().0, query, keys_only);
         // buckets still owing an answer; lost requests/answers are retried
         let mut outstanding: Vec<u64> = (0..extent).collect();
+        // buckets beyond `extent` that answers have revealed (see below)
+        let mut late: HashSet<u64> = HashSet::new();
         let mut matches: HashMap<u64, ScanMatch> = HashMap::new();
         let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
         if outstanding.is_empty() {
             return Ok(finish(matches));
         }
+        // Sends the request to bucket `addr`, which is then `awaited` — or
+        // `dead` when it cannot even be addressed this attempt (no
+        // directory entry, awaiting recovery, unreachable). Dead buckets
+        // stay outstanding: dropping them would let the scan report
+        // success while silently missing part of the file.
+        let ask = |addr: u64, awaited: &mut HashSet<u64>, dead: &mut Vec<u64>| match self
+            .directory
+            .bucket_site(addr)
+        {
+            Some(site) if self.send_admitted(site, payload.clone()).is_ok() => {
+                awaited.insert(addr);
+            }
+            _ => dead.push(addr),
+        };
         for _attempt in 0..Self::ATTEMPTS {
-            let mut awaited = std::collections::HashSet::new();
-            // Buckets that cannot even be addressed this attempt — dead
-            // (no directory entry, awaiting recovery) or unreachable.
-            // They stay outstanding: dropping them would let the scan
-            // report success while silently missing part of the file.
+            let mut awaited = HashSet::new();
             let mut dead: Vec<u64> = Vec::new();
             for &addr in &outstanding {
-                match self.directory.bucket_site(addr) {
-                    Some(site) if self.send_admitted(site, payload.clone()).is_ok() => {
-                        awaited.insert(addr);
-                    }
-                    _ => dead.push(addr),
-                }
+                ask(addr, &mut awaited, &mut dead);
             }
             if awaited.is_empty() {
                 // nothing reachable right now; give a recovery in
@@ -658,11 +664,24 @@ impl LhClient {
                     Some(Wire::ScanResp {
                         req_id: rid,
                         bucket,
+                        level,
                         matches: m,
                     }) if rid == req_id => {
                         awaited.remove(&bucket);
                         for sm in m {
                             matches.insert(sm.key, sm);
+                        }
+                        // LH* scan termination: the answering bucket's
+                        // level names every bucket it has split off. One
+                        // beyond the extent this scan started from was
+                        // created since — by a split that may have moved
+                        // records out of `bucket` before it ran the scan
+                        // — so it owes an answer too.
+                        for child in split_children(bucket, level) {
+                            if child >= extent && late.insert(child) {
+                                sdds_obs::counter("lh.scan_late_buckets").inc();
+                                ask(child, &mut awaited, &mut dead);
+                            }
                         }
                     }
                     _ => continue,
@@ -805,5 +824,64 @@ mod tests {
             "the rejected attempts must be visible in lh.rejected_total"
         );
         server.join().unwrap();
+    }
+
+    /// A split completes between the scan's extent read and its fan-out:
+    /// bucket 0 answers at a level that says it has split off bucket 2,
+    /// which the extent (2 buckets) did not cover. The client must ask
+    /// bucket 2 as well, or the records that moved there are lost.
+    #[test]
+    fn scan_follows_a_split_that_finished_after_the_extent_was_read() {
+        let net = Network::new(NetConfig::default());
+        let coord_ep = net.register();
+        let buckets = [net.register(), net.register(), net.register()];
+        let directory = Arc::new(Directory::new());
+        for (addr, ep) in buckets.iter().enumerate() {
+            directory.set_bucket(addr as u64, ep.id());
+        }
+        let client = LhClient::new(net.register(), directory, coord_ep.id());
+        let late_before = sdds_obs::counter("lh.scan_late_buckets").get();
+
+        let scan = std::thread::spawn(move || client.scan(b"q", true));
+        let recv = |ep: &Endpoint| {
+            let env = ep.recv_timeout(Duration::from_secs(5)).expect("request");
+            Wire::decode(&env.payload).expect("well-formed request")
+        };
+        let Wire::ExtentReq { req_id, client } = recv(&coord_ep) else {
+            panic!("expected ExtentReq");
+        };
+        let extent = Wire::ExtentResp {
+            req_id,
+            level: 1,
+            split: 0,
+            busy: false,
+        };
+        coord_ep.send(SiteId(client), extent.encode()).unwrap();
+        // (bucket, its level when it scans, the key it still holds)
+        for (addr, level, key) in [(0u64, 2u8, None), (1, 1, Some(11)), (2, 2, Some(22))] {
+            let ep = &buckets[addr as usize];
+            let Wire::ScanReq { req_id, client, .. } = recv(ep) else {
+                panic!("expected ScanReq at bucket {addr}");
+            };
+            let resp = Wire::ScanResp {
+                req_id,
+                bucket: addr,
+                level,
+                matches: key
+                    .map(|key| ScanMatch { key, value: None })
+                    .into_iter()
+                    .collect(),
+            };
+            ep.send(SiteId(client), resp.encode()).unwrap();
+        }
+        let keys: Vec<u64> = scan
+            .join()
+            .unwrap()
+            .expect("scan completes")
+            .iter()
+            .map(|m| m.key)
+            .collect();
+        assert_eq!(keys, [11, 22]);
+        assert!(sdds_obs::counter("lh.scan_late_buckets").get() > late_before);
     }
 }

@@ -39,6 +39,15 @@ pub fn extent(level: u8, split: u64) -> u64 {
     (1u64 << level) + split
 }
 
+/// The buckets that bucket `addr` has split off by the time it is at
+/// `level`: each split at level `l` created `addr + 2^l`, starting from
+/// the level at which `addr` itself came to exist. (A level off the wire
+/// may be anything; addresses that do not fit a `u64` are skipped.)
+pub(crate) fn split_children(addr: u64, level: u8) -> impl Iterator<Item = u64> {
+    let born = u64::BITS - addr.leading_zeros(); // 0 for bucket 0
+    (born..u32::from(level)).filter_map(move |l| addr.checked_add(1u64.checked_shl(l)?))
+}
+
 /// A client's (possibly outdated) view of the file state — LH\*'s *image*.
 ///
 /// Clients start with the primordial image (one bucket) and converge
@@ -113,6 +122,33 @@ mod tests {
         assert_eq!(address(4, 1, 1), 0); // h_1(4)=0 < 1 → h_2(4)=0
         assert_eq!(address(6, 1, 1), 2); // h_1(6)=0 < 1 → h_2(6)=2
         assert_eq!(address(7, 1, 1), 1); // h_1(7)=1 ≥ 1 → stays
+    }
+
+    #[test]
+    fn split_children_follow_the_split_history() {
+        let children = |addr, level| split_children(addr, level).collect::<Vec<u64>>();
+        assert_eq!(children(0, 0), [0u64; 0]);
+        assert_eq!(children(0, 3), [1, 2, 4]);
+        assert_eq!(children(1, 3), [3, 5]);
+        assert_eq!(children(2, 3), [6]);
+        assert_eq!(children(3, 2), [0u64; 0], "bucket 3 is born at level 2");
+        assert_eq!(children(5, 2), [0u64; 0], "a level below the bucket's own");
+        // every bucket of a file is bucket 0 or somebody's child, once
+        for (level, split) in [(0u8, 0u64), (2, 1), (3, 0), (3, 5), (4, 15)] {
+            let bucket_level = |a: u64| {
+                let next = a < split || a >= 1 << level;
+                level + u8::from(next)
+            };
+            let mut born: Vec<u64> = (0..extent(level, split))
+                .flat_map(|a| split_children(a, bucket_level(a)))
+                .collect();
+            born.sort_unstable();
+            let expected: Vec<u64> = (1..extent(level, split)).collect();
+            assert_eq!(born, expected, "file ({level}, {split})");
+        }
+        // levels off the wire cannot overflow the address space
+        assert_eq!(children(u64::MAX, u8::MAX), [0u64; 0]);
+        assert_eq!(children(1, u8::MAX).len(), 63);
     }
 
     #[test]

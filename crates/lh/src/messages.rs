@@ -1,15 +1,22 @@
 //! The LH\* wire protocol.
 //!
-//! Every message is a serde-serialized [`Wire`] variant. JSON is used as
-//! the wire format: the reproduction's benchmarks measure message counts
-//! and protocol shape (the paper's constant-hop claims), not marshalling
-//! micro-costs, and JSON keeps captured traffic debuggable.
+//! Every message is one [`Wire`] variant in a hand-written binary layout:
+//! a tag byte naming the variant, then its fields in declaration order,
+//! built from the primitives of [`sdds_net::codec`] (fixed-width
+//! little-endian integers, flag-byte options, length-prefixed byte strings
+//! and counted sequences). `docs/PROTOCOL.md` tabulates the bytes of every
+//! variant. [`Wire::decode`] is total and fails closed — an unknown tag, a
+//! length or count that overruns the payload, a bad flag byte, invalid
+//! UTF-8 or trailing bytes all give `None` — and `Debug` on the decoded
+//! value is the aid for reading captured traffic.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use sdds_net::codec::{
+    put_bool, put_bytes, put_option, put_seq, put_str, put_u32, put_u64, put_usize, Reader,
+};
 
 /// A key operation requested by a client.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Insert or overwrite `key`.
     Insert {
@@ -40,7 +47,7 @@ impl Op {
 }
 
 /// Result of a key operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpResult {
     /// Insert completed; `replaced` tells whether a previous value existed.
     Inserted {
@@ -66,7 +73,7 @@ pub enum OpResult {
 }
 
 /// One record matched by a scan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanMatch {
     /// Record key.
     pub key: u64,
@@ -75,7 +82,7 @@ pub struct ScanMatch {
 }
 
 /// Everything that travels between sites.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Wire {
     /// Client → bucket (and bucket → bucket when forwarding).
     Request {
@@ -120,6 +127,10 @@ pub enum Wire {
         req_id: u64,
         /// Bucket address that produced these matches.
         bucket: u64,
+        /// That bucket's level when it ran the scan: tells the client
+        /// which buckets it has split off, so a split that completes
+        /// while the scan is fanning out cannot hide the moved records.
+        level: u8,
         /// Matching records.
         matches: Vec<ScanMatch>,
     },
@@ -205,7 +216,6 @@ pub enum Wire {
         split: u64,
         /// True while splits/merges are running or queued — scans wait for
         /// quiescence so records mid-transfer are not missed.
-        #[serde(default)]
         busy: bool,
     },
     /// Data bucket → parity site: a slot changed (LH*RS).
@@ -300,7 +310,7 @@ pub enum Wire {
 }
 
 /// One rank row of a parity site's state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParityRow {
     /// Keys of the group's members at this rank (index = member).
     pub keys: Vec<Option<u64>>,
@@ -308,67 +318,611 @@ pub struct ParityRow {
     pub slot: Vec<u8>,
 }
 
+// Tag bytes. Variants are numbered in declaration order; the numbers are
+// wire format and never reused. JSON text of the format this codec
+// replaced starts with `{` or `"`, neither of which is a tag.
+const OP_INSERT: u8 = 0;
+const OP_LOOKUP: u8 = 1;
+const OP_DELETE: u8 = 2;
+
+const RES_INSERTED: u8 = 0;
+const RES_FOUND: u8 = 1;
+const RES_DELETED: u8 = 2;
+const RES_ERROR: u8 = 3;
+
+const REQUEST: u8 = 0;
+const RESPONSE: u8 = 1;
+const SCAN_REQ: u8 = 2;
+const SCAN_RESP: u8 = 3;
+const OVERFLOW: u8 = 4;
+const UNDERFLOW: u8 = 5;
+const MERGE_CMD: u8 = 6;
+const MERGE_DONE: u8 = 7;
+const SPLIT_CMD: u8 = 8;
+const TRANSFER_BATCH: u8 = 9;
+const TRANSFER_ACK: u8 = 10;
+const SPLIT_DONE: u8 = 11;
+const EXTENT_REQ: u8 = 12;
+const EXTENT_RESP: u8 = 13;
+const PARITY_UPDATE: u8 = 14;
+const PARITY_READ: u8 = 15;
+const PARITY_STATE: u8 = 16;
+const SLOTS_READ: u8 = 17;
+const SLOTS_STATE: u8 = 18;
+const ADOPT: u8 = 19;
+const DUMP: u8 = 20;
+const DUMP_STATE: u8 = 21;
+const ADOPT_FILE_STATE: u8 = 22;
+const SHUTDOWN: u8 = 23;
+
+// Fewest bytes one item of each sequence can occupy: what `Reader::seq`
+// divides the remaining payload by before it allocates.
+const MIN_RECORD: usize = 8 + 4; // key + value length
+const MIN_SLOT: usize = 1; // a free rank is one flag byte
+const MIN_SCAN_MATCH: usize = 8 + 1; // key + value flag
+const MIN_PARITY_ROW: usize = 4 + 4; // key count + slot length
+const MIN_ROW_KEY: usize = 1; // a vacant member is one flag byte
+
+impl Op {
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Op::Insert { key, value } => {
+                out.push(OP_INSERT);
+                put_u64(out, *key);
+                put_bytes(out, value);
+            }
+            Op::Lookup { key } => {
+                out.push(OP_LOOKUP);
+                put_u64(out, *key);
+            }
+            Op::Delete { key } => {
+                out.push(OP_DELETE);
+                put_u64(out, *key);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader) -> Option<Op> {
+        Some(match r.u8()? {
+            OP_INSERT => Op::Insert {
+                key: r.u64()?,
+                value: r.vec()?,
+            },
+            OP_LOOKUP => Op::Lookup { key: r.u64()? },
+            OP_DELETE => Op::Delete { key: r.u64()? },
+            _ => return None,
+        })
+    }
+}
+
+impl OpResult {
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            OpResult::Inserted { replaced } => {
+                out.push(RES_INSERTED);
+                put_bool(out, *replaced);
+            }
+            OpResult::Found { value } => {
+                out.push(RES_FOUND);
+                put_option(out, value.as_deref(), put_bytes);
+            }
+            OpResult::Deleted { existed } => {
+                out.push(RES_DELETED);
+                put_bool(out, *existed);
+            }
+            OpResult::Error { message } => {
+                out.push(RES_ERROR);
+                put_str(out, message);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader) -> Option<OpResult> {
+        Some(match r.u8()? {
+            RES_INSERTED => OpResult::Inserted {
+                replaced: r.bool()?,
+            },
+            RES_FOUND => OpResult::Found {
+                value: r.option(Reader::vec)?,
+            },
+            RES_DELETED => OpResult::Deleted { existed: r.bool()? },
+            RES_ERROR => OpResult::Error {
+                message: r.string()?,
+            },
+            _ => return None,
+        })
+    }
+}
+
+fn put_record(out: &mut Vec<u8>, (key, value): &(u64, Vec<u8>)) {
+    put_u64(out, *key);
+    put_bytes(out, value);
+}
+
+fn read_record(r: &mut Reader) -> Option<(u64, Vec<u8>)> {
+    Some((r.u64()?, r.vec()?))
+}
+
+fn put_slot(out: &mut Vec<u8>, slot: &Option<(u64, Vec<u8>)>) {
+    put_option(out, slot.as_ref(), put_record);
+}
+
+fn read_slot(r: &mut Reader) -> Option<Option<(u64, Vec<u8>)>> {
+    r.option(read_record)
+}
+
+impl ScanMatch {
+    fn write(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.key);
+        put_option(out, self.value.as_deref(), put_bytes);
+    }
+
+    fn read(r: &mut Reader) -> Option<ScanMatch> {
+        Some(ScanMatch {
+            key: r.u64()?,
+            value: r.option(Reader::vec)?,
+        })
+    }
+}
+
+impl ParityRow {
+    fn write(&self, out: &mut Vec<u8>) {
+        put_seq(out, &self.keys, |out, key| put_option(out, *key, put_u64));
+        put_bytes(out, &self.slot);
+    }
+
+    fn read(r: &mut Reader) -> Option<ParityRow> {
+        Some(ParityRow {
+            keys: r.seq(MIN_ROW_KEY, |r| r.option(Reader::u64))?,
+            slot: r.vec()?,
+        })
+    }
+}
+
+/// The one place the bytes of a `ScanReq` are written, so the owned
+/// variant and [`Wire::encode_scan_req`] cannot drift apart.
+fn write_scan_req(out: &mut Vec<u8>, req_id: u64, client: u32, query: &[u8], keys_only: bool) {
+    out.push(SCAN_REQ);
+    put_u64(out, req_id);
+    put_u32(out, client);
+    put_bytes(out, query);
+    put_bool(out, keys_only);
+}
+
+/// Runs `write` on a pooled buffer and hands it off zero-copy: the
+/// steady-state send path allocates no payload buffers (the pool recycles
+/// them when the last `Bytes` clone drops).
+pub(crate) fn encode_pooled(write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    let mut buf = sdds_net::PooledBuf::take();
+    write(buf.as_mut_vec());
+    buf.into_bytes()
+}
+
 impl Wire {
     /// Serializes for the network.
     pub fn encode(&self) -> Bytes {
-        // Stream into a pooled buffer and hand it off zero-copy: the
-        // steady-state send path allocates no payload buffers (the pool
-        // recycles them when the last `Bytes` clone drops).
-        let mut buf = sdds_net::PooledBuf::take();
-        // lint: allow(panic-freedom) -- plain-data enum with no map keys or non-string tags; serialization is infallible
-        serde_json::to_writer(&mut buf, self).expect("Wire serializes");
-        buf.into_bytes()
+        encode_pooled(|out| self.write(out))
     }
 
-    /// Deserializes from the network.
+    /// Serializes a [`Wire::ScanReq`] straight from a borrowed query — the
+    /// same bytes as building the variant and calling
+    /// [`encode`](Wire::encode), without copying the query first.
+    pub fn encode_scan_req(req_id: u64, client: u32, query: &[u8], keys_only: bool) -> Bytes {
+        encode_pooled(|out| write_scan_req(out, req_id, client, query, keys_only))
+    }
+
+    /// Deserializes from the network. `None` for anything that is not
+    /// exactly one well-formed message.
     pub fn decode(bytes: &[u8]) -> Option<Wire> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::new(bytes);
+        let msg = Wire::read(&mut r)?;
+        r.finish()?;
+        Some(msg)
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Wire::Request {
+                req_id,
+                client,
+                hops,
+                op,
+            } => {
+                out.push(REQUEST);
+                put_u64(out, *req_id);
+                put_u32(out, *client);
+                out.push(*hops);
+                op.write(out);
+            }
+            Wire::Response {
+                req_id,
+                result,
+                served_by,
+                bucket_level,
+                hops,
+            } => {
+                out.push(RESPONSE);
+                put_u64(out, *req_id);
+                result.write(out);
+                put_u64(out, *served_by);
+                out.push(*bucket_level);
+                out.push(*hops);
+            }
+            Wire::ScanReq {
+                req_id,
+                client,
+                query,
+                keys_only,
+            } => write_scan_req(out, *req_id, *client, query, *keys_only),
+            Wire::ScanResp {
+                req_id,
+                bucket,
+                level,
+                matches,
+            } => {
+                out.push(SCAN_RESP);
+                put_u64(out, *req_id);
+                put_u64(out, *bucket);
+                out.push(*level);
+                put_seq(out, matches, |out, m| m.write(out));
+            }
+            Wire::Overflow { addr, level, size } => {
+                out.push(OVERFLOW);
+                put_u64(out, *addr);
+                out.push(*level);
+                put_usize(out, *size);
+            }
+            Wire::Underflow { addr, size } => {
+                out.push(UNDERFLOW);
+                put_u64(out, *addr);
+                put_usize(out, *size);
+            }
+            Wire::MergeCmd {
+                addr,
+                into_addr,
+                into_site,
+            } => {
+                out.push(MERGE_CMD);
+                put_u64(out, *addr);
+                put_u64(out, *into_addr);
+                put_u32(out, *into_site);
+            }
+            Wire::MergeDone { addr } => {
+                out.push(MERGE_DONE);
+                put_u64(out, *addr);
+            }
+            Wire::SplitCmd {
+                addr,
+                new_addr,
+                new_site,
+            } => {
+                out.push(SPLIT_CMD);
+                put_u64(out, *addr);
+                put_u64(out, *new_addr);
+                put_u32(out, *new_site);
+            }
+            Wire::TransferBatch {
+                level,
+                addr,
+                records,
+            } => {
+                out.push(TRANSFER_BATCH);
+                out.push(*level);
+                put_u64(out, *addr);
+                put_seq(out, records, put_record);
+            }
+            Wire::TransferAck { addr } => {
+                out.push(TRANSFER_ACK);
+                put_u64(out, *addr);
+            }
+            Wire::SplitDone { addr } => {
+                out.push(SPLIT_DONE);
+                put_u64(out, *addr);
+            }
+            Wire::ExtentReq { req_id, client } => {
+                out.push(EXTENT_REQ);
+                put_u64(out, *req_id);
+                put_u32(out, *client);
+            }
+            Wire::ExtentResp {
+                req_id,
+                level,
+                split,
+                busy,
+            } => {
+                out.push(EXTENT_RESP);
+                put_u64(out, *req_id);
+                out.push(*level);
+                put_u64(out, *split);
+                put_bool(out, *busy);
+            }
+            Wire::ParityUpdate {
+                group,
+                member,
+                rank,
+                key,
+                delta,
+            } => {
+                out.push(PARITY_UPDATE);
+                put_u64(out, *group);
+                put_u32(out, *member);
+                put_u32(out, *rank);
+                put_option(out, *key, put_u64);
+                put_bytes(out, delta);
+            }
+            Wire::ParityRead {
+                req_id,
+                client,
+                group,
+            } => {
+                out.push(PARITY_READ);
+                put_u64(out, *req_id);
+                put_u32(out, *client);
+                put_u64(out, *group);
+            }
+            Wire::ParityState {
+                req_id,
+                parity_index,
+                rows,
+            } => {
+                out.push(PARITY_STATE);
+                put_u64(out, *req_id);
+                put_u32(out, *parity_index);
+                put_seq(out, rows, |out, row| row.write(out));
+            }
+            Wire::SlotsRead { req_id, client } => {
+                out.push(SLOTS_READ);
+                put_u64(out, *req_id);
+                put_u32(out, *client);
+            }
+            Wire::SlotsState {
+                req_id,
+                addr,
+                level,
+                slots,
+            } => {
+                out.push(SLOTS_STATE);
+                put_u64(out, *req_id);
+                put_u64(out, *addr);
+                out.push(*level);
+                put_seq(out, slots, put_slot);
+            }
+            Wire::Adopt { addr, level, slots } => {
+                out.push(ADOPT);
+                put_u64(out, *addr);
+                out.push(*level);
+                put_seq(out, slots, put_slot);
+            }
+            Wire::Dump { req_id, client } => {
+                out.push(DUMP);
+                put_u64(out, *req_id);
+                put_u32(out, *client);
+            }
+            Wire::DumpState {
+                req_id,
+                addr,
+                level,
+                records,
+            } => {
+                out.push(DUMP_STATE);
+                put_u64(out, *req_id);
+                put_u64(out, *addr);
+                out.push(*level);
+                put_seq(out, records, put_record);
+            }
+            Wire::AdoptFileState { level, split } => {
+                out.push(ADOPT_FILE_STATE);
+                out.push(*level);
+                put_u64(out, *split);
+            }
+            Wire::Shutdown => out.push(SHUTDOWN),
+        }
+    }
+
+    fn read(r: &mut Reader) -> Option<Wire> {
+        Some(match r.u8()? {
+            REQUEST => Wire::Request {
+                req_id: r.u64()?,
+                client: r.u32()?,
+                hops: r.u8()?,
+                op: Op::read(r)?,
+            },
+            RESPONSE => Wire::Response {
+                req_id: r.u64()?,
+                result: OpResult::read(r)?,
+                served_by: r.u64()?,
+                bucket_level: r.u8()?,
+                hops: r.u8()?,
+            },
+            SCAN_REQ => Wire::ScanReq {
+                req_id: r.u64()?,
+                client: r.u32()?,
+                query: r.vec()?,
+                keys_only: r.bool()?,
+            },
+            SCAN_RESP => Wire::ScanResp {
+                req_id: r.u64()?,
+                bucket: r.u64()?,
+                level: r.u8()?,
+                matches: r.seq(MIN_SCAN_MATCH, ScanMatch::read)?,
+            },
+            OVERFLOW => Wire::Overflow {
+                addr: r.u64()?,
+                level: r.u8()?,
+                size: r.usize()?,
+            },
+            UNDERFLOW => Wire::Underflow {
+                addr: r.u64()?,
+                size: r.usize()?,
+            },
+            MERGE_CMD => Wire::MergeCmd {
+                addr: r.u64()?,
+                into_addr: r.u64()?,
+                into_site: r.u32()?,
+            },
+            MERGE_DONE => Wire::MergeDone { addr: r.u64()? },
+            SPLIT_CMD => Wire::SplitCmd {
+                addr: r.u64()?,
+                new_addr: r.u64()?,
+                new_site: r.u32()?,
+            },
+            TRANSFER_BATCH => Wire::TransferBatch {
+                level: r.u8()?,
+                addr: r.u64()?,
+                records: r.seq(MIN_RECORD, read_record)?,
+            },
+            TRANSFER_ACK => Wire::TransferAck { addr: r.u64()? },
+            SPLIT_DONE => Wire::SplitDone { addr: r.u64()? },
+            EXTENT_REQ => Wire::ExtentReq {
+                req_id: r.u64()?,
+                client: r.u32()?,
+            },
+            EXTENT_RESP => Wire::ExtentResp {
+                req_id: r.u64()?,
+                level: r.u8()?,
+                split: r.u64()?,
+                busy: r.bool()?,
+            },
+            PARITY_UPDATE => Wire::ParityUpdate {
+                group: r.u64()?,
+                member: r.u32()?,
+                rank: r.u32()?,
+                key: r.option(Reader::u64)?,
+                delta: r.vec()?,
+            },
+            PARITY_READ => Wire::ParityRead {
+                req_id: r.u64()?,
+                client: r.u32()?,
+                group: r.u64()?,
+            },
+            PARITY_STATE => Wire::ParityState {
+                req_id: r.u64()?,
+                parity_index: r.u32()?,
+                rows: r.seq(MIN_PARITY_ROW, ParityRow::read)?,
+            },
+            SLOTS_READ => Wire::SlotsRead {
+                req_id: r.u64()?,
+                client: r.u32()?,
+            },
+            SLOTS_STATE => Wire::SlotsState {
+                req_id: r.u64()?,
+                addr: r.u64()?,
+                level: r.u8()?,
+                slots: r.seq(MIN_SLOT, read_slot)?,
+            },
+            ADOPT => Wire::Adopt {
+                addr: r.u64()?,
+                level: r.u8()?,
+                slots: r.seq(MIN_SLOT, read_slot)?,
+            },
+            DUMP => Wire::Dump {
+                req_id: r.u64()?,
+                client: r.u32()?,
+            },
+            DUMP_STATE => Wire::DumpState {
+                req_id: r.u64()?,
+                addr: r.u64()?,
+                level: r.u8()?,
+                records: r.seq(MIN_RECORD, read_record)?,
+            },
+            ADOPT_FILE_STATE => Wire::AdoptFileState {
+                level: r.u8()?,
+                split: r.u64()?,
+            },
+            SHUTDOWN => Wire::Shutdown,
+            _ => return None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sdds_net::codec::check::{hostile_length, prefixes_and_bitflips};
+    use std::collections::BTreeSet;
 
-    #[test]
-    fn roundtrip_all_variants() {
-        let msgs = vec![
-            Wire::Request {
-                req_id: 1,
-                client: 2,
-                hops: 0,
-                op: Op::Insert {
-                    key: 3,
-                    value: vec![1, 2, 3],
-                },
-            },
-            Wire::Response {
-                req_id: 1,
-                result: OpResult::Found {
-                    value: Some(vec![9]),
-                },
-                served_by: 4,
-                bucket_level: 2,
-                hops: 1,
+    /// At least one value of every variant, plus the boundary cases:
+    /// empty and 64 KiB values, `u64::MAX` keys, `None` and `Some` in
+    /// every `Option`, empty and multi-row sequences, non-ASCII text.
+    fn samples() -> Vec<Wire> {
+        let big = vec![0xA5u8; 64 * 1024];
+        let request = |op| Wire::Request {
+            req_id: 1,
+            client: 2,
+            hops: 0,
+            op,
+        };
+        let response = |result| Wire::Response {
+            req_id: u64::MAX,
+            result,
+            served_by: 4,
+            bucket_level: 2,
+            hops: 1,
+        };
+        let slots = vec![Some((5, vec![1])), None, Some((u64::MAX, vec![]))];
+        vec![
+            request(Op::Insert {
+                key: 3,
+                value: vec![1, 2, 3],
+            }),
+            request(Op::Insert {
+                key: u64::MAX,
+                value: vec![],
+            }),
+            request(Op::Insert {
+                key: 0,
+                value: big.clone(),
+            }),
+            request(Op::Lookup { key: u64::MAX }),
+            request(Op::Delete { key: 9 }),
+            response(OpResult::Inserted { replaced: true }),
+            response(OpResult::Found {
+                value: Some(vec![9]),
+            }),
+            response(OpResult::Found { value: Some(big) }),
+            response(OpResult::Found { value: None }),
+            response(OpResult::Deleted { existed: false }),
+            response(OpResult::Error {
+                message: "Wert zu groß für den Paritäts-Slot — 値が大きすぎます".into(),
+            }),
+            Wire::ScanReq {
+                req_id: 9,
+                client: u32::MAX,
+                query: vec![0xFF],
+                keys_only: true,
             },
             Wire::ScanReq {
                 req_id: 9,
                 client: 1,
-                query: vec![0xFF],
-                keys_only: true,
+                query: vec![],
+                keys_only: false,
             },
             Wire::ScanResp {
                 req_id: 9,
                 bucket: 3,
-                matches: vec![ScanMatch {
-                    key: 5,
-                    value: None,
-                }],
+                level: 0,
+                matches: vec![],
+            },
+            Wire::ScanResp {
+                req_id: 9,
+                bucket: 3,
+                level: u8::MAX,
+                matches: vec![
+                    ScanMatch {
+                        key: 5,
+                        value: None,
+                    },
+                    ScanMatch {
+                        key: u64::MAX,
+                        value: Some(vec![7, 7]),
+                    },
+                ],
             },
             Wire::Overflow {
                 addr: 0,
                 level: 1,
-                size: 100,
+                size: usize::MAX,
             },
             Wire::Underflow { addr: 3, size: 2 },
             Wire::MergeCmd {
@@ -385,7 +939,12 @@ mod tests {
             Wire::TransferBatch {
                 level: 2,
                 addr: 2,
-                records: vec![(1, vec![])],
+                records: vec![],
+            },
+            Wire::TransferBatch {
+                level: 2,
+                addr: 2,
+                records: vec![(1, vec![]), (u64::MAX, vec![4, 5, 6])],
             },
             Wire::TransferAck { addr: 2 },
             Wire::SplitDone { addr: 0 },
@@ -399,12 +958,25 @@ mod tests {
                 split: 1,
                 busy: false,
             },
+            Wire::ExtentResp {
+                req_id: 4,
+                level: u8::MAX,
+                split: u64::MAX,
+                busy: true,
+            },
             Wire::ParityUpdate {
                 group: 0,
                 member: 1,
                 rank: 2,
                 key: Some(77),
                 delta: vec![0xAA],
+            },
+            Wire::ParityUpdate {
+                group: 0,
+                member: 1,
+                rank: 2,
+                key: None,
+                delta: vec![],
             },
             Wire::ParityRead {
                 req_id: 8,
@@ -414,10 +986,21 @@ mod tests {
             Wire::ParityState {
                 req_id: 8,
                 parity_index: 0,
-                rows: vec![ParityRow {
-                    keys: vec![Some(1), None],
-                    slot: vec![3],
-                }],
+                rows: vec![],
+            },
+            Wire::ParityState {
+                req_id: 8,
+                parity_index: 1,
+                rows: vec![
+                    ParityRow {
+                        keys: vec![Some(1), None, Some(u64::MAX)],
+                        slot: vec![3],
+                    },
+                    ParityRow {
+                        keys: vec![],
+                        slot: vec![],
+                    },
+                ],
             },
             Wire::SlotsRead {
                 req_id: 2,
@@ -427,12 +1010,18 @@ mod tests {
                 req_id: 2,
                 addr: 1,
                 level: 1,
-                slots: vec![Some((5, vec![1])), None],
+                slots: vec![],
+            },
+            Wire::SlotsState {
+                req_id: 2,
+                addr: 1,
+                level: 1,
+                slots: slots.clone(),
             },
             Wire::Adopt {
                 addr: 1,
                 level: 1,
-                slots: vec![Some((5, vec![1])), None],
+                slots,
             },
             Wire::Dump {
                 req_id: 3,
@@ -446,17 +1035,141 @@ mod tests {
             },
             Wire::AdoptFileState { level: 3, split: 2 },
             Wire::Shutdown,
-        ];
-        for m in msgs {
+        ]
+    }
+
+    /// The samples the exhaustive prefix and bit-flip sweeps run over.
+    fn small_encodings() -> Vec<Vec<u8>> {
+        samples()
+            .iter()
+            .map(|m| m.encode().to_vec())
+            .filter(|enc| enc.len() < 1024)
+            .collect()
+    }
+
+    /// The variant's name, as `Debug` prints it.
+    fn variant_name(msg: &Wire) -> String {
+        format!("{msg:?}")
+            .chars()
+            .take_while(char::is_ascii_alphanumeric)
+            .collect()
+    }
+
+    #[test]
+    fn roundtrip_all_variants() {
+        let mut covered = BTreeSet::new();
+        for m in samples() {
+            covered.insert(variant_name(&m));
             let enc = m.encode();
             assert_eq!(Wire::decode(&enc), Some(m));
+        }
+        // The committed matrix lists every declared variant (CI diffs it
+        // against the enum): a variant without a sample fails here.
+        let matrix = include_str!("../../../protocol-matrix.json");
+        let declared: BTreeSet<String> = matrix
+            .split("\"variant\": \"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(declared.len(), usize::from(SHUTDOWN) + 1);
+        assert_eq!(covered, declared);
+    }
+
+    #[test]
+    fn borrowed_scan_request_encodes_like_the_variant() {
+        let owned = Wire::ScanReq {
+            req_id: 7,
+            client: 3,
+            query: b"opaque".to_vec(),
+            keys_only: true,
+        };
+        assert_eq!(Wire::encode_scan_req(7, 3, b"opaque", true), owned.encode());
+    }
+
+    #[test]
+    fn decode_fails_closed() {
+        prefixes_and_bitflips(&small_encodings(), Wire::decode);
+        assert_eq!(Wire::decode(&[SHUTDOWN + 1]), None, "unknown tag");
+        assert_eq!(Wire::decode(&[SHUTDOWN, 0]), None, "trailing byte");
+        // Response{req_id, Found{value: <flag 2>
+        let bad_flag = [&[RESPONSE][..], &[0; 8], &[RES_FOUND, 2], &[0; 10]].concat();
+        assert_eq!(Wire::decode(&bad_flag), None, "option flag is 0 or 1");
+        // Response{req_id, Error{message: 2 bytes that are not UTF-8
+        let bad_text = [
+            &[RESPONSE][..],
+            &[0; 8],
+            &[RES_ERROR, 2, 0, 0, 0, 0xFF, 0xFE],
+            &[0; 10],
+        ]
+        .concat();
+        assert_eq!(Wire::decode(&bad_text), None, "message must be UTF-8");
+    }
+
+    proptest! {
+        #[test]
+        fn random_bytes_never_panic(
+            tag in 0u8..=SHUTDOWN + 1,
+            data in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = Wire::decode(&data);
+            // behind a real tag the field decoders are reached
+            let _ = Wire::decode(&[&[tag][..], &data].concat());
         }
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Wire::decode(b"not json"), None);
-        assert_eq!(Wire::decode(b"{}"), None);
+    fn oversized_lengths_and_counts_are_refused() {
+        // (everything before a length or count field, what follows it)
+        let cases: [(Vec<u8>, &[u8]); 12] = [
+            // Request{Insert{value
+            (
+                [&[REQUEST][..], &[0; 13], &[OP_INSERT], &[0; 8]].concat(),
+                &[],
+            ),
+            // Response{Found{value
+            (
+                [&[RESPONSE][..], &[0; 8], &[RES_FOUND, 1]].concat(),
+                &[0; 10],
+            ),
+            // Response{Error{message
+            ([&[RESPONSE][..], &[0; 8], &[RES_ERROR]].concat(), &[0; 10]),
+            // ScanReq{query
+            ([&[SCAN_REQ][..], &[0; 12]].concat(), &[0]),
+            // ScanResp{matches
+            ([&[SCAN_RESP][..], &[0; 17]].concat(), &[]),
+            // TransferBatch{records
+            ([&[TRANSFER_BATCH][..], &[0; 9]].concat(), &[]),
+            // ParityUpdate{delta
+            ([&[PARITY_UPDATE][..], &[0; 17]].concat(), &[]),
+            // ParityState{rows, and the keys of its first row
+            ([&[PARITY_STATE][..], &[0; 12]].concat(), &[]),
+            (
+                [&[PARITY_STATE][..], &[0; 12], &[1, 0, 0, 0]].concat(),
+                &[0; 4],
+            ),
+            // SlotsState{slots, Adopt{slots
+            ([&[SLOTS_STATE][..], &[0; 17]].concat(), &[]),
+            ([&[ADOPT][..], &[0; 9]].concat(), &[]),
+            // DumpState{records
+            ([&[DUMP_STATE][..], &[0; 17]].concat(), &[]),
+        ];
+        for (head, tail) in &cases {
+            hostile_length(head, tail, Wire::decode);
+        }
+    }
+
+    #[test]
+    fn json_of_the_replaced_format_is_refused() {
+        for old in [
+            &br#"{"Request":{"req_id":1,"client":2,"hops":0,"op":{"Lookup":{"key":3}}}}"#[..],
+            br#"{"MergeDone":{"addr":3}}"#,
+            br#""Shutdown""#,
+            b"{}",
+            b"not json",
+        ] {
+            assert_eq!(Wire::decode(old), None);
+        }
     }
 
     #[test]

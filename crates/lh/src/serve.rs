@@ -24,9 +24,10 @@ use crate::client::{LhClient, LhError};
 use crate::cluster::{send_control, ClusterConfig, Directory, ObsOptions, SiteBuilder};
 use crate::coordinator::{run_coordinator, BucketRetirer, BucketSpawner};
 use crate::health;
-use crate::messages::Wire;
+use crate::messages::{encode_pooled, Wire};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use sdds_net::codec::{put_bool, put_option, put_seq, put_str, put_u32, put_u64, Reader};
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant, SystemTime};
 /// hosts. These ride the same TCP fabric as [`Wire`] but address the
 /// per-rank host endpoints (`SiteRegistry::host_id`), which speak only
 /// this protocol — the two codecs never meet in one inbox.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum HostMsg {
     /// Materialise bucket `addr` at `level` on the receiving host.
     Spawn {
@@ -67,7 +68,8 @@ pub(crate) enum HostMsg {
     },
     /// One rank's scrape reply. Metrics travel as `MetricsSnapshot`
     /// JSON documents, spans as the flight recorder's JSONL schema —
-    /// the same formats the CLI writes to sidecar files.
+    /// the same formats the CLI writes to sidecar files — each carried
+    /// as one length-prefixed string.
     ObsReport {
         /// The request's `req_id`, echoed.
         req_id: u64,
@@ -87,23 +89,92 @@ pub(crate) enum HostMsg {
     Shutdown,
 }
 
+const SPAWN: u8 = 0;
+const DROP_CONNS: u8 = 1;
+const OBS_PULL: u8 = 2;
+const OBS_REPORT: u8 = 3;
+const SHUTDOWN: u8 = 4;
+
 impl HostMsg {
-    /// Encodes to JSON. Infallible: `HostMsg` is a plain-data enum with
-    /// no map keys or non-string tags, so serialization cannot fail —
-    /// but rather than asserting that with a panic, the unreachable
-    /// error path ships an empty frame (which decodes to `None` and is
-    /// dropped by the receiver) and counts `lh.host_encode_failures`.
+    /// Encodes in the same binary layout as [`Wire`] (tag byte, then the
+    /// fields in declaration order; see `docs/PROTOCOL.md`). Snapshots
+    /// and spans stay the JSON/JSONL documents they are and travel as
+    /// length-prefixed strings.
     pub(crate) fn encode(&self) -> Bytes {
-        let mut buf = sdds_net::PooledBuf::take();
-        if serde_json::to_writer(&mut buf, self).is_err() {
-            sdds_obs::counter("lh.host_encode_failures").inc();
-            return Bytes::new();
-        }
-        buf.into_bytes()
+        encode_pooled(|out| match self {
+            HostMsg::Spawn { addr, level } => {
+                out.push(SPAWN);
+                put_u64(out, *addr);
+                out.push(*level);
+            }
+            HostMsg::DropConns => out.push(DROP_CONNS),
+            HostMsg::ObsPull {
+                req_id,
+                reply_to,
+                metrics,
+                spans,
+                history,
+            } => {
+                out.push(OBS_PULL);
+                put_u64(out, *req_id);
+                put_u32(out, *reply_to);
+                put_bool(out, *metrics);
+                put_bool(out, *spans);
+                put_bool(out, *history);
+            }
+            HostMsg::ObsReport {
+                req_id,
+                rank,
+                metrics,
+                sites,
+                spans,
+                history,
+            } => {
+                out.push(OBS_REPORT);
+                put_u64(out, *req_id);
+                put_u32(out, *rank);
+                put_option(out, metrics.as_deref(), put_str);
+                put_seq(out, sites, |out, s| put_str(out, s));
+                put_str(out, spans);
+                put_seq(out, history, |out, (at, snapshot)| {
+                    put_u64(out, *at);
+                    put_str(out, snapshot);
+                });
+            }
+            HostMsg::Shutdown => out.push(SHUTDOWN),
+        })
     }
 
+    /// Decodes a host-control payload; `None` for anything that is not
+    /// exactly one well-formed message (an empty payload included).
     pub(crate) fn decode(payload: &[u8]) -> Option<HostMsg> {
-        serde_json::from_slice(payload).ok()
+        let mut r = Reader::new(payload);
+        let msg = match r.u8()? {
+            SPAWN => HostMsg::Spawn {
+                addr: r.u64()?,
+                level: r.u8()?,
+            },
+            DROP_CONNS => HostMsg::DropConns,
+            OBS_PULL => HostMsg::ObsPull {
+                req_id: r.u64()?,
+                reply_to: r.u32()?,
+                metrics: r.bool()?,
+                spans: r.bool()?,
+                history: r.bool()?,
+            },
+            OBS_REPORT => HostMsg::ObsReport {
+                req_id: r.u64()?,
+                rank: r.u32()?,
+                metrics: r.option(Reader::string)?,
+                sites: r.seq(4, Reader::string)?,
+                spans: r.string()?,
+                history: r.seq(8 + 4, |r| Some((r.u64()?, r.string()?)))?,
+            },
+            SHUTDOWN => HostMsg::Shutdown,
+            _ => return None,
+        };
+        r.finish()?;
+        Some(msg)
     }
 }
 
@@ -497,6 +568,7 @@ impl TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdds_net::codec::check::{hostile_length, prefixes_and_bitflips};
     use std::net::TcpListener;
 
     /// Reserves `n` distinct loopback ports by binding and dropping
@@ -614,6 +686,98 @@ mod tests {
         hub.shutdown();
         for s in serves {
             s.wait();
+        }
+    }
+
+    /// At least one value of every variant; the reports cover `None`
+    /// and `Some`, empty and filled lists, and non-ASCII text.
+    fn host_samples() -> Vec<HostMsg> {
+        vec![
+            HostMsg::Spawn {
+                addr: u64::MAX,
+                level: 7,
+            },
+            HostMsg::DropConns,
+            HostMsg::ObsPull {
+                req_id: 1,
+                reply_to: u32::MAX,
+                metrics: true,
+                spans: false,
+                history: true,
+            },
+            HostMsg::ObsReport {
+                req_id: 1,
+                rank: 2,
+                metrics: None,
+                sites: vec![],
+                spans: String::new(),
+                history: vec![],
+            },
+            HostMsg::ObsReport {
+                req_id: u64::MAX,
+                rank: 0,
+                metrics: Some(r#"{"label":"global"}"#.into()),
+                sites: vec![r#"{"label":"bucket-0"}"#.into(), "{}".into()],
+                spans: "{\"name\":\"größe\"}\n".into(),
+                history: vec![(1, "{}".into()), (u64::MAX, String::new())],
+            },
+            HostMsg::Shutdown,
+        ]
+    }
+
+    #[test]
+    fn host_msg_roundtrips_every_variant() {
+        let mut covered = std::collections::BTreeSet::new();
+        for m in host_samples() {
+            let name: String = format!("{m:?}")
+                .chars()
+                .take_while(char::is_ascii_alphanumeric)
+                .collect();
+            covered.insert(name);
+            assert_eq!(HostMsg::decode(&m.encode()), Some(m));
+        }
+        // by hand: `HostMsg` is not in protocol-matrix.json
+        let declared = ["DropConns", "ObsPull", "ObsReport", "Shutdown", "Spawn"];
+        assert_eq!(covered.len(), usize::from(SHUTDOWN) + 1);
+        assert!(covered.iter().map(String::as_str).eq(declared));
+    }
+
+    #[test]
+    fn host_msg_decode_fails_closed() {
+        let encodings: Vec<Vec<u8>> = host_samples().iter().map(|m| m.encode().to_vec()).collect();
+        prefixes_and_bitflips(&encodings, HostMsg::decode);
+        assert_eq!(HostMsg::decode(&[]), None, "empty payload");
+        assert_eq!(HostMsg::decode(&[SHUTDOWN + 1]), None, "unknown tag");
+        assert_eq!(HostMsg::decode(&[SHUTDOWN, 0]), None, "trailing byte");
+        assert_eq!(HostMsg::decode(br#""Shutdown""#), None, "old JSON");
+        assert_eq!(
+            HostMsg::decode(br#"{"Spawn":{"addr":1,"level":0}}"#),
+            None,
+            "old JSON"
+        );
+        // ObsReport{req_id, rank, then: metrics text, sites, a site's
+        // text, spans, history
+        let report = [&[OBS_REPORT][..], &[0; 12]].concat();
+        let cases: [(Vec<u8>, &[u8]); 5] = [
+            ([&report[..], &[1]].concat(), &[0; 12]),
+            ([&report[..], &[0]].concat(), &[0; 8]),
+            ([&report[..], &[0], &[1, 0, 0, 0]].concat(), &[0; 8]),
+            ([&report[..], &[0], &[0; 4]].concat(), &[0; 4]),
+            ([&report[..], &[0], &[0; 8]].concat(), &[]),
+        ];
+        for (head, tail) in &cases {
+            hostile_length(head, tail, HostMsg::decode);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn host_msg_random_bytes_never_panic(
+            tag in 0u8..=SHUTDOWN + 1,
+            data in proptest::collection::vec(proptest::any::<u8>(), 0..96),
+        ) {
+            let _ = HostMsg::decode(&data);
+            let _ = HostMsg::decode(&[&[tag][..], &data].concat());
         }
     }
 

@@ -23,9 +23,11 @@
 //! [`BraceTree`]: a `Wire::Variant` occurrence is a *pattern* when it is
 //! inside a `matches!(..)` call, followed by `=>` (with an optional
 //! guard), by `|` alternation, or by a single `=` (refutable `let`);
-//! every other occurrence is a *construction* (a send). Patterns in the
-//! five protocol actor files count as handles; constructions anywhere in
-//! `crates/lh/src` (except the codec) count as sends.
+//! every other occurrence is a *construction* (a send), and so is a call
+//! of a borrowed encoder (`Wire::encode_scan_req(..)` sends a `ScanReq`).
+//! Patterns in the five protocol actor files count as handles;
+//! constructions anywhere in `crates/lh/src` (except the codec) count as
+//! sends.
 
 use crate::rules::{is_allowed, Diagnostic};
 use crate::scanner::{idents, statement_before, BraceTree, Pos, Scanned};
@@ -94,6 +96,22 @@ const OBS_NAMESPACES: [&str; 12] = [
 /// File-ish suffixes that disqualify a dotted literal from being an
 /// observability name (`leak.json`, `bucket.rs`, …).
 const NON_NAME_SUFFIXES: [&str; 5] = [".json", ".jsonl", ".md", ".rs", ".toml"];
+
+/// The variant a borrowed encoder of the codec sends:
+/// `Wire::encode_scan_req(..)` writes a `ScanReq` from borrowed fields
+/// without constructing the variant, and is a send site all the same.
+fn borrowed_encoder_variant(assoc_fn: &str) -> Option<String> {
+    let snake = assoc_fn.strip_prefix("encode_")?;
+    let camel = snake
+        .split('_')
+        .flat_map(|word| {
+            let mut chars = word.chars();
+            let head = chars.next().map(|c| c.to_ascii_uppercase());
+            head.into_iter().chain(chars)
+        })
+        .collect();
+    Some(camel)
+}
 
 /// How a `Wire::Variant` occurrence is used.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -814,12 +832,17 @@ impl<'a> FileView<'a> {
                     end += 1;
                 }
                 let name: String = line[ci + 6..end].iter().collect();
-                if prev_ok && name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+                let named = if name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
                     let (kind, arm_arrow) = self.classify((li, ci), (li, end));
+                    Some((name, kind, arm_arrow))
+                } else {
+                    borrowed_encoder_variant(&name).map(|v| (v, Kind::Send, None))
+                };
+                if let (true, Some((variant, kind, arm_arrow))) = (prev_ok, named) {
                     out.push(Occurrence {
                         file: self.path.to_string(),
                         pos: (li, ci),
-                        variant: name,
+                        variant,
                         kind,
                         arm_arrow,
                         in_handler_file: in_handler,

@@ -35,6 +35,7 @@
 //! [`MAX_FRAME_LEN`] *before* any allocation happens, so a hostile or
 //! corrupt length prefix cannot trigger an over-allocation.
 
+use crate::codec::{put_u32, put_u64, Reader};
 use crate::network::{Envelope, SiteId};
 use bytes::Bytes;
 use sdds_obs::trace::TraceContext;
@@ -139,14 +140,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Finishes a frame started at `start` in `out`: fills in the length and
 /// CRC header bytes that were reserved by the caller.
 #[allow(clippy::ptr_arg)] // writes length/CRC in place *and* measures the tail the caller appended
@@ -199,58 +192,18 @@ pub fn encode_hello(id: SiteId, out: &mut Vec<u8>) {
     seal(out, start);
 }
 
-struct BodyReader<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        let b = *self.body.get(self.pos).ok_or(FrameError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let s = self
-            .body
-            .get(self.pos..self.pos + 4)
-            .ok_or(FrameError::Truncated)?;
-        self.pos += 4;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let s = self
-            .body
-            .get(self.pos..self.pos + 8)
-            .ok_or(FrameError::Truncated)?;
-        self.pos += 8;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let r = self.body.get(self.pos..).unwrap_or(&[]);
-        self.pos = self.body.len();
-        r
-    }
-}
-
 fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
-    let mut r = BodyReader { body, pos: 0 };
+    const SHORT: FrameError = FrameError::Truncated;
+    let mut r = Reader::new(body);
     match kind {
         KIND_ENVELOPE => {
-            let from = SiteId(r.u32()?);
-            let to = SiteId(r.u32()?);
-            let flags = r.u8()?;
+            let from = SiteId(r.u32().ok_or(SHORT)?);
+            let to = SiteId(r.u32().ok_or(SHORT)?);
+            let flags = r.u8().ok_or(SHORT)?;
             let ctx = if flags & FLAG_CTX != 0 {
                 Some(TraceContext {
-                    trace_id: r.u64()?,
-                    parent_span_id: r.u64()?,
+                    trace_id: r.u64().ok_or(SHORT)?,
+                    parent_span_id: r.u64().ok_or(SHORT)?,
                 })
             } else {
                 None
@@ -264,17 +217,17 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
             }))
         }
         KIND_NACK => {
-            let reason = match r.u8()? {
+            let reason = match r.u8().ok_or(SHORT)? {
                 0 => NackReason::Overloaded,
                 1 => NackReason::Unroutable,
                 other => return Err(FrameError::BadKind(other)),
             };
-            let from = SiteId(r.u32()?);
-            let to = SiteId(r.u32()?);
+            let from = SiteId(r.u32().ok_or(SHORT)?);
+            let to = SiteId(r.u32().ok_or(SHORT)?);
             Ok(Frame::Nack { reason, from, to })
         }
         KIND_HELLO => Ok(Frame::Hello {
-            id: SiteId(r.u32()?),
+            id: SiteId(r.u32().ok_or(SHORT)?),
         }),
         other => Err(FrameError::BadKind(other)),
     }

@@ -20,8 +20,9 @@
 //! the in-process channel fabric above, and a real TCP transport
 //! ([`Network::tcp_serve`] / [`Network::tcp_client`]) where sites are
 //! spread over OS processes listed in a [`SiteRegistry`], messages travel
-//! as CRC-framed binary ([`frame`]), and admission control crosses the
-//! wire as NACK frames. `docs/PROTOCOL.md` documents the wire format.
+//! as CRC-framed binary ([`frame`], built on the [`codec`] primitives the
+//! message bodies share), and admission control crosses the wire as NACK
+//! frames. `docs/PROTOCOL.md` documents the wire format.
 //!
 //! ```
 //! use sdds_net::{Network, NetConfig};
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod frame;
 mod latency;
 mod network;

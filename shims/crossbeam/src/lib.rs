@@ -1,17 +1,18 @@
 //! Minimal offline stand-in for the `crossbeam` crate.
 //!
 //! Only `crossbeam::channel` is provided: unbounded and bounded MPMC
-//! channels built on `Mutex<VecDeque>` + `Condvar`, with the same
-//! disconnect semantics the real crate documents — `send` fails once every
-//! `Receiver` is dropped, `recv` fails once every `Sender` is dropped and
-//! the queue has drained, and on a bounded channel `try_send` reports
-//! `Full` without blocking while `send` waits for space.
+//! channels built on `Mutex<VecDeque>` + `Condvar` (notified only when a
+//! thread is blocked on it), with the same disconnect semantics the real
+//! crate documents — `send` fails once every `Receiver` is dropped, `recv`
+//! fails once every `Sender` is dropped and the queue has drained, and on
+//! a bounded channel `try_send` reports `Full` without blocking while
+//! `send` waits for space.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -91,8 +92,18 @@ pub mod channel {
         }
     }
 
+    /// The queue plus how many threads are blocked on each condvar.
+    /// A notify is a system call whether or not anyone waits, and the
+    /// usual receiver of a reply is running, not waiting: the counts,
+    /// kept under the queue's lock, let `send` and `recv` skip it.
+    struct State<T> {
+        queue: VecDeque<T>,
+        receivers_waiting: usize,
+        senders_waiting: usize,
+    }
+
     struct Shared<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         ready: Condvar,
         // Signalled when a bounded channel pops an element (space freed);
         // blocking `send` on a full bounded channel waits here.
@@ -114,7 +125,11 @@ pub mod channel {
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                receivers_waiting: 0,
+                senders_waiting: 0,
+            }),
             ready: Condvar::new(),
             space: Condvar::new(),
             capacity,
@@ -140,6 +155,41 @@ pub mod channel {
         with_capacity(Some(cap.max(1)))
     }
 
+    impl<T> Shared<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Appends `value` and wakes a receiver, if one is blocked.
+        fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+            state.queue.push_back(value);
+            let wake = state.receivers_waiting > 0;
+            drop(state);
+            if wake {
+                self.ready.notify_one();
+            }
+        }
+
+        /// Takes the oldest value and wakes a sender blocked on a full
+        /// bounded channel, if there is one.
+        fn pop<'a>(
+            &self,
+            mut state: MutexGuard<'a, State<T>>,
+        ) -> Result<T, MutexGuard<'a, State<T>>> {
+            match state.queue.pop_front() {
+                Some(value) => {
+                    let wake = state.senders_waiting > 0;
+                    drop(state);
+                    if wake {
+                        self.space.notify_one();
+                    }
+                    Ok(value)
+                }
+                None => Err(state),
+            }
+        }
+    }
+
     impl<T> Sender<T> {
         /// Enqueues `value`, failing if every receiver has been dropped.
         /// On a bounded channel, blocks until space is available.
@@ -147,7 +197,7 @@ pub mod channel {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.shared.lock();
             loop {
                 // Re-check under the lock so a concurrently dropped receiver
                 // cannot race us into enqueueing onto a dead channel.
@@ -155,19 +205,19 @@ pub mod channel {
                     return Err(SendError(value));
                 }
                 match self.shared.capacity {
-                    Some(cap) if queue.len() >= cap => {
-                        queue = self
+                    Some(cap) if state.queue.len() >= cap => {
+                        state.senders_waiting += 1;
+                        state = self
                             .shared
                             .space
-                            .wait(queue)
+                            .wait(state)
                             .unwrap_or_else(|e| e.into_inner());
+                        state.senders_waiting -= 1;
                     }
                     _ => break,
                 }
             }
-            queue.push_back(value);
-            drop(queue);
-            self.shared.ready.notify_one();
+            self.shared.push(state, value);
             Ok(())
         }
 
@@ -177,20 +227,18 @@ pub mod channel {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let state = self.shared.lock();
             // Re-check under the lock so a concurrently dropped receiver
             // cannot race us into enqueueing onto a dead channel.
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
             if let Some(cap) = self.shared.capacity {
-                if queue.len() >= cap {
+                if state.queue.len() >= cap {
                     return Err(TrySendError::Full(value));
                 }
             }
-            queue.push_back(value);
-            drop(queue);
-            self.shared.ready.notify_one();
+            self.shared.push(state, value);
             Ok(())
         }
     }
@@ -207,47 +255,45 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Taking the lock first orders this wakeup after any
+                // receiver's senders-check-then-wait, so it cannot be lost.
+                drop(self.shared.lock());
                 self.shared.ready.notify_all();
             }
         }
     }
 
     impl<T> Receiver<T> {
-        fn on_pop(&self, queue: std::sync::MutexGuard<'_, VecDeque<T>>) {
-            drop(queue);
-            if self.shared.capacity.is_some() {
-                self.shared.space.notify_one();
-            }
-        }
-
         /// Blocks until a value is available or all senders are gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.shared.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    self.on_pop(queue);
-                    return Ok(value);
-                }
+                state = match self.shared.pop(state) {
+                    Ok(value) => return Ok(value),
+                    Err(state) => state,
+                };
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
-                queue = self
+                state.receivers_waiting += 1;
+                state = self
                     .shared
                     .ready
-                    .wait(queue)
+                    .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
+                state.receivers_waiting -= 1;
             }
         }
 
         /// Blocks up to `timeout` for a value.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.shared.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    self.on_pop(queue);
-                    return Ok(value);
-                }
+                state = match self.shared.pop(state) {
+                    Ok(value) => return Ok(value),
+                    Err(state) => state,
+                };
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
@@ -255,13 +301,15 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.receivers_waiting += 1;
                 let (guard, timed_out) = self
                     .shared
                     .ready
-                    .wait_timeout(queue, deadline - now)
+                    .wait_timeout(state, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
-                queue = guard;
-                if timed_out.timed_out() && queue.is_empty() {
+                state = guard;
+                state.receivers_waiting -= 1;
+                if timed_out.timed_out() && state.queue.is_empty() {
                     if self.shared.senders.load(Ordering::Acquire) == 0 {
                         return Err(RecvTimeoutError::Disconnected);
                     }
@@ -272,9 +320,7 @@ pub mod channel {
 
         /// Pops a value without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(value) = queue.pop_front() {
-                self.on_pop(queue);
+            if let Ok(value) = self.shared.pop(self.shared.lock()) {
                 return Ok(value);
             }
             if self.shared.senders.load(Ordering::Acquire) == 0 {
@@ -286,11 +332,7 @@ pub mod channel {
 
         /// Number of values currently queued.
         pub fn len(&self) -> usize {
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len()
+            self.shared.lock().queue.len()
         }
 
         /// Whether the queue is currently empty.
@@ -315,7 +357,7 @@ pub mod channel {
                 // and observe the disconnect instead of waiting forever.
                 // Taking the queue lock first orders this wakeup after any
                 // sender's receivers-check-then-wait, so it cannot be lost.
-                drop(self.shared.queue.lock().unwrap_or_else(|e| e.into_inner()));
+                drop(self.shared.lock());
                 self.shared.space.notify_all();
             }
         }
@@ -427,6 +469,41 @@ pub mod channel {
             }
             handle.join().unwrap();
             assert_eq!(sum, 4950);
+        }
+
+        /// A send notifies only when a receiver is blocked. Two threads
+        /// that wait for each other's every message would hang on the
+        /// first wake-up skipped wrongly.
+        #[test]
+        fn ping_pong_never_loses_a_wakeup() {
+            let (to_echo, echo_rx) = unbounded();
+            let (to_main, main_rx) = bounded(1);
+            let echo = thread::spawn(move || {
+                while let Ok(i) = echo_rx.recv() {
+                    to_main.send(i).unwrap();
+                }
+            });
+            let rounds = if cfg!(miri) { 200 } else { 20_000u32 };
+            for i in 0..rounds {
+                to_echo.send(i).unwrap();
+                let back = if i % 2 == 0 {
+                    main_rx.recv().unwrap()
+                } else {
+                    main_rx.recv_timeout(Duration::from_secs(30)).unwrap()
+                };
+                assert_eq!(back, i);
+            }
+            drop(to_echo);
+            echo.join().unwrap();
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_blocked_receiver() {
+            let (tx, rx) = unbounded::<u8>();
+            let waiter = thread::spawn(move || rx.recv());
+            thread::sleep(Duration::from_millis(20));
+            drop(tx);
+            assert_eq!(waiter.join().unwrap(), Err(RecvError));
         }
     }
 }

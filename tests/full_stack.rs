@@ -30,6 +30,36 @@ fn directory_file_roundtrip_feeds_the_store() {
 }
 
 #[test]
+fn malformed_query_in_a_well_formed_scan_matches_nothing() {
+    // The ScanReq itself is well formed; what it carries is not an
+    // `EncryptedQuery`. Every bucket must still answer, with no matches,
+    // so the scan completes instead of timing out or killing a site.
+    let records = DirectoryGenerator::new(8).generate(200);
+    let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
+        .passphrase("malformed")
+        .bucket_capacity(16)
+        .start();
+    for r in &records {
+        store.insert(r.rid, &r.rc).unwrap();
+    }
+    assert!(store.cluster().num_buckets() > 4, "scan must fan out");
+    let client = store.cluster().client();
+    let good = store.pipeline().build_query("MARTINEZ").unwrap().encode();
+    assert!(!client.scan(&good, true).unwrap().is_empty());
+
+    let truncated = &good[..good.len() - 1];
+    let mut trailing = good.clone();
+    trailing.push(0);
+    let old_json = br#"{"tag_bits":3,"element_bytes":16,"kind":"Equality","per_tag":[]}"#;
+    for bad in [truncated, &trailing, &old_json[..], b"", &[0xFF; 64]] {
+        assert_eq!(client.scan(bad, true).unwrap(), vec![], "{bad:?}");
+    }
+    // the sites are all still there
+    assert!(!client.scan(&good, false).unwrap().is_empty());
+    store.shutdown();
+}
+
+#[test]
 fn all_three_systems_agree_on_word_searches() {
     // For whole-word queries, the encrypted scheme (post-filtered), the
     // SWP baseline, and the naive baseline must agree exactly.

@@ -150,3 +150,103 @@ fn three_process_cluster_rides_out_severed_connections_and_matches_in_process() 
     let _ = std::fs::remove_file(&registry_path);
     reference.shutdown();
 }
+
+/// The same seeded insert / overwrite / delete / search history on the
+/// channel fabric and on loopback TCP (ranks served from threads of this
+/// process): both fabrics carry the same `Wire` bytes, so every search,
+/// every raw scan answer and every `get` must come out identical.
+#[test]
+fn channel_and_tcp_fabrics_agree_on_a_seeded_history() {
+    let records = DirectoryGenerator::new(SEED + 1).generate(ENTRIES);
+    // Buckets of 128, so that the deletes below leave every bucket above
+    // the merge threshold: over TCP a merged-away bucket id stays in the
+    // clients' static directory (see `sdds_lh::serve`) and operations
+    // addressed to it time out — at the parent commit too; not this
+    // test's topic.
+    let builder = |records: &[Record]| builder(records).bucket_capacity(128);
+    let merges_before = sdds_obs::counter("lh.merges").get();
+    let registry = SiteRegistry::from_addrs(reserve_loopback_addrs(2)).expect("registry");
+    let ranks: Vec<_> = (0..2)
+        .map(|rank| {
+            let (_pipeline, config) = builder(&records).serve_parts();
+            sdds_repro::lh::serve(registry.clone(), rank, config).expect("serve rank")
+        })
+        .collect();
+    let remote = builder(&records).connect(registry);
+    let local = builder(&records).start();
+    let (tcp, channel) = (remote.handle(), local.handle());
+
+    for r in &records {
+        tcp.insert(r.rid, &r.rc).expect("tcp insert");
+        channel.insert(r.rid, &r.rc).expect("channel insert");
+    }
+    for (i, r) in records.iter().enumerate() {
+        if i % 4 == 0 {
+            assert_eq!(
+                tcp.delete(r.rid).expect("tcp delete"),
+                channel.delete(r.rid).expect("channel delete")
+            );
+        } else if i % 7 == 0 {
+            let rewritten = format!("{} REWRITTEN", r.rc);
+            tcp.insert(r.rid, &rewritten).expect("tcp overwrite");
+            channel
+                .insert(r.rid, &rewritten)
+                .expect("channel overwrite");
+        }
+    }
+
+    assert!(
+        local.cluster().num_buckets() > 8,
+        "the file must have split"
+    );
+    assert_eq!(sdds_obs::counter("lh.merges").get(), merges_before);
+    let (tcp_lh, channel_lh) = (remote.cluster().client(), local.cluster().client());
+    for pattern in ["MARTINEZ", "NGUYEN", "SMITH", "GARC", "REWRITTEN", "QQQQZZ"] {
+        assert_eq!(
+            tcp.search(pattern).expect("tcp search"),
+            channel.search(pattern).expect("channel search"),
+            "search {pattern:?}"
+        );
+        // below the store: the encrypted index records the buckets matched
+        let query = local
+            .pipeline()
+            .build_query(pattern)
+            .expect("query")
+            .encode();
+        assert_eq!(
+            tcp_lh.scan(&query, false).expect("tcp scan"),
+            channel_lh.scan(&query, false).expect("channel scan"),
+            "scan {pattern:?}"
+        );
+    }
+    let mut live = 0;
+    for r in &records {
+        let got = tcp.get(r.rid).expect("tcp get");
+        assert_eq!(
+            got,
+            channel.get(r.rid).expect("channel get"),
+            "get({})",
+            r.rid
+        );
+        live += usize::from(got.is_some());
+        // and the stored ciphertext itself (per-RID IV: deterministic)
+        let key = local.pipeline().lh_key(r.rid, 0);
+        assert_eq!(
+            tcp_lh.lookup(key).expect("tcp lookup"),
+            channel_lh.lookup(key).expect("channel lookup"),
+            "stored bytes of {}",
+            r.rid
+        );
+    }
+    assert_eq!(
+        live,
+        ENTRIES - ENTRIES.div_ceil(4),
+        "every fourth record was deleted"
+    );
+
+    remote.shutdown_cluster();
+    for rank in ranks {
+        rank.wait();
+    }
+    local.shutdown();
+}
