@@ -1,7 +1,7 @@
 //! Batched ingest benchmarks: the allocation-lean scratch path vs the
 //! allocating one, and the parallel transform at several pool widths.
-//! `sdds bench-load --sweep 1,2,4` produces the matching end-to-end
-//! numbers (BENCH_ingest.json); this harness isolates the transform.
+//! The benchmark's `ingest` workload (`benchmark/`) has the matching
+//! end-to-end numbers; this harness isolates the transform.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sdds_cipher::{KeyMaterial, MasterKey};

@@ -1,8 +1,8 @@
 //! Search-path benchmarks: the posting-indexed scan vs the linear sweep
 //! on identically loaded stores, the prepared-query protocol vs
 //! per-record query decoding, and delete batching vs sequential deletes.
-//! `sdds bench-search` produces the matching end-to-end numbers
-//! (BENCH_search.json); this harness isolates the pieces.
+//! The benchmark's `search` workload (`benchmark/`) has the matching
+//! end-to-end numbers; this harness isolates the pieces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdds_core::{EncryptedIndexFilter, EncryptedSearchStore, SchemeConfig};

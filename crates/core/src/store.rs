@@ -189,7 +189,6 @@ pub struct StoreBuilder {
     scan_index: bool,
     storage: StorageConfig,
     net: NetConfig,
-    drain_budget: usize,
     op_timeout: Duration,
     obs: sdds_lh::ObsOptions,
 }
@@ -245,14 +244,6 @@ impl StoreBuilder {
     /// it out via their [`RetryPolicy`](sdds_lh::RetryPolicy).
     pub fn net(mut self, net: NetConfig) -> StoreBuilder {
         self.net = net;
-        self
-    }
-
-    /// Messages each site event loop drains per wakeup (batching
-    /// amortises decode/dispatch/trace overhead; 1 reproduces
-    /// message-at-a-time dispatch).
-    pub fn drain_budget(mut self, budget: usize) -> StoreBuilder {
-        self.drain_budget = budget.max(1);
         self
     }
 
@@ -395,7 +386,6 @@ impl StoreBuilder {
             filter: Arc::new(filter),
             storage: self.storage,
             net: self.net,
-            drain_budget: self.drain_budget,
             client_timeout: self.op_timeout,
             obs: self.obs,
         };
@@ -485,7 +475,6 @@ impl EncryptedSearchStore {
             scan_index: true,
             storage: StorageConfig::Mem,
             net: NetConfig::default(),
-            drain_budget: sdds_lh::DEFAULT_DRAIN_BUDGET,
             op_timeout: Duration::from_secs(10),
             obs: sdds_lh::ObsOptions::default(),
         }

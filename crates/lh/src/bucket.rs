@@ -7,7 +7,7 @@
 //! parity is on — stream slot deltas to their group's parity sites.
 
 use crate::cluster::{Directory, ParityConfig};
-use crate::drain::{fill_batch, SendQueue, Wakeup, IDLE_TICK};
+use crate::drain::{fill_batch, SendQueue, Wakeup, DRAIN_BUDGET, IDLE_TICK};
 use crate::filter::ScanFilter;
 use crate::hash::h;
 use crate::index::PostingIndex;
@@ -74,6 +74,15 @@ pub(crate) struct BucketState {
     overflow_reported: bool,
     underflow_reported: bool,
     pending_transfer: Option<PendingTransfer>,
+    /// Set by a `MergeCmd`: this bucket's records have been shipped to the
+    /// parent at that site, so it no longer serves key operations itself
+    /// (see [`Self::merge_into`]).
+    merged_into: Option<SiteId>,
+    /// `Some` while a bucket spawned for a split, restore or recovery
+    /// waits for the `TransferBatch`/`Adopt` that brings its records: the
+    /// key operations that reached it first, in arrival order (see
+    /// [`Self::awaiting_records`]).
+    held: Option<Vec<(SiteId, Wire)>>,
 }
 
 /// Immutable wiring a bucket needs to route messages.
@@ -87,9 +96,6 @@ pub(crate) struct BucketCtx {
     /// stays the cross-site aggregate while each site keeps its own
     /// breakdown.
     pub obs: Registry,
-    /// Messages the event loop dispatches per wakeup (see
-    /// [`crate::drain`]); 1 = historical single-message dispatch.
-    pub drain_budget: usize,
 }
 
 impl BucketState {
@@ -114,7 +120,21 @@ impl BucketState {
             overflow_reported: false,
             underflow_reported: false,
             pending_transfer: None,
+            merged_into: None,
+            held: None,
         }
+    }
+
+    /// Marks a bucket the spawner created for a split, restore or
+    /// recovery: it is addressable from the moment it is in the directory,
+    /// but its records arrive later, in one `TransferBatch` or `Adopt`. A
+    /// client whose image is ahead of a shrunken file addresses it
+    /// directly, and a lookup served before the records land reads `None`
+    /// for a record that exists — so until they are applied, `Request`s
+    /// are held, then served in arrival order.
+    pub(crate) fn awaiting_records(mut self) -> BucketState {
+        self.held = Some(Vec::new());
+        self
     }
 
     /// One-time wiring before the message loop: rebuild the volatile
@@ -169,6 +189,18 @@ impl BucketState {
         msg: Wire,
         ctx: &BucketCtx,
     ) -> Vec<(SiteId, Wire)> {
+        if matches!(msg, Wire::Request { .. }) {
+            if let Some(parent) = self.merged_into {
+                // Not an addressing error of the sender's, so `hops` stays
+                // as it is: the bucket moved, the key's home did not.
+                ctx.obs.counter("lh.forwards").inc();
+                return vec![(parent, msg)];
+            }
+            if let Some(held) = &mut self.held {
+                held.push((from, msg));
+                return Vec::new();
+            }
+        }
         match msg {
             Wire::Request {
                 req_id,
@@ -235,8 +267,7 @@ impl BucketState {
             }
             Wire::Adopt { addr, level, slots } => {
                 debug_assert_eq!(addr, self.addr);
-                self.adopt(level, slots, ctx);
-                Vec::new()
+                self.adopt(level, slots, ctx)
             }
             Wire::Dump { req_id, client } => {
                 let mut records = Vec::with_capacity(self.engine.len());
@@ -532,6 +563,17 @@ impl BucketState {
         out.push((from, Wire::TransferAck { addr: self.addr }));
         // adoption of transferred records can itself overflow
         out.extend(self.maybe_report_overflow(ctx));
+        out.extend(self.serve_held(ctx));
+        out
+    }
+
+    /// The records are in: serves what [`Self::awaiting_records`] held
+    /// back, in arrival order.
+    fn serve_held(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+        let mut out = Vec::new();
+        for (from, msg) in self.held.take().unwrap_or_default() {
+            out.extend(self.handle(from, msg, ctx));
+        }
         out
     }
 
@@ -613,7 +655,12 @@ impl BucketState {
     /// records. The replacement is staged as one atomic `Clear` + puts
     /// batch, so a crash mid-adoption cannot leave a half-restored image
     /// on disk.
-    fn adopt(&mut self, level: u8, slots: Vec<Option<(u64, Vec<u8>)>>, ctx: &BucketCtx) {
+    fn adopt(
+        &mut self,
+        level: u8,
+        slots: Vec<Option<(u64, Vec<u8>)>>,
+        ctx: &BucketCtx,
+    ) -> Vec<(SiteId, Wire)> {
         let mut batch = WriteBatch::new();
         batch.clear_all();
         // move each record into the batch once (no per-value clone); the
@@ -637,7 +684,7 @@ impl BucketState {
             // keep the pre-adopt state (engine and tables) intact rather
             // than desynchronise bookkeeping from storage
             ctx.obs.counter("storage.errors").inc();
-            return;
+            return Vec::new();
         }
         self.level = level;
         self.ranks.clear();
@@ -667,6 +714,7 @@ impl BucketState {
                 }
             }
         }
+        self.serve_held(ctx)
     }
 
     fn maybe_report_overflow(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
@@ -706,7 +754,11 @@ impl BucketState {
     /// split): ship every record over. The local copies — and the
     /// `MergeDone` report — wait for the parent's durable ack (see
     /// [`Self::transfer_acked`]), so a crash on either side of the
-    /// handoff can never lose records.
+    /// handoff can never lose records. From here until `Shutdown` every
+    /// `Request` is forwarded to the parent instead of served: an insert
+    /// queued behind the `MergeCmd` would otherwise be acked and then
+    /// destroyed with the engine. Per-pair FIFO delivers the forwards
+    /// behind the `TransferBatch`, so the parent sees the records first.
     fn merge_into(
         &mut self,
         into_addr: u64,
@@ -730,6 +782,7 @@ impl BucketState {
             target_addr: into_addr,
             done: TransferDone::Merge,
         });
+        self.merged_into = Some(into_site);
         vec![(
             into_site,
             Wire::TransferBatch {
@@ -879,10 +932,9 @@ fn wire_span_name(msg: &Wire) -> &'static str {
 /// [`Wire::Shutdown`].
 ///
 /// Each wakeup blockingly receives one message, then greedily drains the
-/// inbox up to `ctx.drain_budget` before dispatching — amortizing the
+/// inbox up to [`DRAIN_BUDGET`] before dispatching — amortizing the
 /// condvar roundtrip and per-wakeup metric sampling over the whole batch
-/// at high fan-in. A budget of 1 reproduces the historical
-/// one-message-per-wakeup loop exactly.
+/// at high fan-in.
 pub(crate) fn run_bucket(endpoint: Endpoint, mut state: BucketState, ctx: BucketCtx) {
     // a reopened bucket first rebuilds its volatile bookkeeping from the
     // recovered records (and may immediately re-report an overflow)
@@ -891,18 +943,17 @@ pub(crate) fn run_bucket(endpoint: Endpoint, mut state: BucketState, ctx: Bucket
         let payload = out.encode();
         outbox.send(&endpoint, to, &out, payload, None);
     }
-    let budget = ctx.drain_budget.max(1);
     let depth_gauge = ctx.obs.gauge("lh.inbox_depth");
     let batch_hist = ctx.obs.histogram("lh.drain_batch_size");
     let mut health = crate::health::LoopHealth::register(&ctx.obs);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(budget);
+    let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BUDGET);
     loop {
         // While a rejected control-plane send (overflow report, transfer
         // batch/ack, split completion) is parked, wake on an idle tick so
         // batch draining can never delay it indefinitely: the retry fires
         // within IDLE_TICK even if no new traffic arrives.
         let idle = outbox.has_parked().then_some(IDLE_TICK);
-        match fill_batch(&endpoint, budget, idle, &mut batch) {
+        match fill_batch(&endpoint, idle, &mut batch) {
             Wakeup::Batch => {}
             Wakeup::Idle => {
                 outbox.flush(&endpoint);
@@ -974,7 +1025,6 @@ mod tests {
                 filter: Arc::new(SubstringFilter),
                 parity: None,
                 obs: Registry::new("bucket-test"),
-                drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
             },
             coord_id,
         )
@@ -1067,11 +1117,11 @@ mod tests {
 
     #[test]
     fn missing_target_descends_to_split_ancestor() {
-        // Regression: during a merge the victim is retired from the
-        // directory before its records land at the parent. A request whose
-        // target is the retired bucket must be forwarded to the split
-        // ancestor (where the records are heading), never stored locally
-        // at a wrong bucket where it would become unreachable.
+        // Regression: a merge retires its victim from the directory, but
+        // other buckets' levels still name it. A request whose target is
+        // the retired bucket must be forwarded to the split ancestor
+        // (where the records went), never stored locally at a wrong
+        // bucket where it would become unreachable.
         let net = Network::new(NetConfig::default());
         let (ctx, _) = ctx(&net);
         ctx.directory.set_bucket(0, SiteId(10));
@@ -1262,6 +1312,88 @@ mod tests {
             .any(|(to, m)| *to == coord && matches!(m, Wire::MergeDone { addr: 2 })));
     }
 
+    /// Window (b) of the shrink bug: an insert queued behind the
+    /// `MergeCmd` was served by the dissolving bucket — acked, then
+    /// destroyed with the engine when the parent's ack arrived.
+    #[test]
+    fn merged_bucket_forwards_requests_to_the_parent() {
+        let net = Network::new(NetConfig::default());
+        let (ctx, coord) = ctx(&net);
+        let mut b = mem_bucket(2, 2, 100);
+        b.handle(
+            coord,
+            Wire::MergeCmd {
+                addr: 2,
+                into_addr: 0,
+                into_site: 50,
+            },
+            &ctx,
+        );
+        let insert = Wire::Request {
+            req_id: 1,
+            client: 9,
+            hops: 0,
+            op: Op::Insert {
+                key: 6,
+                value: vec![1],
+            },
+        };
+        let out = b.handle(SiteId(9), insert.clone(), &ctx);
+        assert_eq!(
+            out,
+            vec![(SiteId(50), insert.clone())],
+            "sent on as it came"
+        );
+        assert_eq!(b.len(), 0, "nothing stored in the dissolving bucket");
+        // and the same after the parent's ack, until `Shutdown`
+        b.handle(SiteId(50), Wire::TransferAck { addr: 0 }, &ctx);
+        assert_eq!(b.handle(SiteId(9), insert.clone(), &ctx)[0].0, SiteId(50));
+    }
+
+    /// Window (c) of the shrink bug: a split target is in the directory
+    /// before the source's `TransferBatch` reaches it, and a lookup served
+    /// in between read `None` for a record that was about to arrive.
+    #[test]
+    fn fresh_split_target_holds_requests_until_its_records_arrive() {
+        let net = Network::new(NetConfig::default());
+        let (ctx, _) = ctx(&net);
+        let mut b = mem_bucket(1, 1, 100).awaiting_records();
+        let lookup = Wire::Request {
+            req_id: 1,
+            client: 9,
+            hops: 0,
+            op: Op::Lookup { key: 3 },
+        };
+        assert!(b.handle(SiteId(9), lookup, &ctx).is_empty(), "held");
+        let out = b.handle(
+            SiteId(10),
+            Wire::TransferBatch {
+                level: 1,
+                addr: 1,
+                records: vec![(3, vec![7])],
+            },
+            &ctx,
+        );
+        let responses: Vec<&Wire> = out
+            .iter()
+            .filter(|(to, _)| *to == SiteId(9))
+            .map(|(_, m)| m)
+            .collect();
+        assert_eq!(responses.len(), 1);
+        assert!(matches!(
+            responses[0],
+            Wire::Response { req_id: 1, result: OpResult::Found { value: Some(v) }, .. } if v == &vec![7]
+        ));
+        // from then on requests are served as they come
+        let again = Wire::Request {
+            req_id: 2,
+            client: 9,
+            hops: 0,
+            op: Op::Lookup { key: 3 },
+        };
+        assert_eq!(b.handle(SiteId(9), again, &ctx).len(), 1);
+    }
+
     #[test]
     fn adopt_restores_ranks_verbatim_without_parity_noise() {
         let net = Network::new(NetConfig::default());
@@ -1279,7 +1411,6 @@ mod tests {
                 slot_size: 32,
             }),
             obs: Registry::new("bucket-test"),
-            drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
         };
         let mut b = mem_bucket(0, 1, 100);
         // adopt a reconstructed slot table with a hole at rank 1
@@ -1452,7 +1583,6 @@ mod tests {
                 slot_size: 32,
             }),
             obs: Registry::new("bucket-test"),
-            drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
         };
         let mut b = mem_bucket(2, 2, 100);
         let check = |b: &BucketState, step: &str| {

@@ -102,7 +102,7 @@ impl Directory {
 
 /// A consistent snapshot of an LH\* file: file state plus all bucket
 /// contents. Serializable, so files survive process restarts
-/// (`serde_json::to_writer` / `from_reader`).
+/// (`serde_json::to_string` / `from_str`).
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FileSnapshot {
     /// File level at snapshot time.
@@ -197,10 +197,6 @@ pub struct ClusterConfig {
     /// Storage backend for bucket records: volatile in-memory (the
     /// default) or durable WAL+snapshot directories.
     pub storage: StorageConfig,
-    /// Messages each site event loop dispatches per wakeup (batch
-    /// draining; see `sdds_lh::DEFAULT_DRAIN_BUDGET`). 1 restores the
-    /// historical one-message-per-wakeup dispatch.
-    pub drain_budget: usize,
     /// Total per-operation timeout handed to every client this cluster
     /// creates (spread over the client's retransmit attempts). Short
     /// timeouts make clients re-request shed replies quickly — the right
@@ -219,7 +215,6 @@ impl fmt::Debug for ClusterConfig {
             .field("bucket_capacity", &self.bucket_capacity)
             .field("parity", &self.parity)
             .field("storage", &self.storage)
-            .field("drain_budget", &self.drain_budget)
             .finish()
     }
 }
@@ -232,7 +227,6 @@ impl Default for ClusterConfig {
             filter: Arc::new(SubstringFilter),
             net: NetConfig::default(),
             storage: StorageConfig::Mem,
-            drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
             client_timeout: Duration::from_secs(10),
             obs: ObsOptions::default(),
         }
@@ -288,9 +282,8 @@ impl LhCluster {
         let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
         let dir = directory.clone();
         let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let budget = config.drain_budget;
         let h = std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup, budget)
+            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup)
         });
         handles.lock().push(h);
 
@@ -412,9 +405,8 @@ impl LhCluster {
         let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
         let dir = directory.clone();
         let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let budget = config.drain_budget;
         let h = std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup, budget)
+            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup)
         });
         handles.lock().push(h);
 
@@ -437,7 +429,7 @@ impl LhCluster {
         let endpoints: Vec<(u64, Endpoint)> =
             (0..n).map(|addr| (addr, builder.register(addr))).collect();
         for (addr, ep) in endpoints {
-            builder.launch(addr, bucket_level(addr, image), ep);
+            builder.launch(addr, bucket_level(addr, image), ep, true);
         }
         let spawner = make_spawner(
             &network,
@@ -789,7 +781,6 @@ pub(crate) struct SiteBuilder {
     parity: Option<ParityConfig>,
     filter: Arc<dyn ScanFilter>,
     storage: StorageConfig,
-    drain_budget: usize,
     coordinator: SiteId,
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shutdown_sites: Arc<Mutex<Vec<SiteId>>>,
@@ -811,7 +802,6 @@ impl SiteBuilder {
             parity: config.parity,
             filter: config.filter.clone(),
             storage: config.storage.clone(),
-            drain_budget: config.drain_budget,
             coordinator,
             handles: handles.clone(),
             shutdown_sites: shutdown_sites.clone(),
@@ -836,10 +826,9 @@ impl SiteBuilder {
                         cfg.parity_count,
                         cfg.slot_size,
                     );
-                    let budget = self.drain_budget;
                     self.handles
                         .lock()
-                        .push(std::thread::spawn(move || run_parity(ep, state, budget)));
+                        .push(std::thread::spawn(move || run_parity(ep, state)));
                 }
                 self.directory.set_parity(group, sites);
             }
@@ -851,8 +840,11 @@ impl SiteBuilder {
     }
 
     /// Opens the bucket's storage engine and starts its site thread on a
-    /// previously registered endpoint.
-    pub(crate) fn launch(&self, addr: u64, level: u8, ep: Endpoint) {
+    /// previously registered endpoint. A bucket `reopened` over its own
+    /// records serves at once, and so does the primordial bucket 0; every
+    /// other one was spawned for a split, a restore or a recovery and
+    /// waits for its contents (see [`BucketState::awaiting_records`]).
+    pub(crate) fn launch(&self, addr: u64, level: u8, ep: Endpoint, reopened: bool) {
         let ctx = BucketCtx {
             directory: self.directory.clone(),
             coordinator: self.coordinator,
@@ -865,7 +857,6 @@ impl SiteBuilder {
                 format!("bucket-{addr}"),
                 sdds_obs::Registry::global(),
             ),
-            drain_budget: self.drain_budget,
         };
         // A spawner cannot report failure (it runs inside the
         // coordinator's split path); if durable storage cannot open,
@@ -875,13 +866,16 @@ impl SiteBuilder {
             sdds_obs::counter("storage.open_failures").inc();
             Box::new(MemEngine::new())
         });
-        let state = BucketState::new(
+        let mut state = BucketState::new(
             addr,
             level,
             self.capacity,
             self.filter.index_element_bytes(),
             engine,
         );
+        if !reopened && addr > 0 {
+            state = state.awaiting_records();
+        }
         self.handles
             .lock()
             .push(std::thread::spawn(move || run_bucket(ep, state, ctx)));
@@ -890,7 +884,7 @@ impl SiteBuilder {
     fn spawn(&self, addr: u64, level: u8) -> SiteId {
         let ep = self.register(addr);
         let site = ep.id();
-        self.launch(addr, level, ep);
+        self.launch(addr, level, ep, false);
         site
     }
 }

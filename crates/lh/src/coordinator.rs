@@ -6,7 +6,7 @@
 //! the split victim is `n`, not the overflowing bucket. One split runs at a
 //! time; further overflow reports queue.
 
-use crate::drain::{fill_batch, SendQueue, Wakeup, IDLE_TICK};
+use crate::drain::{fill_batch, SendQueue, Wakeup, DRAIN_BUDGET, IDLE_TICK};
 use crate::hash::extent;
 use crate::messages::Wire;
 use sdds_net::{Endpoint, Envelope, SiteId};
@@ -15,7 +15,8 @@ use sdds_net::{Endpoint, Envelope, SiteId};
 /// spawns its thread, updates the directory) and returns its address.
 pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) -> SiteId + Send>;
 
-/// Callback that retires a bucket address from the directory (merge).
+/// Callback that retires a bucket address from the directory (a merge
+/// has completed).
 pub(crate) type BucketRetirer = Box<dyn FnMut(u64) + Send>;
 
 pub(crate) struct CoordinatorState {
@@ -57,11 +58,11 @@ impl CoordinatorState {
         match msg {
             Wire::Overflow { .. } => {
                 self.pending += 1;
-                self.try_start_work(spawner, retirer, bucket_site)
+                self.try_start_work(spawner, bucket_site)
             }
             Wire::Underflow { .. } => {
                 self.pending_merges += 1;
-                self.try_start_work(spawner, retirer, bucket_site)
+                self.try_start_work(spawner, bucket_site)
             }
             Wire::SplitDone { addr } => {
                 debug_assert_eq!(addr, self.split, "split completion out of order");
@@ -71,7 +72,7 @@ impl CoordinatorState {
                     self.split = 0;
                 }
                 self.busy = false;
-                self.try_start_work(spawner, retirer, bucket_site)
+                self.try_start_work(spawner, bucket_site)
             }
             Wire::MergeDone { addr } => {
                 debug_assert_eq!(
@@ -87,10 +88,16 @@ impl CoordinatorState {
                 }
                 self.busy = false;
                 let mut out = Vec::new();
-                if let Some((_, site)) = self.merging_victim.take() {
+                if let Some((victim, site)) = self.merging_victim.take() {
+                    // Only now stop routing to the dissolved bucket: until
+                    // its records are durably at the parent, a request
+                    // sent around it could reach the parent first and
+                    // read `None`. The victim itself forwards whatever
+                    // still reaches it (see `BucketState::merge_into`).
+                    retirer(victim);
                     out.push((site, Wire::Shutdown)); // retire the site
                 }
-                out.extend(self.try_start_work(spawner, retirer, bucket_site));
+                out.extend(self.try_start_work(spawner, bucket_site));
                 out
             }
             Wire::ExtentReq { req_id, client } => vec![(
@@ -119,7 +126,6 @@ impl CoordinatorState {
     fn try_start_work(
         &mut self,
         spawner: &mut BucketSpawner,
-        retirer: &mut BucketRetirer,
         bucket_site: &dyn Fn(u64) -> Option<SiteId>,
     ) -> Vec<(SiteId, Wire)> {
         if self.busy {
@@ -161,8 +167,6 @@ impl CoordinatorState {
             };
             self.busy = true;
             self.merging_victim = Some((victim, victim_site));
-            // stop routing clients to the dissolving bucket
-            retirer(victim);
             return vec![(
                 victim_site,
                 Wire::MergeCmd {
@@ -176,8 +180,7 @@ impl CoordinatorState {
     }
 }
 
-/// The coordinator thread loop: batch-drained like the bucket loop (a
-/// drain budget of 1 is the historical single-message dispatch). Split
+/// The coordinator thread loop: batch-drained like the bucket loop. Split
 /// and merge commands rejected by a full victim inbox park in the send
 /// queue and retry at end-of-batch and on the idle tick — restructuring
 /// cannot be lost to admission control.
@@ -186,16 +189,14 @@ pub(crate) fn run_coordinator(
     mut spawner: BucketSpawner,
     mut retirer: BucketRetirer,
     bucket_site: Box<dyn Fn(u64) -> Option<SiteId> + Send>,
-    drain_budget: usize,
 ) {
     let mut state = CoordinatorState::new();
-    let budget = drain_budget.max(1);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(budget);
+    let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BUDGET);
     let mut outbox = SendQueue::new();
     let mut health = crate::health::LoopHealth::register(sdds_obs::Registry::global());
     loop {
         let idle = outbox.has_parked().then_some(IDLE_TICK);
-        match fill_batch(&endpoint, budget, idle, &mut batch) {
+        match fill_batch(&endpoint, idle, &mut batch) {
             Wakeup::Batch => {}
             Wakeup::Idle => {
                 outbox.flush(&endpoint);
@@ -395,7 +396,7 @@ mod tests {
 
     #[test]
     fn underflow_triggers_merge_of_last_bucket() {
-        let (mut st, mut spawner, mut retirer, sites, lookup) = harness();
+        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
         // grow the file to 3 buckets: (0,0) -> (1,0) -> (1,1)
         st.handle(
             Wire::Overflow {
@@ -446,8 +447,6 @@ mod tests {
                 into_site: 100
             }
         );
-        // the victim was retired from the directory immediately
-        assert!(!sites.lock().unwrap().contains_key(&2));
         // completion regresses the file state and shuts the site down
         let out = st.handle(
             Wire::MergeDone { addr: 2 },
@@ -459,6 +458,37 @@ mod tests {
         assert!(out
             .iter()
             .any(|(to, m)| *to == SiteId(102) && matches!(m, Wire::Shutdown)));
+    }
+
+    /// The victim stays routable while its records are in flight: retired
+    /// at `MergeCmd` time, a lookup sent around it reached the parent
+    /// before the `TransferBatch` did and read `None`.
+    #[test]
+    fn merge_victim_stays_in_the_directory_until_merge_done() {
+        let (mut st, mut spawner, mut retirer, sites, lookup) = harness();
+        let grow_then_shrink = [
+            Wire::Overflow {
+                addr: 0,
+                level: 0,
+                size: 9,
+            },
+            Wire::SplitDone { addr: 0 },
+            Wire::Underflow { addr: 0, size: 0 },
+        ];
+        for msg in grow_then_shrink {
+            st.handle(msg, &mut spawner, &mut retirer, lookup.as_ref());
+        }
+        assert!(
+            sites.lock().unwrap().contains_key(&1),
+            "MergeCmd is out, the victim's records are not at the parent yet"
+        );
+        st.handle(
+            Wire::MergeDone { addr: 1 },
+            &mut spawner,
+            &mut retirer,
+            lookup.as_ref(),
+        );
+        assert!(!sites.lock().unwrap().contains_key(&1));
     }
 
     #[test]

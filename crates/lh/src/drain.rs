@@ -1,12 +1,10 @@
 //! Batch draining and retryable sends for site event loops.
 //!
 //! Every site thread (bucket, coordinator, parity) wakes up, receives
-//! *one* message blockingly, then greedily drains its inbox up to a
-//! budget before dispatching the whole batch — paying the condvar
-//! roundtrip, gauge sampling, and wakeup bookkeeping once per batch
-//! instead of once per message. A drain budget of 1 reproduces the
-//! historical one-message-per-wakeup loop exactly (the bench's equality
-//! baseline).
+//! *one* message blockingly, then greedily drains its inbox up to
+//! [`DRAIN_BUDGET`] before dispatching the whole batch — paying the
+//! condvar roundtrip, gauge sampling, and wakeup bookkeeping once per
+//! batch instead of once per message.
 //!
 //! With bounded inboxes (`NetConfig::inbox_capacity`), any send can now
 //! be rejected by admission control. Client-bound replies may be shed —
@@ -23,8 +21,8 @@ use sdds_net::{Endpoint, Envelope, NetError, SiteId};
 use sdds_obs::trace::TraceContext;
 use std::time::Duration;
 
-/// Default number of messages a site event loop dispatches per wakeup.
-pub const DEFAULT_DRAIN_BUDGET: usize = 64;
+/// Most messages a site event loop dispatches per wakeup.
+pub(crate) const DRAIN_BUDGET: usize = 64;
 
 /// Upper bound on how long a parked control-plane resend can wait when
 /// no new traffic wakes the loop.
@@ -41,10 +39,9 @@ pub(crate) enum Wakeup {
 }
 
 /// Blocks for one envelope (bounded by `idle` when given), then greedily
-/// drains up to `budget` envelopes total without blocking.
+/// drains up to [`DRAIN_BUDGET`] envelopes total without blocking.
 pub(crate) fn fill_batch(
     endpoint: &Endpoint,
-    budget: usize,
     idle: Option<Duration>,
     batch: &mut Vec<Envelope>,
 ) -> Wakeup {
@@ -61,7 +58,7 @@ pub(crate) fn fill_batch(
         },
     };
     batch.push(first);
-    while batch.len() < budget {
+    while batch.len() < DRAIN_BUDGET {
         match endpoint.try_recv() {
             Ok(env) => batch.push(env),
             Err(_) => break,
@@ -146,34 +143,18 @@ mod tests {
     fn fill_batch_drains_up_to_budget() {
         let net = Network::new(NetConfig::default());
         let a = net.register();
-        for i in 0..10u8 {
-            a.send(a.id(), Bytes::copy_from_slice(&[i])).unwrap();
+        let sent = DRAIN_BUDGET + 6;
+        for i in 0..sent {
+            a.send(a.id(), Bytes::copy_from_slice(&[i as u8])).unwrap();
         }
         let mut batch = Vec::new();
-        assert!(matches!(fill_batch(&a, 4, None, &mut batch), Wakeup::Batch));
-        assert_eq!(batch.len(), 4);
-        assert!(matches!(
-            fill_batch(&a, 64, None, &mut batch),
-            Wakeup::Batch
-        ));
+        assert!(matches!(fill_batch(&a, None, &mut batch), Wakeup::Batch));
+        assert_eq!(batch.len(), DRAIN_BUDGET);
+        assert!(matches!(fill_batch(&a, None, &mut batch), Wakeup::Batch));
         assert_eq!(batch.len(), 6, "second wakeup drains the remainder");
-        let payloads: Vec<u8> = batch.iter().map(|e| e.payload[0]).collect();
-        assert_eq!(payloads, vec![4, 5, 6, 7, 8, 9], "FIFO order preserved");
-    }
-
-    #[test]
-    fn fill_batch_budget_one_is_single_message_dispatch() {
-        let net = Network::new(NetConfig::default());
-        let a = net.register();
-        for i in 0..3u8 {
-            a.send(a.id(), Bytes::copy_from_slice(&[i])).unwrap();
-        }
-        let mut batch = Vec::new();
-        for i in 0..3u8 {
-            assert!(matches!(fill_batch(&a, 1, None, &mut batch), Wakeup::Batch));
-            assert_eq!(batch.len(), 1);
-            assert_eq!(batch[0].payload[0], i);
-        }
+        let payloads: Vec<usize> = batch.iter().map(|e| e.payload[0] as usize).collect();
+        let expected: Vec<usize> = (DRAIN_BUDGET..sent).collect();
+        assert_eq!(payloads, expected, "FIFO order preserved");
     }
 
     #[test]
@@ -182,7 +163,7 @@ mod tests {
         let a = net.register();
         let mut batch = Vec::new();
         assert!(matches!(
-            fill_batch(&a, 8, Some(Duration::from_millis(1)), &mut batch),
+            fill_batch(&a, Some(Duration::from_millis(1)), &mut batch),
             Wakeup::Idle
         ));
         assert!(batch.is_empty());

@@ -51,7 +51,6 @@ pub use client::{LhClient, LhError, RetryPolicy};
 pub use cluster::{
     BucketSnapshot, ClusterConfig, FileSnapshot, LhCluster, ObsOptions, ParityConfig,
 };
-pub use drain::DEFAULT_DRAIN_BUDGET;
 pub use filter::{PreparedQuery, ScanFilter, SubstringFilter};
 pub use hash::{address, ClientImage};
 pub use messages::ScanMatch;

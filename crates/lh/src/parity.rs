@@ -13,7 +13,7 @@
 //! members plus the parity rows and solves the code; any `m` simultaneous
 //! failures per group are survivable.
 
-use crate::drain::{fill_batch, SendQueue, Wakeup};
+use crate::drain::{fill_batch, SendQueue, Wakeup, DRAIN_BUDGET};
 use crate::messages::{ParityRow, Wire};
 use sdds_gf::rs::ReedSolomon;
 use sdds_net::{Endpoint, Envelope, SiteId};
@@ -159,12 +159,11 @@ impl ParityState {
 /// amortizing the wakeup over a batch matters here too. Parity sites
 /// only ever emit client-bound `ParityState` replies (recovery re-reads
 /// on loss), so no idle tick is needed.
-pub(crate) fn run_parity(endpoint: Endpoint, mut state: ParityState, drain_budget: usize) {
-    let budget = drain_budget.max(1);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(budget);
+pub(crate) fn run_parity(endpoint: Endpoint, mut state: ParityState) {
+    let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BUDGET);
     let mut outbox = SendQueue::new();
     let mut health = crate::health::LoopHealth::register(sdds_obs::Registry::global());
-    while let Wakeup::Batch = fill_batch(&endpoint, budget, None, &mut batch) {
+    while let Wakeup::Batch = fill_batch(&endpoint, None, &mut batch) {
         health.busy();
         let mut shutdown = false;
         for env in batch.drain(..) {

@@ -208,7 +208,7 @@ impl SiteHost {
             return false;
         };
         self.local_sites.lock().push(ep.id());
-        self.builder.launch(addr, level, ep);
+        self.builder.launch(addr, level, ep, false);
         true
     }
 }
@@ -271,9 +271,8 @@ pub fn serve(
         let retirer: BucketRetirer = Box::new(move |addr| dir.clear_bucket(addr));
         let dir = directory.clone();
         let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let budget = config.drain_budget;
         handles.lock().push(std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, spawner, retirer, lookup, budget)
+            run_coordinator(coordinator_ep, spawner, retirer, lookup)
         }));
     }
 

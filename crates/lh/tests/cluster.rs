@@ -172,14 +172,27 @@ fn file_shrinks_after_mass_deletion() {
     for key in 0..n {
         client.delete(key).unwrap();
     }
-    // merges are asynchronous; poll the coordinator's view
+    // Merges are asynchronous. While they run, a second client — its
+    // image stays at the grown extent, ahead of the shrinking file —
+    // writes and reads back: every acked insert must be readable at once,
+    // whichever bucket is dissolving or being refilled at that moment.
+    let writer = cluster.client();
+    writer.refresh_image().unwrap();
     let mut shrunk = grown;
-    for _ in 0..100 {
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    for round in 0..100u64 {
+        for key in (round * 8..).take(8).map(|k| k % 48) {
+            writer.insert(key, vec![round as u8]).unwrap();
+            assert_eq!(
+                writer.lookup(key).unwrap(),
+                Some(vec![round as u8]),
+                "acked insert of {key} unreadable mid-merge (round {round}, extent {shrunk})"
+            );
+        }
         shrunk = client.refresh_image().unwrap();
         if shrunk <= grown / 2 {
             break;
         }
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
     assert!(
         shrunk <= grown / 2,

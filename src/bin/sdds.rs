@@ -4,142 +4,252 @@
 //! sdds generate --entries 1000 --seed 7 --out directory.txt
 //! sdds search --pattern MARTINEZ [--file directory.txt | --entries 2000]
 //!             [--config basic|paper|swp] [--exact]
-//! sdds bench-load --entries 5000
+//! sdds metrics --cluster --servers 2
 //! ```
+//!
+//! `sdds --help` lists every command with the flags it knows; anything
+//! else on the command line is an error (exit 2). Performance is measured
+//! by `benchmark/` (see its README), not by this binary.
 
 use sdds_repro::core::{
-    EncryptedSearchStore, IngestOptions, IngestStats, SchemeConfig, StoreBuilder, StoreHandle,
+    EncryptedSearchStore, RemoteStore, SchemeConfig, StoreBuilder, StoreHandle,
 };
 use sdds_repro::corpus::{format_directory, parse_directory, DirectoryGenerator, Record};
 use sdds_repro::net::{NetConfig, SiteRegistry};
-use sdds_repro::par::Pool;
 use sdds_repro::stats::LeakageAuditor;
-use sdds_repro::storage::{DiskEngine, DiskOptions, FsyncPolicy, StorageConfig, StorageEngine};
+use sdds_repro::storage::{DiskOptions, FsyncPolicy, StorageConfig};
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+type Flags = HashMap<String, String>;
+
+/// A flag's name and the placeholder of its value (`""` for a switch).
+type Flag = (&'static str, &'static str);
+
+/// One subcommand: its entry point and the flags it knows. The table is
+/// the parser's whitelist and the source of the `usage()` text, so a flag
+/// a command does not read cannot be passed to it.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags),
+    flags: &'static [&'static [Flag]],
+}
+
+/// Which records to load: a directory file, or a generated corpus.
+const CORPUS: &[Flag] = &[("file", "FILE"), ("entries", "N"), ("seed", "S")];
+
+/// Scheme, keys and bucket backend of the store a command builds.
+const STORE: &[Flag] = &[
+    ("config", "basic|paper|swp"),
+    ("passphrase", "P"),
+    ("storage", "mem|disk"),
+    ("data-dir", "DIR"),
+    ("fsync", "always|never|N"),
+    ("metrics-json", "FILE"),
+];
+
+/// `--cluster` mode: the command runs against `sdds serve` ranks.
+const CLUSTER: &[Flag] = &[
+    ("cluster", ""),
+    ("servers", "N"),
+    ("history", ""),
+    ("scrape-timeout-millis", "T"),
+];
+
+/// What a serving rank and the clients of its cluster must agree on.
+const SERVED: &[Flag] = &[
+    ("capacity", "C"),
+    ("inbox-capacity", "C"),
+    ("op-timeout-millis", "T"),
+    ("obs-tick-millis", "T"),
+    ("obs-history", "N"),
+];
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        run: generate,
+        flags: &[&[("entries", "N"), ("seed", "S"), ("out", "FILE")]],
+    },
+    Command {
+        name: "search",
+        run: search,
+        flags: &[
+            &[
+                ("pattern", "P"),
+                ("exact", ""),
+                ("prefix", ""),
+                ("trace-json", "FILE"),
+            ],
+            CORPUS,
+            STORE,
+        ],
+    },
+    Command {
+        name: "metrics",
+        run: metrics,
+        flags: &[
+            &[
+                ("queries", "P1,P2,..."),
+                ("sites", ""),
+                ("registry", "FILE"),
+                ("json-out", "FILE"),
+            ],
+            CORPUS,
+            STORE,
+            CLUSTER,
+            SERVED,
+        ],
+    },
+    Command {
+        name: "trace",
+        run: trace_cmd,
+        flags: &[&[("pattern", "P")], CORPUS, STORE, CLUSTER, SERVED],
+    },
+    Command {
+        name: "audit-leakage",
+        run: audit_leakage,
+        flags: &[&[("top", "M"), ("json-out", "FILE")], CORPUS, STORE],
+    },
+    Command {
+        name: "serve",
+        run: serve_cmd,
+        flags: &[
+            &[
+                ("site", "RANK"),
+                ("registry", "FILE"),
+                ("entries", "N"),
+                ("seed", "S"),
+                ("config", "basic|paper|swp"),
+                ("storage", "mem|disk"),
+                ("data-dir", "DIR"),
+                ("fsync", "always|never|N"),
+                ("trace", ""),
+                ("trace-out", "FILE"),
+            ],
+            SERVED,
+        ],
+    },
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         usage();
         exit(2);
     };
-    let flags = parse_flags(&args[1..]);
-    match command.as_str() {
-        "generate" => generate(&flags),
-        "search" => search(&flags),
-        "metrics" => metrics(&flags),
-        "trace" => trace_cmd(&flags),
-        "audit-leakage" => audit_leakage(&flags),
-        "bench-load" => bench_load(&flags),
-        "bench-search" => bench_search(&flags),
-        "bench-durability" => bench_durability(&flags),
-        "bench-traffic" => bench_traffic(&flags),
-        "bench-net" => bench_net(&flags),
-        "serve" => serve_cmd(&flags),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command {other:?}");
-            usage();
-            exit(2);
-        }
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        return usage();
     }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        usage();
+        usage_error(format!("unknown command {name:?}"));
+    };
+    (command.run)(&parse_flags(command, &args[1..]));
 }
 
 fn usage() {
+    eprintln!("usage:");
+    for c in COMMANDS {
+        eprintln!("  sdds {}", c.name);
+        for group in c.flags {
+            let flags: Vec<String> = group
+                .iter()
+                .map(|(name, value)| match *value {
+                    "" => format!("[--{name}]"),
+                    v => format!("[--{name} {v}]"),
+                })
+                .collect();
+            eprintln!("      {}", flags.join(" "));
+        }
+    }
     eprintln!(
-        "usage:\n  sdds generate  --entries N [--seed S] [--out FILE]\n  \
-         sdds search    --pattern P [--file FILE | --entries N] \
-         [--config basic|paper|swp] [--exact] [--prefix] [--metrics-json FILE] [--trace-json FILE]\n  \
-         sdds metrics   [--entries N] [--config basic|paper|swp] [--queries P1,P2,...] [--sites] \
-         [--metrics-json FILE] [--cluster [--servers N | --registry FILE] [--json-out FILE]]\n  \
-         sdds trace     [--pattern P] [--entries N] [--config basic|paper|swp] \
-         [--cluster [--servers N]]\n  \
-         sdds audit-leakage [--entries N] [--config basic|paper|swp] [--top M] \
-         [--json-out FILE] [--metrics-json FILE]\n  \
-         sdds bench-load --entries N [--config basic|paper|swp] [--threads N | --sweep 1,2,4] \
-         [--json-out FILE] [--metrics-json FILE]\n  \
-         sdds bench-search --entries N [--config basic|paper|swp] [--capacity C] [--repeat R] \
-         [--queries P1,P2,...] [--json-out FILE] [--metrics-json FILE]\n  \
-         sdds bench-durability [--entries N] [--batch B] [--value-bytes V] [--json-out FILE]\n  \
-         sdds bench-traffic [--entries N] [--workers W] [--duration-secs D] \
-         [--rates R1,R2,...] [--mix read:60,write:25,search:5,delete:10] \
-         [--transport channel|tcp] [--servers N] \
-         [--drain-budget B] [--inbox-capacity C] [--op-timeout-millis T] [--seed S] \
-         [--skip-compare] [--compare-ops K] [--compare-repeats R] \
-         [--json-out FILE] [--metrics-json FILE]\n  \
-         sdds bench-net [--entries N] [--workers W] [--duration-secs D] \
-         [--rates R1,R2,...] [--servers N] [--drain-budget B] [--inbox-capacity C] \
-         [--seed S] [--json-out FILE] [--metrics-json FILE]\n  \
-         sdds serve     --site RANK --registry FILE [--entries N] [--seed S] \
-         [--config basic|paper|swp] [--capacity C] [--drain-budget B] [--inbox-capacity C] \
-         [--trace] [--obs-tick-millis T] [--obs-history N] [--trace-out FILE]\n\
-         \n--metrics-json FILE dumps the run's observability snapshot \
+        "\nsearch needs --pattern; serve needs --site and --registry\n\
+         --metrics-json FILE dumps the run's observability snapshot \
          (counters, gauges, latency histograms) as JSON\n\
          --trace-json FILE enables causal tracing for the query and dumps \
          the span tree as JSONL (one span per line; see docs/OBSERVABILITY.md)\n\
-         --storage mem|disk selects the bucket backend (search/metrics/audit-leakage); \
-         disk needs --data-dir DIR and accepts --fsync always|never|N (group commit), \
-         and reopening the same --data-dir recovers the stored records\n\
+         --storage disk needs --data-dir DIR and accepts --fsync (group commit); \
+         reopening the same --data-dir recovers the stored records\n\
          serve runs one rank of a multi-process TCP cluster (registry file: one \
-         host:port per line, rank = line number); bench-traffic --transport tcp and \
-         bench-net spawn such ranks themselves on free loopback ports (see README)\n\
-         --cluster scrapes every rank of a multi-process cluster over the host \
-         control channel: metrics merges the per-rank snapshots into one aggregate \
-         (counters/gauges/histograms sum), trace stitches every rank's spans into \
-         one cross-process tree; --registry FILE scrapes a live cluster, otherwise \
-         a loopback cluster is spawned and torn down (see docs/OBSERVABILITY.md)"
+         host:port per line, rank = line number)\n\
+         --cluster scrapes every rank of such a cluster over the host control \
+         channel: metrics merges the per-rank snapshots into one aggregate, trace \
+         stitches every rank's spans into one cross-process tree; --registry FILE \
+         scrapes a live cluster, otherwise a loopback cluster of --servers ranks \
+         is spawned and torn down (see docs/OBSERVABILITY.md)\n\
+         performance is measured by benchmark/ (see benchmark/README.md)"
     );
 }
 
-/// Dumps the global metrics snapshot when `--metrics-json` was given.
-fn maybe_write_metrics(flags: &HashMap<String, String>) {
-    if let Some(path) = flags.get("metrics-json") {
-        let body = sdds_obs::MetricsSnapshot::capture().to_json();
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote metrics to {path}");
-    }
+/// A runtime failure: message to stderr, exit 1.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    exit(1);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].trim_start_matches("--").to_string();
-        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-            flags.insert(key, args[i + 1].clone());
-            i += 2;
+/// A command line this binary cannot act on: message to stderr, exit 2.
+fn usage_error(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    exit(2);
+}
+
+/// Parses `args` against the command's flag table. A token that is not a
+/// flag the command knows — a typo, another command's flag, a bare
+/// positional — ends the run instead of being silently ignored.
+fn parse_flags(command: &Command, args: &[String]) -> Flags {
+    let mut flags = Flags::new();
+    let mut args = args.iter();
+    while let Some(token) = args.next() {
+        let known = token.strip_prefix("--").and_then(|name| {
+            let mut table = command.flags.iter().flat_map(|group| group.iter());
+            table.find(|(known, _)| *known == name)
+        });
+        let Some(&(name, placeholder)) = known else {
+            usage_error(format!(
+                "sdds {}: unexpected argument {token:?} (see sdds --help)",
+                command.name
+            ));
+        };
+        let value = if placeholder.is_empty() {
+            String::new()
         } else {
-            flags.insert(key, String::new());
-            i += 1;
-        }
+            args.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("--{name} needs a value ({placeholder})")))
+        };
+        flags.insert(name.to_string(), value);
     }
     flags
 }
 
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
+fn flag_usize(flags: &Flags, key: &str, default: usize) -> usize {
     flags.get(key).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--{key} needs a number, got {v:?}");
-            exit(2);
-        })
+        v.parse()
+            .unwrap_or_else(|_| usage_error(format!("--{key} needs a number, got {v:?}")))
     })
 }
 
-fn load_records(flags: &HashMap<String, String>) -> Vec<Record> {
+fn write_file(path: &str, body: impl AsRef<[u8]>, what: &str) {
+    std::fs::write(path, body).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+    eprintln!("wrote {what} to {path}");
+}
+
+/// Dumps the global metrics snapshot when `--metrics-json` was given.
+fn maybe_write_metrics(flags: &Flags) {
+    if let Some(path) = flags.get("metrics-json") {
+        let body = sdds_obs::MetricsSnapshot::capture().to_json();
+        write_file(path, body, "metrics");
+    }
+}
+
+fn load_records(flags: &Flags) -> Vec<Record> {
     if let Some(path) = flags.get("file") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1);
-        });
-        parse_directory(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            exit(1);
-        })
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+        parse_directory(&text).unwrap_or_else(|e| fail(format!("cannot parse {path}: {e}")))
     } else {
         let entries = flag_usize(flags, "entries", 1000);
         let seed = flag_usize(flags, "seed", 42) as u64;
@@ -147,105 +257,122 @@ fn load_records(flags: &HashMap<String, String>) -> Vec<Record> {
     }
 }
 
-fn config_for(flags: &HashMap<String, String>) -> SchemeConfig {
+fn config_for(flags: &Flags) -> SchemeConfig {
     match flags.get("config").map(String::as_str).unwrap_or("basic") {
         "basic" => SchemeConfig::basic(4, 4).expect("valid"),
         "paper" => SchemeConfig::paper_recommended(),
         "swp" => SchemeConfig::swp_chunks(4, 4).expect("valid"),
-        other => {
-            eprintln!("unknown --config {other:?}; use basic|paper|swp");
-            exit(2);
-        }
+        other => usage_error(format!("unknown --config {other:?}; use basic|paper|swp")),
     }
 }
 
 /// The storage backend the flags select: volatile memory (the default) or
 /// the durable WAL+snapshot engine rooted at `--data-dir`.
-fn storage_config(flags: &HashMap<String, String>) -> StorageConfig {
+fn storage_config(flags: &Flags) -> StorageConfig {
     match flags.get("storage").map(String::as_str).unwrap_or("mem") {
         "mem" => StorageConfig::Mem,
         "disk" => {
-            let Some(dir) = flags.get("data-dir").filter(|d| !d.is_empty()) else {
-                eprintln!("--storage disk needs --data-dir DIR");
-                exit(2);
+            let Some(dir) = flags.get("data-dir") else {
+                usage_error("--storage disk needs --data-dir DIR");
             };
             let mut options = DiskOptions::default();
             if let Some(f) = flags.get("fsync") {
                 options.fsync = FsyncPolicy::parse(f).unwrap_or_else(|| {
-                    eprintln!("--fsync needs always|never|N, got {f:?}");
-                    exit(2);
+                    usage_error(format!("--fsync needs always|never|N, got {f:?}"))
                 });
             }
             StorageConfig::disk_with(dir, options)
         }
-        other => {
-            eprintln!("unknown --storage {other:?}; use mem|disk");
-            exit(2);
-        }
+        other => usage_error(format!("unknown --storage {other:?}; use mem|disk")),
     }
 }
 
-fn build_store(records: &[Record], flags: &HashMap<String, String>) -> EncryptedSearchStore {
+/// Parses `--inbox-capacity` (absent means unbounded inboxes).
+fn inbox_capacity(flags: &Flags) -> Option<usize> {
+    flags
+        .contains_key("inbox-capacity")
+        .then(|| flag_usize(flags, "inbox-capacity", 0))
+}
+
+/// The deterministically configured builder behind every store this
+/// binary creates: in-process (`start`/`open`), a served rank
+/// (`serve_parts`) or a client of one (`connect`). Serve ranks and their
+/// clients call this with the same flags, so the codebook and the scan
+/// filter come out identical in every process — neither ever crosses the
+/// wire.
+fn store_builder(records: &[Record], flags: &Flags) -> StoreBuilder {
     let config = config_for(flags);
-    let storage = storage_config(flags);
-    let reopen = storage.is_disk();
+    let passphrase = flags.get("passphrase").map_or("sdds-cli", String::as_str);
     let mut builder = EncryptedSearchStore::builder(config)
-        .passphrase(
-            flags
-                .get("passphrase")
-                .map(String::as_str)
-                .unwrap_or("sdds-cli"),
-        )
-        .bucket_capacity(128)
-        .storage(storage);
+        .passphrase(passphrase)
+        .bucket_capacity(flag_usize(flags, "capacity", 128))
+        .storage(storage_config(flags))
+        .op_timeout(Duration::from_millis(
+            flag_usize(flags, "op-timeout-millis", 10_000).max(50) as u64,
+        ))
+        .net(NetConfig {
+            inbox_capacity: inbox_capacity(flags),
+            ..NetConfig::default()
+        });
     if config.encoding.is_some() {
         builder = builder.train(records.iter().take(1000).map(|r| r.rc.clone()));
     }
-    if reopen {
-        // disk mode always goes through open(): a fresh data dir starts
-        // empty, an existing one recovers the previous run's records
-        builder.open().unwrap_or_else(|e| {
-            eprintln!("cannot open store: {e}");
-            exit(1);
-        })
-    } else {
-        builder.start()
-    }
+    builder
 }
 
-fn generate(flags: &HashMap<String, String>) {
+/// Builds the in-process store and loads `records` into it.
+fn loaded_store(records: &[Record], flags: &Flags) -> EncryptedSearchStore {
+    eprintln!("loading {} records …", records.len());
+    let builder = store_builder(records, flags);
+    let store = if storage_config(flags).is_disk() {
+        // disk mode always goes through open(): a fresh data dir starts
+        // empty, an existing one recovers the previous run's records
+        builder
+            .open()
+            .unwrap_or_else(|e| fail(format!("cannot open store: {e}")))
+    } else {
+        builder.start()
+    };
+    preload(&store.handle(), records, flags);
+    store
+}
+
+/// Loads the corpus through a handle (in-process store or TCP client).
+/// Bounded inboxes get per-record inserts — the single-op retry path rides
+/// out `Overloaded` — while unbounded stores take the fast pipelined bulk
+/// path, which assumes replies are never shed.
+fn preload(handle: &StoreHandle, records: &[Record], flags: &Flags) {
+    let result = if inbox_capacity(flags).is_some() {
+        records
+            .iter()
+            .try_for_each(|r| handle.insert(r.rid, &r.rc).map(|_| ()))
+    } else {
+        handle
+            .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
+            .map(|_| ())
+    };
+    result.unwrap_or_else(|e| fail(format!("load failed: {e}")));
+}
+
+fn generate(flags: &Flags) {
     let entries = flag_usize(flags, "entries", 1000);
     let seed = flag_usize(flags, "seed", 42) as u64;
     let records = DirectoryGenerator::new(seed).generate(entries);
     let text = format_directory(&records);
     match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, text).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            });
-            eprintln!("wrote {entries} records to {path}");
-        }
+        Some(path) => write_file(path, text, &format!("{entries} records")),
         None => print!("{text}"),
     }
 }
 
-fn search(flags: &HashMap<String, String>) {
+fn search(flags: &Flags) {
     let Some(pattern) = flags.get("pattern") else {
-        eprintln!("search needs --pattern");
-        exit(2);
+        usage_error("search needs --pattern");
     };
     config_for(flags); // validate --config before doing any work
     let records = load_records(flags);
-    eprintln!("loading {} records …", records.len());
-    let store = build_store(&records, flags);
     let t0 = Instant::now();
-    store
-        .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-        .unwrap_or_else(|e| {
-            eprintln!("load failed: {e}");
-            exit(1);
-        });
+    let store = loaded_store(&records, flags);
     eprintln!(
         "loaded into {} LH* buckets in {:?}",
         store.cluster().num_buckets(),
@@ -275,31 +402,24 @@ fn search(flags: &HashMap<String, String>) {
             .search(pattern)
             .map(|rids| rids.into_iter().map(|rid| (rid, None)).collect())
     };
-    match result {
-        Ok(hits) => {
-            let elapsed = t0.elapsed();
-            let stats = store.cluster().network().stats();
-            for (rid, rc) in &hits {
-                match rc {
-                    Some(rc) => println!("{rid}  {rc}"),
-                    None => {
-                        let digits = format!("{rid:010}");
-                        println!("{}-{}-{}", &digits[0..3], &digits[3..6], &digits[6..10]);
-                    }
-                }
+    let hits = result.unwrap_or_else(|e| fail(format!("search failed: {e}")));
+    let elapsed = t0.elapsed();
+    let stats = store.cluster().network().stats();
+    for (rid, rc) in &hits {
+        match rc {
+            Some(rc) => println!("{rid}  {rc}"),
+            None => {
+                let digits = format!("{rid:010}");
+                println!("{}-{}-{}", &digits[0..3], &digits[3..6], &digits[6..10]);
             }
-            eprintln!(
-                "{} hit(s) in {elapsed:?} — {} messages, {} bytes on the wire",
-                hits.len(),
-                stats.messages(),
-                stats.bytes()
-            );
-        }
-        Err(e) => {
-            eprintln!("search failed: {e}");
-            exit(1);
         }
     }
+    eprintln!(
+        "{} hit(s) in {elapsed:?} — {} messages, {} bytes on the wire",
+        hits.len(),
+        stats.messages(),
+        stats.bytes()
+    );
     // Shutdown joins the site threads, so every span — including ones the
     // sites were still closing when the reply raced back — is recorded
     // before the flight recorder drains.
@@ -312,17 +432,12 @@ fn search(flags: &HashMap<String, String>) {
 
 /// Drains the flight recorder to `path` as JSONL, one span per line.
 fn write_trace(path: &str) {
-    let file = std::fs::File::create(path).unwrap_or_else(|e| {
-        eprintln!("cannot create {path}: {e}");
-        exit(1);
-    });
+    let file =
+        std::fs::File::create(path).unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
     let mut sink = sdds_obs::trace::TraceSink::new(std::io::BufWriter::new(file));
     match sink.drain() {
         Ok(n) => eprintln!("wrote {n} trace spans to {path}"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        }
+        Err(e) => fail(format!("cannot write {path}: {e}")),
     }
 }
 
@@ -338,31 +453,31 @@ fn fmt_secs(v: f64) -> String {
 }
 
 /// Pretty-prints one registry snapshot.
-fn print_snapshot(snap: &sdds_obs::MetricsSnapshot, indent: &str) {
+fn print_snapshot(snap: &sdds_obs::MetricsSnapshot) {
     if !snap.counters.is_empty() {
-        println!("{indent}counters:");
+        println!("counters:");
         for (name, value) in &snap.counters {
-            println!("{indent}  {name:<32} {value}");
+            println!("  {name:<32} {value}");
         }
     }
     if !snap.gauges.is_empty() {
-        println!("{indent}gauges:");
+        println!("gauges:");
         for (name, value) in &snap.gauges {
-            println!("{indent}  {name:<32} {value}");
+            println!("  {name:<32} {value}");
         }
     }
     if !snap.float_gauges.is_empty() {
-        println!("{indent}float gauges:");
+        println!("float gauges:");
         for (name, value) in &snap.float_gauges {
-            println!("{indent}  {name:<32} {value:.6}");
+            println!("  {name:<32} {value:.6}");
         }
     }
     if !snap.histograms.is_empty() {
-        println!("{indent}histograms:");
+        println!("histograms:");
         for (name, h) in &snap.histograms {
             let q = |p: f64| h.quantile(p).map_or("-".into(), fmt_secs);
             println!(
-                "{indent}  {name:<32} count={:<8} mean={:<10} p50={:<10} p95={:<10} p99={:<10} p999={}",
+                "  {name:<32} count={:<8} mean={:<10} p50={:<10} p95={:<10} p99={:<10} p999={}",
                 h.count,
                 h.mean().map_or("-".into(), fmt_secs),
                 q(0.50),
@@ -374,47 +489,34 @@ fn print_snapshot(snap: &sdds_obs::MetricsSnapshot, indent: &str) {
     }
 }
 
-/// The `--queries` list (defaults to two realistic surnames).
-fn parse_queries(flags: &HashMap<String, String>) -> Vec<String> {
-    flags
+/// Runs every `--queries` pattern (default: two realistic surnames).
+fn run_queries(handle: &StoreHandle, flags: &Flags) {
+    let queries = flags
         .get("queries")
-        .map(String::as_str)
-        .unwrap_or("SMITH,MARTINEZ")
-        .split(',')
-        .map(|q| q.trim().to_string())
-        .filter(|q| !q.is_empty())
-        .collect()
+        .map_or("SMITH,MARTINEZ", String::as_str);
+    for q in queries.split(',').map(str::trim).filter(|q| !q.is_empty()) {
+        if let Err(e) = handle.search(q) {
+            fail(format!("search {q:?} failed: {e}"));
+        }
+    }
 }
 
 /// Runs a small load + query workload and pretty-prints the live metrics
 /// snapshot, optionally with per-site breakdowns (`--sites`). With
 /// `--cluster`, scrapes a multi-process TCP cluster instead.
-fn metrics(flags: &HashMap<String, String>) {
+fn metrics(flags: &Flags) {
     if flags.contains_key("cluster") {
         return metrics_cluster(flags);
     }
     config_for(flags); // validate --config before doing any work
     let records = load_records(flags);
-    eprintln!("loading {} records …", records.len());
-    let store = build_store(&records, flags);
-    store
-        .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-        .unwrap_or_else(|e| {
-            eprintln!("load failed: {e}");
-            exit(1);
-        });
-    let queries = parse_queries(flags);
-    for q in &queries {
-        if let Err(e) = store.search(q) {
-            eprintln!("search {q:?} failed: {e}");
-            exit(1);
-        }
-    }
+    let store = loaded_store(&records, flags);
+    run_queries(&store.handle(), flags);
     let sites = sdds_obs::capture_sites();
     store.shutdown();
     let snap = sdds_obs::MetricsSnapshot::capture();
     println!("== registry {:?} (aggregate) ==", snap.label);
-    print_snapshot(&snap, "");
+    print_snapshot(&snap);
     if flags.contains_key("sites") {
         for site in &sites {
             if site.counters.values().all(|&v| v == 0)
@@ -423,20 +525,25 @@ fn metrics(flags: &HashMap<String, String>) {
                 continue;
             }
             println!("\n== registry {:?} ==", site.label);
-            print_snapshot(site, "");
+            print_snapshot(site);
         }
     }
     maybe_write_metrics(flags);
 }
 
-/// Scrape options shared by the cluster commands.
-fn scrape_opts(flags: &HashMap<String, String>, spans: bool) -> sdds_repro::lh::ScrapeOptions {
-    sdds_repro::lh::ScrapeOptions {
+/// Scrapes every rank of the cluster: metrics, or (`spans`) the flight
+/// recorders.
+fn scrape(remote: &RemoteStore, flags: &Flags, spans: bool) -> sdds_repro::lh::ClusterScrape {
+    let opts = sdds_repro::lh::ScrapeOptions {
         metrics: !spans,
         spans,
         history: flags.contains_key("history"),
         timeout: Duration::from_millis(flag_usize(flags, "scrape-timeout-millis", 10_000) as u64),
-    }
+    };
+    remote
+        .obs()
+        .scrape(&opts)
+        .unwrap_or_else(|e| fail(format!("cluster scrape failed: {e}")))
 }
 
 /// `sdds metrics --cluster`: scrapes every rank of a multi-process TCP
@@ -445,52 +552,22 @@ fn scrape_opts(flags: &HashMap<String, String>, spans: bool) -> sdds_repro::lh::
 /// scrapes a live cluster and leaves it running; otherwise it spawns its
 /// own loopback cluster (`--servers N`), drives the same small load +
 /// query workload as local `metrics`, scrapes, and shuts down.
-fn metrics_cluster(flags: &HashMap<String, String>) {
+fn metrics_cluster(flags: &Flags) {
     config_for(flags); // validate --config before doing any work
-    let drain_budget = flag_usize(flags, "drain-budget", sdds_repro::lh::DEFAULT_DRAIN_BUDGET);
-    let inbox_capacity = parse_inbox_capacity(flags);
-    let opts = scrape_opts(flags, false);
     let records = load_records(flags);
-    if let Some(reg_path) = flags.get("registry").filter(|p| !p.is_empty()) {
-        let registry = SiteRegistry::load(std::path::Path::new(reg_path)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(1);
-        });
-        let remote =
-            traffic_builder(&records, flags, drain_budget, inbox_capacity).connect(registry);
-        let scrape = remote.obs().scrape(&opts).unwrap_or_else(|e| {
-            eprintln!("cluster scrape failed: {e}");
-            exit(1);
-        });
-        report_cluster_scrape(&scrape, flags);
+    if let Some(reg_path) = flags.get("registry") {
+        let registry =
+            SiteRegistry::load(std::path::Path::new(reg_path)).unwrap_or_else(|e| fail(e));
+        let remote = store_builder(&records, flags).connect(registry);
+        report_cluster_scrape(&scrape(&remote, flags, false), flags);
     } else {
-        let servers = flag_usize(flags, "servers", 2);
-        let entries = flag_usize(flags, "entries", 1000);
-        let seed = flag_usize(flags, "seed", 42) as u64;
-        eprintln!("spawning a {servers}-rank loopback cluster …");
-        let cluster = spawn_tcp_cluster(
-            &records,
-            flags,
-            servers,
-            entries,
-            seed,
-            drain_budget,
-            inbox_capacity,
-        );
+        let cluster = spawn_tcp_cluster(&records, flags, false);
         let handle = cluster.remote.handle();
-        traffic_preload(&handle, &records, inbox_capacity.is_some());
-        for q in parse_queries(flags) {
-            if let Err(e) = handle.search(&q) {
-                eprintln!("search {q:?} failed: {e}");
-                exit(1);
-            }
-        }
-        let scrape = cluster.remote.obs().scrape(&opts).unwrap_or_else(|e| {
-            eprintln!("cluster scrape failed: {e}");
-            exit(1);
-        });
-        report_cluster_scrape(&scrape, flags);
+        preload(&handle, &records, flags);
+        run_queries(&handle, flags);
+        let scraped = scrape(&cluster.remote, flags, false);
         cluster.shutdown();
+        report_cluster_scrape(&scraped, flags);
     }
 }
 
@@ -498,7 +575,7 @@ fn metrics_cluster(flags: &HashMap<String, String>) {
 /// `--sites`, and this process's client-side registry (the hop counters
 /// live here: forwarding is observed where the reply lands) — and writes
 /// the `--json-out` artifact. Exits nonzero if any rank failed to report.
-fn report_cluster_scrape(scrape: &sdds_repro::lh::ClusterScrape, flags: &HashMap<String, String>) {
+fn report_cluster_scrape(scrape: &sdds_repro::lh::ClusterScrape, flags: &Flags) {
     let missing = if scrape.missing.is_empty() {
         String::new()
     } else {
@@ -508,18 +585,18 @@ fn report_cluster_scrape(scrape: &sdds_repro::lh::ClusterScrape, flags: &HashMap
         "== cluster aggregate ({} rank(s) reporting{missing}) ==",
         scrape.ranks.len(),
     );
-    print_snapshot(&scrape.aggregate, "");
+    print_snapshot(&scrape.aggregate);
     if flags.contains_key("sites") {
         for r in &scrape.ranks {
             println!("\n== rank {} ==", r.rank);
             if let Some(m) = &r.metrics {
-                print_snapshot(m, "");
+                print_snapshot(m);
             }
         }
     }
     let client = sdds_obs::MetricsSnapshot::capture();
     println!("\n== client ==");
-    print_snapshot(&client, "");
+    print_snapshot(&client);
     if let Some(path) = flags.get("json-out") {
         let ranks_json: Vec<String> = scrape
             .ranks
@@ -542,16 +619,11 @@ fn report_cluster_scrape(scrape: &sdds_repro::lh::ClusterScrape, flags: &HashMap
             client.to_json(),
             ranks_json.join(",\n"),
         );
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote cluster metrics to {path}");
+        write_file(path, body, "cluster metrics");
     }
     maybe_write_metrics(flags);
     if !scrape.missing.is_empty() {
-        eprintln!("{} rank(s) failed to report", scrape.missing.len());
-        exit(1);
+        fail(format!("{} rank(s) failed to report", scrape.missing.len()));
     }
 }
 
@@ -593,38 +665,39 @@ fn render_trees(trees: &[sdds_obs::trace::TraceTree]) -> bool {
     ok
 }
 
+/// Runs one traced search through `handle` and reports it on stderr. The
+/// load before it ran untraced: client-side tracing was off, so its
+/// messages carried no context for the sites to record either.
+fn traced_search(handle: &StoreHandle, pattern: &str) {
+    let _ = sdds_obs::trace::drain_spans();
+    sdds_obs::trace::set_tracing(true);
+    let t0 = Instant::now();
+    let hits = handle
+        .search(pattern)
+        .unwrap_or_else(|e| fail(format!("search failed: {e}")));
+    sdds_obs::trace::set_tracing(false);
+    eprintln!(
+        "traced search {pattern:?}: {} hit(s) in {:?}",
+        hits.len(),
+        t0.elapsed()
+    );
+}
+
 /// `sdds trace`: runs one traced search and renders its span tree. With
 /// `--cluster` the search runs against a self-spawned multi-process TCP
 /// cluster (serve children started with `--trace`), every rank's flight
 /// recorder is scraped over the control channel, and the local and remote
 /// spans are stitched into one cross-process tree.
-fn trace_cmd(flags: &HashMap<String, String>) {
+fn trace_cmd(flags: &Flags) {
     config_for(flags); // validate --config before doing any work
     let records = load_records(flags);
     let pattern = flags
         .get("pattern")
         .cloned()
-        .unwrap_or_else(|| traffic_patterns(&records).remove(0));
+        .unwrap_or_else(|| corpus_pattern(&records));
     if !flags.contains_key("cluster") {
-        let store = build_store(&records, flags);
-        store
-            .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-            .unwrap_or_else(|e| {
-                eprintln!("load failed: {e}");
-                exit(1);
-            });
-        let _ = sdds_obs::trace::drain_spans();
-        sdds_obs::trace::set_tracing(true);
-        let t0 = Instant::now();
-        let hits = store.search(&pattern).unwrap_or_else(|e| {
-            eprintln!("search failed: {e}");
-            exit(1);
-        });
-        eprintln!(
-            "traced search {pattern:?}: {} hit(s) in {:?}",
-            hits.len(),
-            t0.elapsed()
-        );
+        let store = loaded_store(&records, flags);
+        traced_search(&store.handle(), &pattern);
         store.shutdown();
         let spans = local_parsed_spans()
             .into_iter()
@@ -633,63 +706,24 @@ fn trace_cmd(flags: &HashMap<String, String>) {
         if !render_trees(&sdds_obs::trace::stitch(spans)) {
             exit(1);
         }
-        maybe_write_metrics(flags);
-        return;
+        return maybe_write_metrics(flags);
     }
     // Cluster mode: the serve children must record spans too.
-    let mut flags = flags.clone();
-    flags.insert("trace".to_string(), String::new());
-    let servers = flag_usize(&flags, "servers", 2);
-    let entries = flag_usize(&flags, "entries", 1000);
-    let seed = flag_usize(&flags, "seed", 42) as u64;
-    let drain_budget = flag_usize(&flags, "drain-budget", sdds_repro::lh::DEFAULT_DRAIN_BUDGET);
-    let inbox_capacity = parse_inbox_capacity(&flags);
-    eprintln!("spawning a {servers}-rank loopback cluster …");
-    let cluster = spawn_tcp_cluster(
-        &records,
-        &flags,
-        servers,
-        entries,
-        seed,
-        drain_budget,
-        inbox_capacity,
-    );
+    let cluster = spawn_tcp_cluster(&records, flags, true);
     let handle = cluster.remote.handle();
-    traffic_preload(&handle, &records, inbox_capacity.is_some());
-    // Trace only the query: the preload above ran untraced (client-side
-    // tracing was off, so its messages carried no context for the ranks
-    // to record either).
-    let _ = sdds_obs::trace::drain_spans();
-    sdds_obs::trace::set_tracing(true);
-    let t0 = Instant::now();
-    let hits = handle.search(&pattern).unwrap_or_else(|e| {
-        eprintln!("search failed: {e}");
-        exit(1);
-    });
-    sdds_obs::trace::set_tracing(false);
-    eprintln!(
-        "traced search {pattern:?}: {} hit(s) in {:?}",
-        hits.len(),
-        t0.elapsed()
-    );
+    preload(&handle, &records, flags);
+    traced_search(&handle, &pattern);
     // The reply can race the remote sites' span-ring writes by a beat;
     // give the loops a moment to close their spans before scraping.
     std::thread::sleep(Duration::from_millis(300));
-    let scrape = cluster
-        .remote
-        .obs()
-        .scrape(&scrape_opts(&flags, true))
-        .unwrap_or_else(|e| {
-            eprintln!("cluster scrape failed: {e}");
-            exit(1);
-        });
-    if !scrape.missing.is_empty() {
-        eprintln!("rank(s) {:?} failed to report", scrape.missing);
+    let scraped = scrape(&cluster.remote, flags, true);
+    if !scraped.missing.is_empty() {
+        eprintln!("rank(s) {:?} failed to report", scraped.missing);
     }
-    let connected = render_trees(&scrape.traces(local_parsed_spans()));
+    let connected = render_trees(&scraped.traces(local_parsed_spans()));
     cluster.shutdown();
-    maybe_write_metrics(&flags);
-    if !connected || !scrape.missing.is_empty() {
+    maybe_write_metrics(flags);
+    if !connected || !scraped.missing.is_empty() {
         exit(1);
     }
 }
@@ -697,22 +731,15 @@ fn trace_cmd(flags: &HashMap<String, String>) {
 /// Loads a corpus, snapshots what every bucket actually stores, and audits
 /// the stored index elements for deviations from uniformity — the paper's
 /// empirical security claim, measured at the adversary's vantage point.
-fn audit_leakage(flags: &HashMap<String, String>) {
+fn audit_leakage(flags: &Flags) {
     config_for(flags); // validate --config before doing any work
     let records = load_records(flags);
     let top_m = flag_usize(flags, "top", 8);
-    eprintln!("loading {} records …", records.len());
-    let store = build_store(&records, flags);
-    store
-        .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-        .unwrap_or_else(|e| {
-            eprintln!("load failed: {e}");
-            exit(1);
-        });
-    let snapshot = store.cluster().snapshot().unwrap_or_else(|e| {
-        eprintln!("bucket snapshot failed: {e}");
-        exit(1);
-    });
+    let store = loaded_store(&records, flags);
+    let snapshot = store
+        .cluster()
+        .snapshot()
+        .unwrap_or_else(|e| fail(format!("bucket snapshot failed: {e}")));
     let mut auditor = LeakageAuditor::new(store.pipeline().config().element_bytes());
     let mut skipped_store_copies = 0u64;
     for bucket in &snapshot.buckets {
@@ -740,785 +767,42 @@ fn audit_leakage(flags: &HashMap<String, String>) {
         "{:>7}  {:>10}  {:>9}  {:>10}  {:>8}  {:>11}",
         "bucket", "elements", "distinct", "chi2/df", "p-value", "top-m ratio"
     );
-    for b in &report.buckets {
+    let row = |label: &dyn Display, s: &sdds_repro::stats::LeakageSummary| {
         println!(
-            "{:>7}  {:>10}  {:>9}  {:>10.4}  {:>8.4}  {:>11.6}",
-            b.bucket,
-            b.summary.elements,
-            b.summary.distinct,
-            b.summary.chi_square_per_df,
-            b.summary.p_value,
-            b.summary.top_ratio,
+            "{label:>7}  {:>10}  {:>9}  {:>10.4}  {:>8.4}  {:>11.6}",
+            s.elements, s.distinct, s.chi_square_per_df, s.p_value, s.top_ratio,
         );
+    };
+    for b in &report.buckets {
+        row(&b.bucket, &b.summary);
     }
-    println!(
-        "{:>7}  {:>10}  {:>9}  {:>10.4}  {:>8.4}  {:>11.6}",
-        "overall",
-        report.overall.elements,
-        report.overall.distinct,
-        report.overall.chi_square_per_df,
-        report.overall.p_value,
-        report.overall.top_ratio,
-    );
+    row(&"overall", &report.overall);
     println!(
         "overall χ² = {:.2} — χ²/df ≈ 1 and an unremarkable p-value mean the stored \
          elements look uniform; see docs/OBSERVABILITY.md for interpretation",
         report.overall.chi_square,
     );
     if let Some(path) = flags.get("json-out") {
-        let body = serde_json::to_string(&report).unwrap_or_else(|e| {
-            eprintln!("cannot serialize report: {e}");
-            exit(1);
-        });
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote leakage report to {path}");
+        let body = serde_json::to_string(&report)
+            .unwrap_or_else(|e| fail(format!("cannot serialize report: {e}")));
+        write_file(path, body, "leakage report");
     }
     maybe_write_metrics(flags);
 }
 
-/// FNV-1a over a byte slice, continuing from `h`.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-/// Digest of everything the transform would store for `records` when run
-/// on `threads` workers: the strongly encrypted copies plus every index
-/// record in order. Identical digests across thread counts prove the
-/// parallel path is byte-identical to the sequential one.
-fn transform_digest(store: &EncryptedSearchStore, records: &[Record], threads: usize) -> u64 {
-    let pool = sdds_repro::par::Pool::new(threads);
-    let pairs: Vec<(u64, &str)> = records.iter().map(|r| (r.rid, r.rc.as_str())).collect();
-    let produced = store.pipeline().index_records_batch(&pairs, &pool);
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for (rec, per_record) in records.iter().zip(&produced) {
-        fnv1a(&mut h, &store.pipeline().encrypt_record(rec.rid, &rec.rc));
-        for ir in per_record {
-            fnv1a(&mut h, &[ir.chunking as u8, ir.site as u8]);
-            fnv1a(&mut h, &ir.body);
-        }
-    }
-    h
-}
-
-/// One timed load at a given thread count, on a fresh store.
-fn bench_one(
-    records: &[Record],
-    flags: &HashMap<String, String>,
-    threads: usize,
-) -> (IngestStats, u64) {
-    let store = build_store(records, flags);
-    let stats = store
-        .insert_many_with(
-            records.iter().map(|r| (r.rid, r.rc.as_str())),
-            IngestOptions::with_threads(threads),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("load failed: {e}");
-            exit(1);
-        });
-    let net = store.cluster().network().stats();
-    println!(
-        "threads={threads}: {} records in {:.3}s ({:.0} rec/s, {:.0} chunks/s, {:.0} B/s) — {} buckets, {} messages",
-        stats.records,
-        stats.elapsed_seconds,
-        stats.records_per_sec(),
-        stats.chunks_per_sec(),
-        stats.bytes_per_sec(),
-        store.cluster().num_buckets(),
-        net.messages(),
-    );
-    let digest = transform_digest(&store, records, threads);
-    store.shutdown();
-    (stats, digest)
-}
-
-/// What one bench-search phase (linear or indexed) measured.
-struct SearchPhase {
-    /// Sum of `lh.scan_bucket_seconds` over the phase.
-    bucket_seconds: f64,
-    /// Bucket scans executed (histogram count delta).
-    bucket_scans: u64,
-    /// End-to-end wall time of the phase.
-    wall_seconds: f64,
-    /// The rids every query reported (last repetition).
-    results: Vec<Vec<u64>>,
-}
-
-impl SearchPhase {
-    /// Mean bucket-scan time — the honest unit of comparison: both
-    /// phases share the decode-once prepared-query path, so this delta
-    /// isolates posting-index probing vs the linear record sweep.
-    fn mean_bucket_seconds(&self) -> f64 {
-        if self.bucket_scans == 0 {
-            return 0.0;
-        }
-        self.bucket_seconds / self.bucket_scans as f64
-    }
-}
-
-/// Runs `repeat` rounds of every query against `store`, measuring the
-/// server-side bucket-scan histogram delta.
-fn run_search_phase(
-    store: &EncryptedSearchStore,
-    queries: &[String],
-    repeat: usize,
-) -> SearchPhase {
-    let hist = sdds_obs::histogram("lh.scan_bucket_seconds");
-    let (sum0, count0) = (hist.sum(), hist.count());
-    let t0 = Instant::now();
-    let mut results = Vec::new();
-    for rep in 0..repeat.max(1) {
-        results.clear();
-        let _ = rep;
-        for q in queries {
-            match store.search(q) {
-                Ok(rids) => results.push(rids),
-                Err(e) => {
-                    eprintln!("search {q:?} failed: {e}");
-                    exit(1);
-                }
-            }
-        }
-    }
-    SearchPhase {
-        bucket_seconds: hist.sum() - sum0,
-        bucket_scans: hist.count() - count0,
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        results,
-    }
-}
-
-/// Loads the same corpus into a linear-scan store and a posting-indexed
-/// store, runs the same queries against both, and reports the bucket-scan
-/// speedup plus the index counters. Results must be identical — the bench
-/// doubles as an oracle check on a large file.
-fn bench_search(flags: &HashMap<String, String>) {
-    let records = load_records(flags);
-    let capacity = flag_usize(flags, "capacity", 512);
-    let repeat = flag_usize(flags, "repeat", 5);
-    let queries: Vec<String> = flags
-        .get("queries")
-        .map(String::as_str)
-        .unwrap_or("SCHWARZ,MARTINEZ,SMITH,GARCIA")
-        .split(',')
-        .map(|q| q.trim().to_string())
-        .filter(|q| !q.is_empty())
-        .collect();
-    let config = config_for(flags);
-    let build = |indexed: bool| {
-        let mut builder = EncryptedSearchStore::builder(config)
-            .passphrase("sdds-cli")
-            .bucket_capacity(capacity)
-            .scan_index(indexed);
-        if config.encoding.is_some() {
-            builder = builder.train(records.iter().take(1000).map(|r| r.rc.clone()));
-        }
-        let store = builder.start();
-        store
-            .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-            .unwrap_or_else(|e| {
-                eprintln!("load failed: {e}");
-                exit(1);
-            });
-        store
-    };
-    eprintln!(
-        "loading {} records twice (linear + indexed, capacity {capacity}) …",
-        records.len()
-    );
-    let linear_store = build(false);
-    let indexed_store = build(true);
-    let buckets = indexed_store.cluster().num_buckets();
-    let probes0 = sdds_obs::counter("lh.scan_index_probes").get();
-    let candidates0 = sdds_obs::counter("lh.scan_index_candidates").get();
-    let fallback0 = sdds_obs::counter("lh.scan_fallback_linear").get();
-    let linear = run_search_phase(&linear_store, &queries, repeat);
-    let fallback_delta = sdds_obs::counter("lh.scan_fallback_linear").get() - fallback0;
-    let indexed = run_search_phase(&indexed_store, &queries, repeat);
-    let probes_delta = sdds_obs::counter("lh.scan_index_probes").get() - probes0;
-    let candidates_delta = sdds_obs::counter("lh.scan_index_candidates").get() - candidates0;
-    let identical = linear.results == indexed.results;
-    let speedup = if indexed.mean_bucket_seconds() > 0.0 {
-        linear.mean_bucket_seconds() / indexed.mean_bucket_seconds()
-    } else {
-        0.0
-    };
-    linear_store.shutdown();
-    indexed_store.shutdown();
-    println!(
-        "linear:  {:.1} µs/bucket-scan over {} scans ({:.3}s wall)",
-        linear.mean_bucket_seconds() * 1e6,
-        linear.bucket_scans,
-        linear.wall_seconds,
-    );
-    println!(
-        "indexed: {:.1} µs/bucket-scan over {} scans ({:.3}s wall)",
-        indexed.mean_bucket_seconds() * 1e6,
-        indexed.bucket_scans,
-        indexed.wall_seconds,
-    );
-    println!(
-        "bucket-scan speedup: {speedup:.1}x on {buckets} buckets — identical results: {identical}"
-    );
-    println!(
-        "index counters: {probes_delta} probes, {candidates_delta} candidates, {fallback_delta} linear fallbacks (baseline phase)"
-    );
-    if !identical {
-        eprintln!("indexed and linear results diverged — consistency bug");
-        exit(1);
-    }
-    let path = flags
-        .get("json-out")
-        .map(String::as_str)
-        .filter(|p| !p.is_empty())
-        .unwrap_or("BENCH_search.json");
-    let queries_json: Vec<String> = queries.iter().map(|q| format!("\"{q}\"")).collect();
-    let mut body = String::from("{\n");
-    body.push_str(&format!(
-        "  \"entries\": {},\n  \"config\": \"{}\",\n  \"bucket_capacity\": {capacity},\n  \"buckets\": {buckets},\n  \"repeat\": {repeat},\n  \"queries\": [{}],\n",
-        records.len(),
-        flags.get("config").map(String::as_str).unwrap_or("basic"),
-        queries_json.join(", "),
-    ));
-    for (name, phase) in [("linear", &linear), ("indexed", &indexed)] {
-        body.push_str(&format!(
-            "  \"{name}\": {{\"bucket_scan_seconds_mean\": {:.9}, \"bucket_scans\": {}, \"bucket_seconds_total\": {:.6}, \"wall_seconds\": {:.6}}},\n",
-            phase.mean_bucket_seconds(),
-            phase.bucket_scans,
-            phase.bucket_seconds,
-            phase.wall_seconds,
-        ));
-    }
-    body.push_str(&format!(
-        "  \"speedup_bucket_scan\": {speedup:.2},\n  \"identical_results\": {identical},\n  \"scan_index_probes\": {probes_delta},\n  \"scan_index_candidates\": {candidates_delta},\n  \"scan_fallback_linear\": {fallback_delta}\n}}\n"
-    ));
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    });
-    eprintln!("wrote search bench results to {path}");
-    maybe_write_metrics(flags);
-}
-
-/// Measures the durable storage engine on this machine: batched-put
-/// throughput across group-commit fsync policies, then crash-recovery
-/// (WAL replay) time as a function of WAL size. Runs directly against
-/// [`DiskEngine`] — no cluster, no network — so the numbers isolate the
-/// storage layer. Writes `BENCH_durability.json`.
-fn bench_durability(flags: &HashMap<String, String>) {
-    use sdds_repro::storage::WriteBatch;
-    let entries = flag_usize(flags, "entries", 20_000);
-    let batch_size = flag_usize(flags, "batch", 16).max(1);
-    let value_bytes = flag_usize(flags, "value-bytes", 64).max(1);
-    let root = std::env::temp_dir().join(format!("sdds-bench-durability-{}", std::process::id()));
-    let fail = |what: &str, e: &dyn std::fmt::Display| -> ! {
-        eprintln!("{what}: {e}");
-        let _ = std::fs::remove_dir_all(&root);
-        exit(1);
-    };
-    // compaction off (threshold at the top of the range): the sweep should
-    // measure the WAL append/fsync path, not snapshot rewrites
-    let options_with = |fsync: FsyncPolicy| DiskOptions {
-        fsync,
-        compact_wal_bytes: u64::MAX,
-    };
-    let value = |key: u64| -> Vec<u8> {
-        (0..value_bytes)
-            .map(|i| (key as u8).wrapping_mul(31).wrapping_add(i as u8))
-            .collect()
-    };
-    let policies: [(&str, FsyncPolicy); 5] = [
-        ("always", FsyncPolicy::Always),
-        ("every8", FsyncPolicy::EveryN(8)),
-        ("every64", FsyncPolicy::EveryN(64)),
-        ("every256", FsyncPolicy::EveryN(256)),
-        ("never", FsyncPolicy::Never),
-    ];
-    eprintln!(
-        "fsync sweep: {entries} records in batches of {batch_size} ({value_bytes}-byte values) …"
-    );
-    let mut sweep_rows = Vec::new();
-    for (name, policy) in policies {
-        let dir = root.join(format!("fsync-{name}"));
-        let mut engine = match DiskEngine::open(&dir, options_with(policy)) {
-            Ok(e) => e,
-            Err(e) => fail("cannot open bench engine", &e),
-        };
-        let t0 = Instant::now();
-        let mut key = 0u64;
-        while key < entries as u64 {
-            let mut batch = WriteBatch::new();
-            for _ in 0..batch_size {
-                if key >= entries as u64 {
-                    break;
-                }
-                batch.put(key, value(key));
-                key += 1;
-            }
-            if let Err(e) = engine.apply_batch(&batch) {
-                fail("bench write failed", &e);
-            }
-        }
-        if let Err(e) = engine.flush() {
-            fail("bench flush failed", &e);
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let (fsyncs, wal_bytes) = (engine.wal_fsyncs(), engine.wal_bytes());
-        println!(
-            "fsync={name:<9} {entries} records in {elapsed:.3}s ({:.0} rec/s) — {fsyncs} fsyncs, {wal_bytes} WAL bytes",
-            entries as f64 / elapsed,
-        );
-        sweep_rows.push(format!(
-            "    {{\"fsync\": \"{name}\", \"elapsed_seconds\": {elapsed:.6}, \"records_per_sec\": {:.1}, \"fsyncs\": {fsyncs}, \"wal_bytes\": {wal_bytes}}}",
-            entries as f64 / elapsed,
-        ));
-    }
-    // Replay: build WALs of growing size (no fsync — we only need the
-    // bytes on disk, not durability, and the build phase is not timed),
-    // then time a cold open, which replays every frame.
-    eprintln!("replay sweep …");
-    let mut replay_rows = Vec::new();
-    for factor in [1usize, 2, 4] {
-        let n = entries * factor;
-        let dir = root.join(format!("replay-{factor}x"));
-        let wal_bytes;
-        {
-            let mut engine = match DiskEngine::open(&dir, options_with(FsyncPolicy::Never)) {
-                Ok(e) => e,
-                Err(e) => fail("cannot open replay engine", &e),
-            };
-            let mut key = 0u64;
-            while key < n as u64 {
-                let mut batch = WriteBatch::new();
-                for _ in 0..batch_size {
-                    if key >= n as u64 {
-                        break;
-                    }
-                    batch.put(key, value(key));
-                    key += 1;
-                }
-                if let Err(e) = engine.apply_batch(&batch) {
-                    fail("replay-prep write failed", &e);
-                }
-            }
-            if let Err(e) = engine.flush() {
-                fail("replay-prep flush failed", &e);
-            }
-            wal_bytes = engine.wal_bytes();
-        }
-        let t0 = Instant::now();
-        let engine = match DiskEngine::open(&dir, options_with(FsyncPolicy::Never)) {
-            Ok(e) => e,
-            Err(e) => fail("replay open failed", &e),
-        };
-        let elapsed = t0.elapsed().as_secs_f64();
-        if engine.len() != n {
-            eprintln!("replay recovered {} of {n} records", engine.len());
-            let _ = std::fs::remove_dir_all(&root);
-            exit(1);
-        }
-        println!(
-            "replay {n} records / {wal_bytes} WAL bytes in {elapsed:.3}s ({:.0} rec/s)",
-            n as f64 / elapsed,
-        );
-        replay_rows.push(format!(
-            "    {{\"records\": {n}, \"wal_bytes\": {wal_bytes}, \"replay_seconds\": {elapsed:.6}, \"records_per_sec\": {:.1}}}",
-            n as f64 / elapsed,
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    let path = flags
-        .get("json-out")
-        .map(String::as_str)
-        .filter(|p| !p.is_empty())
-        .unwrap_or("BENCH_durability.json");
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let body = format!(
-        "{{\n  \"entries\": {entries},\n  \"batch\": {batch_size},\n  \"value_bytes\": {value_bytes},\n  \"cpus\": {cpus},\n  \"fsync_sweep\": [\n{}\n  ],\n  \"replay\": [\n{}\n  ]\n}}\n",
-        sweep_rows.join(",\n"),
-        replay_rows.join(",\n"),
-    );
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    });
-    eprintln!("wrote durability bench results to {path}");
-}
-
-fn bench_load(flags: &HashMap<String, String>) {
-    let records = load_records(flags);
-    let sweep: Vec<usize> = match flags.get("sweep") {
-        Some(list) => list
-            .split(',')
-            .map(|t| {
-                t.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--sweep needs a comma-separated thread list, got {list:?}");
-                    exit(2);
-                })
-            })
-            .collect(),
-        None => vec![flag_usize(flags, "threads", 1)],
-    };
-    let mut runs = Vec::with_capacity(sweep.len());
-    for &threads in &sweep {
-        runs.push((threads, bench_one(&records, flags, threads)));
-    }
-    let identical = runs.windows(2).all(|w| w[0].1 .1 == w[1].1 .1);
-    if runs.len() > 1 {
-        println!("identical output across thread counts: {identical}");
-    }
-    if flags.contains_key("sweep") || flags.contains_key("json-out") {
-        let path = flags
-            .get("json-out")
-            .map(String::as_str)
-            .filter(|p| !p.is_empty())
-            .unwrap_or("BENCH_ingest.json");
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut body = String::from("{\n");
-        body.push_str(&format!(
-            "  \"entries\": {},\n  \"config\": \"{}\",\n  \"cpus\": {cpus},\n  \"identical_across_threads\": {identical},\n  \"runs\": [\n",
-            records.len(),
-            flags.get("config").map(String::as_str).unwrap_or("basic"),
-        ));
-        for (i, (threads, (stats, digest))) in runs.iter().enumerate() {
-            body.push_str(&format!(
-                "    {{\"threads\": {threads}, \"elapsed_seconds\": {:.6}, \"records\": {}, \"index_records\": {}, \"index_bytes\": {}, \"records_per_sec\": {:.1}, \"chunks_per_sec\": {:.1}, \"bytes_per_sec\": {:.1}, \"digest\": \"{digest:016x}\"}}{}\n",
-                stats.elapsed_seconds,
-                stats.records,
-                stats.index_records,
-                stats.index_bytes,
-                stats.records_per_sec(),
-                stats.chunks_per_sec(),
-                stats.bytes_per_sec(),
-                if i + 1 < runs.len() { "," } else { "" },
-            ));
-        }
-        body.push_str("  ]\n}\n");
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote sweep results to {path}");
-    }
-    maybe_write_metrics(flags);
-}
-
-// ---------------------------------------------------------------------
-// bench-traffic: open-loop load harness over the cluster
-// ---------------------------------------------------------------------
-
-/// splitmix64 — the per-worker deterministic PRNG behind arrival
-/// schedules and op selection. Seeded per (worker, load point), so runs
-/// are reproducible and workers are decorrelated.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform draw in [0, 1) from the top 53 bits.
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-const TRAFFIC_CLASSES: [&str; 4] = ["read", "write", "search", "delete"];
-
-/// Integer op-mix weights, e.g. `read:60,write:25,search:5,delete:10`.
-#[derive(Clone, Copy)]
-struct TrafficMix {
-    weights: [u64; 4],
-}
-
-impl TrafficMix {
-    fn parse(spec: &str) -> Option<TrafficMix> {
-        let mut weights = [0u64; 4];
-        for part in spec.split(',') {
-            let (name, w) = part.trim().split_once(':')?;
-            let idx = TRAFFIC_CLASSES.iter().position(|c| *c == name.trim())?;
-            weights[idx] = w.trim().parse().ok()?;
-        }
-        (weights.iter().sum::<u64>() > 0).then_some(TrafficMix { weights })
-    }
-
-    /// Picks an op class (an index into [`TRAFFIC_CLASSES`]) by weight.
-    fn pick(&self, roll: u64) -> usize {
-        let total: u64 = self.weights.iter().sum();
-        let mut r = roll % total;
-        for (i, w) in self.weights.iter().enumerate() {
-            if r < *w {
-                return i;
-            }
-            r -= *w;
-        }
-        0
-    }
-}
-
-/// One worker's spec for one load point. Lives behind a `Mutex` because
-/// `StoreHandle` is `Send` but not `Sync` — each pool thread takes
-/// exactly one spec out and owns it for the whole point.
-struct TrafficSpec {
-    handle: StoreHandle,
-    seed: u64,
-    /// Offered arrival rate for this worker (ops/sec).
-    rate: f64,
-    /// Length of the arrival schedule (seconds).
-    duration: f64,
-    mix: TrafficMix,
-    /// Preloaded rid range targeted by reads.
-    read_range: u64,
-    /// First rid this worker's writes allocate from (disjoint per worker).
-    write_base: u64,
-    patterns: Vec<String>,
-}
-
-/// One worker's measurements: latencies (seconds, from *scheduled*
-/// arrival) per op class, plus how far the worker fell behind schedule.
-struct TrafficReport {
-    lat: [Vec<f64>; 4],
-    errors: u64,
-    /// Worst schedule lag observed (seconds) — open-loop honesty metric.
-    max_lag: f64,
-    /// Seconds from the worker's epoch to its last completion.
-    span: f64,
-}
-
-fn run_traffic_worker(spec: &mut TrafficSpec) -> TrafficReport {
-    let mut rng = spec.seed;
-    let mut lat: [Vec<f64>; 4] = Default::default();
-    let mut written: Vec<u64> = Vec::new();
-    let mut next_write = spec.write_base;
-    let mut errors = 0u64;
-    let mut max_lag = 0f64;
-    let epoch = Instant::now();
-    let mut arrival = 0f64;
-    loop {
-        // Poisson arrivals: the schedule is fixed up front by the PRNG
-        // and advances regardless of completions — a slow op delays the
-        // following sends but not their *scheduled* times, so queueing
-        // delay lands in the latency numbers (no coordinated omission).
-        arrival += -(1.0 - unit_f64(&mut rng)).ln() / spec.rate;
-        if arrival > spec.duration {
-            break;
-        }
-        let target = Duration::from_secs_f64(arrival);
-        let now = epoch.elapsed();
-        if now < target {
-            std::thread::sleep(target - now);
-        } else {
-            max_lag = max_lag.max((now - target).as_secs_f64());
-        }
-        let mut class = spec.mix.pick(splitmix64(&mut rng));
-        if class == 3 && written.is_empty() {
-            class = 0; // nothing of ours to delete yet; read instead
-        }
-        let ok = match class {
-            1 => {
-                let rid = next_write;
-                next_write += 1;
-                let ok = spec
-                    .handle
-                    .insert(rid, &format!("TRAFFIC WRITE {rid} SYNTHETIC PAYLOAD"))
-                    .is_ok();
-                if ok {
-                    written.push(rid);
-                }
-                ok
-            }
-            2 => {
-                let p = &spec.patterns[(splitmix64(&mut rng) as usize) % spec.patterns.len()];
-                spec.handle.search(p).is_ok()
-            }
-            3 => {
-                // written is non-empty here (checked above); swap-remove a
-                // pseudorandom element so deletes do not just mirror the
-                // write order
-                let i = (splitmix64(&mut rng) as usize) % written.len();
-                let rid = written.swap_remove(i);
-                spec.handle.delete(rid).is_ok()
-            }
-            _ => {
-                let rid = splitmix64(&mut rng) % spec.read_range;
-                spec.handle.get(rid).is_ok()
-            }
-        };
-        let done = epoch.elapsed();
-        if ok {
-            lat[class].push((done.saturating_sub(target)).as_secs_f64());
-        } else {
-            errors += 1;
-        }
-    }
-    TrafficReport {
-        lat,
-        errors,
-        max_lag,
-        span: epoch.elapsed().as_secs_f64(),
-    }
-}
-
-/// Quantile of an ascending-sorted sample (nearest-rank); NaN when empty.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Renders a latency summary as a JSON object fragment (milliseconds).
-/// Empty classes render as nulls so consumers cannot mistake "no ops of
-/// this class ran" for "zero latency".
-fn latency_json(sorted: &[f64]) -> String {
-    let ms = |q: f64| -> String {
-        let v = percentile(sorted, q);
-        if v.is_nan() {
-            "null".to_string()
-        } else {
-            format!("{:.3}", v * 1e3)
-        }
-    };
-    format!(
-        "{{\"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}}}",
-        sorted.len(),
-        ms(0.50),
-        ms(0.95),
-        ms(0.99),
-        ms(0.999),
-    )
-}
-
-/// The deterministically configured builder every process of a traffic
-/// run shares: CLI-selected scheme and storage, plus the two knobs under
-/// test — bounded inboxes (admission control) and the event-loop drain
-/// budget. Serve ranks and TCP clients call this with identical flags so
-/// key material, the codebook and the scan filter come out identical in
-/// every process — none of them ever crosses the wire.
-fn traffic_builder(
-    records: &[Record],
-    flags: &HashMap<String, String>,
-    drain_budget: usize,
-    inbox_capacity: Option<usize>,
-) -> StoreBuilder {
-    let config = config_for(flags);
-    let mut builder = EncryptedSearchStore::builder(config)
-        .passphrase("sdds-cli")
-        .bucket_capacity(flag_usize(flags, "capacity", 128))
-        .storage(storage_config(flags))
-        .drain_budget(drain_budget)
-        .op_timeout(Duration::from_millis(
-            flag_usize(flags, "op-timeout-millis", 10_000).max(50) as u64,
-        ))
-        .net(NetConfig {
-            inbox_capacity,
-            ..NetConfig::default()
-        });
-    if config.encoding.is_some() {
-        builder = builder.train(records.iter().take(1000).map(|r| r.rc.clone()));
-    }
-    builder
-}
-
-/// Builds the in-process store bench-traffic runs against.
-fn build_traffic_store(
-    records: &[Record],
-    flags: &HashMap<String, String>,
-    drain_budget: usize,
-    inbox_capacity: Option<usize>,
-) -> EncryptedSearchStore {
-    traffic_builder(records, flags, drain_budget, inbox_capacity).start()
-}
-
-/// Parses `--inbox-capacity` (absent means unbounded inboxes).
-fn parse_inbox_capacity(flags: &HashMap<String, String>) -> Option<usize> {
-    flags.get("inbox-capacity").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--inbox-capacity needs a number, got {v:?}");
-            exit(2);
-        })
-    })
-}
-
-/// Preloads the corpus through a handle (works for both the in-process
-/// store and a TCP client). Bounded inboxes get per-record inserts — the
-/// single-op retry path rides out `Overloaded` — while unbounded stores
-/// take the fast pipelined bulk path, which assumes replies are never
-/// shed.
-fn traffic_preload(handle: &StoreHandle, records: &[Record], bounded: bool) {
-    let result = if bounded {
-        records
-            .iter()
-            .try_for_each(|r| handle.insert(r.rid, &r.rc).map(|_| ()))
-    } else {
-        handle.insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-    };
-    result.unwrap_or_else(|e| {
-        eprintln!("traffic preload failed: {e}");
-        exit(1);
-    });
-}
-
-/// Search patterns drawn from the preloaded corpus, so searches hit real
-/// postings rather than degenerating to empty probes.
-fn traffic_patterns(records: &[Record]) -> Vec<String> {
-    let mut patterns: Vec<String> = records
+/// A search pattern drawn from the loaded corpus, so the traced search
+/// hits real postings rather than degenerating to an empty probe.
+fn corpus_pattern(records: &[Record]) -> String {
+    records
         .iter()
-        .step_by((records.len() / 8).max(1))
-        .filter(|r| r.rc.is_ascii() && r.rc.len() >= 5)
-        .take(8)
-        .map(|r| r.rc[..5].to_string())
-        .collect();
-    if patterns.is_empty() {
-        patterns.push("SMITH".to_string());
-    }
-    patterns
+        .find(|r| r.rc.is_ascii() && r.rc.len() >= 5)
+        .map_or("SMITH".to_string(), |r| r.rc[..5].to_string())
 }
 
-/// The store a load sweep drives: the in-process channel cluster, or a
-/// client connection to a multi-process TCP cluster this bench spawned.
-enum TrafficTarget {
-    Channel(Box<EncryptedSearchStore>),
-    Tcp(TcpClusterTarget),
-}
-
-impl TrafficTarget {
-    fn handle(&self) -> StoreHandle {
-        match self {
-            TrafficTarget::Channel(store) => store.handle(),
-            TrafficTarget::Tcp(cluster) => cluster.remote.handle(),
-        }
-    }
-
-    /// Admission-control rejections seen by this process so far. Over TCP
-    /// these are the client-side view: remote `Overloaded` NACKs surface
-    /// here on the send that consumes the debt.
-    fn rejected(&self) -> u64 {
-        match self {
-            TrafficTarget::Channel(store) => store.cluster().network().stats().rejected(),
-            TrafficTarget::Tcp(cluster) => cluster.remote.cluster().network().stats().rejected(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            TrafficTarget::Channel(store) => store.shutdown(),
-            TrafficTarget::Tcp(cluster) => cluster.shutdown(),
-        }
-    }
-}
-
-/// A multi-process TCP cluster owned by this bench run: `sdds serve`
-/// children on loopback ports plus the connected client store.
+/// A multi-process TCP cluster owned by this run: `sdds serve` children
+/// on loopback ports plus the connected client store.
 struct TcpClusterTarget {
-    remote: sdds_repro::core::RemoteStore,
+    remote: RemoteStore,
     children: Vec<std::process::Child>,
     registry_path: std::path::PathBuf,
 }
@@ -1526,7 +810,7 @@ struct TcpClusterTarget {
 impl TcpClusterTarget {
     /// Broadcasts a cluster-wide shutdown, then reaps the children —
     /// killing any that have not exited within a generous deadline so a
-    /// wedged rank cannot hang the bench.
+    /// wedged rank cannot hang the command.
     fn shutdown(mut self) {
         self.remote.shutdown_cluster();
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -1549,43 +833,32 @@ impl TcpClusterTarget {
     }
 }
 
-/// Spawns `servers` `sdds serve` child processes on freshly reserved
-/// loopback ports and connects a client store to them. The children
-/// re-derive the exact store configuration from the forwarded flags, so
-/// their scan filters match this process's pipeline bit for bit.
-fn spawn_tcp_cluster(
-    records: &[Record],
-    flags: &HashMap<String, String>,
-    servers: usize,
-    entries: usize,
-    seed: u64,
-    drain_budget: usize,
-    inbox_capacity: Option<usize>,
-) -> TcpClusterTarget {
+/// Spawns `--servers` (default 2) `sdds serve` child processes on freshly
+/// reserved loopback ports and connects a client store to them. The
+/// children re-derive the exact store configuration from the forwarded
+/// flags, so their scan filters match this process's pipeline bit for
+/// bit. `trace` starts them with `--trace`.
+fn spawn_tcp_cluster(records: &[Record], flags: &Flags, trace: bool) -> TcpClusterTarget {
     if flags.get("storage").is_some_and(|s| s == "disk") {
-        eprintln!(
-            "tcp transport benches run with --storage mem (ranks would collide on one --data-dir)"
-        );
-        exit(2);
+        usage_error("--cluster runs with --storage mem (ranks would collide on one --data-dir)");
     }
+    let servers = flag_usize(flags, "servers", 2);
+    eprintln!("spawning a {servers}-rank loopback cluster …");
     // Reserve ports by binding ephemeral listeners, then free them for
     // the children. The rebind race is theoretical on loopback at this
     // scale and a collision fails loudly (serve exits on bind error).
     let listeners: Vec<std::net::TcpListener> = (0..servers)
         .map(|_| {
-            std::net::TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| {
-                eprintln!("cannot reserve a loopback port: {e}");
-                exit(1);
-            })
+            std::net::TcpListener::bind("127.0.0.1:0")
+                .unwrap_or_else(|e| fail(format!("cannot reserve a loopback port: {e}")))
         })
         .collect();
     let addrs: Vec<String> = listeners
         .iter()
         .map(|l| {
-            l.local_addr().map(|a| a.to_string()).unwrap_or_else(|e| {
-                eprintln!("cannot read reserved port: {e}");
-                exit(1);
-            })
+            l.local_addr()
+                .map(|a| a.to_string())
+                .unwrap_or_else(|e| fail(format!("cannot read reserved port: {e}")))
         })
         .collect();
     drop(listeners);
@@ -1594,14 +867,10 @@ fn spawn_tcp_cluster(
         std::process::id(),
         addrs[0].rsplit(':').next().unwrap_or("0"),
     ));
-    std::fs::write(&registry_path, addrs.join("\n") + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", registry_path.display());
-        exit(1);
-    });
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("cannot locate the sdds binary: {e}");
-        exit(1);
-    });
+    std::fs::write(&registry_path, addrs.join("\n") + "\n")
+        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", registry_path.display())));
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| fail(format!("cannot locate the sdds binary: {e}")));
     let mut children = Vec::with_capacity(servers);
     for rank in 0..servers {
         let mut cmd = std::process::Command::new(&exe);
@@ -1611,486 +880,51 @@ fn spawn_tcp_cluster(
             .arg("--registry")
             .arg(&registry_path)
             .arg("--entries")
-            .arg(entries.to_string())
+            .arg(flag_usize(flags, "entries", 1000).to_string())
             .arg("--seed")
-            .arg(seed.to_string())
-            .arg("--drain-budget")
-            .arg(drain_budget.to_string())
+            .arg(flag_usize(flags, "seed", 42).to_string())
             .stdout(std::process::Stdio::null());
-        if let Some(c) = inbox_capacity {
-            cmd.arg("--inbox-capacity").arg(c.to_string());
-        }
-        // flags traffic_builder reads must reach the children verbatim
-        for key in [
-            "config",
-            "capacity",
-            "op-timeout-millis",
-            "obs-tick-millis",
-            "obs-history",
-        ] {
+        // flags store_builder and the obs plane read must reach the
+        // children verbatim
+        for key in ["config"]
+            .into_iter()
+            .chain(SERVED.iter().map(|flag| flag.0))
+        {
             if let Some(v) = flags.get(key) {
                 cmd.arg(format!("--{key}")).arg(v);
             }
         }
-        // value-less flags (parse_flags stores them as empty strings)
-        if flags.contains_key("trace") {
+        if trace {
             cmd.arg("--trace");
         }
-        children.push(cmd.spawn().unwrap_or_else(|e| {
-            eprintln!("cannot spawn serve rank {rank}: {e}");
-            exit(1);
-        }));
+        children.push(
+            cmd.spawn()
+                .unwrap_or_else(|e| fail(format!("cannot spawn serve rank {rank}: {e}"))),
+        );
     }
-    let registry = SiteRegistry::load(&registry_path).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1);
-    });
-    let remote = traffic_builder(records, flags, drain_budget, inbox_capacity).connect(registry);
+    let registry = SiteRegistry::load(&registry_path).unwrap_or_else(|e| fail(e));
     TcpClusterTarget {
-        remote,
+        remote: store_builder(records, flags).connect(registry),
         children,
         registry_path,
     }
-}
-
-/// One load point of the sweep: total offered `rate` for `duration`
-/// seconds, split evenly over the workers.
-struct TrafficLoad {
-    rate: f64,
-    duration: f64,
-    seed: u64,
-    mix: TrafficMix,
-    /// Preloaded rid range targeted by reads.
-    read_range: u64,
-}
-
-/// Runs `workers` open-loop workers against one load point; returns the
-/// aggregated reports.
-fn traffic_point(
-    target: &TrafficTarget,
-    workers: usize,
-    load: &TrafficLoad,
-    patterns: &[String],
-) -> Vec<TrafficReport> {
-    let specs: Vec<std::sync::Mutex<Option<TrafficSpec>>> = (0..workers)
-        .map(|w| {
-            let mut s = load.seed ^ ((w as u64 + 1) * 0x9e37_79b9);
-            splitmix64(&mut s);
-            std::sync::Mutex::new(Some(TrafficSpec {
-                handle: target.handle(),
-                seed: s,
-                rate: load.rate / workers as f64,
-                duration: load.duration,
-                mix: load.mix,
-                read_range: load.read_range,
-                // rid namespaces: preload < 1e6; writer w owns a 1e5 slab
-                write_base: 1_000_000 + (w as u64) * 100_000 + (load.seed % 97) * 1_000,
-                patterns: patterns.to_vec(),
-            }))
-        })
-        .collect();
-    let pool = Pool::new(workers);
-    pool.par_map(&specs, |slot| {
-        // each pool thread owns exactly one spec for the whole point
-        let mut spec = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            // lint: allow(panic-freedom) -- one spec per slot by construction; a second take is a harness bug
-            .expect("spec taken twice");
-        run_traffic_worker(&mut spec)
-    })
-}
-
-/// One load point's aggregate across all workers: achieved rate, error
-/// count, worst schedule lag, and sorted latency samples (per class and
-/// overall) ready for percentile extraction.
-struct PointSummary {
-    achieved: f64,
-    completed: usize,
-    errors: u64,
-    max_lag: f64,
-    class_sorted: [Vec<f64>; 4],
-    all_sorted: Vec<f64>,
-}
-
-fn summarize_point(reports: &[TrafficReport], duration: f64) -> PointSummary {
-    let mut class_sorted: [Vec<f64>; 4] = Default::default();
-    let mut errors = 0u64;
-    let mut max_lag = 0f64;
-    let mut span = duration;
-    for r in reports {
-        for (c, l) in r.lat.iter().enumerate() {
-            class_sorted[c].extend_from_slice(l);
-        }
-        errors += r.errors;
-        max_lag = max_lag.max(r.max_lag);
-        span = span.max(r.span);
-    }
-    let mut all_sorted: Vec<f64> = class_sorted.iter().flatten().copied().collect();
-    for c in &mut class_sorted {
-        c.sort_by(|a, b| a.total_cmp(b));
-    }
-    all_sorted.sort_by(|a, b| a.total_cmp(b));
-    let completed = all_sorted.len();
-    PointSummary {
-        achieved: completed as f64 / span.max(1e-9),
-        completed,
-        errors,
-        max_lag,
-        class_sorted,
-        all_sorted,
-    }
-}
-
-/// Renders one transport's row of a load point as a JSON object fragment.
-fn point_json(summary: &PointSummary, rejected_delta: u64) -> String {
-    let mut row = format!(
-        "{{\"achieved_rate\": {:.1}, \"completed\": {}, \"errors\": {}, \
-         \"net_rejected\": {}, \"max_schedule_lag_seconds\": {:.3}, \"all\": {}",
-        summary.achieved,
-        summary.completed,
-        summary.errors,
-        rejected_delta,
-        summary.max_lag,
-        latency_json(&summary.all_sorted),
-    );
-    for (c, name) in TRAFFIC_CLASSES.iter().enumerate() {
-        row.push_str(&format!(
-            ", \"{name}\": {}",
-            latency_json(&summary.class_sorted[c])
-        ));
-    }
-    row.push('}');
-    row
-}
-
-/// Closed-loop, read-only comparison of batch draining (the configured
-/// budget) against single-message dispatch (budget 1): same stores, same
-/// deterministic op streams, digests must match — batching may only
-/// change *when* messages are processed, never *what* they produce.
-fn traffic_compare(
-    records: &[Record],
-    flags: &HashMap<String, String>,
-    workers: usize,
-    ops_per_worker: usize,
-    seed: u64,
-    inbox_capacity: Option<usize>,
-    budget: usize,
-) -> (f64, f64, u64) {
-    let store = build_traffic_store(records, flags, budget, inbox_capacity);
-    traffic_preload(&store.handle(), records, inbox_capacity.is_some());
-    let patterns = traffic_patterns(records);
-    let read_range = records.len() as u64;
-    let handles: Vec<std::sync::Mutex<Option<StoreHandle>>> = (0..workers)
-        .map(|_| std::sync::Mutex::new(Some(store.handle())))
-        .collect();
-    let pool = Pool::new(workers);
-    let start = Instant::now();
-    let digests: Vec<u64> = pool.par_map(&handles, |slot| {
-        let handle = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            // lint: allow(panic-freedom) -- one handle per slot by construction; a second take is a harness bug
-            .expect("handle taken twice");
-        // workers share one seed on purpose: identical op streams give
-        // the highest fan-in collisions on the hot buckets
-        let mut rng = seed;
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for i in 0..ops_per_worker {
-            if i % 8 == 7 {
-                let p = &patterns[(splitmix64(&mut rng) as usize) % patterns.len()];
-                match handle.search(p) {
-                    Ok(rids) => {
-                        for rid in rids {
-                            fnv1a(&mut digest, &rid.to_le_bytes());
-                        }
-                    }
-                    Err(_) => fnv1a(&mut digest, b"search-error"),
-                }
-            } else {
-                let rid = splitmix64(&mut rng) % read_range;
-                match handle.get(rid) {
-                    Ok(Some(rc)) => fnv1a(&mut digest, rc.as_bytes()),
-                    Ok(None) => fnv1a(&mut digest, b"absent"),
-                    Err(_) => fnv1a(&mut digest, b"read-error"),
-                }
-            }
-        }
-        digest
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let mut combined = 0xcbf2_9ce4_8422_2325u64;
-    for d in &digests {
-        fnv1a(&mut combined, &d.to_le_bytes());
-    }
-    let total_ops = (workers * ops_per_worker) as f64;
-    store.shutdown();
-    (elapsed, total_ops / elapsed.max(1e-9), combined)
-}
-
-/// `sdds bench-traffic` — the open-loop load harness. Sweeps offered
-/// load over a fixed read/write/search/delete mix, reports throughput
-/// and p50/p95/p99/p999 latency per op class at each point (latency from
-/// *scheduled* arrival — no coordinated omission), locates the knee, and
-/// measures batch draining against single-message dispatch at high
-/// fan-in. Writes `BENCH_traffic.json`.
-fn bench_traffic(flags: &HashMap<String, String>) {
-    let entries = flag_usize(flags, "entries", 2000);
-    let workers = flag_usize(flags, "workers", 8).max(1);
-    let duration = flag_usize(flags, "duration-secs", 4).max(1) as f64;
-    let seed = flag_usize(flags, "seed", 42) as u64;
-    let drain_budget = flag_usize(flags, "drain-budget", sdds_repro::lh::DEFAULT_DRAIN_BUDGET);
-    let inbox_capacity = parse_inbox_capacity(flags);
-    let transport = flags
-        .get("transport")
-        .map(String::as_str)
-        .unwrap_or("channel");
-    if !matches!(transport, "channel" | "tcp") {
-        eprintln!("unknown --transport {transport:?}; use channel|tcp");
-        exit(2);
-    }
-    let servers = flag_usize(flags, "servers", 3).max(1);
-    let rates: Vec<f64> = flags
-        .get("rates")
-        .map(String::as_str)
-        .unwrap_or("250,500,1000,2000,4000")
-        .split(',')
-        .map(|t| {
-            t.trim().parse().unwrap_or_else(|_| {
-                eprintln!("--rates needs a comma-separated ops/sec list");
-                exit(2);
-            })
-        })
-        .collect();
-    let mix_spec = flags
-        .get("mix")
-        .map(String::as_str)
-        .unwrap_or("read:60,write:25,search:5,delete:10");
-    let Some(mix) = TrafficMix::parse(mix_spec) else {
-        eprintln!("--mix needs read:W,write:W,search:W,delete:W with a nonzero total");
-        exit(2);
-    };
-    let records = DirectoryGenerator::new(seed).generate(entries);
-    let patterns = traffic_patterns(&records);
-
-    eprintln!(
-        "preloading {entries} records over {transport} (drain budget {drain_budget}, inbox {}) …",
-        inbox_capacity.map_or("unbounded".to_string(), |c| c.to_string()),
-    );
-    let target = if transport == "tcp" {
-        TrafficTarget::Tcp(spawn_tcp_cluster(
-            &records,
-            flags,
-            servers,
-            entries,
-            seed,
-            drain_budget,
-            inbox_capacity,
-        ))
-    } else {
-        TrafficTarget::Channel(Box::new(build_traffic_store(
-            &records,
-            flags,
-            drain_budget,
-            inbox_capacity,
-        )))
-    };
-    traffic_preload(&target.handle(), &records, inbox_capacity.is_some());
-
-    struct PointRow {
-        offered: f64,
-        rejected_delta: u64,
-        summary: PointSummary,
-    }
-    let mut points: Vec<PointRow> = Vec::with_capacity(rates.len());
-    for (ri, &rate) in rates.iter().enumerate() {
-        eprintln!("load point {rate} ops/s × {duration}s × {workers} workers …");
-        let rejected_before = target.rejected();
-        let reports = traffic_point(
-            &target,
-            workers,
-            &TrafficLoad {
-                rate,
-                duration,
-                seed: seed ^ ((ri as u64 + 1) << 32),
-                mix,
-                read_range: entries as u64,
-            },
-            &patterns,
-        );
-        points.push(PointRow {
-            offered: rate,
-            rejected_delta: target.rejected() - rejected_before,
-            summary: summarize_point(&reports, duration),
-        });
-    }
-    target.shutdown();
-
-    // the knee: the highest offered load the file still absorbs — achieved
-    // throughput within 10% of offered. Above it the open-loop schedule
-    // outruns the service rate and latency is dominated by queueing.
-    let knee = points
-        .iter()
-        .filter(|p| p.summary.achieved >= 0.9 * p.offered)
-        .map(|p| p.offered)
-        .fold(f64::NAN, f64::max);
-
-    // batch draining vs single-message dispatch, closed-loop at high
-    // fan-in; identical read-only op streams must produce identical
-    // digests (batching changes scheduling, never results). Repeats are
-    // interleaved A/B/A/B so machine-wide drift hits both budgets alike,
-    // and the median is reported — single samples on a shared/1-CPU box
-    // are dominated by scheduler noise.
-    let compare = if flags.contains_key("skip-compare") || transport == "tcp" {
-        // over TCP the batching comparison is skipped: it measures the
-        // event loop's drain budget, which the channel runs already
-        // cover, and closed-loop in-process stores are its fixture
-        None
-    } else {
-        let cw = flag_usize(flags, "compare-workers", workers.max(4));
-        let cops = flag_usize(flags, "compare-ops", 2000);
-        let repeats = flag_usize(flags, "compare-repeats", 3).max(1);
-        eprintln!(
-            "batching comparison: {cw} workers × {cops} ops, \
-             budget {drain_budget} vs 1, {repeats} interleaved repeats …"
-        );
-        let mut batched_rates = Vec::with_capacity(repeats);
-        let mut single_rates = Vec::with_capacity(repeats);
-        let mut digest = None;
-        for _ in 0..repeats {
-            for (budget, rates_out) in [(drain_budget, &mut batched_rates), (1, &mut single_rates)]
-            {
-                let (_, rate, d) =
-                    traffic_compare(&records, flags, cw, cops, seed, inbox_capacity, budget);
-                rates_out.push(rate);
-                match digest {
-                    None => digest = Some(d),
-                    Some(expected) if expected != d => {
-                        eprintln!(
-                            "RESULT DIVERGENCE at budget {budget}: \
-                             digest {d:016x} != {expected:016x}"
-                        );
-                        exit(1);
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        let median = |rates: &[f64]| -> f64 {
-            let mut sorted = rates.to_vec();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            sorted[sorted.len() / 2]
-        };
-        let (rate_batched, rate_single) = (median(&batched_rates), median(&single_rates));
-        eprintln!(
-            "batched median {rate_batched:.0} ops/s vs unbatched median {rate_single:.0} ops/s \
-             (x{:.2}), identical results across all {} runs",
-            rate_batched / rate_single.max(1e-9),
-            repeats * 2,
-        );
-        digest.map(|d| {
-            (
-                cw,
-                cops,
-                batched_rates,
-                rate_batched,
-                single_rates,
-                rate_single,
-                d,
-            )
-        })
-    };
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut body = String::from("{\n");
-    body.push_str(&format!(
-        "  \"entries\": {entries},\n  \"config\": \"{}\",\n  \"cpus\": {cpus},\n  \
-         \"transport\": \"{transport}\",\n  \"servers\": {},\n  \
-         \"workers\": {workers},\n  \"duration_secs\": {duration},\n  \
-         \"drain_budget\": {drain_budget},\n  \"inbox_capacity\": {},\n  \
-         \"mix\": \"{mix_spec}\",\n  \"seed\": {seed},\n  \"load_points\": [\n",
-        flags.get("config").map(String::as_str).unwrap_or("basic"),
-        if transport == "tcp" {
-            servers.to_string()
-        } else {
-            "null".to_string()
-        },
-        inbox_capacity.map_or("null".to_string(), |c| c.to_string()),
-    ));
-    for (i, p) in points.iter().enumerate() {
-        // splice offered_rate into the shared per-transport row fragment
-        let row = point_json(&p.summary, p.rejected_delta);
-        body.push_str(&format!(
-            "    {{\"offered_rate\": {:.1}, {}{}\n",
-            p.offered,
-            &row[1..],
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ],\n");
-    if knee.is_nan() {
-        body.push_str("  \"knee_offered_rate\": null,\n");
-    } else {
-        body.push_str(&format!("  \"knee_offered_rate\": {knee:.1},\n"));
-    }
-    match compare {
-        Some((cw, cops, runs_b, r_b, runs_s, r_s, digest)) => {
-            let list = |rates: &[f64]| {
-                rates
-                    .iter()
-                    .map(|r| format!("{r:.1}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            body.push_str(&format!(
-                "  \"batching_comparison\": {{\"workers\": {cw}, \"ops_per_worker\": {cops}, \
-                 \"batched\": {{\"budget\": {drain_budget}, \"ops_per_sec_runs\": [{}], \"ops_per_sec_median\": {r_b:.1}}}, \
-                 \"unbatched\": {{\"budget\": 1, \"ops_per_sec_runs\": [{}], \"ops_per_sec_median\": {r_s:.1}}}, \
-                 \"median_speedup\": {:.3}, \"identical_results\": true, \"digest\": \"{digest:016x}\"}}\n",
-                list(&runs_b),
-                list(&runs_s),
-                r_b / r_s.max(1e-9),
-            ))
-        }
-        None => body.push_str("  \"batching_comparison\": null\n"),
-    }
-    body.push_str("}\n");
-    let path = flags
-        .get("json-out")
-        .map(String::as_str)
-        .filter(|p| !p.is_empty())
-        .unwrap_or("BENCH_traffic.json");
-    std::fs::write(path, &body).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    });
-    eprintln!("wrote traffic bench results to {path}");
-    maybe_write_metrics(flags);
 }
 
 /// `sdds serve` — one rank of a multi-process TCP cluster. The process
 /// hosts the coordinator (rank 0 only) plus every bucket the registry's
 /// modular partition assigns to it, and blocks until a client broadcasts
 /// a cluster-wide shutdown. All ranks and all clients must be launched
-/// with the same --entries/--seed/--config/--capacity flags: key
-/// material, the codebook and the scan filter are derived
-/// deterministically from them and never travel over the wire.
-fn serve_cmd(flags: &HashMap<String, String>) {
-    let Some(reg_path) = flags.get("registry").filter(|p| !p.is_empty()) else {
-        eprintln!("serve needs --registry FILE (one host:port per line, rank = line number)");
-        exit(2);
+/// with the same --entries/--seed/--config/--capacity flags: the codebook
+/// and the scan filter are derived deterministically from them and never
+/// travel over the wire.
+fn serve_cmd(flags: &Flags) {
+    let Some(reg_path) = flags.get("registry") else {
+        usage_error("serve needs --registry FILE (one host:port per line, rank = line number)");
     };
     let rank = flag_usize(flags, "site", 0);
-    let registry = SiteRegistry::load(std::path::Path::new(reg_path)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1);
-    });
+    let registry = SiteRegistry::load(std::path::Path::new(reg_path)).unwrap_or_else(|e| fail(e));
     let entries = flag_usize(flags, "entries", 2000);
     let seed = flag_usize(flags, "seed", 42) as u64;
-    let drain_budget = flag_usize(flags, "drain-budget", sdds_repro::lh::DEFAULT_DRAIN_BUDGET);
-    let inbox_capacity = parse_inbox_capacity(flags);
     if flags.contains_key("trace") {
         // Without the gate the rank's flight recorder stays inert and a
         // cluster span scrape would come back empty for this rank.
@@ -2099,13 +933,10 @@ fn serve_cmd(flags: &HashMap<String, String>) {
     let obs = sdds_repro::lh::ObsOptions {
         tick: Duration::from_millis(flag_usize(flags, "obs-tick-millis", 500).max(1) as u64),
         history: flag_usize(flags, "obs-history", 64),
-        trace_flush: flags
-            .get("trace-out")
-            .filter(|p| !p.is_empty())
-            .map(std::path::PathBuf::from),
+        trace_flush: flags.get("trace-out").map(std::path::PathBuf::from),
     };
     let records = DirectoryGenerator::new(seed).generate(entries);
-    let (_pipeline, config) = traffic_builder(&records, flags, drain_budget, inbox_capacity)
+    let (_pipeline, config) = store_builder(&records, flags)
         .obs_options(obs)
         .serve_parts();
     eprintln!(
@@ -2113,264 +944,8 @@ fn serve_cmd(flags: &HashMap<String, String>) {
         registry.num_servers(),
         registry.addr(rank).unwrap_or("<out of range>"),
     );
-    let handle = sdds_repro::lh::serve(registry, rank, config).unwrap_or_else(|e| {
-        eprintln!("serve failed: {e}");
-        exit(1);
-    });
+    let handle = sdds_repro::lh::serve(registry, rank, config)
+        .unwrap_or_else(|e| fail(format!("serve failed: {e}")));
     handle.wait();
     eprintln!("rank {rank}: shut down");
-}
-
-/// The framing codec measured in isolation: ns/frame to encode and to
-/// decode a typical traced envelope — the wire cost bench-net's TCP rows
-/// pay per message and its channel rows do not.
-struct CodecBench {
-    frames: usize,
-    frame_bytes: usize,
-    encode_ns: f64,
-    decode_ns: f64,
-}
-
-fn codec_bench() -> CodecBench {
-    use sdds_repro::net::frame::{encode_envelope, Frame, FrameDecoder};
-    use sdds_repro::net::{Envelope, SiteId};
-    // a payload the size of a typical JSON-serialized index-record insert
-    let payload: Vec<u8> = (0..220u32).map(|i| b' ' + (i % 90) as u8).collect();
-    let env = Envelope {
-        from: SiteId(sdds_repro::net::DYN_BASE + 0x1001),
-        to: SiteId(7),
-        payload: bytes::Bytes::from(payload),
-        ctx: Some(sdds_obs::trace::TraceContext {
-            trace_id: 0x1234_5678_9abc_def0,
-            parent_span_id: 42,
-        }),
-    };
-    let mut buf = Vec::new();
-    encode_envelope(&env, &mut buf);
-    let frame_bytes = buf.len();
-    let frames = 200_000usize;
-
-    let t0 = Instant::now();
-    let mut out = Vec::with_capacity(frame_bytes);
-    for _ in 0..frames {
-        out.clear();
-        encode_envelope(&env, &mut out);
-    }
-    let encode_ns = t0.elapsed().as_nanos() as f64 / frames as f64;
-
-    // decode a 64-frame batch repeatedly — the contiguous-buffer shape a
-    // reader thread sees after one coalesced write lands
-    let mut wire = Vec::with_capacity(frame_bytes * 64);
-    for _ in 0..64 {
-        encode_envelope(&env, &mut wire);
-    }
-    let mut decoder = FrameDecoder::new();
-    let mut decoded = 0usize;
-    let t0 = Instant::now();
-    'outer: while decoded < frames {
-        decoder.extend(&wire);
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(Frame::Envelope(_))) => decoded += 1,
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("codec bench: self-generated frame failed to decode: {e}");
-                    break 'outer;
-                }
-            }
-        }
-    }
-    let decode_ns = t0.elapsed().as_nanos() as f64 / decoded.max(1) as f64;
-    CodecBench {
-        frames,
-        frame_bytes,
-        encode_ns,
-        decode_ns,
-    }
-}
-
-/// Digest over every pattern's hit set plus a deterministic sample of
-/// record fetches. Two transports serving the same preloaded file must
-/// produce equal digests — byte-identical results or the bench fails.
-fn search_digest(handle: &StoreHandle, patterns: &[String], read_range: u64) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for p in patterns {
-        match handle.search(p) {
-            Ok(rids) => {
-                for rid in rids {
-                    fnv1a(&mut digest, &rid.to_le_bytes());
-                }
-            }
-            Err(_) => fnv1a(&mut digest, b"search-error"),
-        }
-    }
-    for rid in (0..read_range).step_by(((read_range / 64).max(1)) as usize) {
-        match handle.get(rid) {
-            Ok(Some(rc)) => fnv1a(&mut digest, rc.as_bytes()),
-            Ok(None) => fnv1a(&mut digest, b"absent"),
-            Err(_) => fnv1a(&mut digest, b"read-error"),
-        }
-    }
-    digest
-}
-
-/// `sdds bench-net` — transport head-to-head. Runs the same preloaded
-/// file and the same open-loop read/search sweep over the in-process
-/// channel fabric and over a loopback TCP cluster of real `sdds serve`
-/// processes, checks the two serve byte-identical results, measures the
-/// framing codec in isolation, and writes `BENCH_net.json`.
-fn bench_net(flags: &HashMap<String, String>) {
-    let entries = flag_usize(flags, "entries", 1200);
-    let workers = flag_usize(flags, "workers", 4).max(1);
-    let duration = flag_usize(flags, "duration-secs", 3).max(1) as f64;
-    let seed = flag_usize(flags, "seed", 42) as u64;
-    let servers = flag_usize(flags, "servers", 3).max(1);
-    let drain_budget = flag_usize(flags, "drain-budget", sdds_repro::lh::DEFAULT_DRAIN_BUDGET);
-    let inbox_capacity = parse_inbox_capacity(flags);
-    let rates: Vec<f64> = flags
-        .get("rates")
-        .map(String::as_str)
-        .unwrap_or("250,500,1000")
-        .split(',')
-        .map(|t| {
-            t.trim().parse().unwrap_or_else(|_| {
-                eprintln!("--rates needs a comma-separated ops/sec list");
-                exit(2);
-            })
-        })
-        .collect();
-    // content-preserving mix: reads and searches only, so both transports
-    // keep serving the identical preloaded file at every load point
-    let mix = TrafficMix {
-        weights: [70, 0, 30, 0],
-    };
-    let records = DirectoryGenerator::new(seed).generate(entries);
-    let patterns = traffic_patterns(&records);
-
-    eprintln!("codec microbench …");
-    let codec = codec_bench();
-    eprintln!(
-        "frame = {} bytes: encode {:.0} ns, decode {:.0} ns",
-        codec.frame_bytes, codec.encode_ns, codec.decode_ns,
-    );
-
-    eprintln!("preloading {entries} records on both transports …");
-    let channel = TrafficTarget::Channel(Box::new(build_traffic_store(
-        &records,
-        flags,
-        drain_budget,
-        inbox_capacity,
-    )));
-    traffic_preload(&channel.handle(), &records, inbox_capacity.is_some());
-    let tcp = TrafficTarget::Tcp(spawn_tcp_cluster(
-        &records,
-        flags,
-        servers,
-        entries,
-        seed,
-        drain_budget,
-        inbox_capacity,
-    ));
-    traffic_preload(&tcp.handle(), &records, inbox_capacity.is_some());
-
-    let digest_channel = search_digest(&channel.handle(), &patterns, entries as u64);
-    let digest_tcp = search_digest(&tcp.handle(), &patterns, entries as u64);
-    if digest_channel != digest_tcp {
-        eprintln!(
-            "RESULT DIVERGENCE between transports: channel digest {digest_channel:016x} \
-             != tcp digest {digest_tcp:016x}"
-        );
-        tcp.shutdown();
-        channel.shutdown();
-        exit(1);
-    }
-    eprintln!("transports agree: search digest {digest_channel:016x}");
-
-    struct NetPoint {
-        offered: f64,
-        rows: Vec<(&'static str, u64, PointSummary)>,
-    }
-    let mut points: Vec<NetPoint> = Vec::with_capacity(rates.len());
-    for (ri, &rate) in rates.iter().enumerate() {
-        let mut rows = Vec::with_capacity(2);
-        for (name, target) in [("channel", &channel), ("tcp", &tcp)] {
-            eprintln!("{name}: {rate} ops/s × {duration}s × {workers} workers …");
-            let rejected_before = target.rejected();
-            let reports = traffic_point(
-                target,
-                workers,
-                &TrafficLoad {
-                    rate,
-                    duration,
-                    seed: seed ^ ((ri as u64 + 1) << 32),
-                    mix,
-                    read_range: entries as u64,
-                },
-                &patterns,
-            );
-            rows.push((
-                name,
-                target.rejected() - rejected_before,
-                summarize_point(&reports, duration),
-            ));
-        }
-        points.push(NetPoint {
-            offered: rate,
-            rows,
-        });
-    }
-    tcp.shutdown();
-    channel.shutdown();
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut body = String::from("{\n");
-    body.push_str(&format!(
-        "  \"entries\": {entries},\n  \"config\": \"{}\",\n  \"cpus\": {cpus},\n  \
-         \"servers\": {servers},\n  \"workers\": {workers},\n  \
-         \"duration_secs\": {duration},\n  \"drain_budget\": {drain_budget},\n  \
-         \"inbox_capacity\": {},\n  \"mix\": \"read:70,search:30\",\n  \"seed\": {seed},\n",
-        flags.get("config").map(String::as_str).unwrap_or("basic"),
-        inbox_capacity.map_or("null".to_string(), |c| c.to_string()),
-    ));
-    body.push_str(&format!(
-        "  \"codec\": {{\"frame_bytes\": {}, \"frames\": {}, \
-         \"encode_ns_per_frame\": {:.1}, \"decode_ns_per_frame\": {:.1}, \
-         \"encode_mb_per_sec\": {:.1}, \"decode_mb_per_sec\": {:.1}}},\n",
-        codec.frame_bytes,
-        codec.frames,
-        codec.encode_ns,
-        codec.decode_ns,
-        codec.frame_bytes as f64 * 1e3 / codec.encode_ns.max(1e-9),
-        codec.frame_bytes as f64 * 1e3 / codec.decode_ns.max(1e-9),
-    ));
-    body.push_str(&format!(
-        "  \"identical_results\": true,\n  \"search_digest\": \"{digest_channel:016x}\",\n  \
-         \"load_points\": [\n",
-    ));
-    for (i, p) in points.iter().enumerate() {
-        body.push_str(&format!("    {{\"offered_rate\": {:.1}", p.offered));
-        for (name, rejected_delta, summary) in &p.rows {
-            body.push_str(&format!(
-                ", \"{name}\": {}",
-                point_json(summary, *rejected_delta)
-            ));
-        }
-        body.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    let path = flags
-        .get("json-out")
-        .map(String::as_str)
-        .filter(|p| !p.is_empty())
-        .unwrap_or("BENCH_net.json");
-    std::fs::write(path, &body).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    });
-    eprintln!("wrote transport bench results to {path}");
-    maybe_write_metrics(flags);
 }

@@ -27,6 +27,5 @@ pub use sdds_encode as encode;
 pub use sdds_gf as gf;
 pub use sdds_lh as lh;
 pub use sdds_net as net;
-pub use sdds_par as par;
 pub use sdds_stats as stats;
 pub use sdds_storage as storage;
