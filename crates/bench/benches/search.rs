@@ -92,7 +92,7 @@ fn bench_prepared_query(c: &mut Criterion) {
 }
 
 /// Sequential per-key deletes vs the pipelined batch path, on a file
-/// wide enough that the batch fans out over many bucket threads. Each
+/// wide enough that the batch fans out over many buckets. Each
 /// iteration re-inserts then deletes the same records; the insert cost
 /// is identical in both variants, so the measured difference is the
 /// delete round-trip batching.

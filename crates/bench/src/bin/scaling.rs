@@ -107,7 +107,7 @@ fn main() {
     println!(
         "\nReading: key lookups stay in the same order of magnitude while \
          the file grows 8x (constant-hop addressing; the residual drift is \
-         scheduler noise from hundreds of site threads). Search scatters to \
+         run-to-run noise). Search scatters to \
          every site, so its messages track the bucket count for both \
          systems — but the naive client additionally hauls every record's \
          ciphertext back (≈2.6x the bytes here, growing with record size) \

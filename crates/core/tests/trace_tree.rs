@@ -30,7 +30,7 @@ fn search_emits_a_single_connected_span_tree() {
     trace::set_tracing(true);
     let outcome = store.search_detailed("MARTINEZ").unwrap();
     trace::set_tracing(false);
-    // Shutdown joins the site threads, so spans the sites were still
+    // Shutdown joins the runtime's workers, so spans the sites were still
     // closing when the reply raced back are recorded before the drain.
     store.shutdown();
     let spans = trace::drain_spans();

@@ -1,4 +1,4 @@
-//! The LH\* bucket: a site thread owning one bucket of the file.
+//! The LH\* bucket: a site owning one bucket of the file.
 //!
 //! Buckets hold records, serve key operations with the classical LH\*
 //! forwarding rule (each hop re-addresses with the *receiving* bucket's
@@ -7,15 +7,15 @@
 //! parity is on — stream slot deltas to their group's parity sites.
 
 use crate::cluster::{Directory, ParityConfig};
-use crate::drain::{fill_batch, SendQueue, Wakeup, DRAIN_BUDGET, IDLE_TICK};
 use crate::filter::ScanFilter;
 use crate::hash::h;
 use crate::index::PostingIndex;
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use crate::parity::{slot_delta, slot_of};
-use sdds_net::{Endpoint, Envelope, SiteId};
-use sdds_obs::trace;
-use sdds_obs::Registry;
+use crate::runtime::Machine;
+use sdds_net::SiteId;
+use sdds_obs::trace::{self, SpanGuard, TraceContext};
+use sdds_obs::{Counter, Histogram, Registry};
 use sdds_storage::{BatchOp, StorageEngine, StorageError, WriteBatch};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ enum TransferDone {
     Merge,
 }
 
-/// Mutable bucket state (pure logic; the thread loop drives it).
+/// Mutable bucket state (pure logic; the runtime drives it).
 pub(crate) struct BucketState {
     addr: u64,
     level: u8,
@@ -96,6 +96,45 @@ pub(crate) struct BucketCtx {
     /// stays the cross-site aggregate while each site keeps its own
     /// breakdown.
     pub obs: Registry,
+    /// Handles of the metrics every `ScanReq` touches.
+    pub scan: ScanMetrics,
+}
+
+impl BucketCtx {
+    pub(crate) fn new(
+        directory: Arc<Directory>,
+        coordinator: SiteId,
+        filter: Arc<dyn ScanFilter>,
+        parity: Option<ParityConfig>,
+        obs: Registry,
+    ) -> BucketCtx {
+        BucketCtx {
+            directory,
+            coordinator,
+            filter,
+            parity,
+            scan: ScanMetrics::new(&obs),
+            obs,
+        }
+    }
+}
+
+/// The per-scan metrics of a bucket, resolved once from its registry: a
+/// lookup by name is a lock and a map probe, three of them a scan.
+pub(crate) struct ScanMetrics {
+    seconds: Histogram,
+    index_probes: Counter,
+    index_candidates: Counter,
+}
+
+impl ScanMetrics {
+    fn new(obs: &Registry) -> ScanMetrics {
+        ScanMetrics {
+            seconds: obs.histogram("lh.scan_bucket_seconds"),
+            index_probes: obs.counter("lh.scan_index_probes"),
+            index_candidates: obs.counter("lh.scan_index_candidates"),
+        }
+    }
 }
 
 impl BucketState {
@@ -840,7 +879,7 @@ impl BucketState {
     /// cover). Values are cloned only for full-value replies; `keys_only`
     /// scans never copy record bodies.
     fn scan(&self, query: &[u8], keys_only: bool, ctx: &BucketCtx) -> Vec<ScanMatch> {
-        let _timer = ctx.obs.histogram("lh.scan_bucket_seconds").start_timer();
+        let _timer = ctx.scan.seconds.start_timer();
         let prepared = ctx.filter.prepare(query);
         if let (Some(idx), Some(probes)) = (&self.index, prepared.probes()) {
             if probes.iter().all(|p| p.len() == idx.element_bytes()) {
@@ -849,14 +888,10 @@ impl BucketState {
                 // index probe from a linear fallback per bucket.
                 let mut span = trace::remote_span("bucket.scan_index", trace::current_context());
                 span.set_site(self.addr as i64);
-                ctx.obs
-                    .counter("lh.scan_index_probes")
-                    .add(probes.len() as u64);
+                ctx.scan.index_probes.add(probes.len() as u64);
                 let candidates = idx.candidates(probes);
                 span.set_detail(candidates.len() as u64);
-                ctx.obs
-                    .counter("lh.scan_index_candidates")
-                    .add(candidates.len() as u64);
+                ctx.scan.index_candidates.add(candidates.len() as u64);
                 let mut matches = Vec::with_capacity(candidates.len());
                 for key in candidates {
                     // every candidate came from a live posting, so the
@@ -928,77 +963,30 @@ fn wire_span_name(msg: &Wire) -> &'static str {
     }
 }
 
-/// The bucket thread loop: batch-drain, decode, dispatch, send, until
-/// [`Wire::Shutdown`].
-///
-/// Each wakeup blockingly receives one message, then greedily drains the
-/// inbox up to [`DRAIN_BUDGET`] before dispatching — amortizing the
-/// condvar roundtrip and per-wakeup metric sampling over the whole batch
-/// at high fan-in.
-pub(crate) fn run_bucket(endpoint: Endpoint, mut state: BucketState, ctx: BucketCtx) {
-    // a reopened bucket first rebuilds its volatile bookkeeping from the
-    // recovered records (and may immediately re-report an overflow)
-    let mut outbox = SendQueue::new();
-    for (to, out) in state.startup(&ctx) {
-        let payload = out.encode();
-        outbox.send(&endpoint, to, &out, payload, None);
+/// A bucket as the runtime sees it: the state plus its wiring.
+pub(crate) struct BucketSite {
+    pub state: BucketState,
+    pub ctx: BucketCtx,
+}
+
+impl Machine for BucketSite {
+    /// A reopened bucket first rebuilds its volatile bookkeeping from the
+    /// recovered records (and may immediately re-report an overflow).
+    fn start(&mut self) -> Vec<(SiteId, Wire)> {
+        self.state.startup(&self.ctx)
     }
-    let depth_gauge = ctx.obs.gauge("lh.inbox_depth");
-    let batch_hist = ctx.obs.histogram("lh.drain_batch_size");
-    let mut health = crate::health::LoopHealth::register(&ctx.obs);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BUDGET);
-    loop {
-        // While a rejected control-plane send (overflow report, transfer
-        // batch/ack, split completion) is parked, wake on an idle tick so
-        // batch draining can never delay it indefinitely: the retry fires
-        // within IDLE_TICK even if no new traffic arrives.
-        let idle = outbox.has_parked().then_some(IDLE_TICK);
-        match fill_batch(&endpoint, idle, &mut batch) {
-            Wakeup::Batch => {}
-            Wakeup::Idle => {
-                outbox.flush(&endpoint);
-                continue;
-            }
-            Wakeup::Disconnected => break,
+
+    fn span(&self, _site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
+        let mut span = trace::remote_span(wire_span_name(msg), ctx);
+        span.set_site(self.state.addr as i64);
+        if let Wire::Request { hops, .. } = msg {
+            span.set_detail(*hops as u64);
         }
-        health.busy();
-        depth_gauge.set(endpoint.inbox_depth() as i64);
-        batch_hist.observe(batch.len() as f64);
-        let mut shutdown = false;
-        for env in batch.drain(..) {
-            let Some(msg) = Wire::decode(&env.payload) else {
-                continue;
-            };
-            if matches!(msg, Wire::Shutdown) {
-                shutdown = true;
-                break;
-            }
-            // Child span under the sender's context (inert for untraced
-            // traffic). It is on this thread's span stack while `handle`
-            // runs, so inner spans (index probe vs linear scan) and the
-            // outgoing messages below — replies, forwards, transfer
-            // batches — all chain under it, giving forwarded requests one
-            // correctly-parented path per hop. Spans stay per-message
-            // under batching: causality is per operation, not per wakeup.
-            let mut span = trace::remote_span(wire_span_name(&msg), env.ctx);
-            span.set_site(state.addr as i64);
-            if let Wire::Request { hops, .. } = &msg {
-                span.set_detail(*hops as u64);
-            }
-            let out_ctx = span.context();
-            for (to, out) in state.handle(env.from, msg, &ctx) {
-                // A send can fail if the peer already shut down (fine
-                // during teardown) or be rejected by a full inbox — the
-                // outbox parks control-plane messages for retry.
-                let payload = out.encode();
-                outbox.send(&endpoint, to, &out, payload, out_ctx);
-            }
-        }
-        outbox.flush(&endpoint);
-        health.idle();
-        if shutdown {
-            break;
-        }
+        span
+    }
+
+    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        self.state.handle(from, msg, &self.ctx)
     }
 }
 
@@ -1019,13 +1007,13 @@ mod tests {
         let coord_id = coord.id();
         std::mem::forget(coord); // keep channel alive for the test
         (
-            BucketCtx {
+            BucketCtx::new(
                 directory,
-                coordinator: coord_id,
-                filter: Arc::new(SubstringFilter),
-                parity: None,
-                obs: Registry::new("bucket-test"),
-            },
+                coord_id,
+                Arc::new(SubstringFilter),
+                None,
+                Registry::new("bucket-test"),
+            ),
             coord_id,
         )
     }
@@ -1401,17 +1389,17 @@ mod tests {
         let coord = net.register();
         let parity_site = net.register();
         directory.set_parity(0, vec![parity_site.id()]);
-        let ctx = BucketCtx {
+        let ctx = BucketCtx::new(
             directory,
-            coordinator: coord.id(),
-            filter: Arc::new(SubstringFilter),
-            parity: Some(ParityConfig {
+            coord.id(),
+            Arc::new(SubstringFilter),
+            Some(ParityConfig {
                 group_size: 2,
                 parity_count: 1,
                 slot_size: 32,
             }),
-            obs: Registry::new("bucket-test"),
-        };
+            Registry::new("bucket-test"),
+        );
         let mut b = mem_bucket(0, 1, 100);
         // adopt a reconstructed slot table with a hole at rank 1
         let out = b.handle(
@@ -1573,17 +1561,17 @@ mod tests {
         let coord = net.register();
         let parity_site = net.register();
         directory.set_parity(1, vec![parity_site.id()]);
-        let ctx = BucketCtx {
+        let ctx = BucketCtx::new(
             directory,
-            coordinator: coord.id(),
-            filter: Arc::new(SubstringFilter),
-            parity: Some(ParityConfig {
+            coord.id(),
+            Arc::new(SubstringFilter),
+            Some(ParityConfig {
                 group_size: 2,
                 parity_count: 1,
                 slot_size: 32,
             }),
-            obs: Registry::new("bucket-test"),
-        };
+            Registry::new("bucket-test"),
+        );
         let mut b = mem_bucket(2, 2, 100);
         let check = |b: &BucketState, step: &str| {
             assert_eq!(

@@ -4,8 +4,9 @@ use crate::cluster::Directory;
 use crate::hash::{split_children, ClientImage};
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use bytes::Bytes;
-use sdds_net::{Endpoint, NetError, SiteId};
+use sdds_net::{Endpoint, NetError, Scatter, SiteId};
 use sdds_obs::trace;
+use sdds_obs::{Counter, Histogram};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -105,6 +106,45 @@ pub struct LhClient {
     iams: Cell<u64>,
     /// Total forwarding hops reported — the paper's ≤2 invariant.
     hops: Cell<u64>,
+    metrics: ClientMetrics,
+}
+
+/// Handles of the metrics a request or a reply touches, resolved once: a
+/// lookup by name is a global lock and a map probe, six of them a reply.
+struct ClientMetrics {
+    insert_seconds: Histogram,
+    lookup_seconds: Histogram,
+    delete_seconds: Histogram,
+    requests: Counter,
+    hops: Counter,
+    /// Requests by hop count: 0, 1, 2, more. The paper proves at most
+    /// two hops are ever needed; `lh.requests_hops_gt2` staying zero is
+    /// that invariant as a queryable metric. All four exist from the
+    /// first client on, so the last reads as an explicit 0 — an absent
+    /// counter would leave the invariant unchecked.
+    requests_by_hops: [Counter; 4],
+    iams: Counter,
+    rejected_total: Counter,
+}
+
+impl ClientMetrics {
+    fn new() -> ClientMetrics {
+        ClientMetrics {
+            insert_seconds: sdds_obs::histogram("lh.insert_seconds"),
+            lookup_seconds: sdds_obs::histogram("lh.lookup_seconds"),
+            delete_seconds: sdds_obs::histogram("lh.delete_seconds"),
+            requests: sdds_obs::counter("lh.requests"),
+            hops: sdds_obs::counter("lh.hops"),
+            requests_by_hops: [
+                sdds_obs::counter("lh.requests_hops_0"),
+                sdds_obs::counter("lh.requests_hops_1"),
+                sdds_obs::counter("lh.requests_hops_2"),
+                sdds_obs::counter("lh.requests_hops_gt2"),
+            ],
+            iams: sdds_obs::counter("lh.iams"),
+            rejected_total: sdds_obs::counter("lh.rejected_total"),
+        }
+    }
 }
 
 impl fmt::Debug for LhClient {
@@ -132,6 +172,7 @@ impl LhClient {
             retry: Cell::new(RetryPolicy::default()),
             iams: Cell::new(0),
             hops: Cell::new(0),
+            metrics: ClientMetrics::new(),
         }
     }
 
@@ -165,7 +206,7 @@ impl LhClient {
         loop {
             match self.endpoint.send(site, payload.clone()) {
                 Err(NetError::Overloaded(s)) => {
-                    sdds_obs::counter("lh.rejected_total").inc();
+                    self.metrics.rejected_total.inc();
                     if rejections >= policy.max_retries {
                         return Err(NetError::Overloaded(s));
                     }
@@ -178,25 +219,102 @@ impl LhClient {
         }
     }
 
-    /// The pipelined-batch variant of [`send_admitted`](Self::send_admitted):
-    /// one quick backoff, then shed. Batch operations already retransmit
-    /// unanswered items each attempt, so spinning the full backoff ladder
-    /// per item would burn the attempt window sleeping instead of draining
-    /// the responses that unblock the receiving site.
-    fn send_pipelined(&self, site: SiteId, payload: Bytes) -> Result<(), NetError> {
-        match self.endpoint.send(site, payload.clone()) {
-            Err(NetError::Overloaded(_)) => {
-                sdds_obs::counter("lh.rejected_total").inc();
-                std::thread::sleep(self.retry.get().initial_backoff);
-                match self.endpoint.send(site, payload) {
-                    Err(NetError::Overloaded(s)) => {
-                        sdds_obs::counter("lh.rejected_total").inc();
-                        Err(NetError::Overloaded(s))
+    /// The fan-out variant of [`send_admitted`](Self::send_admitted):
+    /// sends every `(tag, site, payload)` of `wave` in one [`Scatter`],
+    /// so the receivers are woken once the whole wave is enqueued, and
+    /// only then backs off for the destinations whose inbox was full —
+    /// one overloaded bucket holds back nobody else's request. Those are
+    /// retried up to `max_retries` times along the policy's back-off
+    /// ladder, every rejection counted in `lh.rejected_total`. Returns
+    /// what could not be sent: still rejected, or failed outright.
+    fn fan_out<T>(
+        &self,
+        mut wave: Vec<(T, SiteId, Bytes)>,
+        max_retries: u32,
+    ) -> Vec<(T, SiteId, Bytes)> {
+        let policy = self.retry.get();
+        let ctx = trace::current_context();
+        let mut backoff = policy.initial_backoff;
+        let mut failed = Vec::new();
+        for round in 0..=max_retries {
+            if round > 0 {
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(policy.max_backoff);
+            }
+            let mut scatter = Scatter::new();
+            let mut rejected = Vec::new();
+            for (tag, site, payload) in wave {
+                match self
+                    .endpoint
+                    .send_with(&mut scatter, site, payload.clone(), ctx)
+                {
+                    Ok(()) => {}
+                    Err(NetError::Overloaded(_)) => {
+                        self.metrics.rejected_total.inc();
+                        rejected.push((tag, site, payload));
                     }
-                    other => other,
+                    Err(_) => failed.push((tag, site, payload)),
                 }
             }
-            other => other,
+            wave = rejected;
+            if wave.is_empty() {
+                break;
+            }
+        }
+        failed.extend(wave);
+        failed
+    }
+
+    /// One attempt's sends of a pipelined batch: each request to its
+    /// key's bucket under the current image, as one fan-out with one
+    /// quick back-off for the rejected, then shed. Batch operations
+    /// retransmit unanswered items each attempt, so the full back-off
+    /// ladder would burn the attempt window sleeping instead of draining
+    /// the responses that unblock the receiving site. What a bucket
+    /// refuses (merged away since the directory was read, or full) goes
+    /// to bucket 0, which always exists and forwards correctly.
+    fn send_batch<'a>(&self, requests: impl Iterator<Item = &'a Wire>) -> Result<(), LhError> {
+        let image = self.image.get();
+        let bucket0 = self.directory.bucket_site(0);
+        let mut wave = Vec::new();
+        for msg in requests {
+            // a batch only ever holds `Wire::Request`; skip defensively
+            // rather than panic
+            let Wire::Request { op, .. } = msg else {
+                continue;
+            };
+            let site = self
+                .directory
+                .bucket_site(image.address(op.key()))
+                .or(bucket0)
+                .ok_or(LhError::Net(NetError::UnknownSite(SiteId(0))))?;
+            wave.push(((), site, msg.encode()));
+        }
+        let refused = self.fan_out(wave, 1);
+        if let Some(fallback) = bucket0 {
+            let wave = refused
+                .into_iter()
+                .map(|(_, _, payload)| ((), fallback, payload))
+                .collect();
+            self.fan_out(wave, 1);
+        }
+        Ok(())
+    }
+
+    /// Accounts for a served request: the hop counters, and the image
+    /// adjustment a forwarded request's reply carries.
+    fn served(&self, hops: u8, served_by: u64, bucket_level: u8) {
+        let m = &self.metrics;
+        m.requests.inc();
+        m.hops.add(hops as u64);
+        m.requests_by_hops[(hops as usize).min(3)].inc();
+        if hops > 0 {
+            m.iams.inc();
+            self.iams.set(self.iams.get() + 1);
+            self.hops.set(self.hops.get() + hops as u64);
+            let mut image = self.image.get();
+            image.adjust(served_by, bucket_level);
+            self.image.set(image);
         }
     }
 
@@ -260,18 +378,16 @@ impl LhClient {
     const ATTEMPTS: u32 = 5;
 
     fn call(&self, op: Op) -> Result<OpResult, LhError> {
-        // Static per-op names so the obs-drift lint can reconcile them
-        // against docs/OBSERVABILITY.md.
-        let timer_name = match &op {
-            Op::Insert { .. } => "lh.insert_seconds",
-            Op::Lookup { .. } => "lh.lookup_seconds",
-            Op::Delete { .. } => "lh.delete_seconds",
+        let timer = match &op {
+            Op::Insert { .. } => &self.metrics.insert_seconds,
+            Op::Lookup { .. } => &self.metrics.lookup_seconds,
+            Op::Delete { .. } => &self.metrics.delete_seconds,
         };
         // One span per key operation; it stays open across retransmission
         // attempts, so every (re)sent request carries the same context and
         // dropped messages remain attributable to this operation.
         let mut span = trace::child_span("lh.request");
-        let _timer = sdds_obs::histogram(timer_name).start_timer();
+        let _timer = timer.start_timer();
         let req_id = self.fresh_req_id();
         let key = op.key();
         let msg = Wire::Request {
@@ -285,8 +401,7 @@ impl LhClient {
             if attempt > 0 {
                 sdds_obs::counter("lh.retries").inc();
             }
-            let mut image = self.image.get();
-            let addr = image.address(key);
+            let addr = self.image.get().address(key);
             let site = self
                 .directory
                 .bucket_site(addr)
@@ -304,8 +419,8 @@ impl LhClient {
                 self.send_admitted(fallback, msg.encode())?;
             }
             let deadline = Instant::now() + attempt_timeout;
-            while let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
-                let env = match self.endpoint.recv_timeout(remaining) {
+            loop {
+                let env = match self.endpoint.recv_until(deadline) {
                     Ok(env) => env,
                     Err(NetError::Timeout) => break,
                     Err(e) => return Err(e.into()),
@@ -323,15 +438,8 @@ impl LhClient {
                 if rid != req_id {
                     continue; // late response to an abandoned request
                 }
-                record_hops(hops);
                 span.set_detail(hops as u64);
-                if hops > 0 {
-                    sdds_obs::counter("lh.iams").inc();
-                    self.iams.set(self.iams.get() + 1);
-                    self.hops.set(self.hops.get() + hops as u64);
-                    image.adjust(served_by, bucket_level);
-                    self.image.set(image);
-                }
+                self.served(hops, served_by, bucket_level);
                 return Ok(result);
             }
         }
@@ -364,31 +472,10 @@ impl LhClient {
             if pending.is_empty() {
                 return Ok(());
             }
-            let image = self.image.get();
-            for msg in pending.values() {
-                // pending only ever holds Wire::Request (built above);
-                // skip defensively rather than panic
-                let Wire::Request { op, .. } = msg else {
-                    continue;
-                };
-                let addr = image.address(op.key());
-                let site = self
-                    .directory
-                    .bucket_site(addr)
-                    .or_else(|| self.directory.bucket_site(0))
-                    .ok_or(LhError::Net(NetError::UnknownSite(SiteId(0))))?;
-                if self.send_pipelined(site, msg.encode()).is_err() {
-                    if let Some(fallback) = self.directory.bucket_site(0) {
-                        let _ = self.send_pipelined(fallback, msg.encode());
-                    }
-                }
-            }
+            self.send_batch(pending.values())?;
             let deadline = Instant::now() + attempt_timeout;
             while !pending.is_empty() {
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                let env = match self.endpoint.recv_timeout(remaining) {
+                let env = match self.endpoint.recv_until(deadline) {
                     Ok(env) => env,
                     Err(NetError::Timeout) => break,
                     Err(e) => return Err(e.into()),
@@ -407,15 +494,7 @@ impl LhClient {
                     if let OpResult::Error { message } = result {
                         return Err(LhError::Rejected(message));
                     }
-                    record_hops(hops);
-                    if hops > 0 {
-                        sdds_obs::counter("lh.iams").inc();
-                        self.iams.set(self.iams.get() + 1);
-                        self.hops.set(self.hops.get() + hops as u64);
-                        let mut img = self.image.get();
-                        img.adjust(served_by, bucket_level);
-                        self.image.set(img);
-                    }
+                    self.served(hops, served_by, bucket_level);
                 }
             }
         }
@@ -462,31 +541,10 @@ impl LhClient {
             if pending.is_empty() {
                 return Ok(existed);
             }
-            let image = self.image.get();
-            for (_, msg) in pending.values() {
-                // pending only ever holds Wire::Request (built above);
-                // skip defensively rather than panic
-                let Wire::Request { op, .. } = msg else {
-                    continue;
-                };
-                let addr = image.address(op.key());
-                let site = self
-                    .directory
-                    .bucket_site(addr)
-                    .or_else(|| self.directory.bucket_site(0))
-                    .ok_or(LhError::Net(NetError::UnknownSite(SiteId(0))))?;
-                if self.send_pipelined(site, msg.encode()).is_err() {
-                    if let Some(fallback) = self.directory.bucket_site(0) {
-                        let _ = self.send_pipelined(fallback, msg.encode());
-                    }
-                }
-            }
+            self.send_batch(pending.values().map(|(_, msg)| msg))?;
             let deadline = Instant::now() + attempt_timeout;
             while !pending.is_empty() {
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                let env = match self.endpoint.recv_timeout(remaining) {
+                let env = match self.endpoint.recv_until(deadline) {
                     Ok(env) => env,
                     Err(NetError::Timeout) => break,
                     Err(e) => return Err(e.into()),
@@ -513,15 +571,7 @@ impl LhClient {
                         // the slot keeps its default (not existed)
                         _ => {}
                     }
-                    record_hops(hops);
-                    if hops > 0 {
-                        sdds_obs::counter("lh.iams").inc();
-                        self.iams.set(self.iams.get() + 1);
-                        self.hops.set(self.hops.get() + hops as u64);
-                        let mut img = self.image.get();
-                        img.adjust(served_by, bucket_level);
-                        self.image.set(img);
-                    }
+                    self.served(hops, served_by, bucket_level);
                 }
             }
         }
@@ -550,8 +600,8 @@ impl LhClient {
         for _attempt in 0..Self::ATTEMPTS {
             self.send_admitted(self.coordinator, msg.encode())?;
             let deadline = Instant::now() + attempt_timeout;
-            while let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
-                let env = match self.endpoint.recv_timeout(remaining) {
+            loop {
+                let env = match self.endpoint.recv_until(deadline) {
                     Ok(env) => env,
                     Err(NetError::Timeout) => break,
                     Err(e) => return Err(e.into()),
@@ -622,26 +672,31 @@ impl LhClient {
         if outstanding.is_empty() {
             return Ok(finish(matches));
         }
-        // Sends the request to bucket `addr`, which is then `awaited` — or
-        // `dead` when it cannot even be addressed this attempt (no
-        // directory entry, awaiting recovery, unreachable). Dead buckets
+        // Sends the request to the buckets `addrs` as one fan-out; each
+        // is then `awaited` — or `dead` when it cannot even be addressed
+        // this attempt (no directory entry, awaiting recovery,
+        // unreachable, inbox full past the retry budget). Dead buckets
         // stay outstanding: dropping them would let the scan report
         // success while silently missing part of the file.
-        let ask = |addr: u64, awaited: &mut HashSet<u64>, dead: &mut Vec<u64>| match self
-            .directory
-            .bucket_site(addr)
-        {
-            Some(site) if self.send_admitted(site, payload.clone()).is_ok() => {
-                awaited.insert(addr);
+        let max_retries = self.retry.get().max_retries;
+        let ask = |addrs: &[u64], awaited: &mut HashSet<u64>, dead: &mut Vec<u64>| {
+            let mut wave = Vec::with_capacity(addrs.len());
+            for &addr in addrs {
+                match self.directory.bucket_site(addr) {
+                    Some(site) => wave.push((addr, site, payload.clone())),
+                    None => dead.push(addr),
+                }
             }
-            _ => dead.push(addr),
+            awaited.extend(wave.iter().map(|(addr, ..)| *addr));
+            for (addr, ..) in self.fan_out(wave, max_retries) {
+                awaited.remove(&addr);
+                dead.push(addr);
+            }
         };
         for _attempt in 0..Self::ATTEMPTS {
             let mut awaited = HashSet::new();
             let mut dead: Vec<u64> = Vec::new();
-            for &addr in &outstanding {
-                ask(addr, &mut awaited, &mut dead);
-            }
+            ask(&outstanding, &mut awaited, &mut dead);
             if awaited.is_empty() {
                 // nothing reachable right now; give a recovery in
                 // progress a chance before the next attempt
@@ -652,10 +707,7 @@ impl LhClient {
             let gather_timer = sdds_obs::histogram("lh.scan_gather_seconds").start_timer();
             let deadline = Instant::now() + attempt_timeout;
             while !awaited.is_empty() {
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                let env = match self.endpoint.recv_timeout(remaining) {
+                let env = match self.endpoint.recv_until(deadline) {
                     Ok(env) => env,
                     Err(NetError::Timeout) => break,
                     Err(e) => return Err(e.into()),
@@ -680,7 +732,7 @@ impl LhClient {
                         for child in split_children(bucket, level) {
                             if child >= extent && late.insert(child) {
                                 sdds_obs::counter("lh.scan_late_buckets").inc();
-                                ask(child, &mut awaited, &mut dead);
+                                ask(&[child], &mut awaited, &mut dead);
                             }
                         }
                     }
@@ -700,23 +752,6 @@ impl LhClient {
             missing: outstanding,
         })
     }
-}
-
-/// Records one served request's forwarding-hop count. The paper proves at
-/// most two hops are ever needed; `lh.requests_hops_gt2` staying zero is
-/// that invariant as a queryable metric.
-fn record_hops(hops: u8) {
-    sdds_obs::counter("lh.requests").inc();
-    sdds_obs::counter("lh.hops").add(hops as u64);
-    // materialize every bucket so the >2 counter is readable as an
-    // explicit 0 — an absent counter would leave the invariant unchecked
-    let buckets = [
-        sdds_obs::counter("lh.requests_hops_0"),
-        sdds_obs::counter("lh.requests_hops_1"),
-        sdds_obs::counter("lh.requests_hops_2"),
-        sdds_obs::counter("lh.requests_hops_gt2"),
-    ];
-    buckets[(hops as usize).min(3)].inc();
 }
 
 /// Sorted scan output.
@@ -824,6 +859,90 @@ mod tests {
             "the rejected attempts must be visible in lh.rejected_total"
         );
         server.join().unwrap();
+    }
+
+    /// One full bucket must not hold back the rest of a fan-out: bucket 1
+    /// gets its scan request while the client is still backing off for
+    /// bucket 0 — long before that first back-off has elapsed. (Sending
+    /// destination by destination, bucket 1 waited out bucket 0's whole
+    /// retry ladder.)
+    #[test]
+    fn an_overloaded_bucket_does_not_stall_the_rest_of_a_fan_out() {
+        let (net, mut client, bucket0, filler) = tiny_inbox_rig(1);
+        let bucket1 = net.register();
+        client.directory.set_bucket(1, bucket1.id());
+        let coordinator = net.register();
+        client.coordinator = coordinator.id();
+        let backoff = Duration::from_secs(1);
+        client.set_retry_policy(RetryPolicy {
+            max_retries: 1,
+            initial_backoff: backoff,
+            max_backoff: backoff,
+        });
+        filler
+            .send(bucket0.id(), Bytes::from_static(b"junk"))
+            .unwrap();
+        let before = sdds_obs::counter("lh.rejected_total").get();
+
+        let scan = std::thread::spawn(move || client.scan(b"q", true));
+        // the scan first asks the coordinator for the extent: 2 buckets
+        let env = coordinator
+            .recv_timeout(backoff * 5)
+            .expect("extent request");
+        let Some(Wire::ExtentReq { req_id, client }) = Wire::decode(&env.payload) else {
+            panic!("expected ExtentReq");
+        };
+        let extent = Wire::ExtentResp {
+            req_id,
+            level: 1,
+            split: 0,
+            busy: false,
+        };
+        filler.send(SiteId(client), extent.encode()).unwrap();
+
+        let started = Instant::now();
+        let env = bucket1
+            .recv_timeout(backoff / 2)
+            .expect("the free bucket is asked before the back-off for the full one elapses");
+        assert!(started.elapsed() < backoff / 2);
+        assert!(sdds_obs::counter("lh.rejected_total").get() > before);
+        // make room at bucket 0 and answer for both, so the scan ends
+        assert_eq!(&bucket0.recv().unwrap().payload[..], b"junk");
+        let answer = |ep: &Endpoint, env: sdds_net::Envelope, addr: u64| {
+            let Some(Wire::ScanReq { req_id, client, .. }) = Wire::decode(&env.payload) else {
+                panic!("expected ScanReq at bucket {addr}");
+            };
+            let resp = Wire::ScanResp {
+                req_id,
+                bucket: addr,
+                level: 1,
+                matches: vec![ScanMatch {
+                    key: addr,
+                    value: None,
+                }],
+            };
+            // the client's inbox holds one envelope too: wait for it to
+            // take the other bucket's answer
+            loop {
+                match ep.send(SiteId(client), resp.encode()) {
+                    Err(NetError::Overloaded(_)) => std::thread::yield_now(),
+                    sent => break sent.unwrap(),
+                }
+            }
+        };
+        answer(&bucket1, env, 1);
+        let retried = bucket0
+            .recv_timeout(backoff * 5)
+            .expect("the rejected request is retried after the back-off");
+        answer(&bucket0, retried, 0);
+        let keys: Vec<u64> = scan
+            .join()
+            .unwrap()
+            .expect("scan completes")
+            .iter()
+            .map(|m| m.key)
+            .collect();
+        assert_eq!(keys, [0, 1]);
     }
 
     /// A split completes between the scan's extent read and its fan-out:

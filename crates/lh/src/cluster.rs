@@ -1,21 +1,22 @@
 //! The cluster facade: spawns sites, wires the directory, manages
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
-use crate::bucket::{run_bucket, BucketCtx, BucketState};
+use crate::bucket::{BucketCtx, BucketSite, BucketState};
 use crate::client::{LhClient, LhError};
-use crate::coordinator::{run_coordinator, BucketSpawner};
+use crate::coordinator::{BucketSpawner, CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
-use crate::parity::{reconstruct_member, run_parity, ParityState};
+use crate::parity::{reconstruct_member, ParityState};
+use crate::runtime::Runtime;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId};
+use sdds_obs::Registry;
 use sdds_storage::{MemEngine, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maps bucket addresses and parity groups to network sites. The LH\*
@@ -234,68 +235,50 @@ impl Default for ClusterConfig {
 }
 
 /// A running LH\* file: coordinator + bucket sites (+ parity sites), all on
-/// the simulated multicomputer.
+/// the simulated multicomputer, all run by one site runtime.
 pub struct LhCluster {
     network: Network,
     directory: Arc<Directory>,
     coordinator: SiteId,
     config: ClusterConfig,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Sites that accept [`Wire::Shutdown`].
-    shutdown_sites: Arc<Mutex<Vec<SiteId>>>,
-    spawner: Mutex<BucketSpawner>,
+    runtime: Arc<Runtime>,
+    builder: SiteBuilder,
 }
 
 impl LhCluster {
     /// Starts a cluster with one bucket and its coordinator.
     pub fn start(config: ClusterConfig) -> LhCluster {
+        let (cluster, coordinator_ep) = LhCluster::empty(config);
+        // bucket 0 — the primordial file
+        cluster.builder.spawn(0, 0);
+        cluster.launch_coordinator(coordinator_ep);
+        cluster
+    }
+
+    /// The network, directory and runtime of a cluster without sites yet,
+    /// and the coordinator's endpoint, registered but not running.
+    fn empty(config: ClusterConfig) -> (LhCluster, Endpoint) {
         let network = Network::new(config.net.clone());
         let directory = Arc::new(Directory::new());
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown_sites: Arc<Mutex<Vec<SiteId>>> = Arc::new(Mutex::new(Vec::new()));
-
+        let runtime = Runtime::start();
         let coordinator_ep = network.register();
         let coordinator = coordinator_ep.id();
-        shutdown_sites.lock().push(coordinator);
-
-        let mut spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        // bucket 0 — the primordial file
-        spawner(0, 0);
-
-        // the coordinator gets its own spawner instance
-        let coord_spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        let dir = directory.clone();
-        let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let dir = directory.clone();
-        let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let h = std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup)
-        });
-        handles.lock().push(h);
-
-        LhCluster {
+        let builder = SiteBuilder::new(&network, &directory, &config, coordinator, &runtime);
+        let cluster = LhCluster {
             network,
             directory,
             coordinator,
             config,
-            handles,
-            shutdown_sites,
-            spawner: Mutex::new(spawner),
-        }
+            runtime,
+            builder,
+        };
+        (cluster, coordinator_ep)
+    }
+
+    fn launch_coordinator(&self, endpoint: Endpoint) {
+        let builder = self.builder.clone();
+        let spawner = Box::new(move |addr: u64, level: u8| builder.spawn(addr, level));
+        self.builder.launch_coordinator(endpoint, spawner);
     }
 
     /// Reopens a durable file from the bucket directories under the
@@ -330,7 +313,7 @@ impl LhCluster {
         let split = n - (1u64 << level);
         let image = ClientImage { level, split };
 
-        // Re-address pass, strictly before any site thread exists (the
+        // Re-address pass, strictly before any site exists (the
         // engines are opened exclusively here and dropped again).
         let mut engines: Vec<Box<dyn StorageEngine>> = Vec::with_capacity(n as usize);
         for addr in 0..n {
@@ -376,45 +359,15 @@ impl LhCluster {
         // release the WAL handles before the bucket sites reopen them
         drop(engines);
 
-        let network = Network::new(config.net.clone());
-        let directory = Arc::new(Directory::new());
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown_sites: Arc<Mutex<Vec<SiteId>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let coordinator_ep = network.register();
-        let coordinator = coordinator_ep.id();
-        shutdown_sites.lock().push(coordinator);
-
-        let builder = SiteBuilder::new(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        let coord_spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        let dir = directory.clone();
-        let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let dir = directory.clone();
-        let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let h = std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup)
-        });
-        handles.lock().push(h);
+        let (cluster, coordinator_ep) = LhCluster::empty(config);
+        let coordinator = cluster.coordinator;
+        cluster.launch_coordinator(coordinator_ep);
 
         // The coordinator must adopt the derived file state before any
         // recovered bucket can report an overflow; mailbox delivery is
-        // FIFO, so sending this before the bucket threads exist
+        // FIFO, so sending this before the buckets are launched
         // guarantees it.
-        let control = network.register();
+        let control = cluster.network.register();
         send_control(
             &control,
             coordinator,
@@ -422,33 +375,19 @@ impl LhCluster {
         )?;
 
         // Two-phase spawn: every directory entry must be published before
-        // any site thread runs. An early bucket's startup overflow report
-        // can trigger a split whose victim the coordinator looks up in the
+        // any bucket runs. An early bucket's startup overflow report can
+        // trigger a split whose victim the coordinator looks up in the
         // directory — launching as we register would race that lookup
         // against the rest of this loop.
-        let endpoints: Vec<(u64, Endpoint)> =
-            (0..n).map(|addr| (addr, builder.register(addr))).collect();
+        let endpoints: Vec<(u64, Endpoint)> = (0..n)
+            .map(|addr| (addr, cluster.builder.register(addr)))
+            .collect();
         for (addr, ep) in endpoints {
-            builder.launch(addr, bucket_level(addr, image), ep, true);
+            cluster
+                .builder
+                .launch(addr, bucket_level(addr, image), ep, true);
         }
-        let spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-
-        Ok(LhCluster {
-            network,
-            directory,
-            coordinator,
-            config,
-            handles,
-            shutdown_sites,
-            spawner: Mutex::new(spawner),
-        })
+        Ok(cluster)
     }
 
     /// Registers a new client of the file.
@@ -602,7 +541,7 @@ impl LhCluster {
         // 5. spawn a fresh site and adopt at the level the true file
         // state implies.
         let level = bucket_level(addr, extent);
-        let site = (self.spawner.lock())(addr, level);
+        let site = self.builder.spawn(addr, level);
         send_control(&control, site, Wire::Adopt { addr, level, slots }.encode())?;
         Ok(())
     }
@@ -700,16 +639,13 @@ impl LhCluster {
             }
             .encode(),
         )?;
-        {
-            let mut spawner = cluster.spawner.lock();
-            for b in &snapshot.buckets {
-                if b.addr > 0 {
-                    spawner(b.addr, b.level);
-                }
+        for b in &snapshot.buckets {
+            if b.addr > 0 {
+                cluster.builder.spawn(b.addr, b.level);
             }
         }
         for b in &snapshot.buckets {
-            // lint: allow(panic-freedom) -- the spawner loop directly above registered every snapshot bucket
+            // lint: allow(panic-freedom) -- the spawn loop directly above registered every snapshot bucket
             let site = cluster.directory.bucket_site(b.addr).expect("just spawned");
             send_control(
                 &control,
@@ -725,26 +661,23 @@ impl LhCluster {
         Ok(cluster)
     }
 
-    /// Stops every site thread and joins them.
-    pub fn shutdown(self) {
-        let control = self.network.register();
-        for site in self.shutdown_sites.lock().drain(..) {
-            let _ = send_control(&control, site, Wire::Shutdown.encode());
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self.handles.lock();
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+    /// Stops the cluster: the sites finish what is already in their
+    /// inboxes, then every site's state — its storage engine included —
+    /// is dropped and the runtime's workers are joined before this
+    /// returns. Dropping the cluster does the same.
+    pub fn shutdown(self) {}
+}
+
+impl Drop for LhCluster {
+    fn drop(&mut self) {
+        self.runtime.shutdown();
     }
 }
 
 /// Sends a cluster-lifecycle message, retrying briefly while the
 /// destination's bounded inbox rejects it. Admission control may shed
 /// client traffic freely, but shutdown/recovery/restore messages must
-/// land for the cluster to make progress — and the receiving loop is
+/// land for the cluster to make progress — and the receiving site is
 /// live and draining, so a full inbox clears within the retry window.
 pub(crate) fn send_control(ep: &Endpoint, to: SiteId, payload: Bytes) -> Result<(), NetError> {
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -768,12 +701,13 @@ fn bucket_level(addr: u64, image: ClientImage) -> u8 {
 }
 
 /// Materialises bucket sites in two phases — `register` (endpoint +
-/// directory entry + lazy parity sites) and `launch` (engine + thread) —
-/// so `open` can publish every recovered bucket's directory entry before
-/// any site thread runs. A bucket's startup overflow report can reach the
-/// coordinator while later buckets are still being set up; the split it
-/// triggers looks its victim up in the directory, which must therefore be
-/// complete first.
+/// directory entry + lazy parity sites) and `launch` (engine + hand-over
+/// to the runtime) — so `open` can publish every recovered bucket's
+/// directory entry before any bucket runs. A bucket's startup overflow
+/// report can reach the coordinator while later buckets are still being
+/// set up; the split it triggers looks its victim up in the directory,
+/// which must therefore be complete first.
+#[derive(Clone)]
 pub(crate) struct SiteBuilder {
     network: Network,
     directory: Arc<Directory>,
@@ -782,8 +716,7 @@ pub(crate) struct SiteBuilder {
     filter: Arc<dyn ScanFilter>,
     storage: StorageConfig,
     coordinator: SiteId,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_sites: Arc<Mutex<Vec<SiteId>>>,
+    runtime: Arc<Runtime>,
 }
 
 impl SiteBuilder {
@@ -792,8 +725,7 @@ impl SiteBuilder {
         directory: &Arc<Directory>,
         config: &ClusterConfig,
         coordinator: SiteId,
-        handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-        shutdown_sites: &Arc<Mutex<Vec<SiteId>>>,
+        runtime: &Arc<Runtime>,
     ) -> SiteBuilder {
         SiteBuilder {
             network: network.clone(),
@@ -803,13 +735,12 @@ impl SiteBuilder {
             filter: config.filter.clone(),
             storage: config.storage.clone(),
             coordinator,
-            handles: handles.clone(),
-            shutdown_sites: shutdown_sites.clone(),
+            runtime: runtime.clone(),
         }
     }
 
     /// Registers the bucket's endpoint and directory entry (and, lazily,
-    /// its group's parity sites) without starting the site thread.
+    /// its group's parity sites) without starting the bucket.
     fn register(&self, addr: u64) -> Endpoint {
         if let Some(cfg) = self.parity {
             let group = addr / cfg.group_size as u64;
@@ -818,7 +749,6 @@ impl SiteBuilder {
                 for p in 0..cfg.parity_count {
                     let ep = self.network.register();
                     sites.push(ep.id());
-                    self.shutdown_sites.lock().push(ep.id());
                     let state = ParityState::new(
                         group,
                         p as u32,
@@ -826,38 +756,33 @@ impl SiteBuilder {
                         cfg.parity_count,
                         cfg.slot_size,
                     );
-                    self.handles
-                        .lock()
-                        .push(std::thread::spawn(move || run_parity(ep, state)));
+                    self.runtime.add(ep, Box::new(state), Registry::global());
                 }
                 self.directory.set_parity(group, sites);
             }
         }
         let ep = self.network.register();
         self.directory.set_bucket(addr, ep.id());
-        self.shutdown_sites.lock().push(ep.id());
         ep
     }
 
-    /// Opens the bucket's storage engine and starts its site thread on a
-    /// previously registered endpoint. A bucket `reopened` over its own
-    /// records serves at once, and so does the primordial bucket 0; every
-    /// other one was spawned for a split, a restore or a recovery and
-    /// waits for its contents (see [`BucketState::awaiting_records`]).
+    /// Opens the bucket's storage engine and hands the bucket, on a
+    /// previously registered endpoint, to the runtime. A bucket
+    /// `reopened` over its own records serves at once, and so does the
+    /// primordial bucket 0; every other one was spawned for a split, a
+    /// restore or a recovery and waits for its contents (see
+    /// [`BucketState::awaiting_records`]).
     pub(crate) fn launch(&self, addr: u64, level: u8, ep: Endpoint, reopened: bool) {
-        let ctx = BucketCtx {
-            directory: self.directory.clone(),
-            coordinator: self.coordinator,
-            filter: self.filter.clone(),
-            parity: self.parity,
+        let ctx = BucketCtx::new(
+            self.directory.clone(),
+            self.coordinator,
+            self.filter.clone(),
+            self.parity,
             // Each site gets its own labeled registry; updates flow into
             // the global aggregate so existing metric readers are
             // unaffected while per-site breakdowns become available.
-            obs: sdds_obs::Registry::with_parent(
-                format!("bucket-{addr}"),
-                sdds_obs::Registry::global(),
-            ),
-        };
+            Registry::with_parent(format!("bucket-{addr}"), Registry::global()),
+        );
         // A spawner cannot report failure (it runs inside the
         // coordinator's split path); if durable storage cannot open,
         // degrade this bucket to volatile memory and count it rather than
@@ -876,36 +801,31 @@ impl SiteBuilder {
         if !reopened && addr > 0 {
             state = state.awaiting_records();
         }
-        self.handles
-            .lock()
-            .push(std::thread::spawn(move || run_bucket(ep, state, ctx)));
+        let obs = ctx.obs.clone();
+        self.runtime
+            .add(ep, Box::new(BucketSite { state, ctx }), &obs);
     }
 
-    fn spawn(&self, addr: u64, level: u8) -> SiteId {
+    /// Hands the coordinator, on its registered endpoint, to the runtime;
+    /// `spawner` is how it materialises the buckets its splits create.
+    pub(crate) fn launch_coordinator(&self, ep: Endpoint, spawner: BucketSpawner) {
+        let dir = self.directory.clone();
+        let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
+        let dir = self.directory.clone();
+        let bucket_site = Box::new(move |addr: u64| dir.bucket_site(addr));
+        let site = CoordinatorSite {
+            state: CoordinatorState::new(),
+            spawner,
+            retirer,
+            bucket_site,
+        };
+        self.runtime.add(ep, Box::new(site), Registry::global());
+    }
+
+    pub(crate) fn spawn(&self, addr: u64, level: u8) -> SiteId {
         let ep = self.register(addr);
         let site = ep.id();
         self.launch(addr, level, ep, false);
         site
     }
-}
-
-/// Builds the closure that materialises bucket sites (and, lazily, their
-/// group's parity sites).
-fn make_spawner(
-    network: &Network,
-    directory: &Arc<Directory>,
-    config: &ClusterConfig,
-    coordinator: SiteId,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_sites: &Arc<Mutex<Vec<SiteId>>>,
-) -> BucketSpawner {
-    let builder = SiteBuilder::new(
-        network,
-        directory,
-        config,
-        coordinator,
-        handles,
-        shutdown_sites,
-    );
-    Box::new(move |addr: u64, level: u8| builder.spawn(addr, level))
 }

@@ -6,13 +6,14 @@
 //! the split victim is `n`, not the overflowing bucket. One split runs at a
 //! time; further overflow reports queue.
 
-use crate::drain::{fill_batch, SendQueue, Wakeup, DRAIN_BUDGET, IDLE_TICK};
 use crate::hash::extent;
 use crate::messages::Wire;
-use sdds_net::{Endpoint, Envelope, SiteId};
+use crate::runtime::Machine;
+use sdds_net::SiteId;
+use sdds_obs::trace::{self, SpanGuard, TraceContext};
 
 /// Callback that materialises a new bucket site (registers the endpoint,
-/// spawns its thread, updates the directory) and returns its address.
+/// hands it to the runtime, updates the directory) and returns its address.
 pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) -> SiteId + Send>;
 
 /// Callback that retires a bucket address from the directory (a merge
@@ -137,7 +138,7 @@ impl CoordinatorState {
             let victim = self.split;
             let new_addr = extent(self.level, self.split); // n + 2^i
             let new_site = spawner(new_addr, self.level + 1);
-            // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and `LhCluster::open` publishes every recovered bucket's directory entry before any site thread can report an overflow
+            // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and `LhCluster::open` publishes every recovered bucket's directory entry before any bucket runs and can report an overflow
             let victim_site = bucket_site(victim).expect("split victim exists");
             return vec![(
                 victim_site,
@@ -180,55 +181,32 @@ impl CoordinatorState {
     }
 }
 
-/// The coordinator thread loop: batch-drained like the bucket loop. Split
-/// and merge commands rejected by a full victim inbox park in the send
-/// queue and retry at end-of-batch and on the idle tick — restructuring
-/// cannot be lost to admission control.
-pub(crate) fn run_coordinator(
-    endpoint: Endpoint,
-    mut spawner: BucketSpawner,
-    mut retirer: BucketRetirer,
-    bucket_site: Box<dyn Fn(u64) -> Option<SiteId> + Send>,
-) {
-    let mut state = CoordinatorState::new();
-    let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BUDGET);
-    let mut outbox = SendQueue::new();
-    let mut health = crate::health::LoopHealth::register(sdds_obs::Registry::global());
-    loop {
-        let idle = outbox.has_parked().then_some(IDLE_TICK);
-        match fill_batch(&endpoint, idle, &mut batch) {
-            Wakeup::Batch => {}
-            Wakeup::Idle => {
-                outbox.flush(&endpoint);
-                continue;
-            }
-            Wakeup::Disconnected => break,
-        }
-        health.busy();
-        let mut shutdown = false;
-        for env in batch.drain(..) {
-            let Some(msg) = Wire::decode(&env.payload) else {
-                continue;
-            };
-            if matches!(msg, Wire::Shutdown) {
-                shutdown = true;
-                break;
-            }
-            // Child span under the reporting site's context (inert for
-            // untraced traffic), so coordinator-ordered splits/merges
-            // chain into the trace of the operation that triggered them.
-            let span = sdds_obs::trace::remote_span(coord_span_name(&msg), env.ctx);
-            let out_ctx = span.context();
-            for (to, out) in state.handle(msg, &mut spawner, &mut retirer, bucket_site.as_ref()) {
-                let payload = out.encode();
-                outbox.send(&endpoint, to, &out, payload, out_ctx);
-            }
-        }
-        outbox.flush(&endpoint);
-        health.idle();
-        if shutdown {
-            break;
-        }
+/// The coordinator as the runtime sees it: the file state plus the
+/// callbacks that reach the directory and the site builder. Split and
+/// merge commands rejected by a full victim inbox park in the site's
+/// send queue and are retried — restructuring cannot be lost to
+/// admission control.
+pub(crate) struct CoordinatorSite {
+    pub state: CoordinatorState,
+    pub spawner: BucketSpawner,
+    pub retirer: BucketRetirer,
+    pub bucket_site: Box<dyn Fn(u64) -> Option<SiteId> + Send>,
+}
+
+impl Machine for CoordinatorSite {
+    /// Coordinator-ordered splits/merges chain into the trace of the
+    /// operation whose overflow or underflow report triggered them.
+    fn span(&self, _site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
+        trace::remote_span(coord_span_name(msg), ctx)
+    }
+
+    fn handle(&mut self, _from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        self.state.handle(
+            msg,
+            &mut self.spawner,
+            &mut self.retirer,
+            self.bucket_site.as_ref(),
+        )
     }
 }
 

@@ -1,71 +1,33 @@
-//! Batch draining and retryable sends for site event loops.
+//! Retryable sends for the site runtime, and its pacing constants.
 //!
-//! Every site thread (bucket, coordinator, parity) wakes up, receives
-//! *one* message blockingly, then greedily drains its inbox up to
-//! [`DRAIN_BUDGET`] before dispatching the whole batch — paying the
-//! condvar roundtrip, gauge sampling, and wakeup bookkeeping once per
-//! batch instead of once per message.
+//! A worker of the runtime (`runtime.rs`) activates a site for up to
+//! [`DRAIN_BUDGET`] envelopes at a time — paying the ready-queue
+//! roundtrip, gauge sampling and clock reading once per activation
+//! instead of once per message.
 //!
-//! With bounded inboxes (`NetConfig::inbox_capacity`), any send can now
-//! be rejected by admission control. Client-bound replies may be shed —
+//! With bounded inboxes (`NetConfig::inbox_capacity`), any send can be
+//! rejected by admission control. Client-bound replies may be shed —
 //! the client's retransmit machinery re-requests them — but
 //! control-plane messages (overflow reports, transfer batches/acks,
 //! split/merge completions, parity deltas) must eventually land or the
-//! protocol stalls. [`SendQueue`] parks those and retries them at every
-//! end-of-batch, and — via the `recv_timeout` idle tick — even when no
-//! new traffic arrives to wake the loop.
+//! protocol stalls. [`SendQueue`] parks those and retries them at the
+//! end of every activation of their site, and — the runtime activates a
+//! site with parked sends every [`IDLE_TICK`] — even when no new traffic
+//! arrives for it.
 
 use crate::messages::Wire;
 use bytes::Bytes;
-use sdds_net::{Endpoint, Envelope, NetError, SiteId};
+use sdds_net::{Endpoint, NetError, Scatter, SiteId};
 use sdds_obs::trace::TraceContext;
 use std::time::Duration;
 
-/// Most messages a site event loop dispatches per wakeup.
+/// Most envelopes one activation of a site dispatches before the site
+/// goes to the back of the ready queue.
 pub(crate) const DRAIN_BUDGET: usize = 64;
 
 /// Upper bound on how long a parked control-plane resend can wait when
-/// no new traffic wakes the loop.
+/// no new traffic activates its site.
 pub(crate) const IDLE_TICK: Duration = Duration::from_millis(2);
-
-/// What one wakeup of the event loop produced.
-pub(crate) enum Wakeup {
-    /// At least one envelope was drained into the batch.
-    Batch,
-    /// The idle tick elapsed with no traffic: flush deferred work.
-    Idle,
-    /// The channel is gone; the loop should exit.
-    Disconnected,
-}
-
-/// Blocks for one envelope (bounded by `idle` when given), then greedily
-/// drains up to [`DRAIN_BUDGET`] envelopes total without blocking.
-pub(crate) fn fill_batch(
-    endpoint: &Endpoint,
-    idle: Option<Duration>,
-    batch: &mut Vec<Envelope>,
-) -> Wakeup {
-    batch.clear();
-    let first = match idle {
-        Some(tick) => match endpoint.recv_timeout(tick) {
-            Ok(env) => env,
-            Err(NetError::Timeout) => return Wakeup::Idle,
-            Err(_) => return Wakeup::Disconnected,
-        },
-        None => match endpoint.recv() {
-            Ok(env) => env,
-            Err(_) => return Wakeup::Disconnected,
-        },
-    };
-    batch.push(first);
-    while batch.len() < DRAIN_BUDGET {
-        match endpoint.try_recv() {
-            Ok(env) => batch.push(env),
-            Err(_) => break,
-        }
-    }
-    Wakeup::Batch
-}
 
 /// Outgoing sends with an admission-control retry queue (see module
 /// docs). The queue only ever holds messages a bounded inbox rejected,
@@ -79,36 +41,37 @@ impl SendQueue {
         SendQueue { parked: Vec::new() }
     }
 
-    /// Sends one outgoing message, parking a control-plane message the
-    /// destination's admission control rejected. `payload` is `msg`
-    /// already encoded (the caller encodes once; a parked retry reuses
-    /// the same bytes).
+    /// Sends one outgoing message as part of `scatter`, parking a
+    /// control-plane message the destination's admission control
+    /// rejected. `payload` is `msg` already encoded (the caller encodes
+    /// once; a parked retry reuses the same bytes).
     pub(crate) fn send(
         &mut self,
+        scatter: &mut Scatter,
         endpoint: &Endpoint,
         to: SiteId,
         msg: &Wire,
         payload: Bytes,
         ctx: Option<TraceContext>,
     ) {
-        match endpoint.send_traced(to, payload.clone(), ctx) {
-            Err(NetError::Overloaded(_)) if must_land(msg) => {
-                self.parked.push((to, payload, ctx));
-            }
-            // Shed client-bound replies (the client retransmits) and
-            // sends to peers that already shut down are fine to lose.
-            _ => {}
+        let retry = must_land(msg).then(|| payload.clone());
+        let sent = endpoint.send_with(scatter, to, payload, ctx);
+        // Shed client-bound replies (the client retransmits) and sends
+        // to peers that already shut down are fine to lose.
+        if let (Err(NetError::Overloaded(_)), Some(payload)) = (sent, retry) {
+            self.parked.push((to, payload, ctx));
         }
     }
 
     /// Retries every parked send once, re-parking the still-rejected.
-    pub(crate) fn flush(&mut self, endpoint: &Endpoint) {
+    pub(crate) fn flush(&mut self, scatter: &mut Scatter, endpoint: &Endpoint) {
         if self.parked.is_empty() {
             return;
         }
         let parked = std::mem::take(&mut self.parked);
         for (to, payload, ctx) in parked {
-            if let Err(NetError::Overloaded(_)) = endpoint.send_traced(to, payload.clone(), ctx) {
+            let sent = endpoint.send_with(scatter, to, payload.clone(), ctx);
+            if let Err(NetError::Overloaded(_)) = sent {
                 self.parked.push((to, payload, ctx));
             }
         }
@@ -140,36 +103,6 @@ mod tests {
     use sdds_net::{NetConfig, Network};
 
     #[test]
-    fn fill_batch_drains_up_to_budget() {
-        let net = Network::new(NetConfig::default());
-        let a = net.register();
-        let sent = DRAIN_BUDGET + 6;
-        for i in 0..sent {
-            a.send(a.id(), Bytes::copy_from_slice(&[i as u8])).unwrap();
-        }
-        let mut batch = Vec::new();
-        assert!(matches!(fill_batch(&a, None, &mut batch), Wakeup::Batch));
-        assert_eq!(batch.len(), DRAIN_BUDGET);
-        assert!(matches!(fill_batch(&a, None, &mut batch), Wakeup::Batch));
-        assert_eq!(batch.len(), 6, "second wakeup drains the remainder");
-        let payloads: Vec<usize> = batch.iter().map(|e| e.payload[0] as usize).collect();
-        let expected: Vec<usize> = (DRAIN_BUDGET..sent).collect();
-        assert_eq!(payloads, expected, "FIFO order preserved");
-    }
-
-    #[test]
-    fn fill_batch_idle_tick_fires_on_empty_inbox() {
-        let net = Network::new(NetConfig::default());
-        let a = net.register();
-        let mut batch = Vec::new();
-        assert!(matches!(
-            fill_batch(&a, Some(Duration::from_millis(1)), &mut batch),
-            Wakeup::Idle
-        ));
-        assert!(batch.is_empty());
-    }
-
-    #[test]
     fn send_queue_parks_control_plane_and_flushes() {
         let net = Network::new(NetConfig {
             inbox_capacity: Some(1),
@@ -178,21 +111,22 @@ mod tests {
         let a = net.register();
         let b = net.register();
         let mut q = SendQueue::new();
+        let mut scatter = Scatter::new();
         let ov = Wire::Overflow {
             addr: 1,
             level: 0,
             size: 9,
         };
-        q.send(&a, b.id(), &ov, ov.encode(), None);
+        q.send(&mut scatter, &a, b.id(), &ov, ov.encode(), None);
         assert!(!q.has_parked(), "first send fits the 1-deep inbox");
-        q.send(&a, b.id(), &ov, ov.encode(), None);
+        q.send(&mut scatter, &a, b.id(), &ov, ov.encode(), None);
         assert!(q.has_parked(), "second send is rejected and parked");
         // Still rejected while the inbox is full.
-        q.flush(&a);
+        q.flush(&mut scatter, &a);
         assert!(q.has_parked());
         // Draining the inbox lets the retry land.
         b.recv().unwrap();
-        q.flush(&a);
+        q.flush(&mut scatter, &a);
         assert!(!q.has_parked());
         assert!(b.try_recv().is_ok(), "parked overflow report delivered");
     }
@@ -206,6 +140,7 @@ mod tests {
         let a = net.register();
         let b = net.register();
         let mut q = SendQueue::new();
+        let mut scatter = Scatter::new();
         let resp = Wire::Response {
             req_id: 1,
             result: crate::messages::OpResult::Found { value: None },
@@ -213,8 +148,8 @@ mod tests {
             bucket_level: 0,
             hops: 0,
         };
-        q.send(&a, b.id(), &resp, resp.encode(), None);
-        q.send(&a, b.id(), &resp, resp.encode(), None);
+        q.send(&mut scatter, &a, b.id(), &resp, resp.encode(), None);
+        q.send(&mut scatter, &a, b.id(), &resp, resp.encode(), None);
         assert!(
             !q.has_parked(),
             "shed replies are not parked — the client retransmits"

@@ -1,24 +1,23 @@
-//! Event-loop health self-reporting.
+//! Worker health self-reporting.
 //!
-//! Every site event loop (bucket, coordinator, parity) owns a
-//! [`LoopHealth`] and brackets each batch dispatch with
-//! [`busy`](LoopHealth::busy) / [`idle`](LoopHealth::idle). Two signals
-//! come out:
+//! Every worker of the site runtime owns a [`LoopHealth`] and brackets
+//! each activation with [`busy`](LoopHealth::busy); the end of its round
+//! marks it [`idle`](LoopHealth::idle). Two signals come out:
 //!
-//! * `lh.loop_stall_seconds` — histogram of how long each dispatch kept
-//!   the loop away from its inbox (its per-batch "drain stall"). A loop
-//!   wedged on a slow storage flush or a huge transfer shows up as a fat
-//!   tail here.
+//! * `lh.loop_stall_seconds` — histogram of how long each activation kept
+//!   its worker away from the other ready sites (recorded by the runtime
+//!   into the activated site's registry). A site wedged on a slow storage
+//!   flush or a huge transfer shows up as a fat tail here.
 //! * `lh.loop_last_tick_age` — gauge (milliseconds) of the *oldest
-//!   currently busy* dispatch across this process's loops, refreshed by
-//!   the serve host's observability tick ([`max_busy_age`]). Idle loops
-//!   report 0: blocking on an empty inbox is healthy, only time spent
-//!   *handling* counts as age. A wedged rank is therefore visible from a
-//!   cluster scrape before any client times out on it.
+//!   activation still running* across this process's workers, refreshed
+//!   by the serve host's observability tick ([`max_busy_age`]). Idle
+//!   workers report 0: sleeping on an empty ready queue is healthy, only
+//!   time spent *handling* counts as age. A wedged rank is therefore
+//!   visible from a cluster scrape before any client times out on it.
 //!
-//! Registration is process-global so the host watchdog can sample loops
-//! it did not create; a loop deregisters on exit (`Drop`), so shut-down
-//! sites never alarm.
+//! Registration is process-global so the host watchdog can sample workers
+//! it did not create; a worker deregisters on exit (`Drop`), so shut-down
+//! runtimes never alarm.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,50 +34,39 @@ fn now_nanos() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Busy-since cells of every live loop. 0 = idle; otherwise
-/// `now_nanos() + 1` at the moment the loop started its current dispatch
-/// (+1 so a dispatch starting at the epoch itself is not read as idle).
+/// Busy-since cells of every live worker. 0 = idle; otherwise nanoseconds
+/// since the epoch, plus one, at the moment the worker started its
+/// current activation (+1 so one starting at the epoch itself is not
+/// read as idle).
 fn cells() -> &'static Mutex<Vec<Arc<AtomicU64>>> {
     static CELLS: OnceLock<Mutex<Vec<Arc<AtomicU64>>>> = OnceLock::new();
     CELLS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// One event loop's health reporter. Created at loop start, dropped on
-/// loop exit (deregistering the loop from the watchdog).
+/// One worker's watchdog cell. Created with the worker, dropped when it
+/// exits (deregistering it from the watchdog).
 pub(crate) struct LoopHealth {
-    stall: sdds_obs::Histogram,
     cell: Arc<AtomicU64>,
-    busy_since: Option<Instant>,
 }
 
 impl LoopHealth {
-    /// Registers a loop with the process watchdog. The stall histogram
-    /// lands in `obs` (a bucket's per-site registry or the global one),
-    /// propagating to the global aggregate either way.
-    pub(crate) fn register(obs: &sdds_obs::Registry) -> LoopHealth {
+    /// Registers a worker with the process watchdog.
+    pub(crate) fn register() -> LoopHealth {
         let cell = Arc::new(AtomicU64::new(0));
         cells().lock().push(cell.clone());
-        LoopHealth {
-            stall: obs.histogram("lh.loop_stall_seconds"),
-            cell,
-            busy_since: None,
-        }
+        LoopHealth { cell }
     }
 
-    /// Marks the start of a batch dispatch.
-    pub(crate) fn busy(&mut self) {
-        self.busy_since = Some(Instant::now());
+    /// Marks the start, at clock reading `now`, of an activation.
+    pub(crate) fn busy(&mut self, now: Instant) {
+        let stamp = now.saturating_duration_since(epoch()).as_nanos() as u64;
         // ordering: Relaxed — the cell is an independent timestamp read
         // by the watchdog; no memory is published through it.
-        self.cell.store(now_nanos() + 1, Ordering::Relaxed);
+        self.cell.store(stamp + 1, Ordering::Relaxed);
     }
 
-    /// Marks the end of a batch dispatch, recording its duration as the
-    /// loop's drain stall.
+    /// Marks the end of the worker's round: nothing is being handled.
     pub(crate) fn idle(&mut self) {
-        if let Some(since) = self.busy_since.take() {
-            self.stall.observe(since.elapsed().as_secs_f64());
-        }
         // ordering: Relaxed — see busy().
         self.cell.store(0, Ordering::Relaxed);
     }
@@ -93,8 +81,8 @@ impl Drop for LoopHealth {
     }
 }
 
-/// Age of the oldest in-flight batch dispatch across this process's
-/// loops (zero when every loop is idle or blocked on its inbox). The
+/// Age of the oldest activation still running across this process's
+/// workers (zero when every worker is between rounds or asleep). The
 /// serve host's observability tick publishes this as the
 /// `lh.loop_last_tick_age` gauge, in milliseconds.
 pub(crate) fn max_busy_age() -> Duration {
@@ -115,32 +103,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn busy_loops_age_and_idle_loops_do_not() {
-        let obs = sdds_obs::Registry::new("health-test");
-        let mut a = LoopHealth::register(&obs);
-        let mut b = LoopHealth::register(&obs);
-        // Nothing busy (other tests' loops may be running concurrently,
-        // so only assert on our own transitions below).
-        a.busy();
+    fn busy_workers_age_and_idle_workers_do_not() {
+        let mut a = LoopHealth::register();
+        let mut b = LoopHealth::register();
+        // Other tests' workers may be running concurrently, so only
+        // assert on our own transitions.
+        a.busy(Instant::now());
         std::thread::sleep(Duration::from_millis(5));
         assert!(
             max_busy_age() >= Duration::from_millis(4),
-            "a busy dispatch ages"
+            "a running activation ages"
         );
         a.idle();
-        b.busy();
+        b.busy(Instant::now());
         b.idle();
-        let snap = obs.snapshot();
-        let stalls = &snap.histograms["lh.loop_stall_seconds"];
-        assert_eq!(stalls.count, 2, "each dispatch records one stall sample");
-        assert!(
-            stalls.sum_seconds >= 0.004,
-            "a's 5ms dispatch is in the sum"
-        );
-        // Dropping deregisters: a permanently-busy loop that exits must
-        // not alarm forever.
-        a.busy();
+        // Dropping deregisters: a permanently-busy worker that exits
+        // must not alarm forever.
+        a.busy(Instant::now());
+        let cell = Arc::clone(&a.cell);
         drop(a);
-        drop(b);
+        assert!(!cells().lock().iter().any(|c| Arc::ptr_eq(c, &cell)));
     }
 }

@@ -7,7 +7,9 @@
 //! SDDS such as LH\* or its high-availability version LH\*RS is used to
 //! store index records and the records themselves" (§5). The
 //! implementation is a real distributed protocol: every bucket is a site
-//! thread exchanging serialized messages; clients keep a possibly-stale
+//! — a state machine behind a mailbox, run with its process's other sites
+//! by a fixed set of workers — exchanging serialized messages; clients
+//! keep a possibly-stale
 //! *file image* and learn through Image Adjustment Messages; addressing
 //! errors cost at most two forwarding hops (the LH\* invariant).
 //!
@@ -45,6 +47,7 @@ mod index;
 mod messages;
 mod obs_client;
 mod parity;
+mod runtime;
 mod serve;
 
 pub use client::{LhClient, LhError, RetryPolicy};

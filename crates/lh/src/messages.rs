@@ -305,7 +305,8 @@ pub enum Wire {
         /// Split pointer to adopt.
         split: u64,
     },
-    /// Orderly shutdown of a site thread.
+    /// Retires the receiving site: the runtime drops its state and
+    /// closes its mailbox.
     Shutdown,
 }
 

@@ -13,10 +13,11 @@
 //! members plus the parity rows and solves the code; any `m` simultaneous
 //! failures per group are survivable.
 
-use crate::drain::{fill_batch, SendQueue, Wakeup, DRAIN_BUDGET};
 use crate::messages::{ParityRow, Wire};
+use crate::runtime::Machine;
 use sdds_gf::rs::ReedSolomon;
-use sdds_net::{Endpoint, Envelope, SiteId};
+use sdds_net::SiteId;
+use sdds_obs::trace::{self, SpanGuard, TraceContext};
 
 /// Encodes a value into its fixed slot: two little-endian length bytes,
 /// the payload, zero padding.
@@ -154,48 +155,26 @@ impl ParityState {
     }
 }
 
-/// The parity-site thread loop: batch-drained like the bucket loop. A
-/// slot-delta stream from a splitting group arrives at high fan-in, so
-/// amortizing the wakeup over a batch matters here too. Parity sites
-/// only ever emit client-bound `ParityState` replies (recovery re-reads
-/// on loss), so no idle tick is needed.
-pub(crate) fn run_parity(endpoint: Endpoint, mut state: ParityState) {
-    let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BUDGET);
-    let mut outbox = SendQueue::new();
-    let mut health = crate::health::LoopHealth::register(sdds_obs::Registry::global());
-    while let Wakeup::Batch = fill_batch(&endpoint, None, &mut batch) {
-        health.busy();
-        let mut shutdown = false;
-        for env in batch.drain(..) {
-            let Some(msg) = Wire::decode(&env.payload) else {
-                continue;
-            };
-            if matches!(msg, Wire::Shutdown) {
-                shutdown = true;
-                break;
-            }
-            // Child span under the sender's context (inert for untraced
-            // traffic): parity updates triggered by a traced insert/delete
-            // and parity reads during recovery stay inside the operation's
-            // trace.
-            let name = match &msg {
-                Wire::ParityUpdate { .. } => "parity.update",
-                Wire::ParityRead { .. } => "parity.read",
-                _ => "parity.msg",
-            };
-            let mut span = sdds_obs::trace::remote_span(name, env.ctx);
-            span.set_site(endpoint.id().0 as i64);
-            let out_ctx = span.context();
-            for (to, out) in state.handle(msg) {
-                let payload = out.encode();
-                outbox.send(&endpoint, to, &out, payload, out_ctx);
-            }
-        }
-        outbox.flush(&endpoint);
-        health.idle();
-        if shutdown {
-            break;
-        }
+/// A slot-delta stream from a splitting group arrives at high fan-in,
+/// which the runtime's batched activations amortize. Parity sites only
+/// ever emit client-bound `ParityState` replies (recovery re-reads on
+/// loss), so nothing of theirs is ever parked.
+impl Machine for ParityState {
+    /// Parity updates triggered by a traced insert/delete and parity
+    /// reads during recovery stay inside the operation's trace.
+    fn span(&self, site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
+        let name = match msg {
+            Wire::ParityUpdate { .. } => "parity.update",
+            Wire::ParityRead { .. } => "parity.read",
+            _ => "parity.msg",
+        };
+        let mut span = trace::remote_span(name, ctx);
+        span.set_site(site.0 as i64);
+        span
+    }
+
+    fn handle(&mut self, _from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        self.handle(msg)
     }
 }
 

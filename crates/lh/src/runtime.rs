@@ -1,0 +1,801 @@
+//! The site runtime: every bucket, parity site and coordinator of a
+//! process as a state machine behind a mailbox, run by a fixed set of
+//! worker threads — threads are O(cores), not O(buckets).
+//!
+//! A site is `{mailbox, state machine, SendQueue}`. An envelope delivered
+//! to an idle site's mailbox queues the site on the runtime's **ready
+//! queue** (`sdds_net::Scheduler`); a worker pops it and runs one
+//! **activation**: it drains up to [`DRAIN_BUDGET`] envelopes, decodes
+//! each, opens its span, hands it to the machine and sends what the
+//! handler returns. A site is queued or running at most once, so no two
+//! workers ever enter it together, and one that still has envelopes
+//! after its activation goes to the tail of the queue behind every other
+//! ready site.
+//!
+//! The other half is the hand-over. Everything a worker's sites send
+//! goes through one [`Scatter`]: enqueued at once, in order, but a
+//! sleeping receiver — the client blocked on its 225 scan answers — is
+//! woken when the worker's **round** ends, which is as soon as the ready
+//! queue is empty (a lone `get` is answered at once) or after
+//! [`ROUND_BUDGET`] envelopes. Clients scatter their fan-outs the same
+//! way, so a scan costs a handful of context switches, not two per
+//! bucket. `DESIGN.md` § "Site runtime" has the numbers.
+
+use crate::drain::{SendQueue, DRAIN_BUDGET, IDLE_TICK};
+use crate::health::LoopHealth;
+use crate::messages::Wire;
+use parking_lot::{Mutex, RwLock};
+use sdds_net::{Endpoint, Envelope, Scatter, Scheduler, SiteId};
+use sdds_obs::trace::{SpanGuard, TraceContext};
+use sdds_obs::{Gauge, Histogram, Registry};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::thread::{JoinHandle, Thread};
+use std::time::Instant;
+
+/// Most envelopes a worker dispatches before it delivers the wake-ups
+/// its sends owe, however long the ready queue stays non-empty: under
+/// sustained load a reply waits for at most this much other work.
+const ROUND_BUDGET: usize = 16 * DRAIN_BUDGET;
+
+/// Workers beyond the one per processor: as many as can wait for the
+/// disk while the others run, which is how many buckets' `fsync`s
+/// overlap. A durable single-record insert writes to eight buckets (7.2
+/// `fsync`s in flight at once, measured with a thread per bucket).
+const DISK_WAITERS: usize = 8;
+
+/// A site's protocol logic: pure state, driven by the runtime.
+pub(crate) trait Machine: Send {
+    /// One-time work in the site's first activation, before any message.
+    fn start(&mut self) -> Vec<(SiteId, Wire)> {
+        Vec::new()
+    }
+
+    /// Opens the span `msg` is handled under: a child of the sender's
+    /// context (inert for untraced traffic). It is on the worker's span
+    /// stack while [`handle`](Self::handle) runs, so inner spans and the
+    /// outgoing messages — replies, forwards, transfer batches — chain
+    /// under it. Spans stay per message: causality is per operation, not
+    /// per activation.
+    fn span(&self, site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard;
+
+    /// Processes one message, returning the messages to send out.
+    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)>;
+}
+
+struct Site {
+    endpoint: Endpoint,
+    /// Taken by the one worker running the site's activation.
+    cell: Mutex<Cell>,
+    queue_wait: Histogram,
+    stall: Histogram,
+    depth: Gauge,
+}
+
+struct Cell {
+    machine: Box<dyn Machine>,
+    outbox: SendQueue,
+    started: bool,
+}
+
+struct Sched {
+    /// Sites with envelopes (or deferred work), each at most once.
+    ready: VecDeque<usize>,
+    /// Workers holding a run slot: running activations, not waiting for
+    /// the disk. A sleeper takes a slot only while there are fewer than
+    /// `Runtime::slots`; a worker back from the disk takes one regardless,
+    /// for the rest of its activation.
+    running: usize,
+    /// Workers without a slot, parked until there is a ready site and a
+    /// free slot. The one that fell asleep last is woken first, while
+    /// its stack and thread-locals are still in the cache: woken in
+    /// turn, as a condvar does it, nine workers made a `get` 10 % slower
+    /// than one.
+    sleepers: Vec<Thread>,
+    stopping: bool,
+    /// Sites with parked must-land sends, to be activated at `retry_due`
+    /// even if nothing arrives for them.
+    retry: Vec<usize>,
+    retry_due: Option<Instant>,
+}
+
+impl Sched {
+    /// The sleeper to wake, if one has something to get up for: a free
+    /// slot, and a ready site or a retry to time.
+    fn sleeper_for_work(&mut self, slots: usize) -> Option<Thread> {
+        let work = !self.ready.is_empty() || self.retry_due.is_some();
+        if work && self.running < slots {
+            self.sleepers.pop()
+        } else {
+            None
+        }
+    }
+}
+
+/// Wakes the sleeper a scheduling decision picked, outside the lock.
+fn wake(sleeper: Option<Thread>) {
+    if let Some(sleeper) = sleeper {
+        sleeper.unpark();
+    }
+}
+
+/// The sites of one process and the workers that run them.
+pub(crate) struct Runtime {
+    sched: Mutex<Sched>,
+    /// Workers that may run at once: one per available processor.
+    slots: usize,
+    /// Indexed by the key a site's mailbox reports; `None` once retired.
+    sites: RwLock<Vec<Option<Arc<Site>>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Scheduler for Runtime {
+    fn schedule(&self, key: usize) {
+        self.sched.lock().ready.push_back(key);
+    }
+
+    fn wake(&self) {
+        let sleeper = self.sched.lock().sleeper_for_work(self.slots);
+        wake(sleeper);
+    }
+}
+
+impl Runtime {
+    /// A runtime that runs one worker per available processor.
+    pub(crate) fn start() -> Arc<Runtime> {
+        Runtime::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    /// Tests pick how many workers run at once; nothing else may.
+    /// [`DISK_WAITERS`] more are started to stand in for those waiting
+    /// for the disk.
+    pub(crate) fn with_workers(workers: usize) -> Arc<Runtime> {
+        let slots = workers.max(1);
+        let runtime = Arc::new(Runtime {
+            sched: Mutex::new(Sched {
+                ready: VecDeque::new(),
+                running: 0,
+                sleepers: Vec::new(),
+                stopping: false,
+                retry: Vec::new(),
+                retry_due: None,
+            }),
+            slots,
+            sites: RwLock::new(Vec::new()),
+            workers: Mutex::new(Vec::new()),
+        });
+        let workers = (0..slots + DISK_WAITERS).map(|_| {
+            let runtime = Arc::clone(&runtime);
+            std::thread::spawn(move || Worker::new(runtime).run())
+        });
+        runtime.workers.lock().extend(workers);
+        runtime
+    }
+
+    /// Registers a site: from here on the runtime drains `endpoint`'s
+    /// mailbox into `machine`. The first activation (queued at once)
+    /// runs [`Machine::start`]. `obs` receives the site's queue-wait,
+    /// stall and inbox-depth metrics.
+    pub(crate) fn add(
+        self: &Arc<Self>,
+        endpoint: Endpoint,
+        machine: Box<dyn Machine>,
+        obs: &Registry,
+    ) {
+        if self.sched.lock().stopping {
+            return; // dropping the endpoint closes its mailbox
+        }
+        let site = Arc::new(Site {
+            endpoint,
+            cell: Mutex::new(Cell {
+                machine,
+                outbox: SendQueue::new(),
+                started: false,
+            }),
+            queue_wait: obs.histogram("lh.queue_wait_seconds"),
+            stall: obs.histogram("lh.loop_stall_seconds"),
+            depth: obs.gauge("lh.inbox_depth"),
+        });
+        let key = {
+            let mut sites = self.sites.write();
+            sites.push(Some(Arc::clone(&site)));
+            sites.len() - 1
+        };
+        site.endpoint
+            .attach(Arc::clone(self) as Arc<dyn Scheduler>, key);
+    }
+
+    /// Stops the runtime: closes every mailbox (later sends fail
+    /// `Disconnected`), lets the workers finish what is already queued,
+    /// joins them and drops every site's state — storage engines
+    /// included — before returning. Idempotent.
+    pub(crate) fn shutdown(&self) {
+        for site in self.sites.read().iter().flatten() {
+            site.endpoint.close();
+        }
+        let sleeper = {
+            let mut sched = self.sched.lock();
+            sched.stopping = true;
+            sched.sleepers.pop() // a worker that leaves wakes the next
+        };
+        wake(sleeper);
+        let workers = std::mem::take(&mut *self.workers.lock());
+        for handle in workers {
+            let _ = handle.join();
+        }
+        // Outside the lock: a coordinator's spawner holds this runtime.
+        let sites = std::mem::take(&mut *self.sites.write());
+        drop(sites);
+    }
+
+    fn site(&self, key: usize) -> Option<Arc<Site>> {
+        self.sites.read().get(key).cloned().flatten()
+    }
+
+    /// Blocks a worker without a slot until there is a ready site and a
+    /// free slot, and takes the slot; `false` when the runtime stopped
+    /// and nothing is left to run.
+    fn acquire(&self) -> bool {
+        let me = std::thread::current();
+        let mut sched = self.sched.lock();
+        loop {
+            let retry_due = sched.retry_due.is_some_and(|due| Instant::now() >= due);
+            if sched.running < self.slots && (retry_due || !sched.ready.is_empty()) {
+                sched.running += 1;
+                return true; // `next` queues the sites whose retry is due
+            }
+            if sched.stopping && sched.ready.is_empty() {
+                let next = sched.sleepers.pop();
+                drop(sched);
+                wake(next);
+                return false;
+            }
+            // whoever could take a slot times the retry
+            let due = sched.retry_due.filter(|_| sched.running < self.slots);
+            sched.sleepers.push(me.clone());
+            drop(sched);
+            match due {
+                Some(due) => {
+                    std::thread::park_timeout(due.saturating_duration_since(Instant::now()))
+                }
+                None => std::thread::park(),
+            }
+            sched = self.sched.lock();
+            // still listed if it was the deadline, or a stale token, that
+            // ended the sleep
+            sched.sleepers.retain(|sleeper| sleeper.id() != me.id());
+        }
+    }
+
+    /// Gives a slot up — the worker's round is over, or it is about to
+    /// wait for the disk — to a sleeper, if there is work for one.
+    fn release(&self) {
+        let sleeper = {
+            let mut sched = self.sched.lock();
+            sched.running -= 1;
+            sched.sleeper_for_work(self.slots)
+        };
+        wake(sleeper);
+    }
+
+    /// The next ready site, if any, for a worker that holds a slot;
+    /// never blocks. Parked must-land sends whose retry is due get their
+    /// sites queued first.
+    fn next(&self) -> Option<usize> {
+        let mut sched = self.sched.lock();
+        if sched.retry_due.is_some_and(|due| Instant::now() >= due) {
+            sched.retry_due = None;
+            let keys = std::mem::take(&mut sched.retry);
+            drop(sched);
+            for site in keys.into_iter().filter_map(|key| self.site(key)) {
+                site.endpoint.schedule();
+            }
+            sched = self.sched.lock();
+        }
+        let key = sched.ready.pop_front()?;
+        // if there is work for another worker, pass the wake-up on
+        let sleeper = sched.sleeper_for_work(self.slots);
+        drop(sched);
+        wake(sleeper);
+        Some(key)
+    }
+
+    /// A worker is about to wait for the disk inside a handler: its slot
+    /// goes to a sleeper, so that the buckets behind it, and their
+    /// `fsync`s, need not queue up behind this one.
+    fn disk_wait_begins(&self) {
+        self.release();
+    }
+
+    /// Back from the disk: the worker goes on with its activation at
+    /// once, on a slot of its own if the others are taken — it holds a
+    /// site whose client waits for exactly this — and ends its round
+    /// after that activation, which gives the slot back.
+    fn disk_wait_ends(&self) {
+        self.sched.lock().running += 1;
+    }
+
+    /// Asks for an activation of `key` within [`IDLE_TICK`] even if no
+    /// message arrives for it: it has parked must-land sends to retry.
+    fn retry_later(&self, key: usize, now: Instant) {
+        let mut sched = self.sched.lock();
+        if !sched.retry.contains(&key) {
+            sched.retry.push(key);
+        }
+        if sched.retry_due.is_none() {
+            sched.retry_due = Some(now + IDLE_TICK);
+            // a sleeper without a deadline must pick this one up
+            let sleeper = sched.sleepers.pop();
+            drop(sched);
+            wake(sleeper);
+        }
+    }
+
+    fn retire(&self, key: usize) {
+        if let Some(slot) = self.sites.write().get_mut(key) {
+            *slot = None;
+        }
+    }
+}
+
+/// One worker thread's state.
+struct Worker {
+    runtime: Arc<Runtime>,
+    /// Everything this worker's sites sent in the current round. Shared
+    /// with the thread's disk-wait hook, which runs inside a handler,
+    /// when the worker itself is not sending.
+    scatter: Rc<RefCell<Scatter>>,
+    /// Set by the disk-wait hook: the activation in progress waited for
+    /// the disk, and the round ends with it.
+    waited: Rc<std::cell::Cell<bool>>,
+    batch: Vec<Envelope>,
+    /// Envelopes dispatched in the current round.
+    dispatched: usize,
+    /// The activation in progress or just finished: its start, and the
+    /// site whose stall histogram takes its duration at the next clock
+    /// reading (one reading per activation serves both).
+    last: Option<(Instant, Arc<Site>)>,
+    health: LoopHealth,
+    batch_size: Histogram,
+}
+
+impl Worker {
+    fn new(runtime: Arc<Runtime>) -> Worker {
+        Worker {
+            runtime,
+            scatter: Rc::new(RefCell::new(Scatter::new())),
+            waited: Rc::default(),
+            batch: Vec::with_capacity(DRAIN_BUDGET),
+            dispatched: 0,
+            last: None,
+            health: LoopHealth::register(),
+            batch_size: sdds_obs::histogram("lh.drain_batch_size"),
+        }
+    }
+
+    fn run(mut self) {
+        // A handler about to wait for the disk first delivers the
+        // wake-ups the round owes so far — nobody should sleep through
+        // somebody else's fsync — and lends its slot out meanwhile.
+        let (runtime, scatter) = (Arc::clone(&self.runtime), Rc::clone(&self.scatter));
+        let waited = Rc::clone(&self.waited);
+        sdds_storage::set_disk_wait_hook(Box::new(move |begins| {
+            if begins {
+                scatter.borrow_mut().wake();
+                runtime.disk_wait_begins();
+            } else {
+                runtime.disk_wait_ends();
+                waited.set(true);
+            }
+        }));
+        while self.runtime.acquire() {
+            while let Some(key) = self.runtime.next() {
+                self.activate(key);
+                if self.waited.take() {
+                    break; // the ack the disk was waited for goes out now
+                }
+            }
+            self.end_round();
+            self.runtime.release();
+        }
+    }
+
+    /// Closes the previous activation's stall sample at clock reading
+    /// `now`.
+    fn lap(&mut self, now: Instant) {
+        if let Some((since, site)) = self.last.take() {
+            site.stall
+                .observe_duration(now.saturating_duration_since(since));
+        }
+    }
+
+    /// The round is over: wake whoever this round's sends owe.
+    fn end_round(&mut self) {
+        if self.last.is_some() {
+            self.lap(Instant::now());
+        }
+        self.health.idle();
+        self.scatter.borrow_mut().wake();
+        if self.dispatched > 0 {
+            self.batch_size.observe(self.dispatched as f64);
+            self.dispatched = 0;
+        }
+    }
+
+    /// One activation of site `key`: up to [`DRAIN_BUDGET`] envelopes,
+    /// run to completion.
+    fn activate(&mut self, key: usize) {
+        let Some(site) = self.runtime.site(key) else {
+            return; // retired while queued
+        };
+        let mut cell = site.cell.lock();
+        self.batch.clear();
+        let drained = site.endpoint.drain(DRAIN_BUDGET, &mut self.batch);
+        let now = Instant::now();
+        self.lap(now);
+        self.health.busy(now);
+        self.scatter.borrow_mut().stamp(now);
+        if let Some(oldest) = drained.oldest {
+            site.queue_wait
+                .observe_duration(now.saturating_duration_since(oldest));
+        }
+        site.depth.set(drained.left as i64);
+
+        let Cell {
+            machine,
+            outbox,
+            started,
+        } = &mut *cell;
+        let endpoint = &site.endpoint;
+        if !*started {
+            *started = true;
+            for (to, out) in machine.start() {
+                let payload = out.encode();
+                let scatter = &mut self.scatter.borrow_mut();
+                outbox.send(scatter, endpoint, to, &out, payload, None);
+            }
+        }
+        let mut retired = false;
+        for env in self.batch.drain(..) {
+            self.dispatched += 1;
+            let Some(msg) = Wire::decode(&env.payload) else {
+                continue;
+            };
+            if matches!(msg, Wire::Shutdown) {
+                retired = true;
+                break;
+            }
+            let span = machine.span(endpoint.id(), &msg, env.ctx);
+            let out_ctx = span.context();
+            for (to, out) in machine.handle(env.from, msg) {
+                // A send can fail if the peer already shut down (fine
+                // during teardown) or be rejected by a full inbox — the
+                // outbox parks control-plane messages for retry.
+                let payload = out.encode();
+                let scatter = &mut self.scatter.borrow_mut();
+                outbox.send(scatter, endpoint, to, &out, payload, out_ctx);
+            }
+        }
+        outbox.flush(&mut self.scatter.borrow_mut(), endpoint);
+        let parked = outbox.has_parked();
+        drop(cell);
+
+        if retired {
+            // Dropping the last reference drops the machine and closes
+            // the mailbox: later sends fail `Disconnected`.
+            self.runtime.retire(key);
+            return;
+        }
+        if parked {
+            self.runtime.retry_later(key, now);
+        }
+        if site.endpoint.release() {
+            self.runtime.schedule(key); // more arrived: to the tail
+        }
+        self.last = Some((now, site));
+        if self.dispatched >= ROUND_BUDGET {
+            self.end_round();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use sdds_net::{NetConfig, NetError, Network};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// What a test site does with each message.
+    struct Probe<F: FnMut(SiteId, Wire) -> Vec<(SiteId, Wire)> + Send>(F);
+
+    impl<F: FnMut(SiteId, Wire) -> Vec<(SiteId, Wire)> + Send> Machine for Probe<F> {
+        fn span(&self, _: SiteId, _: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
+            sdds_obs::trace::remote_span("bucket.msg", ctx)
+        }
+        fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+            (self.0)(from, msg)
+        }
+    }
+
+    fn add<F>(runtime: &Arc<Runtime>, endpoint: Endpoint, f: F)
+    where
+        F: FnMut(SiteId, Wire) -> Vec<(SiteId, Wire)> + Send + 'static,
+    {
+        runtime.add(endpoint, Box::new(Probe(f)), &Registry::new("runtime-test"));
+    }
+
+    /// A numbered message: `TransferAck` is the smallest variant with a
+    /// payload.
+    fn numbered(n: u64) -> Bytes {
+        Wire::TransferAck { addr: n }.encode()
+    }
+
+    fn number(msg: &Wire) -> u64 {
+        match msg {
+            Wire::TransferAck { addr } => *addr,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// 4 workers, 64 sites, 8 sender threads: no site is ever inside two
+    /// activations at once, and each site sees each sender's messages in
+    /// the order they were sent.
+    #[test]
+    fn sites_are_exclusive_and_per_sender_fifo_under_concurrency() {
+        const SITES: usize = 64;
+        const SENDERS: usize = 8;
+        const PER_PAIR: u64 = if cfg!(miri) { 4 } else { 200 };
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(4);
+        let handled = Arc::new(AtomicUsize::new(0));
+        let violations = Arc::new(AtomicUsize::new(0));
+        let mut site_ids = Vec::new();
+        for _ in 0..SITES {
+            let endpoint = net.register();
+            site_ids.push(endpoint.id());
+            let inside = AtomicBool::new(false);
+            let mut next_from = std::collections::HashMap::new();
+            let (handled, violations) = (Arc::clone(&handled), Arc::clone(&violations));
+            add(&runtime, endpoint, move |from, msg| {
+                // ordering: SeqCst — the flag is the exclusion under test
+                if inside.swap(true, Ordering::SeqCst) {
+                    violations.fetch_add(1, Ordering::SeqCst);
+                }
+                let expected = next_from.entry(from).or_insert(0u64);
+                if number(&msg) != *expected {
+                    violations.fetch_add(1, Ordering::SeqCst);
+                }
+                *expected += 1;
+                std::thread::yield_now(); // widen the window
+                inside.store(false, Ordering::SeqCst);
+                handled.fetch_add(1, Ordering::SeqCst);
+                Vec::new()
+            });
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..SENDERS {
+                let sender = net.register();
+                let site_ids = &site_ids;
+                scope.spawn(move || {
+                    for n in 0..PER_PAIR {
+                        let mut scatter = Scatter::new();
+                        for &to in site_ids {
+                            sender
+                                .send_with(&mut scatter, to, numbered(n), None)
+                                .unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let total = SITES * SENDERS * PER_PAIR as usize;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while handled.load(Ordering::SeqCst) < total && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        runtime.shutdown();
+        assert_eq!(handled.load(Ordering::SeqCst), total);
+        assert_eq!(violations.load(Ordering::SeqCst), 0);
+    }
+
+    /// A site with 10 000 queued envelopes yields after `DRAIN_BUDGET`:
+    /// a message to another site, sent after all of them, is handled
+    /// when the busy site has got through one activation, not all 157.
+    #[test]
+    fn a_flooded_site_yields_after_one_drain_budget() {
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(1);
+        let flooded_handled = Arc::new(AtomicUsize::new(0));
+        let seen_at_other = Arc::new(AtomicUsize::new(usize::MAX));
+        // Hold the one worker inside a third site while the queues fill,
+        // so the order of activations below is fixed.
+        let gate = net.register();
+        let gate_id = gate.id();
+        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        add(&runtime, gate, move |_, _| {
+            enter_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            Vec::new()
+        });
+        let flooded = net.register();
+        let flooded_id = flooded.id();
+        let counter = Arc::clone(&flooded_handled);
+        add(&runtime, flooded, move |_, _| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Vec::new()
+        });
+        let other = net.register();
+        let other_id = other.id();
+        let (counter, seen) = (Arc::clone(&flooded_handled), Arc::clone(&seen_at_other));
+        add(&runtime, other, move |_, _| {
+            seen.store(counter.load(Ordering::SeqCst), Ordering::SeqCst);
+            Vec::new()
+        });
+        let sender = net.register();
+        sender.send(gate_id, numbered(0)).unwrap();
+        enter_rx.recv().unwrap();
+        const FLOOD: usize = if cfg!(miri) { 5 * DRAIN_BUDGET } else { 10_000 };
+        for n in 0..FLOOD {
+            sender.send(flooded_id, numbered(n as u64)).unwrap();
+        }
+        sender.send(other_id, numbered(0)).unwrap();
+        go_tx.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while flooded_handled.load(Ordering::SeqCst) < FLOOD && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        runtime.shutdown();
+        assert_eq!(flooded_handled.load(Ordering::SeqCst), FLOOD);
+        assert_eq!(seen_at_other.load(Ordering::SeqCst), DRAIN_BUDGET);
+    }
+
+    /// One worker, a site whose handler waits for an `fsync`, and a
+    /// flooded neighbour queued behind it, which takes the slot over
+    /// meanwhile: back from the disk the site goes on at once and its
+    /// reply leaves with that activation, not when the flood has drained.
+    #[test]
+    #[cfg_attr(miri, ignore)] // a real file and a real fsync
+    fn a_site_back_from_the_disk_does_not_wait_for_a_flooded_neighbour() {
+        use sdds_storage::{DiskEngine, DiskOptions, FsyncPolicy, StorageEngine};
+        const FLOOD: usize = 2_000;
+        let dir = std::env::temp_dir().join(format!("sdds-lh-diskwait-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DiskOptions {
+            fsync: FsyncPolicy::Always,
+            ..DiskOptions::default()
+        };
+        let mut engine = DiskEngine::open(&dir, options).unwrap();
+
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(1);
+        let client = net.register();
+        // Hold the one slot inside a third site while the queues fill.
+        let gate = net.register();
+        let gate_id = gate.id();
+        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        add(&runtime, gate, move |_, _| {
+            enter_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            Vec::new()
+        });
+        let durable = net.register();
+        let durable_id = durable.id();
+        add(&runtime, durable, move |from, msg| {
+            engine.put(number(&msg), b"synced").unwrap();
+            vec![(from, msg)]
+        });
+        let flooded = net.register();
+        let flooded_id = flooded.id();
+        let flooded_handled = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&flooded_handled);
+        add(&runtime, flooded, move |_, _| {
+            std::thread::sleep(Duration::from_micros(100));
+            counter.fetch_add(1, Ordering::SeqCst);
+            Vec::new()
+        });
+        client.send(gate_id, numbered(0)).unwrap();
+        enter_rx.recv().unwrap();
+        client.send(durable_id, numbered(1)).unwrap();
+        for n in 0..FLOOD {
+            client.send(flooded_id, numbered(n as u64)).unwrap();
+        }
+        go_tx.send(()).unwrap();
+        let reply = client.recv_timeout(Duration::from_secs(60)).unwrap();
+        let handled_by_then = flooded_handled.load(Ordering::SeqCst);
+        assert_eq!(reply.from, durable_id);
+        assert!(
+            handled_by_then < FLOOD,
+            "the reply waited for the whole flood"
+        );
+        runtime.shutdown();
+        assert_eq!(flooded_handled.load(Ordering::SeqCst), FLOOD);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A must-land send rejected by a full inbox is parked and retried
+    /// within `IDLE_TICK` although nothing else ever arrives.
+    #[test]
+    fn a_parked_must_land_send_is_retried_without_new_traffic() {
+        let net = Network::new(NetConfig {
+            inbox_capacity: Some(1),
+            ..NetConfig::default()
+        });
+        let runtime = Runtime::with_workers(1);
+        let sink = net.register();
+        let sink_id = sink.id();
+        let site = net.register();
+        let site_id = site.id();
+        add(&runtime, site, move |_, msg| vec![(sink_id, msg)]);
+        let sender = net.register();
+        // fill the sink, then make the site send it a must-land message
+        sender.send(sink_id, Bytes::from_static(b"filler")).unwrap();
+        sender.send(site_id, numbered(7)).unwrap();
+        while net.stats().rejected() == 0 {
+            std::thread::yield_now(); // until the site's send has bounced
+        }
+        assert_eq!(sink.inbox_depth(), 1, "rejected, not queued");
+        assert_eq!(&sink.recv().unwrap().payload[..], b"filler");
+        // room now; only the idle tick can deliver the parked message
+        let env = sink
+            .recv_timeout(Duration::from_secs(10))
+            .expect("parked send retried");
+        assert_eq!(number(&Wire::decode(&env.payload).unwrap()), 7);
+        runtime.shutdown();
+    }
+
+    /// `Wire::Shutdown` retires one site: its state is dropped and later
+    /// sends to it fail; its neighbours keep running until `shutdown`,
+    /// which drops theirs.
+    #[test]
+    fn shutdown_message_retires_one_site_and_shutdown_drops_the_rest() {
+        struct Flag(Arc<AtomicBool>);
+        impl Drop for Flag {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(2);
+        let client = net.register();
+        let mut ids = Vec::new();
+        let mut dropped = Vec::new();
+        for _ in 0..2 {
+            let endpoint = net.register();
+            ids.push(endpoint.id());
+            let flag = Arc::new(AtomicBool::new(false));
+            dropped.push(Arc::clone(&flag));
+            let flag = Flag(flag);
+            let reply_to = client.id();
+            add(&runtime, endpoint, move |_, msg| {
+                let _keep = &flag;
+                vec![(reply_to, msg)]
+            });
+        }
+        client.send(ids[0], Wire::Shutdown.encode()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client.send(ids[0], numbered(1)) != Err(NetError::Disconnected(ids[0])) {
+            assert!(Instant::now() < deadline, "site 0 never retired");
+            std::thread::yield_now();
+        }
+        assert!(dropped[0].load(Ordering::SeqCst), "retired state dropped");
+        assert!(!dropped[1].load(Ordering::SeqCst));
+        client.send(ids[1], numbered(2)).unwrap();
+        let env = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(env.from, ids[1]);
+        runtime.shutdown();
+        assert!(
+            dropped[1].load(Ordering::SeqCst),
+            "shutdown drops every site"
+        );
+        assert_eq!(
+            client.send(ids[1], numbered(3)),
+            Err(NetError::Disconnected(ids[1]))
+        );
+    }
+}

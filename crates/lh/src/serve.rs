@@ -22,11 +22,11 @@
 
 use crate::client::{LhClient, LhError};
 use crate::cluster::{send_control, ClusterConfig, Directory, ObsOptions, SiteBuilder};
-use crate::coordinator::{run_coordinator, BucketRetirer, BucketSpawner};
+use crate::coordinator::BucketSpawner;
 use crate::health;
-use crate::messages::{encode_pooled, Wire};
+use crate::messages::encode_pooled;
+use crate::runtime::Runtime;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use sdds_net::codec::{put_bool, put_option, put_seq, put_str, put_u32, put_u64, Reader};
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use std::collections::VecDeque;
@@ -185,7 +185,7 @@ pub struct ServeHandle {
 
 impl ServeHandle {
     /// Blocks until the host receives [`HostMsg::Shutdown`] (or its
-    /// network dies) and every local site thread has been joined.
+    /// network dies) and the rank's site runtime has shut down.
     pub fn wait(self) {
         let _ = self.host.join();
     }
@@ -195,19 +195,18 @@ impl ServeHandle {
 struct SiteHost {
     network: Network,
     builder: SiteBuilder,
-    /// Locally hosted sites that accept [`Wire::Shutdown`].
-    local_sites: Arc<Mutex<Vec<SiteId>>>,
+    /// Runs every site this rank hosts.
+    runtime: Arc<Runtime>,
 }
 
 impl SiteHost {
-    /// Registers bucket `addr` under its static id and starts its site
-    /// thread. Returns `false` when the id is already taken in this
-    /// process (a duplicate `Spawn` — first one wins).
+    /// Registers bucket `addr` under its static id and hands it to the
+    /// rank's runtime. Returns `false` when the id is already taken in
+    /// this process (a duplicate `Spawn` — first one wins).
     fn spawn_bucket(&self, addr: u64, level: u8) -> bool {
         let Some(ep) = self.network.register_with_id(SiteRegistry::bucket_id(addr)) else {
             return false;
         };
-        self.local_sites.lock().push(ep.id());
         self.builder.launch(addr, level, ep, false);
         true
     }
@@ -238,51 +237,30 @@ pub fn serve(
     let network = Network::tcp_serve(registry.clone(), rank, config.net.clone())
         .map_err(|e| LhError::Rejected(format!("rank {rank}: bind failed: {e}")))?;
     let directory = Arc::new(Directory::new_static());
-    let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    // SiteBuilder's own shutdown list is unused here (we track local
-    // sites ourselves: the builder only records ids it registered, and
-    // on TCP the host registers endpoints before handing them over).
-    let builder_shutdown: Arc<Mutex<Vec<SiteId>>> = Arc::new(Mutex::new(Vec::new()));
-    let builder = SiteBuilder::new(
-        &network,
-        &directory,
-        &config,
-        SiteId(COORD_ID),
-        &handles,
-        &builder_shutdown,
-    );
+    let runtime = Runtime::start();
+    let builder = SiteBuilder::new(&network, &directory, &config, SiteId(COORD_ID), &runtime);
     let host = Arc::new(SiteHost {
         network: network.clone(),
         builder,
-        local_sites: Arc::new(Mutex::new(Vec::new())),
+        runtime,
     });
 
     if rank == 0 {
         let coordinator_ep = network
             .register_with_id(SiteId(COORD_ID))
             .ok_or_else(|| LhError::Rejected("coordinator id already registered".into()))?;
-        host.local_sites.lock().push(coordinator_ep.id());
         // The primordial bucket lives wherever address 0 hashes — which
         // is always rank 0 (`0 % n == 0`).
         host.spawn_bucket(0, 0);
-
-        let spawner = make_tcp_spawner(registry.clone(), host.clone(), directory.clone());
-        let dir = directory.clone();
-        let retirer: BucketRetirer = Box::new(move |addr| dir.clear_bucket(addr));
-        let dir = directory.clone();
-        let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        handles.lock().push(std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, spawner, retirer, lookup)
-        }));
+        let spawner = make_tcp_spawner(registry.clone(), host.clone(), directory);
+        host.builder.launch_coordinator(coordinator_ep, spawner);
     }
 
     let host_ep = network
         .register_with_id(SiteRegistry::host_id(rank))
         .ok_or_else(|| LhError::Rejected("host id already registered".into()))?;
-    let loop_host = host.clone();
-    let loop_handles = handles.clone();
     let obs = config.obs.clone();
-    let h = std::thread::spawn(move || host_loop(host_ep, loop_host, loop_handles, rank, obs));
+    let h = std::thread::spawn(move || host_loop(host_ep, host, rank, obs));
     Ok(ServeHandle { host: h })
 }
 
@@ -334,8 +312,8 @@ impl ObsTicker {
         }
     }
 
-    /// Publishes the oldest in-flight dispatch age (milliseconds) so a
-    /// scrape sees a wedged loop as a growing gauge.
+    /// Publishes the oldest running activation's age (milliseconds) so a
+    /// scrape sees a wedged worker as a growing gauge.
     fn refresh_watchdog(&self) {
         self.age_gauge
             .set(health::max_busy_age().as_millis() as i64);
@@ -368,13 +346,7 @@ fn spans_jsonl() -> String {
 /// this rank, severs connections on request, answers observability
 /// scrapes, runs the periodic obs tick, and tears the process's sites
 /// down on shutdown.
-fn host_loop(
-    ep: Endpoint,
-    host: Arc<SiteHost>,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    rank: usize,
-    obs: ObsOptions,
-) {
+fn host_loop(ep: Endpoint, host: Arc<SiteHost>, rank: usize, obs: ObsOptions) {
     let mut ticker = ObsTicker::new(obs);
     let tick = ticker.opts.tick.max(Duration::from_millis(1));
     let mut next_tick = Instant::now() + tick;
@@ -435,13 +407,7 @@ fn host_loop(
             None => {}
         }
     }
-    for site in host.local_sites.lock().drain(..) {
-        let _ = send_control(&ep, site, Wire::Shutdown.encode());
-    }
-    let joins: Vec<JoinHandle<()>> = handles.lock().drain(..).collect();
-    for h in joins {
-        let _ = h.join();
-    }
+    host.runtime.shutdown();
 }
 
 /// The coordinator's bucket spawner over TCP: local addresses

@@ -1,4 +1,4 @@
-//! End-to-end LH\* cluster tests: real site threads, real messages.
+//! End-to-end LH\* cluster tests: real sites, real messages.
 
 use sdds_lh::{ClusterConfig, LhCluster, ParityConfig, SubstringFilter};
 use std::sync::Arc;
@@ -480,4 +480,37 @@ fn recovery_without_parity_is_rejected() {
     let err = cluster.recover_bucket(0).unwrap_err();
     assert!(matches!(err, sdds_lh::LhError::Rejected(_)));
     cluster.shutdown();
+}
+
+/// `shutdown` returns only once every bucket's state — its storage engine
+/// included — has been dropped, so the same directory can be reopened at
+/// once and holds every acknowledged record, wherever the last splits
+/// left it.
+#[test]
+fn shutdown_then_open_at_once_finds_every_acked_record() {
+    let dir = std::env::temp_dir().join(format!("sdds-lh-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ClusterConfig {
+        storage: sdds_lh::StorageConfig::disk(&dir),
+        ..small_bucket_config(8)
+    };
+    let value = |key: u64| format!("value-{key}").into_bytes();
+    let cluster = LhCluster::start(config.clone());
+    let client = cluster.client();
+    for key in 0..400u64 {
+        client.insert(key, value(key)).unwrap();
+    }
+    // no waiting for the splits to settle: shutting down in the middle
+    // of one is the case that matters
+    drop(client);
+    cluster.shutdown();
+
+    let cluster = LhCluster::open(config).expect("reopen");
+    assert!(cluster.num_buckets() > 1, "the file must have split");
+    let client = cluster.client();
+    for key in 0..400u64 {
+        assert_eq!(client.lookup(key).unwrap(), Some(value(key)), "key {key}");
+    }
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

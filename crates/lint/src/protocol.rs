@@ -4,8 +4,9 @@
 //! The paper's availability and ≤2-hop guarantees assume the LH* message
 //! protocol is *total*: every message that can be sent has a handler,
 //! every request produces a reply on every control-flow path, and
-//! control-plane traffic can never be starved by admission control. PR 7
-//! enforces the last invariant dynamically (`SendQueue`); this module
+//! control-plane traffic can never be starved by admission control. The
+//! site runtime enforces the last invariant dynamically (`SendQueue`); this
+//! module
 //! enforces all three at the source level, plus doc/code agreement for
 //! the observability catalog:
 //!
@@ -15,8 +16,8 @@
 //! |                     | handler; no dead handler arms                   |
 //! | `reply-obligation`  | request handlers emit the paired response (or   |
 //! |                     | forward the request) on every branch            |
-//! | `must-land`         | event loops never bypass `SendQueue` for        |
-//! |                     | control-plane sends                             |
+//! | `must-land`         | sites and the runtime's dispatch loop never     |
+//! |                     | bypass `SendQueue` for control-plane sends      |
 //! | `obs-drift`         | metric/span name literals ↔ `docs/OBSERVABILITY.md` |
 //!
 //! Classification is purely lexical over the shadow text plus the
@@ -25,7 +26,7 @@
 //! guard), by `|` alternation, or by a single `=` (refutable `let`);
 //! every other occurrence is a *construction* (a send), and so is a call
 //! of a borrowed encoder (`Wire::encode_scan_req(..)` sends a `ScanReq`).
-//! Patterns in the five protocol actor files count as handles;
+//! Patterns in the six protocol actor files count as handles;
 //! constructions anywhere in `crates/lh/src` (except the codec) count as
 //! sends.
 
@@ -46,21 +47,34 @@ pub const PROTOCOL_RULES: [&str; 4] = [
 const CODEC_FILE: &str = "crates/lh/src/messages.rs";
 
 /// Files whose `Wire` patterns count as protocol handlers: the three site
-/// event loops plus the client/cluster sides that consume replies.
-const HANDLER_FILES: [&str; 5] = [
+/// state machines and the runtime that dispatches to them (it retires a
+/// site on `Shutdown`), plus the client/cluster sides that consume
+/// replies.
+const HANDLER_FILES: [&str; 6] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/client.rs",
     "crates/lh/src/cluster.rs",
     "crates/lh/src/coordinator.rs",
     "crates/lh/src/parity.rs",
+    DISPATCH_FILE,
 ];
 
-/// The site event loops: reply-obligation and must-land apply here.
-const LOOP_FILES: [&str; 3] = [
+/// The site state machines and the loop that runs them:
+/// reply-obligation and must-land apply here.
+const LOOP_FILES: [&str; 4] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/coordinator.rs",
     "crates/lh/src/parity.rs",
+    DISPATCH_FILE,
 ];
+
+/// The one dispatch loop. What it sends is whatever a handler returned,
+/// which names no variant at the send site, so must-land holds it to more
+/// than the variant-based check: every send goes through the `outbox`.
+const DISPATCH_FILE: &str = "crates/lh/src/runtime.rs";
+
+/// The ways to put a payload on the fabric directly.
+const DIRECT_SENDS: [&str; 3] = [".send(", ".send_traced(", ".send_with("];
 
 /// Request-shaped variants and the response each handler must emit.
 /// Mirrors the reply classes `drain.rs::must_land` sheds under overload.
@@ -96,6 +110,13 @@ const OBS_NAMESPACES: [&str; 12] = [
 /// File-ish suffixes that disqualify a dotted literal from being an
 /// observability name (`leak.json`, `bucket.rs`, …).
 const NON_NAME_SUFFIXES: [&str; 5] = [".json", ".jsonl", ".md", ".rs", ".toml"];
+
+/// The identifier a direct send ([`DIRECT_SENDS`]) in `code` is called
+/// on, if there is such a send.
+fn direct_send_receiver(code: &str) -> Option<&str> {
+    let send_at = DIRECT_SENDS.iter().filter_map(|s| code.find(s)).min()?;
+    Some(idents(&code[..send_at]).last().copied().unwrap_or(""))
+}
 
 /// The variant a borrowed encoder of the codec sends:
 /// `Wire::encode_scan_req(..)` writes a `ScanReq` from borrowed fields
@@ -278,6 +299,9 @@ impl ProtocolAnalysis {
             self.check_reply_obligation(&view, &occs);
             self.check_must_land(&view, &occs);
         }
+        if path == DISPATCH_FILE {
+            self.check_dispatch_sends(&view);
+        }
         self.occurrences.extend(occs);
     }
 
@@ -452,20 +476,20 @@ impl ProtocolAnalysis {
         }
     }
 
-    /// must-land: inside an event-loop file, a control-plane construction
-    /// whose statement also performs a direct `.send(..)`/`.send_traced(..)`
-    /// on anything but the `outbox` (the `SendQueue`) is a starvation bug:
-    /// admission control may reject it and nothing will retry.
+    /// must-land: inside a site or dispatch-loop file, a control-plane
+    /// construction whose statement also performs a direct send
+    /// ([`DIRECT_SENDS`]) on anything but the `outbox` (the `SendQueue`)
+    /// is a starvation bug: admission control may reject it and nothing
+    /// will retry.
     fn check_must_land(&mut self, view: &FileView, occs: &[Occurrence]) {
         for occ in occs {
             if occ.kind != Kind::Send || !MUST_LAND_VARIANTS.contains(&occ.variant.as_str()) {
                 continue;
             }
             let stmt = view.statement_text(occ.pos);
-            let Some(send_at) = stmt.find(".send(").or_else(|| stmt.find(".send_traced(")) else {
+            let Some(receiver) = direct_send_receiver(&stmt) else {
                 continue;
             };
-            let receiver = idents(&stmt[..send_at]).last().copied().unwrap_or("");
             if receiver != "outbox" {
                 self.push_flow(
                     view,
@@ -476,6 +500,32 @@ impl ProtocolAnalysis {
                          SendQueue: admission control can reject it and the protocol stalls \
                          (route it through `outbox.send`)",
                         occ.variant, receiver
+                    ),
+                );
+            }
+        }
+    }
+
+    /// must-land in the dispatch loop: any direct send outside the tests
+    /// that is not the `outbox`'s. A handler's output may be control-plane
+    /// whatever the send site calls it.
+    fn check_dispatch_sends(&mut self, view: &FileView) {
+        for line in 0..view.s.code.len() {
+            if view.s.is_test[line] {
+                continue;
+            }
+            let Some(receiver) = direct_send_receiver(&view.s.code[line]) else {
+                continue;
+            };
+            if receiver != "outbox" {
+                self.push_flow(
+                    view,
+                    line,
+                    "must-land",
+                    format!(
+                        "the dispatch loop sends via `{receiver}` directly, bypassing the \
+                         SendQueue: a handler's control-plane output rejected by admission \
+                         control would never be retried (route it through `outbox.send`)"
                     ),
                 );
             }

@@ -296,6 +296,41 @@ fn must_land_clean_fixture_passes() {
 }
 
 #[test]
+fn must_land_fires_on_a_direct_send_in_the_dispatch_loop() {
+    let r = lint_files(
+        &[(
+            "crates/lh/src/runtime.rs",
+            &fixture("must-land", "dispatch_bad.rs"),
+        )],
+        None,
+    );
+    assert_eq!(count_rule(&r, "must-land"), 1, "{:?}", r.violations);
+    let d = r.violations.iter().find(|d| d.rule == "must-land").unwrap();
+    assert!(d.message.contains("endpoint"), "names the receiver: {d:?}");
+    // the same text anywhere else sends no handler output
+    let elsewhere = lint_files(
+        &[(
+            "crates/lh/src/cluster.rs",
+            &fixture("must-land", "dispatch_bad.rs"),
+        )],
+        None,
+    );
+    assert_eq!(count_rule(&elsewhere, "must-land"), 0);
+}
+
+#[test]
+fn must_land_dispatch_loop_clean_fixture_passes() {
+    let r = lint_files(
+        &[(
+            "crates/lh/src/runtime.rs",
+            &fixture("must-land", "dispatch_clean.rs"),
+        )],
+        None,
+    );
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+}
+
+#[test]
 fn obs_drift_fires_on_bad_fixture_in_both_directions() {
     let doc = fixture("obs-drift", "OBSERVABILITY.md");
     let r = lint_files(

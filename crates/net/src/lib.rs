@@ -6,15 +6,23 @@
 //! structures — LH\* files and the encrypted index — live across sites.
 //! This crate gives those sites an execution substrate that is:
 //!
-//! * **real enough** — every site runs its own thread and communicates
-//!   only through messages, so the LH\* forwarding logic, the parallel
+//! * **real enough** — every site owns a mailbox and communicates only
+//!   through messages, so the LH\* forwarding logic, the parallel
 //!   scatter/gather of searches, and the dispersion-site AND-combination
-//!   are exercised as genuinely concurrent distributed protocols;
+//!   are exercised as genuinely concurrent distributed protocols. Who
+//!   drains a mailbox is the owner's business: a thread blocking in
+//!   [`Endpoint::recv`] (clients), or a [`Scheduler`] that runs many
+//!   sites on a few workers (`sdds-lh`'s site runtime);
 //! * **measurable** — [`NetStats`] counts messages and bytes per site and
 //!   in total, and a configurable [`LatencyModel`] converts traffic into
 //!   simulated network time without wall-clock sleeps;
-//! * **deterministic under test** — channels are FIFO per sender/receiver
+//! * **deterministic under test** — mailboxes are FIFO per sender/receiver
 //!   pair and no time-dependent behaviour exists unless callers add it.
+//!
+//! A send enqueues and wakes the destination's owner if it sleeps; a
+//! [`Scatter`] enqueues to many destinations and wakes each owner once at
+//! the end, which on one processor is the difference between two context
+//! switches per message and two per fan-out.
 //!
 //! Two transports sit behind the same [`Network`]/[`Endpoint`] surface:
 //! the in-process channel fabric above, and a real TCP transport
@@ -43,6 +51,7 @@
 pub mod codec;
 pub mod frame;
 mod latency;
+mod mailbox;
 mod network;
 mod pool;
 mod registry;
@@ -50,7 +59,8 @@ mod stats;
 mod tcp;
 
 pub use latency::LatencyModel;
-pub use network::{Endpoint, Envelope, NetConfig, NetError, Network, SiteId};
+pub use mailbox::{Drained, Scheduler};
+pub use network::{Endpoint, Envelope, NetConfig, NetError, Network, Scatter, SiteId};
 pub use pool::PooledBuf;
 pub use registry::{SiteRegistry, COORD_ID, DYN_BASE, HOST_BASE};
 pub use stats::NetStats;

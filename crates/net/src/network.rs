@@ -1,15 +1,15 @@
 //! Site registry, endpoints and message delivery.
 
 use crate::latency::LatencyModel;
+use crate::mailbox::{Drained, Mailbox, RecvError, Refused, Scheduler, Wait, Wake};
 use crate::stats::NetStats;
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::RwLock;
 use sdds_obs::trace::{self, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Address of a site in the multicomputer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -87,14 +87,75 @@ pub struct NetConfig {
     pub inbox_capacity: Option<usize>,
 }
 
-/// Transport backing a [`Network`]: in-process crossbeam channels (the
-/// historical simulated multicomputer) or real TCP connections between
-/// OS processes (see [`crate::tcp`]).
+/// Transport backing a [`Network`]: in-process mailboxes (the historical
+/// simulated multicomputer) or real TCP connections between OS processes
+/// (see [`crate::tcp`]).
 enum Mode {
     Channel {
-        mailboxes: RwLock<Vec<Sender<Envelope>>>,
+        mailboxes: RwLock<Vec<Arc<Mailbox>>>,
     },
     Tcp(crate::tcp::TcpFabric),
+}
+
+/// Handles of the counters the message path bumps, resolved once: a
+/// lookup by name is a global lock and a map probe per message.
+pub(crate) struct NetCounters {
+    pub(crate) messages: sdds_obs::Counter,
+    pub(crate) bytes: sdds_obs::Counter,
+    pub(crate) rejected: sdds_obs::Counter,
+    pub(crate) send_failures: sdds_obs::Counter,
+}
+
+impl NetCounters {
+    pub(crate) fn new() -> NetCounters {
+        NetCounters {
+            messages: sdds_obs::counter("net.messages"),
+            bytes: sdds_obs::counter("net.bytes"),
+            rejected: sdds_obs::counter("net.rejected"),
+            send_failures: sdds_obs::counter("net.send_failures"),
+        }
+    }
+
+    /// A full inbox is admission control: the send is refused *at the
+    /// sender* — unlike a fault-injected drop, the caller learns and can
+    /// back off and retry — and stays attributable inside the trace it
+    /// belonged to (`net.reject`, detail = payload length; no orphan
+    /// roots).
+    pub(crate) fn overloaded(
+        &self,
+        stats: &NetStats,
+        to: SiteId,
+        len: usize,
+        ctx: Option<TraceContext>,
+    ) -> NetError {
+        stats.record_rejected();
+        self.rejected.inc();
+        if let Some(ctx) = ctx {
+            trace::event("net.reject", ctx, to.0 as i64, len as u64);
+        }
+        NetError::Overloaded(to)
+    }
+
+    pub(crate) fn disconnected(&self, to: SiteId) -> NetError {
+        self.send_failures.inc();
+        NetError::Disconnected(to)
+    }
+
+    /// Accounts for an envelope a mailbox refused and names the error
+    /// its sender sees.
+    pub(crate) fn refused(
+        &self,
+        stats: &NetStats,
+        refused: Refused,
+        to: SiteId,
+        len: usize,
+        ctx: Option<TraceContext>,
+    ) -> NetError {
+        match refused {
+            Refused::Full(_) => self.overloaded(stats, to, len, ctx),
+            Refused::Closed => self.disconnected(to),
+        }
+    }
 }
 
 struct Inner {
@@ -104,6 +165,9 @@ struct Inner {
     drop_probability: f64,
     inbox_capacity: Option<usize>,
     fault_rng: std::sync::atomic::AtomicU64,
+    counters: NetCounters,
+    dropped: sdds_obs::Counter,
+    sim_latency_nanos: sdds_obs::Counter,
 }
 
 /// The multicomputer fabric: a registry of sites plus traffic accounting.
@@ -116,11 +180,12 @@ pub struct Network {
 impl Network {
     /// Creates an empty in-process (channel-transport) network.
     pub fn new(config: NetConfig) -> Network {
-        Network::with_mode(
+        Network::with_stats(
             Mode::Channel {
                 mailboxes: RwLock::new(Vec::new()),
             },
             config,
+            Arc::new(NetStats::new()),
         )
     }
 
@@ -153,10 +218,6 @@ impl Network {
         Network::with_stats(Mode::Tcp(fabric), config, stats)
     }
 
-    fn with_mode(mode: Mode, config: NetConfig) -> Network {
-        Network::with_stats(mode, config, Arc::new(NetStats::new()))
-    }
-
     fn with_stats(mode: Mode, config: NetConfig, stats: Arc<NetStats>) -> Network {
         Network {
             inner: Arc::new(Inner {
@@ -166,7 +227,18 @@ impl Network {
                 drop_probability: config.drop_probability,
                 inbox_capacity: config.inbox_capacity,
                 fault_rng: std::sync::atomic::AtomicU64::new(config.fault_seed | 1),
+                counters: NetCounters::new(),
+                dropped: sdds_obs::counter("net.dropped"),
+                sim_latency_nanos: sdds_obs::counter("net.sim_latency_nanos"),
             }),
+        }
+    }
+
+    fn endpoint(&self, id: SiteId, mailbox: Arc<Mailbox>) -> Endpoint {
+        Endpoint {
+            id,
+            mailbox,
+            network: self.clone(),
         }
     }
 
@@ -177,26 +249,15 @@ impl Network {
     pub fn register(&self) -> Endpoint {
         match &self.inner.mode {
             Mode::Channel { mailboxes } => {
-                let (tx, rx) = match self.inner.inbox_capacity {
-                    Some(cap) => channel::bounded(cap),
-                    None => channel::unbounded(),
-                };
+                let mailbox = Mailbox::new(self.inner.inbox_capacity);
                 let mut boxes = mailboxes.write();
                 let id = SiteId(boxes.len() as u32);
-                boxes.push(tx);
-                Endpoint {
-                    id,
-                    rx,
-                    network: self.clone(),
-                }
+                boxes.push(Arc::clone(&mailbox));
+                self.endpoint(id, mailbox)
             }
             Mode::Tcp(fabric) => {
-                let (id, rx) = fabric.register_dynamic();
-                Endpoint {
-                    id,
-                    rx,
-                    network: self.clone(),
-                }
+                let (id, mailbox) = fabric.register_dynamic();
+                self.endpoint(id, mailbox)
             }
         }
     }
@@ -208,11 +269,9 @@ impl Network {
     pub fn register_with_id(&self, id: SiteId) -> Option<Endpoint> {
         match &self.inner.mode {
             Mode::Channel { .. } => None,
-            Mode::Tcp(fabric) => fabric.register_static(id).map(|rx| Endpoint {
-                id,
-                rx,
-                network: self.clone(),
-            }),
+            Mode::Tcp(fabric) => fabric
+                .register_static(id)
+                .map(|mailbox| self.endpoint(id, mailbox)),
         }
     }
 
@@ -244,63 +303,45 @@ impl Network {
         self.inner.latency.total_time(&self.inner.stats)
     }
 
-    fn deliver(&self, env: Envelope) -> Result<(), NetError> {
-        let mailboxes = match &self.inner.mode {
+    /// Enqueues `env`, stamped `at`, at its destination and returns the
+    /// wake-up that owes the destination's owner, undelivered.
+    fn deliver(&self, env: Envelope, at: Instant) -> Result<Option<Wake>, NetError> {
+        let inner = &*self.inner;
+        let mailboxes = match &inner.mode {
             Mode::Channel { mailboxes } => mailboxes,
-            Mode::Tcp(fabric) => return fabric.deliver(env),
+            Mode::Tcp(fabric) => return fabric.deliver(env, at),
         };
+        let (from, to, len, ctx) = (env.from, env.to, env.payload.len(), env.ctx);
         let boxes = mailboxes.read();
-        let tx = boxes
-            .get(env.to.0 as usize)
-            .ok_or(NetError::UnknownSite(env.to))?;
-        if self.inner.drop_probability > 0.0 && self.draw_drop() {
+        let mailbox = boxes.get(to.0 as usize).ok_or(NetError::UnknownSite(to))?;
+        if inner.drop_probability > 0.0 && self.draw_drop() {
             // silent loss, like a UDP datagram: the sender sees success
-            self.inner.stats.record_dropped();
-            sdds_obs::counter("net.dropped").inc();
-            if let Some(ctx) = env.ctx {
+            inner.stats.record_dropped();
+            inner.dropped.inc();
+            if let Some(ctx) = ctx {
                 // The drop stays attributable: an instantaneous span under
                 // the sender's context marks where the operation's message
                 // vanished (detail = payload length).
-                trace::event("net.drop", ctx, env.to.0 as i64, env.payload.len() as u64);
+                trace::event("net.drop", ctx, to.0 as i64, len as u64);
             }
-            return Ok(());
+            return Ok(None);
         }
         // Traffic counters reflect messages actually enqueued: a failed
         // send must not inflate delivered-message stats (drops are
         // accounted separately above). Record first so a receiver that
         // dequeues the message always observes it counted, then roll back
-        // on the (rare) disconnected-endpoint failure.
-        let (from, to, len) = (env.from, env.to, env.payload.len());
-        let ctx = env.ctx;
-        self.inner.stats.record(from, to, len);
-        match tx.try_send(env) {
-            Ok(()) => {}
-            Err(channel::TrySendError::Full(_)) => {
-                // Admission control: the inbox is at capacity, so the send
-                // is refused *at the sender* — unlike a fault-injected
-                // drop, the caller learns and can back off and retry.
-                self.inner.stats.unrecord(from, to, len);
-                self.inner.stats.record_rejected();
-                sdds_obs::counter("net.rejected").inc();
-                if let Some(ctx) = ctx {
-                    // The rejection stays attributable inside the trace it
-                    // belonged to, exactly like net.drop (detail = payload
-                    // length); no orphan roots.
-                    trace::event("net.reject", ctx, to.0 as i64, len as u64);
-                }
-                return Err(NetError::Overloaded(to));
-            }
-            Err(channel::TrySendError::Disconnected(_)) => {
-                self.inner.stats.unrecord(from, to, len);
-                sdds_obs::counter("net.send_failures").inc();
-                return Err(NetError::Disconnected(to));
-            }
-        }
-        sdds_obs::counter("net.messages").inc();
-        sdds_obs::counter("net.bytes").add(len as u64);
-        sdds_obs::counter("net.sim_latency_nanos")
-            .add(self.inner.latency.message_time(len).as_nanos() as u64);
-        Ok(())
+        // on a refusal.
+        inner.stats.record(from, to, len);
+        let wake = mailbox.push(env, at).map_err(|refused| {
+            inner.stats.unrecord(from, to, len);
+            inner.counters.refused(&inner.stats, refused, to, len, ctx)
+        })?;
+        inner.counters.messages.inc();
+        inner.counters.bytes.add(len as u64);
+        inner
+            .sim_latency_nanos
+            .add(inner.latency.message_time(len).as_nanos() as u64);
+        Ok(wake)
     }
 
     /// Deterministic xorshift64* drop decision (no extra dependency, and
@@ -333,17 +374,85 @@ impl Network {
     }
 }
 
+/// A group of sends whose wake-ups are delivered together: every
+/// [`Endpoint::send_with`] enqueues at once, in order, and tells the
+/// sender at once whether the destination took the envelope, but a
+/// destination whose owner sleeps is woken by [`wake`](Self::wake) (or
+/// by dropping the scatter), once, however many envelopes it was sent.
+/// On one processor a woken receiver preempts the sender, so N separate
+/// sends are N pairs of context switches and a scatter of N is one.
+///
+/// Used by a client's fan-out (one scan request per bucket), by a
+/// runtime worker for everything its sites send in one round, and by a
+/// TCP reader for the frames of one `read()`.
+#[derive(Default)]
+pub struct Scatter {
+    /// The clock reading the group's envelopes are stamped with.
+    now: Option<Instant>,
+    owed: Vec<Wake>,
+}
+
+impl Scatter {
+    /// An empty group.
+    pub fn new() -> Scatter {
+        Scatter::default()
+    }
+
+    /// Stamps the envelopes sent from here on with `now` (a caller that
+    /// has just read the clock saves the scatter reading it).
+    pub fn stamp(&mut self, now: Instant) {
+        self.now = Some(now);
+    }
+
+    pub(crate) fn now(&mut self) -> Instant {
+        *self.now.get_or_insert_with(Instant::now)
+    }
+
+    pub(crate) fn defer(&mut self, wake: Wake) {
+        // A thread's mailbox owes one wake-up until it is delivered, but
+        // every mailbox a pool runs names the same pool.
+        let again = |owed: &Wake| match (owed, &wake) {
+            (Wake::Pool(a), Wake::Pool(b)) => Arc::as_ptr(a).cast::<()>() == Arc::as_ptr(b).cast(),
+            _ => false,
+        };
+        if !self.owed.iter().any(again) {
+            self.owed.push(wake);
+        }
+    }
+
+    /// Delivers the wake-ups owed so far.
+    pub fn wake(&mut self) {
+        self.now = None;
+        for wake in self.owed.drain(..) {
+            wake.fire();
+        }
+    }
+}
+
+impl Drop for Scatter {
+    fn drop(&mut self) {
+        self.wake();
+    }
+}
+
 /// A site's attachment to the network: its identity, its mailbox, and the
-/// ability to send to any other site.
+/// ability to send to any other site. Dropping it closes the mailbox:
+/// later sends to the site fail [`NetError::Disconnected`].
 pub struct Endpoint {
     id: SiteId,
-    rx: Receiver<Envelope>,
+    mailbox: Arc<Mailbox>,
     network: Network,
 }
 
 impl fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Endpoint").field("id", &self.id).finish()
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.mailbox.retire();
     }
 }
 
@@ -368,59 +477,118 @@ impl Endpoint {
 
     /// Sends a payload with an explicit tracing context (use when the
     /// causal parent is not the calling thread's innermost span — e.g.
-    /// replies and forwards on a site's event loop).
+    /// replies and forwards a site sends from a runtime worker).
     pub fn send_traced(
         &self,
         to: SiteId,
         payload: Bytes,
         ctx: Option<TraceContext>,
     ) -> Result<(), NetError> {
-        self.network.deliver(Envelope {
+        let wake = self
+            .network
+            .deliver(self.envelope(to, payload, ctx), Instant::now())?;
+        if let Some(wake) = wake {
+            wake.fire();
+        }
+        Ok(())
+    }
+
+    /// [`send_traced`](Self::send_traced) as part of `scatter`: the
+    /// envelope is enqueued (or refused) now, its destination is woken
+    /// when the scatter is.
+    pub fn send_with(
+        &self,
+        scatter: &mut Scatter,
+        to: SiteId,
+        payload: Bytes,
+        ctx: Option<TraceContext>,
+    ) -> Result<(), NetError> {
+        let at = scatter.now();
+        let wake = self.network.deliver(self.envelope(to, payload, ctx), at)?;
+        if let Some(wake) = wake {
+            scatter.defer(wake);
+        }
+        Ok(())
+    }
+
+    fn envelope(&self, to: SiteId, payload: Bytes, ctx: Option<TraceContext>) -> Envelope {
+        Envelope {
             from: self.id,
             to,
             payload,
             ctx,
+        }
+    }
+
+    fn receive(&self, wait: Wait) -> Result<Envelope, NetError> {
+        self.mailbox.recv(wait).map_err(|e| match e {
+            RecvError::Empty if matches!(wait, Wait::No) => NetError::Empty,
+            RecvError::Empty => NetError::Timeout,
+            RecvError::Closed => NetError::Disconnected(self.id),
         })
     }
 
     /// Blocking receive.
     pub fn recv(&self) -> Result<Envelope, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected(self.id))
+        self.receive(Wait::Forever)
     }
 
     /// Blocking receive with a timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            channel::RecvTimeoutError::Disconnected => NetError::Disconnected(self.id),
-        })
+        self.receive(Wait::Until(Instant::now() + timeout))
     }
 
-    /// Number of envelopes currently waiting in this site's inbox.
-    /// Event loops sample it into the `lh.inbox_depth` gauge so queue
-    /// buildup is visible before admission control starts rejecting.
-    pub fn inbox_depth(&self) -> usize {
-        self.rx.len()
+    /// Blocking receive up to a deadline; reads no clock while envelopes
+    /// are waiting, which is what a gather loop mostly finds.
+    pub fn recv_until(&self, deadline: Instant) -> Result<Envelope, NetError> {
+        self.receive(Wait::Until(deadline))
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Envelope, NetError> {
-        self.rx.try_recv().map_err(|e| match e {
-            channel::TryRecvError::Empty => NetError::Empty,
-            channel::TryRecvError::Disconnected => NetError::Disconnected(self.id),
-        })
+        self.receive(Wait::No)
     }
 
-    /// Sends the same payload to many sites (scatter).
-    pub fn broadcast<I: IntoIterator<Item = SiteId>>(
-        &self,
-        to: I,
-        payload: &Bytes,
-    ) -> Result<(), NetError> {
-        for site in to {
-            self.send(site, payload.clone())?;
-        }
-        Ok(())
+    /// Number of envelopes currently waiting in this site's inbox.
+    pub fn inbox_depth(&self) -> usize {
+        self.mailbox.len()
+    }
+
+    /// Hands this endpoint's inbox to `scheduler` — no thread will block
+    /// on it any more. The scheduler is told `key` at once (a first
+    /// activation, for the site to start up in) and from then on
+    /// whenever an envelope arrives while the inbox is idle; its workers
+    /// take envelopes with [`drain`](Self::drain) and give the inbox
+    /// back with [`release`](Self::release).
+    pub fn attach(&self, scheduler: Arc<dyn Scheduler>, key: usize) {
+        self.mailbox.attach(scheduler, key);
+    }
+
+    /// A worker takes up to `max` waiting envelopes, oldest first.
+    pub fn drain(&self, max: usize, into: &mut Vec<Envelope>) -> Drained {
+        self.mailbox.drain(max, into)
+    }
+
+    /// A worker is done with the inbox for now. `true`: envelopes
+    /// arrived meanwhile, and the worker must queue the inbox again
+    /// itself; `false`: the inbox is idle, the next envelope tells the
+    /// scheduler.
+    pub fn release(&self) -> bool {
+        self.mailbox.release()
+    }
+
+    /// Tells the scheduler this inbox wants an activation although
+    /// nothing arrived (the site has deferred work of its own), unless
+    /// it is queued or running already.
+    pub fn schedule(&self) {
+        self.mailbox.schedule_now();
+    }
+
+    /// Closes the inbox: later sends to the site fail
+    /// [`NetError::Disconnected`]; envelopes already waiting can still be
+    /// taken.
+    pub fn close(&self) {
+        self.mailbox.close();
     }
 }
 
@@ -525,15 +693,84 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_all() {
-        let net = Network::new(NetConfig::default());
+    fn scatter_reaches_all_in_order_and_reports_refusals_at_once() {
+        let net = Network::new(NetConfig {
+            inbox_capacity: Some(2),
+            ..NetConfig::default()
+        });
         let a = net.register();
         let sites: Vec<Endpoint> = (0..5).map(|_| net.register()).collect();
-        let ids: Vec<SiteId> = sites.iter().map(|s| s.id()).collect();
-        a.broadcast(ids, &Bytes::from_static(b"all")).unwrap();
-        for s in &sites {
-            assert_eq!(&s.recv().unwrap().payload[..], b"all");
+        let mut scatter = Scatter::new();
+        for round in 0..3u8 {
+            for s in &sites {
+                let sent =
+                    a.send_with(&mut scatter, s.id(), Bytes::copy_from_slice(&[round]), None);
+                match round {
+                    2 => assert_eq!(sent, Err(NetError::Overloaded(s.id()))),
+                    _ => assert_eq!(sent, Ok(())),
+                }
+            }
         }
+        scatter.wake();
+        assert_eq!(net.stats().rejected(), 5);
+        for s in &sites {
+            assert_eq!(s.recv().unwrap().payload[0], 0);
+            assert_eq!(s.recv().unwrap().payload[0], 1);
+        }
+    }
+
+    /// Threads blocked in `recv` on site `id`'s mailbox.
+    fn waiting(net: &Network, id: SiteId) -> usize {
+        match &net.inner.mode {
+            Mode::Channel { mailboxes } => mailboxes.read()[id.0 as usize].waiting(),
+            Mode::Tcp(_) => unreachable!("channel networks only"),
+        }
+    }
+
+    /// A receiver blocked before the scatter starts sleeps through all
+    /// of its sends and is woken by the end of it; one that was dropped
+    /// is woken by the drop.
+    #[test]
+    fn scatter_wakes_a_blocked_receiver_at_the_end() {
+        let net = Network::new(NetConfig::default());
+        let a = net.register();
+        let b = net.register();
+        let b_id = b.id();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let first = b.recv().unwrap().payload[0];
+                // everything the scatter sent is there at the one wake-up
+                seen_tx.send((first, b.inbox_depth())).unwrap();
+                while b.try_recv().is_ok() {}
+            }
+        });
+        for (round, explicit) in [(0u8, true), (1, false)] {
+            while waiting(&net, b_id) == 0 {
+                std::thread::yield_now();
+            }
+            let mut scatter = Scatter::new();
+            for i in 0..10u8 {
+                a.send_with(
+                    &mut scatter,
+                    b_id,
+                    Bytes::copy_from_slice(&[round * 10 + i]),
+                    None,
+                )
+                .unwrap();
+            }
+            assert!(
+                seen_rx.recv_timeout(Duration::from_millis(20)).is_err(),
+                "nothing may wake the receiver before the scatter does"
+            );
+            if explicit {
+                scatter.wake();
+            } else {
+                drop(scatter);
+            }
+            assert_eq!(seen_rx.recv().unwrap(), (round * 10, 9));
+        }
+        receiver.join().unwrap();
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   here, not delegated to Nagle). Connections dial lazily and
 //!   re-dial with exponential backoff (10 ms doubling to 2 s).
 //! * **Reader thread per connection** feeding the same bounded
-//!   crossbeam inboxes the in-process transport uses, so `Endpoint::recv`
-//!   and every event loop above it are transport-agnostic.
+//!   mailboxes the in-process transport uses, so `Endpoint::recv` and the
+//!   site runtime above it are transport-agnostic. The frames of one
+//!   `read()` are one [`Scatter`]: each local owner is woken once.
 //! * **NACK backpressure.** A receiver that cannot enqueue an envelope
 //!   (inbox full past a short grace window, or destination gone) replies
 //!   with a NACK frame. The sender records the NACK as a *debt* against
@@ -34,13 +35,12 @@
 //! the real way.
 
 use crate::frame::{self, Frame, FrameDecoder, NackReason};
-use crate::network::{Envelope, NetError, SiteId};
+use crate::mailbox::{Mailbox, Refused, Wake};
+use crate::network::{Envelope, NetCounters, NetError, Scatter, SiteId};
 use crate::pool::PooledBuf;
 use crate::registry::{SiteRegistry, DYN_BASE};
 use crate::stats::NetStats;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex, RwLock};
-use sdds_obs::trace;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -125,9 +125,10 @@ struct Shared {
     rank: Option<usize>,
     inbox_capacity: Option<usize>,
     stats: Arc<NetStats>,
+    counters: NetCounters,
     shutdown: AtomicBool,
     /// Local inboxes by raw site id.
-    locals: RwLock<HashMap<u32, Sender<Envelope>>>,
+    locals: RwLock<HashMap<u32, Arc<Mailbox>>>,
     /// Dynamically allocated local ids, re-announced on every connect.
     local_dyn: Mutex<Vec<u32>>,
     next_dyn: AtomicU32,
@@ -150,11 +151,34 @@ impl Shared {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    fn make_inbox(&self) -> (Sender<Envelope>, Receiver<Envelope>) {
-        match self.inbox_capacity {
-            Some(cap) => channel::bounded(cap),
-            None => channel::unbounded(),
+    /// Pushes into a local inbox, counting the envelope as traffic if it
+    /// is taken. A refusal is the caller's to account for: an error at a
+    /// local sender, a grace period and then a NACK at a reader.
+    fn local_push(
+        &self,
+        mailbox: &Arc<Mailbox>,
+        env: Envelope,
+        at: Instant,
+    ) -> Result<Option<Wake>, Refused> {
+        let (from, to, len) = (env.from, env.to, env.payload.len());
+        self.stats.record(from, to, len);
+        let pushed = mailbox.push(env, at);
+        match pushed {
+            Ok(_) => {
+                self.counters.messages.inc();
+                self.counters.bytes.add(len as u64);
+            }
+            Err(_) => self.stats.unrecord(from, to, len),
         }
+        pushed
+    }
+
+    /// Accounts for an envelope refused before it reached a mailbox or a
+    /// connection: the destination is ours but not registered yet, or a
+    /// NACK said its inbox is full.
+    fn refuse_overloaded(&self, env: &Envelope) -> NetError {
+        self.counters
+            .overloaded(&self.stats, env.to, env.payload.len(), env.ctx)
     }
 }
 
@@ -211,6 +235,7 @@ impl TcpFabric {
                 rank,
                 inbox_capacity,
                 stats,
+                counters: NetCounters::new(),
                 shutdown: AtomicBool::new(false),
                 locals: RwLock::new(HashMap::new()),
                 local_dyn: Mutex::new(Vec::new()),
@@ -227,26 +252,26 @@ impl TcpFabric {
 
     /// Registers a well-known local id (bucket address, coordinator or
     /// host-control endpoint). Returns `None` if the id is already taken.
-    pub(crate) fn register_static(&self, id: SiteId) -> Option<Receiver<Envelope>> {
-        let (tx, rx) = self.shared.make_inbox();
+    pub(crate) fn register_static(&self, id: SiteId) -> Option<Arc<Mailbox>> {
         let mut locals = self.shared.locals.write();
         if locals.contains_key(&id.0) {
             return None;
         }
-        locals.insert(id.0, tx);
-        Some(rx)
+        let mailbox = Mailbox::new(self.shared.inbox_capacity);
+        locals.insert(id.0, Arc::clone(&mailbox));
+        Some(mailbox)
     }
 
     /// Allocates a dynamic (client) id, announces it to every server rank,
     /// and returns it with its inbox.
-    pub(crate) fn register_dynamic(&self) -> (SiteId, Receiver<Envelope>) {
+    pub(crate) fn register_dynamic(&self) -> (SiteId, Arc<Mailbox>) {
         let shared = &self.shared;
         // ordering: Relaxed — a pure id allocator; uniqueness comes from
         // fetch_add atomicity, and the id is published via locks below
         let n = shared.next_dyn.fetch_add(1, Ordering::Relaxed);
         let id = SiteId(shared.dyn_base.wrapping_add(n & 0xFFF));
-        let (tx, rx) = shared.make_inbox();
-        shared.locals.write().insert(id.0, tx);
+        let mailbox = Mailbox::new(shared.inbox_capacity);
+        shared.locals.write().insert(id.0, Arc::clone(&mailbox));
         shared.local_dyn.lock().push(id.0);
         // Announce on a connection to every rank (dialing lazily creates
         // them) so any rank — including ones that only ever see forwarded
@@ -258,7 +283,7 @@ impl TcpFabric {
                 let _ = conn.enqueue(buf, true);
             }
         }
-        (id, rx)
+        (id, mailbox)
     }
 
     /// Number of locally hosted endpoints.
@@ -305,23 +330,29 @@ impl TcpFabric {
 
     /// Sender-side delivery. Mirrors the in-process transport's
     /// accounting: stats/counters reflect messages actually enqueued,
-    /// refusals surface as `Overloaded`, lost peers as `Disconnected`.
-    pub(crate) fn deliver(&self, env: Envelope) -> Result<(), NetError> {
+    /// refusals surface as `Overloaded`, lost peers as `Disconnected`;
+    /// a local destination's wake-up is returned undelivered.
+    pub(crate) fn deliver(&self, env: Envelope, at: Instant) -> Result<Option<Wake>, NetError> {
         let shared = &self.shared;
         let to = env.to;
         let owner = shared.registry.owner_rank(to);
 
         // Local destination: same semantics as the channel transport.
         let local = { shared.locals.read().get(&to.0).cloned() };
-        if let Some(tx) = local {
-            return local_send(shared, &tx, env);
+        if let Some(mailbox) = local {
+            let (len, ctx) = (env.payload.len(), env.ctx);
+            return shared.local_push(&mailbox, env, at).map_err(|refused| {
+                shared
+                    .counters
+                    .refused(&shared.stats, refused, to, len, ctx)
+            });
         }
         if owner.is_some() && owner == shared.rank {
             // A well-known id we own that is not registered *yet*: the
             // coordinator announces remote spawns asynchronously, so treat
             // the gap as backpressure — must-land senders park and retry,
             // and the spawn lands within the retry window.
-            return refuse_overloaded(shared, &env);
+            return Err(shared.refuse_overloaded(&env));
         }
 
         // Consume any NACK debt before handing more frames to the wire.
@@ -329,8 +360,7 @@ impl TcpFabric {
         if let Some(mut d) = pending {
             if d.unroutable {
                 shared.routes.lock().remove(&to.0);
-                sdds_obs::counter("net.send_failures").inc();
-                return Err(NetError::Disconnected(to));
+                return Err(shared.counters.disconnected(to));
             }
             if d.overloaded > 0 {
                 d.overloaded -= 1;
@@ -339,7 +369,7 @@ impl TcpFabric {
                     // the reader recorded while we held it).
                     shared.debts.lock().entry(to.0).or_default().overloaded += d.overloaded;
                 }
-                return refuse_overloaded(shared, &env);
+                return Err(shared.refuse_overloaded(&env));
             }
         }
 
@@ -351,33 +381,26 @@ impl TcpFabric {
             }
         };
         let Some(conn) = conn else {
-            sdds_obs::counter("net.send_failures").inc();
-            return Err(NetError::Disconnected(to));
+            return Err(shared.counters.disconnected(to));
         };
 
-        let (from, len, ctx) = (env.from, env.payload.len(), env.ctx);
+        let (from, len) = (env.from, env.payload.len());
         let mut buf = PooledBuf::take();
         frame::encode_envelope(&env, buf.as_mut_vec());
         shared.stats.record(from, to, len);
         match conn.enqueue(buf, false) {
             Ok(()) => {
-                sdds_obs::counter("net.messages").inc();
-                sdds_obs::counter("net.bytes").add(len as u64);
-                Ok(())
+                shared.counters.messages.inc();
+                shared.counters.bytes.add(len as u64);
+                Ok(None)
             }
             Err(EnqueueError::Full) => {
                 shared.stats.unrecord(from, to, len);
-                shared.stats.record_rejected();
-                sdds_obs::counter("net.rejected").inc();
-                if let Some(ctx) = ctx {
-                    trace::event("net.reject", ctx, to.0 as i64, len as u64);
-                }
-                Err(NetError::Overloaded(to))
+                Err(shared.refuse_overloaded(&env))
             }
             Err(EnqueueError::Closed) => {
                 shared.stats.unrecord(from, to, len);
-                sdds_obs::counter("net.send_failures").inc();
-                Err(NetError::Disconnected(to))
+                Err(shared.counters.disconnected(to))
             }
         }
     }
@@ -406,41 +429,6 @@ impl TcpFabric {
 impl Drop for TcpFabric {
     fn drop(&mut self) {
         self.begin_shutdown();
-    }
-}
-
-fn refuse_overloaded(shared: &Shared, env: &Envelope) -> Result<(), NetError> {
-    shared.stats.record_rejected();
-    sdds_obs::counter("net.rejected").inc();
-    if let Some(ctx) = env.ctx {
-        trace::event("net.reject", ctx, env.to.0 as i64, env.payload.len() as u64);
-    }
-    Err(NetError::Overloaded(env.to))
-}
-
-fn local_send(shared: &Shared, tx: &Sender<Envelope>, env: Envelope) -> Result<(), NetError> {
-    let (from, to, len, ctx) = (env.from, env.to, env.payload.len(), env.ctx);
-    shared.stats.record(from, to, len);
-    match tx.try_send(env) {
-        Ok(()) => {
-            sdds_obs::counter("net.messages").inc();
-            sdds_obs::counter("net.bytes").add(len as u64);
-            Ok(())
-        }
-        Err(TrySendError::Full(_)) => {
-            shared.stats.unrecord(from, to, len);
-            shared.stats.record_rejected();
-            sdds_obs::counter("net.rejected").inc();
-            if let Some(ctx) = ctx {
-                trace::event("net.reject", ctx, to.0 as i64, len as u64);
-            }
-            Err(NetError::Overloaded(to))
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.stats.unrecord(from, to, len);
-            sdds_obs::counter("net.send_failures").inc();
-            Err(NetError::Disconnected(to))
-        }
     }
 }
 
@@ -656,6 +644,8 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
 fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, generation: u64) {
     let mut decoder = FrameDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
+    // the frames of one `read()`: each local owner is woken once
+    let mut scatter = Scatter::new();
     'stream: loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => break 'stream,
@@ -665,7 +655,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
         decoder.extend(&buf[..n]);
         loop {
             match decoder.next_frame() {
-                Ok(Some(frame)) => handle_frame(&shared, &conn, frame),
+                Ok(Some(frame)) => handle_frame(&shared, &conn, frame, &mut scatter),
                 Ok(None) => break,
                 Err(_) => {
                     // Corrupt stream: drop the connection, never resync.
@@ -675,6 +665,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
                 }
             }
         }
+        scatter.wake();
         if shared.is_shutdown() {
             break;
         }
@@ -698,7 +689,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
     }
 }
 
-fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame) {
+fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &mut Scatter) {
     match frame {
         Frame::Hello { id } => {
             shared.routes.lock().insert(id.0, Arc::clone(conn));
@@ -722,42 +713,45 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame) {
                 // Learn the reply route even if the hello raced us.
                 shared.routes.lock().insert(env.from.0, Arc::clone(conn));
             }
-            incoming(shared, conn, env);
+            incoming(shared, conn, env, scatter);
         }
     }
 }
 
-/// Receiver-side delivery of an envelope that arrived over the wire.
-fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, env: Envelope) {
+/// Receiver-side delivery of an envelope that arrived over the wire, as
+/// part of the scatter of its `read()`. Whoever this has to wait for —
+/// a full inbox's owner, a spawn in progress — may itself be waiting for
+/// a wake-up the scatter still owes, so the scatter is woken before
+/// every sleep.
+fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, env: Envelope, scatter: &mut Scatter) {
     let start = Instant::now();
-    let (from, to, len) = (env.from, env.to, env.payload.len());
+    let (from, to) = (env.from, env.to);
     let mut env = Some(env);
     loop {
-        let tx = { shared.locals.read().get(&to.0).cloned() };
-        match tx {
-            Some(tx) => {
+        let local = { shared.locals.read().get(&to.0).cloned() };
+        match local {
+            Some(mailbox) => {
                 let Some(e) = env.take() else { return };
-                shared.stats.record(from, to, len);
-                match tx.try_send(e) {
-                    Ok(()) => {
-                        sdds_obs::counter("net.messages").inc();
-                        sdds_obs::counter("net.bytes").add(len as u64);
+                match shared.local_push(&mailbox, e, scatter.now()) {
+                    Ok(wake) => {
+                        if let Some(wake) = wake {
+                            scatter.defer(wake);
+                        }
                         return;
                     }
-                    Err(TrySendError::Full(e)) => {
-                        shared.stats.unrecord(from, to, len);
+                    Err(Refused::Full(e)) => {
                         if start.elapsed() >= INBOX_GRACE {
                             sdds_obs::counter("net.tcp.inbox_full").inc();
                             nack(conn, NackReason::Overloaded, from, to);
                             return;
                         }
                         env = Some(e);
+                        scatter.wake();
                         std::thread::sleep(Duration::from_micros(100));
                     }
-                    Err(TrySendError::Disconnected(_)) => {
+                    Err(Refused::Closed) => {
                         // The endpoint is gone (bucket retired): tell the
                         // sender it is unroutable now.
-                        shared.stats.unrecord(from, to, len);
                         shared.locals.write().remove(&to.0);
                         sdds_obs::counter("net.tcp.unroutable").inc();
                         nack(conn, NackReason::Unroutable, from, to);
@@ -775,6 +769,7 @@ fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, env: Envelope) {
                     nack(conn, NackReason::Unroutable, from, to);
                     return;
                 }
+                scatter.wake();
                 std::thread::sleep(Duration::from_millis(5));
             }
             None => {

@@ -252,6 +252,21 @@ struct RegistryInner {
 #[derive(Clone, Default)]
 pub struct Registry(Arc<RegistryInner>);
 
+/// The metric registered under `name`: looked up by `&str`, so that the
+/// usual case — the name exists — neither allocates the key nor resolves
+/// the parent's metric; `create` runs on first registration only.
+fn lookup_or_register<M: Clone>(
+    map: &Mutex<BTreeMap<String, M>>,
+    name: &str,
+    create: impl FnOnce() -> M,
+) -> M {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(metric) = map.get(name) {
+        return metric.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(create).clone()
+}
+
 fn site_registries() -> &'static Mutex<Vec<Registry>> {
     static SITES: OnceLock<Mutex<Vec<Registry>>> = OnceLock::new();
     SITES.get_or_init(|| Mutex::new(Vec::new()))
@@ -302,41 +317,28 @@ impl Registry {
 
     /// The counter registered under `name` (created on first use).
     pub fn counter(&self, name: &str) -> Counter {
-        let parent = self.0.parent.as_ref().map(|p| p.counter(name));
-        let mut map = self.0.counters.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(|| Counter::new(parent))
-            .clone()
+        lookup_or_register(&self.0.counters, name, || {
+            Counter::new(self.0.parent.as_ref().map(|p| p.counter(name)))
+        })
     }
 
     /// The gauge registered under `name` (created on first use).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let parent = self.0.parent.as_ref().map(|p| p.gauge(name));
-        let mut map = self.0.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(|| Gauge::new(parent))
-            .clone()
+        lookup_or_register(&self.0.gauges, name, || {
+            Gauge::new(self.0.parent.as_ref().map(|p| p.gauge(name)))
+        })
     }
 
     /// The float gauge registered under `name` (created on first use).
     pub fn float_gauge(&self, name: &str) -> FloatGauge {
-        let mut map = self
-            .0
-            .float_gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(FloatGauge::new)
-            .clone()
+        lookup_or_register(&self.0.float_gauges, name, FloatGauge::new)
     }
 
     /// The histogram registered under `name` (created on first use).
     pub fn histogram(&self, name: &str) -> Histogram {
-        let parent = self.0.parent.as_ref().map(|p| p.histogram(name));
-        let mut map = self.0.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(|| Histogram::new(parent))
-            .clone()
+        lookup_or_register(&self.0.histograms, name, || {
+            Histogram::new(self.0.parent.as_ref().map(|p| p.histogram(name)))
+        })
     }
 
     /// Zeroes every metric in *this* registry (handles stay valid).

@@ -157,8 +157,10 @@ fn now_nanos() -> u64 {
 // Flight recorder: per-thread rings
 // ---------------------------------------------------------------------------
 
-/// Default per-thread ring capacity (spans).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+/// Default per-thread ring capacity (spans). A site-runtime worker
+/// records the spans of every site of its process, and a bulk insert is
+/// thousands of `bucket.request` spans between two drains.
+pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 fn ring_capacity() -> &'static AtomicUsize {
     static CAP: OnceLock<AtomicUsize> = OnceLock::new();

@@ -15,8 +15,13 @@
 //!   batching, periodic snapshots, crash-recovery replay that truncates at
 //!   the first corrupt frame, and generational segment compaction.
 //!
-//! Engines are deliberately *not* `Sync`: each bucket thread owns its
+//! Engines are deliberately *not* `Sync`: each bucket site owns its
 //! engine exclusively, exactly like the map it replaces.
+//!
+//! An engine call that waits for the disk (a WAL `fsync`) holds up the
+//! thread it runs on. A thread that runs many buckets says so with
+//! [`set_disk_wait_hook`] and is told before and after every such wait,
+//! so that it can let another thread take over meanwhile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,9 +32,43 @@ mod wal;
 pub use disk::{DiskEngine, DiskOptions};
 pub use wal::FsyncPolicy;
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+/// Called with `true` right before a wait for the disk, `false` after.
+pub type DiskWaitHook = Box<dyn Fn(bool)>;
+
+thread_local! {
+    static DISK_WAIT_HOOK: RefCell<Option<DiskWaitHook>> = const { RefCell::new(None) };
+}
+
+/// Installs the calling thread's disk-wait hook: engines used on this
+/// thread call it with `true` right before they wait for the disk and
+/// with `false` right after. Eight buckets' `fsync`s issued from eight
+/// threads overlap in the file system's journal and take about as long as
+/// three issued one after the other, so a thread that runs many buckets
+/// wants somebody else to run the next one while it waits.
+pub fn set_disk_wait_hook(hook: DiskWaitHook) {
+    DISK_WAIT_HOOK.with(|h| *h.borrow_mut() = Some(hook));
+}
+
+/// Runs `wait`, a call that waits for the disk, between the two calls of
+/// this thread's hook, if it has one.
+pub(crate) fn disk_wait<R>(wait: impl FnOnce() -> R) -> R {
+    DISK_WAIT_HOOK.with(|h| {
+        let hook = h.borrow();
+        if let Some(hook) = hook.as_ref() {
+            hook(true);
+        }
+        let result = wait();
+        if let Some(hook) = hook.as_ref() {
+            hook(false);
+        }
+        result
+    })
+}
 
 /// Error surface of a storage engine. The in-memory backend never returns
 /// one; the disk backend maps I/O and corruption failures here.

@@ -329,9 +329,7 @@ impl WalWriter {
             return Ok(());
         }
         let t0 = Instant::now();
-        self.file
-            .sync_data()
-            .map_err(|e| StorageError::io("wal fsync", e))?;
+        crate::disk_wait(|| self.file.sync_data()).map_err(|e| StorageError::io("wal fsync", e))?;
         self.unsynced = 0;
         self.fsyncs += 1;
         sdds_obs::counter("storage.wal_fsyncs").inc();

@@ -420,7 +420,7 @@ fn search(flags: &Flags) {
         stats.messages(),
         stats.bytes()
     );
-    // Shutdown joins the site threads, so every span — including ones the
+    // Shutdown joins the runtime's workers, so every span — including ones the
     // sites were still closing when the reply raced back — is recorded
     // before the flight recorder drains.
     store.shutdown();

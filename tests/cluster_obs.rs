@@ -129,7 +129,7 @@ fn scrape_sums_rank_metrics_and_stitches_one_connected_cross_process_trace() {
     let hits = handle.search("MARTINEZ").expect("traced search");
     sdds_obs::trace::set_tracing(false);
     assert!(!hits.is_empty(), "the seeded corpus contains MARTINEZ");
-    // Let the rank event loops close their spans before scraping: the
+    // Let the ranks' workers close their spans before scraping: the
     // reply can beat the server-side ring writes by a scheduler beat.
     std::thread::sleep(Duration::from_millis(300));
 
@@ -175,15 +175,15 @@ fn scrape_sums_rank_metrics_and_stitches_one_connected_cross_process_trace() {
             .sum();
         assert_eq!(total.count, count, "histogram {name}");
     }
-    // Every rank distributed real work: each bucket event loop observed
-    // stalls, and the fast tick filled each snapshot ring.
+    // Every rank distributed real work: its buckets' activations were
+    // timed, and the fast tick filled each snapshot ring.
     for r in &scrape.ranks {
         let m = r.metrics.as_ref().expect("rank metrics");
         assert!(
             m.histograms
                 .get("lh.loop_stall_seconds")
                 .is_some_and(|h| h.count > 0),
-            "rank {} event loops never reported a dispatch",
+            "rank {} never reported an activation",
             r.rank
         );
         assert!(!r.history.is_empty(), "rank {} snapshot ring empty", r.rank);
