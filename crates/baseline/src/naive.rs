@@ -7,7 +7,7 @@
 //! put numbers (bytes moved, time spent) behind that sentence.
 
 use sdds_cipher::{modes, Aes128, CipherError, KeyMaterial, MasterKey};
-use sdds_lh::{ClusterConfig, LhClient, LhCluster, LhError, ScanFilter};
+use sdds_lh::{ClusterConfig, LhClient, LhCluster, LhError, PreparedQuery, ScanFilter};
 use std::sync::Arc;
 
 /// A filter that matches everything — the "search" of a naive store is a
@@ -16,7 +16,13 @@ use std::sync::Arc;
 pub struct MatchAllFilter;
 
 impl ScanFilter for MatchAllFilter {
-    fn matches(&self, _key: u64, _value: &[u8], _query: &[u8]) -> bool {
+    fn prepare(&self, _query: &[u8]) -> Box<dyn PreparedQuery> {
+        Box::new(*self)
+    }
+}
+
+impl PreparedQuery for MatchAllFilter {
+    fn matches(&self, _key: u64, _value: &[u8]) -> bool {
         true
     }
 }

@@ -16,7 +16,7 @@
 //! `X`, which is precisely the limitation the ICDE'06 scheme removes.
 
 use sdds_cipher::{Aes128, MasterKey};
-use sdds_lh::{ClusterConfig, LhClient, LhCluster, LhError, ScanFilter};
+use sdds_lh::{ClusterConfig, LhClient, LhCluster, LhError, PreparedQuery, ScanFilter};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -118,14 +118,23 @@ impl SwpScheme {
 pub struct SwpFilter;
 
 impl ScanFilter for SwpFilter {
-    fn matches(&self, _key: u64, value: &[u8], query: &[u8]) -> bool {
-        let Ok(trapdoor) = serde_json::from_slice::<Trapdoor>(query) else {
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
+        Box::new(PreparedTrapdoor(serde_json::from_slice(query).ok()))
+    }
+}
+
+/// A trapdoor off the wire; bytes that are none match nothing.
+struct PreparedTrapdoor(Option<Trapdoor>);
+
+impl PreparedQuery for PreparedTrapdoor {
+    fn matches(&self, _key: u64, value: &[u8]) -> bool {
+        let Some(trapdoor) = &self.0 else {
             return false;
         };
         value.chunks_exact(16).any(|c| {
             let mut cw = [0u8; 16];
             cw.copy_from_slice(c);
-            SwpScheme::matches(&cw, &trapdoor)
+            SwpScheme::matches(&cw, trapdoor)
         })
     }
 }

@@ -68,7 +68,7 @@ fn bench_prepared_query(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0usize;
             for (k, body) in &bodies {
-                if filter.matches(*k, body, &wire) {
+                if filter.prepare(&wire).matches(*k, body) {
                     hits += 1;
                 }
             }

@@ -131,15 +131,29 @@ impl EncryptedQuery {
     }
 
     /// True if any series of `tag` occurs in `body` (the bucket-side
-    /// predicate).
+    /// predicate): `!match_positions(body, series).is_empty()` for one of
+    /// them. A bucket asks this of every candidate, so equality compares a
+    /// series with the element-aligned windows of `body` in place — bodies
+    /// are a few dozen elements, and a border table is more work to build
+    /// than it saves.
     pub fn matches_body(&self, tag: u32, body: &[u8]) -> bool {
+        let w = self.element_bytes;
+        let occurs = |series: &Vec<u8>| match self.kind {
+            // ragged or empty: nowhere; longer than the body: no window
+            QueryKind::Equality => {
+                w > 0
+                    && body.len().is_multiple_of(w)
+                    && series.len().is_multiple_of(w)
+                    && !series.is_empty()
+                    && body
+                        .windows(series.len())
+                        .step_by(w)
+                        .any(|window| window == series)
+            }
+            QueryKind::Swp => !self.match_positions(body, series).is_empty(),
+        };
         self.series_for(tag)
-            .map(|series| {
-                series
-                    .iter()
-                    .any(|s| !self.match_positions(body, s).is_empty())
-            })
-            .unwrap_or(false)
+            .is_some_and(|series| series.iter().any(occurs))
     }
 }
 
@@ -185,7 +199,8 @@ impl EncryptedIndexFilter {
     }
 }
 
-/// An [`EncryptedQuery`] decoded and validated once per `ScanReq`.
+/// An [`EncryptedQuery`] decoded and validated once, for every bucket a
+/// worker runs the scan for.
 ///
 /// `query` is `None` when the wire bytes failed to decode or validate —
 /// such a query matches nothing, and `probes` is `Some(vec![])` so
@@ -264,12 +279,7 @@ impl PreparedQuery for PreparedEncryptedQuery {
 }
 
 impl ScanFilter for EncryptedIndexFilter {
-    fn matches(&self, key: u64, value: &[u8], query: &[u8]) -> bool {
-        // decode-per-record fallback; `prepare` is the hot path
-        PreparedEncryptedQuery::from_wire(query).matches(key, value)
-    }
-
-    fn prepare<'q>(&'q self, query: &'q [u8]) -> Box<dyn PreparedQuery + 'q> {
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
         Box::new(PreparedEncryptedQuery::from_wire(query))
     }
 
@@ -379,6 +389,101 @@ mod tests {
         }
     }
 
+    /// What [`EncryptedQuery::matches_body`] must answer: some series of
+    /// the tag has a match position.
+    fn some_series_has_a_position(q: &EncryptedQuery, tag: u32, body: &[u8]) -> bool {
+        q.series_for(tag).is_some_and(|series| {
+            series
+                .iter()
+                .any(|s| !q.match_positions(body, s).is_empty())
+        })
+    }
+
+    proptest::proptest! {
+        /// Two letters make occurrences, overlapping occurrences and
+        /// series that overlap themselves common; the lengths leave the
+        /// element grid, reach zero and run past the body.
+        #[test]
+        fn matches_body_is_a_nonempty_match_positions(
+            w in 1usize..4,
+            body in proptest::collection::vec(0u8..2, 0..40),
+            series in proptest::collection::vec(proptest::collection::vec(0u8..2, 0..24), 0..6),
+        ) {
+            for series in series.iter().cloned().chain(cut_from(&body)) {
+                let mut q = query();
+                q.element_bytes = w;
+                q.per_tag = vec![(1, vec![series])];
+                proptest::prop_assert_eq!(
+                    q.matches_body(1, &body),
+                    some_series_has_a_position(&q, 1, &body)
+                );
+            }
+        }
+    }
+
+    /// Slices of `body`: drawn series of any length rarely occur in it.
+    fn cut_from(body: &[u8]) -> Vec<Vec<u8>> {
+        (0..body.len())
+            .flat_map(|at| (at..=body.len()).step_by(3).map(move |end| (at, end)))
+            .map(|(at, end)| body[at..end].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn matches_body_agrees_with_match_positions_on_the_edges() {
+        let mut q = query();
+        q.per_tag = vec![(
+            1,
+            vec![
+                vec![],                       // empty
+                vec![0xAA],                   // ragged
+                vec![0xAA, 0xBB, 0xAA, 0xBB], // overlaps itself
+                vec![0xBB, 0xAA],             // occurs, but off the grid
+                vec![0xAA; 10],               // longer than any body below
+            ],
+        )];
+        for (body, expect) in [
+            (vec![], false),
+            (vec![0xAA, 0xBB, 0xAA], false), // ragged body
+            (vec![0xAA, 0xBB], false),
+            (vec![0xAA, 0xBB, 0xAA, 0xBB], true),
+            (vec![0xAA, 0xBB, 0xAA, 0xBB, 0xAA, 0xBB], true),
+            (vec![0x00, 0xBB, 0xAA, 0x00], false),
+        ] {
+            assert_eq!(q.matches_body(1, &body), expect, "{body:02X?}");
+            assert_eq!(some_series_has_a_position(&q, 1, &body), expect);
+        }
+    }
+
+    #[test]
+    fn swp_matches_body_keeps_the_trapdoor_path() {
+        use crate::swp_chunks::ChunkSwp;
+        use sdds_cipher::{KeyMaterial, MasterKey};
+        let swp = ChunkSwp::new(&KeyMaterial::new(MasterKey::new([6; 16])), 0);
+        let body: Vec<u8> = [7u128, 8, 7, 8, 9]
+            .iter()
+            .enumerate()
+            .flat_map(|(at, chunk)| swp.encrypt_chunk(1, at as u64, *chunk))
+            .collect();
+        let trapdoors =
+            |chunks: &[u128]| -> Vec<u8> { chunks.iter().flat_map(|c| swp.trapdoor(*c)).collect() };
+        let mut q = query();
+        q.kind = QueryKind::Swp;
+        for (series, expect) in [
+            (trapdoors(&[7, 8]), true),
+            (trapdoors(&[8, 7, 8, 9]), true),
+            (trapdoors(&[8, 8]), false),
+            (trapdoors(&[7, 8, 7, 8, 9, 7]), false), // longer than the body
+            (trapdoors(&[7])[..31].to_vec(), false), // ragged
+            (vec![], false),
+        ] {
+            q.per_tag = vec![(1, vec![series])];
+            assert_eq!(q.matches_body(1, &body), expect);
+            assert_eq!(some_series_has_a_position(&q, 1, &body), expect);
+            assert!(!q.matches_body(1, &body[..body.len() - 1]), "ragged body");
+        }
+    }
+
     #[test]
     fn many_series_deduplicate_without_quadratic_compare() {
         let mut q = query();
@@ -424,24 +529,24 @@ mod tests {
         let f = EncryptedIndexFilter::linear();
         let body = vec![0xAA, 0xBB, 0xCC, 0xDD];
         // key with tag 1 matches, tag 0 (record store) never does
-        assert!(f.matches(0b100 | 1, &body, &q.encode()));
-        assert!(!f.matches(0b100, &body, &q.encode()));
-        assert!(!f.matches(1, &body, b"not a query"));
+        assert!(f.prepare(&q.encode()).matches(0b100 | 1, &body));
+        assert!(!f.prepare(&q.encode()).matches(0b100, &body));
+        assert!(!f.prepare(b"not a query").matches(1, &body));
     }
 
     #[test]
-    fn prepared_query_agrees_with_unprepared_matches() {
-        let q = query();
+    fn prepared_query_reads_the_tag_off_the_key() {
         let f = EncryptedIndexFilter::new(2, 2);
-        let wire = q.encode();
-        let prepared = f.prepare(&wire);
-        let body = vec![0xAA, 0xBB, 0xCC, 0xDD];
-        for k in [0b100 | 1, 0b100 | 2, 0b100, 1, 2] {
-            assert_eq!(
-                prepared.matches(k, &body),
-                f.matches(k, &body, &wire),
-                "prepared and unprepared disagree on k={k}"
-            );
+        let prepared = f.prepare(&query().encode());
+        let body = vec![0xAA, 0xBB, 0xCC, 0xDD]; // the series of tag 1
+        for (k, expect) in [
+            (0b100 | 1, true),
+            (0b100 | 2, false),
+            (0b100, false),
+            (1, true),
+            (2, false),
+        ] {
+            assert_eq!(prepared.matches(k, &body), expect, "k={k}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! parity is on — stream slot deltas to their group's parity sites.
 
 use crate::cluster::{Directory, ParityConfig};
-use crate::filter::ScanFilter;
+use crate::filter::{ScanFilter, ScanMemo};
 use crate::hash::h;
 use crate::index::PostingIndex;
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
@@ -120,9 +120,10 @@ impl BucketCtx {
 }
 
 /// The per-scan metrics of a bucket, resolved once from its registry: a
-/// lookup by name is a lock and a map probe, three of them a scan.
+/// lookup by name is a lock and a map probe, four of them a scan.
 pub(crate) struct ScanMetrics {
     seconds: Histogram,
+    prepares: Counter,
     index_probes: Counter,
     index_candidates: Counter,
 }
@@ -131,6 +132,7 @@ impl ScanMetrics {
     fn new(obs: &Registry) -> ScanMetrics {
         ScanMetrics {
             seconds: obs.histogram("lh.scan_bucket_seconds"),
+            prepares: obs.counter("lh.scan_prepares"),
             index_probes: obs.counter("lh.scan_index_probes"),
             index_candidates: obs.counter("lh.scan_index_candidates"),
         }
@@ -221,12 +223,15 @@ impl BucketState {
         self.engine.len()
     }
 
-    /// Processes one message, returning the messages to send out.
+    /// Processes one message, returning the messages to send out. `memo`
+    /// is the running worker's: a `ScanReq` finds its query prepared there
+    /// if this worker's previous bucket had the same one.
     pub(crate) fn handle(
         &mut self,
         from: SiteId,
         msg: Wire,
         ctx: &BucketCtx,
+        memo: &mut ScanMemo,
     ) -> Vec<(SiteId, Wire)> {
         if matches!(msg, Wire::Request { .. }) {
             if let Some(parent) = self.merged_into {
@@ -253,7 +258,7 @@ impl BucketState {
                 query,
                 keys_only,
             } => {
-                let matches = self.scan(&query, keys_only, ctx);
+                let matches = self.scan(&query, keys_only, ctx, memo);
                 vec![(
                     SiteId(client),
                     Wire::ScanResp {
@@ -611,7 +616,8 @@ impl BucketState {
     fn serve_held(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
         let mut out = Vec::new();
         for (from, msg) in self.held.take().unwrap_or_default() {
-            out.extend(self.handle(from, msg, ctx));
+            // only `Request`s are ever held, and none of them scans
+            out.extend(self.handle(from, msg, ctx, &mut ScanMemo::default()));
         }
         out
     }
@@ -872,15 +878,22 @@ impl BucketState {
         )]
     }
 
-    /// Evaluates one `ScanReq`: the wire query is decoded **once** (the
-    /// prepared-query protocol), then either the posting index supplies a
-    /// candidate key set to confirm, or the bucket falls back to a linear
-    /// sweep (filters without probes, or probe widths the index does not
-    /// cover). Values are cloned only for full-value replies; `keys_only`
-    /// scans never copy record bodies.
-    fn scan(&self, query: &[u8], keys_only: bool, ctx: &BucketCtx) -> Vec<ScanMatch> {
+    /// Evaluates one `ScanReq`: the wire query is decoded at most once,
+    /// and not at all if `memo` holds it prepared (the prepared-query
+    /// protocol), then either the posting index supplies a candidate key
+    /// set to confirm, or the bucket falls back to a linear sweep (filters
+    /// without probes, or probe widths the index does not cover). Values
+    /// are cloned only for full-value replies; `keys_only` scans never
+    /// copy record bodies.
+    fn scan(
+        &self,
+        query: &[u8],
+        keys_only: bool,
+        ctx: &BucketCtx,
+        memo: &mut ScanMemo,
+    ) -> Vec<ScanMatch> {
         let _timer = ctx.scan.seconds.start_timer();
-        let prepared = ctx.filter.prepare(query);
+        let prepared = memo.prepared(&ctx.filter, query, &ctx.scan.prepares);
         if let (Some(idx), Some(probes)) = (&self.index, prepared.probes()) {
             if probes.iter().all(|p| p.len() == idx.element_bytes()) {
                 // Child of this bucket's scan span (inert when the scan
@@ -985,8 +998,8 @@ impl Machine for BucketSite {
         span
     }
 
-    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
-        self.state.handle(from, msg, &self.ctx)
+    fn handle(&mut self, from: SiteId, msg: Wire, memo: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
+        self.state.handle(from, msg, &self.ctx, memo)
     }
 }
 
@@ -1035,6 +1048,7 @@ mod tests {
                 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
         assert!(matches!(
@@ -1053,6 +1067,7 @@ mod tests {
                 op: Op::Lookup { key: 5 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert!(matches!(
             &out[0].1,
@@ -1067,6 +1082,7 @@ mod tests {
                 op: Op::Delete { key: 5 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert!(out.iter().any(|(_, m)| matches!(
             m,
@@ -1097,6 +1113,7 @@ mod tests {
                 op: Op::Lookup { key: 3 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, SiteId(11));
@@ -1129,6 +1146,7 @@ mod tests {
                 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, SiteId(11), "descend to h(3, level-1) = bucket 1");
@@ -1152,6 +1170,7 @@ mod tests {
                     op: Op::Insert { key, value: vec![] },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
             overflow_msgs += out
                 .iter()
@@ -1179,6 +1198,7 @@ mod tests {
                     },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
         }
         let out = b.handle(
@@ -1189,6 +1209,7 @@ mod tests {
                 new_site: 77,
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         // transfer carries the odd keys (h_1(k) == 1)
         let transfer = out
@@ -1213,7 +1234,12 @@ mod tests {
             !out.iter().any(|(_, m)| matches!(m, Wire::SplitDone { .. })),
             "SplitDone must wait for the ack"
         );
-        let out = b.handle(SiteId(77), Wire::TransferAck { addr: 1 }, &ctx);
+        let out = b.handle(
+            SiteId(77),
+            Wire::TransferAck { addr: 1 },
+            &ctx,
+            &mut ScanMemo::default(),
+        );
         assert_eq!(b.len(), 5);
         assert!(out
             .iter()
@@ -1237,9 +1263,15 @@ mod tests {
                 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         // no transfer pending: an ack (e.g. a restore replay echo) is a no-op
-        let out = b.handle(SiteId(7), Wire::TransferAck { addr: 0 }, &ctx);
+        let out = b.handle(
+            SiteId(7),
+            Wire::TransferAck { addr: 0 },
+            &ctx,
+            &mut ScanMemo::default(),
+        );
         assert!(out.is_empty());
         assert_eq!(b.len(), 1);
     }
@@ -1262,6 +1294,7 @@ mod tests {
                     },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
         }
         let out = b.handle(
@@ -1272,6 +1305,7 @@ mod tests {
                 into_site: 50,
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         let transfer = out
             .iter()
@@ -1293,7 +1327,12 @@ mod tests {
         // reported, until the parent's durable ack
         assert_eq!(b.len(), 3, "records must not leave before the ack");
         assert!(!out.iter().any(|(_, m)| matches!(m, Wire::MergeDone { .. })));
-        let out = b.handle(SiteId(50), Wire::TransferAck { addr: 0 }, &ctx);
+        let out = b.handle(
+            SiteId(50),
+            Wire::TransferAck { addr: 0 },
+            &ctx,
+            &mut ScanMemo::default(),
+        );
         assert_eq!(b.len(), 0, "dissolved bucket is empty");
         assert!(out
             .iter()
@@ -1316,6 +1355,7 @@ mod tests {
                 into_site: 50,
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         let insert = Wire::Request {
             req_id: 1,
@@ -1326,7 +1366,7 @@ mod tests {
                 value: vec![1],
             },
         };
-        let out = b.handle(SiteId(9), insert.clone(), &ctx);
+        let out = b.handle(SiteId(9), insert.clone(), &ctx, &mut ScanMemo::default());
         assert_eq!(
             out,
             vec![(SiteId(50), insert.clone())],
@@ -1334,8 +1374,16 @@ mod tests {
         );
         assert_eq!(b.len(), 0, "nothing stored in the dissolving bucket");
         // and the same after the parent's ack, until `Shutdown`
-        b.handle(SiteId(50), Wire::TransferAck { addr: 0 }, &ctx);
-        assert_eq!(b.handle(SiteId(9), insert.clone(), &ctx)[0].0, SiteId(50));
+        b.handle(
+            SiteId(50),
+            Wire::TransferAck { addr: 0 },
+            &ctx,
+            &mut ScanMemo::default(),
+        );
+        assert_eq!(
+            b.handle(SiteId(9), insert.clone(), &ctx, &mut ScanMemo::default())[0].0,
+            SiteId(50)
+        );
     }
 
     /// Window (c) of the shrink bug: a split target is in the directory
@@ -1352,7 +1400,11 @@ mod tests {
             hops: 0,
             op: Op::Lookup { key: 3 },
         };
-        assert!(b.handle(SiteId(9), lookup, &ctx).is_empty(), "held");
+        assert!(
+            b.handle(SiteId(9), lookup, &ctx, &mut ScanMemo::default())
+                .is_empty(),
+            "held"
+        );
         let out = b.handle(
             SiteId(10),
             Wire::TransferBatch {
@@ -1361,6 +1413,7 @@ mod tests {
                 records: vec![(3, vec![7])],
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         let responses: Vec<&Wire> = out
             .iter()
@@ -1379,7 +1432,11 @@ mod tests {
             hops: 0,
             op: Op::Lookup { key: 3 },
         };
-        assert_eq!(b.handle(SiteId(9), again, &ctx).len(), 1);
+        assert_eq!(
+            b.handle(SiteId(9), again, &ctx, &mut ScanMemo::default())
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -1410,6 +1467,7 @@ mod tests {
                 slots: vec![Some((4, vec![1])), None, Some((8, vec![2]))],
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert!(out.is_empty(), "adopt must not emit parity updates");
         assert_eq!(b.len(), 2);
@@ -1426,6 +1484,7 @@ mod tests {
                 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         let update = out
             .iter()
@@ -1460,6 +1519,7 @@ mod tests {
                 },
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         let out = b.handle(
             SiteId(5),
@@ -1468,6 +1528,7 @@ mod tests {
                 client: 5,
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, SiteId(5));
@@ -1493,6 +1554,7 @@ mod tests {
                     op: Op::Insert { key, value: vec![] },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
         }
         let mut underflows = 0;
@@ -1506,6 +1568,7 @@ mod tests {
                     op: Op::Delete { key },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
             underflows += out
                 .iter()
@@ -1530,6 +1593,7 @@ mod tests {
                     op: Op::Insert { key, value: val },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
         }
         let out = b.handle(
@@ -1541,6 +1605,7 @@ mod tests {
                 keys_only: false,
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         let Wire::ScanResp { matches, .. } = &out[0].1 else {
             panic!("scan resp")
@@ -1600,6 +1665,7 @@ mod tests {
                     },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
         };
         let delete = |b: &mut BucketState, key: u64| {
@@ -1612,6 +1678,7 @@ mod tests {
                     op: Op::Delete { key },
                 },
                 &ctx,
+                &mut ScanMemo::default(),
             );
         };
         for key in [2u64, 6, 10, 14] {
@@ -1637,9 +1704,15 @@ mod tests {
                 into_site: 50,
             },
             &ctx,
+            &mut ScanMemo::default(),
         );
         check(&b, "merge (pre-ack: records still local)");
-        b.handle(SiteId(50), Wire::TransferAck { addr: 0 }, &ctx);
+        b.handle(
+            SiteId(50),
+            Wire::TransferAck { addr: 0 },
+            &ctx,
+            &mut ScanMemo::default(),
+        );
         check(&b, "merge ack");
         assert_eq!(b.key_rank.len(), 0);
         assert!(b.ranks.iter().all(Option::is_none));

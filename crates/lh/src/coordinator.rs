@@ -6,6 +6,7 @@
 //! the split victim is `n`, not the overflowing bucket. One split runs at a
 //! time; further overflow reports queue.
 
+use crate::filter::ScanMemo;
 use crate::hash::extent;
 use crate::messages::Wire;
 use crate::runtime::Machine;
@@ -200,7 +201,7 @@ impl Machine for CoordinatorSite {
         trace::remote_span(coord_span_name(msg), ctx)
     }
 
-    fn handle(&mut self, _from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+    fn handle(&mut self, _from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
         self.state.handle(
             msg,
             &mut self.spawner,

@@ -7,10 +7,13 @@
 //!
 //! # Prepared queries
 //!
-//! A `ScanReq` carries one opaque query evaluated against *every* record
-//! of the bucket. Decoding and validating that wire query once per record
-//! is pure waste, so buckets call [`ScanFilter::prepare`] **once per
-//! `ScanReq`** and evaluate the returned [`PreparedQuery`] per record.
+//! A `ScanReq` carries one opaque query, and every bucket of the file
+//! receives the same one. Decoding and validating it is the filter's
+//! [`ScanFilter::prepare`], which returns an owned [`PreparedQuery`] that
+//! is then evaluated per record — and is prepared **once per worker per
+//! distinct query**, not once per bucket: each worker of the site
+//! runtime owns a `ScanMemo`, the last query it prepared next to the
+//! exact bytes it came from, and hands it to every bucket it activates.
 //! A prepared query may additionally expose [`probes`]: fixed-width
 //! element values that every matching record must contain. Buckets that
 //! maintain a posting index (see [`ScanFilter::index_element_bytes`]) use
@@ -19,9 +22,12 @@
 //!
 //! [`probes`]: PreparedQuery::probes
 
-/// A query decoded and validated once per `ScanReq`, then evaluated per
-/// record (or per candidate record when the bucket can probe its posting
-/// index).
+use sdds_obs::Counter;
+use std::sync::Arc;
+
+/// A query decoded and validated once, then evaluated per record (or per
+/// candidate record when the bucket can probe its posting index). It owns
+/// what it needs: it outlives the `ScanReq` it was prepared from.
 pub trait PreparedQuery {
     /// True if the record `(key, value)` matches the prepared query.
     fn matches(&self, key: u64, value: &[u8]) -> bool;
@@ -37,34 +43,12 @@ pub trait PreparedQuery {
     }
 }
 
-/// The default [`PreparedQuery`]: wraps an unprepared filter and its wire
-/// query, delegating every record to [`ScanFilter::matches`].
-struct UnpreparedScan<'q, F: ?Sized> {
-    filter: &'q F,
-    query: &'q [u8],
-}
-
-impl<F: ScanFilter + ?Sized> PreparedQuery for UnpreparedScan<'_, F> {
-    fn matches(&self, key: u64, value: &[u8]) -> bool {
-        self.filter.matches(key, value, self.query)
-    }
-}
-
 /// A predicate evaluated by bucket sites during scans. The query arrives as
 /// opaque bytes so the filter can define its own encoding.
 pub trait ScanFilter: Send + Sync + 'static {
-    /// True if the record `(key, value)` matches `query`.
-    fn matches(&self, key: u64, value: &[u8], query: &[u8]) -> bool;
-
-    /// Decodes and validates `query` once per `ScanReq`. The default wraps
-    /// [`matches`](Self::matches) (no per-`ScanReq` work saved, no
-    /// probes); filters with an expensive wire format override this.
-    fn prepare<'q>(&'q self, query: &'q [u8]) -> Box<dyn PreparedQuery + 'q> {
-        Box::new(UnpreparedScan {
-            filter: self,
-            query,
-        })
-    }
+    /// Decodes and validates `query`. Total: bytes that are no query of
+    /// this filter prepare to something that matches nothing.
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery>;
 
     /// Fixed element width (bytes) the buckets should maintain a posting
     /// index over, or `None` (the default) for no index. When `Some(w)`,
@@ -86,69 +70,175 @@ pub trait ScanFilter: Send + Sync + 'static {
     }
 }
 
+/// What a runtime worker carries from one bucket's activation to the
+/// next: the query it prepared last, with the filter that prepared it
+/// (the buckets of a runtime share one today, but nothing a worker holds
+/// says so) and the bytes it came from. Two scans interleaved on one
+/// worker take turns, and every bucket prepares, as before the memo.
+#[derive(Default)]
+pub(crate) struct ScanMemo(Option<Kept>);
+
+struct Kept {
+    by: Arc<dyn ScanFilter>,
+    bytes: Vec<u8>,
+    prepared: Box<dyn PreparedQuery>,
+}
+
+impl ScanMemo {
+    /// `query` as prepared by `filter`: the kept one if it came from this
+    /// filter and exactly these bytes, else a new one — counted in
+    /// `prepares` — which replaces it.
+    pub(crate) fn prepared(
+        &mut self,
+        filter: &Arc<dyn ScanFilter>,
+        query: &[u8],
+        prepares: &Counter,
+    ) -> &dyn PreparedQuery {
+        let kept = self.0.take();
+        let kept = kept.filter(|kept| Arc::ptr_eq(&kept.by, filter) && kept.bytes == query);
+        let entry = kept.unwrap_or_else(|| {
+            prepares.inc();
+            Kept {
+                by: Arc::clone(filter),
+                bytes: query.to_vec(),
+                prepared: filter.prepare(query),
+            }
+        });
+        &*self.0.insert(entry).prepared
+    }
+}
+
 /// Plaintext substring search — the "parallel (sub-)string searches" the
 /// paper attributes to standard LH\* (§1), and the baseline its encrypted
-/// index must preserve.
+/// index must preserve. An empty query matches every record.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SubstringFilter;
 
 impl ScanFilter for SubstringFilter {
-    fn matches(&self, _key: u64, value: &[u8], query: &[u8]) -> bool {
-        if query.is_empty() {
-            return true;
-        }
-        value.windows(query.len()).any(|w| w == query)
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
+        let substring = |_key: u64, value: &[u8], query: &[u8]| {
+            query.is_empty() || value.windows(query.len()).any(|w| w == query)
+        };
+        substring.prepare(query)
     }
 }
 
+/// A closure `(key, value, query) -> bool` is a filter; prepared, it is a
+/// copy of the closure next to a copy of the query.
 impl<F> ScanFilter for F
 where
-    F: Fn(u64, &[u8], &[u8]) -> bool + Send + Sync + 'static,
+    F: Fn(u64, &[u8], &[u8]) -> bool + Clone + Send + Sync + 'static,
 {
-    fn matches(&self, key: u64, value: &[u8], query: &[u8]) -> bool {
-        self(key, value, query)
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
+        Box::new((self.clone(), query.to_vec()))
+    }
+}
+
+impl<F: Fn(u64, &[u8], &[u8]) -> bool> PreparedQuery for (F, Vec<u8>) {
+    fn matches(&self, key: u64, value: &[u8]) -> bool {
+        (self.0)(key, value, &self.1)
+    }
+}
+
+/// Substring search that counts its prepares, for the tests of the memo
+/// here and of the workers that carry it.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingFilter(pub(crate) std::sync::atomic::AtomicUsize);
+
+#[cfg(test)]
+impl ScanFilter for CountingFilter {
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
+        // ordering: SeqCst — a test's count, read after the scans it counts
+        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        SubstringFilter.prepare(query)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
+    fn substring(value: &[u8], query: &[u8]) -> bool {
+        SubstringFilter.prepare(query).matches(0, value)
+    }
 
     #[test]
     fn substring_matches() {
-        let f = SubstringFilter;
-        assert!(f.matches(0, b"SCHWARZ THOMAS", b"WARZ"));
-        assert!(f.matches(0, b"SCHWARZ", b"SCHWARZ"));
-        assert!(!f.matches(0, b"SCHWARZ", b"SCHWARZT"));
-        assert!(!f.matches(0, b"ABC", b"ZX"));
+        assert!(substring(b"SCHWARZ THOMAS", b"WARZ"));
+        assert!(substring(b"SCHWARZ", b"SCHWARZ"));
+        assert!(!substring(b"SCHWARZ", b"SCHWARZT"));
+        assert!(!substring(b"ABC", b"ZX"));
     }
 
     #[test]
     fn empty_query_matches_everything() {
-        assert!(SubstringFilter.matches(0, b"", b""));
-        assert!(SubstringFilter.matches(0, b"X", b""));
+        assert!(substring(b"", b""));
+        assert!(substring(b"X", b""));
     }
 
     #[test]
     fn closure_filters_work() {
         let by_key = |key: u64, _v: &[u8], _q: &[u8]| key.is_multiple_of(2);
-        assert!(by_key.matches(4, b"", b""));
-        assert!(!by_key.matches(5, b"", b""));
+        assert!(by_key.prepare(b"").matches(4, b""));
+        assert!(!by_key.prepare(b"").matches(5, b""));
+        let by_first_byte = |_key: u64, v: &[u8], q: &[u8]| v.first() == q.first();
+        let prepared = by_first_byte.prepare(b"S");
+        assert!(prepared.matches(0, b"SCHWARZ"));
+        assert!(!prepared.matches(0, b"LITWIN"));
     }
 
     #[test]
-    fn default_prepare_delegates_to_matches() {
-        let f = SubstringFilter;
-        let q = b"WARZ".to_vec();
-        let prepared = f.prepare(&q);
+    fn a_prepared_query_outlives_its_wire_bytes() {
+        let prepared = {
+            let q = b"WARZ".to_vec();
+            SubstringFilter.prepare(&q)
+        };
         assert!(prepared.matches(0, b"SCHWARZ"));
         assert!(!prepared.matches(0, b"LITWIN"));
-        assert!(prepared.probes().is_none(), "default has no probes");
+        assert!(prepared.probes().is_none(), "substrings have no probes");
     }
 
     #[test]
     fn default_filter_has_no_index() {
         assert!(SubstringFilter.index_element_bytes().is_none());
         assert!(SubstringFilter.should_index(7));
+    }
+
+    #[test]
+    fn the_memo_prepares_once_per_run_of_equal_query_bytes() {
+        let counting = Arc::new(CountingFilter::default());
+        let filter: Arc<dyn ScanFilter> = counting.clone();
+        let prepares = sdds_obs::Registry::new("memo-test").counter("lh.scan_prepares");
+        let mut memo = ScanMemo::default();
+        let mut run = |query: &[u8], value: &[u8]| {
+            let hit = memo.prepared(&filter, query, &prepares).matches(0, value);
+            (hit, counting.0.load(Ordering::SeqCst))
+        };
+        assert_eq!(run(b"WARZ", b"SCHWARZ"), (true, 1));
+        assert_eq!(run(b"WARZ", b"LITWIN"), (false, 1), "same bytes: reused");
+        assert_eq!(
+            run(b"WAR", b"SCHWARZ"),
+            (true, 2),
+            "a prefix is another query"
+        );
+        assert_eq!(run(b"WARZ", b"SCHWARZ"), (true, 3), "one entry: evicted");
+        assert_eq!(run(b"", b"LITWIN"), (true, 4), "the empty query is a query");
+        assert_eq!(run(b"", b""), (true, 4));
+        assert_eq!(prepares.get(), 4, "lh.scan_prepares counts executions");
+    }
+
+    #[test]
+    fn the_memo_never_answers_one_filter_with_another_filters_query() {
+        let substring: Arc<dyn ScanFilter> = Arc::new(SubstringFilter);
+        let nothing: Arc<dyn ScanFilter> = Arc::new(|_: u64, _: &[u8], _: &[u8]| false);
+        let prepares = sdds_obs::Registry::new("memo-test").counter("lh.scan_prepares");
+        let mut memo = ScanMemo::default();
+        for _ in 0..2 {
+            assert!(memo.prepared(&substring, b"A", &prepares).matches(0, b"A"));
+            assert!(!memo.prepared(&nothing, b"A", &prepares).matches(0, b"A"));
+        }
+        assert_eq!(prepares.get(), 4);
     }
 }

@@ -13,6 +13,7 @@
 //! members plus the parity rows and solves the code; any `m` simultaneous
 //! failures per group are survivable.
 
+use crate::filter::ScanMemo;
 use crate::messages::{ParityRow, Wire};
 use crate::runtime::Machine;
 use sdds_gf::rs::ReedSolomon;
@@ -173,7 +174,7 @@ impl Machine for ParityState {
         span
     }
 
-    fn handle(&mut self, _from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+    fn handle(&mut self, _from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
         self.handle(msg)
     }
 }

@@ -22,6 +22,7 @@
 //! bucket. `DESIGN.md` § "Site runtime" has the numbers.
 
 use crate::drain::{SendQueue, DRAIN_BUDGET, IDLE_TICK};
+use crate::filter::ScanMemo;
 use crate::health::LoopHealth;
 use crate::messages::Wire;
 use parking_lot::{Mutex, RwLock};
@@ -61,8 +62,10 @@ pub(crate) trait Machine: Send {
     /// per activation.
     fn span(&self, site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard;
 
-    /// Processes one message, returning the messages to send out.
-    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)>;
+    /// Processes one message, returning the messages to send out. `memo`
+    /// belongs to the worker, not to the site: it is what a bucket's scan
+    /// leaves for the next bucket the same worker runs.
+    fn handle(&mut self, from: SiteId, msg: Wire, memo: &mut ScanMemo) -> Vec<(SiteId, Wire)>;
 }
 
 struct Site {
@@ -351,6 +354,9 @@ struct Worker {
     /// the disk, and the round ends with it.
     waited: Rc<std::cell::Cell<bool>>,
     batch: Vec<Envelope>,
+    /// The scan query this worker prepared last, for the next bucket it
+    /// activates: a scan sends every bucket the same bytes.
+    memo: ScanMemo,
     /// Envelopes dispatched in the current round.
     dispatched: usize,
     /// The activation in progress or just finished: its start, and the
@@ -368,6 +374,7 @@ impl Worker {
             scatter: Rc::new(RefCell::new(Scatter::new())),
             waited: Rc::default(),
             batch: Vec::with_capacity(DRAIN_BUDGET),
+            memo: ScanMemo::default(),
             dispatched: 0,
             last: None,
             health: LoopHealth::register(),
@@ -469,7 +476,7 @@ impl Worker {
             }
             let span = machine.span(endpoint.id(), &msg, env.ctx);
             let out_ctx = span.context();
-            for (to, out) in machine.handle(env.from, msg) {
+            for (to, out) in machine.handle(env.from, msg, &mut self.memo) {
                 // A send can fail if the peer already shut down (fine
                 // during teardown) or be rejected by a full inbox — the
                 // outbox parks control-plane messages for retry.
@@ -516,7 +523,7 @@ mod tests {
         fn span(&self, _: SiteId, _: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
             sdds_obs::trace::remote_span("bucket.msg", ctx)
         }
-        fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        fn handle(&mut self, from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
             (self.0)(from, msg)
         }
     }
@@ -652,6 +659,96 @@ mod tests {
         runtime.shutdown();
         assert_eq!(flooded_handled.load(Ordering::SeqCst), FLOOD);
         assert_eq!(seen_at_other.load(Ordering::SeqCst), DRAIN_BUDGET);
+    }
+
+    /// How many prepares one scan of 64 buckets costs a runtime of
+    /// `workers`. Every worker that may run is first held inside a gate
+    /// site while the scan requests queue up, so that the scan is run by
+    /// those workers and no others, whatever the host schedules when.
+    fn prepares_of_one_scan(workers: usize) -> usize {
+        use crate::bucket::{BucketCtx, BucketSite, BucketState};
+        use crate::cluster::Directory;
+        use crate::filter::CountingFilter;
+
+        const BUCKETS: u64 = 64;
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(workers);
+        let client = net.register();
+        let filter = Arc::new(CountingFilter::default());
+        let directory = Arc::new(Directory::new());
+        let mut buckets = Vec::new();
+        for addr in 0..BUCKETS {
+            let endpoint = net.register();
+            buckets.push(endpoint.id());
+            let obs = Registry::new(format!("bucket-{addr}"));
+            let engine = Box::new(sdds_storage::MemEngine::new());
+            let site = BucketSite {
+                state: BucketState::new(addr, 6, 100, None, engine),
+                ctx: BucketCtx::new(
+                    directory.clone(),
+                    client.id(),
+                    filter.clone(),
+                    None,
+                    obs.clone(),
+                ),
+            };
+            runtime.add(endpoint, Box::new(site), &obs);
+        }
+        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
+        let mut gates = Vec::new();
+        for _ in 0..workers {
+            let gate = net.register();
+            let gate_id = gate.id();
+            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+            gates.push(go_tx);
+            let enter_tx = enter_tx.clone();
+            add(&runtime, gate, move |_, _| {
+                enter_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                Vec::new()
+            });
+            client.send(gate_id, numbered(0)).unwrap();
+        }
+        for _ in 0..workers {
+            enter_rx.recv().unwrap();
+        }
+        let scan = Wire::ScanReq {
+            req_id: 1,
+            client: client.id().0,
+            query: b"WARZ".to_vec(),
+            keys_only: true,
+        };
+        let mut scatter = Scatter::new();
+        for &to in &buckets {
+            client
+                .send_with(&mut scatter, to, scan.encode(), None)
+                .unwrap();
+        }
+        drop(scatter);
+        for go in gates {
+            go.send(()).unwrap();
+        }
+        for _ in 0..BUCKETS {
+            let env = client.recv_timeout(Duration::from_secs(60)).unwrap();
+            assert!(matches!(
+                Wire::decode(&env.payload),
+                Some(Wire::ScanResp { .. })
+            ));
+        }
+        runtime.shutdown();
+        filter.0.load(Ordering::SeqCst)
+    }
+
+    /// The query of a scan is prepared once per worker that runs any of
+    /// its buckets, not once per bucket.
+    #[test]
+    fn a_scan_costs_one_prepare_per_worker_not_per_bucket() {
+        assert_eq!(prepares_of_one_scan(1), 1);
+        let prepares = prepares_of_one_scan(4);
+        assert!(
+            (1..=4).contains(&prepares),
+            "{prepares} prepares, 4 workers"
+        );
     }
 
     /// One worker, a site whose handler waits for an `fsync`, and a

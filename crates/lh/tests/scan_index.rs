@@ -34,10 +34,7 @@ impl PreparedQuery for PreparedElement {
 }
 
 impl ScanFilter for ElementFilter {
-    fn matches(&self, _key: u64, value: &[u8], query: &[u8]) -> bool {
-        element_match(value, query)
-    }
-    fn prepare<'q>(&'q self, query: &'q [u8]) -> Box<dyn PreparedQuery + 'q> {
+    fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
         let probes = if query.len() == W {
             vec![query.to_vec()]
         } else {

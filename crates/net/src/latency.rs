@@ -54,7 +54,6 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::SiteId;
 
     #[test]
     fn message_time_is_linear() {
@@ -72,15 +71,15 @@ mod tests {
     #[test]
     fn zero_model_is_free() {
         let stats = NetStats::new();
-        stats.record(SiteId(0), SiteId(1), 1_000_000);
+        stats.record(1_000_000);
         assert_eq!(LatencyModel::zero().total_time(&stats), Duration::ZERO);
     }
 
     #[test]
     fn total_time_accumulates() {
         let stats = NetStats::new();
-        stats.record(SiteId(0), SiteId(1), 100);
-        stats.record(SiteId(1), SiteId(0), 100);
+        stats.record(100);
+        stats.record(100);
         let m = LatencyModel::default();
         assert_eq!(m.total_time(&stats), m.per_message * 2 + m.per_byte * 200);
     }

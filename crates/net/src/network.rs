@@ -311,7 +311,7 @@ impl Network {
             Mode::Channel { mailboxes } => mailboxes,
             Mode::Tcp(fabric) => return fabric.deliver(env, at),
         };
-        let (from, to, len, ctx) = (env.from, env.to, env.payload.len(), env.ctx);
+        let (to, len, ctx) = (env.to, env.payload.len(), env.ctx);
         let boxes = mailboxes.read();
         let mailbox = boxes.get(to.0 as usize).ok_or(NetError::UnknownSite(to))?;
         if inner.drop_probability > 0.0 && self.draw_drop() {
@@ -331,9 +331,9 @@ impl Network {
         // accounted separately above). Record first so a receiver that
         // dequeues the message always observes it counted, then roll back
         // on a refusal.
-        inner.stats.record(from, to, len);
+        inner.stats.record(len);
         let wake = mailbox.push(env, at).map_err(|refused| {
-            inner.stats.unrecord(from, to, len);
+            inner.stats.unrecord(len);
             inner.counters.refused(&inner.stats, refused, to, len, ctx)
         })?;
         inner.counters.messages.inc();
@@ -688,8 +688,6 @@ mod tests {
         a.send(b.id(), Bytes::from_static(b"678")).unwrap();
         assert_eq!(net.stats().messages(), 2);
         assert_eq!(net.stats().bytes(), 8);
-        assert_eq!(net.stats().messages_from(a.id()), 2);
-        assert_eq!(net.stats().messages_to(b.id()), 2);
     }
 
     #[test]
@@ -872,8 +870,6 @@ mod tests {
         );
         assert_eq!(net.stats().messages(), 0, "failed send counted as traffic");
         assert_eq!(net.stats().bytes(), 0);
-        assert_eq!(net.stats().messages_from(a.id()), 0);
-        assert_eq!(net.stats().messages_to(b_id), 0);
         // a subsequent successful send still counts normally
         a.send(a.id(), Bytes::from_static(b"ok")).unwrap();
         assert_eq!(net.stats().messages(), 1);
@@ -938,8 +934,6 @@ mod tests {
         );
         assert_eq!(net.stats().messages(), ok);
         assert_eq!(net.stats().rejected(), sent - ok);
-        assert_eq!(net.stats().messages_from(a.id()), ok);
-        assert_eq!(net.stats().messages_to(b.id()), ok);
         assert_eq!(net.stats().bytes(), ok * 8);
         let mut received = 0u64;
         while b.try_recv().is_ok() {

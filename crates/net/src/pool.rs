@@ -15,6 +15,8 @@
 //! freshly allocated buffers.
 
 use parking_lot::Mutex;
+use sdds_obs::Counter;
+use std::sync::LazyLock;
 
 /// Maximum number of idle buffers the pool retains.
 const MAX_POOLED: usize = 64;
@@ -23,6 +25,11 @@ const MAX_POOLED: usize = 64;
 const MAX_RETAIN_CAPACITY: usize = 256 * 1024;
 
 static POOL: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+// Resolved once: by name is a registry lock and a map probe, and every
+// encode of every message takes a buffer.
+static HITS: LazyLock<Counter> = LazyLock::new(|| sdds_obs::counter("net.buf_pool_hits"));
+static MISSES: LazyLock<Counter> = LazyLock::new(|| sdds_obs::counter("net.buf_pool_misses"));
 
 /// A pooled, growable byte buffer.
 ///
@@ -42,11 +49,11 @@ impl PooledBuf {
         match recycled {
             Some(mut buf) => {
                 buf.clear();
-                sdds_obs::counter("net.buf_pool_hits").inc();
+                HITS.inc();
                 PooledBuf { buf: Some(buf) }
             }
             None => {
-                sdds_obs::counter("net.buf_pool_misses").inc();
+                MISSES.inc();
                 PooledBuf {
                     buf: Some(Vec::new()),
                 }

@@ -1,27 +1,15 @@
 //! Traffic accounting.
 
-use crate::network::SiteId;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Message and byte counters, total and per site. Thread-safe; counters
-/// use relaxed atomics (totals only, no inter-counter invariants).
+/// Message and byte counters. Thread-safe; counters use relaxed atomics
+/// (totals only, no inter-counter invariants).
 #[derive(Debug, Default)]
 pub struct NetStats {
     messages: AtomicU64,
     bytes: AtomicU64,
     dropped: AtomicU64,
     rejected: AtomicU64,
-    per_site: Mutex<HashMap<SiteId, SiteCounters>>,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct SiteCounters {
-    sent_msgs: u64,
-    sent_bytes: u64,
-    recv_msgs: u64,
-    recv_bytes: u64,
 }
 
 impl NetStats {
@@ -30,38 +18,22 @@ impl NetStats {
         NetStats::default()
     }
 
-    pub(crate) fn record(&self, from: SiteId, to: SiteId, len: usize) {
+    pub(crate) fn record(&self, len: usize) {
         // ordering: Relaxed — monotonic totals with no inter-counter
         // invariant; a receiver that must observe the count after a
         // delivery synchronizes on the channel enqueue, not on these adds
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(len as u64, Ordering::Relaxed); // ordering: see above
-        let mut map = self.per_site.lock();
-        let s = map.entry(from).or_default();
-        s.sent_msgs += 1;
-        s.sent_bytes += len as u64;
-        let r = map.entry(to).or_default();
-        r.recv_msgs += 1;
-        r.recv_bytes += len as u64;
     }
 
     /// Rolls back a [`record`](Self::record) for a send that failed after
     /// being provisionally counted (the counters must not include messages
     /// that were never enqueued).
-    pub(crate) fn unrecord(&self, from: SiteId, to: SiteId, len: usize) {
+    pub(crate) fn unrecord(&self, len: usize) {
         // ordering: Relaxed — rollback of the provisional adds in record();
         // same no-inter-counter-invariant argument
         self.messages.fetch_sub(1, Ordering::Relaxed);
         self.bytes.fetch_sub(len as u64, Ordering::Relaxed); // ordering: see above
-        let mut map = self.per_site.lock();
-        if let Some(s) = map.get_mut(&from) {
-            s.sent_msgs = s.sent_msgs.saturating_sub(1);
-            s.sent_bytes = s.sent_bytes.saturating_sub(len as u64);
-        }
-        if let Some(r) = map.get_mut(&to) {
-            r.recv_msgs = r.recv_msgs.saturating_sub(1);
-            r.recv_bytes = r.recv_bytes.saturating_sub(len as u64);
-        }
     }
 
     pub(crate) fn record_dropped(&self) {
@@ -98,26 +70,6 @@ impl NetStats {
         self.bytes.load(Ordering::Relaxed) // ordering: snapshot read, staleness fine
     }
 
-    /// Messages sent by a site.
-    pub fn messages_from(&self, site: SiteId) -> u64 {
-        self.per_site.lock().get(&site).map_or(0, |c| c.sent_msgs)
-    }
-
-    /// Messages received by a site.
-    pub fn messages_to(&self, site: SiteId) -> u64 {
-        self.per_site.lock().get(&site).map_or(0, |c| c.recv_msgs)
-    }
-
-    /// Payload bytes sent by a site.
-    pub fn bytes_from(&self, site: SiteId) -> u64 {
-        self.per_site.lock().get(&site).map_or(0, |c| c.sent_bytes)
-    }
-
-    /// Payload bytes received by a site.
-    pub fn bytes_to(&self, site: SiteId) -> u64 {
-        self.per_site.lock().get(&site).map_or(0, |c| c.recv_bytes)
-    }
-
     /// Resets all counters — lets benches measure per-phase traffic.
     pub fn reset(&self) {
         // ordering: Relaxed — benches call this between phases with no
@@ -126,7 +78,6 @@ impl NetStats {
         self.bytes.store(0, Ordering::Relaxed); // ordering: see above
         self.dropped.store(0, Ordering::Relaxed); // ordering: see above
         self.rejected.store(0, Ordering::Relaxed); // ordering: see above
-        self.per_site.lock().clear();
     }
 }
 
@@ -137,39 +88,33 @@ mod tests {
     #[test]
     fn records_accumulate() {
         let stats = NetStats::new();
-        stats.record(SiteId(0), SiteId(1), 10);
-        stats.record(SiteId(0), SiteId(2), 5);
-        stats.record(SiteId(1), SiteId(0), 1);
+        stats.record(10);
+        stats.record(5);
+        stats.record(1);
         assert_eq!(stats.messages(), 3);
         assert_eq!(stats.bytes(), 16);
-        assert_eq!(stats.messages_from(SiteId(0)), 2);
-        assert_eq!(stats.bytes_from(SiteId(0)), 15);
-        assert_eq!(stats.messages_to(SiteId(0)), 1);
-        assert_eq!(stats.bytes_to(SiteId(2)), 5);
     }
 
     #[test]
-    fn unknown_site_reads_zero() {
+    fn unrecord_rolls_one_record_back() {
         let stats = NetStats::new();
-        assert_eq!(stats.messages_from(SiteId(9)), 0);
-        assert_eq!(stats.bytes_to(SiteId(9)), 0);
+        stats.record(10);
+        stats.record(5);
+        stats.unrecord(5);
+        assert_eq!(stats.messages(), 1);
+        assert_eq!(stats.bytes(), 10);
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let stats = NetStats::new();
-        stats.record(SiteId(0), SiteId(1), 100);
+        stats.record(100);
+        stats.record_dropped();
+        stats.record_rejected();
         stats.reset();
         assert_eq!(stats.messages(), 0);
         assert_eq!(stats.bytes(), 0);
-        assert_eq!(stats.messages_from(SiteId(0)), 0);
-    }
-
-    #[test]
-    fn self_send_counts_both_directions() {
-        let stats = NetStats::new();
-        stats.record(SiteId(3), SiteId(3), 7);
-        assert_eq!(stats.messages_from(SiteId(3)), 1);
-        assert_eq!(stats.messages_to(SiteId(3)), 1);
+        assert_eq!(stats.dropped(), 0);
+        assert_eq!(stats.rejected(), 0);
     }
 }

@@ -120,12 +120,38 @@ impl Conn {
     }
 }
 
+/// Handles of the `net.tcp.*` counters the reader and writer loops bump
+/// per frame and per write, resolved once like [`NetCounters`]; the
+/// counters of rare events (dials, NACKs, errors) stay looked up by name.
+struct TcpCounters {
+    frames_received: sdds_obs::Counter,
+    bytes_received: sdds_obs::Counter,
+    writes: sdds_obs::Counter,
+    frames_sent: sdds_obs::Counter,
+    bytes_sent: sdds_obs::Counter,
+    frames_dropped: sdds_obs::Counter,
+}
+
+impl TcpCounters {
+    fn new() -> TcpCounters {
+        TcpCounters {
+            frames_received: sdds_obs::counter("net.tcp.frames_received"),
+            bytes_received: sdds_obs::counter("net.tcp.bytes_received"),
+            writes: sdds_obs::counter("net.tcp.writes"),
+            frames_sent: sdds_obs::counter("net.tcp.frames_sent"),
+            bytes_sent: sdds_obs::counter("net.tcp.bytes_sent"),
+            frames_dropped: sdds_obs::counter("net.tcp.frames_dropped"),
+        }
+    }
+}
+
 struct Shared {
     registry: SiteRegistry,
     rank: Option<usize>,
     inbox_capacity: Option<usize>,
     stats: Arc<NetStats>,
     counters: NetCounters,
+    tcp: TcpCounters,
     shutdown: AtomicBool,
     /// Local inboxes by raw site id.
     locals: RwLock<HashMap<u32, Arc<Mailbox>>>,
@@ -160,15 +186,15 @@ impl Shared {
         env: Envelope,
         at: Instant,
     ) -> Result<Option<Wake>, Refused> {
-        let (from, to, len) = (env.from, env.to, env.payload.len());
-        self.stats.record(from, to, len);
+        let len = env.payload.len();
+        self.stats.record(len);
         let pushed = mailbox.push(env, at);
         match pushed {
             Ok(_) => {
                 self.counters.messages.inc();
                 self.counters.bytes.add(len as u64);
             }
-            Err(_) => self.stats.unrecord(from, to, len),
+            Err(_) => self.stats.unrecord(len),
         }
         pushed
     }
@@ -236,6 +262,7 @@ impl TcpFabric {
                 inbox_capacity,
                 stats,
                 counters: NetCounters::new(),
+                tcp: TcpCounters::new(),
                 shutdown: AtomicBool::new(false),
                 locals: RwLock::new(HashMap::new()),
                 local_dyn: Mutex::new(Vec::new()),
@@ -384,10 +411,10 @@ impl TcpFabric {
             return Err(shared.counters.disconnected(to));
         };
 
-        let (from, len) = (env.from, env.payload.len());
+        let len = env.payload.len();
         let mut buf = PooledBuf::take();
         frame::encode_envelope(&env, buf.as_mut_vec());
-        shared.stats.record(from, to, len);
+        shared.stats.record(len);
         match conn.enqueue(buf, false) {
             Ok(()) => {
                 shared.counters.messages.inc();
@@ -395,11 +422,11 @@ impl TcpFabric {
                 Ok(None)
             }
             Err(EnqueueError::Full) => {
-                shared.stats.unrecord(from, to, len);
+                shared.stats.unrecord(len);
                 Err(shared.refuse_overloaded(&env))
             }
             Err(EnqueueError::Closed) => {
-                shared.stats.unrecord(from, to, len);
+                shared.stats.unrecord(len);
                 Err(shared.counters.disconnected(to))
             }
         }
@@ -537,7 +564,7 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
                     let dropped = st.queue.len();
                     st.queue.clear();
                     if dropped > 0 {
-                        sdds_obs::counter("net.tcp.frames_dropped").add(dropped as u64);
+                        shared.tcp.frames_dropped.add(dropped as u64);
                     }
                     return;
                 }
@@ -571,8 +598,8 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
                         if !hello.is_empty() {
                             if let Some(s) = &mut stream {
                                 if s.write_all(&hello).is_ok() {
-                                    sdds_obs::counter("net.tcp.writes").inc();
-                                    sdds_obs::counter("net.tcp.bytes_sent").add(hello.len() as u64);
+                                    shared.tcp.writes.inc();
+                                    shared.tcp.bytes_sent.add(hello.len() as u64);
                                 } else {
                                     stream = None;
                                 }
@@ -622,13 +649,13 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
             None => false,
         };
         if ok {
-            sdds_obs::counter("net.tcp.writes").inc();
-            sdds_obs::counter("net.tcp.frames_sent").add(frames);
-            sdds_obs::counter("net.tcp.bytes_sent").add(coalesce.len() as u64);
+            shared.tcp.writes.inc();
+            shared.tcp.frames_sent.add(frames);
+            shared.tcp.bytes_sent.add(coalesce.len() as u64);
         } else {
             // The frames of this batch are lost — exactly like an
             // in-flight datagram on a dead link. The protocol retransmits.
-            sdds_obs::counter("net.tcp.frames_dropped").add(frames);
+            shared.tcp.frames_dropped.add(frames);
             stream = None;
             let mut st = conn.state.lock();
             if st.generation == stream_gen {
@@ -651,7 +678,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
             Ok(0) | Err(_) => break 'stream,
             Ok(n) => n,
         };
-        sdds_obs::counter("net.tcp.bytes_received").add(n as u64);
+        shared.tcp.bytes_received.add(n as u64);
         decoder.extend(&buf[..n]);
         loop {
             match decoder.next_frame() {
@@ -708,7 +735,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
             }
         }
         Frame::Envelope(env) => {
-            sdds_obs::counter("net.tcp.frames_received").inc();
+            shared.tcp.frames_received.inc();
             if env.from.0 >= DYN_BASE && env.from.0 < crate::registry::COORD_ID {
                 // Learn the reply route even if the hello raced us.
                 shared.routes.lock().insert(env.from.0, Arc::clone(conn));
