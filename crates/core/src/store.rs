@@ -237,8 +237,8 @@ impl StoreBuilder {
         self
     }
 
-    /// Configures the simulated network under the cluster: latency model,
-    /// fault injection, and `inbox_capacity` — the bounded-mailbox
+    /// Configures the simulated network under the cluster: fault
+    /// injection, and `inbox_capacity` — the bounded-mailbox
     /// admission control bound (unbounded by default). A full inbox
     /// rejects sends at the sender with `Overloaded`; client handles ride
     /// it out via their [`RetryPolicy`](sdds_lh::RetryPolicy).

@@ -13,7 +13,7 @@ use crate::index::PostingIndex;
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use crate::parity::{slot_delta, slot_of};
 use crate::runtime::Machine;
-use sdds_net::SiteId;
+use sdds_net::{SiteId, COORD_ID};
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
 use sdds_obs::{Counter, Histogram, Registry};
 use sdds_storage::{BatchOp, StorageEngine, StorageError, WriteBatch};
@@ -88,7 +88,6 @@ pub(crate) struct BucketState {
 /// Immutable wiring a bucket needs to route messages.
 pub(crate) struct BucketCtx {
     pub directory: Arc<Directory>,
-    pub coordinator: SiteId,
     pub filter: Arc<dyn ScanFilter>,
     pub parity: Option<ParityConfig>,
     /// This site's metrics registry (labeled `bucket-<addr>`). Updates
@@ -103,14 +102,12 @@ pub(crate) struct BucketCtx {
 impl BucketCtx {
     pub(crate) fn new(
         directory: Arc<Directory>,
-        coordinator: SiteId,
         filter: Arc<dyn ScanFilter>,
         parity: Option<ParityConfig>,
         obs: Registry,
     ) -> BucketCtx {
         BucketCtx {
             directory,
-            coordinator,
             filter,
             parity,
             scan: ScanMetrics::new(&obs),
@@ -209,7 +206,7 @@ impl BucketState {
                 self.key_rank.insert(key, rank);
             }
         }
-        self.maybe_report_overflow(ctx)
+        self.maybe_report_overflow()
     }
 
     /// Shrink threshold: an eighth of the capacity (hysteresis well below
@@ -413,7 +410,7 @@ impl BucketState {
                 match self.store(key, value, ctx) {
                     Ok((replaced, msgs)) => {
                         out.extend(msgs);
-                        out.extend(self.maybe_report_overflow(ctx));
+                        out.extend(self.maybe_report_overflow());
                         OpResult::Inserted { replaced }
                     }
                     Err(e) => self.storage_error("insert", e, ctx),
@@ -426,7 +423,7 @@ impl BucketState {
                 Ok((existed, msgs)) => {
                     out.extend(msgs);
                     if existed {
-                        out.extend(self.maybe_report_underflow(ctx));
+                        out.extend(self.maybe_report_underflow());
                     }
                     OpResult::Deleted { existed }
                 }
@@ -606,7 +603,7 @@ impl BucketState {
         crash_point("transfer-applied");
         out.push((from, Wire::TransferAck { addr: self.addr }));
         // adoption of transferred records can itself overflow
-        out.extend(self.maybe_report_overflow(ctx));
+        out.extend(self.maybe_report_overflow());
         out.extend(self.serve_held(ctx));
         out
     }
@@ -648,7 +645,7 @@ impl BucketState {
         match pending.done {
             TransferDone::Split => {
                 self.overflow_reported = false;
-                out.push((ctx.coordinator, Wire::SplitDone { addr: self.addr }));
+                out.push((SiteId(COORD_ID), Wire::SplitDone { addr: self.addr }));
             }
             TransferDone::Merge => {
                 // Dissolved: tear down the durable footprint so a reopen
@@ -658,7 +655,7 @@ impl BucketState {
                 if self.engine.destroy().is_err() {
                     ctx.obs.counter("storage.errors").inc();
                 }
-                out.push((ctx.coordinator, Wire::MergeDone { addr: self.addr }));
+                out.push((SiteId(COORD_ID), Wire::MergeDone { addr: self.addr }));
             }
         }
         out
@@ -762,12 +759,12 @@ impl BucketState {
         self.serve_held(ctx)
     }
 
-    fn maybe_report_overflow(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn maybe_report_overflow(&mut self) -> Vec<(SiteId, Wire)> {
         if self.engine.len() > self.capacity && !self.overflow_reported {
             self.overflow_reported = true;
             self.underflow_reported = false;
             vec![(
-                ctx.coordinator,
+                SiteId(COORD_ID),
                 Wire::Overflow {
                     addr: self.addr,
                     level: self.level,
@@ -779,12 +776,12 @@ impl BucketState {
         }
     }
 
-    fn maybe_report_underflow(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn maybe_report_underflow(&mut self) -> Vec<(SiteId, Wire)> {
         if self.engine.len() < self.underflow_threshold() && !self.underflow_reported {
             self.underflow_reported = true;
             self.overflow_reported = false;
             vec![(
-                ctx.coordinator,
+                SiteId(COORD_ID),
                 Wire::Underflow {
                     addr: self.addr,
                     size: self.engine.len(),
@@ -1014,27 +1011,19 @@ mod tests {
         BucketState::new(addr, level, capacity, None, Box::new(MemEngine::new()))
     }
 
-    fn ctx(net: &Network) -> (BucketCtx, SiteId) {
-        let directory = Arc::new(Directory::new());
-        let coord = net.register();
-        let coord_id = coord.id();
-        std::mem::forget(coord); // keep channel alive for the test
-        (
-            BucketCtx::new(
-                directory,
-                coord_id,
-                Arc::new(SubstringFilter),
-                None,
-                Registry::new("bucket-test"),
-            ),
-            coord_id,
-        )
+    fn ctx() -> (BucketCtx, SiteId) {
+        let ctx = BucketCtx::new(
+            Arc::new(Directory::new()),
+            Arc::new(SubstringFilter),
+            None,
+            Registry::new("bucket-test"),
+        );
+        (ctx, SiteId(COORD_ID))
     }
 
     #[test]
     fn serves_insert_lookup_delete_locally() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
+        let (ctx, _) = ctx();
         let mut b = mem_bucket(0, 0, 100);
         let out = b.handle(
             SiteId(9),
@@ -1098,10 +1087,7 @@ mod tests {
 
     #[test]
     fn forwards_misaddressed_requests() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
-        ctx.directory.set_bucket(0, SiteId(10));
-        ctx.directory.set_bucket(1, SiteId(11));
+        let (ctx, _) = ctx();
         // bucket 0 at level 1: key 3 hashes to 1 → forward
         let mut b = mem_bucket(0, 1, 100);
         let out = b.handle(
@@ -1116,7 +1102,7 @@ mod tests {
             &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SiteId(11));
+        assert_eq!(out[0].0, SiteId(1), "bucket 1's site id is its address");
         assert!(matches!(out[0].1, Wire::Request { hops: 1, .. }));
     }
 
@@ -1127,11 +1113,9 @@ mod tests {
         // the retired bucket must be forwarded to the split ancestor
         // (where the records went), never stored locally at a wrong
         // bucket where it would become unreachable.
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
-        ctx.directory.set_bucket(0, SiteId(10));
-        ctx.directory.set_bucket(1, SiteId(11));
-        // bucket 3 (the merge victim) is retired: no directory entry
+        let (ctx, _) = ctx();
+        // bucket 3 (the merge victim) is retired
+        ctx.directory.retire(3);
         // bucket 0 at level 2: key 3 targets bucket 3
         let mut b = mem_bucket(0, 2, 100);
         let out = b.handle(
@@ -1149,15 +1133,14 @@ mod tests {
             &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SiteId(11), "descend to h(3, level-1) = bucket 1");
+        assert_eq!(out[0].0, SiteId(1), "descend to h(3, level-1) = bucket 1");
         assert!(matches!(out[0].1, Wire::Request { hops: 1, .. }));
         assert_eq!(b.len(), 0, "nothing stored at the wrong bucket");
     }
 
     #[test]
     fn overflow_reported_once() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, coord) = ctx(&net);
+        let (ctx, coord) = ctx();
         let mut b = mem_bucket(0, 0, 2);
         let mut overflow_msgs = 0;
         for key in 0..5u64 {
@@ -1182,8 +1165,7 @@ mod tests {
 
     #[test]
     fn split_moves_rehashing_records() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, coord) = ctx(&net);
+        let (ctx, coord) = ctx();
         let mut b = mem_bucket(0, 0, 100);
         for key in 0..10u64 {
             b.handle(
@@ -1248,8 +1230,7 @@ mod tests {
 
     #[test]
     fn stray_transfer_ack_is_ignored() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
+        let (ctx, _) = ctx();
         let mut b = mem_bucket(0, 0, 100);
         b.handle(
             SiteId(9),
@@ -1278,8 +1259,7 @@ mod tests {
 
     #[test]
     fn merge_ships_everything_and_reports() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, coord) = ctx(&net);
+        let (ctx, coord) = ctx();
         let mut b = mem_bucket(2, 2, 100);
         for key in [2u64, 6, 10] {
             b.handle(
@@ -1344,8 +1324,7 @@ mod tests {
     /// destroyed with the engine when the parent's ack arrived.
     #[test]
     fn merged_bucket_forwards_requests_to_the_parent() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, coord) = ctx(&net);
+        let (ctx, coord) = ctx();
         let mut b = mem_bucket(2, 2, 100);
         b.handle(
             coord,
@@ -1391,8 +1370,7 @@ mod tests {
     /// in between read `None` for a record that was about to arrive.
     #[test]
     fn fresh_split_target_holds_requests_until_its_records_arrive() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
+        let (ctx, _) = ctx();
         let mut b = mem_bucket(1, 1, 100).awaiting_records();
         let lookup = Wire::Request {
             req_id: 1,
@@ -1448,7 +1426,6 @@ mod tests {
         directory.set_parity(0, vec![parity_site.id()]);
         let ctx = BucketCtx::new(
             directory,
-            coord.id(),
             Arc::new(SubstringFilter),
             Some(ParityConfig {
                 group_size: 2,
@@ -1504,8 +1481,7 @@ mod tests {
 
     #[test]
     fn dump_reports_full_contents() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
+        let (ctx, _) = ctx();
         let mut b = mem_bucket(3, 2, 10);
         b.handle(
             SiteId(9),
@@ -1541,8 +1517,7 @@ mod tests {
 
     #[test]
     fn underflow_reports_once_until_refilled() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, coord) = ctx(&net);
+        let (ctx, coord) = ctx();
         let mut b = mem_bucket(0, 0, 64); // threshold 8
         for key in 0..10u64 {
             b.handle(
@@ -1580,8 +1555,7 @@ mod tests {
 
     #[test]
     fn scan_applies_filter() {
-        let net = Network::new(NetConfig::default());
-        let (ctx, _) = ctx(&net);
+        let (ctx, _) = ctx();
         let mut b = mem_bucket(0, 0, 100);
         for (key, val) in [(1u64, b"SCHWARZ".to_vec()), (2, b"LITWIN".to_vec())] {
             b.handle(
@@ -1628,7 +1602,6 @@ mod tests {
         directory.set_parity(1, vec![parity_site.id()]);
         let ctx = BucketCtx::new(
             directory,
-            coord.id(),
             Arc::new(SubstringFilter),
             Some(ParityConfig {
                 group_size: 2,
@@ -1723,8 +1696,7 @@ mod tests {
     /// capacity.
     #[test]
     fn startup_rebuilds_bookkeeping_from_recovered_records() {
-        let net = Network::new(NetConfig::default());
-        let (mut ctx, coord) = ctx(&net);
+        let (mut ctx, coord) = ctx();
         ctx.parity = Some(ParityConfig {
             group_size: 2,
             parity_count: 1,

@@ -4,7 +4,7 @@ use crate::cluster::Directory;
 use crate::hash::{split_children, ClientImage};
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use bytes::Bytes;
-use sdds_net::{Endpoint, NetError, Scatter, SiteId};
+use sdds_net::{Endpoint, NetError, Scatter, SiteId, COORD_ID};
 use sdds_obs::trace;
 use sdds_obs::{Counter, Histogram};
 use std::cell::Cell;
@@ -97,7 +97,6 @@ impl RetryPolicy {
 pub struct LhClient {
     endpoint: Endpoint,
     directory: Arc<Directory>,
-    coordinator: SiteId,
     image: Cell<ClientImage>,
     next_req: Cell<u64>,
     timeout: Cell<Duration>,
@@ -157,15 +156,10 @@ impl fmt::Debug for LhClient {
 }
 
 impl LhClient {
-    pub(crate) fn new(
-        endpoint: Endpoint,
-        directory: Arc<Directory>,
-        coordinator: SiteId,
-    ) -> LhClient {
+    pub(crate) fn new(endpoint: Endpoint, directory: Arc<Directory>) -> LhClient {
         LhClient {
             endpoint,
             directory,
-            coordinator,
             image: Cell::new(ClientImage::default()),
             next_req: Cell::new(1),
             timeout: Cell::new(Duration::from_secs(10)),
@@ -598,7 +592,7 @@ impl LhClient {
         };
         let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
         for _attempt in 0..Self::ATTEMPTS {
-            self.send_admitted(self.coordinator, msg.encode())?;
+            self.send_admitted(SiteId(COORD_ID), msg.encode())?;
             let deadline = Instant::now() + attempt_timeout;
             loop {
                 let env = match self.endpoint.recv_until(deadline) {
@@ -765,7 +759,7 @@ fn finish(matches: HashMap<u64, ScanMatch>) -> Vec<ScanMatch> {
 mod tests {
     use super::*;
     use crate::cluster::Directory;
-    use sdds_net::{NetConfig, Network};
+    use sdds_net::{NetConfig, Network, COORD_ID};
 
     /// A client wired to a never-drained "bucket" site behind a bounded
     /// inbox, plus a raw endpoint for stuffing that inbox full.
@@ -774,11 +768,9 @@ mod tests {
             inbox_capacity: Some(capacity),
             ..NetConfig::default()
         });
-        let bucket_ep = net.register();
-        let coord_ep = net.register();
+        let bucket_ep = net.register_with_id(SiteId(0)).unwrap();
         let directory = Arc::new(Directory::new());
-        directory.set_bucket(0, bucket_ep.id());
-        let client = LhClient::new(net.register(), directory, coord_ep.id());
+        let client = LhClient::new(net.register(), directory);
         let filler = net.register();
         (net, client, bucket_ep, filler)
     }
@@ -868,11 +860,9 @@ mod tests {
     /// retry ladder.)
     #[test]
     fn an_overloaded_bucket_does_not_stall_the_rest_of_a_fan_out() {
-        let (net, mut client, bucket0, filler) = tiny_inbox_rig(1);
-        let bucket1 = net.register();
-        client.directory.set_bucket(1, bucket1.id());
-        let coordinator = net.register();
-        client.coordinator = coordinator.id();
+        let (net, client, bucket0, filler) = tiny_inbox_rig(1);
+        let bucket1 = net.register_with_id(SiteId(1)).unwrap();
+        let coordinator = net.register_with_id(SiteId(COORD_ID)).unwrap();
         let backoff = Duration::from_secs(1);
         client.set_retry_policy(RetryPolicy {
             max_retries: 1,
@@ -952,13 +942,9 @@ mod tests {
     #[test]
     fn scan_follows_a_split_that_finished_after_the_extent_was_read() {
         let net = Network::new(NetConfig::default());
-        let coord_ep = net.register();
-        let buckets = [net.register(), net.register(), net.register()];
-        let directory = Arc::new(Directory::new());
-        for (addr, ep) in buckets.iter().enumerate() {
-            directory.set_bucket(addr as u64, ep.id());
-        }
-        let client = LhClient::new(net.register(), directory, coord_ep.id());
+        let coord_ep = net.register_with_id(SiteId(COORD_ID)).unwrap();
+        let buckets = [0, 1, 2].map(|addr| net.register_with_id(SiteId(addr)).unwrap());
+        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
         let late_before = sdds_obs::counter("lh.scan_late_buckets").get();
 
         let scan = std::thread::spawn(move || client.scan(b"q", true));

@@ -8,88 +8,71 @@ use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
 use crate::parity::{reconstruct_member, ParityState};
-use crate::runtime::Runtime;
+use crate::runtime::{Machine, Runtime};
+use crate::serve::HostMsg;
 use bytes::Bytes;
 use parking_lot::RwLock;
-use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId};
+use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::Registry;
 use sdds_storage::{MemEngine, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Maps bucket addresses and parity groups to network sites. The LH\*
-/// papers assume a computable address→node mapping known to all parties;
-/// the directory models that static naming service. It is *not* consulted
-/// for file state — clients still learn levels and split pointers only via
-/// IAMs, which is the protocol under test.
+/// Names the sites of an LH\* file for whoever routes to them — the
+/// computable address→node mapping the LH\* papers assume known to all
+/// parties. A bucket's site id *is* its address
+/// (`SiteRegistry::bucket_id`), so what the directory keeps is which
+/// addresses are retired — merged away, or killed and not recovered yet
+/// — and each group's parity sites. It is *not* consulted for file
+/// state: clients still learn levels and split pointers only via IAMs,
+/// which is the protocol under test.
 pub struct Directory {
-    buckets: RwLock<Vec<Option<SiteId>>>,
+    /// `retired[addr]`: not routed to.
+    retired: RwLock<Vec<bool>>,
+    /// One past the highest bucket address ever spawned here.
+    spawned: AtomicU64,
     parity: RwLock<HashMap<u64, Vec<SiteId>>>,
-    /// Static addressing (TCP transport): bucket `addr` *is* site id
-    /// `addr`; the registry's modular partition decides which process
-    /// hosts it, so no dynamic site table is needed — only the set of
-    /// addresses retired by merges.
-    static_addrs: bool,
-    retired: RwLock<std::collections::HashSet<u64>>,
 }
 
 impl Directory {
     pub(crate) fn new() -> Directory {
         Directory {
-            buckets: RwLock::new(Vec::new()),
+            retired: RwLock::new(Vec::new()),
+            spawned: AtomicU64::new(0),
             parity: RwLock::new(HashMap::new()),
-            static_addrs: false,
-            retired: RwLock::new(std::collections::HashSet::new()),
         }
     }
 
-    /// A directory whose address→site mapping is the identity: used by
-    /// the TCP transport, where bucket sites register under their bucket
-    /// address and the registry routes by id.
-    pub(crate) fn new_static() -> Directory {
-        Directory {
-            static_addrs: true,
-            ..Directory::new()
+    /// Bucket `addr` was spawned (again): routed to from now on.
+    pub(crate) fn spawned(&self, addr: u64) {
+        // ordering: Relaxed — a high-water mark read only for reporting
+        self.spawned.fetch_max(addr + 1, Ordering::Relaxed);
+        if let Some(retired) = self.retired.write().get_mut(addr as usize) {
+            *retired = false;
         }
     }
 
-    pub(crate) fn set_bucket(&self, addr: u64, site: SiteId) {
-        if self.static_addrs {
-            self.retired.write().remove(&addr);
-            return;
+    pub(crate) fn retire(&self, addr: u64) {
+        let mut retired = self.retired.write();
+        if retired.len() <= addr as usize {
+            retired.resize(addr as usize + 1, false);
         }
-        let mut v = self.buckets.write();
-        if v.len() <= addr as usize {
-            v.resize(addr as usize + 1, None);
-        }
-        v[addr as usize] = Some(site);
+        retired[addr as usize] = true;
     }
 
-    pub(crate) fn clear_bucket(&self, addr: u64) {
-        if self.static_addrs {
-            self.retired.write().insert(addr);
-            return;
-        }
-        if let Some(slot) = self.buckets.write().get_mut(addr as usize) {
-            *slot = None;
-        }
-    }
-
+    /// A read and an array index: the identity, unless `addr` is retired.
     pub(crate) fn bucket_site(&self, addr: u64) -> Option<SiteId> {
-        if self.static_addrs {
-            if self.retired.read().contains(&addr) {
-                return None;
-            }
-            return Some(SiteId(addr as u32));
-        }
-        self.buckets.read().get(addr as usize).copied().flatten()
+        let retired = self.retired.read().get(addr as usize) == Some(&true);
+        (!retired).then(|| SiteRegistry::bucket_id(addr))
     }
 
     /// Number of bucket addresses ever materialised.
     pub(crate) fn num_buckets(&self) -> usize {
-        self.buckets.read().len()
+        // ordering: Relaxed — see `spawned`
+        self.spawned.load(Ordering::Relaxed) as usize
     }
 
     pub(crate) fn set_parity(&self, group: u64, sites: Vec<SiteId>) {
@@ -193,7 +176,7 @@ pub struct ClusterConfig {
     pub parity: Option<ParityConfig>,
     /// Scan filter installed at every bucket.
     pub filter: Arc<dyn ScanFilter>,
-    /// Latency model for the simulated network.
+    /// Network parameters: fault injection and inbox bounds.
     pub net: NetConfig,
     /// Storage backend for bucket records: volatile in-memory (the
     /// default) or durable WAL+snapshot directories.
@@ -235,50 +218,25 @@ impl Default for ClusterConfig {
 }
 
 /// A running LH\* file: coordinator + bucket sites (+ parity sites), all on
-/// the simulated multicomputer, all run by one site runtime.
+/// the simulated multicomputer, all run by one site runtime — the one
+/// rank of a one-rank cluster, set up the way `serve` sets up rank 0.
 pub struct LhCluster {
-    network: Network,
-    directory: Arc<Directory>,
-    coordinator: SiteId,
+    host: Arc<SiteHost>,
     config: ClusterConfig,
-    runtime: Arc<Runtime>,
-    builder: SiteBuilder,
 }
 
 impl LhCluster {
     /// Starts a cluster with one bucket and its coordinator.
     pub fn start(config: ClusterConfig) -> LhCluster {
-        let (cluster, coordinator_ep) = LhCluster::empty(config);
-        // bucket 0 — the primordial file
-        cluster.builder.spawn(0, 0);
-        cluster.launch_coordinator(coordinator_ep);
+        let cluster = LhCluster::new(config);
+        // a fresh network: the coordinator's id is free
+        let _ = cluster.host.start(ClientImage::default(), 1);
         cluster
     }
 
-    /// The network, directory and runtime of a cluster without sites yet,
-    /// and the coordinator's endpoint, registered but not running.
-    fn empty(config: ClusterConfig) -> (LhCluster, Endpoint) {
-        let network = Network::new(config.net.clone());
-        let directory = Arc::new(Directory::new());
-        let runtime = Runtime::start();
-        let coordinator_ep = network.register();
-        let coordinator = coordinator_ep.id();
-        let builder = SiteBuilder::new(&network, &directory, &config, coordinator, &runtime);
-        let cluster = LhCluster {
-            network,
-            directory,
-            coordinator,
-            config,
-            runtime,
-            builder,
-        };
-        (cluster, coordinator_ep)
-    }
-
-    fn launch_coordinator(&self, endpoint: Endpoint) {
-        let builder = self.builder.clone();
-        let spawner = Box::new(move |addr: u64, level: u8| builder.spawn(addr, level));
-        self.builder.launch_coordinator(endpoint, spawner);
+    fn new(config: ClusterConfig) -> LhCluster {
+        let host = SiteHost::new(Network::new(config.net.clone()), &config);
+        LhCluster { host, config }
     }
 
     /// Reopens a durable file from the bucket directories under the
@@ -303,12 +261,6 @@ impl LhCluster {
             None => return Ok(LhCluster::start(config)),
             Some(&hi) => hi + 1,
         };
-        if n == 1 {
-            // a single-bucket file is exactly what `start` builds; bucket
-            // 0's spawner reopens the directory and `startup` rebuilds the
-            // in-memory bookkeeping
-            return Ok(LhCluster::start(config));
-        }
         let level = (63 - n.leading_zeros()) as u8;
         let split = n - (1u64 << level);
         let image = ClientImage { level, split };
@@ -359,66 +311,36 @@ impl LhCluster {
         // release the WAL handles before the bucket sites reopen them
         drop(engines);
 
-        let (cluster, coordinator_ep) = LhCluster::empty(config);
-        let coordinator = cluster.coordinator;
-        cluster.launch_coordinator(coordinator_ep);
-
-        // The coordinator must adopt the derived file state before any
-        // recovered bucket can report an overflow; mailbox delivery is
-        // FIFO, so sending this before the buckets are launched
-        // guarantees it.
-        let control = cluster.network.register();
-        send_control(
-            &control,
-            coordinator,
-            Wire::AdoptFileState { level, split }.encode(),
-        )?;
-
-        // Two-phase spawn: every directory entry must be published before
-        // any bucket runs. An early bucket's startup overflow report can
-        // trigger a split whose victim the coordinator looks up in the
-        // directory — launching as we register would race that lookup
-        // against the rest of this loop.
-        let endpoints: Vec<(u64, Endpoint)> = (0..n)
-            .map(|addr| (addr, cluster.builder.register(addr)))
-            .collect();
-        for (addr, ep) in endpoints {
-            cluster
-                .builder
-                .launch(addr, bucket_level(addr, image), ep, true);
-        }
+        let cluster = LhCluster::new(config);
+        cluster.host.start(image, 1)?;
         Ok(cluster)
     }
 
     /// Registers a new client of the file.
     pub fn client(&self) -> LhClient {
-        let client = LhClient::new(
-            self.network.register(),
-            self.directory.clone(),
-            self.coordinator,
-        );
+        let client = LhClient::new(self.host.network.register(), self.host.directory.clone());
         client.set_timeout(self.config.client_timeout);
         client
     }
 
     /// The underlying network (for traffic statistics).
     pub fn network(&self) -> &Network {
-        &self.network
+        &self.host.network
     }
 
     /// Number of bucket addresses materialised so far.
     pub fn num_buckets(&self) -> usize {
-        self.directory.num_buckets()
+        self.host.directory.num_buckets()
     }
 
     /// Kills a bucket site (crash simulation for LH\*<sub>RS</sub> tests).
     /// The address is kept reserved; [`recover_bucket`](Self::recover_bucket)
     /// restores it.
     pub fn kill_bucket(&self, addr: u64) {
-        if let Some(site) = self.directory.bucket_site(addr) {
-            let control = self.network.register();
+        if let Some(site) = self.host.directory.bucket_site(addr) {
+            let control = self.host.network.register();
             let _ = send_control(&control, site, Wire::Shutdown.encode());
-            self.directory.clear_bucket(addr);
+            self.host.directory.retire(addr);
         }
     }
 
@@ -444,7 +366,7 @@ impl LhCluster {
         let m = cfg.parity_count;
         let group = addr / k as u64;
         let failed = (addr % k as u64) as usize;
-        let control = self.network.register();
+        let control = self.host.network.register();
         let timeout = Duration::from_secs(10);
         // the true file extent distinguishes merged-away members (empty by
         // construction: the merge shipped their records out and emitted
@@ -467,7 +389,12 @@ impl LhCluster {
             if member == failed {
                 continue;
             }
-            match self.directory.bucket_site(baddr) {
+            if baddr >= file_extent {
+                // never created, or retired by a merge: holds no records
+                members[member] = Some(Vec::new());
+                continue;
+            }
+            match self.host.directory.bucket_site(baddr) {
                 Some(site) => {
                     let msg = Wire::SlotsRead {
                         req_id,
@@ -476,10 +403,6 @@ impl LhCluster {
                     send_control(&control, site, msg.encode())?;
                     awaiting.insert(req_id, member);
                     req_id += 1;
-                }
-                // never created, or retired by a merge: holds no records
-                None if baddr as usize >= self.directory.num_buckets() || baddr >= file_extent => {
-                    members[member] = Some(Vec::new());
                 }
                 None => {
                     return Err(LhError::Rejected(format!(
@@ -490,7 +413,7 @@ impl LhCluster {
         }
         // 2. parity rows
         let mut parities: Vec<Option<Vec<ParityRow>>> = vec![None; m];
-        let psites = self.directory.parity_sites(group);
+        let psites = self.host.directory.parity_sites(group);
         for site in &psites {
             let msg = Wire::ParityRead {
                 req_id,
@@ -541,7 +464,8 @@ impl LhCluster {
         // 5. spawn a fresh site and adopt at the level the true file
         // state implies.
         let level = bucket_level(addr, extent);
-        let site = self.builder.spawn(addr, level);
+        self.host.spawn(addr, level, false);
+        let site = SiteRegistry::bucket_id(addr);
         send_control(&control, site, Wire::Adopt { addr, level, slots }.encode())?;
         Ok(())
     }
@@ -556,10 +480,10 @@ impl LhCluster {
         let probe = self.client();
         probe.refresh_image_quiescent()?;
         let image = probe.image();
-        let control = self.network.register();
+        let control = self.host.network.register();
         let mut awaiting = std::collections::HashMap::new();
         for (req_id, addr) in (0..image.extent()).enumerate() {
-            let Some(site) = self.directory.bucket_site(addr) else {
+            let Some(site) = self.host.directory.bucket_site(addr) else {
                 return Err(LhError::Rejected(format!(
                     "bucket {addr} is down; recover it before snapshotting"
                 )));
@@ -629,10 +553,10 @@ impl LhCluster {
             }
         }
         let cluster = LhCluster::start(config);
-        let control = cluster.network.register();
+        let control = cluster.host.network.register();
         send_control(
             &control,
-            cluster.coordinator,
+            SiteId(COORD_ID),
             Wire::AdoptFileState {
                 level: snapshot.level,
                 split: snapshot.split,
@@ -641,15 +565,13 @@ impl LhCluster {
         )?;
         for b in &snapshot.buckets {
             if b.addr > 0 {
-                cluster.builder.spawn(b.addr, b.level);
+                cluster.host.spawn(b.addr, b.level, false);
             }
         }
         for b in &snapshot.buckets {
-            // lint: allow(panic-freedom) -- the spawn loop directly above registered every snapshot bucket
-            let site = cluster.directory.bucket_site(b.addr).expect("just spawned");
             send_control(
                 &control,
-                site,
+                SiteRegistry::bucket_id(b.addr),
                 Wire::TransferBatch {
                     level: b.level,
                     addr: b.addr,
@@ -670,7 +592,7 @@ impl LhCluster {
 
 impl Drop for LhCluster {
     fn drop(&mut self) {
-        self.runtime.shutdown();
+        self.host.runtime.shutdown();
     }
 }
 
@@ -700,82 +622,136 @@ fn bucket_level(addr: u64, image: ClientImage) -> u8 {
     }
 }
 
-/// Materialises bucket sites in two phases — `register` (endpoint +
-/// directory entry + lazy parity sites) and `launch` (engine + hand-over
-/// to the runtime) — so `open` can publish every recovered bucket's
-/// directory entry before any bucket runs. A bucket's startup overflow
-/// report can reach the coordinator while later buckets are still being
-/// set up; the split it triggers looks its victim up in the directory,
-/// which must therefore be complete first.
-#[derive(Clone)]
-pub(crate) struct SiteBuilder {
-    network: Network,
-    directory: Arc<Directory>,
+/// One process's share of an LH\* file: its network, its directory, the
+/// runtime that runs its sites, and what it takes to spawn one. An
+/// [`LhCluster`] is the one rank of a one-rank cluster; `serve` runs one
+/// rank of many.
+pub(crate) struct SiteHost {
+    pub(crate) network: Network,
+    pub(crate) directory: Arc<Directory>,
+    pub(crate) runtime: Arc<Runtime>,
     capacity: usize,
     parity: Option<ParityConfig>,
     filter: Arc<dyn ScanFilter>,
     storage: StorageConfig,
-    coordinator: SiteId,
-    runtime: Arc<Runtime>,
 }
 
-impl SiteBuilder {
-    pub(crate) fn new(
-        network: &Network,
-        directory: &Arc<Directory>,
-        config: &ClusterConfig,
-        coordinator: SiteId,
-        runtime: &Arc<Runtime>,
-    ) -> SiteBuilder {
-        SiteBuilder {
-            network: network.clone(),
-            directory: directory.clone(),
+impl SiteHost {
+    pub(crate) fn new(network: Network, config: &ClusterConfig) -> Arc<SiteHost> {
+        Arc::new(SiteHost {
+            network,
+            directory: Arc::new(Directory::new()),
+            runtime: Runtime::start(),
             capacity: config.bucket_capacity,
             parity: config.parity,
             filter: config.filter.clone(),
             storage: config.storage.clone(),
-            coordinator,
-            runtime: runtime.clone(),
-        }
+        })
     }
 
-    /// Registers the bucket's endpoint and directory entry (and, lazily,
-    /// its group's parity sites) without starting the bucket.
-    fn register(&self, addr: u64) -> Endpoint {
-        if let Some(cfg) = self.parity {
-            let group = addr / cfg.group_size as u64;
-            if self.directory.parity_sites(group).is_empty() {
-                let mut sites = Vec::with_capacity(cfg.parity_count);
-                for p in 0..cfg.parity_count {
-                    let ep = self.network.register();
-                    sites.push(ep.id());
-                    let state = ParityState::new(
-                        group,
-                        p as u32,
-                        cfg.group_size,
-                        cfg.parity_count,
-                        cfg.slot_size,
-                    );
-                    self.runtime.add(ep, Box::new(state), Registry::global());
+    /// Rank 0's part: the coordinator and the buckets of a file whose
+    /// true state is `image` — bucket 0 of a new file, or every bucket of
+    /// a reopened one, serving what it holds at once. The coordinator
+    /// spreads the buckets its splits create over `ranks` ranks.
+    pub(crate) fn start(self: &Arc<Self>, image: ClientImage, ranks: usize) -> Result<(), LhError> {
+        let coordinator = self
+            .network
+            .register_with_id(SiteId(COORD_ID))
+            .ok_or_else(|| LhError::Rejected("coordinator id already registered".into()))?;
+        if image != ClientImage::default() {
+            // The coordinator must adopt the file state before any
+            // recovered bucket can report an overflow: its mailbox takes
+            // this before any bucket runs.
+            let msg = Wire::AdoptFileState {
+                level: image.level,
+                split: image.split,
+            };
+            send_control(&self.network.register(), SiteId(COORD_ID), msg.encode())?;
+        }
+        let site = CoordinatorSite {
+            state: CoordinatorState::new(),
+            spawner: self.spawner(ranks),
+            directory: self.directory.clone(),
+        };
+        self.runtime
+            .add(coordinator, Box::new(site), Registry::global());
+        // The coordinator splits while the buckets reopen: a victim not
+        // spawned yet refuses its `SplitCmd` as backpressure, and the
+        // coordinator retries it.
+        for addr in 0..image.extent() {
+            self.spawn(addr, bucket_level(addr, image), true);
+        }
+        Ok(())
+    }
+
+    /// How the coordinator materialises the buckets its splits create:
+    /// here if this rank owns the address (`addr mod ranks`), else by a
+    /// [`HostMsg::Spawn`] to the owning rank's host endpoint. Either way
+    /// the new site's id is the bucket address — the coordinator can hand
+    /// it to the split victim at once, and a `TransferBatch` that
+    /// overtakes a remote registration is refused as backpressure until
+    /// it lands.
+    fn spawner(self: &Arc<Self>, ranks: usize) -> BucketSpawner {
+        let host = Arc::clone(self);
+        // one dynamic endpoint for host-control sends, routable from
+        // every rank by its hello
+        let control = (ranks > 1).then(|| self.network.register());
+        Box::new(move |addr: u64, level: u8| {
+            let owner = (addr % ranks as u64) as usize;
+            match &control {
+                Some(control) if owner != 0 => {
+                    let msg = HostMsg::Spawn { addr, level }.encode();
+                    if send_control(control, SiteRegistry::host_id(owner), msg).is_err() {
+                        sdds_obs::counter("lh.serve.spawn_send_failures").inc();
+                    }
+                    host.directory.spawned(addr);
                 }
-                self.directory.set_parity(group, sites);
+                _ => host.spawn(addr, level, false),
             }
-        }
-        let ep = self.network.register();
-        self.directory.set_bucket(addr, ep.id());
-        ep
+            SiteRegistry::bucket_id(addr)
+        })
     }
 
-    /// Opens the bucket's storage engine and hands the bucket, on a
-    /// previously registered endpoint, to the runtime. A bucket
+    /// Creates bucket `addr`'s group's parity sites, if parity is on and
+    /// they do not exist yet.
+    fn parity_group(&self, addr: u64) {
+        let Some(cfg) = self.parity else {
+            return;
+        };
+        let group = addr / cfg.group_size as u64;
+        if !self.directory.parity_sites(group).is_empty() {
+            return;
+        }
+        let mut sites = Vec::with_capacity(cfg.parity_count);
+        for p in 0..cfg.parity_count {
+            let ep = self.network.register();
+            sites.push(ep.id());
+            let state = ParityState::new(
+                group,
+                p as u32,
+                cfg.group_size,
+                cfg.parity_count,
+                cfg.slot_size,
+            );
+            self.runtime.add(ep, Box::new(state), Registry::global());
+        }
+        self.directory.set_parity(group, sites);
+    }
+
+    /// Spawns bucket `addr` at `level` on this rank, under its address:
+    /// its storage engine opened, its group's parity sites there, the
+    /// site handed to the runtime. If the site of the address's last
+    /// incarnation has yet to handle its `Shutdown` — a merge victim split
+    /// off again at once, a killed bucket recovered — the new one takes
+    /// that site's mailbox over at it ([`Runtime::succeed`]). A bucket
     /// `reopened` over its own records serves at once, and so does the
     /// primordial bucket 0; every other one was spawned for a split, a
     /// restore or a recovery and waits for its contents (see
     /// [`BucketState::awaiting_records`]).
-    pub(crate) fn launch(&self, addr: u64, level: u8, ep: Endpoint, reopened: bool) {
+    pub(crate) fn spawn(&self, addr: u64, level: u8, reopened: bool) {
+        self.parity_group(addr);
         let ctx = BucketCtx::new(
             self.directory.clone(),
-            self.coordinator,
             self.filter.clone(),
             self.parity,
             // Each site gets its own labeled registry; updates flow into
@@ -802,30 +778,19 @@ impl SiteBuilder {
             state = state.awaiting_records();
         }
         let obs = ctx.obs.clone();
-        self.runtime
-            .add(ep, Box::new(BucketSite { state, ctx }), &obs);
-    }
-
-    /// Hands the coordinator, on its registered endpoint, to the runtime;
-    /// `spawner` is how it materialises the buckets its splits create.
-    pub(crate) fn launch_coordinator(&self, ep: Endpoint, spawner: BucketSpawner) {
-        let dir = self.directory.clone();
-        let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let dir = self.directory.clone();
-        let bucket_site = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let site = CoordinatorSite {
-            state: CoordinatorState::new(),
-            spawner,
-            retirer,
-            bucket_site,
+        let site: Box<dyn Machine> = Box::new(BucketSite { state, ctx });
+        let id = SiteRegistry::bucket_id(addr);
+        let site = match self.network.register_with_id(id) {
+            Some(ep) => Some((ep, site)),
+            None => match self.runtime.succeed(id, site) {
+                Ok(()) => None,
+                // it has handled its `Shutdown` meanwhile: the id is free
+                Err(site) => self.network.register_with_id(id).map(|ep| (ep, site)),
+            },
         };
-        self.runtime.add(ep, Box::new(site), Registry::global());
-    }
-
-    pub(crate) fn spawn(&self, addr: u64, level: u8) -> SiteId {
-        let ep = self.register(addr);
-        let site = ep.id();
-        self.launch(addr, level, ep, false);
-        site
+        if let Some((ep, site)) = site {
+            self.runtime.add(ep, site, &obs);
+        }
+        self.directory.spawned(addr);
     }
 }

@@ -6,20 +6,18 @@
 //! the split victim is `n`, not the overflowing bucket. One split runs at a
 //! time; further overflow reports queue.
 
+use crate::cluster::Directory;
 use crate::filter::ScanMemo;
 use crate::hash::extent;
 use crate::messages::Wire;
 use crate::runtime::Machine;
 use sdds_net::SiteId;
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
+use std::sync::Arc;
 
-/// Callback that materialises a new bucket site (registers the endpoint,
-/// hands it to the runtime, updates the directory) and returns its address.
+/// Callback that materialises a new bucket site (here, or on the rank
+/// that owns its address) and returns its site id, which is its address.
 pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) -> SiteId + Send>;
-
-/// Callback that retires a bucket address from the directory (a merge
-/// has completed).
-pub(crate) type BucketRetirer = Box<dyn FnMut(u64) + Send>;
 
 pub(crate) struct CoordinatorState {
     level: u8,
@@ -54,17 +52,16 @@ impl CoordinatorState {
         &mut self,
         msg: Wire,
         spawner: &mut BucketSpawner,
-        retirer: &mut BucketRetirer,
-        bucket_site: &dyn Fn(u64) -> Option<SiteId>,
+        directory: &Directory,
     ) -> Vec<(SiteId, Wire)> {
         match msg {
             Wire::Overflow { .. } => {
                 self.pending += 1;
-                self.try_start_work(spawner, bucket_site)
+                self.try_start_work(spawner, directory)
             }
             Wire::Underflow { .. } => {
                 self.pending_merges += 1;
-                self.try_start_work(spawner, bucket_site)
+                self.try_start_work(spawner, directory)
             }
             Wire::SplitDone { addr } => {
                 debug_assert_eq!(addr, self.split, "split completion out of order");
@@ -74,7 +71,7 @@ impl CoordinatorState {
                     self.split = 0;
                 }
                 self.busy = false;
-                self.try_start_work(spawner, bucket_site)
+                self.try_start_work(spawner, directory)
             }
             Wire::MergeDone { addr } => {
                 debug_assert_eq!(
@@ -96,10 +93,10 @@ impl CoordinatorState {
                     // sent around it could reach the parent first and
                     // read `None`. The victim itself forwards whatever
                     // still reaches it (see `BucketState::merge_into`).
-                    retirer(victim);
+                    directory.retire(victim);
                     out.push((site, Wire::Shutdown)); // retire the site
                 }
-                out.extend(self.try_start_work(spawner, bucket_site));
+                out.extend(self.try_start_work(spawner, directory));
                 out
             }
             Wire::ExtentReq { req_id, client } => vec![(
@@ -128,7 +125,7 @@ impl CoordinatorState {
     fn try_start_work(
         &mut self,
         spawner: &mut BucketSpawner,
-        bucket_site: &dyn Fn(u64) -> Option<SiteId>,
+        directory: &Directory,
     ) -> Vec<(SiteId, Wire)> {
         if self.busy {
             return Vec::new();
@@ -139,8 +136,8 @@ impl CoordinatorState {
             let victim = self.split;
             let new_addr = extent(self.level, self.split); // n + 2^i
             let new_site = spawner(new_addr, self.level + 1);
-            // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and `LhCluster::open` publishes every recovered bucket's directory entry before any bucket runs and can report an overflow
-            let victim_site = bucket_site(victim).expect("split victim exists");
+            // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and a bucket's site id is its address: only a merged-away or killed one has no directory entry
+            let victim_site = directory.bucket_site(victim).expect("split victim exists");
             return vec![(
                 victim_site,
                 Wire::SplitCmd {
@@ -163,7 +160,8 @@ impl CoordinatorState {
             } else {
                 (1u64 << (self.level - 1)) - 1
             };
-            let (Some(victim_site), Some(parent_site)) = (bucket_site(victim), bucket_site(parent))
+            let (Some(victim_site), Some(parent_site)) =
+                (directory.bucket_site(victim), directory.bucket_site(parent))
             else {
                 return Vec::new(); // victim already retired (stale report)
             };
@@ -183,15 +181,15 @@ impl CoordinatorState {
 }
 
 /// The coordinator as the runtime sees it: the file state plus the
-/// callbacks that reach the directory and the site builder. Split and
+/// directory it retires merged-away buckets from and the spawner of the
+/// buckets its splits create. Split and
 /// merge commands rejected by a full victim inbox park in the site's
 /// send queue and are retried — restructuring cannot be lost to
 /// admission control.
 pub(crate) struct CoordinatorSite {
     pub state: CoordinatorState,
     pub spawner: BucketSpawner,
-    pub retirer: BucketRetirer,
-    pub bucket_site: Box<dyn Fn(u64) -> Option<SiteId> + Send>,
+    pub directory: Arc<Directory>,
 }
 
 impl Machine for CoordinatorSite {
@@ -202,12 +200,7 @@ impl Machine for CoordinatorSite {
     }
 
     fn handle(&mut self, _from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
-        self.state.handle(
-            msg,
-            &mut self.spawner,
-            &mut self.retirer,
-            self.bucket_site.as_ref(),
-        )
+        self.state.handle(msg, &mut self.spawner, &self.directory)
     }
 }
 
@@ -227,37 +220,17 @@ fn coord_span_name(msg: &Wire) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
 
-    #[allow(clippy::type_complexity)]
-    fn harness() -> (
-        CoordinatorState,
-        BucketSpawner,
-        BucketRetirer,
-        Arc<Mutex<HashMap<u64, SiteId>>>,
-        Box<dyn Fn(u64) -> Option<SiteId>>,
-    ) {
-        let sites: Arc<Mutex<HashMap<u64, SiteId>>> =
-            Arc::new(Mutex::new(HashMap::from([(0u64, SiteId(100))])));
-        let s2 = sites.clone();
-        let spawner: BucketSpawner = Box::new(move |addr, _level| {
-            let id = SiteId(100 + addr as u32);
-            s2.lock().unwrap().insert(addr, id);
-            id
-        });
-        let s4 = sites.clone();
-        let retirer: BucketRetirer = Box::new(move |addr| {
-            s4.lock().unwrap().remove(&addr);
-        });
-        let s3 = sites.clone();
-        let lookup = Box::new(move |addr: u64| s3.lock().unwrap().get(&addr).copied());
-        (CoordinatorState::new(), spawner, retirer, sites, lookup)
+    /// A coordinator, a spawner that materialises nothing (a bucket's
+    /// site id is its address) and the directory.
+    fn harness() -> (CoordinatorState, BucketSpawner, Directory) {
+        let spawner: BucketSpawner = Box::new(|addr, _level| SiteId(addr as u32));
+        (CoordinatorState::new(), spawner, Directory::new())
     }
 
     #[test]
     fn overflow_triggers_split_of_split_pointer() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         let out = st.handle(
             Wire::Overflow {
                 addr: 0,
@@ -265,24 +238,23 @@ mod tests {
                 size: 10,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SiteId(100)); // bucket 0's site
+        assert_eq!(out[0].0, SiteId(0)); // bucket 0's site
         assert_eq!(
             out[0].1,
             Wire::SplitCmd {
                 addr: 0,
                 new_addr: 1,
-                new_site: 101
+                new_site: 1
             }
         );
     }
 
     #[test]
     fn split_done_advances_pointer_and_level() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         st.handle(
             Wire::Overflow {
                 addr: 0,
@@ -290,16 +262,10 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
         // level 0: extent 1; after split of bucket 0, level = 1, split = 0
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 0));
         // next split victim is bucket 0 again, creating bucket 2
         let out = st.handle(
@@ -309,29 +275,23 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
         assert_eq!(
             out[0].1,
             Wire::SplitCmd {
                 addr: 0,
                 new_addr: 2,
-                new_site: 102
+                new_site: 2
             }
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 1));
     }
 
     #[test]
     fn one_split_at_a_time_and_queueing() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         let first = st.handle(
             Wire::Overflow {
                 addr: 0,
@@ -339,8 +299,7 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
         assert_eq!(first.len(), 1);
         // overflow during the running split queues
@@ -351,17 +310,11 @@ mod tests {
                 size: 12,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
         assert!(second.is_empty(), "split must not start while one runs");
         // completion starts the queued split immediately
-        let third = st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let third = st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         assert_eq!(third.len(), 1);
         assert!(matches!(
             third[0].1,
@@ -375,7 +328,7 @@ mod tests {
 
     #[test]
     fn underflow_triggers_merge_of_last_bucket() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         // grow the file to 3 buckets: (0,0) -> (1,0) -> (1,1)
         st.handle(
             Wire::Overflow {
@@ -384,15 +337,9 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         st.handle(
             Wire::Overflow {
                 addr: 0,
@@ -400,43 +347,27 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 1));
         // underflow: merge bucket 2 back into its parent 0
-        let out = st.handle(
-            Wire::Underflow { addr: 1, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let out = st.handle(Wire::Underflow { addr: 1, size: 0 }, &mut spawner, &dir);
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].1,
             Wire::MergeCmd {
                 addr: 2,
                 into_addr: 0,
-                into_site: 100
+                into_site: 0
             }
         );
         // completion regresses the file state and shuts the site down
-        let out = st.handle(
-            Wire::MergeDone { addr: 2 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let out = st.handle(Wire::MergeDone { addr: 2 }, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 0));
         assert!(out
             .iter()
-            .any(|(to, m)| *to == SiteId(102) && matches!(m, Wire::Shutdown)));
+            .any(|(to, m)| *to == SiteId(2) && matches!(m, Wire::Shutdown)));
     }
 
     /// The victim stays routable while its records are in flight: retired
@@ -444,7 +375,7 @@ mod tests {
     /// before the `TransferBatch` did and read `None`.
     #[test]
     fn merge_victim_stays_in_the_directory_until_merge_done() {
-        let (mut st, mut spawner, mut retirer, sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         let grow_then_shrink = [
             Wire::Overflow {
                 addr: 0,
@@ -455,24 +386,19 @@ mod tests {
             Wire::Underflow { addr: 0, size: 0 },
         ];
         for msg in grow_then_shrink {
-            st.handle(msg, &mut spawner, &mut retirer, lookup.as_ref());
+            st.handle(msg, &mut spawner, &dir);
         }
         assert!(
-            sites.lock().unwrap().contains_key(&1),
+            dir.bucket_site(1).is_some(),
             "MergeCmd is out, the victim's records are not at the parent yet"
         );
-        st.handle(
-            Wire::MergeDone { addr: 1 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
-        assert!(!sites.lock().unwrap().contains_key(&1));
+        st.handle(Wire::MergeDone { addr: 1 }, &mut spawner, &dir);
+        assert!(dir.bucket_site(1).is_none());
     }
 
     #[test]
     fn merge_across_level_boundary() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         // grow to exactly (1, 0): two buckets
         st.handle(
             Wire::Overflow {
@@ -481,49 +407,28 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 0));
-        let out = st.handle(
-            Wire::Underflow { addr: 0, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let out = st.handle(Wire::Underflow { addr: 0, size: 0 }, &mut spawner, &dir);
         // merge bucket 1 into bucket 0, regressing to level 0
         assert_eq!(
             out[0].1,
             Wire::MergeCmd {
                 addr: 1,
                 into_addr: 0,
-                into_site: 100
+                into_site: 0
             }
         );
-        st.handle(
-            Wire::MergeDone { addr: 1 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::MergeDone { addr: 1 }, &mut spawner, &dir);
         assert_eq!(st.file_state(), (0, 0));
     }
 
     #[test]
     fn single_bucket_file_never_merges() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
-        let out = st.handle(
-            Wire::Underflow { addr: 0, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let (mut st, mut spawner, dir) = harness();
+        let out = st.handle(Wire::Underflow { addr: 0, size: 0 }, &mut spawner, &dir);
         assert!(out.is_empty());
         assert_eq!(st.file_state(), (0, 0));
     }
@@ -533,7 +438,7 @@ mod tests {
         // Queued splits and merges both execute (no pairwise cancellation:
         // an overflow report is latched at the bucket, so dropping its
         // split could starve an over-capacity bucket forever).
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         // grow to 2 buckets first so a merge would be possible
         st.handle(
             Wire::Overflow {
@@ -542,15 +447,9 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         // start a split, then queue an underflow during it
         st.handle(
             Wire::Overflow {
@@ -559,15 +458,9 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
-        let during = st.handle(
-            Wire::Underflow { addr: 0, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let during = st.handle(Wire::Underflow { addr: 0, size: 0 }, &mut spawner, &dir);
         assert!(during.is_empty(), "busy: nothing starts");
         // queue one more overflow: it must run BEFORE the merge
         st.handle(
@@ -577,15 +470,9 @@ mod tests {
                 size: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
-        let after = st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let after = st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
         assert!(
             after
                 .iter()
@@ -593,12 +480,7 @@ mod tests {
             "queued split starts next: {after:?}"
         );
         // and once that split finishes, the queued merge runs
-        let finally = st.handle(
-            Wire::SplitDone { addr: 1 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let finally = st.handle(Wire::SplitDone { addr: 1 }, &mut spawner, &dir);
         assert!(
             finally
                 .iter()
@@ -609,15 +491,14 @@ mod tests {
 
     #[test]
     fn extent_request_reports_file_state() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, mut spawner, dir) = harness();
         let out = st.handle(
             Wire::ExtentReq {
                 req_id: 5,
                 client: 9,
             },
             &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
+            &dir,
         );
         assert_eq!(
             out,

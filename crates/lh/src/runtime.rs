@@ -81,6 +81,12 @@ struct Cell {
     machine: Box<dyn Machine>,
     outbox: SendQueue,
     started: bool,
+    /// The next incarnation of this site, spawned under its id while
+    /// this one still ran: it takes the mailbox over at the `Shutdown`
+    /// that ends this one, with whatever was sent after it.
+    successor: Option<Box<dyn Machine>>,
+    /// `Shutdown` handled and no successor: the mailbox is closed.
+    retired: bool,
 }
 
 struct Sched {
@@ -196,6 +202,8 @@ impl Runtime {
                 machine,
                 outbox: SendQueue::new(),
                 started: false,
+                successor: None,
+                retired: false,
             }),
             queue_wait: obs.histogram("lh.queue_wait_seconds"),
             stall: obs.histogram("lh.loop_stall_seconds"),
@@ -208,6 +216,29 @@ impl Runtime {
         };
         site.endpoint
             .attach(Arc::clone(self) as Arc<dyn Scheduler>, key);
+    }
+
+    /// Hands `machine` the mailbox of the site that runs under `id` at
+    /// the `Shutdown` that ends it (see [`Cell::successor`]): how an id
+    /// whose last incarnation has yet to handle its `Shutdown` — a merge
+    /// victim split off again at once, a killed bucket recovered — is
+    /// spawned again. The machine comes back if no site runs under `id`
+    /// any more; its mailbox is closed then, and the id free.
+    pub(crate) fn succeed(
+        &self,
+        id: SiteId,
+        machine: Box<dyn Machine>,
+    ) -> Result<(), Box<dyn Machine>> {
+        let sites = self.sites.read();
+        let Some(site) = sites.iter().flatten().find(|s| s.endpoint.id() == id) else {
+            return Err(machine);
+        };
+        let mut cell = site.cell.lock();
+        if cell.retired {
+            return Err(machine);
+        }
+        cell.successor = Some(machine);
+        Ok(())
     }
 
     /// Stops the runtime: closes every mailbox (later sends fail
@@ -454,25 +485,41 @@ impl Worker {
             machine,
             outbox,
             started,
+            successor,
+            retired,
         } = &mut *cell;
         let endpoint = &site.endpoint;
-        if !*started {
-            *started = true;
+        let start = |machine: &mut Box<dyn Machine>, outbox: &mut SendQueue| {
             for (to, out) in machine.start() {
                 let payload = out.encode();
                 let scatter = &mut self.scatter.borrow_mut();
                 outbox.send(scatter, endpoint, to, &out, payload, None);
             }
+        };
+        if !*started {
+            *started = true;
+            start(machine, outbox);
         }
-        let mut retired = false;
         for env in self.batch.drain(..) {
             self.dispatched += 1;
             let Some(msg) = Wire::decode(&env.payload) else {
                 continue;
             };
             if matches!(msg, Wire::Shutdown) {
-                retired = true;
-                break;
+                match successor.take() {
+                    Some(next) => {
+                        *machine = next;
+                        start(machine, outbox);
+                        continue;
+                    }
+                    None => {
+                        // the id is free from here on; what is still
+                        // queued is dropped with the site
+                        *retired = true;
+                        endpoint.close();
+                        break;
+                    }
+                }
             }
             let span = machine.span(endpoint.id(), &msg, env.ctx);
             let out_ctx = span.context();
@@ -486,7 +533,7 @@ impl Worker {
             }
         }
         outbox.flush(&mut self.scatter.borrow_mut(), endpoint);
-        let parked = outbox.has_parked();
+        let (parked, retired) = (outbox.has_parked(), *retired);
         drop(cell);
 
         if retired {
@@ -678,19 +725,13 @@ mod tests {
         let directory = Arc::new(Directory::new());
         let mut buckets = Vec::new();
         for addr in 0..BUCKETS {
-            let endpoint = net.register();
+            let endpoint = net.register_with_id(SiteId(addr as u32)).unwrap();
             buckets.push(endpoint.id());
             let obs = Registry::new(format!("bucket-{addr}"));
             let engine = Box::new(sdds_storage::MemEngine::new());
             let site = BucketSite {
                 state: BucketState::new(addr, 6, 100, None, engine),
-                ctx: BucketCtx::new(
-                    directory.clone(),
-                    client.id(),
-                    filter.clone(),
-                    None,
-                    obs.clone(),
-                ),
+                ctx: BucketCtx::new(directory.clone(), filter.clone(), None, obs.clone()),
             };
             runtime.add(endpoint, Box::new(site), &obs);
         }
@@ -843,6 +884,61 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("parked send retried");
         assert_eq!(number(&Wire::decode(&env.payload).unwrap()), 7);
+        runtime.shutdown();
+    }
+
+    /// A site spawned under the id of one that has yet to handle its
+    /// `Shutdown` takes the mailbox over there: what was sent before the
+    /// `Shutdown` reaches the old incarnation, what after it the new one.
+    /// One with no successor frees the id at its `Shutdown`.
+    #[test]
+    fn a_successor_takes_the_mailbox_over_at_the_shutdown() {
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(1);
+        let client = net.register();
+        let reply_to = client.id();
+        let echo = move |plus: u64| {
+            move |_: SiteId, msg: Wire| {
+                let addr = plus + number(&msg);
+                vec![(reply_to, Wire::TransferAck { addr })]
+            }
+        };
+        // Hold the one worker while the id's traffic queues up.
+        let gate = net.register();
+        let gate_id = gate.id();
+        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        add(&runtime, gate, move |_, _| {
+            enter_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            Vec::new()
+        });
+        client.send(gate_id, numbered(0)).unwrap();
+        enter_rx.recv().unwrap();
+        let id = SiteId(5);
+        add(&runtime, net.register_with_id(id).unwrap(), echo(0));
+        client.send(id, numbered(1)).unwrap();
+        client.send(id, Wire::Shutdown.encode()).unwrap();
+        assert!(net.register_with_id(id).is_none(), "the old one holds it");
+        assert!(runtime.succeed(id, Box::new(Probe(echo(100)))).is_ok());
+        client.send(id, numbered(2)).unwrap();
+        go_tx.send(()).unwrap();
+        let mut answers = (0..2).map(|_| {
+            let env = client.recv_timeout(Duration::from_secs(10)).unwrap();
+            number(&Wire::decode(&env.payload).unwrap())
+        });
+        assert_eq!((answers.next(), answers.next()), (Some(1), Some(102)));
+        client.send(id, Wire::Shutdown.encode()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client.send(id, numbered(3)) != Err(NetError::Disconnected(id)) {
+            assert!(Instant::now() < deadline, "never retired");
+            std::thread::yield_now();
+        }
+        assert!(runtime.succeed(id, Box::new(Probe(echo(0)))).is_err());
+        assert!(
+            net.register_with_id(id).is_some(),
+            "a tombstone registers again"
+        );
         runtime.shutdown();
     }
 

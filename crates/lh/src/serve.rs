@@ -3,32 +3,34 @@
 //! [`serve`] brings up one *site host*: an OS process (one per registry
 //! rank) that owns every bucket whose address hashes to its rank
 //! (`addr % num_servers`). Rank 0 additionally runs the split
-//! coordinator. Bucket sites register under their bucket address
-//! (`SiteRegistry::bucket_id`), so the client-visible addressing is
-//! *static*: a [`Directory`] in static mode maps address → site id by
-//! identity and the registry's modular partition decides which process
-//! answers. [`TcpCluster`] is the client-side hub: it dials the same
-//! registry and hands out ordinary [`LhClient`]s whose messages now
-//! cross real sockets.
+//! coordinator; it sets up the way an in-process
+//! [`LhCluster`](crate::LhCluster) does, which is the one rank of a
+//! one-rank cluster. A bucket's site id is its address on both fabrics
+//! (`SiteRegistry::bucket_id`), and the registry's modular partition
+//! decides which process answers. [`TcpCluster`] is the client-side
+//! hub: it dials the same registry and hands out ordinary [`LhClient`]s
+//! whose messages now cross real sockets.
 //!
 //! Scope: parity (LH\*<sub>RS</sub>), kill/recover and snapshot/restore
 //! remain channel-transport features — they need the cluster-wide
 //! directory and spawner a single process provides. `serve` rejects
-//! parity configs. Merges retire addresses only in the serving
-//! processes' directories; a long-lived client that keeps addressing a
-//! merged-away bucket sees the send fail and recovers through its
-//! normal retry path (ingest/search workloads never delete, so this is
-//! theoretical).
+//! parity configs. Merges retire addresses only in rank 0's directory
+//! (a merged-away address is no corner case: `tcp_mixed` deletes a
+//! tenth of its operations). A rank above 0, or a client, that still
+//! addresses one reaches its tombstone on the owning rank, which NACKs
+//! the frame unroutable at once: that costs a client one attempt before
+//! it retries through bucket 0, which forwards correctly. The address
+//! can be split off again later; the new bucket registers over the
+//! tombstone.
 
 use crate::client::{LhClient, LhError};
-use crate::cluster::{send_control, ClusterConfig, Directory, ObsOptions, SiteBuilder};
-use crate::coordinator::BucketSpawner;
+use crate::cluster::{send_control, ClusterConfig, Directory, ObsOptions, SiteHost};
+use crate::hash::ClientImage;
 use crate::health;
 use crate::messages::encode_pooled;
-use crate::runtime::Runtime;
 use bytes::Bytes;
 use sdds_net::codec::{put_bool, put_option, put_seq, put_str, put_u32, put_u64, Reader};
-use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
+use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -191,27 +193,6 @@ impl ServeHandle {
     }
 }
 
-/// Everything a host needs to materialise a bucket site locally.
-struct SiteHost {
-    network: Network,
-    builder: SiteBuilder,
-    /// Runs every site this rank hosts.
-    runtime: Arc<Runtime>,
-}
-
-impl SiteHost {
-    /// Registers bucket `addr` under its static id and hands it to the
-    /// rank's runtime. Returns `false` when the id is already taken in
-    /// this process (a duplicate `Spawn` — first one wins).
-    fn spawn_bucket(&self, addr: u64, level: u8) -> bool {
-        let Some(ep) = self.network.register_with_id(SiteRegistry::bucket_id(addr)) else {
-            return false;
-        };
-        self.builder.launch(addr, level, ep, false);
-        true
-    }
-}
-
 /// Starts this process's share of a multi-process LH\* cluster and
 /// returns once the listener is up and every rank-local site is running
 /// (rank 0: the coordinator and bucket 0). The returned handle joins
@@ -236,27 +217,15 @@ pub fn serve(
     }
     let network = Network::tcp_serve(registry.clone(), rank, config.net.clone())
         .map_err(|e| LhError::Rejected(format!("rank {rank}: bind failed: {e}")))?;
-    let directory = Arc::new(Directory::new_static());
-    let runtime = Runtime::start();
-    let builder = SiteBuilder::new(&network, &directory, &config, SiteId(COORD_ID), &runtime);
-    let host = Arc::new(SiteHost {
-        network: network.clone(),
-        builder,
-        runtime,
-    });
-
+    let host = SiteHost::new(network, &config);
     if rank == 0 {
-        let coordinator_ep = network
-            .register_with_id(SiteId(COORD_ID))
-            .ok_or_else(|| LhError::Rejected("coordinator id already registered".into()))?;
         // The primordial bucket lives wherever address 0 hashes — which
         // is always rank 0 (`0 % n == 0`).
-        host.spawn_bucket(0, 0);
-        let spawner = make_tcp_spawner(registry.clone(), host.clone(), directory);
-        host.builder.launch_coordinator(coordinator_ep, spawner);
+        host.start(ClientImage::default(), registry.num_servers())?;
     }
 
-    let host_ep = network
+    let host_ep = host
+        .network
         .register_with_id(SiteRegistry::host_id(rank))
         .ok_or_else(|| LhError::Rejected("host id already registered".into()))?;
     let obs = config.obs.clone();
@@ -362,12 +331,7 @@ fn host_loop(ep: Endpoint, host: Arc<SiteHost>, rank: usize, obs: ObsOptions) {
             Err(_) => break,
         };
         match HostMsg::decode(&env.payload) {
-            Some(HostMsg::Spawn { addr, level }) => {
-                let fresh = host.spawn_bucket(addr, level);
-                if !fresh {
-                    sdds_obs::counter("lh.serve.duplicate_spawns").inc();
-                }
-            }
+            Some(HostMsg::Spawn { addr, level }) => host.spawn(addr, level, false),
             Some(HostMsg::DropConns) => host.network.drop_connections(),
             Some(HostMsg::ObsPull {
                 req_id,
@@ -410,42 +374,8 @@ fn host_loop(ep: Endpoint, host: Arc<SiteHost>, rank: usize, obs: ObsOptions) {
     host.runtime.shutdown();
 }
 
-/// The coordinator's bucket spawner over TCP: local addresses
-/// materialise in-process; remote ones become a [`HostMsg::Spawn`] to
-/// the owning rank's host endpoint. Either way the new site's id is the
-/// bucket address — the coordinator can hand it to the split victim
-/// immediately, while the remote registration races the victim's first
-/// `TransferBatch` (the transport parks deliveries for unregistered
-/// owned ids during a spawn grace window, so the race is benign).
-fn make_tcp_spawner(
-    registry: SiteRegistry,
-    host: Arc<SiteHost>,
-    directory: Arc<Directory>,
-) -> BucketSpawner {
-    // Dynamic endpoint for host-control sends; its hello broadcast makes
-    // it routable from every rank.
-    let control = host.network.register();
-    Box::new(move |addr: u64, level: u8| {
-        let id = SiteRegistry::bucket_id(addr);
-        // lint: allow(panic-freedom) -- bucket ids are below DYN_BASE, always owned by some rank
-        let owner = registry.owner_rank(id).expect("bucket id has an owner");
-        if owner == 0 {
-            host.spawn_bucket(addr, level);
-        } else {
-            let msg = HostMsg::Spawn { addr, level }.encode();
-            if send_control(&control, SiteRegistry::host_id(owner), msg).is_err() {
-                sdds_obs::counter("lh.serve.spawn_send_failures").inc();
-            }
-        }
-        // Un-retire the address in the static directory (no-op unless a
-        // merge retired it earlier).
-        directory.set_bucket(addr, id);
-        id
-    })
-}
-
 /// Client-side hub for a TCP cluster: dials the registry's ranks lazily
-/// and hands out [`LhClient`]s addressing the static bucket ids.
+/// and hands out [`LhClient`]s addressing buckets by address.
 pub struct TcpCluster {
     registry: SiteRegistry,
     network: Network,
@@ -461,7 +391,7 @@ impl TcpCluster {
         TcpCluster {
             registry,
             network,
-            directory: Arc::new(Directory::new_static()),
+            directory: Arc::new(Directory::new()),
             client_timeout: std::time::Duration::from_secs(10),
         }
     }
@@ -474,11 +404,7 @@ impl TcpCluster {
 
     /// Registers a new client of the file.
     pub fn client(&self) -> LhClient {
-        let client = LhClient::new(
-            self.network.register(),
-            self.directory.clone(),
-            SiteId(COORD_ID),
-        );
+        let client = LhClient::new(self.network.register(), self.directory.clone());
         client.set_timeout(self.client_timeout);
         client
     }

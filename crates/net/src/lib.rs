@@ -1,5 +1,5 @@
 //! A simulated multicomputer: addressable sites, reliable in-order message
-//! passing, traffic accounting and a latency model.
+//! passing and traffic accounting.
 //!
 //! The paper's setting is "multicomputers, systems utilizing many
 //! interconnected computers (called the nodes or sites)" (§1) whose data
@@ -13,9 +13,9 @@
 //!   drains a mailbox is the owner's business: a thread blocking in
 //!   [`Endpoint::recv`] (clients), or a [`Scheduler`] that runs many
 //!   sites on a few workers (`sdds-lh`'s site runtime);
-//! * **measurable** — [`NetStats`] counts messages and bytes per site and
-//!   in total, and a configurable [`LatencyModel`] converts traffic into
-//!   simulated network time without wall-clock sleeps;
+//! * **measurable** — [`NetStats`] counts the messages and bytes a
+//!   network delivered, the ones fault injection dropped and the ones
+//!   admission control refused;
 //! * **deterministic under test** — mailboxes are FIFO per sender/receiver
 //!   pair and no time-dependent behaviour exists unless callers add it.
 //!
@@ -24,13 +24,20 @@
 //! the end, which on one processor is the difference between two context
 //! switches per message and two per fan-out.
 //!
-//! Two transports sit behind the same [`Network`]/[`Endpoint`] surface:
-//! the in-process channel fabric above, and a real TCP transport
-//! ([`Network::tcp_serve`] / [`Network::tcp_client`]) where sites are
-//! spread over OS processes listed in a [`SiteRegistry`], messages travel
-//! as CRC-framed binary ([`frame`], built on the [`codec`] primitives the
-//! message bodies share), and admission control crosses the wire as NACK
-//! frames. `docs/PROTOCOL.md` documents the wire format.
+//! Every [`Network`] is one **site table** — the mailboxes of the sites
+//! its process hosts, by id in the one id space of [`SiteRegistry`]: a
+//! bucket's id is its address, the coordinator is [`COORD_ID`], clients
+//! and parity sites draw dynamic ids — plus, over TCP, optional links to
+//! the sites other processes host. [`Network::new`] hosts every site in
+//! the process (the one rank of a one-rank cluster);
+//! [`Network::tcp_serve`] / [`Network::tcp_client`] spread them over OS
+//! processes listed in a registry, messages travel as CRC-framed binary
+//! ([`frame`], built on the [`codec`] primitives the message bodies
+//! share), and admission control crosses the wire as NACK frames. A
+//! local sender and a TCP reader deliver into a local mailbox the same
+//! way. A dropped endpoint leaves a tombstone: sends to its id fail
+//! `Disconnected` until the id is registered again. `docs/PROTOCOL.md`
+//! documents the wire format.
 //!
 //! ```
 //! use sdds_net::{Network, NetConfig};
@@ -50,7 +57,6 @@
 
 pub mod codec;
 pub mod frame;
-mod latency;
 mod mailbox;
 mod network;
 mod pool;
@@ -58,7 +64,6 @@ mod registry;
 mod stats;
 mod tcp;
 
-pub use latency::LatencyModel;
 pub use mailbox::{Drained, Scheduler};
 pub use network::{Endpoint, Envelope, NetConfig, NetError, Network, Scatter, SiteId};
 pub use pool::PooledBuf;

@@ -1,6 +1,6 @@
 //! A site's inbox: a FIFO of envelopes with one owner, optionally
-//! bounded, shared by both fabrics (the channel transport's mailboxes and
-//! the TCP fabric's local inboxes).
+//! bounded, kept in its process's site table whichever fabric delivers
+//! to it.
 //!
 //! Two kinds of owner drain a mailbox. A *thread* (a client, a control
 //! endpoint) blocks in [`recv`](Mailbox::recv) on the mailbox's condvar.
@@ -197,6 +197,11 @@ impl Mailbox {
         self.state.lock().queue.len()
     }
 
+    /// Not closed: the id it is registered under is taken.
+    pub(crate) fn is_open(&self) -> bool {
+        !self.state.lock().closed
+    }
+
     /// Threads blocked in `recv` right now (tests wait for this instead
     /// of sleeping).
     #[cfg(test)]
@@ -211,8 +216,9 @@ impl Mailbox {
     }
 
     /// The owner is gone: closes the mailbox and frees what nobody will
-    /// take any more — the fabric keeps the mailbox itself for as long
-    /// as it lives, to answer later sends with `Closed`.
+    /// take any more — the site table keeps the mailbox itself as a
+    /// tombstone, to answer later sends with `Closed` until its id is
+    /// registered again.
     pub(crate) fn retire(&self) {
         let mut st = self.state.lock();
         st.closed = true;

@@ -1,4 +1,4 @@
-//! Site registry and the TCP transport's site-id space.
+//! Site registry and the one site-id space of both fabrics.
 //!
 //! A registry file lists one listen address per server rank, one per
 //! line (`#` starts a comment):
@@ -11,13 +11,15 @@
 //! ```
 //!
 //! Site ids are partitioned so any process can route a message from the
-//! id alone, without a directory service:
+//! id alone, without a directory service; an in-process (channel)
+//! network is the one rank of a one-rank cluster and hosts them all:
 //!
 //! * `0 .. DYN_BASE` — LH* bucket addresses. A bucket's site id *is* its
 //!   bucket address, and bucket `a` lives on rank `a % servers`.
-//! * `DYN_BASE .. COORD_ID` — dynamically allocated client endpoints.
-//!   Clients never listen; servers learn the connection that reaches a
-//!   client id from its hello frame and reply on it.
+//! * `DYN_BASE .. COORD_ID` — dynamically allocated endpoints (clients,
+//!   parity sites, control endpoints). Over TCP clients never listen;
+//!   servers learn the connection that reaches a client id from its
+//!   hello frame and reply on it.
 //! * `COORD_ID` — the coordinator, always on rank 0.
 //! * `HOST_BASE + r` — rank `r`'s host-control endpoint (bucket spawn,
 //!   connection-drop fault injection, shutdown).
@@ -88,20 +90,7 @@ impl SiteRegistry {
     /// Which server rank hosts `id`, or `None` for dynamic (client) ids,
     /// which are routed by learned connection instead.
     pub fn owner_rank(&self, id: SiteId) -> Option<usize> {
-        let n = self.servers.len() as u32;
-        match id.0 {
-            COORD_ID => Some(0),
-            x if (HOST_BASE..HOST_BASE.saturating_add(n)).contains(&x) => {
-                Some((x - HOST_BASE) as usize)
-            }
-            x if x < DYN_BASE => Some((x % n) as usize),
-            _ => None,
-        }
-    }
-
-    /// Whether `id` is a well-known (statically routable) id.
-    pub fn is_static(id: SiteId) -> bool {
-        id.0 < DYN_BASE || id.0 == COORD_ID || id.0 >= HOST_BASE
+        owner_rank(id, self.servers.len())
     }
 
     /// The host-control site id of `rank`.
@@ -113,6 +102,34 @@ impl SiteRegistry {
     pub fn bucket_id(addr: u64) -> SiteId {
         SiteId((addr % DYN_BASE as u64) as u32)
     }
+}
+
+/// Which of `ranks` server ranks hosts well-known id `id`; `None` for
+/// a dynamic id.
+pub(crate) fn owner_rank(id: SiteId, ranks: usize) -> Option<usize> {
+    let n = ranks as u32;
+    match id.0 {
+        COORD_ID => Some(0),
+        x if (HOST_BASE..HOST_BASE.saturating_add(n)).contains(&x) => {
+            Some((x - HOST_BASE) as usize)
+        }
+        x if x < DYN_BASE => Some((x % n) as usize),
+        _ => None,
+    }
+}
+
+/// Reserves `n` distinct loopback ports and returns a registry using
+/// them. The listeners are dropped before a fabric binds; the gap is a
+/// benign race for single-process tests.
+#[cfg(test)]
+pub(crate) fn loopback_registry(n: usize) -> SiteRegistry {
+    let listeners: Vec<std::net::TcpListener> = (0..n)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string());
+    SiteRegistry::from_addrs(addrs.collect()).unwrap()
 }
 
 #[cfg(test)]
@@ -144,8 +161,6 @@ mod tests {
         assert_eq!(r.owner_rank(SiteId(COORD_ID)), Some(0));
         assert_eq!(r.owner_rank(SiteRegistry::host_id(2)), Some(2));
         assert_eq!(r.owner_rank(SiteId(DYN_BASE + 7)), None);
-        assert!(SiteRegistry::is_static(SiteId(12)));
-        assert!(!SiteRegistry::is_static(SiteId(DYN_BASE + 7)));
-        assert!(SiteRegistry::is_static(SiteId(COORD_ID)));
+        assert_eq!(r.owner_rank(SiteRegistry::host_id(3)), None, "no rank 3");
     }
 }

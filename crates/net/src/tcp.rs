@@ -1,7 +1,10 @@
-//! Real TCP transport: multi-process sites over framed connections.
+//! Real TCP transport: the links from one process's site table to the
+//! sites other processes host.
 //!
-//! One [`TcpFabric`] per process attaches that process to a cluster
-//! described by a [`SiteRegistry`]. Server ranks bind a listener; client
+//! A TCP `Network` is a site table (`network.rs`, the same one a channel
+//! network has) plus one [`TcpFabric`]: the connections of this process
+//! to the ranks of a cluster described by a [`SiteRegistry`], for every
+//! id the table does not host. Server ranks bind a listener; client
 //! processes only dial. All connections are persistent and pooled per
 //! peer:
 //!
@@ -13,38 +16,36 @@
 //!   `write` syscall (`TCP_NODELAY` is set, so coalescing is explicit
 //!   here, not delegated to Nagle). Connections dial lazily and
 //!   re-dial with exponential backoff (10 ms doubling to 2 s).
-//! * **Reader thread per connection** feeding the same bounded
-//!   mailboxes the in-process transport uses, so `Endpoint::recv` and the
-//!   site runtime above it are transport-agnostic. The frames of one
-//!   `read()` are one [`Scatter`]: each local owner is woken once.
+//! * **Reader thread per connection** delivering through the site table,
+//!   the one way into a local mailbox a local sender takes too, so
+//!   `Endpoint::recv` and the site runtime above it are
+//!   transport-agnostic. The frames of one `read()` are one [`Scatter`]:
+//!   each local owner is woken once.
 //! * **NACK backpressure.** A receiver that cannot enqueue an envelope
-//!   (inbox full past a short grace window, or destination gone) replies
-//!   with a NACK frame. The sender records the NACK as a *debt* against
-//!   that destination: the next send to it fails with
-//!   `Overloaded`/`Disconnected`, so `RetryPolicy` backoff behaves the
-//!   same as in-process — one send later than the channel transport,
-//!   because the wire is asynchronous. The NACKed message itself is lost,
-//!   which the LH* protocol already tolerates (idempotent retransmits).
+//!   (inbox full past a short grace window, destination gone — a
+//!   tombstone, refused at once — or never registered past a spawn
+//!   grace window) replies with a NACK frame. The sender records the
+//!   NACK as a *debt* against that destination: the next send to it
+//!   fails with `Overloaded`/`Disconnected`, so `RetryPolicy` backoff
+//!   behaves the same as in-process — one send later than the channel
+//!   transport, because the wire is asynchronous. The NACKed message
+//!   itself is lost, which the LH* protocol already tolerates
+//!   (idempotent retransmits).
 //! * **Routing by id.** Well-known ids (buckets, coordinator, host
 //!   control) map to a rank via the registry. Dynamic client ids are
 //!   announced with hello frames on every connection the client opens
 //!   (and re-announced on reconnect), so any rank can route replies.
-//!
-//! Fault injection (`drop_probability`) and the simulated latency model
-//! apply only to the in-process transport; TCP loses and delays messages
-//! the real way.
 
 use crate::frame::{self, Frame, FrameDecoder, NackReason};
-use crate::mailbox::{Mailbox, Refused, Wake};
-use crate::network::{Envelope, NetCounters, NetError, Scatter, SiteId};
+use crate::mailbox::Refused;
+use crate::network::{Envelope, Miss, NetError, Scatter, SiteId, Sites};
 use crate::pool::PooledBuf;
-use crate::registry::{SiteRegistry, DYN_BASE};
-use crate::stats::NetStats;
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::registry::{SiteRegistry, COORD_ID, DYN_BASE};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,7 +122,7 @@ impl Conn {
 }
 
 /// Handles of the `net.tcp.*` counters the reader and writer loops bump
-/// per frame and per write, resolved once like [`NetCounters`]; the
+/// per frame and per write, resolved once like those of the site table; the
 /// counters of rare events (dials, NACKs, errors) stay looked up by name.
 struct TcpCounters {
     frames_received: sdds_obs::Counter,
@@ -147,18 +148,10 @@ impl TcpCounters {
 
 struct Shared {
     registry: SiteRegistry,
-    rank: Option<usize>,
-    inbox_capacity: Option<usize>,
-    stats: Arc<NetStats>,
-    counters: NetCounters,
+    /// The table the readers deliver into.
+    sites: Arc<Sites>,
     tcp: TcpCounters,
     shutdown: AtomicBool,
-    /// Local inboxes by raw site id.
-    locals: RwLock<HashMap<u32, Arc<Mailbox>>>,
-    /// Dynamically allocated local ids, re-announced on every connect.
-    local_dyn: Mutex<Vec<u32>>,
-    next_dyn: AtomicU32,
-    dyn_base: u32,
     /// Dial connections by server rank.
     peers: Mutex<HashMap<usize, Arc<Conn>>>,
     /// Accepted connections (kept alive for shutdown/fault injection).
@@ -176,39 +169,9 @@ impl Shared {
         // worker threads; no other memory is published through it
         self.shutdown.load(Ordering::Relaxed)
     }
-
-    /// Pushes into a local inbox, counting the envelope as traffic if it
-    /// is taken. A refusal is the caller's to account for: an error at a
-    /// local sender, a grace period and then a NACK at a reader.
-    fn local_push(
-        &self,
-        mailbox: &Arc<Mailbox>,
-        env: Envelope,
-        at: Instant,
-    ) -> Result<Option<Wake>, Refused> {
-        let len = env.payload.len();
-        self.stats.record(len);
-        let pushed = mailbox.push(env, at);
-        match pushed {
-            Ok(_) => {
-                self.counters.messages.inc();
-                self.counters.bytes.add(len as u64);
-            }
-            Err(_) => self.stats.unrecord(len),
-        }
-        pushed
-    }
-
-    /// Accounts for an envelope refused before it reached a mailbox or a
-    /// connection: the destination is ours but not registered yet, or a
-    /// NACK said its inbox is full.
-    fn refuse_overloaded(&self, env: &Envelope) -> NetError {
-        self.counters
-            .overloaded(&self.stats, env.to, env.payload.len(), env.ctx)
-    }
 }
 
-/// A process's attachment to a TCP cluster. Owned by `Network`.
+/// A process's links to a TCP cluster. Owned by `Network`.
 pub(crate) struct TcpFabric {
     shared: Arc<Shared>,
 }
@@ -218,56 +181,28 @@ impl TcpFabric {
     pub(crate) fn serve(
         registry: SiteRegistry,
         rank: usize,
-        inbox_capacity: Option<usize>,
-        stats: Arc<NetStats>,
+        sites: Arc<Sites>,
     ) -> std::io::Result<TcpFabric> {
         let addr = registry.addr(rank).unwrap_or("").to_string();
         let listener = TcpListener::bind(&addr)?;
-        let fabric = TcpFabric::new(registry, Some(rank), inbox_capacity, stats, Some(addr));
+        let fabric = TcpFabric::new(registry, sites, Some(addr));
         let shared = Arc::clone(&fabric.shared);
         std::thread::spawn(move || accept_loop(shared, listener));
         Ok(fabric)
     }
 
     /// Client fabric: dial-only, no listener.
-    pub(crate) fn client(
-        registry: SiteRegistry,
-        inbox_capacity: Option<usize>,
-        stats: Arc<NetStats>,
-    ) -> TcpFabric {
-        TcpFabric::new(registry, None, inbox_capacity, stats, None)
+    pub(crate) fn client(registry: SiteRegistry, sites: Arc<Sites>) -> TcpFabric {
+        TcpFabric::new(registry, sites, None)
     }
 
-    fn new(
-        registry: SiteRegistry,
-        rank: Option<usize>,
-        inbox_capacity: Option<usize>,
-        stats: Arc<NetStats>,
-        listen_addr: Option<String>,
-    ) -> TcpFabric {
-        // Stripe dynamic ids by pid *and* per-process fabric ordinal so
-        // neither concurrent client processes nor multiple fabrics in one
-        // process (threads-as-ranks tests, in-process benches) collide in
-        // the shared id space — a collision silently blackholes replies
-        // into whichever fabric resolves the id locally first.
-        static FABRIC_SEQ: AtomicU32 = AtomicU32::new(0);
-        // ordering: Relaxed — a pure ordinal allocator; fetch_add
-        // atomicity alone guarantees distinct stripes
-        let seq = FABRIC_SEQ.fetch_add(1, Ordering::Relaxed);
-        let stripe = (std::process::id().wrapping_mul(0x9E37).wrapping_add(seq) % 0xFFF) << 12;
+    fn new(registry: SiteRegistry, sites: Arc<Sites>, listen_addr: Option<String>) -> TcpFabric {
         TcpFabric {
             shared: Arc::new(Shared {
                 registry,
-                rank,
-                inbox_capacity,
-                stats,
-                counters: NetCounters::new(),
+                sites,
                 tcp: TcpCounters::new(),
                 shutdown: AtomicBool::new(false),
-                locals: RwLock::new(HashMap::new()),
-                local_dyn: Mutex::new(Vec::new()),
-                next_dyn: AtomicU32::new(0),
-                dyn_base: DYN_BASE + stripe,
                 peers: Mutex::new(HashMap::new()),
                 inbound: Mutex::new(Vec::new()),
                 routes: Mutex::new(HashMap::new()),
@@ -277,45 +212,17 @@ impl TcpFabric {
         }
     }
 
-    /// Registers a well-known local id (bucket address, coordinator or
-    /// host-control endpoint). Returns `None` if the id is already taken.
-    pub(crate) fn register_static(&self, id: SiteId) -> Option<Arc<Mailbox>> {
-        let mut locals = self.shared.locals.write();
-        if locals.contains_key(&id.0) {
-            return None;
-        }
-        let mailbox = Mailbox::new(self.shared.inbox_capacity);
-        locals.insert(id.0, Arc::clone(&mailbox));
-        Some(mailbox)
-    }
-
-    /// Allocates a dynamic (client) id, announces it to every server rank,
-    /// and returns it with its inbox.
-    pub(crate) fn register_dynamic(&self) -> (SiteId, Arc<Mailbox>) {
-        let shared = &self.shared;
-        // ordering: Relaxed — a pure id allocator; uniqueness comes from
-        // fetch_add atomicity, and the id is published via locks below
-        let n = shared.next_dyn.fetch_add(1, Ordering::Relaxed);
-        let id = SiteId(shared.dyn_base.wrapping_add(n & 0xFFF));
-        let mailbox = Mailbox::new(shared.inbox_capacity);
-        shared.locals.write().insert(id.0, Arc::clone(&mailbox));
-        shared.local_dyn.lock().push(id.0);
-        // Announce on a connection to every rank (dialing lazily creates
-        // them) so any rank — including ones that only ever see forwarded
-        // traffic for us — can route replies.
-        for rank in 0..shared.registry.num_servers() {
+    /// Announces a dynamic id of this process on a connection to every
+    /// rank (dialing lazily creates them), so any rank — including ones
+    /// that only ever see forwarded traffic for it — can route replies.
+    pub(crate) fn announce(&self, id: SiteId) {
+        for rank in 0..self.shared.registry.num_servers() {
             if let Some(conn) = self.peer_conn(rank) {
                 let mut buf = PooledBuf::take();
                 frame::encode_hello(id, buf.as_mut_vec());
                 let _ = conn.enqueue(buf, true);
             }
         }
-        (id, mailbox)
-    }
-
-    /// Number of locally hosted endpoints.
-    pub(crate) fn num_local(&self) -> usize {
-        self.shared.locals.read().len()
     }
 
     /// Severs every established stream (fault injection / tests). Dial
@@ -355,39 +262,21 @@ impl TcpFabric {
         Some(conn)
     }
 
-    /// Sender-side delivery. Mirrors the in-process transport's
-    /// accounting: stats/counters reflect messages actually enqueued,
-    /// refusals surface as `Overloaded`, lost peers as `Disconnected`;
-    /// a local destination's wake-up is returned undelivered.
-    pub(crate) fn deliver(&self, env: Envelope, at: Instant) -> Result<Option<Wake>, NetError> {
+    /// Sends an envelope for a site another process hosts. Mirrors the
+    /// local accounting: stats/counters reflect messages actually
+    /// enqueued, refusals surface as `Overloaded`, lost peers as
+    /// `Disconnected`.
+    pub(crate) fn send(&self, env: Envelope) -> Result<(), NetError> {
         let shared = &self.shared;
-        let to = env.to;
-        let owner = shared.registry.owner_rank(to);
-
-        // Local destination: same semantics as the channel transport.
-        let local = { shared.locals.read().get(&to.0).cloned() };
-        if let Some(mailbox) = local {
-            let (len, ctx) = (env.payload.len(), env.ctx);
-            return shared.local_push(&mailbox, env, at).map_err(|refused| {
-                shared
-                    .counters
-                    .refused(&shared.stats, refused, to, len, ctx)
-            });
-        }
-        if owner.is_some() && owner == shared.rank {
-            // A well-known id we own that is not registered *yet*: the
-            // coordinator announces remote spawns asynchronously, so treat
-            // the gap as backpressure — must-land senders park and retry,
-            // and the spawn lands within the retry window.
-            return Err(shared.refuse_overloaded(&env));
-        }
+        let sites = &shared.sites;
+        let (to, len, ctx) = (env.to, env.payload.len(), env.ctx);
 
         // Consume any NACK debt before handing more frames to the wire.
         let pending = shared.debts.lock().remove(&to.0);
         if let Some(mut d) = pending {
             if d.unroutable {
                 shared.routes.lock().remove(&to.0);
-                return Err(shared.counters.disconnected(to));
+                return Err(sites.disconnected(to));
             }
             if d.overloaded > 0 {
                 d.overloaded -= 1;
@@ -396,11 +285,11 @@ impl TcpFabric {
                     // the reader recorded while we held it).
                     shared.debts.lock().entry(to.0).or_default().overloaded += d.overloaded;
                 }
-                return Err(shared.refuse_overloaded(&env));
+                return Err(sites.overloaded(to, len, ctx));
             }
         }
 
-        let conn = match owner {
+        let conn = match shared.registry.owner_rank(to) {
             Some(rank) => self.peer_conn(rank),
             None => {
                 let routes = shared.routes.lock();
@@ -408,26 +297,24 @@ impl TcpFabric {
             }
         };
         let Some(conn) = conn else {
-            return Err(shared.counters.disconnected(to));
+            return Err(sites.disconnected(to));
         };
 
-        let len = env.payload.len();
         let mut buf = PooledBuf::take();
         frame::encode_envelope(&env, buf.as_mut_vec());
-        shared.stats.record(len);
+        sites.stats.record(len);
         match conn.enqueue(buf, false) {
             Ok(()) => {
-                shared.counters.messages.inc();
-                shared.counters.bytes.add(len as u64);
-                Ok(None)
+                sites.delivered(len);
+                Ok(())
             }
             Err(EnqueueError::Full) => {
-                shared.stats.unrecord(len);
-                Err(shared.refuse_overloaded(&env))
+                sites.stats.unrecord(len);
+                Err(sites.overloaded(to, len, ctx))
             }
             Err(EnqueueError::Closed) => {
-                shared.stats.unrecord(len);
-                Err(shared.counters.disconnected(to))
+                sites.stats.unrecord(len);
+                Err(sites.disconnected(to))
             }
         }
     }
@@ -587,14 +474,10 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
                         stream_gen = conn.state.lock().generation;
                         // (Re)announce our dynamic ids first on every new
                         // stream so the peer can route replies.
-                        let hello = {
-                            let ids = shared.local_dyn.lock();
-                            let mut buf = Vec::new();
-                            for &id in ids.iter() {
-                                frame::encode_hello(SiteId(id), &mut buf);
-                            }
-                            buf
-                        };
+                        let mut hello = Vec::new();
+                        for id in shared.sites.dynamic_ids() {
+                            frame::encode_hello(id, &mut hello);
+                        }
                         if !hello.is_empty() {
                             if let Some(s) = &mut stream {
                                 if s.write_all(&hello).is_ok() {
@@ -736,7 +619,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
         }
         Frame::Envelope(env) => {
             shared.tcp.frames_received.inc();
-            if env.from.0 >= DYN_BASE && env.from.0 < crate::registry::COORD_ID {
+            if (DYN_BASE..COORD_ID).contains(&env.from.0) {
                 // Learn the reply route even if the hello raced us.
                 shared.routes.lock().insert(env.from.0, Arc::clone(conn));
             }
@@ -753,59 +636,44 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
 fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, env: Envelope, scatter: &mut Scatter) {
     let start = Instant::now();
     let (from, to) = (env.from, env.to);
-    let mut env = Some(env);
-    loop {
-        let local = { shared.locals.read().get(&to.0).cloned() };
-        match local {
-            Some(mailbox) => {
-                let Some(e) = env.take() else { return };
-                match shared.local_push(&mailbox, e, scatter.now()) {
-                    Ok(wake) => {
-                        if let Some(wake) = wake {
-                            scatter.defer(wake);
-                        }
-                        return;
-                    }
-                    Err(Refused::Full(e)) => {
-                        if start.elapsed() >= INBOX_GRACE {
-                            sdds_obs::counter("net.tcp.inbox_full").inc();
-                            nack(conn, NackReason::Overloaded, from, to);
-                            return;
-                        }
-                        env = Some(e);
-                        scatter.wake();
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    Err(Refused::Closed) => {
-                        // The endpoint is gone (bucket retired): tell the
-                        // sender it is unroutable now.
-                        shared.locals.write().remove(&to.0);
-                        sdds_obs::counter("net.tcp.unroutable").inc();
-                        nack(conn, NackReason::Unroutable, from, to);
-                        return;
-                    }
+    let mut env = env;
+    let reason = loop {
+        let pause = match shared.sites.push(env, scatter.now()) {
+            Ok(wake) => {
+                if let Some(wake) = wake {
+                    scatter.defer(wake);
                 }
-            }
-            None if SiteRegistry::is_static(to)
-                && shared.registry.owner_rank(to) == shared.rank =>
-            {
-                // Not registered yet: ride the remote-spawn race for a
-                // bounded window before refusing.
-                if start.elapsed() >= SPAWN_GRACE || shared.is_shutdown() {
-                    sdds_obs::counter("net.tcp.unroutable").inc();
-                    nack(conn, NackReason::Unroutable, from, to);
-                    return;
-                }
-                scatter.wake();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            None => {
-                sdds_obs::counter("net.tcp.unroutable").inc();
-                nack(conn, NackReason::Unroutable, from, to);
                 return;
             }
-        }
-    }
+            Err(Miss::Refused(Refused::Full(e))) if start.elapsed() < INBOX_GRACE => {
+                env = e;
+                Duration::from_micros(100)
+            }
+            Err(Miss::Refused(Refused::Full(_))) => {
+                sdds_obs::counter("net.tcp.inbox_full").inc();
+                break NackReason::Overloaded;
+            }
+            // Not registered yet: ride the remote-spawn race for a
+            // bounded window before refusing.
+            Err(Miss::Absent(e))
+                if shared.sites.owns(to)
+                    && start.elapsed() < SPAWN_GRACE
+                    && !shared.is_shutdown() =>
+            {
+                env = e;
+                Duration::from_millis(5)
+            }
+            // A tombstone (the endpoint is gone), an id past its spawn
+            // grace, or one this rank does not host: unroutable, now.
+            Err(_) => {
+                sdds_obs::counter("net.tcp.unroutable").inc();
+                break NackReason::Unroutable;
+            }
+        };
+        scatter.wake();
+        std::thread::sleep(pause);
+    };
+    nack(conn, reason, from, to);
 }
 
 fn nack(conn: &Arc<Conn>, reason: NackReason, from: SiteId, to: SiteId) {
@@ -818,25 +686,9 @@ fn nack(conn: &Arc<Conn>, reason: NackReason, from: SiteId, to: SiteId) {
 #[cfg(test)]
 mod tests {
     use crate::network::{NetConfig, NetError, Network, SiteId};
-    use crate::registry::SiteRegistry;
+    use crate::registry::loopback_registry;
     use bytes::Bytes;
-    use std::net::TcpListener;
-    use std::time::Duration;
-
-    /// Reserves `n` distinct loopback ports and returns a registry using
-    /// them. The listeners are dropped before the fabric binds; the gap
-    /// is a benign race for single-process tests.
-    fn loopback_registry(n: usize) -> SiteRegistry {
-        let mut addrs = Vec::new();
-        let mut keep = Vec::new();
-        for _ in 0..n {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            addrs.push(format!("127.0.0.1:{}", l.local_addr().unwrap().port()));
-            keep.push(l);
-        }
-        drop(keep);
-        SiteRegistry::from_addrs(addrs).unwrap()
-    }
+    use std::time::{Duration, Instant};
 
     const RECV: Duration = Duration::from_secs(5);
 
@@ -966,6 +818,35 @@ mod tests {
         }
         assert!(saw_disconnected, "unroutable NACK never surfaced");
         let _ = server;
+    }
+
+    /// A frame for a retired id is NACKed at once, so the frames behind
+    /// it on the same connection are not held up (a retired id used to
+    /// park the reader for the spawn grace once its first NACK had
+    /// removed the entry).
+    #[test]
+    fn a_retired_id_does_not_hold_up_the_connection() {
+        let reg = loopback_registry(1);
+        let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
+        drop(server.register_with_id(SiteId(3)).unwrap());
+        let live = server.register_with_id(SiteId(4)).unwrap();
+        let clientnet = Network::tcp_client(reg, NetConfig::default());
+        let client = clientnet.register();
+        client.send(SiteId(4), Bytes::from_static(b"dial")).unwrap();
+        live.recv_timeout(RECV).unwrap();
+        for _ in 0..3 {
+            let start = Instant::now();
+            for _ in 0..2 {
+                let _ = client.send(SiteId(3), Bytes::from_static(b"gone"));
+            }
+            client.send(SiteId(4), Bytes::from_static(b"live")).unwrap();
+            live.recv_timeout(RECV).unwrap();
+            let late = start.elapsed();
+            assert!(
+                late < Duration::from_millis(100),
+                "live frame {late:?} late"
+            );
+        }
     }
 
     #[test]

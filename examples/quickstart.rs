@@ -52,10 +52,9 @@ fn main() {
     // What did all of that cost on the (simulated) network?
     let stats = store.cluster().network().stats();
     println!(
-        "\nnetwork: {} messages, {} bytes, ~{:?} simulated time",
+        "\nnetwork: {} messages, {} bytes",
         stats.messages(),
-        stats.bytes(),
-        store.cluster().network().simulated_time()
+        stats.bytes()
     );
     store.shutdown();
 }

@@ -160,9 +160,10 @@ fn channel_and_tcp_fabrics_agree_on_a_seeded_history() {
     let records = DirectoryGenerator::new(SEED + 1).generate(ENTRIES);
     // Buckets of 128, so that the deletes below leave every bucket above
     // the merge threshold: over TCP a merged-away bucket id stays in the
-    // clients' static directory (see `sdds_lh::serve`) and operations
-    // addressed to it time out — at the parent commit too; not this
-    // test's topic.
+    // clients' directory (see `sdds_lh::serve`), and an operation
+    // addressed to it loses one attempt to the tombstone's unroutable
+    // NACK before it retries through bucket 0 — not this test's topic
+    // (ROADMAP item 1).
     let builder = |records: &[Record]| builder(records).bucket_capacity(128);
     let merges_before = sdds_obs::counter("lh.merges").get();
     let registry = SiteRegistry::from_addrs(reserve_loopback_addrs(2)).expect("registry");
