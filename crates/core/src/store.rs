@@ -329,11 +329,9 @@ impl StoreBuilder {
     /// the servers were started with.
     pub fn connect(self, registry: sdds_net::SiteRegistry) -> RemoteStore {
         let (pipeline, cluster_config) = self.build_parts();
-        let mut hub = sdds_lh::TcpCluster::connect(registry, cluster_config.net.clone());
-        hub.set_client_timeout(cluster_config.client_timeout);
         RemoteStore {
             pipeline: Arc::new(pipeline),
-            hub,
+            cluster: LhCluster::connect(registry, cluster_config),
         }
     }
 
@@ -400,13 +398,12 @@ pub struct EncryptedSearchStore {
 }
 
 /// A client-side view of a multi-process (TCP) store: the deterministic
-/// pipeline plus a connection hub to the serving ranks. Unlike
-/// [`EncryptedSearchStore`] it owns no sites — dropping it leaves the
-/// cluster running (use [`shutdown_cluster`](Self::shutdown_cluster) to
-/// stop the servers).
+/// pipeline plus a connected [`LhCluster`] that hosts no site. Dropping
+/// it leaves the cluster running (use
+/// [`shutdown_cluster`](Self::shutdown_cluster) to stop the servers).
 pub struct RemoteStore {
     pipeline: Arc<IndexPipeline>,
-    hub: sdds_lh::TcpCluster,
+    cluster: LhCluster,
 }
 
 impl RemoteStore {
@@ -417,7 +414,7 @@ impl RemoteStore {
     pub fn handle(&self) -> StoreHandle {
         StoreHandle {
             pipeline: self.pipeline.clone(),
-            client: self.hub.client(),
+            client: self.cluster.client(),
         }
     }
 
@@ -427,21 +424,21 @@ impl RemoteStore {
         &self.pipeline
     }
 
-    /// The underlying connection hub (traffic statistics, fault
-    /// injection, shutdown).
-    pub fn cluster(&self) -> &sdds_lh::TcpCluster {
-        &self.hub
+    /// The underlying cluster handle (traffic statistics, fault
+    /// injection, snapshots, shutdown).
+    pub fn cluster(&self) -> &LhCluster {
+        &self.cluster
     }
 
     /// An observability collector scraping every serving rank's metrics,
     /// spans and snapshot history over the host control channel.
     pub fn obs(&self) -> sdds_lh::ClusterObs {
-        self.hub.obs()
+        self.cluster.obs()
     }
 
     /// Stops every serving rank (the `serve` processes return).
     pub fn shutdown_cluster(&self) {
-        self.hub.shutdown();
+        self.cluster.shutdown();
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::bucket::{BucketCtx, BucketSite, BucketState};
 use crate::client::{LhClient, LhError};
-use crate::coordinator::{BucketSpawner, CoordinatorSite, CoordinatorState};
+use crate::coordinator::{CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
@@ -18,7 +18,7 @@ use sdds_storage::{MemEngine, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Names the sites of an LH\* file for whoever routes to them — the
@@ -217,109 +217,84 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A running LH\* file: coordinator + bucket sites (+ parity sites), all on
-/// the simulated multicomputer, all run by one site runtime — the one
-/// rank of a one-rank cluster, set up the way `serve` sets up rank 0.
+/// A process's handle on an LH\* file, whichever fabric carries it: the
+/// sites this process hosts (coordinator, buckets, parity sites, all run
+/// by one site runtime) and the clients it hands out. In-process
+/// ([`start`](Self::start), [`open`](Self::open)) it is the one rank of a
+/// one-rank cluster; [`serve`](crate::serve) brings up one rank of many
+/// the same way; [`connect`](Self::connect) makes a TCP client that hosts
+/// no site. Its methods address sites by id and never ask which fabric
+/// carries them.
 pub struct LhCluster {
-    host: Arc<SiteHost>,
-    config: ClusterConfig,
+    pub(crate) host: Arc<SiteHost>,
 }
 
 impl LhCluster {
-    /// Starts a cluster with one bucket and its coordinator.
+    /// Starts the file: a fresh one with one bucket and its coordinator,
+    /// or, over a data dir that holds buckets already, the file they hold,
+    /// as [`open`](Self::open) does. If that fails, the file starts in
+    /// volatile memory and `storage.open_failures` counts it, as a bucket
+    /// whose storage does not open degrades.
     pub fn start(config: ClusterConfig) -> LhCluster {
-        let cluster = LhCluster::new(config);
-        // a fresh network: the coordinator's id is free
-        let _ = cluster.host.start(ClientImage::default(), 1);
-        cluster
-    }
-
-    fn new(config: ClusterConfig) -> LhCluster {
-        let host = SiteHost::new(Network::new(config.net.clone()), &config);
-        LhCluster { host, config }
+        LhCluster::open(config.clone()).unwrap_or_else(|_| {
+            sdds_obs::counter("storage.open_failures").inc();
+            // a fresh file in memory: nothing on the way up can fail
+            LhCluster::start(ClusterConfig {
+                storage: StorageConfig::Mem,
+                ..config
+            })
+        })
     }
 
     /// Reopens a durable file from the bucket directories under the
-    /// config's data dir. Falls back to [`start`](Self::start) when no
-    /// buckets exist yet (including the in-memory backend).
+    /// config's data dir, or starts a fresh one where there are none
+    /// (the in-memory backend included).
     ///
     /// LH\* file state is never persisted separately: it is *derived* from
     /// the number of bucket directories via the split invariant
     /// `n = 2^level + split`. A crash mid-transfer can leave records in a
     /// bucket the derived state no longer maps them to (or in two buckets
-    /// at once), so before any site thread starts, a re-address pass moves
-    /// every record to its home bucket — preferring the home copy when the
-    /// crash left duplicates, since the home copy was the one durably
-    /// acknowledged.
+    /// at once), so before any site exists, a re-address pass moves every
+    /// record to its home bucket — preferring the home copy when the crash
+    /// left duplicates, since the home copy was the one durably
+    /// acknowledged. Every rank start-up does this, a served one too.
     pub fn open(config: ClusterConfig) -> Result<LhCluster, LhError> {
-        let addrs = config
-            .storage
-            .existing_bucket_addrs()
-            .map_err(|e| LhError::Storage(e.to_string()))?;
-        let n = match addrs.iter().max() {
-            // fresh data dir (or Mem backend): nothing to recover
-            None => return Ok(LhCluster::start(config)),
-            Some(&hi) => hi + 1,
-        };
-        let level = (63 - n.leading_zeros()) as u8;
-        let split = n - (1u64 << level);
-        let image = ClientImage { level, split };
+        LhCluster::up(Network::new(config.net.clone()), 0, 1, config)
+    }
 
-        // Re-address pass, strictly before any site exists (the
-        // engines are opened exclusively here and dropped again).
-        let mut engines: Vec<Box<dyn StorageEngine>> = Vec::with_capacity(n as usize);
-        for addr in 0..n {
-            let engine = config
-                .storage
-                .open_bucket(addr)
-                .map_err(|e| LhError::Storage(format!("bucket {addr}: {e}")))?;
-            engines.push(engine);
+    /// A client process of a served cluster: it hosts no site and runs
+    /// no worker. Nothing is dialed until the first send (connections are
+    /// made lazily, with backoff).
+    pub fn connect(registry: SiteRegistry, config: ClusterConfig) -> LhCluster {
+        let ranks = registry.num_servers();
+        let network = Network::tcp_client(registry, config.net.clone());
+        LhCluster {
+            host: SiteHost::new(network, None, ranks, config),
         }
-        // (source bucket, key, value, home bucket)
-        let mut strays: Vec<(usize, u64, Vec<u8>, usize)> = Vec::new();
-        for (addr, engine) in engines.iter().enumerate() {
-            engine.for_each(&mut |key, value| {
-                let home = address(key, level, split) as usize;
-                if home != addr {
-                    strays.push((addr, key, value.to_vec(), home));
-                }
-            });
-        }
-        if !strays.is_empty() {
-            sdds_obs::counter("storage.readdressed_records").add(strays.len() as u64);
-            let mut batches: Vec<WriteBatch> = (0..n).map(|_| WriteBatch::new()).collect();
-            for (from, key, value, home) in strays {
-                // A transfer that crashed after the target's durable apply
-                // but before the source's delete leaves two copies; the
-                // home one was acknowledged, so it wins.
-                if !engines[home].contains(key) {
-                    batches[home].put(key, value);
-                }
-                batches[from].delete(key);
-            }
-            for (addr, batch) in batches.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let engine = &mut engines[addr];
-                engine
-                    .apply_batch(&batch)
-                    .and_then(|()| engine.flush())
-                    .map_err(|e| LhError::Storage(format!("bucket {addr}: {e}")))?;
-            }
-        }
-        // release the WAL handles before the bucket sites reopen them
-        drop(engines);
+    }
 
-        let cluster = LhCluster::new(config);
-        cluster.host.start(image, 1)?;
-        Ok(cluster)
+    /// Brings this process up as rank `rank` of `ranks` over `network`:
+    /// the file state derived from the rank's data dir ([`reopen`]), and
+    /// on rank 0 the coordinator and the buckets of that file, serving
+    /// what they hold at once.
+    pub(crate) fn up(
+        network: Network,
+        rank: usize,
+        ranks: usize,
+        config: ClusterConfig,
+    ) -> Result<LhCluster, LhError> {
+        let image = reopen(&config.storage, ranks)?;
+        let host = SiteHost::new(network, Some(rank), ranks, config);
+        if rank == 0 {
+            host.start(image)?;
+        }
+        Ok(LhCluster { host })
     }
 
     /// Registers a new client of the file.
     pub fn client(&self) -> LhClient {
         let client = LhClient::new(self.host.network.register(), self.host.directory.clone());
-        client.set_timeout(self.config.client_timeout);
+        client.set_timeout(self.host.config.client_timeout);
         client
     }
 
@@ -328,9 +303,28 @@ impl LhCluster {
         &self.host.network
     }
 
-    /// Number of bucket addresses materialised so far.
+    /// Number of bucket addresses this process has seen materialised.
     pub fn num_buckets(&self) -> usize {
         self.host.directory.num_buckets()
+    }
+
+    /// An observability collector scraping the host loop of every rank
+    /// that [`serve`](crate::serve) runs.
+    pub fn obs(&self) -> crate::ClusterObs {
+        crate::ClusterObs::new(self.host.network.register(), self.host.ranks)
+    }
+
+    /// Severs this process's established connections (they
+    /// re-establish with backoff on the next send).
+    pub fn drop_connections(&self) {
+        self.host.network.drop_connections();
+    }
+
+    /// Asks rank `rank`'s host loop to sever all of *its* connections —
+    /// fault injection across the cluster, not just this process.
+    pub fn sever_rank(&self, rank: usize) -> Result<(), LhError> {
+        let msg = HostMsg::DropConns.encode();
+        send_control(self.host.control(), SiteRegistry::host_id(rank), msg).map_err(LhError::Net)
     }
 
     /// Kills a bucket site (crash simulation for LH\*<sub>RS</sub> tests).
@@ -338,8 +332,7 @@ impl LhCluster {
     /// restores it.
     pub fn kill_bucket(&self, addr: u64) {
         if let Some(site) = self.host.directory.bucket_site(addr) {
-            let control = self.host.network.register();
-            let _ = send_control(&control, site, Wire::Shutdown.encode());
+            let _ = send_control(self.host.control(), site, Wire::Shutdown.encode());
             self.host.directory.retire(addr);
         }
     }
@@ -352,6 +345,7 @@ impl LhCluster {
     /// locks the group).
     pub fn recover_bucket(&self, addr: u64) -> Result<(), LhError> {
         let cfg = self
+            .host
             .config
             .parity
             .ok_or_else(|| LhError::Rejected("parity not enabled".into()))?;
@@ -461,10 +455,10 @@ impl LhCluster {
         // 4. reconstruct
         let slots = reconstruct_member(k, m, cfg.slot_size, failed, &members, &parities)
             .map_err(LhError::Rejected)?;
-        // 5. spawn a fresh site and adopt at the level the true file
-        // state implies.
+        // 5. spawn a fresh site on the owning rank and adopt at the level
+        // the true file state implies.
         let level = bucket_level(addr, extent);
-        self.host.spawn(addr, level, false);
+        self.host.place(addr, level)?;
         let site = SiteRegistry::bucket_id(addr);
         send_control(&control, site, Wire::Adopt { addr, level, slots }.encode())?;
         Ok(())
@@ -565,7 +559,7 @@ impl LhCluster {
         )?;
         for b in &snapshot.buckets {
             if b.addr > 0 {
-                cluster.host.spawn(b.addr, b.level, false);
+                cluster.host.place(b.addr, b.level)?;
             }
         }
         for b in &snapshot.buckets {
@@ -583,11 +577,20 @@ impl LhCluster {
         Ok(cluster)
     }
 
-    /// Stops the cluster: the sites finish what is already in their
-    /// inboxes, then every site's state — its storage engine included —
-    /// is dropped and the runtime's workers are joined before this
-    /// returns. Dropping the cluster does the same.
-    pub fn shutdown(self) {}
+    /// Stops the cluster: every other rank's host loop is told to shut
+    /// down (a served rank's `serve` returns once its sites have stopped),
+    /// then this process's sites finish what is already in their inboxes,
+    /// every site's state — its storage engine included — is dropped and
+    /// the runtime's workers are joined before this returns. Dropping the
+    /// handle stops only this process's sites.
+    pub fn shutdown(&self) {
+        let host = &self.host;
+        for rank in (0..host.ranks).filter(|&rank| host.rank != Some(rank)) {
+            let msg = HostMsg::Shutdown.encode();
+            let _ = send_control(host.control(), SiteRegistry::host_id(rank), msg);
+        }
+        host.runtime.shutdown();
+    }
 }
 
 impl Drop for LhCluster {
@@ -622,38 +625,116 @@ fn bucket_level(addr: u64, image: ClientImage) -> u8 {
     }
 }
 
+/// The true state of the file whose buckets `storage` holds, for a rank
+/// of a `ranks`-rank cluster to start from, after the re-address pass
+/// [`LhCluster::open`] describes: level 0 for a fresh data dir (or the
+/// in-memory backend). Only a one-rank cluster holds every bucket to
+/// derive it from, so a rank of several refuses a data dir that holds
+/// any.
+fn reopen(storage: &StorageConfig, ranks: usize) -> Result<ClientImage, LhError> {
+    let addrs = storage
+        .existing_bucket_addrs()
+        .map_err(|e| LhError::Storage(e.to_string()))?;
+    let Some(&hi) = addrs.iter().max() else {
+        return Ok(ClientImage::default());
+    };
+    if ranks > 1 {
+        let dir = storage.bucket_dir(hi).unwrap_or_default();
+        return Err(LhError::Rejected(format!(
+            "{} exists: a rank of a {ranks}-rank cluster starts only from an empty data dir",
+            dir.display()
+        )));
+    }
+    let n = hi + 1;
+    let level = (63 - n.leading_zeros()) as u8;
+    let split = n - (1u64 << level);
+
+    // The engines are opened exclusively here and dropped again.
+    let mut engines: Vec<Box<dyn StorageEngine>> = Vec::with_capacity(n as usize);
+    for addr in 0..n {
+        let engine = storage
+            .open_bucket(addr)
+            .map_err(|e| LhError::Storage(format!("bucket {addr}: {e}")))?;
+        engines.push(engine);
+    }
+    // (source bucket, key, value, home bucket)
+    let mut strays: Vec<(usize, u64, Vec<u8>, usize)> = Vec::new();
+    for (addr, engine) in engines.iter().enumerate() {
+        engine.for_each(&mut |key, value| {
+            let home = address(key, level, split) as usize;
+            if home != addr {
+                strays.push((addr, key, value.to_vec(), home));
+            }
+        });
+    }
+    if !strays.is_empty() {
+        sdds_obs::counter("storage.readdressed_records").add(strays.len() as u64);
+        let mut batches: Vec<WriteBatch> = (0..n).map(|_| WriteBatch::new()).collect();
+        for (from, key, value, home) in strays {
+            // A transfer that crashed after the target's durable apply
+            // but before the source's delete leaves two copies; the home
+            // one was acknowledged, so it wins.
+            if !engines[home].contains(key) {
+                batches[home].put(key, value);
+            }
+            batches[from].delete(key);
+        }
+        for (addr, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let engine = &mut engines[addr];
+            engine
+                .apply_batch(&batch)
+                .and_then(|()| engine.flush())
+                .map_err(|e| LhError::Storage(format!("bucket {addr}: {e}")))?;
+        }
+    }
+    Ok(ClientImage { level, split })
+}
+
 /// One process's share of an LH\* file: its network, its directory, the
-/// runtime that runs its sites, and what it takes to spawn one. An
-/// [`LhCluster`] is the one rank of a one-rank cluster; `serve` runs one
-/// rank of many.
+/// runtime that runs its sites, its rank — `None` for a client — of
+/// `ranks`, and what it takes to spawn a site.
 pub(crate) struct SiteHost {
-    pub(crate) network: Network,
-    pub(crate) directory: Arc<Directory>,
-    pub(crate) runtime: Arc<Runtime>,
-    capacity: usize,
-    parity: Option<ParityConfig>,
-    filter: Arc<dyn ScanFilter>,
-    storage: StorageConfig,
+    network: Network,
+    directory: Arc<Directory>,
+    runtime: Arc<Runtime>,
+    rank: Option<usize>,
+    ranks: usize,
+    config: ClusterConfig,
+    /// The dynamic endpoint host-control messages and other sends that
+    /// expect no reply leave from, registered at the first.
+    control: OnceLock<Endpoint>,
 }
 
 impl SiteHost {
-    pub(crate) fn new(network: Network, config: &ClusterConfig) -> Arc<SiteHost> {
+    fn new(
+        network: Network,
+        rank: Option<usize>,
+        ranks: usize,
+        config: ClusterConfig,
+    ) -> Arc<SiteHost> {
         Arc::new(SiteHost {
             network,
             directory: Arc::new(Directory::new()),
             runtime: Runtime::start(),
-            capacity: config.bucket_capacity,
-            parity: config.parity,
-            filter: config.filter.clone(),
-            storage: config.storage.clone(),
+            rank,
+            ranks,
+            config,
+            control: OnceLock::new(),
         })
+    }
+
+    fn control(&self) -> &Endpoint {
+        self.control.get_or_init(|| self.network.register())
     }
 
     /// Rank 0's part: the coordinator and the buckets of a file whose
     /// true state is `image` — bucket 0 of a new file, or every bucket of
-    /// a reopened one, serving what it holds at once. The coordinator
-    /// spreads the buckets its splits create over `ranks` ranks.
-    pub(crate) fn start(self: &Arc<Self>, image: ClientImage, ranks: usize) -> Result<(), LhError> {
+    /// a reopened one (one rank holds them all), serving what it holds at
+    /// once.
+    fn start(self: &Arc<Self>, image: ClientImage) -> Result<(), LhError> {
         let coordinator = self
             .network
             .register_with_id(SiteId(COORD_ID))
@@ -666,11 +747,17 @@ impl SiteHost {
                 level: image.level,
                 split: image.split,
             };
-            send_control(&self.network.register(), SiteId(COORD_ID), msg.encode())?;
+            send_control(self.control(), SiteId(COORD_ID), msg.encode())?;
         }
+        let host = Arc::clone(self);
         let site = CoordinatorSite {
             state: CoordinatorState::new(),
-            spawner: self.spawner(ranks),
+            spawner: Box::new(move |addr: u64, level: u8| {
+                if host.place(addr, level).is_err() {
+                    sdds_obs::counter("lh.serve.spawn_send_failures").inc();
+                }
+                SiteRegistry::bucket_id(addr)
+            }),
             directory: self.directory.clone(),
         };
         self.runtime
@@ -684,38 +771,28 @@ impl SiteHost {
         Ok(())
     }
 
-    /// How the coordinator materialises the buckets its splits create:
-    /// here if this rank owns the address (`addr mod ranks`), else by a
-    /// [`HostMsg::Spawn`] to the owning rank's host endpoint. Either way
-    /// the new site's id is the bucket address — the coordinator can hand
-    /// it to the split victim at once, and a `TransferBatch` that
-    /// overtakes a remote registration is refused as backpressure until
-    /// it lands.
-    fn spawner(self: &Arc<Self>, ranks: usize) -> BucketSpawner {
-        let host = Arc::clone(self);
-        // one dynamic endpoint for host-control sends, routable from
-        // every rank by its hello
-        let control = (ranks > 1).then(|| self.network.register());
-        Box::new(move |addr: u64, level: u8| {
-            let owner = (addr % ranks as u64) as usize;
-            match &control {
-                Some(control) if owner != 0 => {
-                    let msg = HostMsg::Spawn { addr, level }.encode();
-                    if send_control(control, SiteRegistry::host_id(owner), msg).is_err() {
-                        sdds_obs::counter("lh.serve.spawn_send_failures").inc();
-                    }
-                    host.directory.spawned(addr);
-                }
-                _ => host.spawn(addr, level, false),
-            }
-            SiteRegistry::bucket_id(addr)
-        })
+    /// Materialises bucket `addr` at `level` on the rank that owns it
+    /// (`addr mod ranks`): here, or by a [`HostMsg::Spawn`] to that rank's
+    /// host endpoint. Either way the new site's id is the bucket address,
+    /// so a coordinator can hand it to the split victim at once; a
+    /// `TransferBatch` that overtakes a remote registration is refused as
+    /// backpressure until it lands.
+    fn place(&self, addr: u64, level: u8) -> Result<(), NetError> {
+        let owner = (addr % self.ranks as u64) as usize;
+        if self.rank == Some(owner) {
+            self.spawn(addr, level, false);
+            return Ok(());
+        }
+        let msg = HostMsg::Spawn { addr, level }.encode();
+        let sent = send_control(self.control(), SiteRegistry::host_id(owner), msg);
+        self.directory.spawned(addr);
+        sent
     }
 
     /// Creates bucket `addr`'s group's parity sites, if parity is on and
     /// they do not exist yet.
     fn parity_group(&self, addr: u64) {
-        let Some(cfg) = self.parity else {
+        let Some(cfg) = self.config.parity else {
             return;
         };
         let group = addr / cfg.group_size as u64;
@@ -752,8 +829,8 @@ impl SiteHost {
         self.parity_group(addr);
         let ctx = BucketCtx::new(
             self.directory.clone(),
-            self.filter.clone(),
-            self.parity,
+            self.config.filter.clone(),
+            self.config.parity,
             // Each site gets its own labeled registry; updates flow into
             // the global aggregate so existing metric readers are
             // unaffected while per-site breakdowns become available.
@@ -763,15 +840,15 @@ impl SiteHost {
         // coordinator's split path); if durable storage cannot open,
         // degrade this bucket to volatile memory and count it rather than
         // stall the file.
-        let engine = self.storage.open_bucket(addr).unwrap_or_else(|_| {
+        let engine = self.config.storage.open_bucket(addr).unwrap_or_else(|_| {
             sdds_obs::counter("storage.open_failures").inc();
             Box::new(MemEngine::new())
         });
         let mut state = BucketState::new(
             addr,
             level,
-            self.capacity,
-            self.filter.index_element_bytes(),
+            self.config.bucket_capacity,
+            self.config.filter.index_element_bytes(),
             engine,
         );
         if !reopened && addr > 0 {

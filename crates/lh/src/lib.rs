@@ -15,8 +15,13 @@
 //!
 //! Main entry points:
 //!
-//! * [`LhCluster`] — spawns a coordinator and bucket sites and hands out
-//!   clients.
+//! * [`LhCluster`] — a process's handle on the file, on either fabric:
+//!   [`start`](LhCluster::start) / [`open`](LhCluster::open) run every
+//!   site in this process over channels, [`connect`](LhCluster::connect)
+//!   is a TCP client of a served cluster. Either hands out clients, and
+//!   snapshots, kills and shuts down by site id.
+//! * [`serve`] — brings up one rank of a multi-process cluster the way
+//!   `start` brings up the only one, and runs its host loop.
 //! * [`LhClient`] — key operations (`insert`, `lookup`, `delete`) and
 //!   parallel scans with a server-side [`ScanFilter`].
 //! * [`ParityConfig`] — enables LH\*<sub>RS</sub> record-group parity so
@@ -59,4 +64,4 @@ pub use hash::{address, ClientImage};
 pub use messages::ScanMatch;
 pub use obs_client::{ClusterObs, ClusterScrape, RankScrape, ScrapeOptions};
 pub use sdds_storage::{DiskOptions, FsyncPolicy, StorageConfig};
-pub use serve::{serve, ServeHandle, TcpCluster};
+pub use serve::{serve, ServeHandle};

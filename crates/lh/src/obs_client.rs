@@ -91,8 +91,8 @@ impl ClusterScrape {
 }
 
 /// Scrapes a served cluster's observability plane. Obtain one via
-/// [`TcpCluster::obs`](crate::TcpCluster::obs); it holds its own dynamic
-/// endpoint, so scrapes never contend with the hub's clients.
+/// [`LhCluster::obs`](crate::LhCluster::obs); it holds its own dynamic
+/// endpoint, so scrapes never contend with the cluster's clients.
 pub struct ClusterObs {
     control: Endpoint,
     num_ranks: usize,

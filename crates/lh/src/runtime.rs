@@ -159,10 +159,10 @@ impl Runtime {
 
     /// Tests pick how many workers run at once; nothing else may.
     /// [`DISK_WAITERS`] more are started to stand in for those waiting
-    /// for the disk.
+    /// for the disk. They start with the first site: a process that
+    /// hosts none, a client, runs no worker.
     pub(crate) fn with_workers(workers: usize) -> Arc<Runtime> {
-        let slots = workers.max(1);
-        let runtime = Arc::new(Runtime {
+        Arc::new(Runtime {
             sched: Mutex::new(Sched {
                 ready: VecDeque::new(),
                 running: 0,
@@ -171,16 +171,23 @@ impl Runtime {
                 retry: Vec::new(),
                 retry_due: None,
             }),
-            slots,
+            slots: workers.max(1),
             sites: RwLock::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
-        });
-        let workers = (0..slots + DISK_WAITERS).map(|_| {
-            let runtime = Arc::clone(&runtime);
+        })
+    }
+
+    /// Starts the workers, unless they run already or the runtime
+    /// stopped.
+    fn hire(self: &Arc<Self>) {
+        let mut workers = self.workers.lock();
+        if !workers.is_empty() || self.sched.lock().stopping {
+            return;
+        }
+        workers.extend((0..self.slots + DISK_WAITERS).map(|_| {
+            let runtime = Arc::clone(self);
             std::thread::spawn(move || Worker::new(runtime).run())
-        });
-        runtime.workers.lock().extend(workers);
-        runtime
+        }));
     }
 
     /// Registers a site: from here on the runtime drains `endpoint`'s
@@ -214,6 +221,7 @@ impl Runtime {
             sites.push(Some(Arc::clone(&site)));
             sites.len() - 1
         };
+        self.hire();
         site.endpoint
             .attach(Arc::clone(self) as Arc<dyn Scheduler>, key);
     }

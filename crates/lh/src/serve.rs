@@ -2,37 +2,36 @@
 //!
 //! [`serve`] brings up one *site host*: an OS process (one per registry
 //! rank) that owns every bucket whose address hashes to its rank
-//! (`addr % num_servers`). Rank 0 additionally runs the split
-//! coordinator; it sets up the way an in-process
-//! [`LhCluster`](crate::LhCluster) does, which is the one rank of a
-//! one-rank cluster. A bucket's site id is its address on both fabrics
+//! (`addr % num_servers`). It is an [`LhCluster`] brought up the way an
+//! in-process one is — rank 0 derives the file state from its data dir
+//! and runs the split coordinator — plus the host loop that answers
+//! [`HostMsg`]s. A bucket's site id is its address on both fabrics
 //! (`SiteRegistry::bucket_id`), and the registry's modular partition
-//! decides which process answers. [`TcpCluster`] is the client-side
-//! hub: it dials the same registry and hands out ordinary [`LhClient`]s
-//! whose messages now cross real sockets.
+//! decides which process answers. Clients are
+//! [`LhCluster::connect`]ed processes that host no site.
 //!
-//! Scope: parity (LH\*<sub>RS</sub>), kill/recover and snapshot/restore
-//! remain channel-transport features — they need the cluster-wide
-//! directory and spawner a single process provides. `serve` rejects
-//! parity configs. Merges retire addresses only in rank 0's directory
-//! (a merged-away address is no corner case: `tcp_mixed` deletes a
-//! tenth of its operations). A rank above 0, or a client, that still
-//! addresses one reaches its tombstone on the owning rank, which NACKs
-//! the frame unroutable at once: that costs a client one attempt before
-//! it retries through bucket 0, which forwards correctly. The address
-//! can be split off again later; the new bucket registers over the
-//! tombstone.
+//! Scope: kill and snapshot address sites by id and work on both
+//! fabrics. Parity (LH\*<sub>RS</sub>) remains channel-only — its parity
+//! sites and recovery need the cluster-wide directory a single process
+//! provides — so `serve` rejects parity configs. Merges retire addresses
+//! only in rank 0's directory (a merged-away address is no corner case:
+//! `tcp_mixed` deletes a tenth of its operations). A rank above 0, or a
+//! client, that still addresses one reaches its tombstone on the owning
+//! rank, which NACKs the frame unroutable at once: that costs a client
+//! one attempt before it retries through bucket 0, which forwards
+//! correctly. The address can be split off again later; the new bucket
+//! registers over the tombstone. A rank of a multi-rank cluster starts
+//! only from an empty data dir: no one rank holds every bucket to derive
+//! the file state from.
 
-use crate::client::{LhClient, LhError};
-use crate::cluster::{send_control, ClusterConfig, Directory, ObsOptions, SiteHost};
-use crate::hash::ClientImage;
+use crate::client::LhError;
+use crate::cluster::{send_control, ClusterConfig, LhCluster, ObsOptions};
 use crate::health;
 use crate::messages::encode_pooled;
 use bytes::Bytes;
 use sdds_net::codec::{put_bool, put_option, put_seq, put_str, put_u32, put_u64, Reader};
-use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry};
+use sdds_net::{Endpoint, NetError, Network, SiteId, SiteRegistry};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -195,9 +194,10 @@ impl ServeHandle {
 
 /// Starts this process's share of a multi-process LH\* cluster and
 /// returns once the listener is up and every rank-local site is running
-/// (rank 0: the coordinator and bucket 0). The returned handle joins
-/// the host control loop, which exits on [`HostMsg::Shutdown`] — sent
-/// by [`TcpCluster::shutdown`] or `sdds serve`'s peer tooling.
+/// (rank 0: the coordinator and the buckets of the file its data dir
+/// holds). The returned handle joins the host control loop, which exits
+/// on [`HostMsg::Shutdown`] — sent by [`LhCluster::shutdown`] or
+/// `sdds serve`'s peer tooling.
 pub fn serve(
     registry: SiteRegistry,
     rank: usize,
@@ -205,31 +205,25 @@ pub fn serve(
 ) -> Result<ServeHandle, LhError> {
     if config.parity.is_some() {
         return Err(LhError::Rejected(
-            "parity requires the in-process transport (kill/recover need a cluster-wide spawner)"
+            "parity requires the in-process transport (recovery needs the cluster-wide directory)"
                 .into(),
         ));
     }
-    if rank >= registry.num_servers() {
+    let ranks = registry.num_servers();
+    if rank >= ranks {
         return Err(LhError::Rejected(format!(
-            "rank {rank} out of range: registry lists {} servers",
-            registry.num_servers()
+            "rank {rank} out of range: registry lists {ranks} servers"
         )));
     }
-    let network = Network::tcp_serve(registry.clone(), rank, config.net.clone())
+    let network = Network::tcp_serve(registry, rank, config.net.clone())
         .map_err(|e| LhError::Rejected(format!("rank {rank}: bind failed: {e}")))?;
-    let host = SiteHost::new(network, &config);
-    if rank == 0 {
-        // The primordial bucket lives wherever address 0 hashes — which
-        // is always rank 0 (`0 % n == 0`).
-        host.start(ClientImage::default(), registry.num_servers())?;
-    }
-
-    let host_ep = host
-        .network
+    let obs = config.obs.clone();
+    let cluster = LhCluster::up(network, rank, ranks, config)?;
+    let host_ep = cluster
+        .network()
         .register_with_id(SiteRegistry::host_id(rank))
         .ok_or_else(|| LhError::Rejected("host id already registered".into()))?;
-    let obs = config.obs.clone();
-    let h = std::thread::spawn(move || host_loop(host_ep, host, rank, obs));
+    let h = std::thread::spawn(move || host_loop(host_ep, cluster, rank, obs));
     Ok(ServeHandle { host: h })
 }
 
@@ -315,7 +309,7 @@ fn spans_jsonl() -> String {
 /// this rank, severs connections on request, answers observability
 /// scrapes, runs the periodic obs tick, and tears the process's sites
 /// down on shutdown.
-fn host_loop(ep: Endpoint, host: Arc<SiteHost>, rank: usize, obs: ObsOptions) {
+fn host_loop(ep: Endpoint, cluster: LhCluster, rank: usize, obs: ObsOptions) {
     let mut ticker = ObsTicker::new(obs);
     let tick = ticker.opts.tick.max(Duration::from_millis(1));
     let mut next_tick = Instant::now() + tick;
@@ -331,8 +325,8 @@ fn host_loop(ep: Endpoint, host: Arc<SiteHost>, rank: usize, obs: ObsOptions) {
             Err(_) => break,
         };
         match HostMsg::decode(&env.payload) {
-            Some(HostMsg::Spawn { addr, level }) => host.spawn(addr, level, false),
-            Some(HostMsg::DropConns) => host.network.drop_connections(),
+            Some(HostMsg::Spawn { addr, level }) => cluster.host.spawn(addr, level, false),
+            Some(HostMsg::DropConns) => cluster.drop_connections(),
             Some(HostMsg::ObsPull {
                 req_id,
                 reply_to,
@@ -371,116 +365,13 @@ fn host_loop(ep: Endpoint, host: Arc<SiteHost>, rank: usize, obs: ObsOptions) {
             None => {}
         }
     }
-    host.runtime.shutdown();
-}
-
-/// Client-side hub for a TCP cluster: dials the registry's ranks lazily
-/// and hands out [`LhClient`]s addressing buckets by address.
-pub struct TcpCluster {
-    registry: SiteRegistry,
-    network: Network,
-    directory: Arc<Directory>,
-    client_timeout: std::time::Duration,
-}
-
-impl TcpCluster {
-    /// Connects to a served cluster. No I/O happens until the first
-    /// send (connections are dialed lazily, with backoff).
-    pub fn connect(registry: SiteRegistry, net: NetConfig) -> TcpCluster {
-        let network = Network::tcp_client(registry.clone(), net);
-        TcpCluster {
-            registry,
-            network,
-            directory: Arc::new(Directory::new()),
-            client_timeout: std::time::Duration::from_secs(10),
-        }
-    }
-
-    /// Sets the per-operation timeout handed to clients created after
-    /// this call.
-    pub fn set_client_timeout(&mut self, timeout: std::time::Duration) {
-        self.client_timeout = timeout;
-    }
-
-    /// Registers a new client of the file.
-    pub fn client(&self) -> LhClient {
-        let client = LhClient::new(self.network.register(), self.directory.clone());
-        client.set_timeout(self.client_timeout);
-        client
-    }
-
-    /// The underlying network (for traffic statistics).
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// Number of server ranks in the cluster's registry.
-    pub fn num_ranks(&self) -> usize {
-        self.registry.num_servers()
-    }
-
-    /// An observability collector scraping every rank of this cluster.
-    pub fn obs(&self) -> crate::ClusterObs {
-        crate::ClusterObs::new(self.network.register(), self.registry.num_servers())
-    }
-
-    /// Severs this client process's established connections (they
-    /// re-establish with backoff on the next send).
-    pub fn drop_connections(&self) {
-        self.network.drop_connections();
-    }
-
-    /// Asks rank `rank`'s host to sever all of *its* connections —
-    /// fault injection across the cluster, not just this process.
-    pub fn sever_rank(&self, rank: usize) -> Result<(), LhError> {
-        let control = self.network.register();
-        send_control(
-            &control,
-            SiteRegistry::host_id(rank),
-            HostMsg::DropConns.encode(),
-        )
-        .map_err(LhError::Net)
-    }
-
-    /// Shuts the whole cluster down: every rank's host loop exits after
-    /// stopping its local sites, and the `serve` processes return.
-    pub fn shutdown(&self) {
-        let control = self.network.register();
-        for rank in 0..self.registry.num_servers() {
-            let _ = send_control(
-                &control,
-                SiteRegistry::host_id(rank),
-                HostMsg::Shutdown.encode(),
-            );
-        }
-    }
+    drop(cluster); // stops this rank's sites
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdds_net::codec::check::{hostile_length, prefixes_and_bitflips};
-    use std::net::TcpListener;
-
-    /// Reserves `n` distinct loopback ports by binding and dropping
-    /// listeners. Racy in principle, fine for tests.
-    fn free_ports(n: usize) -> Vec<u16> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-            .collect();
-        listeners
-            .iter()
-            .map(|l| l.local_addr().expect("addr").port())
-            .collect()
-    }
-
-    fn local_registry(n: usize) -> SiteRegistry {
-        let addrs: Vec<String> = free_ports(n)
-            .into_iter()
-            .map(|p| format!("127.0.0.1:{p}"))
-            .collect();
-        SiteRegistry::from_addrs(addrs).expect("registry")
-    }
 
     /// Three "ranks" in one process (threads stand in for processes —
     /// the full multi-process path is exercised by `tests/tcp_cluster.rs`
@@ -488,7 +379,7 @@ mod tests {
     /// lookups and scans return, splits spawn buckets on remote ranks.
     #[test]
     fn three_rank_cluster_in_threads_serves_traffic() {
-        let registry = local_registry(3);
+        let registry = SiteRegistry::loopback(3).expect("registry");
         let config = ClusterConfig {
             bucket_capacity: 8,
             ..ClusterConfig::default()
@@ -497,7 +388,7 @@ mod tests {
         for rank in 0..3 {
             serves.push(serve(registry.clone(), rank, config.clone()).expect("serve"));
         }
-        let hub = TcpCluster::connect(registry, NetConfig::default());
+        let hub = LhCluster::connect(registry, config);
         let client = hub.client();
         for key in 0..200u64 {
             client
@@ -525,7 +416,7 @@ mod tests {
     /// `tests/cluster_obs.rs`.)
     #[test]
     fn obs_scrape_reports_every_rank_and_sums_counters() {
-        let registry = local_registry(3);
+        let registry = SiteRegistry::loopback(3).expect("registry");
         let config = ClusterConfig {
             bucket_capacity: 8,
             obs: ObsOptions {
@@ -539,7 +430,7 @@ mod tests {
         for rank in 0..3 {
             serves.push(serve(registry.clone(), rank, config.clone()).expect("serve"));
         }
-        let hub = TcpCluster::connect(registry, NetConfig::default());
+        let hub = LhCluster::connect(registry, config);
         let client = hub.client();
         for key in 0..60u64 {
             client
@@ -674,7 +565,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_parity_configs() {
-        let registry = local_registry(1);
+        let registry = SiteRegistry::loopback(1).expect("registry");
         let config = ClusterConfig {
             parity: Some(crate::cluster::ParityConfig::default()),
             ..ClusterConfig::default()
@@ -687,7 +578,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_out_of_range_rank() {
-        let registry = local_registry(2);
+        let registry = SiteRegistry::loopback(2).expect("registry");
         assert!(matches!(
             serve(registry, 5, ClusterConfig::default()),
             Err(LhError::Rejected(_))

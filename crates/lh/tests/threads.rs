@@ -4,6 +4,7 @@
 #![cfg(target_os = "linux")]
 
 use sdds_lh::{ClusterConfig, LhCluster};
+use sdds_net::SiteRegistry;
 
 /// The `Threads:` line of `/proc/self/status`.
 fn threads() -> usize {
@@ -18,6 +19,13 @@ fn threads() -> usize {
 #[test]
 fn a_file_of_200_buckets_runs_on_as_many_threads_as_one_bucket() {
     let before = threads();
+    // a client process hosts no site: it runs no worker and dials nothing
+    // before its first send
+    let nowhere = SiteRegistry::from_addrs(vec!["127.0.0.1:1".into()]).unwrap();
+    let remote = LhCluster::connect(nowhere, ClusterConfig::default());
+    assert_eq!(threads(), before);
+    drop(remote);
+
     let cluster = LhCluster::start(ClusterConfig {
         bucket_capacity: 4,
         ..ClusterConfig::default()

@@ -689,7 +689,7 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{loopback_registry, HOST_BASE};
+    use crate::registry::HOST_BASE;
     use std::collections::HashSet;
 
     /// Runs a site-table test on a channel network and on the one rank of
@@ -698,7 +698,7 @@ mod tests {
     fn both(config: NetConfig, body: impl Fn(&Network)) {
         body(&Network::new(config.clone()));
         if !cfg!(miri) {
-            body(&Network::tcp_serve(loopback_registry(1), 0, config).unwrap());
+            body(&Network::tcp_serve(SiteRegistry::loopback(1).unwrap(), 0, config).unwrap());
         }
     }
 

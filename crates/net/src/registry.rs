@@ -77,6 +77,26 @@ impl SiteRegistry {
         SiteRegistry::parse(&text)
     }
 
+    /// Writes the registry file [`load`](Self::load) reads back.
+    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(path, self.servers.join("\n") + "\n")
+    }
+
+    /// A registry of `n` distinct free loopback ports, reserved by
+    /// binding ephemeral listeners that are dropped again before anything
+    /// serves on them. Another process could take a port in that gap;
+    /// the rank that loses the race fails at bind.
+    pub fn loopback(n: usize) -> std::io::Result<SiteRegistry> {
+        let listeners = (0..n)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let addrs = listeners
+            .iter()
+            .map(|l| l.local_addr().map(|a| a.to_string()))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        SiteRegistry::from_addrs(addrs).map_err(std::io::Error::other)
+    }
+
     /// Number of server ranks.
     pub fn num_servers(&self) -> usize {
         self.servers.len()
@@ -116,20 +136,6 @@ pub(crate) fn owner_rank(id: SiteId, ranks: usize) -> Option<usize> {
         x if x < DYN_BASE => Some((x % n) as usize),
         _ => None,
     }
-}
-
-/// Reserves `n` distinct loopback ports and returns a registry using
-/// them. The listeners are dropped before a fabric binds; the gap is a
-/// benign race for single-process tests.
-#[cfg(test)]
-pub(crate) fn loopback_registry(n: usize) -> SiteRegistry {
-    let listeners: Vec<std::net::TcpListener> = (0..n)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    let addrs = listeners
-        .iter()
-        .map(|l| l.local_addr().unwrap().to_string());
-    SiteRegistry::from_addrs(addrs.collect()).unwrap()
 }
 
 #[cfg(test)]

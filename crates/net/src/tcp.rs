@@ -686,7 +686,7 @@ fn nack(conn: &Arc<Conn>, reason: NackReason, from: SiteId, to: SiteId) {
 #[cfg(test)]
 mod tests {
     use crate::network::{NetConfig, NetError, Network, SiteId};
-    use crate::registry::loopback_registry;
+    use crate::registry::SiteRegistry;
     use bytes::Bytes;
     use std::time::{Duration, Instant};
 
@@ -694,7 +694,7 @@ mod tests {
 
     #[test]
     fn client_to_server_and_reply() {
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();
 
@@ -719,7 +719,7 @@ mod tests {
 
     #[test]
     fn server_to_server_by_owner_rank() {
-        let reg = loopback_registry(2);
+        let reg = SiteRegistry::loopback(2).unwrap();
         let s0 = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let s1 = Network::tcp_serve(reg, 1, NetConfig::default()).unwrap();
         // Bucket addresses: 0 lives on rank 0, 1 lives on rank 1.
@@ -738,7 +738,7 @@ mod tests {
     #[test]
     fn trace_context_rides_the_wire() {
         use sdds_obs::trace::TraceContext;
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();
         let clientnet = Network::tcp_client(reg, NetConfig::default());
@@ -762,7 +762,7 @@ mod tests {
 
     #[test]
     fn overloaded_inbox_nacks_back_to_sender() {
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let config = NetConfig {
             inbox_capacity: Some(1),
             ..NetConfig::default()
@@ -797,7 +797,7 @@ mod tests {
 
     #[test]
     fn retired_endpoint_becomes_disconnected() {
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();
         drop(bucket); // bucket retires: receiver gone
@@ -826,7 +826,7 @@ mod tests {
     /// removed the entry).
     #[test]
     fn a_retired_id_does_not_hold_up_the_connection() {
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         drop(server.register_with_id(SiteId(3)).unwrap());
         let live = server.register_with_id(SiteId(4)).unwrap();
@@ -851,7 +851,7 @@ mod tests {
 
     #[test]
     fn severed_connections_reconnect_and_reroute_replies() {
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();
         let clientnet = Network::tcp_client(reg, NetConfig::default());
@@ -902,7 +902,7 @@ mod tests {
 
     #[test]
     fn writes_coalesce_bursts_into_fewer_syscalls() {
-        let reg = loopback_registry(1);
+        let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();
         let clientnet = Network::tcp_client(reg, NetConfig::default());

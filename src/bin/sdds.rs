@@ -801,13 +801,13 @@ fn corpus_pattern(records: &[Record]) -> String {
 
 /// A multi-process TCP cluster owned by this run: `sdds serve` children
 /// on loopback ports plus the connected client store.
-struct TcpClusterTarget {
+struct ServedCluster {
     remote: RemoteStore,
     children: Vec<std::process::Child>,
     registry_path: std::path::PathBuf,
 }
 
-impl TcpClusterTarget {
+impl ServedCluster {
     /// Broadcasts a cluster-wide shutdown, then reaps the children —
     /// killing any that have not exited within a generous deadline so a
     /// wedged rank cannot hang the command.
@@ -838,36 +838,26 @@ impl TcpClusterTarget {
 /// children re-derive the exact store configuration from the forwarded
 /// flags, so their scan filters match this process's pipeline bit for
 /// bit. `trace` starts them with `--trace`.
-fn spawn_tcp_cluster(records: &[Record], flags: &Flags, trace: bool) -> TcpClusterTarget {
+fn spawn_tcp_cluster(records: &[Record], flags: &Flags, trace: bool) -> ServedCluster {
     if flags.get("storage").is_some_and(|s| s == "disk") {
         usage_error("--cluster runs with --storage mem (ranks would collide on one --data-dir)");
     }
     let servers = flag_usize(flags, "servers", 2);
     eprintln!("spawning a {servers}-rank loopback cluster …");
-    // Reserve ports by binding ephemeral listeners, then free them for
-    // the children. The rebind race is theoretical on loopback at this
-    // scale and a collision fails loudly (serve exits on bind error).
-    let listeners: Vec<std::net::TcpListener> = (0..servers)
-        .map(|_| {
-            std::net::TcpListener::bind("127.0.0.1:0")
-                .unwrap_or_else(|e| fail(format!("cannot reserve a loopback port: {e}")))
-        })
-        .collect();
-    let addrs: Vec<String> = listeners
-        .iter()
-        .map(|l| {
-            l.local_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|e| fail(format!("cannot read reserved port: {e}")))
-        })
-        .collect();
-    drop(listeners);
+    // The rebind race is theoretical on loopback at this scale and a
+    // collision fails loudly (serve exits on bind error).
+    let registry = SiteRegistry::loopback(servers)
+        .unwrap_or_else(|e| fail(format!("cannot reserve loopback ports: {e}")));
     let registry_path = std::env::temp_dir().join(format!(
         "sdds-registry-{}-{}.txt",
         std::process::id(),
-        addrs[0].rsplit(':').next().unwrap_or("0"),
+        registry
+            .addr(0)
+            .and_then(|a| a.rsplit(':').next())
+            .unwrap_or("0"),
     ));
-    std::fs::write(&registry_path, addrs.join("\n") + "\n")
+    registry
+        .save(&registry_path)
         .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", registry_path.display())));
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| fail(format!("cannot locate the sdds binary: {e}")));
@@ -902,8 +892,7 @@ fn spawn_tcp_cluster(records: &[Record], flags: &Flags, trace: bool) -> TcpClust
                 .unwrap_or_else(|e| fail(format!("cannot spawn serve rank {rank}: {e}"))),
         );
     }
-    let registry = SiteRegistry::load(&registry_path).unwrap_or_else(|e| fail(e));
-    TcpClusterTarget {
+    ServedCluster {
         remote: store_builder(records, flags).connect(registry),
         children,
         registry_path,

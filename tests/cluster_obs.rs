@@ -18,18 +18,6 @@ const ENTRIES: usize = 240;
 const SEED: u64 = 42;
 const CAPACITY: usize = 16;
 
-/// Reserves `n` distinct loopback ports by binding ephemeral listeners,
-/// then frees them for the serve children.
-fn reserve_loopback_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<std::net::TcpListener> = (0..n)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect()
-}
-
 /// The store configuration shared by every process of the run (see
 /// `tests/tcp_cluster.rs` for why the builders must match bit for bit).
 fn builder(records: &[Record]) -> StoreBuilder {
@@ -82,10 +70,10 @@ fn local_spans() -> Vec<sdds_obs::trace::ParsedSpan> {
 
 #[test]
 fn scrape_sums_rank_metrics_and_stitches_one_connected_cross_process_trace() {
-    let addrs = reserve_loopback_addrs(3);
+    let registry = SiteRegistry::loopback(3).expect("reserve loopback ports");
     let registry_path =
         std::env::temp_dir().join(format!("sdds-obs-registry-{}.txt", std::process::id()));
-    std::fs::write(&registry_path, addrs.join("\n") + "\n").expect("write registry");
+    registry.save(&registry_path).expect("write registry");
 
     let exe = env!("CARGO_BIN_EXE_sdds");
     let children: Vec<Child> = (0..3)
@@ -115,7 +103,6 @@ fn scrape_sums_rank_metrics_and_stitches_one_connected_cross_process_trace() {
         .collect();
 
     let records = DirectoryGenerator::new(SEED).generate(ENTRIES);
-    let registry = SiteRegistry::load(&registry_path).expect("load registry");
     let remote = builder(&records).connect(registry);
     let handle = remote.handle();
     handle

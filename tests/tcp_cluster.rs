@@ -13,18 +13,6 @@ const ENTRIES: usize = 240;
 const SEED: u64 = 42;
 const CAPACITY: usize = 16;
 
-/// Reserves `n` distinct loopback ports by binding ephemeral listeners,
-/// then frees them for the serve children.
-fn reserve_loopback_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<std::net::TcpListener> = (0..n)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect()
-}
-
 /// The store configuration shared by every process of the run — the
 /// serve children rebuild it from their flags (`serve_cmd` uses the same
 /// passphrase and training rule), so key material and the scan filter
@@ -69,10 +57,10 @@ fn wait_children(mut children: Vec<Child>) {
 
 #[test]
 fn three_process_cluster_rides_out_severed_connections_and_matches_in_process() {
-    let addrs = reserve_loopback_addrs(3);
+    let registry = SiteRegistry::loopback(3).expect("reserve loopback ports");
     let registry_path =
         std::env::temp_dir().join(format!("sdds-test-registry-{}.txt", std::process::id()));
-    std::fs::write(&registry_path, addrs.join("\n") + "\n").expect("write registry");
+    registry.save(&registry_path).expect("write registry");
 
     let exe = env!("CARGO_BIN_EXE_sdds");
     let children: Vec<Child> = (0..3)
@@ -104,7 +92,6 @@ fn three_process_cluster_rides_out_severed_connections_and_matches_in_process() 
         reference.insert(r.rid, &r.rc).expect("reference insert");
     }
 
-    let registry = SiteRegistry::load(&registry_path).expect("load registry");
     let remote = builder(&records).connect(registry);
     let handle = remote.handle();
     let reconnects_before = sdds_obs::counter("net.tcp.reconnects").get();
@@ -166,7 +153,7 @@ fn channel_and_tcp_fabrics_agree_on_a_seeded_history() {
     // (ROADMAP item 1).
     let builder = |records: &[Record]| builder(records).bucket_capacity(128);
     let merges_before = sdds_obs::counter("lh.merges").get();
-    let registry = SiteRegistry::from_addrs(reserve_loopback_addrs(2)).expect("registry");
+    let registry = SiteRegistry::loopback(2).expect("registry");
     let ranks: Vec<_> = (0..2)
         .map(|rank| {
             let (_pipeline, config) = builder(&records).serve_parts();
@@ -243,6 +230,23 @@ fn channel_and_tcp_fabrics_agree_on_a_seeded_history() {
         live,
         ENTRIES - ENTRIES.div_ceil(4),
         "every fourth record was deleted"
+    );
+    // the whole file, one snapshot path for both fabrics: the same bytes
+    // under the same keys, whichever buckets split timing put them in
+    let records_of = |snapshot: sdds_repro::lh::FileSnapshot| {
+        let mut records: Vec<_> = snapshot
+            .buckets
+            .into_iter()
+            .flat_map(|b| b.records)
+            .collect();
+        records.sort();
+        records
+    };
+    let tcp_file = records_of(remote.cluster().snapshot().expect("tcp snapshot"));
+    assert!(!tcp_file.is_empty());
+    assert!(
+        tcp_file == records_of(local.cluster().snapshot().expect("channel snapshot")),
+        "the fabrics' files differ"
     );
 
     remote.shutdown_cluster();
