@@ -1,15 +1,18 @@
-//! The LH\* client: key operations through a possibly-stale file image.
+//! The LH\* client: key operations through a possibly-stale file image,
+//! and the one request/reply exchange every client-side read or write of
+//! the file goes through.
 
 use crate::cluster::Directory;
 use crate::hash::{split_children, ClientImage};
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use bytes::Bytes;
 use sdds_net::{Endpoint, NetError, Scatter, SiteId, COORD_ID};
-use sdds_obs::trace;
+use sdds_obs::trace::{self, TraceContext};
 use sdds_obs::{Counter, Histogram};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,10 +60,11 @@ impl From<NetError> for LhError {
 }
 
 /// How a client reacts when a bounded site inbox rejects a send with
-/// [`NetError::Overloaded`] (admission control). The client backs off and
-/// retries the same site with exponential delay; every rejection is
-/// counted in `lh.rejected_total`. Once `max_retries` is exhausted the
-/// `Overloaded` error propagates like any other network failure.
+/// [`NetError::Overloaded`] (admission control). The client re-sends the
+/// refused request along an exponential back-off ladder, taking replies
+/// in while it waits; every rejection is counted in `lh.rejected_total`.
+/// A request still refused after `max_retries` back-offs fails its
+/// operation with that `Overloaded` error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first rejected send (0 = fail immediately).
@@ -89,6 +93,118 @@ impl RetryPolicy {
             initial_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
         }
+    }
+
+    /// The wait after the `refusals + 1`-th refused send.
+    fn backoff(&self, refusals: u32) -> Duration {
+        let doubled = self.initial_backoff.saturating_mul(1 << refusals.min(31));
+        doubled.min(self.max_backoff)
+    }
+}
+
+/// Where a request of an [`Exchange`] goes, worked out again every time
+/// it is sent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Route {
+    /// A key operation: the key's bucket under the client's current
+    /// image. Bucket 0, which always exists and forwards correctly, when
+    /// that bucket has no directory entry or refuses the send (merged
+    /// away since the directory was read, or full).
+    Key(u64),
+    /// Bucket `addr`. While it has no directory entry (killed, awaiting
+    /// recovery) the request waits for the next attempt.
+    Bucket(u64),
+    /// A site at a fixed id: the coordinator, a bucket, a parity site.
+    Site(SiteId),
+}
+
+/// A request of an [`Exchange`] that has no answer yet.
+struct Waiting {
+    route: Route,
+    payload: Bytes,
+    /// Sends refused `Overloaded` since the last one that landed.
+    refusals: u32,
+    /// While backing off from a full inbox: when the request goes out
+    /// again.
+    due: Option<Instant>,
+}
+
+/// The requests of one request/reply exchange still owing an answer,
+/// keyed by what their replies name: the `req_id`, or for a scan the
+/// answering bucket (one encoded `ScanReq` serves every bucket). Run by
+/// [`LhClient::exchange`].
+pub(crate) struct Exchange<K> {
+    waiting: HashMap<K, Waiting>,
+    /// Requests the next wave sends.
+    unsent: Vec<K>,
+    /// Requests backing off from a full inbox.
+    backing_off: Vec<K>,
+    /// The counter of re-sent attempts.
+    retries: &'static str,
+    /// The histogram that times each attempt's gathering, if any.
+    gather: Option<&'static str>,
+}
+
+impl<K: Copy + Eq + Hash> Exchange<K> {
+    /// An exchange whose re-sent attempts count in `lh.retries`.
+    pub(crate) fn new() -> Exchange<K> {
+        Exchange::observed("lh.retries", None)
+    }
+
+    /// An exchange whose re-sent attempts count in `retries`, and whose
+    /// attempts the histogram `gather` times, if given: each from its
+    /// wave sent to its last reply taken in.
+    pub(crate) fn observed(retries: &'static str, gather: Option<&'static str>) -> Exchange<K> {
+        Exchange {
+            waiting: HashMap::new(),
+            unsent: Vec::new(),
+            backing_off: Vec::new(),
+            retries,
+            gather,
+        }
+    }
+
+    /// Adds a request that the reply keyed `key` answers. It goes out
+    /// with the next attempt, or at once when a reply handler adds it.
+    pub(crate) fn add(&mut self, key: K, route: Route, payload: Bytes) {
+        let waiting = Waiting {
+            route,
+            payload,
+            refusals: 0,
+            due: None,
+        };
+        self.waiting.insert(key, waiting);
+        self.unsent.push(key);
+    }
+
+    /// The keys of the requests not answered yet.
+    pub(crate) fn unanswered(&self) -> impl Iterator<Item = K> + '_ {
+        self.waiting.keys().copied()
+    }
+
+    /// When the first request backing off goes out again.
+    fn next_due(&self) -> Option<Instant> {
+        let due = |key: &K| self.waiting.get(key)?.due;
+        self.backing_off.iter().filter_map(due).min()
+    }
+
+    /// Moves the requests whose back-off is over to the next wave. Reads
+    /// the clock only while a request backs off.
+    fn take_due(&mut self) {
+        if self.backing_off.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let (waiting, unsent) = (&mut self.waiting, &mut self.unsent);
+        self.backing_off.retain(|key| match waiting.get_mut(key) {
+            Some(w) if w.due.is_some_and(|due| due > now) => true,
+            Some(w) => {
+                w.due = None;
+                unsent.push(*key);
+                false
+            }
+            None => false, // answered meanwhile
+        });
     }
 }
 
@@ -187,112 +303,163 @@ impl LhClient {
         self.retry.get()
     }
 
-    /// Sends with admission-control awareness. `Overloaded` means the
-    /// target's bounded inbox was full and the network refused the send at
-    /// the sender — no message was queued — so the client backs off and
-    /// retries the *same* site (the record still hashes there; rerouting
-    /// would just forward back into the hot inbox). Every rejection is
-    /// visible in `lh.rejected_total`.
-    fn send_admitted(&self, site: SiteId, payload: Bytes) -> Result<(), NetError> {
-        let policy = self.retry.get();
-        let mut backoff = policy.initial_backoff;
-        let mut rejections = 0;
-        loop {
-            match self.endpoint.send(site, payload.clone()) {
-                Err(NetError::Overloaded(s)) => {
-                    self.metrics.rejected_total.inc();
-                    if rejections >= policy.max_retries {
-                        return Err(NetError::Overloaded(s));
-                    }
-                    rejections += 1;
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(policy.max_backoff);
-                }
-                other => return other,
-            }
-        }
-    }
+    /// Retransmission attempts per exchange: messages may be lost (fault
+    /// injection, a severed connection), so requests are retried like any
+    /// RPC-over-datagram protocol. Every request an exchange sends is
+    /// idempotent, so a retry is safe even if the original request was
+    /// served and only the response was lost.
+    const ATTEMPTS: u32 = 5;
 
-    /// The fan-out variant of [`send_admitted`](Self::send_admitted):
-    /// sends every `(tag, site, payload)` of `wave` in one [`Scatter`],
-    /// so the receivers are woken once the whole wave is enqueued, and
-    /// only then backs off for the destinations whose inbox was full —
-    /// one overloaded bucket holds back nobody else's request. Those are
-    /// retried up to `max_retries` times along the policy's back-off
-    /// ladder, every rejection counted in `lh.rejected_total`. Returns
-    /// what could not be sent: still rejected, or failed outright.
-    fn fan_out<T>(
+    /// The client's one request/reply loop. Each of the
+    /// [`ATTEMPTS`](Self::ATTEMPTS) attempts sends the unanswered requests
+    /// of `ex` as one [`Scatter`] wave, then takes replies in for
+    /// `timeout / ATTEMPTS`. `key_of` names the request a message
+    /// answers. An answer to a request still waiting goes to `on_reply`,
+    /// which may add requests (they go out at once); anything else is a
+    /// stray, such as a late reply to an abandoned request, and is
+    /// dropped.
+    ///
+    /// A send refused `Overloaded` is re-sent along the client's
+    /// [`RetryPolicy`] ladder. The wait is a receive deadline, so replies
+    /// keep draining while the request backs off; a request still refused
+    /// after its last back-off fails the exchange with that error. A send
+    /// refused for any other reason (the site is gone, or not there yet)
+    /// waits for the next attempt. Requests unanswered after the last
+    /// attempt fail the exchange with [`LhError::Timeout`]; they are
+    /// [`Exchange::unanswered`].
+    pub(crate) fn exchange<K: Copy + Eq + Hash>(
         &self,
-        mut wave: Vec<(T, SiteId, Bytes)>,
-        max_retries: u32,
-    ) -> Vec<(T, SiteId, Bytes)> {
-        let policy = self.retry.get();
+        ex: &mut Exchange<K>,
+        key_of: impl Fn(&Wire) -> Option<K>,
+        mut on_reply: impl FnMut(&mut Exchange<K>, K, Wire) -> Result<(), LhError>,
+    ) -> Result<(), LhError> {
         let ctx = trace::current_context();
-        let mut backoff = policy.initial_backoff;
-        let mut failed = Vec::new();
-        for round in 0..=max_retries {
-            if round > 0 {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(policy.max_backoff);
+        let window = self.timeout.get() / Self::ATTEMPTS;
+        for attempt in 0..Self::ATTEMPTS {
+            if ex.waiting.is_empty() {
+                return Ok(());
             }
-            let mut scatter = Scatter::new();
-            let mut rejected = Vec::new();
-            for (tag, site, payload) in wave {
-                match self
-                    .endpoint
-                    .send_with(&mut scatter, site, payload.clone(), ctx)
-                {
-                    Ok(()) => {}
-                    Err(NetError::Overloaded(_)) => {
-                        self.metrics.rejected_total.inc();
-                        rejected.push((tag, site, payload));
+            if attempt > 0 {
+                sdds_obs::counter(ex.retries).inc();
+            }
+            // In the map's order, not the order of `add`: a record's
+            // batch names consecutive buckets, which in that order
+            // alternate between the ranks of a TCP cluster, and measured
+            // slower there (inserts of the benchmark's `tcp_mixed`).
+            ex.unsent.clear();
+            let ready = ex.waiting.iter().filter(|(_, w)| w.due.is_none());
+            ex.unsent.extend(ready.map(|(key, _)| *key));
+            self.send_wave(ex, ctx)?;
+            let _gather = ex
+                .gather
+                .map(|name| sdds_obs::histogram(name).start_timer());
+            let deadline = Instant::now() + window;
+            while !ex.waiting.is_empty() {
+                let wake = ex.next_due().map_or(deadline, |due| due.min(deadline));
+                match self.endpoint.recv_until(wake) {
+                    Ok(env) => {
+                        let msg = Wire::decode(&env.payload);
+                        let key = msg.as_ref().and_then(&key_of);
+                        if let (Some(msg), Some(key)) = (msg, key) {
+                            if ex.waiting.remove(&key).is_some() {
+                                on_reply(ex, key, msg)?;
+                            }
+                        }
                     }
-                    Err(_) => failed.push((tag, site, payload)),
+                    Err(NetError::Timeout) if wake < deadline => {}
+                    Err(NetError::Timeout) => break,
+                    Err(e) => return Err(e.into()),
                 }
-            }
-            wave = rejected;
-            if wave.is_empty() {
-                break;
+                ex.take_due();
+                self.send_wave(ex, ctx)?;
             }
         }
-        failed.extend(wave);
-        failed
+        if ex.waiting.is_empty() {
+            Ok(())
+        } else {
+            Err(LhError::Timeout)
+        }
     }
 
-    /// One attempt's sends of a pipelined batch: each request to its
-    /// key's bucket under the current image, as one fan-out with one
-    /// quick back-off for the rejected, then shed. Batch operations
-    /// retransmit unanswered items each attempt, so the full back-off
-    /// ladder would burn the attempt window sleeping instead of draining
-    /// the responses that unblock the receiving site. What a bucket
-    /// refuses (merged away since the directory was read, or full) goes
-    /// to bucket 0, which always exists and forwards correctly.
-    fn send_batch<'a>(&self, requests: impl Iterator<Item = &'a Wire>) -> Result<(), LhError> {
+    /// Sends the unsent requests of `ex` as one wave; see
+    /// [`exchange`](Self::exchange) for what a refusal does.
+    fn send_wave<K: Copy + Eq + Hash>(
+        &self,
+        ex: &mut Exchange<K>,
+        ctx: Option<TraceContext>,
+    ) -> Result<(), LhError> {
+        if ex.unsent.is_empty() {
+            return Ok(());
+        }
+        let policy = self.retry.get();
         let image = self.image.get();
         let bucket0 = self.directory.bucket_site(0);
-        let mut wave = Vec::new();
-        for msg in requests {
-            // a batch only ever holds `Wire::Request`; skip defensively
-            // rather than panic
-            let Wire::Request { op, .. } = msg else {
+        let mut scatter = Scatter::new();
+        for key in std::mem::take(&mut ex.unsent) {
+            let Some(req) = ex.waiting.get_mut(&key) else {
                 continue;
             };
-            let site = self
-                .directory
-                .bucket_site(image.address(op.key()))
-                .or(bucket0)
-                .ok_or(LhError::Net(NetError::UnknownSite(SiteId(0))))?;
-            wave.push(((), site, msg.encode()));
-        }
-        let refused = self.fan_out(wave, 1);
-        if let Some(fallback) = bucket0 {
-            let wave = refused
-                .into_iter()
-                .map(|(_, _, payload)| ((), fallback, payload))
-                .collect();
-            self.fan_out(wave, 1);
+            let site = match req.route {
+                Route::Key(k) => self.directory.bucket_site(image.address(k)).or(bucket0),
+                Route::Bucket(addr) => self.directory.bucket_site(addr),
+                Route::Site(site) => Some(site),
+            };
+            let Some(site) = site else {
+                continue;
+            };
+            let mut sent = self.send_to(&mut scatter, site, &req.payload, ctx);
+            if let (Err(_), Route::Key(_), Some(bucket0)) = (&sent, req.route, bucket0) {
+                sent = self.send_to(&mut scatter, bucket0, &req.payload, ctx);
+            }
+            match sent {
+                Ok(()) => req.refusals = 0,
+                Err(NetError::Overloaded(site)) if req.refusals >= policy.max_retries => {
+                    return Err(LhError::Net(NetError::Overloaded(site)));
+                }
+                Err(NetError::Overloaded(_)) => {
+                    req.due = Some(Instant::now() + policy.backoff(req.refusals));
+                    req.refusals += 1;
+                    ex.backing_off.push(key);
+                }
+                Err(_) => {}
+            }
         }
         Ok(())
+    }
+
+    /// One send of a wave; a refusal by a full inbox counts in
+    /// `lh.rejected_total`.
+    fn send_to(
+        &self,
+        scatter: &mut Scatter,
+        site: SiteId,
+        payload: &Bytes,
+        ctx: Option<TraceContext>,
+    ) -> Result<(), NetError> {
+        let sent = self.endpoint.send_with(scatter, site, payload.clone(), ctx);
+        if let Err(NetError::Overloaded(_)) = sent {
+            self.metrics.rejected_total.inc();
+        }
+        sent
+    }
+
+    /// Adds a request under a fresh `req_id` to `ex`, built by `msg` from
+    /// that id and this client's site; returns the id.
+    pub(crate) fn ask(
+        &self,
+        ex: &mut Exchange<u64>,
+        route: Route,
+        msg: impl FnOnce(u64, u32) -> Wire,
+    ) -> u64 {
+        let req_id = self.fresh_req_id();
+        ex.add(req_id, route, msg(req_id, self.endpoint.id().0).encode());
+        req_id
+    }
+
+    fn fresh_req_id(&self) -> u64 {
+        let id = self.next_req.get();
+        self.next_req.set(id + 1);
+        id
     }
 
     /// Accounts for a served request: the hop counters, and the image
@@ -327,12 +494,6 @@ impl LhClient {
         self.hops.get()
     }
 
-    fn fresh_req_id(&self) -> u64 {
-        let id = self.next_req.get();
-        self.next_req.set(id + 1);
-        id
-    }
-
     /// Inserts or overwrites; returns true if a previous value existed.
     pub fn insert(&self, key: u64, value: Vec<u8>) -> Result<bool, LhError> {
         match self.call(Op::Insert { key, value })? {
@@ -364,13 +525,6 @@ impl LhClient {
         }
     }
 
-    /// Per-call retransmission attempts: the simulated network may drop
-    /// messages (fault injection), so requests are retried like any
-    /// RPC-over-datagram protocol. Key operations are idempotent, so
-    /// retries are safe even if the original request was served and only
-    /// the response was lost.
-    const ATTEMPTS: u32 = 5;
-
     fn call(&self, op: Op) -> Result<OpResult, LhError> {
         let timer = match &op {
             Op::Insert { .. } => &self.metrics.insert_seconds,
@@ -382,62 +536,48 @@ impl LhClient {
         // dropped messages remain attributable to this operation.
         let mut span = trace::child_span("lh.request");
         let _timer = timer.start_timer();
-        let req_id = self.fresh_req_id();
-        let key = op.key();
-        let msg = Wire::Request {
-            req_id,
-            client: self.endpoint.id().0,
-            hops: 0,
-            op,
-        };
-        let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
-        for attempt in 0..Self::ATTEMPTS {
-            if attempt > 0 {
-                sdds_obs::counter("lh.retries").inc();
-            }
-            let addr = self.image.get().address(key);
-            let site = self
-                .directory
-                .bucket_site(addr)
-                .or_else(|| self.directory.bucket_site(0))
-                .ok_or(LhError::Net(NetError::UnknownSite(SiteId(0))))?;
-            if self.send_admitted(site, msg.encode()).is_err() {
-                // The addressed bucket was merged away between the
-                // directory read and the send (the file shrank), or its
-                // inbox stayed full past the retry budget. Bucket 0
-                // always exists and forwards correctly.
-                let fallback = self
-                    .directory
-                    .bucket_site(0)
-                    .ok_or(LhError::Net(NetError::UnknownSite(SiteId(0))))?;
-                self.send_admitted(fallback, msg.encode())?;
-            }
-            let deadline = Instant::now() + attempt_timeout;
-            loop {
-                let env = match self.endpoint.recv_until(deadline) {
-                    Ok(env) => env,
-                    Err(NetError::Timeout) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                let Some(Wire::Response {
-                    req_id: rid,
-                    result,
-                    served_by,
-                    bucket_level,
-                    hops,
-                }) = Wire::decode(&env.payload)
-                else {
-                    continue; // stray message (late scan reply etc.)
-                };
-                if rid != req_id {
-                    continue; // late response to an abandoned request
-                }
-                span.set_detail(hops as u64);
-                self.served(hops, served_by, bucket_level);
-                return Ok(result);
-            }
+        let mut answer = None;
+        self.key_ops([op], |_, result, hops| {
+            span.set_detail(hops as u64);
+            answer = Some(result);
+            Ok(())
+        })?;
+        answer.ok_or(LhError::Timeout)
+    }
+
+    /// Sends `ops` as one exchange, each to its key's bucket, and hands
+    /// every answer to `answered` with the op's position in `ops` and the
+    /// hops its request took.
+    fn key_ops(
+        &self,
+        ops: impl IntoIterator<Item = Op>,
+        mut answered: impl FnMut(usize, OpResult, u8) -> Result<(), LhError>,
+    ) -> Result<(), LhError> {
+        let mut ex = Exchange::new();
+        let first = self.next_req.get();
+        for op in ops {
+            let route = Route::Key(op.key());
+            self.ask(&mut ex, route, |req_id, client| Wire::Request {
+                req_id,
+                client,
+                hops: 0,
+                op,
+            });
         }
-        Err(LhError::Timeout)
+        self.exchange(&mut ex, Wire::reply_id, |_, req_id, msg| {
+            let Wire::Response {
+                result,
+                served_by,
+                bucket_level,
+                hops,
+                ..
+            } = msg
+            else {
+                return Err(unexpected(&msg));
+            };
+            self.served(hops, served_by, bucket_level);
+            answered((req_id - first) as usize, result, hops)
+        })
     }
 
     /// Pipelined bulk insert: all requests are sent before any response is
@@ -448,55 +588,13 @@ impl LhClient {
         let _span = trace::child_span("lh.insert_batch");
         let _timer = sdds_obs::histogram("lh.insert_batch_seconds").start_timer();
         sdds_obs::counter("lh.insert_batch_items").add(items.len() as u64);
-        let mut pending: HashMap<u64, Wire> = HashMap::with_capacity(items.len());
-        for (key, value) in items {
-            let req_id = self.fresh_req_id();
-            pending.insert(
-                req_id,
-                Wire::Request {
-                    req_id,
-                    client: self.endpoint.id().0,
-                    hops: 0,
-                    op: Op::Insert { key, value },
-                },
-            );
-        }
-        let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
-        for _attempt in 0..Self::ATTEMPTS {
-            if pending.is_empty() {
-                return Ok(());
-            }
-            self.send_batch(pending.values())?;
-            let deadline = Instant::now() + attempt_timeout;
-            while !pending.is_empty() {
-                let env = match self.endpoint.recv_until(deadline) {
-                    Ok(env) => env,
-                    Err(NetError::Timeout) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                let Some(Wire::Response {
-                    req_id,
-                    result,
-                    served_by,
-                    bucket_level,
-                    hops,
-                }) = Wire::decode(&env.payload)
-                else {
-                    continue;
-                };
-                if pending.remove(&req_id).is_some() {
-                    if let OpResult::Error { message } = result {
-                        return Err(LhError::Rejected(message));
-                    }
-                    self.served(hops, served_by, bucket_level);
-                }
-            }
-        }
-        if pending.is_empty() {
-            Ok(())
-        } else {
-            Err(LhError::Timeout)
-        }
+        let ops = items
+            .into_iter()
+            .map(|(key, value)| Op::Insert { key, value });
+        self.key_ops(ops, |_, result, _| match result {
+            OpResult::Error { message } => Err(LhError::Rejected(message)),
+            _ => Ok(()),
+        })
     }
 
     /// Pipelined bulk delete: all requests are sent before any response
@@ -513,67 +611,20 @@ impl LhClient {
         let batch_items = keys.len();
         sdds_obs::counter("lh.delete_batch_items").add(batch_items as u64);
         let mut existed = vec![false; batch_items];
-        // req_id → (input slot, request wire)
-        let mut pending: HashMap<u64, (usize, Wire)> = HashMap::with_capacity(keys.len());
-        for (slot, key) in keys.into_iter().enumerate() {
-            let req_id = self.fresh_req_id();
-            pending.insert(
-                req_id,
-                (
-                    slot,
-                    Wire::Request {
-                        req_id,
-                        client: self.endpoint.id().0,
-                        hops: 0,
-                        op: Op::Delete { key },
-                    },
-                ),
-            );
-        }
-        let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
-        for _attempt in 0..Self::ATTEMPTS {
-            if pending.is_empty() {
-                return Ok(existed);
-            }
-            self.send_batch(pending.values().map(|(_, msg)| msg))?;
-            let deadline = Instant::now() + attempt_timeout;
-            while !pending.is_empty() {
-                let env = match self.endpoint.recv_until(deadline) {
-                    Ok(env) => env,
-                    Err(NetError::Timeout) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                let Some(Wire::Response {
-                    req_id,
-                    result,
-                    served_by,
-                    bucket_level,
-                    hops,
-                }) = Wire::decode(&env.payload)
-                else {
-                    continue;
-                };
-                if let Some((slot, _)) = pending.remove(&req_id) {
-                    match result {
-                        OpResult::Deleted { existed: e } => {
-                            if let Some(out) = existed.get_mut(slot) {
-                                *out = e;
-                            }
-                        }
-                        OpResult::Error { message } => return Err(LhError::Rejected(message)),
-                        // a mismatched reply is a peer protocol violation;
-                        // the slot keeps its default (not existed)
-                        _ => {}
-                    }
-                    self.served(hops, served_by, bucket_level);
+        let ops = keys.into_iter().map(|key| Op::Delete { key });
+        self.key_ops(ops, |slot, result, _| match result {
+            OpResult::Deleted { existed: e } => {
+                if let Some(out) = existed.get_mut(slot) {
+                    *out = e;
                 }
+                Ok(())
             }
-        }
-        if pending.is_empty() {
-            Ok(existed)
-        } else {
-            Err(LhError::Timeout)
-        }
+            OpResult::Error { message } => Err(LhError::Rejected(message)),
+            // a mismatched reply is a peer protocol violation; the slot
+            // keeps its default (not existed)
+            _ => Ok(()),
+        })?;
+        Ok(existed)
     }
 
     /// Refreshes the image from the coordinator and returns the exact file
@@ -585,36 +636,25 @@ impl LhClient {
     /// [`refresh_image`](Self::refresh_image) plus the coordinator's busy
     /// flag (splits/merges running or queued).
     fn refresh_image_detail(&self) -> Result<(u64, bool), LhError> {
-        let req_id = self.fresh_req_id();
-        let msg = Wire::ExtentReq {
+        let mut ex = Exchange::new();
+        let coordinator = Route::Site(SiteId(COORD_ID));
+        self.ask(&mut ex, coordinator, |req_id, client| Wire::ExtentReq {
             req_id,
-            client: self.endpoint.id().0,
-        };
-        let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
-        for _attempt in 0..Self::ATTEMPTS {
-            self.send_admitted(SiteId(COORD_ID), msg.encode())?;
-            let deadline = Instant::now() + attempt_timeout;
-            loop {
-                let env = match self.endpoint.recv_until(deadline) {
-                    Ok(env) => env,
-                    Err(NetError::Timeout) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                match Wire::decode(&env.payload) {
-                    Some(Wire::ExtentResp {
-                        req_id: rid,
-                        level,
-                        split,
-                        busy,
-                    }) if rid == req_id => {
-                        self.image.set(ClientImage { level, split });
-                        return Ok((ClientImage { level, split }.extent(), busy));
-                    }
-                    _ => continue,
-                }
+            client,
+        });
+        let mut answer = None;
+        self.exchange(&mut ex, Wire::reply_id, |_, _, msg| match msg {
+            Wire::ExtentResp {
+                level, split, busy, ..
+            } => {
+                answer = Some((ClientImage { level, split }, busy));
+                Ok(())
             }
-        }
-        Err(LhError::Timeout)
+            other => Err(unexpected(&other)),
+        })?;
+        let (image, busy) = answer.ok_or(LhError::Timeout)?;
+        self.image.set(image);
+        Ok((image.extent(), busy))
     }
 
     /// Waits until no splits or merges are running or queued, then returns
@@ -634,6 +674,8 @@ impl LhClient {
             if Instant::now() >= deadline {
                 return Ok(extent); // best effort under sustained writes
             }
+            // a poll interval while the coordinator restructures the
+            // file, not a back-off: nothing was refused
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -657,95 +699,63 @@ impl LhClient {
         sdds_obs::counter("lh.scan_fanout_buckets").add(extent);
         let req_id = self.fresh_req_id();
         let payload = Wire::encode_scan_req(req_id, self.endpoint.id().0, query, keys_only);
-        // buckets still owing an answer; lost requests/answers are retried
-        let mut outstanding: Vec<u64> = (0..extent).collect();
+        // A bucket that cannot be addressed stays unanswered: dropping it
+        // would let the scan report success while silently missing part
+        // of the file.
+        let mut ex = Exchange::observed("lh.scan_retries", Some("lh.scan_gather_seconds"));
+        for addr in 0..extent {
+            ex.add(addr, Route::Bucket(addr), payload.clone());
+        }
         // buckets beyond `extent` that answers have revealed (see below)
         let mut late: HashSet<u64> = HashSet::new();
         let mut matches: HashMap<u64, ScanMatch> = HashMap::new();
-        let attempt_timeout = self.timeout.get() / Self::ATTEMPTS;
-        if outstanding.is_empty() {
-            return Ok(finish(matches));
-        }
-        // Sends the request to the buckets `addrs` as one fan-out; each
-        // is then `awaited` — or `dead` when it cannot even be addressed
-        // this attempt (no directory entry, awaiting recovery,
-        // unreachable, inbox full past the retry budget). Dead buckets
-        // stay outstanding: dropping them would let the scan report
-        // success while silently missing part of the file.
-        let max_retries = self.retry.get().max_retries;
-        let ask = |addrs: &[u64], awaited: &mut HashSet<u64>, dead: &mut Vec<u64>| {
-            let mut wave = Vec::with_capacity(addrs.len());
-            for &addr in addrs {
-                match self.directory.bucket_site(addr) {
-                    Some(site) => wave.push((addr, site, payload.clone())),
-                    None => dead.push(addr),
-                }
-            }
-            awaited.extend(wave.iter().map(|(addr, ..)| *addr));
-            for (addr, ..) in self.fan_out(wave, max_retries) {
-                awaited.remove(&addr);
-                dead.push(addr);
-            }
+        let answering_bucket = |msg: &Wire| match msg {
+            Wire::ScanResp {
+                req_id: rid,
+                bucket,
+                ..
+            } if *rid == req_id => Some(*bucket),
+            _ => None,
         };
-        for _attempt in 0..Self::ATTEMPTS {
-            let mut awaited = HashSet::new();
-            let mut dead: Vec<u64> = Vec::new();
-            ask(&outstanding, &mut awaited, &mut dead);
-            if awaited.is_empty() {
-                // nothing reachable right now; give a recovery in
-                // progress a chance before the next attempt
-                outstanding = dead;
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
+        let gathered = self.exchange(&mut ex, answering_bucket, |ex, bucket, msg| {
+            let Wire::ScanResp {
+                level, matches: m, ..
+            } = msg
+            else {
+                return Ok(());
+            };
+            for sm in m {
+                matches.insert(sm.key, sm);
             }
-            let gather_timer = sdds_obs::histogram("lh.scan_gather_seconds").start_timer();
-            let deadline = Instant::now() + attempt_timeout;
-            while !awaited.is_empty() {
-                let env = match self.endpoint.recv_until(deadline) {
-                    Ok(env) => env,
-                    Err(NetError::Timeout) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                match Wire::decode(&env.payload) {
-                    Some(Wire::ScanResp {
-                        req_id: rid,
-                        bucket,
-                        level,
-                        matches: m,
-                    }) if rid == req_id => {
-                        awaited.remove(&bucket);
-                        for sm in m {
-                            matches.insert(sm.key, sm);
-                        }
-                        // LH* scan termination: the answering bucket's
-                        // level names every bucket it has split off. One
-                        // beyond the extent this scan started from was
-                        // created since — by a split that may have moved
-                        // records out of `bucket` before it ran the scan
-                        // — so it owes an answer too.
-                        for child in split_children(bucket, level) {
-                            if child >= extent && late.insert(child) {
-                                sdds_obs::counter("lh.scan_late_buckets").inc();
-                                ask(&[child], &mut awaited, &mut dead);
-                            }
-                        }
-                    }
-                    _ => continue,
+            // LH* scan termination: the answering bucket's level names
+            // every bucket it has split off. One beyond the extent this
+            // scan started from was created since — by a split that may
+            // have moved records out of `bucket` before it ran the scan —
+            // so it owes an answer too.
+            for child in split_children(bucket, level) {
+                if child >= extent && late.insert(child) {
+                    sdds_obs::counter("lh.scan_late_buckets").inc();
+                    ex.add(child, Route::Bucket(child), payload.clone());
                 }
             }
-            drop(gather_timer);
-            outstanding = awaited.into_iter().chain(dead).collect();
-            if outstanding.is_empty() {
-                return Ok(finish(matches));
+            Ok(())
+        });
+        match gathered {
+            Err(LhError::Timeout) => {
+                sdds_obs::counter("lh.scan_incomplete").inc();
+                let mut missing: Vec<u64> = ex.unanswered().collect();
+                missing.sort_unstable();
+                Err(LhError::ScanIncomplete { missing })
             }
-            sdds_obs::counter("lh.scan_retries").inc();
+            gathered => gathered.map(|()| finish(matches)),
         }
-        outstanding.sort_unstable();
-        sdds_obs::counter("lh.scan_incomplete").inc();
-        Err(LhError::ScanIncomplete {
-            missing: outstanding,
-        })
     }
+}
+
+/// A reply of the wrong kind for its request: a peer protocol violation,
+/// surfaced rather than aborting.
+pub(crate) fn unexpected(msg: &Wire) -> LhError {
+    LhError::Rejected(format!("request answered with {msg:?}"))
 }
 
 /// Sorted scan output.
@@ -933,6 +943,73 @@ mod tests {
             .map(|m| m.key)
             .collect();
         assert_eq!(keys, [0, 1]);
+    }
+
+    /// A request backing off from a full inbox does not stop the client
+    /// taking replies in: with room for one more envelope in its inbox,
+    /// the client must drain bucket 1's first answer so the second one is
+    /// admitted — long before the back-off for bucket 0 elapses. (A
+    /// back-off that slept kept both answers waiting the whole second.)
+    #[test]
+    fn replies_keep_draining_while_a_batch_request_backs_off() {
+        let (net, client, bucket0, filler) = tiny_inbox_rig(2);
+        let bucket1 = net.register_with_id(SiteId(1)).unwrap();
+        let backoff = Duration::from_secs(1);
+        client.set_retry_policy(RetryPolicy {
+            max_retries: 1,
+            initial_backoff: backoff,
+            max_backoff: backoff,
+        });
+        // keys 1 and 3 live in bucket 1, key 2 in bucket 0
+        client.image.set(ClientImage { level: 1, split: 0 });
+        for _ in 0..2 {
+            filler
+                .send(bucket0.id(), Bytes::from_static(b"junk"))
+                .unwrap();
+        }
+        filler
+            .send(client.endpoint.id(), Bytes::from_static(b"junk"))
+            .unwrap();
+
+        let batch = std::thread::spawn(move || {
+            let items = [1u64, 3, 2].map(|key| (key, b"v".to_vec()));
+            client.insert_batch(items.to_vec())
+        });
+        let answer = |ep: &Endpoint| -> Duration {
+            let env = ep.recv_timeout(backoff * 5).expect("a request");
+            let Some(Wire::Request { req_id, client, .. }) = Wire::decode(&env.payload) else {
+                panic!("expected Request");
+            };
+            let resp = Wire::Response {
+                req_id,
+                result: OpResult::Inserted { replaced: false },
+                served_by: 0,
+                bucket_level: 1,
+                hops: 0,
+            };
+            let started = Instant::now();
+            loop {
+                match ep.send(SiteId(client), resp.encode()) {
+                    Err(NetError::Overloaded(_)) if started.elapsed() < backoff * 5 => {
+                        std::thread::yield_now()
+                    }
+                    sent => break sent.unwrap(),
+                }
+            }
+            started.elapsed()
+        };
+        answer(&bucket1);
+        let waited = answer(&bucket1);
+        assert!(
+            waited < backoff / 2,
+            "the second answer waited {waited:?} for room in the client's inbox"
+        );
+        // make room at bucket 0; the refused request comes after its back-off
+        for _ in 0..2 {
+            assert_eq!(&bucket0.recv().unwrap().payload[..], b"junk");
+        }
+        answer(&bucket0);
+        assert_eq!(batch.join().unwrap(), Ok(()));
     }
 
     /// A split completes between the scan's extent read and its fan-out:

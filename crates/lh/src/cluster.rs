@@ -2,7 +2,7 @@
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
 use crate::bucket::{BucketCtx, BucketSite, BucketState};
-use crate::client::{LhClient, LhError};
+use crate::client::{unexpected, Exchange, LhClient, LhError, Route};
 use crate::coordinator::{CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
@@ -360,23 +360,21 @@ impl LhCluster {
         let m = cfg.parity_count;
         let group = addr / k as u64;
         let failed = (addr % k as u64) as usize;
-        let control = self.host.network.register();
-        let timeout = Duration::from_secs(10);
         // the true file extent distinguishes merged-away members (empty by
         // construction: the merge shipped their records out and emitted
         // the parity removals) from crashed ones
-        let extent = {
-            let probe = self.client();
-            probe.refresh_image()?;
-            probe.image()
-        };
+        let client = self.client();
+        client.refresh_image()?;
+        let extent = client.image();
         let file_extent = extent.extent();
 
-        // 1. survivors' slot tables
+        // 1. survivors' slot tables and 2. parity rows, read as one
+        // exchange
         #[allow(clippy::type_complexity)]
         let mut members: Vec<Option<Vec<Option<(u64, Vec<u8>)>>>> = vec![None; k];
-        let mut awaiting: HashMap<u64, usize> = HashMap::new(); // req_id -> member
-        let mut req_id = 1u64;
+        let mut parities: Vec<Option<Vec<ParityRow>>> = vec![None; m];
+        let mut reads = Exchange::new();
+        let mut slot_reads: HashMap<u64, usize> = HashMap::new(); // req_id -> member
         #[allow(clippy::needless_range_loop)] // `member` is also arithmetic input
         for member in 0..k {
             let baddr = group * k as u64 + member as u64;
@@ -388,70 +386,42 @@ impl LhCluster {
                 members[member] = Some(Vec::new());
                 continue;
             }
-            match self.host.directory.bucket_site(baddr) {
-                Some(site) => {
-                    let msg = Wire::SlotsRead {
-                        req_id,
-                        client: control.id().0,
-                    };
-                    send_control(&control, site, msg.encode())?;
-                    awaiting.insert(req_id, member);
-                    req_id += 1;
-                }
-                None => {
-                    return Err(LhError::Rejected(format!(
-                        "member bucket {baddr} is also down; need {m} or fewer failures"
-                    )))
-                }
-            }
+            let Some(site) = self.host.directory.bucket_site(baddr) else {
+                return Err(LhError::Rejected(format!(
+                    "member bucket {baddr} is also down; need {m} or fewer failures"
+                )));
+            };
+            let read = |req_id, client| Wire::SlotsRead { req_id, client };
+            slot_reads.insert(client.ask(&mut reads, Route::Site(site), read), member);
         }
-        // 2. parity rows
-        let mut parities: Vec<Option<Vec<ParityRow>>> = vec![None; m];
-        let psites = self.host.directory.parity_sites(group);
-        for site in &psites {
-            let msg = Wire::ParityRead {
+        for site in self.host.directory.parity_sites(group) {
+            let read = |req_id, client| Wire::ParityRead {
                 req_id,
-                client: control.id().0,
+                client,
                 group,
             };
-            send_control(&control, *site, msg.encode())?;
-            awaiting.insert(req_id, usize::MAX); // parity marker
-            req_id += 1;
+            client.ask(&mut reads, Route::Site(site), read);
         }
         // 3. gather
-        let deadline = Instant::now() + timeout;
-        let mut outstanding = awaiting.len();
-        while outstanding > 0 {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(LhError::Timeout)?;
-            let env = match control.recv_timeout(remaining) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => return Err(LhError::Timeout),
-                Err(e) => return Err(e.into()),
-            };
-            match Wire::decode(&env.payload) {
-                Some(Wire::SlotsState {
-                    req_id: rid, slots, ..
-                }) => {
-                    if let Some(&member) = awaiting.get(&rid) {
-                        members[member] = Some(slots);
-                        outstanding -= 1;
+        client.exchange(&mut reads, Wire::reply_id, |_, req_id, msg| {
+            match msg {
+                Wire::SlotsState { slots, .. } => {
+                    let member = slot_reads.get(&req_id).and_then(|&i| members.get_mut(i));
+                    if let Some(member) = member {
+                        *member = Some(slots);
                     }
                 }
-                Some(Wire::ParityState {
-                    req_id: rid,
-                    parity_index,
-                    rows,
-                }) => {
-                    if awaiting.contains_key(&rid) {
-                        parities[parity_index as usize] = Some(rows);
-                        outstanding -= 1;
+                Wire::ParityState {
+                    parity_index, rows, ..
+                } => {
+                    if let Some(parity) = parities.get_mut(parity_index as usize) {
+                        *parity = Some(rows);
                     }
                 }
-                _ => continue,
+                other => return Err(unexpected(&other)),
             }
-        }
+            Ok(())
+        })?;
         // 4. reconstruct
         let slots = reconstruct_member(k, m, cfg.slot_size, failed, &members, &parities)
             .map_err(LhError::Rejected)?;
@@ -460,7 +430,8 @@ impl LhCluster {
         let level = bucket_level(addr, extent);
         self.host.place(addr, level)?;
         let site = SiteRegistry::bucket_id(addr);
-        send_control(&control, site, Wire::Adopt { addr, level, slots }.encode())?;
+        let adopt = Wire::Adopt { addr, level, slots }.encode();
+        send_control(self.host.control(), site, adopt)?;
         Ok(())
     }
 
@@ -471,55 +442,37 @@ impl LhCluster {
     /// insert can leave a structural change in flight, and a `Dump` that
     /// raced its `TransferBatch` would miss the records mid-move.
     pub fn snapshot(&self) -> Result<FileSnapshot, LhError> {
-        let probe = self.client();
-        probe.refresh_image_quiescent()?;
-        let image = probe.image();
-        let control = self.host.network.register();
-        let mut awaiting = std::collections::HashMap::new();
-        for (req_id, addr) in (0..image.extent()).enumerate() {
+        let client = self.client();
+        client.refresh_image_quiescent()?;
+        let image = client.image();
+        let mut dumps = Exchange::new();
+        for addr in 0..image.extent() {
             let Some(site) = self.host.directory.bucket_site(addr) else {
                 return Err(LhError::Rejected(format!(
                     "bucket {addr} is down; recover it before snapshotting"
                 )));
             };
-            send_control(
-                &control,
-                site,
-                Wire::Dump {
-                    req_id: req_id as u64,
-                    client: control.id().0,
-                }
-                .encode(),
-            )?;
-            awaiting.insert(req_id as u64, addr);
+            let dump = |req_id, client| Wire::Dump { req_id, client };
+            client.ask(&mut dumps, Route::Site(site), dump);
         }
-        let mut buckets: Vec<BucketSnapshot> = Vec::with_capacity(awaiting.len());
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !awaiting.is_empty() {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(LhError::Timeout)?;
-            let env = match control.recv_timeout(remaining) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => return Err(LhError::Timeout),
-                Err(e) => return Err(e.into()),
-            };
-            if let Some(Wire::DumpState {
-                req_id,
+        let mut buckets: Vec<BucketSnapshot> = Vec::new();
+        client.exchange(&mut dumps, Wire::reply_id, |_, _, msg| match msg {
+            Wire::DumpState {
                 addr,
                 level,
                 records,
-            }) = Wire::decode(&env.payload)
-            {
-                if awaiting.remove(&req_id).is_some() {
-                    buckets.push(BucketSnapshot {
-                        addr,
-                        level,
-                        records,
-                    });
-                }
+                ..
+            } => {
+                let bucket = BucketSnapshot {
+                    addr,
+                    level,
+                    records,
+                };
+                buckets.push(bucket);
+                Ok(())
             }
-        }
+            other => Err(unexpected(&other)),
+        })?;
         buckets.sort_by_key(|b| b.addr);
         Ok(FileSnapshot {
             level: image.level,
@@ -547,9 +500,9 @@ impl LhCluster {
             }
         }
         let cluster = LhCluster::start(config);
-        let control = cluster.host.network.register();
+        let control = cluster.host.control();
         send_control(
-            &control,
+            control,
             SiteId(COORD_ID),
             Wire::AdoptFileState {
                 level: snapshot.level,
@@ -564,7 +517,7 @@ impl LhCluster {
         }
         for b in &snapshot.buckets {
             send_control(
-                &control,
+                control,
                 SiteRegistry::bucket_id(b.addr),
                 Wire::TransferBatch {
                     level: b.level,

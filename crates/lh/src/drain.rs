@@ -6,11 +6,11 @@
 //! instead of once per message.
 //!
 //! With bounded inboxes (`NetConfig::inbox_capacity`), any send can be
-//! rejected by admission control. Client-bound replies may be shed —
-//! the client's retransmit machinery re-requests them — but
-//! control-plane messages (overflow reports, transfer batches/acks,
-//! split/merge completions, parity deltas) must eventually land or the
-//! protocol stalls. [`SendQueue`] parks those and retries them at the
+//! rejected by admission control. Client-bound replies (the messages
+//! with a `Wire::reply_id`) may be shed — the client's exchange asks
+//! again — but every other message (forwarded requests, overflow
+//! reports, transfer batches/acks, split/merge completions, parity
+//! deltas) must eventually land or the protocol stalls. [`SendQueue`] parks those and retries them at the
 //! end of every activation of their site, and — the runtime activates a
 //! site with parked sends every [`IDLE_TICK`] — even when no new traffic
 //! arrives for it.
@@ -54,10 +54,10 @@ impl SendQueue {
         payload: Bytes,
         ctx: Option<TraceContext>,
     ) {
-        let retry = must_land(msg).then(|| payload.clone());
+        let retry = msg.reply_id().is_none().then(|| payload.clone());
         let sent = endpoint.send_with(scatter, to, payload, ctx);
-        // Shed client-bound replies (the client retransmits) and sends
-        // to peers that already shut down are fine to lose.
+        // Shed client-bound replies (the client asks again) and sends to
+        // peers that already shut down are fine to lose.
         if let (Err(NetError::Overloaded(_)), Some(payload)) = (sent, retry) {
             self.parked.push((to, payload, ctx));
         }
@@ -81,20 +81,6 @@ impl SendQueue {
     pub(crate) fn has_parked(&self) -> bool {
         !self.parked.is_empty()
     }
-}
-
-/// Whether a message must eventually be delivered for the protocol to
-/// make progress (vs. a client-bound reply the client re-requests).
-fn must_land(msg: &Wire) -> bool {
-    !matches!(
-        msg,
-        Wire::Response { .. }
-            | Wire::ScanResp { .. }
-            | Wire::SlotsState { .. }
-            | Wire::DumpState { .. }
-            | Wire::ParityState { .. }
-            | Wire::ExtentResp { .. }
-    )
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! LH\* — the Scalable Distributed Data Structure of Litwin, Neimat and
 //! Schneider \[LNS96\] — with the LH\*<sub>RS</sub> high-availability
-//! extension \[LMS05\], running over the simulated multicomputer of
-//! `sdds-net`.
+//! extension \[LMS05\], running over `sdds-net`: sites of one process
+//! exchange messages over in-process channels, sites of several over
+//! TCP.
 //!
 //! This is the storage substrate the ICDE'06 paper assumes: "a standard
 //! SDDS such as LH\* or its high-availability version LH\*RS is used to

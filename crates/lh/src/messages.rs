@@ -521,6 +521,22 @@ impl Wire {
         Some(msg)
     }
 
+    /// The `req_id` of the request this message answers: `Some` exactly
+    /// for the replies a site sends back to a client. They are idempotent
+    /// reads of state the client asks for again, so a site may shed them
+    /// under overload; every other message must land.
+    pub(crate) fn reply_id(&self) -> Option<u64> {
+        match self {
+            Wire::Response { req_id, .. }
+            | Wire::ScanResp { req_id, .. }
+            | Wire::SlotsState { req_id, .. }
+            | Wire::DumpState { req_id, .. }
+            | Wire::ParityState { req_id, .. }
+            | Wire::ExtentResp { req_id, .. } => Some(*req_id),
+            _ => None,
+        }
+    }
+
     fn write(&self, out: &mut Vec<u8>) {
         match self {
             Wire::Request {
@@ -1075,6 +1091,30 @@ mod tests {
             .collect();
         assert_eq!(declared.len(), usize::from(SHUTDOWN) + 1);
         assert_eq!(covered, declared);
+    }
+
+    #[test]
+    fn exactly_the_client_bound_replies_have_a_reply_id() {
+        let replies = [
+            "Response",
+            "ScanResp",
+            "SlotsState",
+            "DumpState",
+            "ParityState",
+            "ExtentResp",
+        ];
+        let mut classified = BTreeSet::new();
+        for m in samples() {
+            let name = variant_name(&m);
+            assert_eq!(
+                m.reply_id().is_some(),
+                replies.contains(&name.as_str()),
+                "{name}"
+            );
+            classified.insert(name);
+        }
+        // every variant has a sample (`roundtrip_all_variants`)
+        assert_eq!(classified.len(), usize::from(SHUTDOWN) + 1);
     }
 
     #[test]

@@ -367,10 +367,10 @@ fn operations_survive_a_lossy_network() {
     let cluster = LhCluster::start(ClusterConfig {
         bucket_capacity: 100_000,
         net: sdds_repro_netcfg(0.03, 7),
+        client_timeout: std::time::Duration::from_millis(1500),
         ..ClusterConfig::default()
     });
     let client = cluster.client();
-    client.set_timeout(std::time::Duration::from_millis(1500));
     for key in 0..300u64 {
         client.insert(key, vec![key as u8]).unwrap();
     }
@@ -384,6 +384,14 @@ fn operations_survive_a_lossy_network() {
     // scans also retry per bucket
     let all = client.scan(&[], true).unwrap();
     assert_eq!(all.len(), 300);
+    // and so do a snapshot's extent read and dumps: one lost `Dump` or
+    // `DumpState` used to stall the whole snapshot until it timed out
+    for round in 0..50 {
+        let snapshot = cluster
+            .snapshot()
+            .unwrap_or_else(|e| panic!("snapshot {round}: {e}"));
+        assert_eq!(snapshot.record_count(), 300, "snapshot {round}");
+    }
     assert!(
         cluster.network().stats().dropped() > 0,
         "fault injection should actually have dropped messages"

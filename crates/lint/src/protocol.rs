@@ -77,7 +77,8 @@ const DISPATCH_FILE: &str = "crates/lh/src/runtime.rs";
 const DIRECT_SENDS: [&str; 3] = [".send(", ".send_traced(", ".send_with("];
 
 /// Request-shaped variants and the response each handler must emit.
-/// Mirrors the reply classes `drain.rs::must_land` sheds under overload.
+/// The responses are the variants `Wire::reply_id` names, which sites
+/// shed under overload.
 const REPLY_PAIRS: [(&str, &str); 6] = [
     ("Request", "Response"),
     ("ScanReq", "ScanResp"),
@@ -202,14 +203,16 @@ impl Region {
     }
 }
 
-/// One variant's row of the committed `protocol-matrix.json`.
+/// One variant's row of the committed `protocol-matrix.json`. It names
+/// files, not lines, so that moving code leaves it as it is: it changes
+/// only when the protocol does.
 #[derive(Debug, Clone)]
 pub struct VariantEntry {
     /// Variant name.
     pub name: String,
-    /// `file:line` (1-based) of every non-test construction site.
+    /// The files with a non-test construction site, sorted.
     pub sends: Vec<String>,
-    /// `file:line` (1-based) of every handler-file pattern site.
+    /// The handler files with a pattern site, sorted.
     pub handles: Vec<String>,
     /// For request-shaped variants: the paired response variant.
     pub responds_with: Option<String>,
@@ -326,14 +329,14 @@ impl ProtocolAnalysis {
     fn build_matrix(&self, diags: &mut Vec<Diagnostic>) -> ProtocolMatrix {
         let mut matrix = ProtocolMatrix::default();
         for v in &self.variants {
-            let mut sends: Vec<(String, usize)> = Vec::new();
-            let mut handles: Vec<(String, usize)> = Vec::new();
+            let mut sends: Vec<String> = Vec::new();
+            let mut handles: Vec<String> = Vec::new();
             let mut first_handle: Option<&Occurrence> = None;
             for occ in self.occurrences.iter().filter(|o| o.variant == v.name) {
                 match occ.kind {
-                    Kind::Send => sends.push((occ.file.clone(), occ.pos.0 + 1)),
+                    Kind::Send => sends.push(occ.file.clone()),
                     Kind::Pattern if occ.in_handler_file => {
-                        handles.push((occ.file.clone(), occ.pos.0 + 1));
+                        handles.push(occ.file.clone());
                         if first_handle.is_none() {
                             first_handle = Some(occ);
                         }
@@ -341,8 +344,10 @@ impl ProtocolAnalysis {
                     Kind::Pattern => {}
                 }
             }
-            sends.sort();
-            handles.sort();
+            for files in [&mut sends, &mut handles] {
+                files.sort();
+                files.dedup();
+            }
             match (sends.is_empty(), handles.is_empty()) {
                 (false, true) => diags.push(Diagnostic {
                     rule: "protocol-coverage",
@@ -387,8 +392,8 @@ impl ProtocolAnalysis {
             let reply = REPLY_PAIRS.iter().find(|(req, _)| *req == v.name);
             matrix.variants.push(VariantEntry {
                 name: v.name.clone(),
-                sends: sends.iter().map(|(f, l)| format!("{f}:{l}")).collect(),
-                handles: handles.iter().map(|(f, l)| format!("{f}:{l}")).collect(),
+                sends,
+                handles,
                 responds_with: reply.map(|(_, resp)| resp.to_string()),
                 unreplied_paths: diags
                     .iter()
