@@ -9,40 +9,6 @@ pub fn corpus(n: usize, seed: u64) -> Vec<Record> {
     DirectoryGenerator::new(seed).generate(n)
 }
 
-/// Runs a short live-cluster workload — bulk load, single-record inserts,
-/// key lookups, deletes and encrypted scans — so a bench artefact's
-/// metrics sidecar carries nonzero LH\* per-op latency histograms,
-/// hop/IAM counters (the ≤2-hop invariant) and scan fan-out/gather
-/// timings even when the table itself is computed offline.
-pub fn cluster_probe(entries: usize, seed: u64) {
-    use sdds_core::{EncryptedSearchStore, SchemeConfig};
-    let n = entries.clamp(64, 512);
-    let records = corpus(n, seed);
-    let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).expect("valid"))
-        .passphrase("metrics-probe")
-        .bucket_capacity(32)
-        .start();
-    // bulk load: forces splits (stale client images → forwards + IAMs)
-    store
-        .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-        .expect("probe bulk load");
-    // single-record round-trips for the per-op histograms
-    let client = store.cluster().client();
-    for i in 0..32u64 {
-        let key = u64::MAX - i;
-        client.insert(key, vec![0u8; 16]).expect("probe insert");
-        client.lookup(key).expect("probe lookup");
-        client.delete(key).expect("probe delete");
-    }
-    for r in records.iter().take(64) {
-        store.get(r.rid).expect("probe get");
-    }
-    // scatter-gather scans (fan-out, gather timing, FP accounting)
-    let _ = store.search("MARTINEZ");
-    let _ = store.fetch_matching("GARCIA");
-    store.shutdown();
-}
-
 /// A dense re-mapping of the symbols actually occurring in the corpus
 /// (the paper computes χ² over the directory's own alphabet — capitals,
 /// space, `&` — not over all 256 byte values).
@@ -118,7 +84,18 @@ pub fn gram_display(gram: &[u16]) -> String {
         .collect()
 }
 
-/// Thousands-separated float formatting used by the table printers.
+/// The χ² block Tables 1 and 2 open with.
+pub fn render_chi2(single: f64, double: f64, triple: f64) -> String {
+    format!(
+        "  chi^2 (Single Letter) | {:>12}\n  chi^2 (Doublets)      | {:>12}\n  \
+         chi^2 (Triplets)      | {:>12}\n",
+        fmt_chi2(single),
+        fmt_chi2(double),
+        fmt_chi2(triple)
+    )
+}
+
+/// Thousands-separated float formatting used by the table renderings.
 pub fn fmt_chi2(x: f64) -> String {
     if x >= 1000.0 {
         let int = x.round() as u64;

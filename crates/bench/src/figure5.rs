@@ -6,10 +6,9 @@
 
 use crate::common::corpus;
 use sdds_encode::{Codebook, GramCounter};
-use serde::Serialize;
 
 /// One assignment row of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5Row {
     /// The symbol (display form; `␣` for space).
     pub symbol: String,
@@ -20,10 +19,12 @@ pub struct Figure5Row {
 }
 
 /// The Figure-5 artefact.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5 {
     /// Sample size.
     pub entries: usize,
+    /// Sample seed.
+    pub seed: u64,
     /// Code-alphabet size.
     pub encodings: usize,
     /// Rows in descending frequency order.
@@ -51,10 +52,29 @@ pub fn run(entries: usize, seed: u64, encodings: usize) -> Figure5 {
         .collect();
     Figure5 {
         entries,
+        seed,
         encodings,
         rows,
         bucket_loads: book.bucket_loads(),
     }
+}
+
+/// Renders the assignment table in the paper's layout
+/// (`results/figure5.txt`).
+pub fn render(f: &Figure5) -> String {
+    let mut out = format!(
+        "Figure 5: Encoding Assignment for {} possible encodings\n\
+         ({} records, seed {})\n\n  {:<8} | {:>8} | {:>8}\n",
+        f.encodings, f.entries, f.seed, "Symbol", "Quantity", "Encoding"
+    );
+    for row in &f.rows {
+        out.push_str(&format!(
+            "  {:<8} | {:>8} | {:>8}\n",
+            row.symbol, row.quantity, row.encoding
+        ));
+    }
+    out.push_str(&format!("\nBucket loads: {:?}\n", f.bucket_loads));
+    out
 }
 
 #[cfg(test)]

@@ -4,14 +4,15 @@
 //! on 282,965 entries; top letters A (11.1%), E, N, R, I, O; top doublets
 //! AN, ER, AR, ON, IN; top triplets CHA, MAR, SON, ONG, ANG.
 
-use crate::common::{corpus, gram_display, ngram_counters, DenseAlphabet};
-use serde::Serialize;
+use crate::common::{corpus, gram_display, ngram_counters, render_chi2, DenseAlphabet};
 
 /// The Table-1 artefact.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Corpus size used.
     pub entries: usize,
+    /// Corpus seed used.
+    pub seed: u64,
     /// Observed alphabet size (χ² categories for singles).
     pub alphabet: usize,
     /// χ² of single letters vs uniform.
@@ -45,6 +46,7 @@ pub fn run(entries: usize, seed: u64) -> Table1 {
     };
     Table1 {
         entries,
+        seed,
         alphabet: alpha.len(),
         chi2_single: c1.chi2_uniform(),
         chi2_double: c2.chi2_uniform(),
@@ -53,6 +55,23 @@ pub fn run(entries: usize, seed: u64) -> Table1 {
         top_doublets: c2.top(5).iter().map(|(g, f)| (display(g), *f)).collect(),
         top_triplets: c3.top(5).iter().map(|(g, f)| (display(g), *f)).collect(),
     }
+}
+
+/// Renders the table in the paper's layout (`results/table1.txt`).
+pub fn render(t: &Table1) -> String {
+    let mut out = format!(
+        "Table 1: chi^2-values for the synthetic SF Phone Directory\n\
+         ({} entries, seed {}, alphabet {} symbols)\n\n",
+        t.entries, t.seed, t.alphabet
+    );
+    out.push_str(&render_chi2(t.chi2_single, t.chi2_double, t.chi2_triple));
+    for grams in [&t.top_letters, &t.top_doublets, &t.top_triplets] {
+        out.push('\n');
+        for (g, f) in grams {
+            out.push_str(&format!("  {g:<4} | {:>6.2}%\n", f * 100.0));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

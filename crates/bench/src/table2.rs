@@ -7,15 +7,16 @@
 //! Reported: χ² single 178,849 / doublets 335,796 / triplets 486,790 and
 //! the share frequencies 0: 33.5%, 1: 26.9%, 2: 21.8%, 3: 17.7%.
 
-use crate::common::{corpus, ngram_counters};
+use crate::common::{corpus, ngram_counters, render_chi2};
 use sdds_disperse::{DispersalConfig, Disperser};
-use serde::Serialize;
 
 /// The Table-2 artefact.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Corpus size used.
     pub entries: usize,
+    /// Corpus (and dispersal matrix) seed used.
+    pub seed: u64,
     /// χ² of single 2-bit shares vs uniform (4 categories).
     pub chi2_single: f64,
     /// χ² of share doublets vs uniform (16 categories).
@@ -46,6 +47,7 @@ pub fn run(entries: usize, seed: u64) -> Table2 {
     share_frequencies.sort_by(|a, b| b.1.total_cmp(&a.1));
     Table2 {
         entries,
+        seed,
         chi2_single: c1.chi2_uniform(),
         chi2_double: c2.chi2_uniform(),
         chi2_triple: c3.chi2_uniform(),
@@ -56,6 +58,25 @@ pub fn run(entries: usize, seed: u64) -> Table2 {
             .map(|(g, f)| (format!("{}{}", g[0], g[1]), f))
             .collect(),
     }
+}
+
+/// Renders the table in the paper's layout (`results/table2.txt`).
+pub fn render(t: &Table2) -> String {
+    let mut out = format!(
+        "Table 2: chi^2-values after Dispersion (1 symbol -> 4 x 2-bit shares)\n\
+         ({} entries, seed {})\n\n",
+        t.entries, t.seed
+    );
+    out.push_str(&render_chi2(t.chi2_single, t.chi2_double, t.chi2_triple));
+    out.push('\n');
+    for (share, f) in &t.share_frequencies {
+        out.push_str(&format!("  {share}  | {:>6.2}%\n", f * 100.0));
+    }
+    out.push('\n');
+    for (g, f) in &t.top_doublets {
+        out.push_str(&format!("  {g} | {:>6.2}%\n", f * 100.0));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -9,13 +9,12 @@
 //! with much higher frequency" (SMIT → H); fewer codes flatten better but
 //! conflate more.
 
-use crate::common::{corpus, ngram_counters};
+use crate::common::{corpus, fmt_chi2, ngram_counters};
 use sdds_corpus::Record;
 use sdds_encode::{Codebook, GramCounter};
-use serde::Serialize;
 
 /// One row of Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Chunk size (symbols per encoded gram).
     pub chunk_size: usize,
@@ -32,10 +31,12 @@ pub struct Table3Row {
 }
 
 /// The Table-3 artefact: rows grouped by chunk size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// Corpus size used.
     pub entries: usize,
+    /// Corpus seed used.
+    pub seed: u64,
     /// All rows, in (chunk size, encodings) order.
     pub rows: Vec<Table3Row>,
 }
@@ -81,7 +82,40 @@ pub fn run(entries: usize, seed: u64) -> Table3 {
             rows.push(run_cell(&records, chunk_size, encodings));
         }
     }
-    Table3 { entries, rows }
+    Table3 {
+        entries,
+        seed,
+        rows,
+    }
+}
+
+/// Renders the table in the paper's layout, one block per chunk size
+/// (`results/table3.txt`).
+pub fn render(t: &Table3) -> String {
+    let mut out = format!(
+        "Table 3: chi^2-values after Pre-Processing (redundancy removal)\n\
+         ({} entries, seed {})\n",
+        t.entries, t.seed
+    );
+    let mut current_cs = 0;
+    for row in &t.rows {
+        if row.chunk_size != current_cs {
+            current_cs = row.chunk_size;
+            out.push_str(&format!(
+                "\nChunk Size = {current_cs}\n  {:>8} | {:>14} | {:>14} | {:>14} | {:>9}\n",
+                "# encod.", "chi2 single", "chi2 double", "chi2 triple", "# chunks"
+            ));
+        }
+        out.push_str(&format!(
+            "  {:>8} | {:>14} | {:>14} | {:>14} | {:>9}\n",
+            row.encodings,
+            fmt_chi2(row.chi2_single),
+            fmt_chi2(row.chi2_double),
+            fmt_chi2(row.chi2_triple),
+            row.distinct_chunks
+        ));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -9,13 +9,12 @@
 //! Variant (b) restricts the queries to last names longer than five
 //! characters — which removes almost all false positives.
 
-use crate::common::{corpus, ngram_counters};
+use crate::common::{corpus, fmt_chi2, ngram_counters};
 use sdds_corpus::Record;
 use sdds_encode::{Codebook, GramCounter};
-use serde::Serialize;
 
 /// One row (one code-alphabet size).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Code-alphabet size.
     pub encodings: usize,
@@ -32,10 +31,12 @@ pub struct Table4Row {
 }
 
 /// The Table-4 artefact: (a) all queries, (b) long-name queries.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     /// Sample size.
     pub entries: usize,
+    /// Sample seed.
+    pub seed: u64,
     /// Rows over all 1000 last-name queries.
     pub all: Vec<Table4Row>,
     /// Rows with queries restricted to names longer than 5 characters.
@@ -164,9 +165,41 @@ pub fn run(entries: usize, seed: u64) -> Table4 {
     }
     Table4 {
         entries,
+        seed,
         all,
         long_names,
     }
+}
+
+/// Renders the table in the paper's layout (`results/table4.txt`).
+pub fn render(t: &Table4) -> String {
+    let mut out = format!(
+        "Table 4: False Positives after symbol encoding (FP1) and\n\
+         after symbol encoding + chunking with chunk size = 2 (FP2)\n\
+         ({} records, queries = their last names, seed {})\n",
+        t.entries, t.seed
+    );
+    for (title, rows) in [
+        ("(a) All entries", &t.all),
+        ("(b) Names longer than 5 characters", &t.long_names),
+    ] {
+        out.push_str(&format!(
+            "\n{title}\n  {:>3} | {:>12} | {:>12} | {:>12} | {:>7} | {:>7}\n",
+            "En", "chi2 single", "chi2 double", "chi2 triple", "FP1", "FP2"
+        ));
+        for row in rows {
+            out.push_str(&format!(
+                "  {:>3} | {:>12} | {:>12} | {:>12} | {:>7} | {:>7}\n",
+                row.encodings,
+                fmt_chi2(row.chi2_single),
+                fmt_chi2(row.chi2_double),
+                fmt_chi2(row.chi2_triple),
+                row.fp1,
+                row.fp2
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

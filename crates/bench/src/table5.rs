@@ -8,13 +8,12 @@
 //! here, so the table has a single FP column. The last row (64 codes = 6
 //! bits per 2 symbols) compresses at the same rate as Table 4's last row.
 
-use crate::common::{corpus, ngram_counters};
+use crate::common::{corpus, fmt_chi2, ngram_counters};
 use sdds_corpus::Record;
 use sdds_encode::{Codebook, GramCounter};
-use serde::Serialize;
 
 /// One row (one code-alphabet size).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Row {
     /// Code-alphabet size.
     pub encodings: usize,
@@ -29,10 +28,12 @@ pub struct Table5Row {
 }
 
 /// The Table-5 artefact: (a) all queries, (b) long-name queries.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table5 {
     /// Sample size.
     pub entries: usize,
+    /// Sample seed.
+    pub seed: u64,
     /// Rows over all last-name queries.
     pub all: Vec<Table5Row>,
     /// Rows with queries restricted to names longer than 5 characters.
@@ -129,9 +130,39 @@ pub fn run(entries: usize, seed: u64) -> Table5 {
     }
     Table5 {
         entries,
+        seed,
         all,
         long_names,
     }
+}
+
+/// Renders the table in the paper's layout (`results/table5.txt`).
+pub fn render(t: &Table5) -> String {
+    let mut out = format!(
+        "Table 5: False Positives after chunk encoding (2-symbol chunks)\n\
+         ({} records, queries = their last names, seed {})\n",
+        t.entries, t.seed
+    );
+    for (title, rows) in [
+        ("(a) All entries", &t.all),
+        ("(b) Last names longer than 5 characters", &t.long_names),
+    ] {
+        out.push_str(&format!(
+            "\n{title}\n  {:>3} | {:>12} | {:>12} | {:>12} | {:>7}\n",
+            "Enc", "chi2 single", "chi2 double", "chi2 triple", "FP"
+        ));
+        for row in rows {
+            out.push_str(&format!(
+                "  {:>3} | {:>12} | {:>12} | {:>12} | {:>7}\n",
+                row.encodings,
+                fmt_chi2(row.chi2_single),
+                fmt_chi2(row.chi2_double),
+                fmt_chi2(row.chi2_triple),
+                row.fp
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
