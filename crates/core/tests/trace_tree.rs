@@ -10,8 +10,9 @@ use std::collections::{HashMap, HashSet};
 
 #[test]
 fn search_emits_a_single_connected_span_tree() {
-    // Neutralize the `trace` feature's on-by-default gate during the load
-    // so the drained set holds exactly the one search trace.
+    // Tracing stays off during the load (another test of this process may
+    // have turned it on), so the drained set holds exactly the one search
+    // trace.
     trace::set_tracing(false);
     let records = DirectoryGenerator::new(99).generate(400);
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 4).unwrap())

@@ -10,10 +10,10 @@ use crate::cluster::{Directory, ParityConfig};
 use crate::filter::{ScanFilter, ScanMemo};
 use crate::hash::h;
 use crate::index::PostingIndex;
-use crate::messages::{Op, OpResult, ScanMatch, Wire};
+use crate::messages::{drop_wrong_sender, Op, OpResult, ScanMatch, Wire};
 use crate::parity::{slot_delta, slot_of};
 use crate::runtime::Machine;
-use sdds_net::{SiteId, COORD_ID};
+use sdds_net::{SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
 use sdds_obs::{Counter, Histogram, Registry};
 use sdds_storage::{BatchOp, StorageEngine, StorageError, WriteBatch};
@@ -41,8 +41,8 @@ fn crash_point(point: &str) {
 struct PendingTransfer {
     /// Keys shipped (deleted locally only once the ack lands).
     keys: Vec<u64>,
-    /// Target bucket address, for ack correlation.
-    target_addr: u64,
+    /// Target bucket's site: only its ack completes the transfer.
+    target: SiteId,
     /// What completing the transfer means.
     done: TransferDone,
 }
@@ -242,6 +242,7 @@ impl BucketState {
                 return Vec::new();
             }
         }
+        let coordinator = from == SiteId(COORD_ID);
         match msg {
             Wire::Request {
                 req_id,
@@ -251,74 +252,42 @@ impl BucketState {
             } => self.handle_request(req_id, client, hops, op, ctx),
             Wire::ScanReq {
                 req_id,
-                client,
                 query,
                 keys_only,
             } => {
                 let matches = self.scan(&query, keys_only, ctx, memo);
                 vec![(
-                    SiteId(client),
+                    from,
                     Wire::ScanResp {
                         req_id,
-                        bucket: self.addr,
                         level: self.level,
                         matches,
                     },
                 )]
             }
-            Wire::SplitCmd {
-                addr,
-                new_addr,
-                new_site,
-            } => {
-                debug_assert_eq!(addr, self.addr, "split sent to wrong bucket");
-                self.split(new_addr, SiteId(new_site), ctx)
-            }
-            Wire::MergeCmd {
-                addr,
-                into_addr,
-                into_site,
-            } => {
-                debug_assert_eq!(addr, self.addr, "merge sent to wrong bucket");
-                self.merge_into(into_addr, SiteId(into_site), ctx)
-            }
-            Wire::TransferBatch {
-                level,
-                addr,
-                records,
-            } => {
-                debug_assert_eq!(addr, self.addr);
+            Wire::SplitCmd { new_addr } if coordinator => self.split(new_addr, ctx),
+            Wire::MergeCmd { into_addr } if coordinator => self.merge_into(into_addr, ctx),
+            Wire::SplitCmd { .. } | Wire::MergeCmd { .. } => drop_wrong_sender(&ctx.obs),
+            Wire::TransferBatch { level, records } => {
                 self.level = level;
                 self.overflow_reported = false;
                 self.underflow_reported = false;
                 self.receive_transfer(from, records, ctx)
             }
-            Wire::TransferAck { addr } => self.transfer_acked(addr, ctx),
-            Wire::SlotsRead { req_id, client } => {
+            Wire::TransferAck => self.transfer_acked(from, ctx),
+            Wire::SlotsRead { req_id } => {
                 let slots = self.slot_table(ctx);
-                vec![(
-                    SiteId(client),
-                    Wire::SlotsState {
-                        req_id,
-                        addr: self.addr,
-                        level: self.level,
-                        slots,
-                    },
-                )]
+                vec![(from, Wire::SlotsState { req_id, slots })]
             }
-            Wire::Adopt { addr, level, slots } => {
-                debug_assert_eq!(addr, self.addr);
-                self.adopt(level, slots, ctx)
-            }
-            Wire::Dump { req_id, client } => {
+            Wire::Adopt { level, slots } => self.adopt(level, slots, ctx),
+            Wire::Dump { req_id } => {
                 let mut records = Vec::with_capacity(self.engine.len());
                 self.engine
                     .for_each(&mut |k, v| records.push((k, v.to_vec())));
                 vec![(
-                    SiteId(client),
+                    from,
                     Wire::DumpState {
                         req_id,
-                        addr: self.addr,
                         level: self.level,
                         records,
                     },
@@ -399,7 +368,6 @@ impl BucketState {
                             Wire::Response {
                                 req_id,
                                 result: OpResult::Error { message },
-                                served_by: self.addr,
                                 bucket_level: self.level,
                                 hops,
                             },
@@ -435,7 +403,6 @@ impl BucketState {
             Wire::Response {
                 req_id,
                 result,
-                served_by: self.addr,
                 bucket_level: self.level,
                 hops,
             },
@@ -601,7 +568,7 @@ impl BucketState {
             out.extend(self.note_put(*key, value, old, ctx));
         }
         crash_point("transfer-applied");
-        out.push((from, Wire::TransferAck { addr: self.addr }));
+        out.push((from, Wire::TransferAck));
         // adoption of transferred records can itself overflow
         out.extend(self.maybe_report_overflow());
         out.extend(self.serve_held(ctx));
@@ -622,15 +589,15 @@ impl BucketState {
     /// Completes a pending split/merge once the target has durably
     /// applied the transfer: delete the shipped records locally (one
     /// atomic batch) and only now tell the coordinator the operation
-    /// finished. Stray acks — e.g. replies to a restore replay — are
-    /// ignored.
-    fn transfer_acked(&mut self, target_addr: u64, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    /// finished. An ack with no transfer pending is ignored; one from a
+    /// site other than the target is dropped and counted.
+    fn transfer_acked(&mut self, from: SiteId, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
         let Some(pending) = self.pending_transfer.take() else {
             return Vec::new();
         };
-        if pending.target_addr != target_addr {
+        if pending.target != from {
             self.pending_transfer = Some(pending);
-            return Vec::new();
+            return drop_wrong_sender(&ctx.obs);
         }
         let mut out = match self.remove_many(&pending.keys, ctx) {
             Ok(msgs) => msgs,
@@ -645,7 +612,7 @@ impl BucketState {
         match pending.done {
             TransferDone::Split => {
                 self.overflow_reported = false;
-                out.push((SiteId(COORD_ID), Wire::SplitDone { addr: self.addr }));
+                out.push((SiteId(COORD_ID), Wire::SplitDone));
             }
             TransferDone::Merge => {
                 // Dissolved: tear down the durable footprint so a reopen
@@ -655,7 +622,7 @@ impl BucketState {
                 if self.engine.destroy().is_err() {
                     ctx.obs.counter("storage.errors").inc();
                 }
-                out.push((SiteId(COORD_ID), Wire::MergeDone { addr: self.addr }));
+                out.push((SiteId(COORD_ID), Wire::MergeDone));
             }
         }
         out
@@ -673,21 +640,12 @@ impl BucketState {
             return Vec::new();
         }
         let group = self.addr / cfg.group_size as u64;
-        let member = (self.addr % cfg.group_size as u64) as u32;
         ctx.directory
             .parity_sites(group)
             .into_iter()
             .map(|site| {
-                (
-                    site,
-                    Wire::ParityUpdate {
-                        group,
-                        member,
-                        rank,
-                        key,
-                        delta: delta.clone(),
-                    },
-                )
+                let delta = delta.clone();
+                (site, Wire::ParityUpdate { rank, key, delta })
             })
             .collect()
     }
@@ -763,14 +721,7 @@ impl BucketState {
         if self.engine.len() > self.capacity && !self.overflow_reported {
             self.overflow_reported = true;
             self.underflow_reported = false;
-            vec![(
-                SiteId(COORD_ID),
-                Wire::Overflow {
-                    addr: self.addr,
-                    level: self.level,
-                    size: self.engine.len(),
-                },
-            )]
+            vec![(SiteId(COORD_ID), Wire::Overflow)]
         } else {
             Vec::new()
         }
@@ -780,13 +731,7 @@ impl BucketState {
         if self.engine.len() < self.underflow_threshold() && !self.underflow_reported {
             self.underflow_reported = true;
             self.overflow_reported = false;
-            vec![(
-                SiteId(COORD_ID),
-                Wire::Underflow {
-                    addr: self.addr,
-                    size: self.engine.len(),
-                },
-            )]
+            vec![(SiteId(COORD_ID), Wire::Underflow)]
         } else {
             Vec::new()
         }
@@ -801,12 +746,7 @@ impl BucketState {
     /// queued behind the `MergeCmd` would otherwise be acked and then
     /// destroyed with the engine. Per-pair FIFO delivers the forwards
     /// behind the `TransferBatch`, so the parent sees the records first.
-    fn merge_into(
-        &mut self,
-        into_addr: u64,
-        into_site: SiteId,
-        ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
+    fn merge_into(&mut self, into_addr: u64, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
         ctx.obs.counter("lh.merges").inc();
         let keys = self.engine.keys();
         let mut batch = Vec::with_capacity(keys.len());
@@ -819,17 +759,17 @@ impl BucketState {
             };
             batch.push((key, value));
         }
+        let parent = SiteRegistry::bucket_id(into_addr);
         self.pending_transfer = Some(PendingTransfer {
             keys,
-            target_addr: into_addr,
+            target: parent,
             done: TransferDone::Merge,
         });
-        self.merged_into = Some(into_site);
+        self.merged_into = Some(parent);
         vec![(
-            into_site,
+            parent,
             Wire::TransferBatch {
                 level: self.level - 1,
-                addr: into_addr,
                 records: batch,
             },
         )]
@@ -840,7 +780,7 @@ impl BucketState {
     /// unsent — until the target durably acknowledges the transfer (see
     /// [`Self::transfer_acked`]); until then the coordinator keeps the
     /// file marked busy, so scans cannot observe the duplicates.
-    fn split(&mut self, new_addr: u64, new_site: SiteId, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn split(&mut self, new_addr: u64, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
         ctx.obs.counter("lh.splits").inc();
         self.level += 1;
         let moving: Vec<u64> = self
@@ -860,16 +800,16 @@ impl BucketState {
             batch.push((key, value));
         }
         crash_point("split-before-transfer");
+        let target = SiteRegistry::bucket_id(new_addr);
         self.pending_transfer = Some(PendingTransfer {
             keys: moving,
-            target_addr: new_addr,
+            target,
             done: TransferDone::Split,
         });
         vec![(
-            new_site,
+            target,
             Wire::TransferBatch {
                 level: self.level,
-                addr: new_addr,
                 records: batch,
             },
         )]
@@ -965,7 +905,7 @@ fn wire_span_name(msg: &Wire) -> &'static str {
         Wire::SplitCmd { .. } => "bucket.split",
         Wire::MergeCmd { .. } => "bucket.merge",
         Wire::TransferBatch { .. } => "bucket.transfer",
-        Wire::TransferAck { .. } => "bucket.transfer_ack",
+        Wire::TransferAck => "bucket.transfer_ack",
         Wire::SlotsRead { .. } => "bucket.slots_read",
         Wire::Adopt { .. } => "bucket.adopt",
         Wire::Dump { .. } => "bucket.dump",
@@ -1081,7 +1021,7 @@ mod tests {
             }
         )));
         // the bucket is now far below the shrink threshold and says so
-        assert!(out.iter().any(|(_, m)| matches!(m, Wire::Underflow { .. })));
+        assert!(out.iter().any(|(_, m)| matches!(m, Wire::Underflow)));
         assert_eq!(b.len(), 0);
     }
 
@@ -1157,7 +1097,7 @@ mod tests {
             );
             overflow_msgs += out
                 .iter()
-                .filter(|(to, m)| *to == coord && matches!(m, Wire::Overflow { .. }))
+                .filter(|(to, m)| *to == coord && matches!(m, Wire::Overflow))
                 .count();
         }
         assert_eq!(overflow_msgs, 1, "overflow must be reported exactly once");
@@ -1185,47 +1125,35 @@ mod tests {
         }
         let out = b.handle(
             coord,
-            Wire::SplitCmd {
-                addr: 0,
-                new_addr: 1,
-                new_site: 77,
-            },
+            Wire::SplitCmd { new_addr: 1 },
             &ctx,
             &mut ScanMemo::default(),
         );
-        // transfer carries the odd keys (h_1(k) == 1)
+        // transfer carries the odd keys (h_1(k) == 1) to bucket 1's site
         let transfer = out
             .iter()
             .find_map(|(to, m)| match m {
-                Wire::TransferBatch {
-                    records,
-                    level,
-                    addr,
-                } if *to == SiteId(77) => Some((records.clone(), *level, *addr)),
+                Wire::TransferBatch { records, level } if *to == SiteId(1) => {
+                    Some((records.clone(), *level))
+                }
                 _ => None,
             })
             .expect("transfer sent");
         assert_eq!(transfer.1, 1);
-        assert_eq!(transfer.2, 1);
         let moved: Vec<u64> = transfer.0.iter().map(|(k, _)| *k).collect();
         assert_eq!(moved, vec![1, 3, 5, 7, 9]);
         // two-phase handoff: until the target's durable ack, the shipped
         // records stay local and the coordinator hears nothing
         assert_eq!(b.len(), 10, "records must not leave before the ack");
         assert!(
-            !out.iter().any(|(_, m)| matches!(m, Wire::SplitDone { .. })),
+            !out.iter().any(|(_, m)| matches!(m, Wire::SplitDone)),
             "SplitDone must wait for the ack"
         );
-        let out = b.handle(
-            SiteId(77),
-            Wire::TransferAck { addr: 1 },
-            &ctx,
-            &mut ScanMemo::default(),
-        );
+        let out = b.handle(SiteId(1), Wire::TransferAck, &ctx, &mut ScanMemo::default());
         assert_eq!(b.len(), 5);
         assert!(out
             .iter()
-            .any(|(to, m)| *to == coord && matches!(m, Wire::SplitDone { addr: 0 })));
+            .any(|(to, m)| *to == coord && matches!(m, Wire::SplitDone)));
     }
 
     #[test]
@@ -1247,14 +1175,41 @@ mod tests {
             &mut ScanMemo::default(),
         );
         // no transfer pending: an ack (e.g. a restore replay echo) is a no-op
-        let out = b.handle(
-            SiteId(7),
-            Wire::TransferAck { addr: 0 },
-            &ctx,
-            &mut ScanMemo::default(),
-        );
+        let out = b.handle(SiteId(7), Wire::TransferAck, &ctx, &mut ScanMemo::default());
         assert!(out.is_empty());
         assert_eq!(b.len(), 1);
+    }
+
+    /// The envelope names who acks a transfer and who orders a split: an
+    /// ack from a bucket other than the target, and a `SplitCmd` from
+    /// anyone but the coordinator, are dropped and counted, and change
+    /// nothing.
+    #[test]
+    fn an_ack_or_a_command_from_the_wrong_sender_is_dropped_and_counted() {
+        let (ctx, coord) = ctx();
+        let drops = ctx.obs.counter("lh.wrong_sender_drops");
+        let mut b = mem_bucket(0, 0, 100);
+        for key in 0..4u64 {
+            let insert = Wire::Request {
+                req_id: key,
+                client: 9,
+                hops: 0,
+                op: Op::Insert { key, value: vec![] },
+            };
+            b.handle(SiteId(9), insert, &ctx, &mut ScanMemo::default());
+        }
+        let split = Wire::SplitCmd { new_addr: 1 };
+        let out = b.handle(SiteId(9), split.clone(), &ctx, &mut ScanMemo::default());
+        assert!(out.is_empty(), "a client cannot order a split");
+        assert_eq!((drops.get(), b.level), (1, 0));
+        b.handle(coord, split, &ctx, &mut ScanMemo::default());
+        let out = b.handle(SiteId(2), Wire::TransferAck, &ctx, &mut ScanMemo::default());
+        assert!(out.is_empty(), "bucket 2 is not the target");
+        assert_eq!((drops.get(), b.len()), (2, 4));
+        // the target's ack still completes the split
+        let out = b.handle(SiteId(1), Wire::TransferAck, &ctx, &mut ScanMemo::default());
+        assert!(out.iter().any(|(_, m)| matches!(m, Wire::SplitDone)));
+        assert_eq!((drops.get(), b.len()), (2, 2));
     }
 
     #[test]
@@ -1279,44 +1234,32 @@ mod tests {
         }
         let out = b.handle(
             coord,
-            Wire::MergeCmd {
-                addr: 2,
-                into_addr: 0,
-                into_site: 50,
-            },
+            Wire::MergeCmd { into_addr: 0 },
             &ctx,
             &mut ScanMemo::default(),
         );
         let transfer = out
             .iter()
             .find_map(|(to, m)| match m {
-                Wire::TransferBatch {
-                    records,
-                    level,
-                    addr,
-                } if *to == SiteId(50) => Some((records.clone(), *level, *addr)),
+                Wire::TransferBatch { records, level } if *to == SiteId(0) => {
+                    Some((records.clone(), *level))
+                }
                 _ => None,
             })
             .expect("transfer sent");
-        // the parent adopts the pre-merge level minus one, at its address
+        // the parent adopts the pre-merge level minus one
         assert_eq!(transfer.1, 1);
-        assert_eq!(transfer.2, 0);
         let keys: Vec<u64> = transfer.0.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![2, 6, 10], "every record ships");
         // two-phase handoff: nothing is deleted, and MergeDone is not
         // reported, until the parent's durable ack
         assert_eq!(b.len(), 3, "records must not leave before the ack");
-        assert!(!out.iter().any(|(_, m)| matches!(m, Wire::MergeDone { .. })));
-        let out = b.handle(
-            SiteId(50),
-            Wire::TransferAck { addr: 0 },
-            &ctx,
-            &mut ScanMemo::default(),
-        );
+        assert!(!out.iter().any(|(_, m)| matches!(m, Wire::MergeDone)));
+        let out = b.handle(SiteId(0), Wire::TransferAck, &ctx, &mut ScanMemo::default());
         assert_eq!(b.len(), 0, "dissolved bucket is empty");
         assert!(out
             .iter()
-            .any(|(to, m)| *to == coord && matches!(m, Wire::MergeDone { addr: 2 })));
+            .any(|(to, m)| *to == coord && matches!(m, Wire::MergeDone)));
     }
 
     /// Window (b) of the shrink bug: an insert queued behind the
@@ -1328,11 +1271,7 @@ mod tests {
         let mut b = mem_bucket(2, 2, 100);
         b.handle(
             coord,
-            Wire::MergeCmd {
-                addr: 2,
-                into_addr: 0,
-                into_site: 50,
-            },
+            Wire::MergeCmd { into_addr: 0 },
             &ctx,
             &mut ScanMemo::default(),
         );
@@ -1346,22 +1285,13 @@ mod tests {
             },
         };
         let out = b.handle(SiteId(9), insert.clone(), &ctx, &mut ScanMemo::default());
-        assert_eq!(
-            out,
-            vec![(SiteId(50), insert.clone())],
-            "sent on as it came"
-        );
+        assert_eq!(out, vec![(SiteId(0), insert.clone())], "sent on as it came");
         assert_eq!(b.len(), 0, "nothing stored in the dissolving bucket");
         // and the same after the parent's ack, until `Shutdown`
-        b.handle(
-            SiteId(50),
-            Wire::TransferAck { addr: 0 },
-            &ctx,
-            &mut ScanMemo::default(),
-        );
+        b.handle(SiteId(0), Wire::TransferAck, &ctx, &mut ScanMemo::default());
         assert_eq!(
             b.handle(SiteId(9), insert.clone(), &ctx, &mut ScanMemo::default())[0].0,
-            SiteId(50)
+            SiteId(0)
         );
     }
 
@@ -1387,7 +1317,6 @@ mod tests {
             SiteId(10),
             Wire::TransferBatch {
                 level: 1,
-                addr: 1,
                 records: vec![(3, vec![7])],
             },
             &ctx,
@@ -1439,7 +1368,6 @@ mod tests {
         let out = b.handle(
             coord.id(),
             Wire::Adopt {
-                addr: 0,
                 level: 1,
                 slots: vec![Some((4, vec![1])), None, Some((8, vec![2]))],
             },
@@ -1499,18 +1427,15 @@ mod tests {
         );
         let out = b.handle(
             SiteId(5),
-            Wire::Dump {
-                req_id: 9,
-                client: 5,
-            },
+            Wire::Dump { req_id: 9 },
             &ctx,
             &mut ScanMemo::default(),
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SiteId(5));
+        assert_eq!(out[0].0, SiteId(5), "the reply goes to the sender");
         assert!(matches!(
             &out[0].1,
-            Wire::DumpState { req_id: 9, addr: 3, level: 2, records }
+            Wire::DumpState { req_id: 9, level: 2, records }
                 if records == &vec![(3u64, vec![7u8])]
         ));
     }
@@ -1547,7 +1472,7 @@ mod tests {
             );
             underflows += out
                 .iter()
-                .filter(|(to, m)| *to == coord && matches!(m, Wire::Underflow { .. }))
+                .filter(|(to, m)| *to == coord && matches!(m, Wire::Underflow))
                 .count();
         }
         assert_eq!(underflows, 1, "underflow must be reported exactly once");
@@ -1574,7 +1499,6 @@ mod tests {
             SiteId(9),
             Wire::ScanReq {
                 req_id: 5,
-                client: 9,
                 query: b"WARZ".to_vec(),
                 keys_only: false,
             },
@@ -1597,7 +1521,6 @@ mod tests {
     fn key_rank_never_drifts_from_records() {
         let net = Network::new(NetConfig::default());
         let directory = Arc::new(Directory::new());
-        let coord = net.register();
         let parity_site = net.register();
         directory.set_parity(1, vec![parity_site.id()]);
         let ctx = BucketCtx::new(
@@ -1670,22 +1593,13 @@ mod tests {
         check(&b, "insert after delete");
         // merge ships everything; after the ack the tables must be empty
         b.handle(
-            coord.id(),
-            Wire::MergeCmd {
-                addr: 2,
-                into_addr: 0,
-                into_site: 50,
-            },
+            SiteId(COORD_ID),
+            Wire::MergeCmd { into_addr: 0 },
             &ctx,
             &mut ScanMemo::default(),
         );
         check(&b, "merge (pre-ack: records still local)");
-        b.handle(
-            SiteId(50),
-            Wire::TransferAck { addr: 0 },
-            &ctx,
-            &mut ScanMemo::default(),
-        );
+        b.handle(SiteId(0), Wire::TransferAck, &ctx, &mut ScanMemo::default());
         check(&b, "merge ack");
         assert_eq!(b.key_rank.len(), 0);
         assert!(b.ranks.iter().all(Option::is_none));
@@ -1717,7 +1631,7 @@ mod tests {
         );
         assert!(
             out.iter()
-                .any(|(to, m)| *to == coord && matches!(m, Wire::Overflow { size: 3, .. })),
+                .any(|(to, m)| *to == coord && matches!(m, Wire::Overflow)),
             "recovered past capacity 2 must re-report overflow"
         );
         // an empty engine's startup is silent

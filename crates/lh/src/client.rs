@@ -4,11 +4,11 @@
 
 use crate::cluster::Directory;
 use crate::hash::{split_children, ClientImage};
-use crate::messages::{Op, OpResult, ScanMatch, Wire};
+use crate::messages::{drop_wrong_sender, Op, OpResult, ScanMatch, Wire};
 use bytes::Bytes;
-use sdds_net::{Endpoint, NetError, Scatter, SiteId, COORD_ID};
+use sdds_net::{Endpoint, NetError, Scatter, SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::trace::{self, TraceContext};
-use sdds_obs::{Counter, Histogram};
+use sdds_obs::{Counter, Histogram, Registry};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -313,11 +313,11 @@ impl LhClient {
     /// The client's one request/reply loop. Each of the
     /// [`ATTEMPTS`](Self::ATTEMPTS) attempts sends the unanswered requests
     /// of `ex` as one [`Scatter`] wave, then takes replies in for
-    /// `timeout / ATTEMPTS`. `key_of` names the request a message
-    /// answers. An answer to a request still waiting goes to `on_reply`,
-    /// which may add requests (they go out at once); anything else is a
-    /// stray, such as a late reply to an abandoned request, and is
-    /// dropped.
+    /// `timeout / ATTEMPTS`. `key_of` names the request a message answers,
+    /// given the message and its sender. An answer to a request still
+    /// waiting goes to `on_reply` with its sender, which may add requests
+    /// (they go out at once); anything else is a stray, such as a late
+    /// reply to an abandoned request, and is dropped.
     ///
     /// A send refused `Overloaded` is re-sent along the client's
     /// [`RetryPolicy`] ladder. The wait is a receive deadline, so replies
@@ -330,8 +330,8 @@ impl LhClient {
     pub(crate) fn exchange<K: Copy + Eq + Hash>(
         &self,
         ex: &mut Exchange<K>,
-        key_of: impl Fn(&Wire) -> Option<K>,
-        mut on_reply: impl FnMut(&mut Exchange<K>, K, Wire) -> Result<(), LhError>,
+        key_of: impl Fn(SiteId, &Wire) -> Option<K>,
+        mut on_reply: impl FnMut(&mut Exchange<K>, K, SiteId, Wire) -> Result<(), LhError>,
     ) -> Result<(), LhError> {
         let ctx = trace::current_context();
         let window = self.timeout.get() / Self::ATTEMPTS;
@@ -359,10 +359,10 @@ impl LhClient {
                 match self.endpoint.recv_until(wake) {
                     Ok(env) => {
                         let msg = Wire::decode(&env.payload);
-                        let key = msg.as_ref().and_then(&key_of);
+                        let key = msg.as_ref().and_then(|msg| key_of(env.from, msg));
                         if let (Some(msg), Some(key)) = (msg, key) {
                             if ex.waiting.remove(&key).is_some() {
-                                on_reply(ex, key, msg)?;
+                                on_reply(ex, key, env.from, msg)?;
                             }
                         }
                     }
@@ -444,15 +444,15 @@ impl LhClient {
     }
 
     /// Adds a request under a fresh `req_id` to `ex`, built by `msg` from
-    /// that id and this client's site; returns the id.
+    /// that id; returns the id.
     pub(crate) fn ask(
         &self,
         ex: &mut Exchange<u64>,
         route: Route,
-        msg: impl FnOnce(u64, u32) -> Wire,
+        msg: impl FnOnce(u64) -> Wire,
     ) -> u64 {
         let req_id = self.fresh_req_id();
-        ex.add(req_id, route, msg(req_id, self.endpoint.id().0).encode());
+        ex.add(req_id, route, msg(req_id).encode());
         req_id
     }
 
@@ -462,9 +462,9 @@ impl LhClient {
         id
     }
 
-    /// Accounts for a served request: the hop counters, and the image
-    /// adjustment a forwarded request's reply carries.
-    fn served(&self, hops: u8, served_by: u64, bucket_level: u8) {
+    /// Accounts for a request bucket `bucket` served: the hop counters,
+    /// and the image adjustment a forwarded request's reply carries.
+    fn served(&self, hops: u8, bucket: u64, bucket_level: u8) {
         let m = &self.metrics;
         m.requests.inc();
         m.hops.add(hops as u64);
@@ -474,7 +474,7 @@ impl LhClient {
             self.iams.set(self.iams.get() + 1);
             self.hops.set(self.hops.get() + hops as u64);
             let mut image = self.image.get();
-            image.adjust(served_by, bucket_level);
+            image.adjust(bucket, bucket_level);
             self.image.set(image);
         }
     }
@@ -555,19 +555,19 @@ impl LhClient {
     ) -> Result<(), LhError> {
         let mut ex = Exchange::new();
         let first = self.next_req.get();
+        let client = self.endpoint.id().0;
         for op in ops {
             let route = Route::Key(op.key());
-            self.ask(&mut ex, route, |req_id, client| Wire::Request {
+            self.ask(&mut ex, route, |req_id| Wire::Request {
                 req_id,
                 client,
                 hops: 0,
                 op,
             });
         }
-        self.exchange(&mut ex, Wire::reply_id, |_, req_id, msg| {
+        self.exchange(&mut ex, bucket_reply, |_, req_id, from, msg| {
             let Wire::Response {
                 result,
-                served_by,
                 bucket_level,
                 hops,
                 ..
@@ -575,7 +575,8 @@ impl LhClient {
             else {
                 return Err(unexpected(&msg));
             };
-            self.served(hops, served_by, bucket_level);
+            // the serving bucket: `bucket_reply` checked that `from` is one
+            self.served(hops, u64::from(from.0), bucket_level);
             answered((req_id - first) as usize, result, hops)
         })
     }
@@ -638,12 +639,9 @@ impl LhClient {
     fn refresh_image_detail(&self) -> Result<(u64, bool), LhError> {
         let mut ex = Exchange::new();
         let coordinator = Route::Site(SiteId(COORD_ID));
-        self.ask(&mut ex, coordinator, |req_id, client| Wire::ExtentReq {
-            req_id,
-            client,
-        });
+        self.ask(&mut ex, coordinator, |req_id| Wire::ExtentReq { req_id });
         let mut answer = None;
-        self.exchange(&mut ex, Wire::reply_id, |_, _, msg| match msg {
+        self.exchange(&mut ex, any_reply, |_, _, _, msg| match msg {
             Wire::ExtentResp {
                 level, split, busy, ..
             } => {
@@ -698,7 +696,7 @@ impl LhClient {
         span.set_detail(extent);
         sdds_obs::counter("lh.scan_fanout_buckets").add(extent);
         let req_id = self.fresh_req_id();
-        let payload = Wire::encode_scan_req(req_id, self.endpoint.id().0, query, keys_only);
+        let payload = Wire::encode_scan_req(req_id, query, keys_only);
         // A bucket that cannot be addressed stays unanswered: dropping it
         // would let the scan report success while silently missing part
         // of the file.
@@ -709,15 +707,14 @@ impl LhClient {
         // buckets beyond `extent` that answers have revealed (see below)
         let mut late: HashSet<u64> = HashSet::new();
         let mut matches: HashMap<u64, ScanMatch> = HashMap::new();
-        let answering_bucket = |msg: &Wire| match msg {
-            Wire::ScanResp {
-                req_id: rid,
-                bucket,
-                ..
-            } if *rid == req_id => Some(*bucket),
+        // A scan's replies are keyed by the bucket that sent them.
+        let answering_bucket = |from, msg: &Wire| match msg {
+            Wire::ScanResp { req_id: rid, .. } if *rid == req_id => {
+                SiteRegistry::bucket_addr(from).or_else(|| drop_wrong_sender(Registry::global()))
+            }
             _ => None,
         };
-        let gathered = self.exchange(&mut ex, answering_bucket, |ex, bucket, msg| {
+        let gathered = self.exchange(&mut ex, answering_bucket, |ex, bucket, _, msg| {
             let Wire::ScanResp {
                 level, matches: m, ..
             } = msg
@@ -752,6 +749,27 @@ impl LhClient {
     }
 }
 
+/// The `req_id` a reply answers, as a key for [`LhClient::exchange`],
+/// whoever sent it.
+pub(crate) fn any_reply(_from: SiteId, msg: &Wire) -> Option<u64> {
+    msg.reply_id()
+}
+
+/// The `req_id` a reply answers, as a key for [`LhClient::exchange`] when
+/// the reply is one only a bucket sends: a `Response` or a `DumpState`
+/// from a site that is no bucket is dropped and counted in
+/// `lh.wrong_sender_drops`. Its answerer's address is then the sender's id.
+pub(crate) fn bucket_reply(from: SiteId, msg: &Wire) -> Option<u64> {
+    let from_bucket = SiteRegistry::bucket_addr(from).is_some();
+    match msg {
+        Wire::Response { req_id, .. } | Wire::DumpState { req_id, .. } if from_bucket => {
+            Some(*req_id)
+        }
+        Wire::Response { .. } | Wire::DumpState { .. } => drop_wrong_sender(Registry::global()),
+        _ => msg.reply_id(),
+    }
+}
+
 /// A reply of the wrong kind for its request: a peer protocol violation,
 /// surfaced rather than aborting.
 pub(crate) fn unexpected(msg: &Wire) -> LhError {
@@ -770,6 +788,12 @@ mod tests {
     use super::*;
     use crate::cluster::Directory;
     use sdds_net::{NetConfig, Network, COORD_ID};
+
+    /// The next message `ep` receives, with its sender.
+    fn recv(ep: &Endpoint) -> Option<(SiteId, Wire)> {
+        let env = ep.recv_timeout(Duration::from_secs(5)).ok()?;
+        Some((env.from, Wire::decode(&env.payload)?))
+    }
 
     /// A client wired to a never-drained "bucket" site behind a bounded
     /// inbox, plus a raw endpoint for stuffing that inbox full.
@@ -841,7 +865,6 @@ mod tests {
                                 message: "unexpected op".into(),
                             },
                         },
-                        served_by: 0,
                         bucket_level: 0,
                         hops: 0,
                     };
@@ -889,7 +912,7 @@ mod tests {
         let env = coordinator
             .recv_timeout(backoff * 5)
             .expect("extent request");
-        let Some(Wire::ExtentReq { req_id, client }) = Wire::decode(&env.payload) else {
+        let Some(Wire::ExtentReq { req_id }) = Wire::decode(&env.payload) else {
             panic!("expected ExtentReq");
         };
         let extent = Wire::ExtentResp {
@@ -898,7 +921,7 @@ mod tests {
             split: 0,
             busy: false,
         };
-        filler.send(SiteId(client), extent.encode()).unwrap();
+        filler.send(env.from, extent.encode()).unwrap();
 
         let started = Instant::now();
         let env = bucket1
@@ -909,12 +932,11 @@ mod tests {
         // make room at bucket 0 and answer for both, so the scan ends
         assert_eq!(&bucket0.recv().unwrap().payload[..], b"junk");
         let answer = |ep: &Endpoint, env: sdds_net::Envelope, addr: u64| {
-            let Some(Wire::ScanReq { req_id, client, .. }) = Wire::decode(&env.payload) else {
+            let Some(Wire::ScanReq { req_id, .. }) = Wire::decode(&env.payload) else {
                 panic!("expected ScanReq at bucket {addr}");
             };
             let resp = Wire::ScanResp {
                 req_id,
-                bucket: addr,
                 level: 1,
                 matches: vec![ScanMatch {
                     key: addr,
@@ -924,7 +946,7 @@ mod tests {
             // the client's inbox holds one envelope too: wait for it to
             // take the other bucket's answer
             loop {
-                match ep.send(SiteId(client), resp.encode()) {
+                match ep.send(env.from, resp.encode()) {
                     Err(NetError::Overloaded(_)) => std::thread::yield_now(),
                     sent => break sent.unwrap(),
                 }
@@ -983,7 +1005,6 @@ mod tests {
             let resp = Wire::Response {
                 req_id,
                 result: OpResult::Inserted { replaced: false },
-                served_by: 0,
                 bucket_level: 1,
                 hops: 0,
             };
@@ -1025,11 +1046,7 @@ mod tests {
         let late_before = sdds_obs::counter("lh.scan_late_buckets").get();
 
         let scan = std::thread::spawn(move || client.scan(b"q", true));
-        let recv = |ep: &Endpoint| {
-            let env = ep.recv_timeout(Duration::from_secs(5)).expect("request");
-            Wire::decode(&env.payload).expect("well-formed request")
-        };
-        let Wire::ExtentReq { req_id, client } = recv(&coord_ep) else {
+        let Some((client, Wire::ExtentReq { req_id })) = recv(&coord_ep) else {
             panic!("expected ExtentReq");
         };
         let extent = Wire::ExtentResp {
@@ -1038,23 +1055,22 @@ mod tests {
             split: 0,
             busy: false,
         };
-        coord_ep.send(SiteId(client), extent.encode()).unwrap();
+        coord_ep.send(client, extent.encode()).unwrap();
         // (bucket, its level when it scans, the key it still holds)
         for (addr, level, key) in [(0u64, 2u8, None), (1, 1, Some(11)), (2, 2, Some(22))] {
             let ep = &buckets[addr as usize];
-            let Wire::ScanReq { req_id, client, .. } = recv(ep) else {
+            let Some((client, Wire::ScanReq { req_id, .. })) = recv(ep) else {
                 panic!("expected ScanReq at bucket {addr}");
             };
             let resp = Wire::ScanResp {
                 req_id,
-                bucket: addr,
                 level,
                 matches: key
                     .map(|key| ScanMatch { key, value: None })
                     .into_iter()
                     .collect(),
             };
-            ep.send(SiteId(client), resp.encode()).unwrap();
+            ep.send(client, resp.encode()).unwrap();
         }
         let keys: Vec<u64> = scan
             .join()
@@ -1065,5 +1081,89 @@ mod tests {
             .collect();
         assert_eq!(keys, [11, 22]);
         assert!(sdds_obs::counter("lh.scan_late_buckets").get() > late_before);
+    }
+
+    /// A client, bucket 0 and the coordinator of a one-bucket file, and
+    /// a site that is no bucket.
+    fn one_bucket_rig() -> (LhClient, Endpoint, Endpoint, Endpoint) {
+        let net = Network::new(NetConfig::default());
+        let bucket0 = net.register_with_id(SiteId(0)).unwrap();
+        let coordinator = net.register_with_id(SiteId(COORD_ID)).unwrap();
+        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        (client, bucket0, coordinator, net.register())
+    }
+
+    /// A `Response` names no serving bucket: its sender is the one. A
+    /// `Response` from a site that is no bucket is dropped and counted,
+    /// and neither answers the lookup nor adjusts the image.
+    #[test]
+    fn a_response_from_a_non_bucket_is_dropped_and_counted() {
+        let (client, bucket0, _coordinator, forger) = one_bucket_rig();
+        let drops = sdds_obs::counter("lh.wrong_sender_drops");
+        let before = drops.get();
+        let lookup = std::thread::spawn(move || {
+            let found = client.lookup(3);
+            (found, client.image(), client.iam_count())
+        });
+        let Some((client_id, Wire::Request { req_id, .. })) = recv(&bucket0) else {
+            panic!("expected Request");
+        };
+        let response = |value: &[u8], bucket_level, hops| Wire::Response {
+            req_id,
+            result: OpResult::Found {
+                value: Some(value.to_vec()),
+            },
+            bucket_level,
+            hops,
+        };
+        let forged = response(b"forged", 5, 1);
+        forger.send(client_id, forged.encode()).unwrap();
+        bucket0
+            .send(client_id, response(b"real", 0, 0).encode())
+            .unwrap();
+        let (found, image, iams) = lookup.join().unwrap();
+        assert_eq!(found, Ok(Some(b"real".to_vec())));
+        assert_eq!((image, iams), (ClientImage::default(), 0), "no IAM applied");
+        assert!(drops.get() > before, "the forged response is counted");
+    }
+
+    /// A `ScanResp` is keyed by its sender, the bucket that ran the scan:
+    /// one from a dynamic id is dropped and counted, and its matches are
+    /// not in the answer.
+    #[test]
+    fn a_scan_response_from_a_dynamic_id_is_dropped_and_counted() {
+        let (client, bucket0, coordinator, forger) = one_bucket_rig();
+        let drops = sdds_obs::counter("lh.wrong_sender_drops");
+        let before = drops.get();
+        let scan = std::thread::spawn(move || client.scan(b"q", true));
+        let Some((client_id, Wire::ExtentReq { req_id })) = recv(&coordinator) else {
+            panic!("expected ExtentReq");
+        };
+        let extent = Wire::ExtentResp {
+            req_id,
+            level: 0,
+            split: 0,
+            busy: false,
+        };
+        coordinator.send(client_id, extent.encode()).unwrap();
+        let Some((_, Wire::ScanReq { req_id, .. })) = recv(&bucket0) else {
+            panic!("expected ScanReq");
+        };
+        let answer = |key| Wire::ScanResp {
+            req_id,
+            level: 0,
+            matches: vec![ScanMatch { key, value: None }],
+        };
+        forger.send(client_id, answer(99).encode()).unwrap();
+        bucket0.send(client_id, answer(1).encode()).unwrap();
+        let keys: Vec<u64> = scan
+            .join()
+            .unwrap()
+            .expect("scan completes")
+            .iter()
+            .map(|m| m.key)
+            .collect();
+        assert_eq!(keys, [1], "the dynamic id's matches are not in the answer");
+        assert!(drops.get() > before, "the forged answer is counted");
     }
 }

@@ -2,14 +2,13 @@
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
 use crate::bucket::{BucketCtx, BucketSite, BucketState};
-use crate::client::{unexpected, Exchange, LhClient, LhError, Route};
+use crate::client::{any_reply, bucket_reply, unexpected, Exchange, LhClient, LhError, Route};
 use crate::coordinator::{CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
 use crate::parity::{reconstruct_member, ParityState};
 use crate::runtime::{Machine, Runtime};
-use crate::serve::HostMsg;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
@@ -145,7 +144,7 @@ pub struct ObsOptions {
     /// Interval between observability ticks.
     pub tick: Duration,
     /// Snapshot-ring capacity: how many timestamped metrics snapshots the
-    /// rank retains for post-hoc scraping (`HostMsg::ObsPull` with
+    /// rank retains for post-hoc scraping (`Wire::ObsPull` with
     /// `history`). 0 disables the ring.
     pub history: usize,
     /// When set, each tick drains the rank's flight recorder to this
@@ -323,7 +322,7 @@ impl LhCluster {
     /// Asks rank `rank`'s host loop to sever all of *its* connections —
     /// fault injection across the cluster, not just this process.
     pub fn sever_rank(&self, rank: usize) -> Result<(), LhError> {
-        let msg = HostMsg::DropConns.encode();
+        let msg = Wire::DropConns.encode();
         send_control(self.host.control(), SiteRegistry::host_id(rank), msg).map_err(LhError::Net)
     }
 
@@ -391,19 +390,16 @@ impl LhCluster {
                     "member bucket {baddr} is also down; need {m} or fewer failures"
                 )));
             };
-            let read = |req_id, client| Wire::SlotsRead { req_id, client };
+            let read = |req_id| Wire::SlotsRead { req_id };
             slot_reads.insert(client.ask(&mut reads, Route::Site(site), read), member);
         }
-        for site in self.host.directory.parity_sites(group) {
-            let read = |req_id, client| Wire::ParityRead {
-                req_id,
-                client,
-                group,
-            };
+        let parity_sites = self.host.directory.parity_sites(group);
+        for &site in &parity_sites {
+            let read = |req_id| Wire::ParityRead { req_id };
             client.ask(&mut reads, Route::Site(site), read);
         }
         // 3. gather
-        client.exchange(&mut reads, Wire::reply_id, |_, req_id, msg| {
+        client.exchange(&mut reads, any_reply, |_, req_id, from, msg| {
             match msg {
                 Wire::SlotsState { slots, .. } => {
                     let member = slot_reads.get(&req_id).and_then(|&i| members.get_mut(i));
@@ -411,10 +407,10 @@ impl LhCluster {
                         *member = Some(slots);
                     }
                 }
-                Wire::ParityState {
-                    parity_index, rows, ..
-                } => {
-                    if let Some(parity) = parities.get_mut(parity_index as usize) {
+                Wire::ParityState { rows, .. } => {
+                    // the answering site's place in the group is its index
+                    let index = parity_sites.iter().position(|&site| site == from);
+                    if let Some(parity) = index.and_then(|i| parities.get_mut(i)) {
                         *parity = Some(rows);
                     }
                 }
@@ -430,7 +426,7 @@ impl LhCluster {
         let level = bucket_level(addr, extent);
         self.host.place(addr, level)?;
         let site = SiteRegistry::bucket_id(addr);
-        let adopt = Wire::Adopt { addr, level, slots }.encode();
+        let adopt = Wire::Adopt { level, slots }.encode();
         send_control(self.host.control(), site, adopt)?;
         Ok(())
     }
@@ -452,19 +448,14 @@ impl LhCluster {
                     "bucket {addr} is down; recover it before snapshotting"
                 )));
             };
-            let dump = |req_id, client| Wire::Dump { req_id, client };
+            let dump = |req_id| Wire::Dump { req_id };
             client.ask(&mut dumps, Route::Site(site), dump);
         }
         let mut buckets: Vec<BucketSnapshot> = Vec::new();
-        client.exchange(&mut dumps, Wire::reply_id, |_, _, msg| match msg {
-            Wire::DumpState {
-                addr,
-                level,
-                records,
-                ..
-            } => {
+        client.exchange(&mut dumps, bucket_reply, |_, _, from, msg| match msg {
+            Wire::DumpState { level, records, .. } => {
                 let bucket = BucketSnapshot {
-                    addr,
+                    addr: u64::from(from.0), // checked by `bucket_reply`
                     level,
                     records,
                 };
@@ -521,7 +512,6 @@ impl LhCluster {
                 SiteRegistry::bucket_id(b.addr),
                 Wire::TransferBatch {
                     level: b.level,
-                    addr: b.addr,
                     records: b.records.clone(),
                 }
                 .encode(),
@@ -539,7 +529,7 @@ impl LhCluster {
     pub fn shutdown(&self) {
         let host = &self.host;
         for rank in (0..host.ranks).filter(|&rank| host.rank != Some(rank)) {
-            let msg = HostMsg::Shutdown.encode();
+            let msg = Wire::Shutdown.encode();
             let _ = send_control(host.control(), SiteRegistry::host_id(rank), msg);
         }
         host.runtime.shutdown();
@@ -709,7 +699,6 @@ impl SiteHost {
                 if host.place(addr, level).is_err() {
                     sdds_obs::counter("lh.serve.spawn_send_failures").inc();
                 }
-                SiteRegistry::bucket_id(addr)
             }),
             directory: self.directory.clone(),
         };
@@ -725,7 +714,7 @@ impl SiteHost {
     }
 
     /// Materialises bucket `addr` at `level` on the rank that owns it
-    /// (`addr mod ranks`): here, or by a [`HostMsg::Spawn`] to that rank's
+    /// (`addr mod ranks`): here, or by a [`Wire::Spawn`] to that rank's
     /// host endpoint. Either way the new site's id is the bucket address,
     /// so a coordinator can hand it to the split victim at once; a
     /// `TransferBatch` that overtakes a remote registration is refused as
@@ -736,7 +725,7 @@ impl SiteHost {
             self.spawn(addr, level, false);
             return Ok(());
         }
-        let msg = HostMsg::Spawn { addr, level }.encode();
+        let msg = Wire::Spawn { addr, level }.encode();
         let sent = send_control(self.control(), SiteRegistry::host_id(owner), msg);
         self.directory.spawned(addr);
         sent

@@ -9,25 +9,33 @@
 use crate::cluster::Directory;
 use crate::filter::ScanMemo;
 use crate::hash::extent;
-use crate::messages::Wire;
+use crate::messages::{drop_wrong_sender, Wire};
 use crate::runtime::Machine;
-use sdds_net::SiteId;
+use sdds_net::{SiteId, SiteRegistry};
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
+use sdds_obs::Registry;
 use std::sync::Arc;
 
-/// Callback that materialises a new bucket site (here, or on the rank
-/// that owns its address) and returns its site id, which is its address.
-pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) -> SiteId + Send>;
+/// Callback that materialises a new bucket site, here or on the rank
+/// that owns its address. The site's id is the address.
+pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) + Send>;
+
+/// A structural change of the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Change {
+    Split,
+    Merge,
+}
 
 pub(crate) struct CoordinatorState {
     level: u8,
     split: u64,
-    /// A split or merge is in flight (they serialise on this flag).
-    busy: bool,
+    /// The split or merge in flight (they serialise on it) and its
+    /// victim's address: only that bucket reports it done, and a merge
+    /// victim is retired then.
+    running: Option<(Change, u64)>,
     pending: usize,
     pending_merges: usize,
-    /// Victim of the in-flight merge, retired on completion.
-    merging_victim: Option<(u64, SiteId)>,
 }
 
 impl CoordinatorState {
@@ -35,11 +43,16 @@ impl CoordinatorState {
         CoordinatorState {
             level: 0,
             split: 0,
-            busy: false,
+            running: None,
             pending: 0,
             pending_merges: 0,
-            merging_victim: None,
         }
+    }
+
+    /// Whether `from` is the victim of the running `change`.
+    fn finished_by(&self, change: Change, from: SiteId) -> bool {
+        matches!(self.running, Some((c, victim))
+            if c == change && from == SiteRegistry::bucket_id(victim))
     }
 
     #[allow(dead_code)] // diagnostics + unit tests
@@ -47,69 +60,69 @@ impl CoordinatorState {
         (self.level, self.split)
     }
 
-    /// Handles one message; may call the spawner to create bucket sites.
+    /// Handles one message from `from`; may call the spawner to create
+    /// bucket sites. Load reports come from buckets, and a split or merge
+    /// is reported done by its victim; anything else is dropped and
+    /// counted.
     pub(crate) fn handle(
         &mut self,
+        from: SiteId,
         msg: Wire,
         spawner: &mut BucketSpawner,
         directory: &Directory,
     ) -> Vec<(SiteId, Wire)> {
+        let from_bucket = SiteRegistry::bucket_addr(from).is_some();
         match msg {
-            Wire::Overflow { .. } => {
+            Wire::Overflow if from_bucket => {
                 self.pending += 1;
                 self.try_start_work(spawner, directory)
             }
-            Wire::Underflow { .. } => {
+            Wire::Underflow if from_bucket => {
                 self.pending_merges += 1;
                 self.try_start_work(spawner, directory)
             }
-            Wire::SplitDone { addr } => {
-                debug_assert_eq!(addr, self.split, "split completion out of order");
+            Wire::SplitDone if self.finished_by(Change::Split, from) => {
                 self.split += 1;
                 if self.split == 1u64 << self.level {
                     self.level += 1;
                     self.split = 0;
                 }
-                self.busy = false;
+                self.running = None;
                 self.try_start_work(spawner, directory)
             }
-            Wire::MergeDone { addr } => {
-                debug_assert_eq!(
-                    Some(addr),
-                    self.merging_victim.map(|(a, _)| a),
-                    "merge completion out of order"
-                );
+            Wire::MergeDone if self.finished_by(Change::Merge, from) => {
                 if self.split > 0 {
                     self.split -= 1;
                 } else {
                     self.level -= 1;
                     self.split = (1u64 << self.level) - 1;
                 }
-                self.busy = false;
-                let mut out = Vec::new();
-                if let Some((victim, site)) = self.merging_victim.take() {
+                if let Some((_, victim)) = self.running.take() {
                     // Only now stop routing to the dissolved bucket: until
                     // its records are durably at the parent, a request
                     // sent around it could reach the parent first and
                     // read `None`. The victim itself forwards whatever
                     // still reaches it (see `BucketState::merge_into`).
                     directory.retire(victim);
-                    out.push((site, Wire::Shutdown)); // retire the site
                 }
+                let mut out = vec![(from, Wire::Shutdown)]; // retire the site
                 out.extend(self.try_start_work(spawner, directory));
                 out
             }
-            Wire::ExtentReq { req_id, client } => vec![(
-                SiteId(client),
+            Wire::Overflow | Wire::Underflow | Wire::SplitDone | Wire::MergeDone => {
+                drop_wrong_sender(Registry::global())
+            }
+            Wire::ExtentReq { req_id } => vec![(
+                from,
                 Wire::ExtentResp {
                     req_id,
                     level: self.level,
                     split: self.split,
-                    busy: self.busy || self.pending > 0 || self.pending_merges > 0,
+                    busy: self.running.is_some() || self.pending > 0 || self.pending_merges > 0,
                 },
             )],
             Wire::AdoptFileState { level, split } => {
-                debug_assert!(!self.busy, "restore must precede traffic");
+                debug_assert!(self.running.is_none(), "restore must precede traffic");
                 self.level = level;
                 self.split = split;
                 Vec::new()
@@ -127,25 +140,18 @@ impl CoordinatorState {
         spawner: &mut BucketSpawner,
         directory: &Directory,
     ) -> Vec<(SiteId, Wire)> {
-        if self.busy {
+        if self.running.is_some() {
             return Vec::new();
         }
         if self.pending > 0 {
             self.pending -= 1;
-            self.busy = true;
             let victim = self.split;
+            self.running = Some((Change::Split, victim));
             let new_addr = extent(self.level, self.split); // n + 2^i
-            let new_site = spawner(new_addr, self.level + 1);
+            spawner(new_addr, self.level + 1);
             // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and a bucket's site id is its address: only a merged-away or killed one has no directory entry
             let victim_site = directory.bucket_site(victim).expect("split victim exists");
-            return vec![(
-                victim_site,
-                Wire::SplitCmd {
-                    addr: victim,
-                    new_addr,
-                    new_site: new_site.0,
-                },
-            )];
+            return vec![(victim_site, Wire::SplitCmd { new_addr })];
         }
         if self.pending_merges > 0 {
             self.pending_merges -= 1;
@@ -160,21 +166,13 @@ impl CoordinatorState {
             } else {
                 (1u64 << (self.level - 1)) - 1
             };
-            let (Some(victim_site), Some(parent_site)) =
+            let (Some(victim_site), Some(_)) =
                 (directory.bucket_site(victim), directory.bucket_site(parent))
             else {
                 return Vec::new(); // victim already retired (stale report)
             };
-            self.busy = true;
-            self.merging_victim = Some((victim, victim_site));
-            return vec![(
-                victim_site,
-                Wire::MergeCmd {
-                    addr: victim,
-                    into_addr: parent,
-                    into_site: parent_site.0,
-                },
-            )];
+            self.running = Some((Change::Merge, victim));
+            return vec![(victim_site, Wire::MergeCmd { into_addr: parent })];
         }
         Vec::new()
     }
@@ -199,18 +197,19 @@ impl Machine for CoordinatorSite {
         trace::remote_span(coord_span_name(msg), ctx)
     }
 
-    fn handle(&mut self, _from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
-        self.state.handle(msg, &mut self.spawner, &self.directory)
+    fn handle(&mut self, from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
+        self.state
+            .handle(from, msg, &mut self.spawner, &self.directory)
     }
 }
 
 /// Static span name for a message the coordinator handles.
 fn coord_span_name(msg: &Wire) -> &'static str {
     match msg {
-        Wire::Overflow { .. } => "coord.overflow",
-        Wire::Underflow { .. } => "coord.underflow",
-        Wire::SplitDone { .. } => "coord.split_done",
-        Wire::MergeDone { .. } => "coord.merge_done",
+        Wire::Overflow => "coord.overflow",
+        Wire::Underflow => "coord.underflow",
+        Wire::SplitDone => "coord.split_done",
+        Wire::MergeDone => "coord.merge_done",
         Wire::ExtentReq { .. } => "coord.extent",
         Wire::AdoptFileState { .. } => "coord.adopt_file_state",
         _ => "coord.msg",
@@ -220,150 +219,98 @@ fn coord_span_name(msg: &Wire) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdds_net::DYN_BASE;
 
     /// A coordinator, a spawner that materialises nothing (a bucket's
     /// site id is its address) and the directory.
     fn harness() -> (CoordinatorState, BucketSpawner, Directory) {
-        let spawner: BucketSpawner = Box::new(|addr, _level| SiteId(addr as u32));
+        let spawner: BucketSpawner = Box::new(|_addr, _level| {});
         (CoordinatorState::new(), spawner, Directory::new())
+    }
+
+    /// Bucket `addr`'s site.
+    fn bucket(addr: u64) -> SiteId {
+        SiteRegistry::bucket_id(addr)
     }
 
     #[test]
     fn overflow_triggers_split_of_split_pointer() {
         let (mut st, mut spawner, dir) = harness();
-        let out = st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 10,
-            },
-            &mut spawner,
-            &dir,
-        );
+        let out = st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, SiteId(0)); // bucket 0's site
-        assert_eq!(
-            out[0].1,
-            Wire::SplitCmd {
-                addr: 0,
-                new_addr: 1,
-                new_site: 1
-            }
-        );
+        assert_eq!(out[0].1, Wire::SplitCmd { new_addr: 1 });
     }
 
     #[test]
     fn split_done_advances_pointer_and_level() {
         let (mut st, mut spawner, dir) = harness();
-        st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
         // level 0: extent 1; after split of bucket 0, level = 1, split = 0
-        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 0));
         // next split victim is bucket 0 again, creating bucket 2
-        let out = st.handle(
-            Wire::Overflow {
-                addr: 1,
-                level: 1,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        assert_eq!(
-            out[0].1,
-            Wire::SplitCmd {
-                addr: 0,
-                new_addr: 2,
-                new_site: 2
-            }
-        );
-        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
+        let out = st.handle(bucket(1), Wire::Overflow, &mut spawner, &dir);
+        assert_eq!(out[0], (bucket(0), Wire::SplitCmd { new_addr: 2 }));
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 1));
+    }
+
+    /// Only the victim of the running split reports it done: a
+    /// `SplitDone` from another bucket is dropped and counted, and the
+    /// file state stays as it is.
+    #[test]
+    fn split_done_from_a_bucket_that_is_not_the_victim_is_dropped() {
+        let (mut st, mut spawner, dir) = harness();
+        let drops = sdds_obs::counter("lh.wrong_sender_drops");
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
+        let before = drops.get();
+        for from in [bucket(1), SiteId(DYN_BASE)] {
+            let out = st.handle(from, Wire::SplitDone, &mut spawner, &dir);
+            assert!(out.is_empty());
+        }
+        assert!(drops.get() >= before + 2, "both drops counted");
+        assert_eq!(st.file_state(), (0, 0));
+        assert_eq!(st.running, Some((Change::Split, 0)), "still splitting");
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
+        assert_eq!(st.file_state(), (1, 0));
+    }
+
+    #[test]
+    fn a_load_report_from_a_non_bucket_is_dropped() {
+        let (mut st, mut spawner, dir) = harness();
+        let out = st.handle(SiteId(DYN_BASE), Wire::Overflow, &mut spawner, &dir);
+        assert!(out.is_empty());
+        assert_eq!(st.pending, 0);
     }
 
     #[test]
     fn one_split_at_a_time_and_queueing() {
         let (mut st, mut spawner, dir) = harness();
-        let first = st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
+        let first = st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
         assert_eq!(first.len(), 1);
         // overflow during the running split queues
-        let second = st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 12,
-            },
-            &mut spawner,
-            &dir,
-        );
+        let second = st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
         assert!(second.is_empty(), "split must not start while one runs");
         // completion starts the queued split immediately
-        let third = st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
-        assert_eq!(third.len(), 1);
-        assert!(matches!(
-            third[0].1,
-            Wire::SplitCmd {
-                addr: 0,
-                new_addr: 2,
-                ..
-            }
-        ));
+        let third = st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
+        assert_eq!(third, vec![(bucket(0), Wire::SplitCmd { new_addr: 2 })]);
     }
 
     #[test]
     fn underflow_triggers_merge_of_last_bucket() {
         let (mut st, mut spawner, dir) = harness();
         // grow the file to 3 buckets: (0,0) -> (1,0) -> (1,1)
-        st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
-        st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 1,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 1));
         // underflow: merge bucket 2 back into its parent 0
-        let out = st.handle(Wire::Underflow { addr: 1, size: 0 }, &mut spawner, &dir);
-        assert_eq!(out.len(), 1);
-        assert_eq!(
-            out[0].1,
-            Wire::MergeCmd {
-                addr: 2,
-                into_addr: 0,
-                into_site: 0
-            }
-        );
+        let out = st.handle(bucket(1), Wire::Underflow, &mut spawner, &dir);
+        assert_eq!(out, vec![(bucket(2), Wire::MergeCmd { into_addr: 0 })]);
         // completion regresses the file state and shuts the site down
-        let out = st.handle(Wire::MergeDone { addr: 2 }, &mut spawner, &dir);
+        let out = st.handle(bucket(2), Wire::MergeDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 0));
         assert!(out
             .iter()
@@ -376,23 +323,17 @@ mod tests {
     #[test]
     fn merge_victim_stays_in_the_directory_until_merge_done() {
         let (mut st, mut spawner, dir) = harness();
-        let grow_then_shrink = [
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 9,
-            },
-            Wire::SplitDone { addr: 0 },
-            Wire::Underflow { addr: 0, size: 0 },
-        ];
+        let grow_then_shrink = [Wire::Overflow, Wire::SplitDone, Wire::Underflow];
         for msg in grow_then_shrink {
-            st.handle(msg, &mut spawner, &dir);
+            st.handle(bucket(0), msg, &mut spawner, &dir);
         }
         assert!(
             dir.bucket_site(1).is_some(),
             "MergeCmd is out, the victim's records are not at the parent yet"
         );
-        st.handle(Wire::MergeDone { addr: 1 }, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::MergeDone, &mut spawner, &dir);
+        assert!(dir.bucket_site(1).is_some(), "bucket 0 is not the victim");
+        st.handle(bucket(1), Wire::MergeDone, &mut spawner, &dir);
         assert!(dir.bucket_site(1).is_none());
     }
 
@@ -400,35 +341,20 @@ mod tests {
     fn merge_across_level_boundary() {
         let (mut st, mut spawner, dir) = harness();
         // grow to exactly (1, 0): two buckets
-        st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 0));
-        let out = st.handle(Wire::Underflow { addr: 0, size: 0 }, &mut spawner, &dir);
+        let out = st.handle(bucket(0), Wire::Underflow, &mut spawner, &dir);
         // merge bucket 1 into bucket 0, regressing to level 0
-        assert_eq!(
-            out[0].1,
-            Wire::MergeCmd {
-                addr: 1,
-                into_addr: 0,
-                into_site: 0
-            }
-        );
-        st.handle(Wire::MergeDone { addr: 1 }, &mut spawner, &dir);
+        assert_eq!(out[0].1, Wire::MergeCmd { into_addr: 0 });
+        st.handle(bucket(1), Wire::MergeDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (0, 0));
     }
 
     #[test]
     fn single_bucket_file_never_merges() {
         let (mut st, mut spawner, dir) = harness();
-        let out = st.handle(Wire::Underflow { addr: 0, size: 0 }, &mut spawner, &dir);
+        let out = st.handle(bucket(0), Wire::Underflow, &mut spawner, &dir);
         assert!(out.is_empty());
         assert_eq!(st.file_state(), (0, 0));
     }
@@ -440,47 +366,23 @@ mod tests {
         // split could starve an over-capacity bucket forever).
         let (mut st, mut spawner, dir) = harness();
         // grow to 2 buckets first so a merge would be possible
-        st.handle(
-            Wire::Overflow {
-                addr: 0,
-                level: 0,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         // start a split, then queue an underflow during it
-        st.handle(
-            Wire::Overflow {
-                addr: 1,
-                level: 1,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        let during = st.handle(Wire::Underflow { addr: 0, size: 0 }, &mut spawner, &dir);
+        st.handle(bucket(1), Wire::Overflow, &mut spawner, &dir);
+        let during = st.handle(bucket(0), Wire::Underflow, &mut spawner, &dir);
         assert!(during.is_empty(), "busy: nothing starts");
         // queue one more overflow: it must run BEFORE the merge
-        st.handle(
-            Wire::Overflow {
-                addr: 1,
-                level: 1,
-                size: 9,
-            },
-            &mut spawner,
-            &dir,
-        );
-        let after = st.handle(Wire::SplitDone { addr: 0 }, &mut spawner, &dir);
+        st.handle(bucket(1), Wire::Overflow, &mut spawner, &dir);
+        let after = st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         assert!(
             after
                 .iter()
                 .any(|(_, m)| matches!(m, Wire::SplitCmd { .. })),
             "queued split starts next: {after:?}"
         );
-        // and once that split finishes, the queued merge runs
-        let finally = st.handle(Wire::SplitDone { addr: 1 }, &mut spawner, &dir);
+        // and once that split (of bucket 1) finishes, the queued merge runs
+        let finally = st.handle(bucket(1), Wire::SplitDone, &mut spawner, &dir);
         assert!(
             finally
                 .iter()
@@ -493,17 +395,15 @@ mod tests {
     fn extent_request_reports_file_state() {
         let (mut st, mut spawner, dir) = harness();
         let out = st.handle(
-            Wire::ExtentReq {
-                req_id: 5,
-                client: 9,
-            },
+            SiteId(DYN_BASE + 9),
+            Wire::ExtentReq { req_id: 5 },
             &mut spawner,
             &dir,
         );
         assert_eq!(
             out,
             vec![(
-                SiteId(9),
+                SiteId(DYN_BASE + 9),
                 Wire::ExtentResp {
                     req_id: 5,
                     level: 0,

@@ -98,11 +98,7 @@ mod tests {
         let b = net.register();
         let mut q = SendQueue::new();
         let mut scatter = Scatter::new();
-        let ov = Wire::Overflow {
-            addr: 1,
-            level: 0,
-            size: 9,
-        };
+        let ov = Wire::Overflow;
         q.send(&mut scatter, &a, b.id(), &ov, ov.encode(), None);
         assert!(!q.has_parked(), "first send fits the 1-deep inbox");
         q.send(&mut scatter, &a, b.id(), &ov, ov.encode(), None);
@@ -130,7 +126,6 @@ mod tests {
         let resp = Wire::Response {
             req_id: 1,
             result: crate::messages::OpResult::Found { value: None },
-            served_by: 0,
             bucket_level: 0,
             hops: 0,
         };

@@ -85,10 +85,10 @@ impl ClientImage {
     /// finally served the request, whose address may already be `>= 2^i'`;
     /// the mod keeps the image a provable lower bound on the true file
     /// state — see `image_is_always_a_lower_bound` in the tests.)
-    pub fn adjust(&mut self, served_by: u64, bucket_level: u8) {
+    pub fn adjust(&mut self, bucket: u64, bucket_level: u8) {
         if bucket_level > self.level {
             self.level = bucket_level - 1;
-            self.split = (served_by & ((1u64 << self.level) - 1)) + 1;
+            self.split = (bucket & ((1u64 << self.level) - 1)) + 1;
         }
         if self.split >= (1u64 << self.level) {
             self.split = 0;

@@ -9,11 +9,19 @@
 //! length or count that overruns the payload, a bad flag byte, invalid
 //! UTF-8 or trailing bytes all give `None` — and `Debug` on the decoded
 //! value is the aid for reading captured traffic.
+//!
+//! No message names its sender or its receiver: the envelope does. A
+//! bucket's site id is its address, so a receiver learns which bucket
+//! sent a message from the envelope's `from`, replies go to `from`, and a
+//! site knows who it is. A receiver that needs a particular sender checks
+//! `from`, and drops — and counts, in `lh.wrong_sender_drops` — a message
+//! from anyone else ([`drop_wrong_sender`]).
 
 use bytes::Bytes;
 use sdds_net::codec::{
-    put_bool, put_bytes, put_option, put_seq, put_str, put_u32, put_u64, put_usize, Reader,
+    put_bool, put_bytes, put_option, put_seq, put_str, put_u32, put_u64, Reader,
 };
+use sdds_obs::Registry;
 
 /// A key operation requested by a client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,29 +89,30 @@ pub struct ScanMatch {
     pub value: Option<Vec<u8>>,
 }
 
-/// Everything that travels between sites.
+/// Everything that travels between sites. A reply goes to the envelope's
+/// sender; "bucket →" means the envelope's sender is that bucket, whose
+/// address is its site id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Wire {
     /// Client → bucket (and bucket → bucket when forwarding).
     Request {
         /// Correlation id chosen by the client.
         req_id: u64,
-        /// Client site to reply to.
+        /// Client site to reply to: a forwarded request's sender is the
+        /// forwarding bucket.
         client: u32,
         /// Forwarding hops so far (LH\* guarantees ≤ 2).
         hops: u8,
         /// The operation.
         op: Op,
     },
-    /// Bucket → client.
+    /// Serving bucket → client.
     Response {
         /// Correlation id.
         req_id: u64,
         /// Operation outcome.
         result: OpResult,
-        /// Address of the bucket that served the request.
-        served_by: u64,
-        /// That bucket's level — drives the IAM image update.
+        /// The serving bucket's level — drives the IAM image update.
         bucket_level: u8,
         /// Hops the request took (0 = client image was correct).
         hops: u8,
@@ -112,8 +121,6 @@ pub enum Wire {
     ScanReq {
         /// Correlation id.
         req_id: u64,
-        /// Client site to reply to.
-        client: u32,
         /// Opaque query handed to the bucket's [`ScanFilter`].
         ///
         /// [`ScanFilter`]: crate::ScanFilter
@@ -125,9 +132,7 @@ pub enum Wire {
     ScanResp {
         /// Correlation id.
         req_id: u64,
-        /// Bucket address that produced these matches.
-        bucket: u64,
-        /// That bucket's level when it ran the scan: tells the client
+        /// The bucket's level when it ran the scan: tells the client
         /// which buckets it has split off, so a split that completes
         /// while the scan is fanning out cannot hide the moved records.
         level: u8,
@@ -135,53 +140,29 @@ pub enum Wire {
         matches: Vec<ScanMatch>,
     },
     /// Bucket → coordinator: bucket exceeded its capacity.
-    Overflow {
-        /// Overflowing bucket address.
-        addr: u64,
-        /// Its current level.
-        level: u8,
-        /// Its current record count.
-        size: usize,
-    },
+    Overflow,
     /// Bucket → coordinator: bucket load fell below the shrink threshold.
-    Underflow {
-        /// Underflowing bucket address.
-        addr: u64,
-        /// Its current record count.
-        size: usize,
-    },
+    Underflow,
     /// Coordinator → the last bucket of the file: merge yourself back into
     /// your split parent (the reverse of a split; shrinks the file by one
     /// bucket).
     MergeCmd {
-        /// Address of the bucket being dissolved (the file's last bucket).
-        addr: u64,
         /// The split parent receiving the records.
         into_addr: u64,
-        /// The parent's site.
-        into_site: u32,
     },
     /// Dissolving bucket → coordinator: merge finished.
-    MergeDone {
-        /// Address of the dissolved bucket.
-        addr: u64,
-    },
-    /// Coordinator → bucket `n`: split yourself into `new_addr`.
+    MergeDone,
+    /// Coordinator → bucket `n`: split yourself into `new_addr`, which
+    /// has been spawned.
     SplitCmd {
-        /// Address of the bucket being split (consistency check).
-        addr: u64,
         /// Address of the new bucket (`n + 2^i`).
         new_addr: u64,
-        /// Site where the new bucket has been spawned.
-        new_site: u32,
     },
     /// Splitting bucket → new bucket: records that rehash to you, plus
     /// your starting level.
     TransferBatch {
         /// New bucket's level.
         level: u8,
-        /// New bucket's address.
-        addr: u64,
         /// The records moving.
         records: Vec<(u64, Vec<u8>)>,
     },
@@ -190,21 +171,13 @@ pub enum Wire {
     /// report `SplitDone`/`MergeDone`, so a crash on either side of the
     /// handoff can never lose the records (at worst they transiently
     /// exist on both sides, which reopen-time re-addressing resolves).
-    TransferAck {
-        /// Address of the acknowledging (target) bucket.
-        addr: u64,
-    },
+    TransferAck,
     /// Splitting bucket → coordinator: split finished.
-    SplitDone {
-        /// Address of the bucket that split.
-        addr: u64,
-    },
+    SplitDone,
     /// Client → coordinator: tell me the current file state.
     ExtentReq {
         /// Correlation id.
         req_id: u64,
-        /// Client site to reply to.
-        client: u32,
     },
     /// Coordinator → client.
     ExtentResp {
@@ -218,12 +191,10 @@ pub enum Wire {
         /// quiescence so records mid-transfer are not missed.
         busy: bool,
     },
-    /// Data bucket → parity site: a slot changed (LH*RS).
+    /// Data bucket → each parity site of its group: a slot changed
+    /// (LH*RS). The bucket's address names its group and its member
+    /// index in it.
     ParityUpdate {
-        /// Parity group number.
-        group: u64,
-        /// Member index of the reporting bucket within the group.
-        member: u32,
         /// Rank (row) of the record inside its bucket.
         rank: u32,
         /// Key now occupying the rank (`None` = rank freed).
@@ -231,21 +202,16 @@ pub enum Wire {
         /// XOR delta between old and new fixed-size slot contents.
         delta: Vec<u8>,
     },
-    /// Recovery manager → parity site: send your state for `group`.
+    /// Recovery manager → parity site: send your state.
     ParityRead {
         /// Correlation id.
         req_id: u64,
-        /// Requester site.
-        client: u32,
-        /// Parity group wanted.
-        group: u64,
     },
-    /// Parity site → recovery manager.
+    /// Parity site → recovery manager. Which of its group's parity sites
+    /// answers names the parity index.
     ParityState {
         /// Correlation id.
         req_id: u64,
-        /// Parity index of the responding site within the group (0-based).
-        parity_index: u32,
         /// Per-rank: keys of members and this site's parity slot.
         rows: Vec<ParityRow>,
     },
@@ -253,17 +219,11 @@ pub enum Wire {
     SlotsRead {
         /// Correlation id.
         req_id: u64,
-        /// Requester site.
-        client: u32,
     },
     /// Data bucket → recovery manager.
     SlotsState {
         /// Correlation id.
         req_id: u64,
-        /// Bucket address.
-        addr: u64,
-        /// Bucket level.
-        level: u8,
         /// Per-rank `(key, slot)` pairs (`None` = free rank).
         slots: Vec<Option<(u64, Vec<u8>)>>,
     },
@@ -272,8 +232,6 @@ pub enum Wire {
     /// parity deltas keep addressing the same rows, and **no** parity
     /// updates are emitted (the parity sites already cover these records).
     Adopt {
-        /// Bucket address being restored.
-        addr: u64,
         /// Bucket level to adopt.
         level: u8,
         /// Rank-indexed `(key, value)` slots (`None` = free rank).
@@ -283,15 +241,11 @@ pub enum Wire {
     Dump {
         /// Correlation id.
         req_id: u64,
-        /// Requester site.
-        client: u32,
     },
     /// Bucket → control endpoint: full contents for a snapshot.
     DumpState {
         /// Correlation id.
         req_id: u64,
-        /// Bucket address.
-        addr: u64,
         /// Bucket level.
         level: u8,
         /// All records.
@@ -305,9 +259,50 @@ pub enum Wire {
         /// Split pointer to adopt.
         split: u64,
     },
-    /// Retires the receiving site: the runtime drops its state and
-    /// closes its mailbox.
+    /// The addressee stops: a site retires (the runtime drops its state
+    /// and closes its mailbox), a rank's host loop stops the rank.
     Shutdown,
+    /// Any process → the host loop of the rank that owns `addr`:
+    /// materialise bucket `addr` at `level`.
+    Spawn {
+        /// Bucket address (also its site id).
+        addr: u64,
+        /// Initial bucket level.
+        level: u8,
+    },
+    /// Any process → a host loop: sever every established connection
+    /// (fault injection for tests; streams re-establish with backoff).
+    DropConns,
+    /// Scrape request from a [`ClusterObs`](crate::ClusterObs) client →
+    /// a host loop, which answers with one `ObsReport`.
+    ObsPull {
+        /// Correlates the report with the request (echoed verbatim).
+        req_id: u64,
+        /// Ship the rank's metrics (aggregate + per-site snapshots).
+        metrics: bool,
+        /// Drain and ship the rank's flight-recorder spans.
+        spans: bool,
+        /// Ship the rank's timestamped snapshot-ring history.
+        history: bool,
+    },
+    /// Host loop → scraping client: one rank's report, the rank being
+    /// the sender's host id less `HOST_BASE`. Metrics travel as
+    /// `MetricsSnapshot` JSON documents, spans as the flight recorder's
+    /// JSONL schema — the same formats the CLI writes to sidecar files —
+    /// each carried as one length-prefixed string.
+    ObsReport {
+        /// The request's `req_id`, echoed.
+        req_id: u64,
+        /// The rank's process-global snapshot (when `metrics` was set).
+        metrics: Option<String>,
+        /// Per-site (per-bucket) snapshots (when `metrics` was set).
+        sites: Vec<String>,
+        /// Drained spans as JSONL (empty unless `spans` was set).
+        spans: String,
+        /// Snapshot ring: (unix millis, snapshot JSON), oldest first
+        /// (empty unless `history` was set).
+        history: Vec<(u64, String)>,
+    },
 }
 
 /// One rank row of a parity site's state.
@@ -317,6 +312,16 @@ pub struct ParityRow {
     pub keys: Vec<Option<u64>>,
     /// This parity site's encoded slot for the rank.
     pub slot: Vec<u8>,
+}
+
+/// Drops a message whose envelope names a sender the protocol does not
+/// allow for it, counting it in `lh.wrong_sender_drops` of `obs`; gives
+/// what a handler returns for a message it ignores (no messages, no
+/// key). The sender is as unauthenticated as the fabric: this catches
+/// misrouted and stale traffic, not forgery.
+pub(crate) fn drop_wrong_sender<T: Default>(obs: &Registry) -> T {
+    obs.counter("lh.wrong_sender_drops").inc();
+    T::default()
 }
 
 // Tag bytes. Variants are numbered in declaration order; the numbers are
@@ -355,6 +360,10 @@ const DUMP: u8 = 20;
 const DUMP_STATE: u8 = 21;
 const ADOPT_FILE_STATE: u8 = 22;
 const SHUTDOWN: u8 = 23;
+const SPAWN: u8 = 24;
+const DROP_CONNS: u8 = 25;
+const OBS_PULL: u8 = 26;
+const OBS_REPORT: u8 = 27;
 
 // Fewest bytes one item of each sequence can occupy: what `Reader::seq`
 // divides the remaining payload by before it allocates.
@@ -363,6 +372,8 @@ const MIN_SLOT: usize = 1; // a free rank is one flag byte
 const MIN_SCAN_MATCH: usize = 8 + 1; // key + value flag
 const MIN_PARITY_ROW: usize = 4 + 4; // key count + slot length
 const MIN_ROW_KEY: usize = 1; // a vacant member is one flag byte
+const MIN_STR: usize = 4; // an empty string is its length
+const MIN_SAMPLE: usize = 8 + 4; // timestamp + snapshot length
 
 impl Op {
     fn write(&self, out: &mut Vec<u8>) {
@@ -482,10 +493,9 @@ impl ParityRow {
 
 /// The one place the bytes of a `ScanReq` are written, so the owned
 /// variant and [`Wire::encode_scan_req`] cannot drift apart.
-fn write_scan_req(out: &mut Vec<u8>, req_id: u64, client: u32, query: &[u8], keys_only: bool) {
+fn write_scan_req(out: &mut Vec<u8>, req_id: u64, query: &[u8], keys_only: bool) {
     out.push(SCAN_REQ);
     put_u64(out, req_id);
-    put_u32(out, client);
     put_bytes(out, query);
     put_bool(out, keys_only);
 }
@@ -493,7 +503,7 @@ fn write_scan_req(out: &mut Vec<u8>, req_id: u64, client: u32, query: &[u8], key
 /// Runs `write` on a pooled buffer and hands it off zero-copy: the
 /// steady-state send path allocates no payload buffers (the pool recycles
 /// them when the last `Bytes` clone drops).
-pub(crate) fn encode_pooled(write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+fn encode_pooled(write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
     let mut buf = sdds_net::PooledBuf::take();
     write(buf.as_mut_vec());
     buf.into_bytes()
@@ -508,8 +518,8 @@ impl Wire {
     /// Serializes a [`Wire::ScanReq`] straight from a borrowed query — the
     /// same bytes as building the variant and calling
     /// [`encode`](Wire::encode), without copying the query first.
-    pub fn encode_scan_req(req_id: u64, client: u32, query: &[u8], keys_only: bool) -> Bytes {
-        encode_pooled(|out| write_scan_req(out, req_id, client, query, keys_only))
+    pub fn encode_scan_req(req_id: u64, query: &[u8], keys_only: bool) -> Bytes {
+        encode_pooled(|out| write_scan_req(out, req_id, query, keys_only))
     }
 
     /// Deserializes from the network. `None` for anything that is not
@@ -522,9 +532,9 @@ impl Wire {
     }
 
     /// The `req_id` of the request this message answers: `Some` exactly
-    /// for the replies a site sends back to a client. They are idempotent
-    /// reads of state the client asks for again, so a site may shed them
-    /// under overload; every other message must land.
+    /// for the replies a site or a host loop sends back to a client. They
+    /// are idempotent reads of state the client asks for again, so a site
+    /// may shed them under overload; every other message must land.
     pub(crate) fn reply_id(&self) -> Option<u64> {
         match self {
             Wire::Response { req_id, .. }
@@ -532,7 +542,8 @@ impl Wire {
             | Wire::SlotsState { req_id, .. }
             | Wire::DumpState { req_id, .. }
             | Wire::ParityState { req_id, .. }
-            | Wire::ExtentResp { req_id, .. } => Some(*req_id),
+            | Wire::ExtentResp { req_id, .. }
+            | Wire::ObsReport { req_id, .. } => Some(*req_id),
             _ => None,
         }
     }
@@ -554,92 +565,51 @@ impl Wire {
             Wire::Response {
                 req_id,
                 result,
-                served_by,
                 bucket_level,
                 hops,
             } => {
                 out.push(RESPONSE);
                 put_u64(out, *req_id);
                 result.write(out);
-                put_u64(out, *served_by);
                 out.push(*bucket_level);
                 out.push(*hops);
             }
             Wire::ScanReq {
                 req_id,
-                client,
                 query,
                 keys_only,
-            } => write_scan_req(out, *req_id, *client, query, *keys_only),
+            } => write_scan_req(out, *req_id, query, *keys_only),
             Wire::ScanResp {
                 req_id,
-                bucket,
                 level,
                 matches,
             } => {
                 out.push(SCAN_RESP);
                 put_u64(out, *req_id);
-                put_u64(out, *bucket);
                 out.push(*level);
                 put_seq(out, matches, |out, m| m.write(out));
             }
-            Wire::Overflow { addr, level, size } => {
-                out.push(OVERFLOW);
-                put_u64(out, *addr);
-                out.push(*level);
-                put_usize(out, *size);
-            }
-            Wire::Underflow { addr, size } => {
-                out.push(UNDERFLOW);
-                put_u64(out, *addr);
-                put_usize(out, *size);
-            }
-            Wire::MergeCmd {
-                addr,
-                into_addr,
-                into_site,
-            } => {
+            Wire::Overflow => out.push(OVERFLOW),
+            Wire::Underflow => out.push(UNDERFLOW),
+            Wire::MergeCmd { into_addr } => {
                 out.push(MERGE_CMD);
-                put_u64(out, *addr);
                 put_u64(out, *into_addr);
-                put_u32(out, *into_site);
             }
-            Wire::MergeDone { addr } => {
-                out.push(MERGE_DONE);
-                put_u64(out, *addr);
-            }
-            Wire::SplitCmd {
-                addr,
-                new_addr,
-                new_site,
-            } => {
+            Wire::MergeDone => out.push(MERGE_DONE),
+            Wire::SplitCmd { new_addr } => {
                 out.push(SPLIT_CMD);
-                put_u64(out, *addr);
                 put_u64(out, *new_addr);
-                put_u32(out, *new_site);
             }
-            Wire::TransferBatch {
-                level,
-                addr,
-                records,
-            } => {
+            Wire::TransferBatch { level, records } => {
                 out.push(TRANSFER_BATCH);
                 out.push(*level);
-                put_u64(out, *addr);
                 put_seq(out, records, put_record);
             }
-            Wire::TransferAck { addr } => {
-                out.push(TRANSFER_ACK);
-                put_u64(out, *addr);
-            }
-            Wire::SplitDone { addr } => {
-                out.push(SPLIT_DONE);
-                put_u64(out, *addr);
-            }
-            Wire::ExtentReq { req_id, client } => {
+            Wire::TransferAck => out.push(TRANSFER_ACK),
+            Wire::SplitDone => out.push(SPLIT_DONE),
+            Wire::ExtentReq { req_id } => {
                 out.push(EXTENT_REQ);
                 put_u64(out, *req_id);
-                put_u32(out, *client);
             }
             Wire::ExtentResp {
                 req_id,
@@ -653,77 +623,46 @@ impl Wire {
                 put_u64(out, *split);
                 put_bool(out, *busy);
             }
-            Wire::ParityUpdate {
-                group,
-                member,
-                rank,
-                key,
-                delta,
-            } => {
+            Wire::ParityUpdate { rank, key, delta } => {
                 out.push(PARITY_UPDATE);
-                put_u64(out, *group);
-                put_u32(out, *member);
                 put_u32(out, *rank);
                 put_option(out, *key, put_u64);
                 put_bytes(out, delta);
             }
-            Wire::ParityRead {
-                req_id,
-                client,
-                group,
-            } => {
+            Wire::ParityRead { req_id } => {
                 out.push(PARITY_READ);
                 put_u64(out, *req_id);
-                put_u32(out, *client);
-                put_u64(out, *group);
             }
-            Wire::ParityState {
-                req_id,
-                parity_index,
-                rows,
-            } => {
+            Wire::ParityState { req_id, rows } => {
                 out.push(PARITY_STATE);
                 put_u64(out, *req_id);
-                put_u32(out, *parity_index);
                 put_seq(out, rows, |out, row| row.write(out));
             }
-            Wire::SlotsRead { req_id, client } => {
+            Wire::SlotsRead { req_id } => {
                 out.push(SLOTS_READ);
                 put_u64(out, *req_id);
-                put_u32(out, *client);
             }
-            Wire::SlotsState {
-                req_id,
-                addr,
-                level,
-                slots,
-            } => {
+            Wire::SlotsState { req_id, slots } => {
                 out.push(SLOTS_STATE);
                 put_u64(out, *req_id);
-                put_u64(out, *addr);
-                out.push(*level);
                 put_seq(out, slots, put_slot);
             }
-            Wire::Adopt { addr, level, slots } => {
+            Wire::Adopt { level, slots } => {
                 out.push(ADOPT);
-                put_u64(out, *addr);
                 out.push(*level);
                 put_seq(out, slots, put_slot);
             }
-            Wire::Dump { req_id, client } => {
+            Wire::Dump { req_id } => {
                 out.push(DUMP);
                 put_u64(out, *req_id);
-                put_u32(out, *client);
             }
             Wire::DumpState {
                 req_id,
-                addr,
                 level,
                 records,
             } => {
                 out.push(DUMP_STATE);
                 put_u64(out, *req_id);
-                put_u64(out, *addr);
                 out.push(*level);
                 put_seq(out, records, put_record);
             }
@@ -733,6 +672,41 @@ impl Wire {
                 put_u64(out, *split);
             }
             Wire::Shutdown => out.push(SHUTDOWN),
+            Wire::Spawn { addr, level } => {
+                out.push(SPAWN);
+                put_u64(out, *addr);
+                out.push(*level);
+            }
+            Wire::DropConns => out.push(DROP_CONNS),
+            Wire::ObsPull {
+                req_id,
+                metrics,
+                spans,
+                history,
+            } => {
+                out.push(OBS_PULL);
+                put_u64(out, *req_id);
+                put_bool(out, *metrics);
+                put_bool(out, *spans);
+                put_bool(out, *history);
+            }
+            Wire::ObsReport {
+                req_id,
+                metrics,
+                sites,
+                spans,
+                history,
+            } => {
+                out.push(OBS_REPORT);
+                put_u64(out, *req_id);
+                put_option(out, metrics.as_deref(), put_str);
+                put_seq(out, sites, |out, s| put_str(out, s));
+                put_str(out, spans);
+                put_seq(out, history, |out, (at, snapshot)| {
+                    put_u64(out, *at);
+                    put_str(out, snapshot);
+                });
+            }
         }
     }
 
@@ -747,53 +721,33 @@ impl Wire {
             RESPONSE => Wire::Response {
                 req_id: r.u64()?,
                 result: OpResult::read(r)?,
-                served_by: r.u64()?,
                 bucket_level: r.u8()?,
                 hops: r.u8()?,
             },
             SCAN_REQ => Wire::ScanReq {
                 req_id: r.u64()?,
-                client: r.u32()?,
                 query: r.vec()?,
                 keys_only: r.bool()?,
             },
             SCAN_RESP => Wire::ScanResp {
                 req_id: r.u64()?,
-                bucket: r.u64()?,
                 level: r.u8()?,
                 matches: r.seq(MIN_SCAN_MATCH, ScanMatch::read)?,
             },
-            OVERFLOW => Wire::Overflow {
-                addr: r.u64()?,
-                level: r.u8()?,
-                size: r.usize()?,
-            },
-            UNDERFLOW => Wire::Underflow {
-                addr: r.u64()?,
-                size: r.usize()?,
-            },
+            OVERFLOW => Wire::Overflow,
+            UNDERFLOW => Wire::Underflow,
             MERGE_CMD => Wire::MergeCmd {
-                addr: r.u64()?,
                 into_addr: r.u64()?,
-                into_site: r.u32()?,
             },
-            MERGE_DONE => Wire::MergeDone { addr: r.u64()? },
-            SPLIT_CMD => Wire::SplitCmd {
-                addr: r.u64()?,
-                new_addr: r.u64()?,
-                new_site: r.u32()?,
-            },
+            MERGE_DONE => Wire::MergeDone,
+            SPLIT_CMD => Wire::SplitCmd { new_addr: r.u64()? },
             TRANSFER_BATCH => Wire::TransferBatch {
                 level: r.u8()?,
-                addr: r.u64()?,
                 records: r.seq(MIN_RECORD, read_record)?,
             },
-            TRANSFER_ACK => Wire::TransferAck { addr: r.u64()? },
-            SPLIT_DONE => Wire::SplitDone { addr: r.u64()? },
-            EXTENT_REQ => Wire::ExtentReq {
-                req_id: r.u64()?,
-                client: r.u32()?,
-            },
+            TRANSFER_ACK => Wire::TransferAck,
+            SPLIT_DONE => Wire::SplitDone,
+            EXTENT_REQ => Wire::ExtentReq { req_id: r.u64()? },
             EXTENT_RESP => Wire::ExtentResp {
                 req_id: r.u64()?,
                 level: r.u8()?,
@@ -801,44 +755,27 @@ impl Wire {
                 busy: r.bool()?,
             },
             PARITY_UPDATE => Wire::ParityUpdate {
-                group: r.u64()?,
-                member: r.u32()?,
                 rank: r.u32()?,
                 key: r.option(Reader::u64)?,
                 delta: r.vec()?,
             },
-            PARITY_READ => Wire::ParityRead {
-                req_id: r.u64()?,
-                client: r.u32()?,
-                group: r.u64()?,
-            },
+            PARITY_READ => Wire::ParityRead { req_id: r.u64()? },
             PARITY_STATE => Wire::ParityState {
                 req_id: r.u64()?,
-                parity_index: r.u32()?,
                 rows: r.seq(MIN_PARITY_ROW, ParityRow::read)?,
             },
-            SLOTS_READ => Wire::SlotsRead {
-                req_id: r.u64()?,
-                client: r.u32()?,
-            },
+            SLOTS_READ => Wire::SlotsRead { req_id: r.u64()? },
             SLOTS_STATE => Wire::SlotsState {
                 req_id: r.u64()?,
-                addr: r.u64()?,
-                level: r.u8()?,
                 slots: r.seq(MIN_SLOT, read_slot)?,
             },
             ADOPT => Wire::Adopt {
-                addr: r.u64()?,
                 level: r.u8()?,
                 slots: r.seq(MIN_SLOT, read_slot)?,
             },
-            DUMP => Wire::Dump {
-                req_id: r.u64()?,
-                client: r.u32()?,
-            },
+            DUMP => Wire::Dump { req_id: r.u64()? },
             DUMP_STATE => Wire::DumpState {
                 req_id: r.u64()?,
-                addr: r.u64()?,
                 level: r.u8()?,
                 records: r.seq(MIN_RECORD, read_record)?,
             },
@@ -847,6 +784,24 @@ impl Wire {
                 split: r.u64()?,
             },
             SHUTDOWN => Wire::Shutdown,
+            SPAWN => Wire::Spawn {
+                addr: r.u64()?,
+                level: r.u8()?,
+            },
+            DROP_CONNS => Wire::DropConns,
+            OBS_PULL => Wire::ObsPull {
+                req_id: r.u64()?,
+                metrics: r.bool()?,
+                spans: r.bool()?,
+                history: r.bool()?,
+            },
+            OBS_REPORT => Wire::ObsReport {
+                req_id: r.u64()?,
+                metrics: r.option(Reader::string)?,
+                sites: r.seq(MIN_STR, Reader::string)?,
+                spans: r.string()?,
+                history: r.seq(MIN_SAMPLE, |r| Some((r.u64()?, r.string()?)))?,
+            },
             _ => return None,
         })
     }
@@ -858,6 +813,9 @@ mod tests {
     use proptest::prelude::*;
     use sdds_net::codec::check::{hostile_length, prefixes_and_bitflips};
     use std::collections::BTreeSet;
+
+    /// The last tag: one past it is unknown.
+    const LAST_TAG: u8 = OBS_REPORT;
 
     /// At least one value of every variant, plus the boundary cases:
     /// empty and 64 KiB values, `u64::MAX` keys, `None` and `Some` in
@@ -873,7 +831,6 @@ mod tests {
         let response = |result| Wire::Response {
             req_id: u64::MAX,
             result,
-            served_by: 4,
             bucket_level: 2,
             hops: 1,
         };
@@ -905,25 +862,21 @@ mod tests {
             }),
             Wire::ScanReq {
                 req_id: 9,
-                client: u32::MAX,
                 query: vec![0xFF],
                 keys_only: true,
             },
             Wire::ScanReq {
                 req_id: 9,
-                client: 1,
                 query: vec![],
                 keys_only: false,
             },
             Wire::ScanResp {
                 req_id: 9,
-                bucket: 3,
                 level: 0,
                 matches: vec![],
             },
             Wire::ScanResp {
                 req_id: 9,
-                bucket: 3,
                 level: u8::MAX,
                 matches: vec![
                     ScanMatch {
@@ -936,39 +889,22 @@ mod tests {
                     },
                 ],
             },
-            Wire::Overflow {
-                addr: 0,
-                level: 1,
-                size: usize::MAX,
-            },
-            Wire::Underflow { addr: 3, size: 2 },
-            Wire::MergeCmd {
-                addr: 3,
-                into_addr: 1,
-                into_site: 8,
-            },
-            Wire::MergeDone { addr: 3 },
-            Wire::SplitCmd {
-                addr: 0,
-                new_addr: 2,
-                new_site: 7,
-            },
+            Wire::Overflow,
+            Wire::Underflow,
+            Wire::MergeCmd { into_addr: 1 },
+            Wire::MergeDone,
+            Wire::SplitCmd { new_addr: u64::MAX },
             Wire::TransferBatch {
                 level: 2,
-                addr: 2,
                 records: vec![],
             },
             Wire::TransferBatch {
                 level: 2,
-                addr: 2,
                 records: vec![(1, vec![]), (u64::MAX, vec![4, 5, 6])],
             },
-            Wire::TransferAck { addr: 2 },
-            Wire::SplitDone { addr: 0 },
-            Wire::ExtentReq {
-                req_id: 4,
-                client: 6,
-            },
+            Wire::TransferAck,
+            Wire::SplitDone,
+            Wire::ExtentReq { req_id: 4 },
             Wire::ExtentResp {
                 req_id: 4,
                 level: 3,
@@ -982,32 +918,22 @@ mod tests {
                 busy: true,
             },
             Wire::ParityUpdate {
-                group: 0,
-                member: 1,
                 rank: 2,
                 key: Some(77),
                 delta: vec![0xAA],
             },
             Wire::ParityUpdate {
-                group: 0,
-                member: 1,
-                rank: 2,
+                rank: u32::MAX,
                 key: None,
                 delta: vec![],
             },
-            Wire::ParityRead {
-                req_id: 8,
-                client: 1,
-                group: 0,
-            },
+            Wire::ParityRead { req_id: 8 },
             Wire::ParityState {
                 req_id: 8,
-                parity_index: 0,
                 rows: vec![],
             },
             Wire::ParityState {
                 req_id: 8,
-                parity_index: 1,
                 rows: vec![
                     ParityRow {
                         keys: vec![Some(1), None, Some(u64::MAX)],
@@ -1019,39 +945,49 @@ mod tests {
                     },
                 ],
             },
-            Wire::SlotsRead {
-                req_id: 2,
-                client: 3,
-            },
+            Wire::SlotsRead { req_id: 2 },
             Wire::SlotsState {
                 req_id: 2,
-                addr: 1,
-                level: 1,
                 slots: vec![],
             },
             Wire::SlotsState {
                 req_id: 2,
-                addr: 1,
-                level: 1,
                 slots: slots.clone(),
             },
-            Wire::Adopt {
-                addr: 1,
-                level: 1,
-                slots,
-            },
-            Wire::Dump {
-                req_id: 3,
-                client: 4,
-            },
+            Wire::Adopt { level: 1, slots },
+            Wire::Dump { req_id: 3 },
             Wire::DumpState {
                 req_id: 3,
-                addr: 0,
                 level: 2,
                 records: vec![(1, vec![2])],
             },
             Wire::AdoptFileState { level: 3, split: 2 },
             Wire::Shutdown,
+            Wire::Spawn {
+                addr: u64::MAX,
+                level: 7,
+            },
+            Wire::DropConns,
+            Wire::ObsPull {
+                req_id: 1,
+                metrics: true,
+                spans: false,
+                history: true,
+            },
+            Wire::ObsReport {
+                req_id: 1,
+                metrics: None,
+                sites: vec![],
+                spans: String::new(),
+                history: vec![],
+            },
+            Wire::ObsReport {
+                req_id: u64::MAX,
+                metrics: Some(r#"{"label":"global"}"#.into()),
+                sites: vec![r#"{"label":"bucket-0"}"#.into(), "{}".into()],
+                spans: "{\"name\":\"größe\"}\n".into(),
+                history: vec![(1, "{}".into()), (u64::MAX, String::new())],
+            },
         ]
     }
 
@@ -1089,7 +1025,7 @@ mod tests {
             .filter_map(|rest| rest.split('"').next())
             .map(str::to_owned)
             .collect();
-        assert_eq!(declared.len(), usize::from(SHUTDOWN) + 1);
+        assert_eq!(declared.len(), usize::from(LAST_TAG) + 1);
         assert_eq!(covered, declared);
     }
 
@@ -1102,6 +1038,7 @@ mod tests {
             "DumpState",
             "ParityState",
             "ExtentResp",
+            "ObsReport",
         ];
         let mut classified = BTreeSet::new();
         for m in samples() {
@@ -1114,34 +1051,50 @@ mod tests {
             classified.insert(name);
         }
         // every variant has a sample (`roundtrip_all_variants`)
-        assert_eq!(classified.len(), usize::from(SHUTDOWN) + 1);
+        assert_eq!(classified.len(), usize::from(LAST_TAG) + 1);
     }
 
     #[test]
     fn borrowed_scan_request_encodes_like_the_variant() {
         let owned = Wire::ScanReq {
             req_id: 7,
-            client: 3,
             query: b"opaque".to_vec(),
             keys_only: true,
         };
-        assert_eq!(Wire::encode_scan_req(7, 3, b"opaque", true), owned.encode());
+        assert_eq!(Wire::encode_scan_req(7, b"opaque", true), owned.encode());
+    }
+
+    /// The sizes `docs/PROTOCOL.md` quotes.
+    #[test]
+    fn documented_sizes() {
+        let insert = Wire::Request {
+            req_id: 1,
+            client: 2,
+            hops: 0,
+            op: Op::Insert {
+                key: 3,
+                value: vec![0; 6],
+            },
+        };
+        assert_eq!(insert.encode().len(), 33);
+        assert_eq!(Wire::encode_scan_req(1, b"", false).len(), 14);
     }
 
     #[test]
     fn decode_fails_closed() {
         prefixes_and_bitflips(&small_encodings(), Wire::decode);
-        assert_eq!(Wire::decode(&[SHUTDOWN + 1]), None, "unknown tag");
+        assert_eq!(Wire::decode(&[]), None, "empty payload");
+        assert_eq!(Wire::decode(&[LAST_TAG + 1]), None, "unknown tag");
         assert_eq!(Wire::decode(&[SHUTDOWN, 0]), None, "trailing byte");
         // Response{req_id, Found{value: <flag 2>
-        let bad_flag = [&[RESPONSE][..], &[0; 8], &[RES_FOUND, 2], &[0; 10]].concat();
+        let bad_flag = [&[RESPONSE][..], &[0; 8], &[RES_FOUND, 2], &[0; 2]].concat();
         assert_eq!(Wire::decode(&bad_flag), None, "option flag is 0 or 1");
         // Response{req_id, Error{message: 2 bytes that are not UTF-8
         let bad_text = [
             &[RESPONSE][..],
             &[0; 8],
             &[RES_ERROR, 2, 0, 0, 0, 0xFF, 0xFE],
-            &[0; 10],
+            &[0; 2],
         ]
         .concat();
         assert_eq!(Wire::decode(&bad_text), None, "message must be UTF-8");
@@ -1150,7 +1103,7 @@ mod tests {
     proptest! {
         #[test]
         fn random_bytes_never_panic(
-            tag in 0u8..=SHUTDOWN + 1,
+            tag in 0u8..=LAST_TAG + 1,
             data in proptest::collection::vec(any::<u8>(), 0..96),
         ) {
             let _ = Wire::decode(&data);
@@ -1161,8 +1114,10 @@ mod tests {
 
     #[test]
     fn oversized_lengths_and_counts_are_refused() {
+        // ObsReport{req_id, metrics: None, then the fields after it
+        let report = [&[OBS_REPORT][..], &[0; 8], &[0]].concat();
         // (everything before a length or count field, what follows it)
-        let cases: [(Vec<u8>, &[u8]); 12] = [
+        let cases: [(Vec<u8>, &[u8]); 17] = [
             // Request{Insert{value
             (
                 [&[REQUEST][..], &[0; 13], &[OP_INSERT], &[0; 8]].concat(),
@@ -1171,29 +1126,35 @@ mod tests {
             // Response{Found{value
             (
                 [&[RESPONSE][..], &[0; 8], &[RES_FOUND, 1]].concat(),
-                &[0; 10],
+                &[0; 2],
             ),
             // Response{Error{message
-            ([&[RESPONSE][..], &[0; 8], &[RES_ERROR]].concat(), &[0; 10]),
+            ([&[RESPONSE][..], &[0; 8], &[RES_ERROR]].concat(), &[0; 2]),
             // ScanReq{query
-            ([&[SCAN_REQ][..], &[0; 12]].concat(), &[0]),
+            ([&[SCAN_REQ][..], &[0; 8]].concat(), &[0]),
             // ScanResp{matches
-            ([&[SCAN_RESP][..], &[0; 17]].concat(), &[]),
+            ([&[SCAN_RESP][..], &[0; 9]].concat(), &[]),
             // TransferBatch{records
-            ([&[TRANSFER_BATCH][..], &[0; 9]].concat(), &[]),
+            ([&[TRANSFER_BATCH][..], &[0; 1]].concat(), &[]),
             // ParityUpdate{delta
-            ([&[PARITY_UPDATE][..], &[0; 17]].concat(), &[]),
+            ([&[PARITY_UPDATE][..], &[0; 5]].concat(), &[]),
             // ParityState{rows, and the keys of its first row
-            ([&[PARITY_STATE][..], &[0; 12]].concat(), &[]),
+            ([&[PARITY_STATE][..], &[0; 8]].concat(), &[]),
             (
-                [&[PARITY_STATE][..], &[0; 12], &[1, 0, 0, 0]].concat(),
+                [&[PARITY_STATE][..], &[0; 8], &[1, 0, 0, 0]].concat(),
                 &[0; 4],
             ),
             // SlotsState{slots, Adopt{slots
-            ([&[SLOTS_STATE][..], &[0; 17]].concat(), &[]),
-            ([&[ADOPT][..], &[0; 9]].concat(), &[]),
+            ([&[SLOTS_STATE][..], &[0; 8]].concat(), &[]),
+            ([&[ADOPT][..], &[0; 1]].concat(), &[]),
             // DumpState{records
-            ([&[DUMP_STATE][..], &[0; 17]].concat(), &[]),
+            ([&[DUMP_STATE][..], &[0; 9]].concat(), &[]),
+            // ObsReport{metrics text, sites, a site's text, spans, history
+            ([&[OBS_REPORT][..], &[0; 8], &[1]].concat(), &[0; 12]),
+            (report.clone(), &[0; 8]),
+            ([&report[..], &[1, 0, 0, 0]].concat(), &[0; 8]),
+            ([&report[..], &[0; 4]].concat(), &[0; 4]),
+            ([&report[..], &[0; 8]].concat(), &[]),
         ];
         for (head, tail) in &cases {
             hostile_length(head, tail, Wire::decode);
@@ -1205,6 +1166,7 @@ mod tests {
         for old in [
             &br#"{"Request":{"req_id":1,"client":2,"hops":0,"op":{"Lookup":{"key":3}}}}"#[..],
             br#"{"MergeDone":{"addr":3}}"#,
+            br#"{"Spawn":{"addr":1,"level":0}}"#,
             br#""Shutdown""#,
             b"{}",
             b"not json",

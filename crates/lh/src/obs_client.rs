@@ -1,7 +1,7 @@
 //! Client-side cluster observability: the [`ClusterObs`] collector
-//! scrapes every rank of a served TCP cluster over the host control
-//! channel ([`HostMsg::ObsPull`](crate::serve::HostMsg) /
-//! `ObsReport`), merges the per-rank metrics snapshots into one
+//! scrapes every rank of a served TCP cluster through its host id
+//! (`Wire::ObsPull` / `Wire::ObsReport`), merges the per-rank metrics
+//! snapshots into one
 //! cluster-wide aggregate, and stitches shipped spans into connected
 //! cross-process trace trees.
 //!
@@ -13,8 +13,8 @@
 
 use crate::client::LhError;
 use crate::cluster::send_control;
-use crate::serve::HostMsg;
-use sdds_net::{Endpoint, NetError, SiteRegistry};
+use crate::messages::Wire;
+use sdds_net::{Endpoint, NetError, SiteRegistry, HOST_BASE};
 use sdds_obs::trace::{stitch, ParsedSpan, RankedSpan, TraceTree};
 use sdds_obs::MetricsSnapshot;
 use std::time::{Duration, Instant};
@@ -111,9 +111,8 @@ impl ClusterObs {
     pub fn scrape(&self, opts: &ScrapeOptions) -> Result<ClusterScrape, LhError> {
         let _timer = sdds_obs::histogram("obs.scrape_seconds").start_timer();
         for rank in 0..self.num_ranks {
-            let msg = HostMsg::ObsPull {
+            let msg = Wire::ObsPull {
                 req_id: rank as u64,
-                reply_to: self.control.id().0,
                 metrics: opts.metrics,
                 spans: opts.spans,
                 history: opts.history,
@@ -134,19 +133,22 @@ impl ClusterObs {
                 Err(NetError::Timeout) => break,
                 Err(e) => return Err(LhError::Net(e)),
             };
-            let Some(HostMsg::ObsReport {
-                rank,
+            // A report's rank is its sender's, and its `req_id` names the
+            // rank it was asked of.
+            let Some(rank) = env.from.0.checked_sub(HOST_BASE).map(|r| r as usize) else {
+                continue;
+            };
+            let Some(Wire::ObsReport {
+                req_id,
                 metrics,
                 sites,
                 spans,
                 history,
-                ..
-            }) = HostMsg::decode(&env.payload)
+            }) = Wire::decode(&env.payload)
             else {
                 continue;
             };
-            let rank = rank as usize;
-            if rank >= self.num_ranks || seen[rank] {
+            if rank >= self.num_ranks || seen[rank] || req_id != rank as u64 {
                 continue;
             }
             seen[rank] = true;

@@ -14,11 +14,12 @@
 //! failures per group are survivable.
 
 use crate::filter::ScanMemo;
-use crate::messages::{ParityRow, Wire};
+use crate::messages::{drop_wrong_sender, ParityRow, Wire};
 use crate::runtime::Machine;
 use sdds_gf::rs::ReedSolomon;
-use sdds_net::SiteId;
+use sdds_net::{SiteId, SiteRegistry};
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
+use sdds_obs::Registry;
 
 /// Encodes a value into its fixed slot: two little-endian length bytes,
 /// the payload, zero padding.
@@ -31,11 +32,11 @@ pub(crate) fn slot_of(value: &[u8], slot_size: usize) -> Vec<u8> {
     slot
 }
 
-/// Decodes a slot back into the value (`None` for an all-zero/free slot
-/// with zero length).
-pub(crate) fn value_of(slot: &[u8]) -> Vec<u8> {
-    let len = slot[0] as usize | ((slot[1] as usize) << 8);
-    slot[2..2 + len].to_vec()
+/// Decodes a slot back into the value; `None` when the slot is shorter
+/// than its length prefix says.
+pub(crate) fn value_of(slot: &[u8]) -> Option<&[u8]> {
+    let (len, value) = slot.split_first_chunk::<2>()?;
+    value.get(..usize::from(u16::from_le_bytes(*len)))
 }
 
 /// XOR delta between the slot encodings of an old and a new value
@@ -99,14 +100,15 @@ impl ParityState {
     }
 
     /// Applies an update delta: `slot += coef(parity_index, member) · delta`.
-    pub(crate) fn apply(&mut self, member: u32, rank: u32, key: Option<u64>, delta: &[u8]) {
+    /// `member < k`.
+    pub(crate) fn apply(&mut self, member: usize, rank: u32, key: Option<u64>, delta: &[u8]) {
         debug_assert_eq!(delta.len(), self.slot_size);
         let coef = self
             .rs
-            .parity_coefficient(self.parity_index as usize, member as usize);
+            .parity_coefficient(self.parity_index as usize, member);
         let scaled = self.rs.scale_bytes(delta, coef);
         let row = self.row_mut(rank);
-        row.keys[member as usize] = key;
+        row.keys[member] = key;
         for (s, d) in row.slot.iter_mut().zip(scaled.iter()) {
             *s ^= d;
         }
@@ -123,33 +125,24 @@ impl ParityState {
             .collect()
     }
 
-    pub(crate) fn handle(&mut self, msg: Wire) -> Vec<(SiteId, Wire)> {
+    /// Handles one message from `from`. An update comes from a bucket of
+    /// this site's group, whose address names its member index; one from
+    /// anywhere else is dropped and counted.
+    pub(crate) fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
         match msg {
-            Wire::ParityUpdate {
-                group,
-                member,
-                rank,
-                key,
-                delta,
-            } => {
-                debug_assert_eq!(group, self.group);
-                self.apply(member, rank, key, &delta);
-                Vec::new()
+            Wire::ParityUpdate { rank, key, delta } => {
+                let k = self.k as u64;
+                match SiteRegistry::bucket_addr(from) {
+                    Some(addr) if addr / k == self.group => {
+                        self.apply((addr % k) as usize, rank, key, &delta);
+                        Vec::new()
+                    }
+                    _ => drop_wrong_sender(Registry::global()),
+                }
             }
-            Wire::ParityRead {
-                req_id,
-                client,
-                group,
-            } => {
-                debug_assert_eq!(group, self.group);
-                vec![(
-                    SiteId(client),
-                    Wire::ParityState {
-                        req_id,
-                        parity_index: self.parity_index,
-                        rows: self.rows(),
-                    },
-                )]
+            Wire::ParityRead { req_id } => {
+                let rows = self.rows();
+                vec![(from, Wire::ParityState { req_id, rows })]
             }
             _ => Vec::new(),
         }
@@ -174,13 +167,15 @@ impl Machine for ParityState {
         span
     }
 
-    fn handle(&mut self, _from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
-        self.handle(msg)
+    fn handle(&mut self, from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
+        self.handle(from, msg)
     }
 }
 
 /// Reconstructs the failed member's `(key, value)` records from survivor
-/// slot tables and parity rows.
+/// slot tables and parity rows. The tables and rows came off the wire: a
+/// row that does not list `k` member keys, or a reconstructed slot whose
+/// length prefix overruns it, is an error.
 ///
 /// * `k`, `m`, `slot_size` — the group's parity parameters;
 /// * `failed` — member index being reconstructed;
@@ -212,11 +207,16 @@ pub(crate) fn reconstruct_member(
     let mut recovered = Vec::with_capacity(nranks);
     for rank in 0..nranks {
         // key of the failed member at this rank, from any parity row
-        let key = parities
-            .iter()
-            .flatten()
-            .filter_map(|rows| rows.get(rank))
-            .find_map(|row| row.keys[failed]);
+        let mut key = None;
+        for row in parities.iter().flatten().filter_map(|rows| rows.get(rank)) {
+            let Some(&member_key) = row.keys.get(failed).filter(|_| row.keys.len() == k) else {
+                return Err(format!(
+                    "rank {rank}: a parity row lists {} member keys, not {k}",
+                    row.keys.len()
+                ));
+            };
+            key = key.or(member_key);
+        }
         let Some(key) = key else {
             recovered.push(None); // free rank
             continue;
@@ -254,8 +254,11 @@ pub(crate) fn reconstruct_member(
         let data = rs
             .reconstruct(&shares)
             .map_err(|e| format!("rank {rank}: {e}"))?;
-        let value = value_of(&data[failed]);
-        recovered.push(Some((key, value)));
+        let value = data
+            .get(failed)
+            .and_then(|slot| value_of(slot))
+            .ok_or_else(|| format!("rank {rank}: the slot's length prefix overruns it"))?;
+        recovered.push(Some((key, value.to_vec())));
     }
     Ok(recovered)
 }
@@ -268,8 +271,8 @@ mod tests {
     fn slot_roundtrip() {
         let slot = slot_of(b"hello", 16);
         assert_eq!(slot.len(), 16);
-        assert_eq!(value_of(&slot), b"hello");
-        assert_eq!(value_of(&slot_of(b"", 8)), b"");
+        assert_eq!(value_of(&slot), Some(&b"hello"[..]));
+        assert_eq!(value_of(&slot_of(b"", 8)), Some(&b""[..]));
     }
 
     #[test]
@@ -380,6 +383,54 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rec1, vec![Some((2, b"two".to_vec()))]);
+    }
+
+    /// A parity site takes updates from the buckets of its own group only:
+    /// bucket 4 is member 0 of group 2 when `k = 2`, so an update from
+    /// bucket 2 (group 1) or from a dynamic id is dropped, counted, and
+    /// leaves the rows as they are.
+    #[test]
+    fn an_update_from_a_bucket_of_another_group_is_dropped() {
+        let mut p = ParityState::new(2, 0, 2, 1, 16);
+        let drops = sdds_obs::counter("lh.wrong_sender_drops");
+        let before = drops.get();
+        let update = |key| Wire::ParityUpdate {
+            rank: 0,
+            key: Some(key),
+            delta: slot_delta(None, Some(b"v"), 16),
+        };
+        for from in [SiteId(2), SiteId(sdds_net::DYN_BASE + 4)] {
+            assert!(p.handle(from, update(1)).is_empty());
+        }
+        assert!(drops.get() >= before + 2, "both drops counted");
+        assert!(p.rows().is_empty(), "no row touched");
+        p.handle(SiteId(5), update(7));
+        assert_eq!(
+            p.rows()[0].keys,
+            vec![None, Some(7)],
+            "bucket 5 is member 1"
+        );
+    }
+
+    #[test]
+    fn a_parity_row_with_fewer_than_k_keys_is_an_error() {
+        let row = ParityRow {
+            keys: vec![Some(1)],
+            slot: vec![0; 16],
+        };
+        let err = reconstruct_member(2, 1, 16, 1, &[Some(vec![]), None], &[Some(vec![row])]);
+        assert!(err.is_err(), "{err:?}");
+    }
+
+    #[test]
+    fn a_slot_whose_length_prefix_overruns_it_is_an_error() {
+        let mut p = ParityState::new(0, 0, 1, 1, 16);
+        // length 15 in a 16-byte slot: one byte more than it can hold
+        let mut slot = vec![0; 16];
+        slot[0] = 15;
+        p.apply(0, 0, Some(7), &slot);
+        let err = reconstruct_member(1, 1, 16, 0, &[None], &[Some(p.rows())]);
+        assert!(err.is_err(), "{err:?}");
     }
 
     #[test]

@@ -590,15 +590,15 @@ mod tests {
         runtime.add(endpoint, Box::new(Probe(f)), &Registry::new("runtime-test"));
     }
 
-    /// A numbered message: `TransferAck` is the smallest variant with a
-    /// payload.
+    /// A numbered message: `ExtentReq` is one of the smallest variants
+    /// with a payload.
     fn numbered(n: u64) -> Bytes {
-        Wire::TransferAck { addr: n }.encode()
+        Wire::ExtentReq { req_id: n }.encode()
     }
 
     fn number(msg: &Wire) -> u64 {
         match msg {
-            Wire::TransferAck { addr } => *addr,
+            Wire::ExtentReq { req_id } => *req_id,
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -763,7 +763,6 @@ mod tests {
         }
         let scan = Wire::ScanReq {
             req_id: 1,
-            client: client.id().0,
             query: b"WARZ".to_vec(),
             keys_only: true,
         };
@@ -904,11 +903,11 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let runtime = Runtime::with_workers(1);
         let client = net.register();
-        let reply_to = client.id();
+        let to_client = client.id();
         let echo = move |plus: u64| {
             move |_: SiteId, msg: Wire| {
-                let addr = plus + number(&msg);
-                vec![(reply_to, Wire::TransferAck { addr })]
+                let req_id = plus + number(&msg);
+                vec![(to_client, Wire::ExtentReq { req_id })]
             }
         };
         // Hold the one worker while the id's traffic queues up.
@@ -972,10 +971,10 @@ mod tests {
             let flag = Arc::new(AtomicBool::new(false));
             dropped.push(Arc::clone(&flag));
             let flag = Flag(flag);
-            let reply_to = client.id();
+            let to_client = client.id();
             add(&runtime, endpoint, move |_, msg| {
                 let _keep = &flag;
-                vec![(reply_to, msg)]
+                vec![(to_client, msg)]
             });
         }
         client.send(ids[0], Wire::Shutdown.encode()).unwrap();

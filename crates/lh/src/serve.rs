@@ -5,7 +5,9 @@
 //! (`addr % num_servers`). It is an [`LhCluster`] brought up the way an
 //! in-process one is — rank 0 derives the file state from its data dir
 //! and runs the split coordinator — plus the host loop that answers
-//! [`HostMsg`]s. A bucket's site id is its address on both fabrics
+//! the [`Wire`] messages sent to the rank's host id (`Spawn`,
+//! `DropConns`, `ObsPull`, `Shutdown`). A bucket's site id is its
+//! address on both fabrics
 //! (`SiteRegistry::bucket_id`), and the registry's modular partition
 //! decides which process answers. Clients are
 //! [`LhCluster::connect`]ed processes that host no site.
@@ -27,157 +29,11 @@
 use crate::client::LhError;
 use crate::cluster::{send_control, ClusterConfig, LhCluster, ObsOptions};
 use crate::health;
-use crate::messages::encode_pooled;
-use bytes::Bytes;
-use sdds_net::codec::{put_bool, put_option, put_seq, put_str, put_u32, put_u64, Reader};
+use crate::messages::Wire;
 use sdds_net::{Endpoint, NetError, Network, SiteId, SiteRegistry};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
-
-/// Control messages between the coordinator's process and the site
-/// hosts. These ride the same TCP fabric as [`Wire`] but address the
-/// per-rank host endpoints (`SiteRegistry::host_id`), which speak only
-/// this protocol — the two codecs never meet in one inbox.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum HostMsg {
-    /// Materialise bucket `addr` at `level` on the receiving host.
-    Spawn {
-        /// Bucket address (also its site id).
-        addr: u64,
-        /// Initial bucket level.
-        level: u8,
-    },
-    /// Sever every established connection (fault injection for tests;
-    /// streams re-establish with backoff).
-    DropConns,
-    /// Scrape request from a [`ClusterObs`](crate::ClusterObs) client:
-    /// the host replies with one [`HostMsg::ObsReport`] to `reply_to`
-    /// (a dynamic client endpoint id). See `docs/PROTOCOL.md` for the
-    /// wire format.
-    ObsPull {
-        /// Correlates the report with the request (echoed verbatim).
-        req_id: u64,
-        /// Endpoint id the report must be sent to.
-        reply_to: u32,
-        /// Ship the rank's metrics (aggregate + per-site snapshots).
-        metrics: bool,
-        /// Drain and ship the rank's flight-recorder spans.
-        spans: bool,
-        /// Ship the rank's timestamped snapshot-ring history.
-        history: bool,
-    },
-    /// One rank's scrape reply. Metrics travel as `MetricsSnapshot`
-    /// JSON documents, spans as the flight recorder's JSONL schema —
-    /// the same formats the CLI writes to sidecar files — each carried
-    /// as one length-prefixed string.
-    ObsReport {
-        /// The request's `req_id`, echoed.
-        req_id: u64,
-        /// The reporting rank.
-        rank: u32,
-        /// The rank's process-global snapshot (when `metrics` was set).
-        metrics: Option<String>,
-        /// Per-site (per-bucket) snapshots (when `metrics` was set).
-        sites: Vec<String>,
-        /// Drained spans as JSONL (empty unless `spans` was set).
-        spans: String,
-        /// Snapshot ring: (unix millis, snapshot JSON), oldest first
-        /// (empty unless `history` was set).
-        history: Vec<(u64, String)>,
-    },
-    /// Shut down every local site and exit the host loop.
-    Shutdown,
-}
-
-const SPAWN: u8 = 0;
-const DROP_CONNS: u8 = 1;
-const OBS_PULL: u8 = 2;
-const OBS_REPORT: u8 = 3;
-const SHUTDOWN: u8 = 4;
-
-impl HostMsg {
-    /// Encodes in the same binary layout as [`Wire`] (tag byte, then the
-    /// fields in declaration order; see `docs/PROTOCOL.md`). Snapshots
-    /// and spans stay the JSON/JSONL documents they are and travel as
-    /// length-prefixed strings.
-    pub(crate) fn encode(&self) -> Bytes {
-        encode_pooled(|out| match self {
-            HostMsg::Spawn { addr, level } => {
-                out.push(SPAWN);
-                put_u64(out, *addr);
-                out.push(*level);
-            }
-            HostMsg::DropConns => out.push(DROP_CONNS),
-            HostMsg::ObsPull {
-                req_id,
-                reply_to,
-                metrics,
-                spans,
-                history,
-            } => {
-                out.push(OBS_PULL);
-                put_u64(out, *req_id);
-                put_u32(out, *reply_to);
-                put_bool(out, *metrics);
-                put_bool(out, *spans);
-                put_bool(out, *history);
-            }
-            HostMsg::ObsReport {
-                req_id,
-                rank,
-                metrics,
-                sites,
-                spans,
-                history,
-            } => {
-                out.push(OBS_REPORT);
-                put_u64(out, *req_id);
-                put_u32(out, *rank);
-                put_option(out, metrics.as_deref(), put_str);
-                put_seq(out, sites, |out, s| put_str(out, s));
-                put_str(out, spans);
-                put_seq(out, history, |out, (at, snapshot)| {
-                    put_u64(out, *at);
-                    put_str(out, snapshot);
-                });
-            }
-            HostMsg::Shutdown => out.push(SHUTDOWN),
-        })
-    }
-
-    /// Decodes a host-control payload; `None` for anything that is not
-    /// exactly one well-formed message (an empty payload included).
-    pub(crate) fn decode(payload: &[u8]) -> Option<HostMsg> {
-        let mut r = Reader::new(payload);
-        let msg = match r.u8()? {
-            SPAWN => HostMsg::Spawn {
-                addr: r.u64()?,
-                level: r.u8()?,
-            },
-            DROP_CONNS => HostMsg::DropConns,
-            OBS_PULL => HostMsg::ObsPull {
-                req_id: r.u64()?,
-                reply_to: r.u32()?,
-                metrics: r.bool()?,
-                spans: r.bool()?,
-                history: r.bool()?,
-            },
-            OBS_REPORT => HostMsg::ObsReport {
-                req_id: r.u64()?,
-                rank: r.u32()?,
-                metrics: r.option(Reader::string)?,
-                sites: r.seq(4, Reader::string)?,
-                spans: r.string()?,
-                history: r.seq(8 + 4, |r| Some((r.u64()?, r.string()?)))?,
-            },
-            SHUTDOWN => HostMsg::Shutdown,
-            _ => return None,
-        };
-        r.finish()?;
-        Some(msg)
-    }
-}
 
 /// A running site host; join it with [`wait`](ServeHandle::wait).
 pub struct ServeHandle {
@@ -185,7 +41,7 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Blocks until the host receives [`HostMsg::Shutdown`] (or its
+    /// Blocks until the host receives [`Wire::Shutdown`] (or its
     /// network dies) and the rank's site runtime has shut down.
     pub fn wait(self) {
         let _ = self.host.join();
@@ -196,7 +52,7 @@ impl ServeHandle {
 /// returns once the listener is up and every rank-local site is running
 /// (rank 0: the coordinator and the buckets of the file its data dir
 /// holds). The returned handle joins the host control loop, which exits
-/// on [`HostMsg::Shutdown`] — sent by [`LhCluster::shutdown`] or
+/// on [`Wire::Shutdown`] — sent by [`LhCluster::shutdown`] or
 /// `sdds serve`'s peer tooling.
 pub fn serve(
     registry: SiteRegistry,
@@ -223,13 +79,15 @@ pub fn serve(
         .network()
         .register_with_id(SiteRegistry::host_id(rank))
         .ok_or_else(|| LhError::Rejected("host id already registered".into()))?;
-    let h = std::thread::spawn(move || host_loop(host_ep, cluster, rank, obs));
+    let h = std::thread::spawn(move || host_loop(host_ep, Host::new(cluster, obs)));
     Ok(ServeHandle { host: h })
 }
 
-/// The host's periodic observability state: the snapshot ring, the
-/// optional trace-flush sink, and the watchdog gauge.
-struct ObsTicker {
+/// A rank's host: its share of the cluster, and the periodic
+/// observability state — the snapshot ring, the optional trace-flush
+/// sink, and the watchdog gauge.
+struct Host {
+    cluster: LhCluster,
     opts: ObsOptions,
     /// (unix millis, snapshot JSON), oldest first, capped at
     /// `opts.history`.
@@ -238,8 +96,8 @@ struct ObsTicker {
     age_gauge: sdds_obs::Gauge,
 }
 
-impl ObsTicker {
-    fn new(opts: ObsOptions) -> ObsTicker {
+impl Host {
+    fn new(cluster: LhCluster, opts: ObsOptions) -> Host {
         let sink = opts
             .trace_flush
             .as_ref()
@@ -250,11 +108,61 @@ impl ObsTicker {
                     None
                 }
             });
-        ObsTicker {
+        Host {
+            cluster,
             opts,
             ring: VecDeque::new(),
             sink,
             age_gauge: sdds_obs::gauge("lh.loop_last_tick_age"),
+        }
+    }
+
+    /// Handles one message from `from`, returning the messages to send
+    /// out: spawns the buckets the coordinator assigns to this rank,
+    /// severs connections on request, answers observability scrapes.
+    /// `Shutdown` is the loop's.
+    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        match msg {
+            Wire::Spawn { addr, level } => {
+                self.cluster.host.spawn(addr, level, false);
+                Vec::new()
+            }
+            Wire::DropConns => {
+                self.cluster.drop_connections();
+                Vec::new()
+            }
+            Wire::ObsPull {
+                req_id,
+                metrics,
+                spans,
+                history,
+            } => {
+                sdds_obs::counter("obs.scrape_requests").inc();
+                // Refresh the watchdog gauge first so the shipped
+                // snapshot carries a current loop-age reading.
+                self.refresh_watchdog();
+                let report = Wire::ObsReport {
+                    req_id,
+                    metrics: metrics.then(snapshot_json),
+                    sites: if metrics {
+                        sdds_obs::capture_sites()
+                            .iter()
+                            .map(|s| s.to_json())
+                            .collect()
+                    } else {
+                        Vec::new()
+                    },
+                    spans: if spans { spans_jsonl() } else { String::new() },
+                    history: if history {
+                        self.ring.iter().cloned().collect()
+                    } else {
+                        Vec::new()
+                    },
+                };
+                vec![(from, report)]
+            }
+            // Client-bound and site-bound messages are not the host's.
+            _ => Vec::new(),
         }
     }
 
@@ -305,73 +213,40 @@ fn spans_jsonl() -> String {
     out
 }
 
-/// The host control loop: spawns buckets the coordinator assigns to
-/// this rank, severs connections on request, answers observability
-/// scrapes, runs the periodic obs tick, and tears the process's sites
-/// down on shutdown.
-fn host_loop(ep: Endpoint, cluster: LhCluster, rank: usize, obs: ObsOptions) {
-    let mut ticker = ObsTicker::new(obs);
-    let tick = ticker.opts.tick.max(Duration::from_millis(1));
+/// The host control loop: decodes what reaches the rank's host id,
+/// hands it to [`Host::handle`] and sends what that returns, runs the
+/// periodic obs tick, and tears the process's sites down on
+/// [`Wire::Shutdown`].
+fn host_loop(ep: Endpoint, mut host: Host) {
+    let tick = host.opts.tick.max(Duration::from_millis(1));
     let mut next_tick = Instant::now() + tick;
     loop {
         let wait = next_tick.saturating_duration_since(Instant::now());
         let env = match ep.recv_timeout(wait) {
             Ok(env) => env,
             Err(NetError::Timeout) => {
-                ticker.tick();
+                host.tick();
                 next_tick = Instant::now() + tick;
                 continue;
             }
             Err(_) => break,
         };
-        match HostMsg::decode(&env.payload) {
-            Some(HostMsg::Spawn { addr, level }) => cluster.host.spawn(addr, level, false),
-            Some(HostMsg::DropConns) => cluster.drop_connections(),
-            Some(HostMsg::ObsPull {
-                req_id,
-                reply_to,
-                metrics,
-                spans,
-                history,
-            }) => {
-                sdds_obs::counter("obs.scrape_requests").inc();
-                // Refresh the watchdog gauge first so the shipped
-                // snapshot carries a current loop-age reading.
-                ticker.refresh_watchdog();
-                let report = HostMsg::ObsReport {
-                    req_id,
-                    rank: rank as u32,
-                    metrics: metrics.then(snapshot_json),
-                    sites: if metrics {
-                        sdds_obs::capture_sites()
-                            .iter()
-                            .map(|s| s.to_json())
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
-                    spans: if spans { spans_jsonl() } else { String::new() },
-                    history: if history {
-                        ticker.ring.iter().cloned().collect()
-                    } else {
-                        Vec::new()
-                    },
-                };
-                let _ = send_control(&ep, SiteId(reply_to), report.encode());
-            }
-            // Client-bound; a misrouted report is dropped, not answered.
-            Some(HostMsg::ObsReport { .. }) => {}
-            Some(HostMsg::Shutdown) => break,
-            None => {}
+        let Some(msg) = Wire::decode(&env.payload) else {
+            continue;
+        };
+        if matches!(msg, Wire::Shutdown) {
+            break;
+        }
+        for (to, out) in host.handle(env.from, msg) {
+            let _ = send_control(&ep, to, out.encode());
         }
     }
-    drop(cluster); // stops this rank's sites
+    drop(host); // stops this rank's sites
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdds_net::codec::check::{hostile_length, prefixes_and_bitflips};
 
     /// Three "ranks" in one process (threads stand in for processes —
     /// the full multi-process path is exercised by `tests/tcp_cluster.rs`
@@ -468,98 +343,6 @@ mod tests {
         hub.shutdown();
         for s in serves {
             s.wait();
-        }
-    }
-
-    /// At least one value of every variant; the reports cover `None`
-    /// and `Some`, empty and filled lists, and non-ASCII text.
-    fn host_samples() -> Vec<HostMsg> {
-        vec![
-            HostMsg::Spawn {
-                addr: u64::MAX,
-                level: 7,
-            },
-            HostMsg::DropConns,
-            HostMsg::ObsPull {
-                req_id: 1,
-                reply_to: u32::MAX,
-                metrics: true,
-                spans: false,
-                history: true,
-            },
-            HostMsg::ObsReport {
-                req_id: 1,
-                rank: 2,
-                metrics: None,
-                sites: vec![],
-                spans: String::new(),
-                history: vec![],
-            },
-            HostMsg::ObsReport {
-                req_id: u64::MAX,
-                rank: 0,
-                metrics: Some(r#"{"label":"global"}"#.into()),
-                sites: vec![r#"{"label":"bucket-0"}"#.into(), "{}".into()],
-                spans: "{\"name\":\"größe\"}\n".into(),
-                history: vec![(1, "{}".into()), (u64::MAX, String::new())],
-            },
-            HostMsg::Shutdown,
-        ]
-    }
-
-    #[test]
-    fn host_msg_roundtrips_every_variant() {
-        let mut covered = std::collections::BTreeSet::new();
-        for m in host_samples() {
-            let name: String = format!("{m:?}")
-                .chars()
-                .take_while(char::is_ascii_alphanumeric)
-                .collect();
-            covered.insert(name);
-            assert_eq!(HostMsg::decode(&m.encode()), Some(m));
-        }
-        // by hand: `HostMsg` is not in protocol-matrix.json
-        let declared = ["DropConns", "ObsPull", "ObsReport", "Shutdown", "Spawn"];
-        assert_eq!(covered.len(), usize::from(SHUTDOWN) + 1);
-        assert!(covered.iter().map(String::as_str).eq(declared));
-    }
-
-    #[test]
-    fn host_msg_decode_fails_closed() {
-        let encodings: Vec<Vec<u8>> = host_samples().iter().map(|m| m.encode().to_vec()).collect();
-        prefixes_and_bitflips(&encodings, HostMsg::decode);
-        assert_eq!(HostMsg::decode(&[]), None, "empty payload");
-        assert_eq!(HostMsg::decode(&[SHUTDOWN + 1]), None, "unknown tag");
-        assert_eq!(HostMsg::decode(&[SHUTDOWN, 0]), None, "trailing byte");
-        assert_eq!(HostMsg::decode(br#""Shutdown""#), None, "old JSON");
-        assert_eq!(
-            HostMsg::decode(br#"{"Spawn":{"addr":1,"level":0}}"#),
-            None,
-            "old JSON"
-        );
-        // ObsReport{req_id, rank, then: metrics text, sites, a site's
-        // text, spans, history
-        let report = [&[OBS_REPORT][..], &[0; 12]].concat();
-        let cases: [(Vec<u8>, &[u8]); 5] = [
-            ([&report[..], &[1]].concat(), &[0; 12]),
-            ([&report[..], &[0]].concat(), &[0; 8]),
-            ([&report[..], &[0], &[1, 0, 0, 0]].concat(), &[0; 8]),
-            ([&report[..], &[0], &[0; 4]].concat(), &[0; 4]),
-            ([&report[..], &[0], &[0; 8]].concat(), &[]),
-        ];
-        for (head, tail) in &cases {
-            hostile_length(head, tail, HostMsg::decode);
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn host_msg_random_bytes_never_panic(
-            tag in 0u8..=SHUTDOWN + 1,
-            data in proptest::collection::vec(proptest::any::<u8>(), 0..96),
-        ) {
-            let _ = HostMsg::decode(&data);
-            let _ = HostMsg::decode(&[&[tag][..], &data].concat());
         }
     }
 

@@ -51,8 +51,9 @@ fn forwards_and_retries_stay_inside_one_trace() {
         bucket_capacity: 8,
         ..ClusterConfig::default()
     });
-    // Neutralize the `trace` feature's on-by-default gate for the load
-    // phase, so the drained set holds exactly the lookup traces.
+    // Tracing stays off for the load phase (another test of this process
+    // may have turned it on), so the drained set holds exactly the lookup
+    // traces.
     trace::set_tracing(false);
     let writer = cluster.client();
     for key in 0..300u64 {

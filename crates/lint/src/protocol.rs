@@ -26,9 +26,9 @@
 //! guard), by `|` alternation, or by a single `=` (refutable `let`);
 //! every other occurrence is a *construction* (a send), and so is a call
 //! of a borrowed encoder (`Wire::encode_scan_req(..)` sends a `ScanReq`).
-//! Patterns in the six protocol actor files count as handles;
-//! constructions anywhere in `crates/lh/src` (except the codec) count as
-//! sends.
+//! Patterns in the protocol actor files ([`HANDLER_FILES`]) count as
+//! handles; constructions anywhere in `crates/lh/src` (except the codec)
+//! count as sends.
 
 use crate::rules::{is_allowed, Diagnostic};
 use crate::scanner::{idents, statement_before, BraceTree, Pos, Scanned};
@@ -48,25 +48,32 @@ const CODEC_FILE: &str = "crates/lh/src/messages.rs";
 
 /// Files whose `Wire` patterns count as protocol handlers: the three site
 /// state machines and the runtime that dispatches to them (it retires a
-/// site on `Shutdown`), plus the client/cluster sides that consume
-/// replies.
-const HANDLER_FILES: [&str; 6] = [
+/// site on `Shutdown`), a rank's host loop, plus the client, cluster and
+/// scrape sides that consume replies.
+const HANDLER_FILES: [&str; 8] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/client.rs",
     "crates/lh/src/cluster.rs",
     "crates/lh/src/coordinator.rs",
+    "crates/lh/src/obs_client.rs",
     "crates/lh/src/parity.rs",
+    HOST_FILE,
     DISPATCH_FILE,
 ];
 
-/// The site state machines and the loop that runs them:
-/// reply-obligation and must-land apply here.
-const LOOP_FILES: [&str; 4] = [
+/// The site state machines, the host loop and the loop that runs the
+/// sites: reply-obligation and must-land apply here.
+const LOOP_FILES: [&str; 5] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/coordinator.rs",
     "crates/lh/src/parity.rs",
+    HOST_FILE,
     DISPATCH_FILE,
 ];
+
+/// A rank's host loop: it answers the messages sent to the rank's host
+/// id.
+const HOST_FILE: &str = "crates/lh/src/serve.rs";
 
 /// The one dispatch loop. What it sends is whatever a handler returned,
 /// which names no variant at the send site, so must-land holds it to more
@@ -79,13 +86,14 @@ const DIRECT_SENDS: [&str; 3] = [".send(", ".send_traced(", ".send_with("];
 /// Request-shaped variants and the response each handler must emit.
 /// The responses are the variants `Wire::reply_id` names, which sites
 /// shed under overload.
-const REPLY_PAIRS: [(&str, &str); 6] = [
+const REPLY_PAIRS: [(&str, &str); 7] = [
     ("Request", "Response"),
     ("ScanReq", "ScanResp"),
     ("SlotsRead", "SlotsState"),
     ("Dump", "DumpState"),
     ("ExtentReq", "ExtentResp"),
     ("ParityRead", "ParityState"),
+    ("ObsPull", "ObsReport"),
 ];
 
 /// Control-plane variants that must go through `SendQueue` inside an
@@ -947,7 +955,7 @@ impl<'a> FileView<'a> {
         if look.starts_with('=') && !look.starts_with("==") {
             return (Kind::Pattern, None); // refutable `let` binding
         }
-        if idents(&look).first() == Some(&"if") {
+        if look.starts_with("if") && idents(&look).first() == Some(&"if") {
             // match-arm guard: the arrow follows the guard expression
             return (Kind::Pattern, self.find_arrow(p));
         }

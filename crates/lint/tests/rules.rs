@@ -439,3 +439,99 @@ fn workspace_lints_clean() {
     // every unsafe site in the tree carries a SAFETY rationale
     assert!(report.unsafe_inventory.iter().all(|u| u.has_safety));
 }
+
+/// A miniature `Wire` with the host variants, replayed as the codec.
+const HOST_CODEC: &str = "\
+pub enum Wire {
+    Spawn { addr: u64 },
+    DropConns,
+    ObsPull { req_id: u64 },
+    ObsReport { req_id: u64 },
+}
+";
+
+/// The senders: the cluster facade spawns and severs, the scrape client
+/// pulls and takes the report in. The `if` after a `return` is no match
+/// guard: the `Spawn` before it is a send.
+const HOST_SENDERS: [(&str, &str); 2] = [
+    (
+        "crates/lh/src/cluster.rs",
+        "\
+fn place(addr: u64, here: bool) -> Vec<(SiteId, Wire)> {
+    if !here {
+        return vec![(host(addr), Wire::Spawn { addr })];
+    }
+    if addr == 0 {
+        return Vec::new();
+    }
+    vec![(host(addr), Wire::DropConns)]
+}
+",
+    ),
+    (
+        "crates/lh/src/obs_client.rs",
+        "\
+fn scrape(msg: Wire) -> Option<u64> {
+    send(Wire::ObsPull { req_id: 0 });
+    let Wire::ObsReport { req_id } = msg else {
+        return None;
+    };
+    Some(req_id)
+}
+",
+    ),
+];
+
+/// Lints the host fixtures with `host` as the host loop.
+fn lint_host_loop(host: &str) -> Report {
+    let mut files = vec![("crates/lh/src/messages.rs", HOST_CODEC)];
+    files.extend(HOST_SENDERS);
+    files.push(("crates/lh/src/serve.rs", host));
+    lint_files(&files, None)
+}
+
+#[test]
+fn the_host_loop_is_held_to_the_protocol_rules() {
+    let clean = "\
+fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+    match msg {
+        Wire::Spawn { addr } => spawn(addr),
+        Wire::DropConns => sever(),
+        Wire::ObsPull { req_id } => vec![(from, Wire::ObsReport { req_id })],
+        _ => Vec::new(),
+    }
+}
+";
+    let r = lint_host_loop(clean);
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+    let matrix = r.matrix.expect("codec present => matrix built");
+    assert!(matrix
+        .variants
+        .iter()
+        .all(|v| !v.sends.is_empty() && !v.handles.is_empty()));
+
+    // `DropConns` is sent and no arm handles it; the `ObsPull` arm
+    // answers nothing, which leaves the scrape client's `ObsReport` arm
+    // dead as well
+    let bad = "\
+fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+    match msg {
+        Wire::Spawn { addr } => spawn(addr),
+        Wire::ObsPull { req_id } => {
+            let _ = (from, req_id);
+            Vec::new()
+        }
+        _ => Vec::new(),
+    }
+}
+";
+    let r = lint_host_loop(bad);
+    assert_eq!(count_rule(&r, "protocol-coverage"), 2, "{:?}", r.violations);
+    assert!(r.violations.iter().any(|d| d.rule == "protocol-coverage"
+        && d.file == "crates/lh/src/messages.rs"
+        && d.message.contains("DropConns")));
+    assert_eq!(count_rule(&r, "reply-obligation"), 1, "{:?}", r.violations);
+    assert!(r.violations.iter().any(|d| d.rule == "reply-obligation"
+        && d.file == "crates/lh/src/serve.rs"
+        && d.message.contains("ObsReport")));
+}

@@ -1,6 +1,5 @@
 //! Binary codec primitives shared by the TCP frame ([`crate::frame`]) and
-//! every message body that rides inside it (`Wire`, `HostMsg`,
-//! `EncryptedQuery`).
+//! every message body that rides inside it (`Wire`, `EncryptedQuery`).
 //!
 //! One representation, used everywhere:
 //!
@@ -204,7 +203,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Checks every decoder built on this module must pass on bytes it did
-/// not write. For the tests of the message types (`Wire`, `HostMsg`,
+/// not write. For the tests of the message types (`Wire`,
 /// `EncryptedQuery`): each function panics when the decoder misbehaves.
 pub mod check {
     use std::fmt::Debug;

@@ -22,7 +22,7 @@
 //!   hello frame and reply on it.
 //! * `COORD_ID` — the coordinator, always on rank 0.
 //! * `HOST_BASE + r` — rank `r`'s host-control endpoint (bucket spawn,
-//!   connection-drop fault injection, shutdown).
+//!   connection-drop fault injection, observability scrapes, shutdown).
 
 use crate::network::SiteId;
 
@@ -122,6 +122,11 @@ impl SiteRegistry {
     pub fn bucket_id(addr: u64) -> SiteId {
         SiteId((addr % DYN_BASE as u64) as u32)
     }
+
+    /// The LH* bucket address site `id` is, or `None` if it is no bucket's.
+    pub fn bucket_addr(id: SiteId) -> Option<u64> {
+        (id.0 < DYN_BASE).then_some(u64::from(id.0))
+    }
 }
 
 /// Which of `ranks` server ranks hosts well-known id `id`; `None` for
@@ -168,5 +173,11 @@ mod tests {
         assert_eq!(r.owner_rank(SiteRegistry::host_id(2)), Some(2));
         assert_eq!(r.owner_rank(SiteId(DYN_BASE + 7)), None);
         assert_eq!(r.owner_rank(SiteRegistry::host_id(3)), None, "no rank 3");
+        assert_eq!(
+            SiteRegistry::bucket_addr(SiteRegistry::bucket_id(7)),
+            Some(7)
+        );
+        assert_eq!(SiteRegistry::bucket_addr(SiteId(DYN_BASE)), None);
+        assert_eq!(SiteRegistry::bucket_addr(SiteId(COORD_ID)), None);
     }
 }

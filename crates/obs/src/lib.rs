@@ -28,10 +28,6 @@
 //! let json = sdds_obs::MetricsSnapshot::capture().to_json();
 //! assert!(json.contains("demo.requests"));
 //! ```
-//!
-//! The legacy [`span`] free function is a no-op unless the `trace` cargo
-//! feature is enabled, in which case it records into the flight recorder
-//! (never stderr).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -938,35 +934,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy tracing spans
-// ---------------------------------------------------------------------------
-
-/// A tracing span guard; see [`span`].
-pub struct Span {
-    #[cfg(feature = "trace")]
-    _guard: trace::SpanGuard,
-}
-
-/// Opens a span. With the `trace` cargo feature enabled this records a
-/// child span into the flight recorder (see [`trace`]); otherwise it
-/// compiles to a no-op. The structured API in [`trace`] is preferred for
-/// new instrumentation — this entry point exists so pre-existing
-/// `span("...")` call sites keep working.
-pub fn span(name: &'static str) -> Span {
-    #[cfg(feature = "trace")]
-    {
-        Span {
-            _guard: trace::child_span(name),
-        }
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = name;
-        Span {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1072,11 +1039,6 @@ mod tests {
             merged.float_gauges.is_empty(),
             "float gauges do not sum across ranks"
         );
-    }
-
-    #[test]
-    fn span_guard_is_usable() {
-        let _s = span("test.obs.span");
     }
 
     #[test]

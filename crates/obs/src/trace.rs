@@ -12,8 +12,7 @@
 //!
 //! Recording is gated by a runtime flag ([`set_tracing`]); the default is
 //! off, so instrumented code costs one relaxed atomic load per span when
-//! tracing is disabled. Building with the `trace` cargo feature flips the
-//! default to on.
+//! tracing is disabled.
 //!
 //! ```
 //! use sdds_obs::trace;
@@ -78,24 +77,20 @@ pub struct SpanRecord {
 // Runtime gate, ids, epoch
 // ---------------------------------------------------------------------------
 
-fn enabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    // The `trace` cargo feature flips the *default* to on; set_tracing
-    // still overrides at runtime either way.
-    FLAG.get_or_init(|| AtomicBool::new(cfg!(feature = "trace")))
-}
+/// The runtime gate; off until [`set_tracing`] turns it on.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns span recording on or off process-wide.
 pub fn set_tracing(on: bool) {
     // ordering: Relaxed — the flag is an independent on/off switch; no
     // other memory accesses are published through it.
-    enabled_flag().store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether spans are currently being recorded.
 pub fn tracing_enabled() -> bool {
     // ordering: Relaxed — see set_tracing.
-    enabled_flag().load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 fn splitmix64(mut x: u64) -> u64 {

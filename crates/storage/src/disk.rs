@@ -287,12 +287,6 @@ impl StorageEngine for DiskEngine {
         }
     }
 
-    fn range_scan(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) {
-        for (k, v) in self.map.range(lo..=hi) {
-            f(*k, v);
-        }
-    }
-
     fn put(&mut self, key: u64, value: &[u8]) -> Result<Option<Vec<u8>>, StorageError> {
         let old = self.map.get(&key).cloned();
         self.commit(&[BatchOp::Put {

@@ -172,17 +172,6 @@ impl WriteBatch {
     pub fn ops(&self) -> &[BatchOp] {
         &self.ops
     }
-
-    /// Consume the batch, yielding its ops.
-    pub fn into_ops(self) -> Vec<BatchOp> {
-        self.ops
-    }
-}
-
-impl From<Vec<BatchOp>> for WriteBatch {
-    fn from(ops: Vec<BatchOp>) -> Self {
-        WriteBatch { ops }
-    }
 }
 
 /// Apply a slice of ops to a map view, in order. Shared by both backends
@@ -236,9 +225,6 @@ pub trait StorageEngine: Send {
     /// Visit every record in ascending key order.
     fn for_each(&self, f: &mut dyn FnMut(u64, &[u8]));
 
-    /// Visit records with `lo <= key <= hi` in ascending key order.
-    fn range_scan(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8]));
-
     /// Insert or overwrite; returns the previous value if any.
     fn put(&mut self, key: u64, value: &[u8]) -> Result<Option<Vec<u8>>, StorageError>;
 
@@ -290,12 +276,6 @@ impl StorageEngine for MemEngine {
 
     fn for_each(&self, f: &mut dyn FnMut(u64, &[u8])) {
         for (k, v) in &self.map {
-            f(*k, v);
-        }
-    }
-
-    fn range_scan(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) {
-        for (k, v) in self.map.range(lo..=hi) {
             f(*k, v);
         }
     }
@@ -441,9 +421,6 @@ mod tests {
         let mut seen = Vec::new();
         e.for_each(&mut |k, v| seen.push((k, v.to_vec())));
         assert_eq!(seen, vec![(1, b"A".to_vec()), (3, b"c".to_vec())]);
-        let mut ranged = Vec::new();
-        e.range_scan(2, 9, &mut |k, _| ranged.push(k));
-        assert_eq!(ranged, vec![3]);
 
         let mut batch = WriteBatch::new();
         batch.clear_all();
