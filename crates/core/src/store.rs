@@ -237,20 +237,17 @@ impl StoreBuilder {
         self
     }
 
-    /// Configures the simulated network under the cluster: fault
-    /// injection, and `inbox_capacity` — the bounded-mailbox
-    /// admission control bound (unbounded by default). A full inbox
-    /// rejects sends at the sender with `Overloaded`; client handles ride
-    /// it out via their [`RetryPolicy`](sdds_lh::RetryPolicy).
+    /// Configures the network under the cluster: fault injection
+    /// (message loss), off by default.
     pub fn net(mut self, net: NetConfig) -> StoreBuilder {
         self.net = net;
         self
     }
 
     /// Total per-operation timeout for every client handle (spread over
-    /// the client's retransmit attempts). Shorten it when running with
-    /// bounded inboxes: shed replies are then re-requested quickly
-    /// instead of idling out long deadline tails.
+    /// the client's retransmit attempts). Shorten it under fault
+    /// injection: lost messages are then re-requested quickly instead of
+    /// idling out long deadline tails.
     pub fn op_timeout(mut self, timeout: Duration) -> StoreBuilder {
         self.op_timeout = timeout;
         self

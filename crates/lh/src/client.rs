@@ -59,49 +59,6 @@ impl From<NetError> for LhError {
     }
 }
 
-/// How a client reacts when a bounded site inbox rejects a send with
-/// [`NetError::Overloaded`] (admission control). The client re-sends the
-/// refused request along an exponential back-off ladder, taking replies
-/// in while it waits; every rejection is counted in `lh.rejected_total`.
-/// A request still refused after `max_retries` back-offs fails its
-/// operation with that `Overloaded` error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first rejected send (0 = fail immediately).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each subsequent retry.
-    pub initial_backoff: Duration,
-    /// Ceiling on the per-retry backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 8,
-            initial_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(10),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries: the first `Overloaded` propagates.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            initial_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        }
-    }
-
-    /// The wait after the `refusals + 1`-th refused send.
-    fn backoff(&self, refusals: u32) -> Duration {
-        let doubled = self.initial_backoff.saturating_mul(1 << refusals.min(31));
-        doubled.min(self.max_backoff)
-    }
-}
-
 /// Where a request of an [`Exchange`] goes, worked out again every time
 /// it is sent.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +66,7 @@ pub(crate) enum Route {
     /// A key operation: the key's bucket under the client's current
     /// image. Bucket 0, which always exists and forwards correctly, when
     /// that bucket has no directory entry or refuses the send (merged
-    /// away since the directory was read, or full).
+    /// away since the directory was read, or its spawn is on its way).
     Key(u64),
     /// Bucket `addr`. While it has no directory entry (killed, awaiting
     /// recovery) the request waits for the next attempt.
@@ -122,11 +79,6 @@ pub(crate) enum Route {
 struct Waiting {
     route: Route,
     payload: Bytes,
-    /// Sends refused `Overloaded` since the last one that landed.
-    refusals: u32,
-    /// While backing off from a full inbox: when the request goes out
-    /// again.
-    due: Option<Instant>,
 }
 
 /// The requests of one request/reply exchange still owing an answer,
@@ -137,8 +89,6 @@ pub(crate) struct Exchange<K> {
     waiting: HashMap<K, Waiting>,
     /// Requests the next wave sends.
     unsent: Vec<K>,
-    /// Requests backing off from a full inbox.
-    backing_off: Vec<K>,
     /// The counter of re-sent attempts.
     retries: &'static str,
     /// The histogram that times each attempt's gathering, if any.
@@ -158,7 +108,6 @@ impl<K: Copy + Eq + Hash> Exchange<K> {
         Exchange {
             waiting: HashMap::new(),
             unsent: Vec::new(),
-            backing_off: Vec::new(),
             retries,
             gather,
         }
@@ -167,44 +116,13 @@ impl<K: Copy + Eq + Hash> Exchange<K> {
     /// Adds a request that the reply keyed `key` answers. It goes out
     /// with the next attempt, or at once when a reply handler adds it.
     pub(crate) fn add(&mut self, key: K, route: Route, payload: Bytes) {
-        let waiting = Waiting {
-            route,
-            payload,
-            refusals: 0,
-            due: None,
-        };
-        self.waiting.insert(key, waiting);
+        self.waiting.insert(key, Waiting { route, payload });
         self.unsent.push(key);
     }
 
     /// The keys of the requests not answered yet.
     pub(crate) fn unanswered(&self) -> impl Iterator<Item = K> + '_ {
         self.waiting.keys().copied()
-    }
-
-    /// When the first request backing off goes out again.
-    fn next_due(&self) -> Option<Instant> {
-        let due = |key: &K| self.waiting.get(key)?.due;
-        self.backing_off.iter().filter_map(due).min()
-    }
-
-    /// Moves the requests whose back-off is over to the next wave. Reads
-    /// the clock only while a request backs off.
-    fn take_due(&mut self) {
-        if self.backing_off.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let (waiting, unsent) = (&mut self.waiting, &mut self.unsent);
-        self.backing_off.retain(|key| match waiting.get_mut(key) {
-            Some(w) if w.due.is_some_and(|due| due > now) => true,
-            Some(w) => {
-                w.due = None;
-                unsent.push(*key);
-                false
-            }
-            None => false, // answered meanwhile
-        });
     }
 }
 
@@ -216,7 +134,6 @@ pub struct LhClient {
     image: Cell<ClientImage>,
     next_req: Cell<u64>,
     timeout: Cell<Duration>,
-    retry: Cell<RetryPolicy>,
     /// Total IAMs received — observable measure of image staleness.
     iams: Cell<u64>,
     /// Total forwarding hops reported — the paper's ≤2 invariant.
@@ -279,7 +196,6 @@ impl LhClient {
             image: Cell::new(ClientImage::default()),
             next_req: Cell::new(1),
             timeout: Cell::new(Duration::from_secs(10)),
-            retry: Cell::new(RetryPolicy::default()),
             iams: Cell::new(0),
             hops: Cell::new(0),
             metrics: ClientMetrics::new(),
@@ -290,17 +206,6 @@ impl LhClient {
     /// attempts). Useful under fault injection to fail fast.
     pub fn set_timeout(&self, timeout: Duration) {
         self.timeout.set(timeout);
-    }
-
-    /// Sets the backoff policy applied when a bounded site inbox rejects
-    /// a send ([`NetError::Overloaded`]).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.retry.set(policy);
-    }
-
-    /// The client's current admission-control retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.get()
     }
 
     /// Retransmission attempts per exchange: messages may be lost (fault
@@ -319,11 +224,8 @@ impl LhClient {
     /// (they go out at once); anything else is a stray, such as a late
     /// reply to an abandoned request, and is dropped.
     ///
-    /// A send refused `Overloaded` is re-sent along the client's
-    /// [`RetryPolicy`] ladder. The wait is a receive deadline, so replies
-    /// keep draining while the request backs off; a request still refused
-    /// after its last back-off fails the exchange with that error. A send
-    /// refused for any other reason (the site is gone, or not there yet)
+    /// A refused send — the site is gone, or its spawn is on its way —
+    /// sends a key request to bucket 0 instead, and any other request
     /// waits for the next attempt. Requests unanswered after the last
     /// attempt fail the exchange with [`LhError::Timeout`]; they are
     /// [`Exchange::unanswered`].
@@ -347,16 +249,14 @@ impl LhClient {
             // alternate between the ranks of a TCP cluster, and measured
             // slower there (inserts of the benchmark's `tcp_mixed`).
             ex.unsent.clear();
-            let ready = ex.waiting.iter().filter(|(_, w)| w.due.is_none());
-            ex.unsent.extend(ready.map(|(key, _)| *key));
-            self.send_wave(ex, ctx)?;
+            ex.unsent.extend(ex.waiting.keys());
+            self.send_wave(ex, ctx);
             let _gather = ex
                 .gather
                 .map(|name| sdds_obs::histogram(name).start_timer());
             let deadline = Instant::now() + window;
             while !ex.waiting.is_empty() {
-                let wake = ex.next_due().map_or(deadline, |due| due.min(deadline));
-                match self.endpoint.recv_until(wake) {
+                match self.endpoint.recv_until(deadline) {
                     Ok(env) => {
                         let msg = Wire::decode(&env.payload);
                         let key = msg.as_ref().and_then(|msg| key_of(env.from, msg));
@@ -366,12 +266,10 @@ impl LhClient {
                             }
                         }
                     }
-                    Err(NetError::Timeout) if wake < deadline => {}
                     Err(NetError::Timeout) => break,
                     Err(e) => return Err(e.into()),
                 }
-                ex.take_due();
-                self.send_wave(ex, ctx)?;
+                self.send_wave(ex, ctx);
             }
         }
         if ex.waiting.is_empty() {
@@ -383,20 +281,15 @@ impl LhClient {
 
     /// Sends the unsent requests of `ex` as one wave; see
     /// [`exchange`](Self::exchange) for what a refusal does.
-    fn send_wave<K: Copy + Eq + Hash>(
-        &self,
-        ex: &mut Exchange<K>,
-        ctx: Option<TraceContext>,
-    ) -> Result<(), LhError> {
+    fn send_wave<K: Copy + Eq + Hash>(&self, ex: &mut Exchange<K>, ctx: Option<TraceContext>) {
         if ex.unsent.is_empty() {
-            return Ok(());
+            return;
         }
-        let policy = self.retry.get();
         let image = self.image.get();
         let bucket0 = self.directory.bucket_site(0);
         let mut scatter = Scatter::new();
         for key in std::mem::take(&mut ex.unsent) {
-            let Some(req) = ex.waiting.get_mut(&key) else {
+            let Some(req) = ex.waiting.get(&key) else {
                 continue;
             };
             let site = match req.route {
@@ -407,27 +300,14 @@ impl LhClient {
             let Some(site) = site else {
                 continue;
             };
-            let mut sent = self.send_to(&mut scatter, site, &req.payload, ctx);
-            if let (Err(_), Route::Key(_), Some(bucket0)) = (&sent, req.route, bucket0) {
-                sent = self.send_to(&mut scatter, bucket0, &req.payload, ctx);
-            }
-            match sent {
-                Ok(()) => req.refusals = 0,
-                Err(NetError::Overloaded(site)) if req.refusals >= policy.max_retries => {
-                    return Err(LhError::Net(NetError::Overloaded(site)));
-                }
-                Err(NetError::Overloaded(_)) => {
-                    req.due = Some(Instant::now() + policy.backoff(req.refusals));
-                    req.refusals += 1;
-                    ex.backing_off.push(key);
-                }
-                Err(_) => {}
+            let sent = self.send_to(&mut scatter, site, &req.payload, ctx);
+            if let (Err(_), Route::Key(_), Some(bucket0)) = (sent, req.route, bucket0) {
+                let _ = self.send_to(&mut scatter, bucket0, &req.payload, ctx);
             }
         }
-        Ok(())
     }
 
-    /// One send of a wave; a refusal by a full inbox counts in
+    /// One send of a wave; an `Overloaded` refusal counts in
     /// `lh.rejected_total`.
     fn send_to(
         &self,
@@ -795,124 +675,48 @@ mod tests {
         Some((env.from, Wire::decode(&env.payload)?))
     }
 
-    /// A client wired to a never-drained "bucket" site behind a bounded
-    /// inbox, plus a raw endpoint for stuffing that inbox full.
-    fn tiny_inbox_rig(capacity: usize) -> (Network, LhClient, Endpoint, Endpoint) {
-        let net = Network::new(NetConfig {
-            inbox_capacity: Some(capacity),
-            ..NetConfig::default()
-        });
-        let bucket_ep = net.register_with_id(SiteId(0)).unwrap();
-        let directory = Arc::new(Directory::new());
-        let client = LhClient::new(net.register(), directory);
-        let filler = net.register();
-        (net, client, bucket_ep, filler)
+    /// A key request whose bucket refuses the send — a bucket id the
+    /// network hosts but has not registered, a spawn on its way — goes to
+    /// bucket 0 in the same wave, and the refusal counts in
+    /// `lh.rejected_total`.
+    #[test]
+    fn a_refused_key_request_goes_to_bucket_0() {
+        let net = Network::new(NetConfig::default());
+        let bucket0 = net.register_with_id(SiteId(0)).unwrap();
+        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        // key 1 lives in bucket 1, which is not registered
+        client.image.set(ClientImage { level: 1, split: 0 });
+        let rejected = sdds_obs::counter("lh.rejected_total");
+        let before = rejected.get();
+        let lookup = std::thread::spawn(move || client.lookup(1));
+        let Some((client_id, Wire::Request { req_id, .. })) = recv(&bucket0) else {
+            panic!("expected Request at bucket 0");
+        };
+        let response = Wire::Response {
+            req_id,
+            result: OpResult::Found { value: None },
+            bucket_level: 1,
+            hops: 0,
+        };
+        bucket0.send(client_id, response.encode()).unwrap();
+        assert_eq!(lookup.join().unwrap(), Ok(None));
+        assert!(rejected.get() > before, "the refusal is counted");
     }
 
+    /// A scan request refused by a bucket whose spawn is on its way waits
+    /// for the next attempt, while the rest of the fan-out goes out at
+    /// once; once the bucket is registered, the re-sent request lands.
     #[test]
-    fn overloaded_insert_surfaces_error_and_counts_rejections() {
-        let (_net, client, bucket_ep, filler) = tiny_inbox_rig(1);
-        // one junk message fills the capacity-1 inbox
-        filler
-            .send(bucket_ep.id(), Bytes::from_static(b"junk"))
-            .unwrap();
-        client.set_retry_policy(RetryPolicy::none());
-        let before = sdds_obs::counter("lh.rejected_total").get();
-        let err = client.insert(1, b"v".to_vec()).unwrap_err();
-        assert!(
-            matches!(err, LhError::Net(NetError::Overloaded(_))),
-            "expected Overloaded, got {err:?}"
-        );
-        // both the image-addressed send and the bucket-0 fallback (the
-        // same full site here) were refused
-        let after = sdds_obs::counter("lh.rejected_total").get();
-        assert!(
-            after >= before + 2,
-            "rejections must be counted: before={before} after={after}"
-        );
-    }
-
-    #[test]
-    fn retry_policy_rides_out_transient_overload() {
-        let (_net, client, bucket_ep, filler) = tiny_inbox_rig(1);
-        filler
-            .send(bucket_ep.id(), Bytes::from_static(b"junk"))
-            .unwrap();
-        client.set_retry_policy(RetryPolicy {
-            max_retries: 200,
-            initial_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(1),
-        });
-        let before = sdds_obs::counter("lh.rejected_total").get();
-        // a stand-in bucket 0: drain the blocker after a delay, then
-        // serve the (retried) request
-        let server = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            let _ = bucket_ep.recv_timeout(Duration::from_secs(1));
-            loop {
-                let Ok(env) = bucket_ep.recv_timeout(Duration::from_secs(2)) else {
-                    return;
-                };
-                if let Some(Wire::Request {
-                    req_id, client, op, ..
-                }) = Wire::decode(&env.payload)
-                {
-                    let reply = Wire::Response {
-                        req_id,
-                        result: match op {
-                            Op::Insert { .. } => OpResult::Inserted { replaced: false },
-                            _ => OpResult::Error {
-                                message: "unexpected op".into(),
-                            },
-                        },
-                        bucket_level: 0,
-                        hops: 0,
-                    };
-                    let _ = bucket_ep.send(SiteId(client), reply.encode());
-                    return;
-                }
-            }
-        });
-        assert_eq!(
-            client.insert(7, b"seven".to_vec()),
-            Ok(false),
-            "backoff must ride out the transient overload"
-        );
-        let after = sdds_obs::counter("lh.rejected_total").get();
-        assert!(
-            after > before,
-            "the rejected attempts must be visible in lh.rejected_total"
-        );
-        server.join().unwrap();
-    }
-
-    /// One full bucket must not hold back the rest of a fan-out: bucket 1
-    /// gets its scan request while the client is still backing off for
-    /// bucket 0 — long before that first back-off has elapsed. (Sending
-    /// destination by destination, bucket 1 waited out bucket 0's whole
-    /// retry ladder.)
-    #[test]
-    fn an_overloaded_bucket_does_not_stall_the_rest_of_a_fan_out() {
-        let (net, client, bucket0, filler) = tiny_inbox_rig(1);
-        let bucket1 = net.register_with_id(SiteId(1)).unwrap();
+    fn a_refused_scan_request_waits_for_the_next_attempt() {
+        let net = Network::new(NetConfig::default());
         let coordinator = net.register_with_id(SiteId(COORD_ID)).unwrap();
-        let backoff = Duration::from_secs(1);
-        client.set_retry_policy(RetryPolicy {
-            max_retries: 1,
-            initial_backoff: backoff,
-            max_backoff: backoff,
-        });
-        filler
-            .send(bucket0.id(), Bytes::from_static(b"junk"))
-            .unwrap();
-        let before = sdds_obs::counter("lh.rejected_total").get();
-
+        let bucket0 = net.register_with_id(SiteId(0)).unwrap();
+        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        client.set_timeout(Duration::from_secs(5));
+        let retries = sdds_obs::counter("lh.scan_retries");
+        let before = retries.get();
         let scan = std::thread::spawn(move || client.scan(b"q", true));
-        // the scan first asks the coordinator for the extent: 2 buckets
-        let env = coordinator
-            .recv_timeout(backoff * 5)
-            .expect("extent request");
-        let Some(Wire::ExtentReq { req_id }) = Wire::decode(&env.payload) else {
+        let Some((client_id, Wire::ExtentReq { req_id })) = recv(&coordinator) else {
             panic!("expected ExtentReq");
         };
         let extent = Wire::ExtentResp {
@@ -921,18 +725,9 @@ mod tests {
             split: 0,
             busy: false,
         };
-        filler.send(env.from, extent.encode()).unwrap();
-
-        let started = Instant::now();
-        let env = bucket1
-            .recv_timeout(backoff / 2)
-            .expect("the free bucket is asked before the back-off for the full one elapses");
-        assert!(started.elapsed() < backoff / 2);
-        assert!(sdds_obs::counter("lh.rejected_total").get() > before);
-        // make room at bucket 0 and answer for both, so the scan ends
-        assert_eq!(&bucket0.recv().unwrap().payload[..], b"junk");
-        let answer = |ep: &Endpoint, env: sdds_net::Envelope, addr: u64| {
-            let Some(Wire::ScanReq { req_id, .. }) = Wire::decode(&env.payload) else {
+        coordinator.send(client_id, extent.encode()).unwrap();
+        let answer = |ep: &Endpoint, addr: u64| {
+            let Some((client_id, Wire::ScanReq { req_id, .. })) = recv(ep) else {
                 panic!("expected ScanReq at bucket {addr}");
             };
             let resp = Wire::ScanResp {
@@ -943,20 +738,14 @@ mod tests {
                     value: None,
                 }],
             };
-            // the client's inbox holds one envelope too: wait for it to
-            // take the other bucket's answer
-            loop {
-                match ep.send(env.from, resp.encode()) {
-                    Err(NetError::Overloaded(_)) => std::thread::yield_now(),
-                    sent => break sent.unwrap(),
-                }
-            }
+            ep.send(client_id, resp.encode()).unwrap();
         };
-        answer(&bucket1, env, 1);
-        let retried = bucket0
-            .recv_timeout(backoff * 5)
-            .expect("the rejected request is retried after the back-off");
-        answer(&bucket0, retried, 0);
+        answer(&bucket0, 0);
+        while net.stats().rejected() == 0 {
+            std::thread::yield_now(); // until the first wave has been refused
+        }
+        let bucket1 = net.register_with_id(SiteId(1)).unwrap();
+        answer(&bucket1, 1);
         let keys: Vec<u64> = scan
             .join()
             .unwrap()
@@ -965,72 +754,7 @@ mod tests {
             .map(|m| m.key)
             .collect();
         assert_eq!(keys, [0, 1]);
-    }
-
-    /// A request backing off from a full inbox does not stop the client
-    /// taking replies in: with room for one more envelope in its inbox,
-    /// the client must drain bucket 1's first answer so the second one is
-    /// admitted — long before the back-off for bucket 0 elapses. (A
-    /// back-off that slept kept both answers waiting the whole second.)
-    #[test]
-    fn replies_keep_draining_while_a_batch_request_backs_off() {
-        let (net, client, bucket0, filler) = tiny_inbox_rig(2);
-        let bucket1 = net.register_with_id(SiteId(1)).unwrap();
-        let backoff = Duration::from_secs(1);
-        client.set_retry_policy(RetryPolicy {
-            max_retries: 1,
-            initial_backoff: backoff,
-            max_backoff: backoff,
-        });
-        // keys 1 and 3 live in bucket 1, key 2 in bucket 0
-        client.image.set(ClientImage { level: 1, split: 0 });
-        for _ in 0..2 {
-            filler
-                .send(bucket0.id(), Bytes::from_static(b"junk"))
-                .unwrap();
-        }
-        filler
-            .send(client.endpoint.id(), Bytes::from_static(b"junk"))
-            .unwrap();
-
-        let batch = std::thread::spawn(move || {
-            let items = [1u64, 3, 2].map(|key| (key, b"v".to_vec()));
-            client.insert_batch(items.to_vec())
-        });
-        let answer = |ep: &Endpoint| -> Duration {
-            let env = ep.recv_timeout(backoff * 5).expect("a request");
-            let Some(Wire::Request { req_id, client, .. }) = Wire::decode(&env.payload) else {
-                panic!("expected Request");
-            };
-            let resp = Wire::Response {
-                req_id,
-                result: OpResult::Inserted { replaced: false },
-                bucket_level: 1,
-                hops: 0,
-            };
-            let started = Instant::now();
-            loop {
-                match ep.send(SiteId(client), resp.encode()) {
-                    Err(NetError::Overloaded(_)) if started.elapsed() < backoff * 5 => {
-                        std::thread::yield_now()
-                    }
-                    sent => break sent.unwrap(),
-                }
-            }
-            started.elapsed()
-        };
-        answer(&bucket1);
-        let waited = answer(&bucket1);
-        assert!(
-            waited < backoff / 2,
-            "the second answer waited {waited:?} for room in the client's inbox"
-        );
-        // make room at bucket 0; the refused request comes after its back-off
-        for _ in 0..2 {
-            assert_eq!(&bucket0.recv().unwrap().payload[..], b"junk");
-        }
-        answer(&bucket0);
-        assert_eq!(batch.join().unwrap(), Ok(()));
+        assert!(retries.get() > before, "bucket 1 was asked again");
     }
 
     /// A split completes between the scan's extent read and its fan-out:

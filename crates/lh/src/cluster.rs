@@ -175,16 +175,15 @@ pub struct ClusterConfig {
     pub parity: Option<ParityConfig>,
     /// Scan filter installed at every bucket.
     pub filter: Arc<dyn ScanFilter>,
-    /// Network parameters: fault injection and inbox bounds.
+    /// Network parameters: fault injection.
     pub net: NetConfig,
     /// Storage backend for bucket records: volatile in-memory (the
     /// default) or durable WAL+snapshot directories.
     pub storage: StorageConfig,
     /// Total per-operation timeout handed to every client this cluster
     /// creates (spread over the client's retransmit attempts). Short
-    /// timeouts make clients re-request shed replies quickly — the right
-    /// trade under bounded inboxes, where replies are dropped rather than
-    /// queued without limit.
+    /// timeouts make clients re-request lost messages quickly — the right
+    /// trade under fault injection.
     pub client_timeout: Duration,
     /// Host-loop observability: snapshot-ring tick, history depth, and
     /// optional periodic trace flush (served ranks only; the in-process
@@ -543,10 +542,10 @@ impl Drop for LhCluster {
 }
 
 /// Sends a cluster-lifecycle message, retrying briefly while the
-/// destination's bounded inbox rejects it. Admission control may shed
-/// client traffic freely, but shutdown/recovery/restore messages must
-/// land for the cluster to make progress — and the receiving site is
-/// live and draining, so a full inbox clears within the retry window.
+/// destination refuses it `Overloaded` — a site whose spawn is on its
+/// way, or a full TCP link. Shutdown, spawn, recovery and restore
+/// messages must land for the cluster to make progress, and either
+/// refusal clears within the retry window.
 pub(crate) fn send_control(ep: &Endpoint, to: SiteId, payload: Bytes) -> Result<(), NetError> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -705,7 +704,7 @@ impl SiteHost {
         self.runtime
             .add(coordinator, Box::new(site), Registry::global());
         // The coordinator splits while the buckets reopen: a victim not
-        // spawned yet refuses its `SplitCmd` as backpressure, and the
+        // spawned yet refuses its `SplitCmd` `Overloaded`, and the
         // coordinator retries it.
         for addr in 0..image.extent() {
             self.spawn(addr, bucket_level(addr, image), true);
@@ -717,8 +716,8 @@ impl SiteHost {
     /// (`addr mod ranks`): here, or by a [`Wire::Spawn`] to that rank's
     /// host endpoint. Either way the new site's id is the bucket address,
     /// so a coordinator can hand it to the split victim at once; a
-    /// `TransferBatch` that overtakes a remote registration is refused as
-    /// backpressure until it lands.
+    /// `TransferBatch` that overtakes a remote registration is refused
+    /// `Overloaded` until it lands.
     fn place(&self, addr: u64, level: u8) -> Result<(), NetError> {
         let owner = (addr % self.ranks as u64) as usize;
         if self.rank == Some(owner) {

@@ -180,10 +180,9 @@ impl CoordinatorState {
 
 /// The coordinator as the runtime sees it: the file state plus the
 /// directory it retires merged-away buckets from and the spawner of the
-/// buckets its splits create. Split and
-/// merge commands rejected by a full victim inbox park in the site's
-/// send queue and are retried — restructuring cannot be lost to
-/// admission control.
+/// buckets its splits create. A split command refused because its
+/// victim's spawn is on its way parks in the site's send queue and is
+/// retried — restructuring cannot be lost to that race.
 pub(crate) struct CoordinatorSite {
     pub state: CoordinatorState,
     pub spawner: BucketSpawner,

@@ -5,15 +5,17 @@
 //! roundtrip, gauge sampling and clock reading once per activation
 //! instead of once per message.
 //!
-//! With bounded inboxes (`NetConfig::inbox_capacity`), any send can be
-//! rejected by admission control. Client-bound replies (the messages
-//! with a `Wire::reply_id`) may be shed — the client's exchange asks
-//! again — but every other message (forwarded requests, overflow
-//! reports, transfer batches/acks, split/merge completions, parity
-//! deltas) must eventually land or the protocol stalls. [`SendQueue`] parks those and retries them at the
-//! end of every activation of their site, and — the runtime activates a
-//! site with parked sends every [`IDLE_TICK`] — even when no new traffic
-//! arrives for it.
+//! A send is refused `Overloaded` when its destination is a bucket whose
+//! spawn is still on its way (its id is this process's, not registered
+//! yet), or when the TCP link to it is full. Client-bound replies (the
+//! messages with a `Wire::reply_id`) may be lost then — the client's
+//! exchange asks again — but every other message (forwarded requests,
+//! overflow reports, transfer batches/acks, split/merge commands and
+//! completions, parity deltas) must eventually land or the protocol
+//! stalls. [`SendQueue`] parks those and retries them at the end of every
+//! activation of their site, and — the runtime activates a site with
+//! parked sends every [`IDLE_TICK`] — even when no new traffic arrives
+//! for it.
 
 use crate::messages::Wire;
 use bytes::Bytes;
@@ -29,9 +31,8 @@ pub(crate) const DRAIN_BUDGET: usize = 64;
 /// no new traffic activates its site.
 pub(crate) const IDLE_TICK: Duration = Duration::from_millis(2);
 
-/// Outgoing sends with an admission-control retry queue (see module
-/// docs). The queue only ever holds messages a bounded inbox rejected,
-/// so it is empty on the historical unbounded configuration.
+/// Outgoing sends with a retry queue for the must-land ones refused
+/// `Overloaded` (see module docs).
 pub(crate) struct SendQueue {
     parked: Vec<(SiteId, Bytes, Option<TraceContext>)>,
 }
@@ -42,9 +43,9 @@ impl SendQueue {
     }
 
     /// Sends one outgoing message as part of `scatter`, parking a
-    /// control-plane message the destination's admission control
-    /// rejected. `payload` is `msg` already encoded (the caller encodes
-    /// once; a parked retry reuses the same bytes).
+    /// control-plane message refused `Overloaded`. `payload` is `msg`
+    /// already encoded (the caller encodes once; a parked retry reuses
+    /// the same bytes).
     pub(crate) fn send(
         &mut self,
         scatter: &mut Scatter,
@@ -56,8 +57,8 @@ impl SendQueue {
     ) {
         let retry = msg.reply_id().is_none().then(|| payload.clone());
         let sent = endpoint.send_with(scatter, to, payload, ctx);
-        // Shed client-bound replies (the client asks again) and sends to
-        // peers that already shut down are fine to lose.
+        // Refused client-bound replies (the client asks again) and sends
+        // to peers that already shut down are fine to lose.
         if let (Err(NetError::Overloaded(_)), Some(payload)) = (sent, retry) {
             self.parked.push((to, payload, ctx));
         }
@@ -77,7 +78,7 @@ impl SendQueue {
         }
     }
 
-    /// Whether any rejected control-plane send is awaiting a retry.
+    /// Whether any refused control-plane send is awaiting a retry.
     pub(crate) fn has_parked(&self) -> bool {
         !self.parked.is_empty()
     }
@@ -88,39 +89,33 @@ mod tests {
     use super::*;
     use sdds_net::{NetConfig, Network};
 
+    /// A bucket id the network hosts but has not registered: its spawn
+    /// is on its way, and sends to it are refused `Overloaded`.
+    const SPAWNING: SiteId = SiteId(3);
+
     #[test]
     fn send_queue_parks_control_plane_and_flushes() {
-        let net = Network::new(NetConfig {
-            inbox_capacity: Some(1),
-            ..NetConfig::default()
-        });
+        let net = Network::new(NetConfig::default());
         let a = net.register();
-        let b = net.register();
         let mut q = SendQueue::new();
         let mut scatter = Scatter::new();
         let ov = Wire::Overflow;
-        q.send(&mut scatter, &a, b.id(), &ov, ov.encode(), None);
-        assert!(!q.has_parked(), "first send fits the 1-deep inbox");
-        q.send(&mut scatter, &a, b.id(), &ov, ov.encode(), None);
-        assert!(q.has_parked(), "second send is rejected and parked");
-        // Still rejected while the inbox is full.
+        q.send(&mut scatter, &a, SPAWNING, &ov, ov.encode(), None);
+        assert!(q.has_parked(), "refused and parked");
+        // Still refused while the spawn is on its way.
         q.flush(&mut scatter, &a);
         assert!(q.has_parked());
-        // Draining the inbox lets the retry land.
-        b.recv().unwrap();
+        // Registered: the retry lands.
+        let b = net.register_with_id(SPAWNING).unwrap();
         q.flush(&mut scatter, &a);
         assert!(!q.has_parked());
         assert!(b.try_recv().is_ok(), "parked overflow report delivered");
     }
 
     #[test]
-    fn send_queue_sheds_client_replies() {
-        let net = Network::new(NetConfig {
-            inbox_capacity: Some(1),
-            ..NetConfig::default()
-        });
+    fn send_queue_does_not_park_client_replies() {
+        let net = Network::new(NetConfig::default());
         let a = net.register();
-        let b = net.register();
         let mut q = SendQueue::new();
         let mut scatter = Scatter::new();
         let resp = Wire::Response {
@@ -129,11 +124,11 @@ mod tests {
             bucket_level: 0,
             hops: 0,
         };
-        q.send(&mut scatter, &a, b.id(), &resp, resp.encode(), None);
-        q.send(&mut scatter, &a, b.id(), &resp, resp.encode(), None);
+        q.send(&mut scatter, &a, SPAWNING, &resp, resp.encode(), None);
+        assert_eq!(net.stats().rejected(), 1, "the reply was refused");
         assert!(
             !q.has_parked(),
-            "shed replies are not parked — the client retransmits"
+            "refused replies are not parked — the client retransmits"
         );
     }
 }

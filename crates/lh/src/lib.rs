@@ -56,7 +56,7 @@ mod parity;
 mod runtime;
 mod serve;
 
-pub use client::{LhClient, LhError, RetryPolicy};
+pub use client::{LhClient, LhError};
 pub use cluster::{
     BucketSnapshot, ClusterConfig, FileSnapshot, LhCluster, ObsOptions, ParityConfig,
 };

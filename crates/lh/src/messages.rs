@@ -534,7 +534,7 @@ impl Wire {
     /// The `req_id` of the request this message answers: `Some` exactly
     /// for the replies a site or a host loop sends back to a client. They
     /// are idempotent reads of state the client asks for again, so a site
-    /// may shed them under overload; every other message must land.
+    /// may lose one a destination refuses; every other message must land.
     pub(crate) fn reply_id(&self) -> Option<u64> {
         match self {
             Wire::Response { req_id, .. }

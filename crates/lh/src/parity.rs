@@ -100,9 +100,8 @@ impl ParityState {
     }
 
     /// Applies an update delta: `slot += coef(parity_index, member) · delta`.
-    /// `member < k`.
+    /// `member < k`, and `delta` is `slot_size` bytes long.
     pub(crate) fn apply(&mut self, member: usize, rank: u32, key: Option<u64>, delta: &[u8]) {
-        debug_assert_eq!(delta.len(), self.slot_size);
         let coef = self
             .rs
             .parity_coefficient(self.parity_index as usize, member);
@@ -127,14 +126,19 @@ impl ParityState {
 
     /// Handles one message from `from`. An update comes from a bucket of
     /// this site's group, whose address names its member index; one from
-    /// anywhere else is dropped and counted.
+    /// anywhere else is dropped and counted, and so is one whose delta is
+    /// not `slot_size` bytes long.
     pub(crate) fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
         match msg {
             Wire::ParityUpdate { rank, key, delta } => {
                 let k = self.k as u64;
                 match SiteRegistry::bucket_addr(from) {
                     Some(addr) if addr / k == self.group => {
-                        self.apply((addr % k) as usize, rank, key, &delta);
+                        if delta.len() == self.slot_size {
+                            self.apply((addr % k) as usize, rank, key, &delta);
+                        } else {
+                            sdds_obs::counter("lh.parity_bad_delta_drops").inc();
+                        }
                         Vec::new()
                     }
                     _ => drop_wrong_sender(Registry::global()),
@@ -410,6 +414,26 @@ mod tests {
             vec![None, Some(7)],
             "bucket 5 is member 1"
         );
+    }
+
+    /// A delta that is not `slot_size` bytes long would XOR a truncated
+    /// (or overlong) slot into the row: the update is dropped, counted,
+    /// and leaves the rows as they are.
+    #[test]
+    fn an_update_whose_delta_is_not_a_slot_long_is_dropped() {
+        let mut p = ParityState::new(0, 0, 2, 1, 16);
+        let drops = sdds_obs::counter("lh.parity_bad_delta_drops");
+        let before = drops.get();
+        for len in [0, 15, 17] {
+            let update = Wire::ParityUpdate {
+                rank: 0,
+                key: Some(1),
+                delta: vec![0xFF; len],
+            };
+            assert!(p.handle(SiteId(0), update).is_empty());
+        }
+        assert!(drops.get() >= before + 3, "all three drops counted");
+        assert!(p.rows().is_empty(), "no row touched");
     }
 
     #[test]

@@ -533,8 +533,9 @@ impl Worker {
             let out_ctx = span.context();
             for (to, out) in machine.handle(env.from, msg, &mut self.memo) {
                 // A send can fail if the peer already shut down (fine
-                // during teardown) or be rejected by a full inbox — the
-                // outbox parks control-plane messages for retry.
+                // during teardown) or be refused while its spawn is on
+                // its way — the outbox parks control-plane messages for
+                // retry.
                 let payload = out.encode();
                 let scatter = &mut self.scatter.borrow_mut();
                 outbox.send(scatter, endpoint, to, &out, payload, out_ctx);
@@ -863,34 +864,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A must-land send rejected by a full inbox is parked and retried
-    /// within `IDLE_TICK` although nothing else ever arrives.
+    /// A must-land send refused because its destination's spawn is on
+    /// its way is parked, and lands within `IDLE_TICK` of the destination
+    /// registering although nothing else ever arrives; a client-bound
+    /// reply refused the same way is not parked.
     #[test]
     fn a_parked_must_land_send_is_retried_without_new_traffic() {
-        let net = Network::new(NetConfig {
-            inbox_capacity: Some(1),
-            ..NetConfig::default()
-        });
+        let net = Network::new(NetConfig::default());
         let runtime = Runtime::with_workers(1);
-        let sink = net.register();
-        let sink_id = sink.id();
+        // a bucket id the network hosts but has not registered
+        let sink_id = SiteId(3);
         let site = net.register();
         let site_id = site.id();
-        add(&runtime, site, move |_, msg| vec![(sink_id, msg)]);
+        add(&runtime, site, move |_, msg| {
+            let reply = Wire::ExtentResp {
+                req_id: number(&msg),
+                level: 0,
+                split: 0,
+                busy: false,
+            };
+            vec![(sink_id, reply), (sink_id, msg)]
+        });
         let sender = net.register();
-        // fill the sink, then make the site send it a must-land message
-        sender.send(sink_id, Bytes::from_static(b"filler")).unwrap();
         sender.send(site_id, numbered(7)).unwrap();
-        while net.stats().rejected() == 0 {
-            std::thread::yield_now(); // until the site's send has bounced
+        while net.stats().rejected() < 2 {
+            std::thread::yield_now(); // until both sends have been refused
         }
-        assert_eq!(sink.inbox_depth(), 1, "rejected, not queued");
-        assert_eq!(&sink.recv().unwrap().payload[..], b"filler");
-        // room now; only the idle tick can deliver the parked message
+        let sink = net.register_with_id(sink_id).unwrap();
+        // only the idle tick can deliver the parked message
         let env = sink
             .recv_timeout(Duration::from_secs(10))
             .expect("parked send retried");
         assert_eq!(number(&Wire::decode(&env.payload).unwrap()), 7);
+        let later = sink.recv_timeout(IDLE_TICK * 10);
+        assert!(later.is_err(), "the refused reply was not retried");
         runtime.shutdown();
     }
 

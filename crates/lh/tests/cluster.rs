@@ -154,6 +154,9 @@ fn concurrent_clients_do_not_interfere() {
             });
         }
     });
+    // inboxes are unbounded: four clients and the splits they cause are
+    // never refused a send
+    assert_eq!(cluster.network().stats().rejected(), 0);
     cluster.shutdown();
 }
 
@@ -403,7 +406,6 @@ fn sdds_repro_netcfg(drop_probability: f64, fault_seed: u64) -> sdds_net::NetCon
     sdds_net::NetConfig {
         drop_probability,
         fault_seed,
-        ..Default::default()
     }
 }
 

@@ -106,7 +106,6 @@ fn forwards_and_retries_stay_inside_one_trace() {
         net: sdds_net::NetConfig {
             drop_probability: 0.05,
             fault_seed: 11,
-            ..Default::default()
         },
         ..ClusterConfig::default()
     });

@@ -4,11 +4,10 @@
 //! The paper's availability and ≤2-hop guarantees assume the LH* message
 //! protocol is *total*: every message that can be sent has a handler,
 //! every request produces a reply on every control-flow path, and
-//! control-plane traffic can never be starved by admission control. The
-//! site runtime enforces the last invariant dynamically (`SendQueue`); this
-//! module
-//! enforces all three at the source level, plus doc/code agreement for
-//! the observability catalog:
+//! control-plane traffic is never lost to a refused send (a spawn on its
+//! way, a full TCP link). The site runtime enforces the last invariant
+//! dynamically (`SendQueue`); this module enforces all three at the
+//! source level, plus doc/code agreement for the observability catalog:
 //!
 //! | rule                | checks                                          |
 //! |---------------------|-------------------------------------------------|
@@ -492,8 +491,8 @@ impl ProtocolAnalysis {
     /// must-land: inside a site or dispatch-loop file, a control-plane
     /// construction whose statement also performs a direct send
     /// ([`DIRECT_SENDS`]) on anything but the `outbox` (the `SendQueue`)
-    /// is a starvation bug: admission control may reject it and nothing
-    /// will retry.
+    /// is a starvation bug: a destination whose spawn is on its way (or a
+    /// full TCP link) may refuse it and nothing will retry.
     fn check_must_land(&mut self, view: &FileView, occs: &[Occurrence]) {
         for occ in occs {
             if occ.kind != Kind::Send || !MUST_LAND_VARIANTS.contains(&occ.variant.as_str()) {
@@ -510,8 +509,8 @@ impl ProtocolAnalysis {
                     "must-land",
                     format!(
                         "control-plane `Wire::{}` sent directly via `{}.send(..)`, bypassing the \
-                         SendQueue: admission control can reject it and the protocol stalls \
-                         (route it through `outbox.send`)",
+                         SendQueue: a refused send (a spawn on its way, a full link) is never \
+                         retried and the protocol stalls (route it through `outbox.send`)",
                         occ.variant, receiver
                     ),
                 );
@@ -537,8 +536,8 @@ impl ProtocolAnalysis {
                     "must-land",
                     format!(
                         "the dispatch loop sends via `{receiver}` directly, bypassing the \
-                         SendQueue: a handler's control-plane output rejected by admission \
-                         control would never be retried (route it through `outbox.send`)"
+                         SendQueue: a handler's control-plane output refused by a spawn on its \
+                         way would never be retried (route it through `outbox.send`)"
                     ),
                 );
             }

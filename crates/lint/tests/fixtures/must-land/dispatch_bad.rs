@@ -1,6 +1,6 @@
 //! Fixture: the dispatch loop puts a handler's output straight onto the
 //! fabric. The output names no `Wire` variant here, but it may be a
-//! `SplitDone` all the same: rejected by a full inbox, it is gone.
+//! `SplitDone` all the same: refused while a spawn is on its way, it is gone.
 //! Replayed as `crates/lh/src/runtime.rs`.
 
 fn activate(site: &Site, scatter: &mut Scatter, outbox: &mut SendQueue, env: Envelope) {

@@ -19,11 +19,11 @@
 //! * kind `0` — an [`Envelope`]: `from: u32 LE`, `to: u32 LE`, `flags: u8`
 //!   (bit 0 = trace context present), then if the flag is set
 //!   `trace_id: u64 LE` + `parent_span_id: u64 LE`, then the payload bytes.
-//! * kind `1` — a NACK: `reason: u8` (0 = overloaded, 1 = unroutable),
-//!   `from: u32 LE`, `to: u32 LE` echoing the rejected envelope's header.
-//!   The receiver of an envelope it cannot enqueue sends this back so the
-//!   sender can surface `NetError::Overloaded` / `Disconnected` and the
-//!   existing `RetryPolicy` backoff works identically across transports.
+//! * kind `1` — a NACK: `to: u32 LE`, the destination of an envelope the
+//!   receiver could not route (a retired id, one it does not host, or one
+//!   not registered within its spawn grace). The sender fails its next
+//!   send to `to` with `NetError::Disconnected`, as the channel fabric
+//!   fails it at once.
 //! * kind `2` — a hello: `id: u32 LE`. Sent by a connecting process for
 //!   each dynamically allocated (client) site id it hosts, so the serving
 //!   side learns which connection routes replies to that id. Re-sent on
@@ -52,27 +52,14 @@ const KIND_HELLO: u8 = 2;
 
 const FLAG_CTX: u8 = 0b0000_0001;
 
-/// Why a receiver refused an envelope (carried in a NACK frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NackReason {
-    /// The destination inbox stayed full past the receiver's grace window.
-    Overloaded,
-    /// The destination id is not (or no longer) hosted by the receiver.
-    Unroutable,
-}
-
 /// One decoded frame.
 #[derive(Debug)]
 pub enum Frame {
     /// A routed message.
     Envelope(Envelope),
-    /// A refusal echoing the rejected envelope's `from`/`to`.
+    /// A refusal: the receiver cannot route envelopes for `to`.
     Nack {
-        /// Why the envelope was refused.
-        reason: NackReason,
-        /// The rejected envelope's sender.
-        from: SiteId,
-        /// The rejected envelope's destination.
+        /// The refused envelope's destination.
         to: SiteId,
     },
     /// A dynamic-id announcement from a connecting process.
@@ -169,25 +156,21 @@ pub fn encode_envelope(env: &Envelope, out: &mut Vec<u8>) {
     seal(out, start);
 }
 
-/// Appends an encoded NACK frame to `out`.
-pub fn encode_nack(reason: NackReason, from: SiteId, to: SiteId, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; HEADER_LEN]);
-    out.push(KIND_NACK);
-    out.push(match reason {
-        NackReason::Overloaded => 0,
-        NackReason::Unroutable => 1,
-    });
-    put_u32(out, from.0);
-    put_u32(out, to.0);
-    seal(out, start);
+/// Appends an encoded NACK frame for destination `to` to `out`.
+pub fn encode_nack(to: SiteId, out: &mut Vec<u8>) {
+    encode_id(KIND_NACK, to, out);
 }
 
 /// Appends an encoded hello frame to `out`.
 pub fn encode_hello(id: SiteId, out: &mut Vec<u8>) {
+    encode_id(KIND_HELLO, id, out);
+}
+
+/// A frame whose body is one site id.
+fn encode_id(kind: u8, id: SiteId, out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0u8; HEADER_LEN]);
-    out.push(KIND_HELLO);
+    out.push(kind);
     put_u32(out, id.0);
     seal(out, start);
 }
@@ -216,16 +199,9 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
                 ctx,
             }))
         }
-        KIND_NACK => {
-            let reason = match r.u8().ok_or(SHORT)? {
-                0 => NackReason::Overloaded,
-                1 => NackReason::Unroutable,
-                other => return Err(FrameError::BadKind(other)),
-            };
-            let from = SiteId(r.u32().ok_or(SHORT)?);
-            let to = SiteId(r.u32().ok_or(SHORT)?);
-            Ok(Frame::Nack { reason, from, to })
-        }
+        KIND_NACK => Ok(Frame::Nack {
+            to: SiteId(r.u32().ok_or(SHORT)?),
+        }),
         KIND_HELLO => Ok(Frame::Hello {
             id: SiteId(r.u32().ok_or(SHORT)?),
         }),
@@ -352,16 +328,13 @@ mod tests {
     #[test]
     fn nack_and_hello_roundtrip() {
         let mut buf = Vec::new();
-        encode_nack(NackReason::Overloaded, SiteId(1), SiteId(2), &mut buf);
-        encode_nack(NackReason::Unroutable, SiteId(3), SiteId(4), &mut buf);
+        encode_nack(SiteId(2), &mut buf);
+        encode_nack(SiteId(4), &mut buf);
         encode_hello(SiteId(0xFE00_0042), &mut buf);
         let frames = decode_all(&buf).unwrap();
         assert_eq!(frames.len(), 3);
         match frames[0] {
-            Frame::Nack { reason, from, to } => {
-                assert_eq!(reason, NackReason::Overloaded);
-                assert_eq!((from, to), (SiteId(1), SiteId(2)));
-            }
+            Frame::Nack { to } => assert_eq!(to, SiteId(2)),
             ref other => panic!("expected nack, got {other:?}"),
         }
         match frames[2] {
@@ -374,7 +347,7 @@ mod tests {
     fn torn_reads_at_every_byte_boundary() {
         let mut buf = Vec::new();
         encode_envelope(&env(1, 2, b"torn read test", Some((11, 22))), &mut buf);
-        encode_nack(NackReason::Overloaded, SiteId(5), SiteId(6), &mut buf);
+        encode_nack(SiteId(6), &mut buf);
         for split in 0..=buf.len() {
             let mut d = FrameDecoder::new();
             d.extend(&buf[..split]);

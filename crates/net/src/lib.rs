@@ -1,5 +1,5 @@
-//! A simulated multicomputer: addressable sites, reliable in-order message
-//! passing and traffic accounting.
+//! The multicomputer fabric: addressable sites, reliable in-order message
+//! passing over unbounded inboxes, and traffic accounting.
 //!
 //! The paper's setting is "multicomputers, systems utilizing many
 //! interconnected computers (called the nodes or sites)" (§1) whose data
@@ -14,8 +14,8 @@
 //!   [`Endpoint::recv`] (clients), or a [`Scheduler`] that runs many
 //!   sites on a few workers (`sdds-lh`'s site runtime);
 //! * **measurable** — [`NetStats`] counts the messages and bytes a
-//!   network delivered, the ones fault injection dropped and the ones
-//!   admission control refused;
+//!   network delivered, the ones fault injection dropped and the sends
+//!   refused at the sender (a spawn on its way, a full TCP link);
 //! * **deterministic under test** — mailboxes are FIFO per sender/receiver
 //!   pair and no time-dependent behaviour exists unless callers add it.
 //!
@@ -33,7 +33,8 @@
 //! [`Network::tcp_serve`] / [`Network::tcp_client`] spread them over OS
 //! processes listed in a registry, messages travel as CRC-framed binary
 //! ([`frame`], built on the [`codec`] primitives the message bodies
-//! share), and admission control crosses the wire as NACK frames. A
+//! share), and a receiver that cannot route an envelope says so with a
+//! NACK frame. A
 //! local sender and a TCP reader deliver into a local mailbox the same
 //! way. A dropped endpoint leaves a tombstone: sends to its id fail
 //! `Disconnected` until the id is registered again. `docs/PROTOCOL.md`

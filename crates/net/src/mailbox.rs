@@ -1,6 +1,5 @@
-//! A site's inbox: a FIFO of envelopes with one owner, optionally
-//! bounded, kept in its process's site table whichever fabric delivers
-//! to it.
+//! A site's inbox: an unbounded FIFO of envelopes with one owner, kept
+//! in its process's site table whichever fabric delivers to it.
 //!
 //! Two kinds of owner drain a mailbox. A *thread* (a client, a control
 //! endpoint) blocks in [`recv`](Mailbox::recv) on the mailbox's condvar.
@@ -56,13 +55,8 @@ impl Wake {
     }
 }
 
-/// Why a push was refused; nothing was queued.
-pub(crate) enum Refused {
-    /// The mailbox is bounded and at capacity.
-    Full(Envelope),
-    /// The owner is gone.
-    Closed,
-}
+/// A push was refused because the owner is gone; nothing was queued.
+pub(crate) struct Closed;
 
 /// Why a receive returned no envelope.
 #[derive(Debug, PartialEq, Eq)]
@@ -100,11 +94,10 @@ struct State {
 pub(crate) struct Mailbox {
     state: Mutex<State>,
     ready: Condvar,
-    capacity: Option<usize>,
 }
 
 impl Mailbox {
-    pub(crate) fn new(capacity: Option<usize>) -> Arc<Mailbox> {
+    pub(crate) fn new() -> Arc<Mailbox> {
         Arc::new(Mailbox {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -115,7 +108,6 @@ impl Mailbox {
                 scheduled: false,
             }),
             ready: Condvar::new(),
-            capacity: capacity.map(|cap| cap.max(1)),
         })
     }
 
@@ -125,13 +117,10 @@ impl Mailbox {
         self: &Arc<Self>,
         env: Envelope,
         at: Instant,
-    ) -> Result<Option<Wake>, Refused> {
+    ) -> Result<Option<Wake>, Closed> {
         let mut st = self.state.lock();
         if st.closed {
-            return Err(Refused::Closed);
-        }
-        if self.capacity.is_some_and(|cap| st.queue.len() >= cap) {
-            return Err(Refused::Full(env));
+            return Err(Closed);
         }
         st.queue.push_back((at, env));
         if st.scheduler.is_some() {
@@ -302,21 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn fifo_bounded_and_closed() {
-        let m = Mailbox::new(Some(2));
+    fn fifo_and_closed() {
+        let m = Mailbox::new();
         assert!(push(&m, 1).is_none(), "nobody waits: nothing owed");
         assert!(push(&m, 2).is_none());
-        assert!(matches!(
-            m.push(env(3), Instant::now()),
-            Err(Refused::Full(e)) if e.from == SiteId(3)
-        ));
         assert_eq!(m.recv(Wait::No).map(|e| e.from), Ok(SiteId(1)));
         assert!(push(&m, 3).is_none());
         m.close();
-        assert!(matches!(
-            m.push(env(4), Instant::now()),
-            Err(Refused::Closed)
-        ));
+        assert!(m.push(env(4), Instant::now()).is_err());
         assert_eq!(m.recv(Wait::No).map(|e| e.from), Ok(SiteId(2)));
         assert_eq!(m.recv(Wait::No).map(|e| e.from), Ok(SiteId(3)));
         assert_eq!(m.recv(Wait::No).map(|e| e.from), Err(RecvError::Closed));
@@ -325,7 +307,7 @@ mod tests {
     #[test]
     fn retiring_frees_the_backlog_where_closing_keeps_it() {
         let probe: Arc<[u8]> = Arc::from(&b"queued"[..]);
-        let m = Mailbox::new(None);
+        let m = Mailbox::new();
         let queued = Envelope {
             payload: Bytes::from_owner(Arc::clone(&probe)),
             ..env(1)
@@ -337,15 +319,12 @@ mod tests {
         m.retire();
         assert_eq!(m.len(), 0);
         assert_eq!(Arc::strong_count(&probe), 1, "the envelope was dropped");
-        assert!(matches!(
-            m.push(env(2), Instant::now()),
-            Err(Refused::Closed)
-        ));
+        assert!(m.push(env(2), Instant::now()).is_err());
     }
 
     #[test]
     fn recv_deadline_elapses_on_an_empty_mailbox() {
-        let m = Mailbox::new(None);
+        let m = Mailbox::new();
         let deadline = Wait::Until(Instant::now() + Duration::from_millis(5));
         assert_eq!(m.recv(deadline).map(|e| e.from), Err(RecvError::Empty));
     }
@@ -354,7 +333,7 @@ mod tests {
     /// and the receiver finds all N once it is delivered.
     #[test]
     fn a_blocked_receiver_is_owed_exactly_one_wake_for_n_pushes() {
-        let m = Mailbox::new(None);
+        let m = Mailbox::new();
         let receiver = {
             let m = Arc::clone(&m);
             std::thread::spawn(move || {
@@ -376,7 +355,7 @@ mod tests {
     /// is delivered apart from the push: one lost would hang the test.
     #[test]
     fn ping_pong_never_loses_a_deferred_wake() {
-        let (ping, pong) = (Mailbox::new(None), Mailbox::new(Some(1)));
+        let (ping, pong) = (Mailbox::new(), Mailbox::new());
         let echo = {
             let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
             std::thread::spawn(move || {
@@ -425,7 +404,7 @@ mod tests {
     #[test]
     fn an_attached_mailbox_is_queued_once_until_released_empty() {
         let pool = Arc::new(Counting::default());
-        let m = Mailbox::new(None);
+        let m = Mailbox::new();
         m.attach(pool.clone(), 7);
         assert_eq!(*pool.scheduled.lock(), [7], "attaching queues it");
         // ordering: Relaxed — see `Counting::wake`

@@ -1,6 +1,6 @@
 //! The site table, endpoints and message delivery.
 
-use crate::mailbox::{Drained, Mailbox, RecvError, Refused, Scheduler, Wait, Wake};
+use crate::mailbox::{Closed, Drained, Mailbox, RecvError, Scheduler, Wait, Wake};
 use crate::registry::{owner_rank, SiteRegistry, COORD_ID, DYN_BASE};
 use crate::stats::NetStats;
 use crate::tcp::TcpFabric;
@@ -47,10 +47,10 @@ pub enum NetError {
     UnknownSite(SiteId),
     /// The destination endpoint has been dropped.
     Disconnected(SiteId),
-    /// The destination inbox is at capacity: admission control rejected
-    /// the message at the sender (see [`NetConfig::inbox_capacity`]).
-    /// Unlike a fault-injected drop, the sender *knows* — shed load is
-    /// explicit and retryable.
+    /// The destination cannot take the message yet: a well-known id this
+    /// process hosts whose spawn is still on its way, or a TCP link whose
+    /// send queue is full. Unlike a fault-injected drop, the sender
+    /// *knows*, and a later send may land.
     Overloaded(SiteId),
     /// A blocking receive timed out.
     Timeout,
@@ -63,7 +63,7 @@ impl fmt::Display for NetError {
         match self {
             NetError::UnknownSite(s) => write!(f, "unknown site {s}"),
             NetError::Disconnected(s) => write!(f, "site {s} disconnected"),
-            NetError::Overloaded(s) => write!(f, "site {s} inbox full, send rejected"),
+            NetError::Overloaded(s) => write!(f, "site {s} not ready, send refused"),
             NetError::Timeout => write!(f, "receive timed out"),
             NetError::Empty => write!(f, "mailbox empty"),
         }
@@ -80,12 +80,6 @@ pub struct NetConfig {
     pub drop_probability: f64,
     /// Seed for the drop decision stream.
     pub fault_seed: u64,
-    /// Bound on every site's inbox. `None` (the default) keeps the
-    /// historical unbounded mailboxes. With `Some(cap)`, a send to a
-    /// site whose inbox already holds `cap` envelopes fails at the
-    /// sender with [`NetError::Overloaded`] instead of queueing without
-    /// limit — explicit admission control in place of OOM.
-    pub inbox_capacity: Option<usize>,
 }
 
 /// Dynamic ids come in stripes of this many of the range `DYN_BASE ..
@@ -159,8 +153,8 @@ impl Table {
 pub(crate) enum Miss {
     /// Nothing was ever registered under the id in this process.
     Absent(Envelope),
-    /// The mailbox refused: full, or a tombstone.
-    Refused(Refused),
+    /// The mailbox is a tombstone.
+    Closed,
 }
 
 /// One process's site table and the traffic accounting of its network,
@@ -172,7 +166,6 @@ pub(crate) struct Sites {
     /// is rank 0 of 1); a TCP client (`None`) hosts dynamic ids only.
     rank: Option<usize>,
     ranks: usize,
-    capacity: Option<usize>,
     pub(crate) stats: NetStats,
     /// Handles of the counters the message path bumps, resolved once: a
     /// lookup by name is a global lock and a map probe per message.
@@ -183,12 +176,11 @@ pub(crate) struct Sites {
 }
 
 impl Sites {
-    fn new(rank: Option<usize>, ranks: usize, capacity: Option<usize>) -> Arc<Sites> {
+    fn new(rank: Option<usize>, ranks: usize) -> Arc<Sites> {
         Arc::new(Sites {
             table: RwLock::new(Table::default()),
             rank,
             ranks,
-            capacity,
             stats: NetStats::new(),
             messages: sdds_obs::counter("net.messages"),
             bytes: sdds_obs::counter("net.bytes"),
@@ -220,16 +212,16 @@ impl Sites {
                 self.delivered(len);
                 Ok(wake)
             }
-            Err(refused) => {
+            Err(Closed) => {
                 self.stats.unrecord(len);
-                Err(Miss::Refused(refused))
+                Err(Miss::Closed)
             }
         }
     }
 
     /// Hands out the next dynamic id, with its mailbox.
     fn register(&self) -> (SiteId, Arc<Mailbox>) {
-        let mailbox = Mailbox::new(self.capacity);
+        let mailbox = Mailbox::new();
         let mut table = self.table.write();
         let n = table.dynamic.len();
         if n.is_multiple_of(STRIPE as usize) {
@@ -264,7 +256,7 @@ impl Sites {
         if slot.as_ref().is_some_and(|m| m.is_open()) {
             return None;
         }
-        let mailbox = Mailbox::new(self.capacity);
+        let mailbox = Mailbox::new();
         *slot = Some(Arc::clone(&mailbox));
         Some(mailbox)
     }
@@ -287,10 +279,10 @@ impl Sites {
         self.bytes.add(len as u64);
     }
 
-    /// A full inbox is admission control: the send is refused *at the
-    /// sender* — unlike a fault-injected drop, the caller learns and can
-    /// back off and retry — and stays attributable inside the trace it
-    /// belonged to (`net.reject`, detail = payload length; no orphan
+    /// A send refused for now (a spawn on its way, a full TCP link): the
+    /// sender learns at once — unlike a fault-injected drop — and can
+    /// send again later; the refusal stays attributable inside the trace
+    /// it belonged to (`net.reject`, detail = payload length; no orphan
     /// roots).
     pub(crate) fn overloaded(&self, to: SiteId, len: usize, ctx: Option<TraceContext>) -> NetError {
         self.stats.record_rejected();
@@ -329,7 +321,7 @@ impl Network {
     /// Creates an empty in-process (channel-transport) network: it hosts
     /// every site, as the one rank of a one-rank cluster.
     pub fn new(config: NetConfig) -> Network {
-        Network::with(Sites::new(Some(0), 1, config.inbox_capacity), None, &config)
+        Network::with(Sites::new(Some(0), 1), None, &config)
     }
 
     /// Creates a serving TCP network: binds rank `rank`'s listener from
@@ -339,7 +331,7 @@ impl Network {
         rank: usize,
         config: NetConfig,
     ) -> std::io::Result<Network> {
-        let sites = Sites::new(Some(rank), registry.num_servers(), config.inbox_capacity);
+        let sites = Sites::new(Some(rank), registry.num_servers());
         let links = TcpFabric::serve(registry, rank, Arc::clone(&sites))?;
         Ok(Network::with(sites, Some(links), &config))
     }
@@ -348,7 +340,7 @@ impl Network {
     /// registered on it receive dynamically allocated site ids announced
     /// to every server rank.
     pub fn tcp_client(registry: SiteRegistry, config: NetConfig) -> Network {
-        let sites = Sites::new(None, registry.num_servers(), config.inbox_capacity);
+        let sites = Sites::new(None, registry.num_servers());
         let links = TcpFabric::client(registry, Arc::clone(&sites));
         Network::with(sites, Some(links), &config)
     }
@@ -427,10 +419,9 @@ impl Network {
         let sites = &inner.sites;
         match sites.push(env, at) {
             Ok(wake) => Ok(wake),
-            Err(Miss::Refused(Refused::Full(_))) => Err(sites.overloaded(to, len, ctx)),
-            Err(Miss::Refused(Refused::Closed)) => Err(sites.disconnected(to)),
-            // Ours but not registered yet — its spawn is on the way — is
-            // backpressure: must-land senders park and retry.
+            Err(Miss::Closed) => Err(sites.disconnected(to)),
+            // Ours but not registered yet — its spawn is on the way:
+            // must-land senders park and retry.
             Err(Miss::Absent(_)) if sites.owns(to) => Err(sites.overloaded(to, len, ctx)),
             Err(Miss::Absent(env)) => match &inner.links {
                 Some(links) => links.send(env).map(|()| None),
@@ -736,33 +727,27 @@ mod tests {
         });
     }
 
+    /// A bucket id this process hosts but has not registered — its spawn
+    /// is on the way — refuses at the sender, the refusal is not traffic,
+    /// and the id receives once it is registered.
     #[test]
-    fn a_full_inbox_refuses_at_the_sender_and_refusals_are_not_traffic() {
-        let bounded = NetConfig {
-            inbox_capacity: Some(2),
-            ..NetConfig::default()
-        };
-        both(bounded, |net| {
+    fn a_spawn_on_its_way_refuses_at_the_sender_and_refusals_are_not_traffic() {
+        both(NetConfig::default(), |net| {
             let a = net.register();
-            let b = net.register();
-            a.send(b.id(), Bytes::from_static(b"1")).unwrap();
-            a.send(b.id(), Bytes::from_static(b"2")).unwrap();
+            let spawning = SiteId(3);
             assert_eq!(
-                a.send(b.id(), Bytes::from_static(b"3")),
-                Err(NetError::Overloaded(b.id())),
-                "third send must be refused at the sender"
+                a.send(spawning, Bytes::from_static(b"early")),
+                Err(NetError::Overloaded(spawning))
             );
             let stats = net.stats();
             assert_eq!(
                 (stats.messages(), stats.bytes(), stats.rejected()),
-                (2, 2, 1)
+                (0, 0, 1)
             );
-            assert_eq!(b.inbox_depth(), 2);
-            // Draining one slot readmits traffic.
-            assert_eq!(&b.recv().unwrap().payload[..], b"1");
-            a.send(b.id(), Bytes::from_static(b"3")).unwrap();
-            assert_eq!(&b.recv().unwrap().payload[..], b"2");
-            assert_eq!(&b.recv().unwrap().payload[..], b"3");
+            let b = net.register_with_id(spawning).unwrap();
+            a.send(spawning, Bytes::from_static(b"late")).unwrap();
+            assert_eq!(&b.recv().unwrap().payload[..], b"late");
+            assert_eq!((stats.messages(), stats.rejected()), (1, 1));
         });
     }
 
@@ -786,7 +771,7 @@ mod tests {
     }
 
     /// A bucket's id is its address; an id this process hosts is
-    /// backpressure until it is registered, a dynamic one it never
+    /// refused `Overloaded` until it is registered, a dynamic one it never
     /// handed out is unknown.
     #[test]
     fn registration_is_by_address_and_dynamic_ids_are_the_allocators() {
@@ -844,25 +829,23 @@ mod tests {
 
     #[test]
     fn scatter_reaches_all_in_order_and_reports_refusals_at_once() {
-        let net = Network::new(NetConfig {
-            inbox_capacity: Some(2),
-            ..NetConfig::default()
-        });
+        let net = Network::new(NetConfig::default());
         let a = net.register();
         let sites: Vec<Endpoint> = (0..5).map(|_| net.register()).collect();
         let mut scatter = Scatter::new();
-        for round in 0..3u8 {
+        for round in 0..2u8 {
             for s in &sites {
                 let sent =
                     a.send_with(&mut scatter, s.id(), Bytes::copy_from_slice(&[round]), None);
-                match round {
-                    2 => assert_eq!(sent, Err(NetError::Overloaded(s.id()))),
-                    _ => assert_eq!(sent, Ok(())),
-                }
+                assert_eq!(sent, Ok(()));
             }
+            // buckets of this network that are not registered yet
+            let spawning = SiteId(u32::from(round) * 5);
+            let sent = a.send_with(&mut scatter, spawning, Bytes::new(), None);
+            assert_eq!(sent, Err(NetError::Overloaded(spawning)));
         }
         scatter.wake();
-        assert_eq!(net.stats().rejected(), 5);
+        assert_eq!(net.stats().rejected(), 2);
         for s in &sites {
             assert_eq!(s.recv().unwrap().payload[0], 0);
             assert_eq!(s.recv().unwrap().payload[0], 1);
@@ -926,7 +909,6 @@ mod tests {
         let lossy = NetConfig {
             drop_probability: 0.3,
             fault_seed: 42,
-            ..NetConfig::default()
         };
         let net = Network::new(lossy.clone());
         let a = net.register();
@@ -967,7 +949,6 @@ mod tests {
         let lossy = NetConfig {
             drop_probability: 0.3,
             fault_seed: 977,
-            ..NetConfig::default()
         };
         let run = || {
             let net = Network::new(lossy.clone());
@@ -1018,44 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_invariant_holds_under_concurrent_senders() {
-        let net = Network::new(NetConfig {
-            inbox_capacity: Some(8),
-            ..NetConfig::default()
-        });
-        let sink = net.register();
-        let nthreads = 4u64;
-        let per_thread = if cfg!(miri) { 50 } else { 500u64 };
-        std::thread::scope(|scope| {
-            for _ in 0..nthreads {
-                let tx = net.register();
-                let to = sink.id();
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        // Either outcome is legal under load; the stats
-                        // invariant below must hold regardless.
-                        let _ = tx.send(to, Bytes::copy_from_slice(&i.to_le_bytes()));
-                    }
-                });
-            }
-        });
-        let mut received = 0u64;
-        while sink.try_recv().is_ok() {
-            received += 1;
-        }
-        assert_eq!(received, net.stats().messages());
-        assert_eq!(
-            net.stats().messages() + net.stats().dropped() + net.stats().rejected(),
-            nthreads * per_thread
-        );
-        assert!(
-            net.stats().rejected() > 0,
-            "8-deep inbox under 2000 sends must shed"
-        );
-    }
-
-    #[test]
-    fn unbounded_default_never_rejects() {
+    fn an_inbox_never_refuses() {
         let net = Network::new(NetConfig::default());
         let a = net.register();
         let n = if cfg!(miri) { 100 } else { 10_000u32 };
@@ -1096,7 +1040,6 @@ mod tests {
         let lossy = Network::new(NetConfig {
             drop_probability: 1.0,
             fault_seed: 7,
-            ..NetConfig::default()
         });
         let la = lossy.register();
         let lb = lossy.register();
@@ -1105,22 +1048,15 @@ mod tests {
         assert_eq!(lossy.stats().dropped(), 1);
         assert!(lb.try_recv().is_err());
 
-        // A traced send rejected by admission control records a net.reject
-        // event *inside* the same trace — shed load stays attributable and
-        // never fabricates an orphan root.
-        let tiny = Network::new(NetConfig {
-            inbox_capacity: Some(1),
-            ..NetConfig::default()
-        });
-        let ta = tiny.register();
-        let tb = tiny.register();
-        ta.send_traced(tb.id(), Bytes::from_static(b"fits"), Some(ctx))
-            .unwrap();
+        // A traced send refused because its destination's spawn is on the
+        // way records a net.reject event *inside* the same trace — the
+        // refusal stays attributable and never fabricates an orphan root.
+        let spawning = SiteId(3);
         assert_eq!(
-            ta.send_traced(tb.id(), Bytes::from_static(b"shed!"), Some(ctx)),
-            Err(NetError::Overloaded(tb.id()))
+            a.send_traced(spawning, Bytes::from_static(b"early"), Some(ctx)),
+            Err(NetError::Overloaded(spawning))
         );
-        assert_eq!(tiny.stats().rejected(), 1);
+        assert_eq!(net.stats().rejected(), 1);
 
         drop(root);
         let spans = trace::drain_spans();
@@ -1139,8 +1075,8 @@ mod tests {
             .find(|s| s.name == "net.reject")
             .expect("reject event recorded");
         assert_eq!(reject_ev.parent_span_id, ctx.parent_span_id);
-        assert_eq!(reject_ev.detail, 5); // payload length of "shed!"
-        assert_eq!(reject_ev.site, tb.id().0 as i64);
+        assert_eq!(reject_ev.detail, 5); // payload length of "early"
+        assert_eq!(reject_ev.site, spawning.0 as i64);
         assert!(mine.iter().any(|s| s.name == "test.net.op"));
         trace::set_tracing(false);
     }

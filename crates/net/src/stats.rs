@@ -59,8 +59,9 @@ impl NetStats {
         self.dropped.load(Ordering::Relaxed) // ordering: snapshot read, staleness fine
     }
 
-    /// Messages refused at the sender because the destination inbox was
-    /// at capacity (admission control; see `NetConfig::inbox_capacity`).
+    /// Sends refused at the sender with `NetError::Overloaded`: to a
+    /// well-known id this process hosts whose spawn is still on its way,
+    /// or onto a TCP link whose send queue is full.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed) // ordering: snapshot read, staleness fine
     }

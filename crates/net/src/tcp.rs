@@ -10,39 +10,36 @@
 //!
 //! * **Writer thread per connection.** Senders encode envelopes into
 //!   pooled buffers and enqueue them on the connection (bounded queue —
-//!   a full queue surfaces as `NetError::Overloaded`, admission control
-//!   exactly like a full in-process inbox). The writer drains *everything*
-//!   queued at that moment, concatenates the frames, and issues a single
-//!   `write` syscall (`TCP_NODELAY` is set, so coalescing is explicit
-//!   here, not delegated to Nagle). Connections dial lazily and
-//!   re-dial with exponential backoff (10 ms doubling to 2 s).
+//!   a full queue surfaces as `NetError::Overloaded` at the sender, which
+//!   sends again later). The writer drains *everything* queued at that
+//!   moment, concatenates the frames, and issues a single `write`
+//!   syscall (`TCP_NODELAY` is set, so coalescing is explicit here, not
+//!   delegated to Nagle). Connections dial lazily and re-dial with
+//!   exponential backoff (10 ms doubling to 2 s).
 //! * **Reader thread per connection** delivering through the site table,
 //!   the one way into a local mailbox a local sender takes too, so
 //!   `Endpoint::recv` and the site runtime above it are
 //!   transport-agnostic. The frames of one `read()` are one [`Scatter`]:
 //!   each local owner is woken once.
-//! * **NACK backpressure.** A receiver that cannot enqueue an envelope
-//!   (inbox full past a short grace window, destination gone — a
-//!   tombstone, refused at once — or never registered past a spawn
-//!   grace window) replies with a NACK frame. The sender records the
-//!   NACK as a *debt* against that destination: the next send to it
-//!   fails with `Overloaded`/`Disconnected`, so `RetryPolicy` backoff
-//!   behaves the same as in-process — one send later than the channel
-//!   transport, because the wire is asynchronous. The NACKed message
-//!   itself is lost, which the LH* protocol already tolerates
-//!   (idempotent retransmits).
+//! * **Unroutable NACKs.** A receiver that cannot route an envelope
+//!   (destination gone — a tombstone, refused at once — not hosted, or
+//!   never registered past a spawn grace window) replies with a NACK
+//!   frame naming the destination. The sender records the destination as
+//!   unroutable: the next send to it fails `Disconnected`, as it does
+//!   in-process — one send later than the channel transport, because the
+//!   wire is asynchronous. The NACKed message itself is lost, which the
+//!   LH* protocol already tolerates (idempotent retransmits).
 //! * **Routing by id.** Well-known ids (buckets, coordinator, host
 //!   control) map to a rank via the registry. Dynamic client ids are
 //!   announced with hello frames on every connection the client opens
 //!   (and re-announced on reconnect), so any rank can route replies.
 
-use crate::frame::{self, Frame, FrameDecoder, NackReason};
-use crate::mailbox::Refused;
+use crate::frame::{self, Frame, FrameDecoder};
 use crate::network::{Envelope, Miss, NetError, Scatter, SiteId, Sites};
 use crate::pool::PooledBuf;
 use crate::registry::{SiteRegistry, COORD_ID, DYN_BASE};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,26 +47,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Encoded frames a connection will buffer before senders see
-/// `Overloaded`. NACKs and hellos bypass the bound (they are tiny and
-/// carry the backpressure signal itself).
+/// `Overloaded`. NACKs and hellos bypass the bound (they are tiny, and
+/// routing depends on them).
 const MAX_CONN_QUEUE: usize = 4096;
 
 /// First dial-retry backoff; doubles up to [`MAX_BACKOFF`].
 const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-/// How long a receiver nurses a full local inbox before NACKing.
-const INBOX_GRACE: Duration = Duration::from_millis(50);
-
 /// How long a receiver waits for a not-yet-registered well-known id
 /// (rides the remote bucket-spawn race) before NACKing unroutable.
 const SPAWN_GRACE: Duration = Duration::from_secs(2);
-
-#[derive(Default)]
-struct Debt {
-    overloaded: u32,
-    unroutable: bool,
-}
 
 enum EnqueueError {
     Full,
@@ -158,8 +146,8 @@ struct Shared {
     inbound: Mutex<Vec<Arc<Conn>>>,
     /// Learned routes for dynamic ids: which connection reaches them.
     routes: Mutex<HashMap<u32, Arc<Conn>>>,
-    /// NACK debts by destination id.
-    debts: Mutex<HashMap<u32, Debt>>,
+    /// Destination ids a peer NACKed since the last send to them.
+    unroutable: Mutex<HashSet<u32>>,
     listen_addr: Option<String>,
 }
 
@@ -206,7 +194,7 @@ impl TcpFabric {
                 peers: Mutex::new(HashMap::new()),
                 inbound: Mutex::new(Vec::new()),
                 routes: Mutex::new(HashMap::new()),
-                debts: Mutex::new(HashMap::new()),
+                unroutable: Mutex::new(HashSet::new()),
                 listen_addr,
             }),
         }
@@ -264,29 +252,16 @@ impl TcpFabric {
 
     /// Sends an envelope for a site another process hosts. Mirrors the
     /// local accounting: stats/counters reflect messages actually
-    /// enqueued, refusals surface as `Overloaded`, lost peers as
-    /// `Disconnected`.
+    /// enqueued, a full link surfaces as `Overloaded`, a lost peer or a
+    /// NACKed destination as `Disconnected`.
     pub(crate) fn send(&self, env: Envelope) -> Result<(), NetError> {
         let shared = &self.shared;
         let sites = &shared.sites;
         let (to, len, ctx) = (env.to, env.payload.len(), env.ctx);
 
-        // Consume any NACK debt before handing more frames to the wire.
-        let pending = shared.debts.lock().remove(&to.0);
-        if let Some(mut d) = pending {
-            if d.unroutable {
-                shared.routes.lock().remove(&to.0);
-                return Err(sites.disconnected(to));
-            }
-            if d.overloaded > 0 {
-                d.overloaded -= 1;
-                if d.overloaded > 0 {
-                    // Put the remaining debt back (merging with any NACKs
-                    // the reader recorded while we held it).
-                    shared.debts.lock().entry(to.0).or_default().overloaded += d.overloaded;
-                }
-                return Err(sites.overloaded(to, len, ctx));
-            }
+        if shared.unroutable.lock().remove(&to.0) {
+            shared.routes.lock().remove(&to.0);
+            return Err(sites.disconnected(to));
         }
 
         let conn = match shared.registry.owner_rank(to) {
@@ -604,18 +579,9 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
         Frame::Hello { id } => {
             shared.routes.lock().insert(id.0, Arc::clone(conn));
         }
-        Frame::Nack {
-            reason,
-            from: _,
-            to,
-        } => {
+        Frame::Nack { to } => {
             sdds_obs::counter("net.tcp.nacks_received").inc();
-            let mut debts = shared.debts.lock();
-            let d = debts.entry(to.0).or_default();
-            match reason {
-                NackReason::Overloaded => d.overloaded = d.overloaded.saturating_add(1),
-                NackReason::Unroutable => d.unroutable = true,
-            }
+            shared.unroutable.lock().insert(to.0);
         }
         Frame::Envelope(env) => {
             shared.tcp.frames_received.inc();
@@ -629,29 +595,19 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
 }
 
 /// Receiver-side delivery of an envelope that arrived over the wire, as
-/// part of the scatter of its `read()`. Whoever this has to wait for —
-/// a full inbox's owner, a spawn in progress — may itself be waiting for
-/// a wake-up the scatter still owes, so the scatter is woken before
-/// every sleep.
-fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, env: Envelope, scatter: &mut Scatter) {
+/// part of the scatter of its `read()`. A spawn in progress, which this
+/// may have to wait for, may itself be waiting for a wake-up the scatter
+/// still owes, so the scatter is woken before every sleep.
+fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, mut env: Envelope, scatter: &mut Scatter) {
     let start = Instant::now();
-    let (from, to) = (env.from, env.to);
-    let mut env = env;
-    let reason = loop {
-        let pause = match shared.sites.push(env, scatter.now()) {
+    let to = env.to;
+    loop {
+        match shared.sites.push(env, scatter.now()) {
             Ok(wake) => {
                 if let Some(wake) = wake {
                     scatter.defer(wake);
                 }
                 return;
-            }
-            Err(Miss::Refused(Refused::Full(e))) if start.elapsed() < INBOX_GRACE => {
-                env = e;
-                Duration::from_micros(100)
-            }
-            Err(Miss::Refused(Refused::Full(_))) => {
-                sdds_obs::counter("net.tcp.inbox_full").inc();
-                break NackReason::Overloaded;
             }
             // Not registered yet: ride the remote-spawn race for a
             // bounded window before refusing.
@@ -661,25 +617,17 @@ fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, env: Envelope, scatter: &mut
                     && !shared.is_shutdown() =>
             {
                 env = e;
-                Duration::from_millis(5)
             }
             // A tombstone (the endpoint is gone), an id past its spawn
             // grace, or one this rank does not host: unroutable, now.
-            Err(_) => {
-                sdds_obs::counter("net.tcp.unroutable").inc();
-                break NackReason::Unroutable;
-            }
-        };
+            Err(_) => break,
+        }
         scatter.wake();
-        std::thread::sleep(pause);
-    };
-    nack(conn, reason, from, to);
-}
-
-fn nack(conn: &Arc<Conn>, reason: NackReason, from: SiteId, to: SiteId) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     sdds_obs::counter("net.tcp.nacks_sent").inc();
     let mut buf = PooledBuf::take();
-    frame::encode_nack(reason, from, to, buf.as_mut_vec());
+    frame::encode_nack(to, buf.as_mut_vec());
     let _ = conn.enqueue(buf, true);
 }
 
@@ -758,41 +706,6 @@ mod tests {
             .send_traced(SiteId(0), Bytes::from_static(b"bare"), None)
             .unwrap();
         assert_eq!(bucket.recv_timeout(RECV).unwrap().ctx, None);
-    }
-
-    #[test]
-    fn overloaded_inbox_nacks_back_to_sender() {
-        let reg = SiteRegistry::loopback(1).unwrap();
-        let config = NetConfig {
-            inbox_capacity: Some(1),
-            ..NetConfig::default()
-        };
-        let server = Network::tcp_serve(reg.clone(), 0, config.clone()).unwrap();
-        let bucket = server.register_with_id(SiteId(0)).unwrap();
-        let clientnet = Network::tcp_client(reg, config);
-        let client = clientnet.register();
-
-        // First message fills the inbox; the second exhausts the
-        // receiver's grace window and is NACKed.
-        client.send(SiteId(0), Bytes::from_static(b"a")).unwrap();
-        client.send(SiteId(0), Bytes::from_static(b"b")).unwrap();
-
-        // The NACK debt surfaces as Overloaded on a later send.
-        let mut saw_overloaded = false;
-        for _ in 0..100 {
-            std::thread::sleep(Duration::from_millis(20));
-            // Never drain: the inbox must stay full so the receiver's
-            // grace window elapses and the NACK fires.
-            if let Err(NetError::Overloaded(to)) =
-                client.send(SiteId(0), Bytes::from_static(b"probe"))
-            {
-                assert_eq!(to, SiteId(0));
-                saw_overloaded = true;
-                break;
-            }
-        }
-        assert!(saw_overloaded, "NACK debt never surfaced as Overloaded");
-        let _ = bucket.try_recv();
     }
 
     #[test]

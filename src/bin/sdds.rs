@@ -15,7 +15,7 @@ use sdds_repro::core::{
     EncryptedSearchStore, RemoteStore, SchemeConfig, StoreBuilder, StoreHandle,
 };
 use sdds_repro::corpus::{format_directory, parse_directory, DirectoryGenerator, Record};
-use sdds_repro::net::{NetConfig, SiteRegistry};
+use sdds_repro::net::SiteRegistry;
 use sdds_repro::stats::LeakageAuditor;
 use sdds_repro::storage::{DiskOptions, FsyncPolicy, StorageConfig};
 use std::collections::HashMap;
@@ -61,7 +61,6 @@ const CLUSTER: &[Flag] = &[
 /// What a serving rank and the clients of its cluster must agree on.
 const SERVED: &[Flag] = &[
     ("capacity", "C"),
-    ("inbox-capacity", "C"),
     ("op-timeout-millis", "T"),
     ("obs-tick-millis", "T"),
     ("obs-history", "N"),
@@ -287,13 +286,6 @@ fn storage_config(flags: &Flags) -> StorageConfig {
     }
 }
 
-/// Parses `--inbox-capacity` (absent means unbounded inboxes).
-fn inbox_capacity(flags: &Flags) -> Option<usize> {
-    flags
-        .contains_key("inbox-capacity")
-        .then(|| flag_usize(flags, "inbox-capacity", 0))
-}
-
 /// The deterministically configured builder behind every store this
 /// binary creates: in-process (`start`/`open`), a served rank
 /// (`serve_parts`) or a client of one (`connect`). Serve ranks and their
@@ -309,11 +301,7 @@ fn store_builder(records: &[Record], flags: &Flags) -> StoreBuilder {
         .storage(storage_config(flags))
         .op_timeout(Duration::from_millis(
             flag_usize(flags, "op-timeout-millis", 10_000).max(50) as u64,
-        ))
-        .net(NetConfig {
-            inbox_capacity: inbox_capacity(flags),
-            ..NetConfig::default()
-        });
+        ));
     if config.encoding.is_some() {
         builder = builder.train(records.iter().take(1000).map(|r| r.rc.clone()));
     }
@@ -333,25 +321,15 @@ fn loaded_store(records: &[Record], flags: &Flags) -> EncryptedSearchStore {
     } else {
         builder.start()
     };
-    preload(&store.handle(), records, flags);
+    preload(&store.handle(), records);
     store
 }
 
 /// Loads the corpus through a handle (in-process store or TCP client).
-/// Bounded inboxes get per-record inserts — the single-op retry path rides
-/// out `Overloaded` — while unbounded stores take the fast pipelined bulk
-/// path, which assumes replies are never shed.
-fn preload(handle: &StoreHandle, records: &[Record], flags: &Flags) {
-    let result = if inbox_capacity(flags).is_some() {
-        records
-            .iter()
-            .try_for_each(|r| handle.insert(r.rid, &r.rc).map(|_| ()))
-    } else {
-        handle
-            .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-            .map(|_| ())
-    };
-    result.unwrap_or_else(|e| fail(format!("load failed: {e}")));
+fn preload(handle: &StoreHandle, records: &[Record]) {
+    handle
+        .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
+        .unwrap_or_else(|e| fail(format!("load failed: {e}")));
 }
 
 fn generate(flags: &Flags) {
@@ -563,7 +541,7 @@ fn metrics_cluster(flags: &Flags) {
     } else {
         let cluster = spawn_tcp_cluster(&records, flags, false);
         let handle = cluster.remote.handle();
-        preload(&handle, &records, flags);
+        preload(&handle, &records);
         run_queries(&handle, flags);
         let scraped = scrape(&cluster.remote, flags, false);
         cluster.shutdown();
@@ -711,7 +689,7 @@ fn trace_cmd(flags: &Flags) {
     // Cluster mode: the serve children must record spans too.
     let cluster = spawn_tcp_cluster(&records, flags, true);
     let handle = cluster.remote.handle();
-    preload(&handle, &records, flags);
+    preload(&handle, &records);
     traced_search(&handle, &pattern);
     // The reply can race the remote sites' span-ring writes by a beat;
     // give the loops a moment to close their spans before scraping.
