@@ -9,7 +9,6 @@ use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
 use crate::parity::{reconstruct_member, ParityState};
 use crate::runtime::{Machine, Runtime};
-use bytes::Bytes;
 use parking_lot::RwLock;
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::Registry;
@@ -18,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Names the sites of an LH\* file for whoever routes to them — the
 /// computable address→node mapping the LH\* papers assume known to all
@@ -322,7 +321,7 @@ impl LhCluster {
     /// fault injection across the cluster, not just this process.
     pub fn sever_rank(&self, rank: usize) -> Result<(), LhError> {
         let msg = Wire::DropConns.encode();
-        send_control(self.host.control(), SiteRegistry::host_id(rank), msg).map_err(LhError::Net)
+        Ok(self.host.control().send(SiteRegistry::host_id(rank), msg)?)
     }
 
     /// Kills a bucket site (crash simulation for LH\*<sub>RS</sub> tests).
@@ -330,7 +329,7 @@ impl LhCluster {
     /// restores it.
     pub fn kill_bucket(&self, addr: u64) {
         if let Some(site) = self.host.directory.bucket_site(addr) {
-            let _ = send_control(self.host.control(), site, Wire::Shutdown.encode());
+            let _ = self.host.control().send(site, Wire::Shutdown.encode());
             self.host.directory.retire(addr);
         }
     }
@@ -426,8 +425,7 @@ impl LhCluster {
         self.host.place(addr, level)?;
         let site = SiteRegistry::bucket_id(addr);
         let adopt = Wire::Adopt { level, slots }.encode();
-        send_control(self.host.control(), site, adopt)?;
-        Ok(())
+        Ok(self.host.control().send(site, adopt)?)
     }
 
     /// Takes a consistent snapshot of the file: the coordinator's state
@@ -491,30 +489,22 @@ impl LhCluster {
         }
         let cluster = LhCluster::start(config);
         let control = cluster.host.control();
-        send_control(
-            control,
-            SiteId(COORD_ID),
-            Wire::AdoptFileState {
-                level: snapshot.level,
-                split: snapshot.split,
-            }
-            .encode(),
-        )?;
+        let adopt = Wire::AdoptFileState {
+            level: snapshot.level,
+            split: snapshot.split,
+        };
+        control.send(SiteId(COORD_ID), adopt.encode())?;
         for b in &snapshot.buckets {
             if b.addr > 0 {
                 cluster.host.place(b.addr, b.level)?;
             }
         }
         for b in &snapshot.buckets {
-            send_control(
-                control,
-                SiteRegistry::bucket_id(b.addr),
-                Wire::TransferBatch {
-                    level: b.level,
-                    records: b.records.clone(),
-                }
-                .encode(),
-            )?;
+            let batch = Wire::TransferBatch {
+                level: b.level,
+                records: b.records.clone(),
+            };
+            control.send(SiteRegistry::bucket_id(b.addr), batch.encode())?;
         }
         Ok(cluster)
     }
@@ -529,7 +519,7 @@ impl LhCluster {
         let host = &self.host;
         for rank in (0..host.ranks).filter(|&rank| host.rank != Some(rank)) {
             let msg = Wire::Shutdown.encode();
-            let _ = send_control(host.control(), SiteRegistry::host_id(rank), msg);
+            let _ = host.control().send(SiteRegistry::host_id(rank), msg);
         }
         host.runtime.shutdown();
     }
@@ -538,23 +528,6 @@ impl LhCluster {
 impl Drop for LhCluster {
     fn drop(&mut self) {
         self.host.runtime.shutdown();
-    }
-}
-
-/// Sends a cluster-lifecycle message, retrying briefly while the
-/// destination refuses it `Overloaded` — a site whose spawn is on its
-/// way, or a full TCP link. Shutdown, spawn, recovery and restore
-/// messages must land for the cluster to make progress, and either
-/// refusal clears within the retry window.
-pub(crate) fn send_control(ep: &Endpoint, to: SiteId, payload: Bytes) -> Result<(), NetError> {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match ep.send(to, payload.clone()) {
-            Err(NetError::Overloaded(_)) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            other => return other,
-        }
     }
 }
 
@@ -675,7 +648,9 @@ impl SiteHost {
     /// Rank 0's part: the coordinator and the buckets of a file whose
     /// true state is `image` — bucket 0 of a new file, or every bucket of
     /// a reopened one (one rank holds them all), serving what it holds at
-    /// once.
+    /// once. The buckets are reserved before the coordinator runs: it
+    /// splits while they reopen, and a victim not spawned yet takes its
+    /// `SplitCmd` all the same.
     fn start(self: &Arc<Self>, image: ClientImage) -> Result<(), LhError> {
         let coordinator = self
             .network
@@ -689,7 +664,10 @@ impl SiteHost {
                 level: image.level,
                 split: image.split,
             };
-            send_control(self.control(), SiteId(COORD_ID), msg.encode())?;
+            self.control().send(SiteId(COORD_ID), msg.encode())?;
+        }
+        for addr in 0..image.extent() {
+            self.network.reserve(SiteRegistry::bucket_id(addr));
         }
         let host = Arc::clone(self);
         let site = CoordinatorSite {
@@ -703,9 +681,6 @@ impl SiteHost {
         };
         self.runtime
             .add(coordinator, Box::new(site), Registry::global());
-        // The coordinator splits while the buckets reopen: a victim not
-        // spawned yet refuses its `SplitCmd` `Overloaded`, and the
-        // coordinator retries it.
         for addr in 0..image.extent() {
             self.spawn(addr, bucket_level(addr, image), true);
         }
@@ -716,8 +691,8 @@ impl SiteHost {
     /// (`addr mod ranks`): here, or by a [`Wire::Spawn`] to that rank's
     /// host endpoint. Either way the new site's id is the bucket address,
     /// so a coordinator can hand it to the split victim at once; a
-    /// `TransferBatch` that overtakes a remote registration is refused
-    /// `Overloaded` until it lands.
+    /// `TransferBatch` that overtakes a remote registration waits in the
+    /// address's reserved mailbox (see [`spawn`](Self::spawn)).
     fn place(&self, addr: u64, level: u8) -> Result<(), NetError> {
         let owner = (addr % self.ranks as u64) as usize;
         if self.rank == Some(owner) {
@@ -725,7 +700,7 @@ impl SiteHost {
             return Ok(());
         }
         let msg = Wire::Spawn { addr, level }.encode();
-        let sent = send_control(self.control(), SiteRegistry::host_id(owner), msg);
+        let sent = self.control().send(SiteRegistry::host_id(owner), msg);
         self.directory.spawned(addr);
         sent
     }
@@ -766,7 +741,16 @@ impl SiteHost {
     /// primordial bucket 0; every other one was spawned for a split, a
     /// restore or a recovery and waits for its contents (see
     /// [`BucketState::awaiting_records`]).
+    ///
+    /// The next address this rank will host, `addr + ranks`, is reserved
+    /// first, before this site runs. LH\* grows one address at a time, so
+    /// the reservation is in place before the split that creates that
+    /// address can send it a `TransferBatch`, which may overtake the
+    /// `Spawn` on its way to this rank. (A rank's first address is
+    /// reserved with its network.)
     pub(crate) fn spawn(&self, addr: u64, level: u8, reopened: bool) {
+        let next = SiteRegistry::bucket_id(addr + self.ranks as u64);
+        self.network.reserve(next);
         self.parity_group(addr);
         let ctx = BucketCtx::new(
             self.directory.clone(),

@@ -180,9 +180,8 @@ impl CoordinatorState {
 
 /// The coordinator as the runtime sees it: the file state plus the
 /// directory it retires merged-away buckets from and the spawner of the
-/// buckets its splits create. A split command refused because its
-/// victim's spawn is on its way parks in the site's send queue and is
-/// retried — restructuring cannot be lost to that race.
+/// buckets its splits create. A split command whose victim's spawn is
+/// still on its way waits in the victim's reserved mailbox.
 pub(crate) struct CoordinatorSite {
     pub state: CoordinatorState,
     pub spawner: BucketSpawner,

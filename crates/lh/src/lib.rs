@@ -45,7 +45,6 @@ mod bucket;
 mod client;
 mod cluster;
 mod coordinator;
-mod drain;
 mod filter;
 mod hash;
 mod health;

@@ -532,9 +532,10 @@ impl Wire {
     }
 
     /// The `req_id` of the request this message answers: `Some` exactly
-    /// for the replies a site or a host loop sends back to a client. They
-    /// are idempotent reads of state the client asks for again, so a site
-    /// may lose one a destination refuses; every other message must land.
+    /// for the replies a site or a host loop sends back to a client, which
+    /// the client's exchange keys its answers by. Over TCP they are the
+    /// messages that may be lost, with the stream the client dialed; the
+    /// client asks again.
     pub(crate) fn reply_id(&self) -> Option<u64> {
         match self {
             Wire::Response { req_id, .. }

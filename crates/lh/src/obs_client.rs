@@ -12,7 +12,6 @@
 //! gauges are carried per-rank only — a chi-square does not sum.
 
 use crate::client::LhError;
-use crate::cluster::send_control;
 use crate::messages::Wire;
 use sdds_net::{Endpoint, NetError, SiteRegistry, HOST_BASE};
 use sdds_obs::trace::{stitch, ParsedSpan, RankedSpan, TraceTree};
@@ -117,8 +116,8 @@ impl ClusterObs {
                 spans: opts.spans,
                 history: opts.history,
             };
-            send_control(&self.control, SiteRegistry::host_id(rank), msg.encode())
-                .map_err(LhError::Net)?;
+            self.control
+                .send(SiteRegistry::host_id(rank), msg.encode())?;
         }
         let deadline = Instant::now() + opts.timeout;
         let mut ranks: Vec<RankScrape> = Vec::new();

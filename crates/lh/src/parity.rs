@@ -155,8 +155,8 @@ impl ParityState {
 
 /// A slot-delta stream from a splitting group arrives at high fan-in,
 /// which the runtime's batched activations amortize. Parity sites only
-/// ever emit client-bound `ParityState` replies (recovery re-reads on
-/// loss), so nothing of theirs is ever parked.
+/// ever emit client-bound `ParityState` replies, which recovery reads
+/// again if one is lost. Parity traffic stays on the channel fabric.
 impl Machine for ParityState {
     /// Parity updates triggered by a traced insert/delete and parity
     /// reads during recovery stay inside the operation's trace.

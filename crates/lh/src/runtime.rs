@@ -2,12 +2,14 @@
 //! process as a state machine behind a mailbox, run by a fixed set of
 //! worker threads — threads are O(cores), not O(buckets).
 //!
-//! A site is `{mailbox, state machine, SendQueue}`. An envelope delivered
+//! A site is `{mailbox, state machine}`. An envelope delivered
 //! to an idle site's mailbox queues the site on the runtime's **ready
 //! queue** (`sdds_net::Scheduler`); a worker pops it and runs one
 //! **activation**: it drains up to [`DRAIN_BUDGET`] envelopes, decodes
 //! each, opens its span, hands it to the machine and sends what the
-//! handler returns. A site is queued or running at most once, so no two
+//! handler returns; a send either lands or fails because its destination
+//! is gone, so nothing is kept to send again. A site is queued or running
+//! at most once, so no two
 //! workers ever enter it together, and one that still has envelopes
 //! after its activation goes to the tail of the queue behind every other
 //! ready site.
@@ -21,7 +23,6 @@
 //! way, so a scan costs a handful of context switches, not two per
 //! bucket. `DESIGN.md` § "Site runtime" has the numbers.
 
-use crate::drain::{SendQueue, DRAIN_BUDGET, IDLE_TICK};
 use crate::filter::ScanMemo;
 use crate::health::LoopHealth;
 use crate::messages::Wire;
@@ -35,6 +36,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
+
+/// Most envelopes one activation of a site dispatches before the site
+/// goes to the back of the ready queue.
+pub(crate) const DRAIN_BUDGET: usize = 64;
 
 /// Most envelopes a worker dispatches before it delivers the wake-ups
 /// its sends owe, however long the ready queue stays non-empty: under
@@ -78,15 +83,14 @@ struct Site {
 }
 
 struct Cell {
-    machine: Box<dyn Machine>,
-    outbox: SendQueue,
+    /// `None` once a `Shutdown` with no successor has retired the site:
+    /// the machine is dropped, then the mailbox closed.
+    machine: Option<Box<dyn Machine>>,
     started: bool,
     /// The next incarnation of this site, spawned under its id while
     /// this one still ran: it takes the mailbox over at the `Shutdown`
     /// that ends this one, with whatever was sent after it.
     successor: Option<Box<dyn Machine>>,
-    /// `Shutdown` handled and no successor: the mailbox is closed.
-    retired: bool,
 }
 
 struct Sched {
@@ -104,18 +108,13 @@ struct Sched {
     /// than one.
     sleepers: Vec<Thread>,
     stopping: bool,
-    /// Sites with parked must-land sends, to be activated at `retry_due`
-    /// even if nothing arrives for them.
-    retry: Vec<usize>,
-    retry_due: Option<Instant>,
 }
 
 impl Sched {
     /// The sleeper to wake, if one has something to get up for: a free
-    /// slot, and a ready site or a retry to time.
+    /// slot and a ready site.
     fn sleeper_for_work(&mut self, slots: usize) -> Option<Thread> {
-        let work = !self.ready.is_empty() || self.retry_due.is_some();
-        if work && self.running < slots {
+        if !self.ready.is_empty() && self.running < slots {
             self.sleepers.pop()
         } else {
             None
@@ -168,8 +167,6 @@ impl Runtime {
                 running: 0,
                 sleepers: Vec::new(),
                 stopping: false,
-                retry: Vec::new(),
-                retry_due: None,
             }),
             slots: workers.max(1),
             sites: RwLock::new(Vec::new()),
@@ -206,11 +203,9 @@ impl Runtime {
         let site = Arc::new(Site {
             endpoint,
             cell: Mutex::new(Cell {
-                machine,
-                outbox: SendQueue::new(),
+                machine: Some(machine),
                 started: false,
                 successor: None,
-                retired: false,
             }),
             queue_wait: obs.histogram("lh.queue_wait_seconds"),
             stall: obs.histogram("lh.loop_stall_seconds"),
@@ -242,7 +237,7 @@ impl Runtime {
             return Err(machine);
         };
         let mut cell = site.cell.lock();
-        if cell.retired {
+        if cell.machine.is_none() {
             return Err(machine);
         }
         cell.successor = Some(machine);
@@ -283,10 +278,9 @@ impl Runtime {
         let me = std::thread::current();
         let mut sched = self.sched.lock();
         loop {
-            let retry_due = sched.retry_due.is_some_and(|due| Instant::now() >= due);
-            if sched.running < self.slots && (retry_due || !sched.ready.is_empty()) {
+            if sched.running < self.slots && !sched.ready.is_empty() {
                 sched.running += 1;
-                return true; // `next` queues the sites whose retry is due
+                return true;
             }
             if sched.stopping && sched.ready.is_empty() {
                 let next = sched.sleepers.pop();
@@ -294,19 +288,11 @@ impl Runtime {
                 wake(next);
                 return false;
             }
-            // whoever could take a slot times the retry
-            let due = sched.retry_due.filter(|_| sched.running < self.slots);
             sched.sleepers.push(me.clone());
             drop(sched);
-            match due {
-                Some(due) => {
-                    std::thread::park_timeout(due.saturating_duration_since(Instant::now()))
-                }
-                None => std::thread::park(),
-            }
+            std::thread::park();
             sched = self.sched.lock();
-            // still listed if it was the deadline, or a stale token, that
-            // ended the sleep
+            // still listed if a stale token ended the sleep
             sched.sleepers.retain(|sleeper| sleeper.id() != me.id());
         }
     }
@@ -323,19 +309,9 @@ impl Runtime {
     }
 
     /// The next ready site, if any, for a worker that holds a slot;
-    /// never blocks. Parked must-land sends whose retry is due get their
-    /// sites queued first.
+    /// never blocks.
     fn next(&self) -> Option<usize> {
         let mut sched = self.sched.lock();
-        if sched.retry_due.is_some_and(|due| Instant::now() >= due) {
-            sched.retry_due = None;
-            let keys = std::mem::take(&mut sched.retry);
-            drop(sched);
-            for site in keys.into_iter().filter_map(|key| self.site(key)) {
-                site.endpoint.schedule();
-            }
-            sched = self.sched.lock();
-        }
         let key = sched.ready.pop_front()?;
         // if there is work for another worker, pass the wake-up on
         let sleeper = sched.sleeper_for_work(self.slots);
@@ -357,22 +333,6 @@ impl Runtime {
     /// after that activation, which gives the slot back.
     fn disk_wait_ends(&self) {
         self.sched.lock().running += 1;
-    }
-
-    /// Asks for an activation of `key` within [`IDLE_TICK`] even if no
-    /// message arrives for it: it has parked must-land sends to retry.
-    fn retry_later(&self, key: usize, now: Instant) {
-        let mut sched = self.sched.lock();
-        if !sched.retry.contains(&key) {
-            sched.retry.push(key);
-        }
-        if sched.retry_due.is_none() {
-            sched.retry_due = Some(now + IDLE_TICK);
-            // a sleeper without a deadline must pick this one up
-            let sleeper = sched.sleepers.pop();
-            drop(sched);
-            wake(sleeper);
-        }
     }
 
     fn retire(&self, key: usize) {
@@ -491,22 +451,22 @@ impl Worker {
 
         let Cell {
             machine,
-            outbox,
             started,
             successor,
-            retired,
         } = &mut *cell;
         let endpoint = &site.endpoint;
-        let start = |machine: &mut Box<dyn Machine>, outbox: &mut SendQueue| {
-            for (to, out) in machine.start() {
-                let payload = out.encode();
-                let scatter = &mut self.scatter.borrow_mut();
-                outbox.send(scatter, endpoint, to, &out, payload, None);
+        let send = |out: Vec<(SiteId, Wire)>, ctx: Option<TraceContext>| {
+            let scatter = &mut self.scatter.borrow_mut();
+            for (to, msg) in out {
+                // fails only if the peer is gone, which it may be
+                let _ = endpoint.send_with(scatter, to, msg.encode(), ctx);
             }
         };
         if !*started {
             *started = true;
-            start(machine, outbox);
+            if let Some(machine) = machine {
+                send(machine.start(), None);
+            }
         }
         for env in self.batch.drain(..) {
             self.dispatched += 1;
@@ -514,45 +474,30 @@ impl Worker {
                 continue;
             };
             if matches!(msg, Wire::Shutdown) {
-                match successor.take() {
-                    Some(next) => {
-                        *machine = next;
-                        start(machine, outbox);
-                        continue;
-                    }
-                    None => {
-                        // the id is free from here on; what is still
-                        // queued is dropped with the site
-                        *retired = true;
-                        endpoint.close();
-                        break;
-                    }
+                if let Some(next) = successor.take() {
+                    send(machine.insert(next).start(), None);
+                    continue;
                 }
+                // The machine goes first, so that whoever finds the id
+                // free finds its state gone; what is still queued is
+                // dropped with the site.
+                *machine = None;
+                endpoint.close();
+                break;
             }
+            let Some(machine) = machine else {
+                break;
+            };
             let span = machine.span(endpoint.id(), &msg, env.ctx);
             let out_ctx = span.context();
-            for (to, out) in machine.handle(env.from, msg, &mut self.memo) {
-                // A send can fail if the peer already shut down (fine
-                // during teardown) or be refused while its spawn is on
-                // its way — the outbox parks control-plane messages for
-                // retry.
-                let payload = out.encode();
-                let scatter = &mut self.scatter.borrow_mut();
-                outbox.send(scatter, endpoint, to, &out, payload, out_ctx);
-            }
+            send(machine.handle(env.from, msg, &mut self.memo), out_ctx);
         }
-        outbox.flush(&mut self.scatter.borrow_mut(), endpoint);
-        let (parked, retired) = (outbox.has_parked(), *retired);
+        let retired = machine.is_none();
         drop(cell);
 
         if retired {
-            // Dropping the last reference drops the machine and closes
-            // the mailbox: later sends fail `Disconnected`.
             self.runtime.retire(key);
             return;
-        }
-        if parked {
-            self.runtime.retry_later(key, now);
         }
         if site.endpoint.release() {
             self.runtime.schedule(key); // more arrived: to the tail
@@ -862,43 +807,6 @@ mod tests {
         runtime.shutdown();
         assert_eq!(flooded_handled.load(Ordering::SeqCst), FLOOD);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A must-land send refused because its destination's spawn is on
-    /// its way is parked, and lands within `IDLE_TICK` of the destination
-    /// registering although nothing else ever arrives; a client-bound
-    /// reply refused the same way is not parked.
-    #[test]
-    fn a_parked_must_land_send_is_retried_without_new_traffic() {
-        let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(1);
-        // a bucket id the network hosts but has not registered
-        let sink_id = SiteId(3);
-        let site = net.register();
-        let site_id = site.id();
-        add(&runtime, site, move |_, msg| {
-            let reply = Wire::ExtentResp {
-                req_id: number(&msg),
-                level: 0,
-                split: 0,
-                busy: false,
-            };
-            vec![(sink_id, reply), (sink_id, msg)]
-        });
-        let sender = net.register();
-        sender.send(site_id, numbered(7)).unwrap();
-        while net.stats().rejected() < 2 {
-            std::thread::yield_now(); // until both sends have been refused
-        }
-        let sink = net.register_with_id(sink_id).unwrap();
-        // only the idle tick can deliver the parked message
-        let env = sink
-            .recv_timeout(Duration::from_secs(10))
-            .expect("parked send retried");
-        assert_eq!(number(&Wire::decode(&env.payload).unwrap()), 7);
-        let later = sink.recv_timeout(IDLE_TICK * 10);
-        assert!(later.is_err(), "the refused reply was not retried");
-        runtime.shutdown();
     }
 
     /// A site spawned under the id of one that has yet to handle its

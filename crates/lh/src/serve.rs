@@ -11,6 +11,9 @@
 //! (`SiteRegistry::bucket_id`), and the registry's modular partition
 //! decides which process answers. Clients are
 //! [`LhCluster::connect`]ed processes that host no site.
+//! A `Spawn` or `TransferBatch` that reaches the rank before the site it
+//! is for waits in that site's reserved mailbox, and what the rank sends
+//! other ranks leaves on links that deliver it: nothing here re-sends.
 //!
 //! Scope: kill and snapshot address sites by id and work on both
 //! fabrics. Parity (LH\*<sub>RS</sub>) remains channel-only — its parity
@@ -27,7 +30,7 @@
 //! the file state from.
 
 use crate::client::LhError;
-use crate::cluster::{send_control, ClusterConfig, LhCluster, ObsOptions};
+use crate::cluster::{ClusterConfig, LhCluster, ObsOptions};
 use crate::health;
 use crate::messages::Wire;
 use sdds_net::{Endpoint, NetError, Network, SiteId, SiteRegistry};
@@ -238,7 +241,7 @@ fn host_loop(ep: Endpoint, mut host: Host) {
             break;
         }
         for (to, out) in host.handle(env.from, msg) {
-            let _ = send_control(&ep, to, out.encode());
+            let _ = ep.send(to, out.encode());
         }
     }
     drop(host); // stops this rank's sites

@@ -154,9 +154,6 @@ fn concurrent_clients_do_not_interfere() {
             });
         }
     });
-    // inboxes are unbounded: four clients and the splits they cause are
-    // never refused a send
-    assert_eq!(cluster.network().stats().rejected(), 0);
     cluster.shutdown();
 }
 

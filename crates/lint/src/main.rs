@@ -144,9 +144,9 @@ USAGE:
     sdds-lint --as <workspace-rel-path> <file>
 
 Rules: secret-hygiene, determinism, unsafe-audit, panic-freedom,
-atomics-rationale, protocol-coverage, reply-obligation, must-land,
-obs-drift. Suppress one finding with `// lint: allow(<rule>)` on the same
-or preceding line. shims/ and target/ are never scanned. The protocol
-rules and the send/handle matrix need a --workspace run; --protocol-matrix
+atomics-rationale, protocol-coverage, reply-obligation, obs-drift.
+Suppress one finding with `// lint: allow(<rule>)` on the same or
+preceding line. shims/ and target/ are never scanned. The protocol rules
+and the send/handle matrix need a --workspace run; --protocol-matrix
 writes the machine-readable matrix CI diffs against the committed copy.
 ";

@@ -1,13 +1,12 @@
-//! Protocol-aware analysis: the `Wire` send×handle matrix and the four
-//! flow-sensitive rules built on it.
+//! Protocol-aware analysis: the `Wire` send×handle matrix and the three
+//! rules built on it.
 //!
 //! The paper's availability and ≤2-hop guarantees assume the LH* message
 //! protocol is *total*: every message that can be sent has a handler,
-//! every request produces a reply on every control-flow path, and
-//! control-plane traffic is never lost to a refused send (a spawn on its
-//! way, a full TCP link). The site runtime enforces the last invariant
-//! dynamically (`SendQueue`); this module enforces all three at the
-//! source level, plus doc/code agreement for the observability catalog:
+//! and every request produces a reply on every control-flow path. (That
+//! a sent message arrives is the fabric's job.) This module enforces both
+//! at the source level, plus doc/code agreement for the observability
+//! catalog:
 //!
 //! | rule                | checks                                          |
 //! |---------------------|-------------------------------------------------|
@@ -15,8 +14,6 @@
 //! |                     | handler; no dead handler arms                   |
 //! | `reply-obligation`  | request handlers emit the paired response (or   |
 //! |                     | forward the request) on every branch            |
-//! | `must-land`         | sites and the runtime's dispatch loop never     |
-//! |                     | bypass `SendQueue` for control-plane sends      |
 //! | `obs-drift`         | metric/span name literals ↔ `docs/OBSERVABILITY.md` |
 //!
 //! Classification is purely lexical over the shadow text plus the
@@ -30,15 +27,10 @@
 //! count as sends.
 
 use crate::rules::{is_allowed, Diagnostic};
-use crate::scanner::{idents, statement_before, BraceTree, Pos, Scanned};
+use crate::scanner::{idents, BraceTree, Pos, Scanned};
 
 /// Rule identifiers this module owns, in reporting order.
-pub const PROTOCOL_RULES: [&str; 4] = [
-    "protocol-coverage",
-    "reply-obligation",
-    "must-land",
-    "obs-drift",
-];
+pub const PROTOCOL_RULES: [&str; 3] = ["protocol-coverage", "reply-obligation", "obs-drift"];
 
 /// The wire codec. Its `encode`/`decode` matches touch every variant by
 /// construction, so it is excluded from the send/handle matrix (only the
@@ -61,7 +53,7 @@ const HANDLER_FILES: [&str; 8] = [
 ];
 
 /// The site state machines, the host loop and the loop that runs the
-/// sites: reply-obligation and must-land apply here.
+/// sites: reply-obligation applies here.
 const LOOP_FILES: [&str; 5] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/coordinator.rs",
@@ -74,17 +66,11 @@ const LOOP_FILES: [&str; 5] = [
 /// id.
 const HOST_FILE: &str = "crates/lh/src/serve.rs";
 
-/// The one dispatch loop. What it sends is whatever a handler returned,
-/// which names no variant at the send site, so must-land holds it to more
-/// than the variant-based check: every send goes through the `outbox`.
+/// The one dispatch loop: it retires a site on `Shutdown`.
 const DISPATCH_FILE: &str = "crates/lh/src/runtime.rs";
 
-/// The ways to put a payload on the fabric directly.
-const DIRECT_SENDS: [&str; 3] = [".send(", ".send_traced(", ".send_with("];
-
 /// Request-shaped variants and the response each handler must emit.
-/// The responses are the variants `Wire::reply_id` names, which sites
-/// shed under overload.
+/// The responses are the variants `Wire::reply_id` names.
 const REPLY_PAIRS: [(&str, &str); 7] = [
     ("Request", "Response"),
     ("ScanReq", "ScanResp"),
@@ -93,20 +79,6 @@ const REPLY_PAIRS: [(&str, &str); 7] = [
     ("ExtentReq", "ExtentResp"),
     ("ParityRead", "ParityState"),
     ("ObsPull", "ObsReport"),
-];
-
-/// Control-plane variants that must go through `SendQueue` inside an
-/// event loop (PR 7's no-starvation discipline, statically).
-const MUST_LAND_VARIANTS: [&str; 9] = [
-    "Overflow",
-    "Underflow",
-    "SplitCmd",
-    "MergeCmd",
-    "SplitDone",
-    "MergeDone",
-    "TransferBatch",
-    "TransferAck",
-    "ParityUpdate",
 ];
 
 /// Namespaces whose dotted string literals are observability names.
@@ -118,13 +90,6 @@ const OBS_NAMESPACES: [&str; 12] = [
 /// File-ish suffixes that disqualify a dotted literal from being an
 /// observability name (`leak.json`, `bucket.rs`, …).
 const NON_NAME_SUFFIXES: [&str; 5] = [".json", ".jsonl", ".md", ".rs", ".toml"];
-
-/// The identifier a direct send ([`DIRECT_SENDS`]) in `code` is called
-/// on, if there is such a send.
-fn direct_send_receiver(code: &str) -> Option<&str> {
-    let send_at = DIRECT_SENDS.iter().filter_map(|s| code.find(s)).min()?;
-    Some(idents(&code[..send_at]).last().copied().unwrap_or(""))
-}
 
 /// The variant a borrowed encoder of the codec sends:
 /// `Wire::encode_scan_req(..)` writes a `ScanReq` from borrowed fields
@@ -307,10 +272,6 @@ impl ProtocolAnalysis {
         let occs = view.wire_occurrences();
         if LOOP_FILES.contains(&path) {
             self.check_reply_obligation(&view, &occs);
-            self.check_must_land(&view, &occs);
-        }
-        if path == DISPATCH_FILE {
-            self.check_dispatch_sends(&view);
         }
         self.occurrences.extend(occs);
     }
@@ -484,62 +445,6 @@ impl ProtocolAnalysis {
                         ),
                     );
                 }
-            }
-        }
-    }
-
-    /// must-land: inside a site or dispatch-loop file, a control-plane
-    /// construction whose statement also performs a direct send
-    /// ([`DIRECT_SENDS`]) on anything but the `outbox` (the `SendQueue`)
-    /// is a starvation bug: a destination whose spawn is on its way (or a
-    /// full TCP link) may refuse it and nothing will retry.
-    fn check_must_land(&mut self, view: &FileView, occs: &[Occurrence]) {
-        for occ in occs {
-            if occ.kind != Kind::Send || !MUST_LAND_VARIANTS.contains(&occ.variant.as_str()) {
-                continue;
-            }
-            let stmt = view.statement_text(occ.pos);
-            let Some(receiver) = direct_send_receiver(&stmt) else {
-                continue;
-            };
-            if receiver != "outbox" {
-                self.push_flow(
-                    view,
-                    occ.pos.0,
-                    "must-land",
-                    format!(
-                        "control-plane `Wire::{}` sent directly via `{}.send(..)`, bypassing the \
-                         SendQueue: a refused send (a spawn on its way, a full link) is never \
-                         retried and the protocol stalls (route it through `outbox.send`)",
-                        occ.variant, receiver
-                    ),
-                );
-            }
-        }
-    }
-
-    /// must-land in the dispatch loop: any direct send outside the tests
-    /// that is not the `outbox`'s. A handler's output may be control-plane
-    /// whatever the send site calls it.
-    fn check_dispatch_sends(&mut self, view: &FileView) {
-        for line in 0..view.s.code.len() {
-            if view.s.is_test[line] {
-                continue;
-            }
-            let Some(receiver) = direct_send_receiver(&view.s.code[line]) else {
-                continue;
-            };
-            if receiver != "outbox" {
-                self.push_flow(
-                    view,
-                    line,
-                    "must-land",
-                    format!(
-                        "the dispatch loop sends via `{receiver}` directly, bypassing the \
-                         SendQueue: a handler's control-plane output refused by a spawn on its \
-                         way would never be retried (route it through `outbox.send`)"
-                    ),
-                );
             }
         }
     }
@@ -1265,35 +1170,6 @@ impl<'a> FileView<'a> {
             cur = self.advance(cur);
         }
         cur
-    }
-
-    /// The full statement text around `pos` (backward to the statement
-    /// start, forward to its `;`), for same-statement send detection.
-    fn statement_text(&self, pos: Pos) -> String {
-        let back = statement_before(self.s, pos, 20);
-        let mut fwd = String::new();
-        let mut depth = 0i64;
-        let mut cur = pos;
-        for _ in 0..2000 {
-            match self.at(cur) {
-                Some('{') => depth += 1,
-                Some('}') => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                Some(';') if depth == 0 => break,
-                None if cur.0 >= self.code.len() => break,
-                _ => {}
-            }
-            fwd.push(self.at(cur).unwrap_or(' '));
-            cur = self.advance(cur);
-            if cur.1 == 0 {
-                fwd.push(' ');
-            }
-        }
-        format!("{back} {fwd}")
     }
 }
 

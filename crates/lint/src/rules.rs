@@ -13,7 +13,6 @@
 //! | `atomics-rationale` | justified memory orderings in concurrent code     |
 //! | `protocol-coverage` | protocol totality: every sent variant is handled  |
 //! | `reply-obligation`  | request handlers reply on every branch            |
-//! | `must-land`         | control-plane sends ride the `SendQueue`          |
 //! | `obs-drift`         | metric/span catalog ↔ code agreement              |
 //!
 //! All line-level rules for a file run in one pass over a single
@@ -57,7 +56,7 @@ pub struct UnsafeSite {
 }
 
 /// All rule identifiers, in reporting order.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     "secret-hygiene",
     "determinism",
     "unsafe-audit",
@@ -65,7 +64,6 @@ pub const RULES: [&str; 9] = [
     "atomics-rationale",
     "protocol-coverage",
     "reply-obligation",
-    "must-land",
     "obs-drift",
 ];
 

@@ -14,20 +14,27 @@
 //! dropped: framing is only trusted as a unit, never resynchronised
 //! mid-stream.
 //!
-//! Three frame kinds exist:
+//! Five frame kinds exist:
 //!
 //! * kind `0` — an [`Envelope`]: `from: u32 LE`, `to: u32 LE`, `flags: u8`
 //!   (bit 0 = trace context present), then if the flag is set
 //!   `trace_id: u64 LE` + `parent_span_id: u64 LE`, then the payload bytes.
 //! * kind `1` — a NACK: `to: u32 LE`, the destination of an envelope the
 //!   receiver could not route (a retired id, one it does not host, or one
-//!   not registered within its spawn grace). The sender fails its next
-//!   send to `to` with `NetError::Disconnected`, as the channel fabric
-//!   fails it at once.
+//!   it hosts that is neither registered nor reserved). The sender fails
+//!   its next send to `to` with `NetError::Disconnected`, as the channel
+//!   fabric fails it at once.
 //! * kind `2` — a hello: `id: u32 LE`. Sent by a connecting process for
 //!   each dynamically allocated (client) site id it hosts, so the serving
 //!   side learns which connection routes replies to that id. Re-sent on
 //!   every reconnect.
+//! * kind `3` — a link: `id: u64 LE`, `next_seq: u64 LE`. Opens every
+//!   stream a process dials, after its hellos: the frames that follow on
+//!   the stream are numbered `next_seq`, `next_seq + 1`, … on link `id`,
+//!   which names the dialing connection for the life of its process.
+//! * kind `4` — an ack: `seq: u64 LE`, sent back on an accepted stream:
+//!   every frame of its link up to `seq` has been delivered, and the
+//!   dialer may let them go.
 //!
 //! The decoder is incremental: feed it arbitrary byte chunks (torn reads
 //! are fine) and pull complete frames out. It never pre-allocates more
@@ -49,6 +56,8 @@ pub const HEADER_LEN: usize = 8;
 const KIND_ENVELOPE: u8 = 0;
 const KIND_NACK: u8 = 1;
 const KIND_HELLO: u8 = 2;
+const KIND_LINK: u8 = 3;
+const KIND_ACK: u8 = 4;
 
 const FLAG_CTX: u8 = 0b0000_0001;
 
@@ -66,6 +75,18 @@ pub enum Frame {
     Hello {
         /// The dynamically allocated site id the peer hosts.
         id: SiteId,
+    },
+    /// The start of a dialed stream's numbered frames.
+    Link {
+        /// The dialing connection's link id.
+        id: u64,
+        /// The number of the frame that follows.
+        next_seq: u64,
+    },
+    /// Cumulative delivery acknowledgement of a link's frames.
+    Ack {
+        /// The number of the last frame delivered.
+        seq: u64,
     },
 }
 
@@ -137,42 +158,53 @@ fn seal(out: &mut Vec<u8>, start: usize) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Appends an encoded envelope frame to `out`.
-pub fn encode_envelope(env: &Envelope, out: &mut Vec<u8>) {
+/// Appends a frame of `kind` whose body `body` writes to `out`.
+fn encode(kind: u8, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0u8; HEADER_LEN]);
-    out.push(KIND_ENVELOPE);
-    put_u32(out, env.from.0);
-    put_u32(out, env.to.0);
-    match env.ctx {
-        Some(ctx) => {
-            out.push(FLAG_CTX);
-            put_u64(out, ctx.trace_id);
-            put_u64(out, ctx.parent_span_id);
-        }
-        None => out.push(0),
-    }
-    out.extend_from_slice(&env.payload);
+    out.push(kind);
+    body(out);
     seal(out, start);
+}
+
+/// Appends an encoded envelope frame to `out`.
+pub fn encode_envelope(env: &Envelope, out: &mut Vec<u8>) {
+    encode(KIND_ENVELOPE, out, |out| {
+        put_u32(out, env.from.0);
+        put_u32(out, env.to.0);
+        match env.ctx {
+            Some(ctx) => {
+                out.push(FLAG_CTX);
+                put_u64(out, ctx.trace_id);
+                put_u64(out, ctx.parent_span_id);
+            }
+            None => out.push(0),
+        }
+        out.extend_from_slice(&env.payload);
+    });
 }
 
 /// Appends an encoded NACK frame for destination `to` to `out`.
 pub fn encode_nack(to: SiteId, out: &mut Vec<u8>) {
-    encode_id(KIND_NACK, to, out);
+    encode(KIND_NACK, out, |out| put_u32(out, to.0));
 }
 
 /// Appends an encoded hello frame to `out`.
 pub fn encode_hello(id: SiteId, out: &mut Vec<u8>) {
-    encode_id(KIND_HELLO, id, out);
+    encode(KIND_HELLO, out, |out| put_u32(out, id.0));
 }
 
-/// A frame whose body is one site id.
-fn encode_id(kind: u8, id: SiteId, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; HEADER_LEN]);
-    out.push(kind);
-    put_u32(out, id.0);
-    seal(out, start);
+/// Appends an encoded link frame to `out`.
+pub fn encode_link(id: u64, next_seq: u64, out: &mut Vec<u8>) {
+    encode(KIND_LINK, out, |out| {
+        put_u64(out, id);
+        put_u64(out, next_seq);
+    });
+}
+
+/// Appends an encoded ack frame to `out`.
+pub fn encode_ack(seq: u64, out: &mut Vec<u8>) {
+    encode(KIND_ACK, out, |out| put_u64(out, seq));
 }
 
 fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
@@ -204,6 +236,13 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
         }),
         KIND_HELLO => Ok(Frame::Hello {
             id: SiteId(r.u32().ok_or(SHORT)?),
+        }),
+        KIND_LINK => Ok(Frame::Link {
+            id: r.u64().ok_or(SHORT)?,
+            next_seq: r.u64().ok_or(SHORT)?,
+        }),
+        KIND_ACK => Ok(Frame::Ack {
+            seq: r.u64().ok_or(SHORT)?,
         }),
         other => Err(FrameError::BadKind(other)),
     }
@@ -326,13 +365,15 @@ mod tests {
     }
 
     #[test]
-    fn nack_and_hello_roundtrip() {
+    fn nack_hello_link_and_ack_roundtrip() {
         let mut buf = Vec::new();
         encode_nack(SiteId(2), &mut buf);
         encode_nack(SiteId(4), &mut buf);
         encode_hello(SiteId(0xFE00_0042), &mut buf);
+        encode_link(u64::MAX - 1, 7, &mut buf);
+        encode_ack(1 << 40, &mut buf);
         let frames = decode_all(&buf).unwrap();
-        assert_eq!(frames.len(), 3);
+        assert_eq!(frames.len(), 5);
         match frames[0] {
             Frame::Nack { to } => assert_eq!(to, SiteId(2)),
             ref other => panic!("expected nack, got {other:?}"),
@@ -340,6 +381,14 @@ mod tests {
         match frames[2] {
             Frame::Hello { id } => assert_eq!(id, SiteId(0xFE00_0042)),
             ref other => panic!("expected hello, got {other:?}"),
+        }
+        match frames[3] {
+            Frame::Link { id, next_seq } => assert_eq!((id, next_seq), (u64::MAX - 1, 7)),
+            ref other => panic!("expected link, got {other:?}"),
+        }
+        match frames[4] {
+            Frame::Ack { seq } => assert_eq!(seq, 1 << 40),
+            ref other => panic!("expected ack, got {other:?}"),
         }
     }
 

@@ -14,8 +14,7 @@
 //!   [`Endpoint::recv`] (clients), or a [`Scheduler`] that runs many
 //!   sites on a few workers (`sdds-lh`'s site runtime);
 //! * **measurable** — [`NetStats`] counts the messages and bytes a
-//!   network delivered, the ones fault injection dropped and the sends
-//!   refused at the sender (a spawn on its way, a full TCP link);
+//!   network delivered and the ones fault injection dropped;
 //! * **deterministic under test** — mailboxes are FIFO per sender/receiver
 //!   pair and no time-dependent behaviour exists unless callers add it.
 //!
@@ -33,12 +32,18 @@
 //! [`Network::tcp_serve`] / [`Network::tcp_client`] spread them over OS
 //! processes listed in a registry, messages travel as CRC-framed binary
 //! ([`frame`], built on the [`codec`] primitives the message bodies
-//! share), and a receiver that cannot route an envelope says so with a
-//! NACK frame. A
-//! local sender and a TCP reader deliver into a local mailbox the same
-//! way. A dropped endpoint leaves a tombstone: sends to its id fail
-//! `Disconnected` until the id is registered again. `docs/PROTOCOL.md`
-//! documents the wire format.
+//! share), the links a process dials deliver every frame exactly once
+//! and in order across reconnects, and a receiver that cannot route an
+//! envelope says so with a NACK frame. A local sender and a TCP reader
+//! deliver into a local mailbox the same way.
+//!
+//! A send either lands or fails `Disconnected`; nothing asks the sender
+//! to try again later. A well-known id a process will host can be
+//! [reserved](Network::reserve): sends to it queue until its endpoint
+//! registers. An id the process hosts that is neither registered nor
+//! reserved is `Disconnected`, and so is a dropped endpoint's id, whose
+//! mailbox stays behind as a tombstone until the id is registered again.
+//! `docs/PROTOCOL.md` documents the wire format.
 //!
 //! ```
 //! use sdds_net::{Network, NetConfig};

@@ -1,5 +1,7 @@
 //! A site's inbox: an unbounded FIFO of envelopes with one owner, kept
-//! in its process's site table whichever fabric delivers to it.
+//! in its process's site table whichever fabric delivers to it. A
+//! *reserved* mailbox has no owner yet: it takes envelopes all the same,
+//! and the endpoint registered under its id later adopts them.
 //!
 //! Two kinds of owner drain a mailbox. A *thread* (a client, a control
 //! endpoint) blocks in [`recv`](Mailbox::recv) on the mailbox's condvar.
@@ -83,6 +85,8 @@ struct State {
     /// A push promised the waiting threads a wake-up that has not been
     /// delivered yet; later pushes owe nothing more.
     wake_owed: bool,
+    /// No endpoint holds the mailbox yet: see [`Mailbox::adopt`].
+    reserved: bool,
     closed: bool,
     scheduler: Option<(Arc<dyn Scheduler>, usize)>,
     /// Queued with the scheduler or held by one of its workers. While
@@ -103,6 +107,7 @@ impl Mailbox {
                 queue: VecDeque::new(),
                 waiting: 0,
                 wake_owed: false,
+                reserved: false,
                 closed: false,
                 scheduler: None,
                 scheduled: false,
@@ -191,6 +196,19 @@ impl Mailbox {
         !self.state.lock().closed
     }
 
+    /// An open mailbox nobody holds yet.
+    pub(crate) fn reserved() -> Arc<Mailbox> {
+        let mailbox = Mailbox::new();
+        mailbox.state.lock().reserved = true;
+        mailbox
+    }
+
+    /// An endpoint takes a reserved mailbox over, with what it holds;
+    /// `false` if an endpoint holds it already (or did: it is closed).
+    pub(crate) fn adopt(&self) -> bool {
+        std::mem::take(&mut self.state.lock().reserved)
+    }
+
     /// Threads blocked in `recv` right now (tests wait for this instead
     /// of sleeping).
     #[cfg(test)]
@@ -224,14 +242,6 @@ impl Mailbox {
         let mut st = self.state.lock();
         st.scheduler = Some((scheduler, key));
         if let Some(wake) = self.schedule(st) {
-            wake.fire();
-        }
-    }
-
-    /// Queues the mailbox with its scheduler even if it is empty (a
-    /// site with deferred work of its own asks for an activation).
-    pub(crate) fn schedule_now(&self) {
-        if let Some(wake) = self.schedule(self.state.lock()) {
             wake.fire();
         }
     }
@@ -420,7 +430,7 @@ mod tests {
         assert!(!m.release(), "empty: idle again");
         assert!(matches!(push(&m, 3), Some(Wake::Pool(_))));
         assert_eq!(*pool.scheduled.lock(), [7, 7], "an idle push queues it");
-        m.schedule_now();
-        assert_eq!(pool.scheduled.lock().len(), 2, "not twice");
+        assert!(push(&m, 4).is_none(), "queued: not twice");
+        assert_eq!(pool.scheduled.lock().len(), 2);
     }
 }

@@ -45,13 +45,9 @@ pub struct Envelope {
 pub enum NetError {
     /// Destination site was never registered.
     UnknownSite(SiteId),
-    /// The destination endpoint has been dropped.
+    /// The destination endpoint has been dropped, or is an id its
+    /// process hosts that is neither registered nor reserved.
     Disconnected(SiteId),
-    /// The destination cannot take the message yet: a well-known id this
-    /// process hosts whose spawn is still on its way, or a TCP link whose
-    /// send queue is full. Unlike a fault-injected drop, the sender
-    /// *knows*, and a later send may land.
-    Overloaded(SiteId),
     /// A blocking receive timed out.
     Timeout,
     /// The mailbox is empty (non-blocking receive).
@@ -63,7 +59,6 @@ impl fmt::Display for NetError {
         match self {
             NetError::UnknownSite(s) => write!(f, "unknown site {s}"),
             NetError::Disconnected(s) => write!(f, "site {s} disconnected"),
-            NetError::Overloaded(s) => write!(f, "site {s} not ready, send refused"),
             NetError::Timeout => write!(f, "receive timed out"),
             NetError::Empty => write!(f, "mailbox empty"),
         }
@@ -111,8 +106,10 @@ fn claim_stripe(taken: &[u32]) -> u32 {
 /// id space (`registry.rs`) on both fabrics: a bucket's id is its
 /// address, the coordinator is `COORD_ID`, a host-control endpoint
 /// `HOST_BASE + rank`; clients and parity sites draw dynamic ids. A
-/// dropped endpoint leaves its closed mailbox behind as a *tombstone*:
-/// sends to it fail `Disconnected` until the id is registered again.
+/// *reserved* well-known id holds an open mailbox no endpoint owns yet:
+/// sends queue there until the id is registered. A dropped endpoint
+/// leaves its closed mailbox behind as a *tombstone*: sends to it fail
+/// `Disconnected` until the id is registered again.
 #[derive(Default)]
 struct Table {
     /// Bucket ids, by address.
@@ -147,11 +144,35 @@ impl Table {
         let stripe = self.stripes[n / STRIPE as usize];
         SiteId(DYN_BASE + stripe * STRIPE + n as u32 % STRIPE)
     }
+
+    /// The slot of well-known `id`, made if need be; `None` for a
+    /// dynamic id, which is the allocator's.
+    fn slot(&mut self, id: SiteId) -> Option<&mut Option<Arc<Mailbox>>> {
+        match id.0 {
+            x if x < DYN_BASE => {
+                let x = x as usize;
+                if self.buckets.len() <= x {
+                    self.buckets.resize(x + 1, None);
+                }
+                Some(&mut self.buckets[x])
+            }
+            x if x < COORD_ID => None,
+            _ => {
+                let named = &mut self.named;
+                let i = named.iter().position(|(n, _)| *n == id).unwrap_or_else(|| {
+                    named.push((id, None));
+                    named.len() - 1
+                });
+                Some(&mut named[i].1)
+            }
+        }
+    }
 }
 
 /// Why [`Sites::push`] did not enqueue.
 pub(crate) enum Miss {
-    /// Nothing was ever registered under the id in this process.
+    /// Nothing was ever registered or reserved under the id in this
+    /// process.
     Absent(Envelope),
     /// The mailbox is a tombstone.
     Closed,
@@ -171,22 +192,32 @@ pub(crate) struct Sites {
     /// lookup by name is a global lock and a map probe per message.
     messages: Counter,
     bytes: Counter,
-    rejected: Counter,
     send_failures: Counter,
 }
 
 impl Sites {
+    /// The table of rank `rank` of `ranks`. A serving rank's own named
+    /// ids (its host id, and the coordinator's on rank 0) and the first
+    /// bucket address it hosts are reserved before its listener binds:
+    /// a peer may address them before the rank has started its sites.
     fn new(rank: Option<usize>, ranks: usize) -> Arc<Sites> {
-        Arc::new(Sites {
+        let sites = Sites {
             table: RwLock::new(Table::default()),
             rank,
             ranks,
             stats: NetStats::new(),
             messages: sdds_obs::counter("net.messages"),
             bytes: sdds_obs::counter("net.bytes"),
-            rejected: sdds_obs::counter("net.rejected"),
             send_failures: sdds_obs::counter("net.send_failures"),
-        })
+        };
+        if let Some(rank) = rank {
+            sites.reserve(SiteRegistry::host_id(rank));
+            sites.reserve(SiteRegistry::bucket_id(rank as u64));
+            if rank == 0 {
+                sites.reserve(SiteId(COORD_ID));
+            }
+        }
+        Arc::new(sites)
     }
 
     /// Whether `id` is a well-known id this process hosts, registered
@@ -232,33 +263,27 @@ impl Sites {
         (table.dynamic_id(n), mailbox)
     }
 
-    /// A new mailbox under well-known `id`, unless an open one is there.
+    /// The mailbox reserved under well-known `id`, or a new one where
+    /// there is none or a tombstone; `None` if an endpoint holds it.
     fn register_with_id(&self, id: SiteId) -> Option<Arc<Mailbox>> {
         let mut table = self.table.write();
-        let slot = match id.0 {
-            x if x < DYN_BASE => {
-                let x = x as usize;
-                if table.buckets.len() <= x {
-                    table.buckets.resize(x + 1, None);
-                }
-                &mut table.buckets[x]
-            }
-            x if x < COORD_ID => return None, // the allocator's
-            _ => {
-                let named = &mut table.named;
-                let i = named.iter().position(|(n, _)| *n == id).unwrap_or_else(|| {
-                    named.push((id, None));
-                    named.len() - 1
-                });
-                &mut named[i].1
-            }
-        };
-        if slot.as_ref().is_some_and(|m| m.is_open()) {
-            return None;
+        let slot = table.slot(id)?;
+        match slot {
+            Some(mailbox) if mailbox.adopt() => return Some(Arc::clone(mailbox)),
+            Some(mailbox) if mailbox.is_open() => return None,
+            _ => {}
         }
         let mailbox = Mailbox::new();
         *slot = Some(Arc::clone(&mailbox));
         Some(mailbox)
+    }
+
+    /// A reserved mailbox under well-known `id`, unless the id was ever
+    /// reserved or registered here: a tombstone stays one.
+    fn reserve(&self, id: SiteId) {
+        if let Some(slot @ None) = self.table.write().slot(id) {
+            *slot = Some(Mailbox::reserved());
+        }
     }
 
     /// The dynamic ids whose mailboxes are open, for a TCP link to
@@ -277,20 +302,6 @@ impl Sites {
     pub(crate) fn delivered(&self, len: usize) {
         self.messages.inc();
         self.bytes.add(len as u64);
-    }
-
-    /// A send refused for now (a spawn on its way, a full TCP link): the
-    /// sender learns at once — unlike a fault-injected drop — and can
-    /// send again later; the refusal stays attributable inside the trace
-    /// it belonged to (`net.reject`, detail = payload length; no orphan
-    /// roots).
-    pub(crate) fn overloaded(&self, to: SiteId, len: usize, ctx: Option<TraceContext>) -> NetError {
-        self.stats.record_rejected();
-        self.rejected.inc();
-        if let Some(ctx) = ctx {
-            trace::event("net.reject", ctx, to.0 as i64, len as u64);
-        }
-        NetError::Overloaded(to)
     }
 
     pub(crate) fn disconnected(&self, to: SiteId) -> NetError {
@@ -376,12 +387,21 @@ impl Network {
     }
 
     /// Registers an endpoint under a well-known id: a bucket address,
-    /// the coordinator, a host-control endpoint. `None` for a dynamic id
-    /// or if an open endpoint holds the id in this process; the id of a
-    /// dropped one is free again.
+    /// the coordinator, a host-control endpoint. The endpoint adopts the
+    /// id's reserved mailbox, with what was sent to it meanwhile. `None`
+    /// for a dynamic id or if an open endpoint holds the id in this
+    /// process; the id of a dropped one is free again.
     pub fn register_with_id(&self, id: SiteId) -> Option<Endpoint> {
         let mailbox = self.inner.sites.register_with_id(id)?;
         Some(self.endpoint(id, mailbox))
+    }
+
+    /// Reserves well-known `id` for an endpoint to come: sends to it
+    /// queue until [`register_with_id`](Self::register_with_id) adopts
+    /// them. No-op for a dynamic id, or one registered or reserved here
+    /// before: a tombstone stays one.
+    pub fn reserve(&self, id: SiteId) {
+        self.inner.sites.reserve(id);
     }
 
     /// Severs every established TCP stream (fault injection for tests:
@@ -419,14 +439,12 @@ impl Network {
         let sites = &inner.sites;
         match sites.push(env, at) {
             Ok(wake) => Ok(wake),
-            Err(Miss::Closed) => Err(sites.disconnected(to)),
-            // Ours but not registered yet — its spawn is on the way:
-            // must-land senders park and retry.
-            Err(Miss::Absent(_)) if sites.owns(to) => Err(sites.overloaded(to, len, ctx)),
-            Err(Miss::Absent(env)) => match &inner.links {
+            Err(Miss::Absent(env)) if !sites.owns(to) => match &inner.links {
                 Some(links) => links.send(env).map(|()| None),
                 None => Err(NetError::UnknownSite(to)),
             },
+            // a tombstone, or ours but neither registered nor reserved
+            Err(_) => Err(sites.disconnected(to)),
         }
     }
 
@@ -662,13 +680,6 @@ impl Endpoint {
         self.mailbox.release()
     }
 
-    /// Tells the scheduler this inbox wants an activation although
-    /// nothing arrived (the site has deferred work of its own), unless
-    /// it is queued or running already.
-    pub fn schedule(&self) {
-        self.mailbox.schedule_now();
-    }
-
     /// Closes the inbox: later sends to the site fail
     /// [`NetError::Disconnected`] and its id may be registered again;
     /// envelopes already waiting can still be taken.
@@ -727,27 +738,32 @@ mod tests {
         });
     }
 
-    /// A bucket id this process hosts but has not registered — its spawn
-    /// is on the way — refuses at the sender, the refusal is not traffic,
-    /// and the id receives once it is registered.
+    /// A reserved id takes sends before anything registers it, and the
+    /// endpoint registered under it receives them; an id this process
+    /// hosts that is neither registered nor reserved is `Disconnected`
+    /// at once, and the failed send is not traffic.
     #[test]
-    fn a_spawn_on_its_way_refuses_at_the_sender_and_refusals_are_not_traffic() {
+    fn a_reserved_id_queues_until_registered_and_an_unreserved_one_is_disconnected() {
         both(NetConfig::default(), |net| {
             let a = net.register();
             let spawning = SiteId(3);
-            assert_eq!(
-                a.send(spawning, Bytes::from_static(b"early")),
-                Err(NetError::Overloaded(spawning))
-            );
+            net.reserve(spawning);
+            a.send(spawning, Bytes::from_static(b"early")).unwrap();
+            let unreserved = SiteId(5);
+            let sent = a.send(unreserved, Bytes::from_static(b"lost"));
+            assert_eq!(sent, Err(NetError::Disconnected(unreserved)));
             let stats = net.stats();
-            assert_eq!(
-                (stats.messages(), stats.bytes(), stats.rejected()),
-                (0, 0, 1)
-            );
+            assert_eq!((stats.messages(), stats.bytes()), (1, 5));
             let b = net.register_with_id(spawning).unwrap();
+            assert!(net.register_with_id(spawning).is_none(), "adopted once");
             a.send(spawning, Bytes::from_static(b"late")).unwrap();
+            assert_eq!(&b.recv().unwrap().payload[..], b"early");
             assert_eq!(&b.recv().unwrap().payload[..], b"late");
-            assert_eq!((stats.messages(), stats.rejected()), (1, 1));
+            // a tombstone is not reserved again
+            drop(b);
+            net.reserve(spawning);
+            let sent = a.send(spawning, Bytes::from_static(b"gone"));
+            assert_eq!(sent, Err(NetError::Disconnected(spawning)));
         });
     }
 
@@ -771,8 +787,8 @@ mod tests {
     }
 
     /// A bucket's id is its address; an id this process hosts is
-    /// refused `Overloaded` until it is registered, a dynamic one it never
-    /// handed out is unknown.
+    /// `Disconnected` until it is registered or reserved, a dynamic one it
+    /// never handed out is unknown.
     #[test]
     fn registration_is_by_address_and_dynamic_ids_are_the_allocators() {
         let net = Network::new(NetConfig::default());
@@ -784,7 +800,7 @@ mod tests {
         assert_eq!(b.iter().map(|e| e.id().0).collect::<Vec<_>>(), [0, 1, 2]);
         let spawning = SiteId(7);
         let sent = a.send(spawning, Bytes::new());
-        assert_eq!(sent, Err(NetError::Overloaded(spawning)));
+        assert_eq!(sent, Err(NetError::Disconnected(spawning)));
         assert!(net.register_with_id(a.id()).is_none());
         let unknown = SiteId(a.id().0 + 1);
         let sent = a.send(unknown, Bytes::new());
@@ -839,13 +855,14 @@ mod tests {
                     a.send_with(&mut scatter, s.id(), Bytes::copy_from_slice(&[round]), None);
                 assert_eq!(sent, Ok(()));
             }
-            // buckets of this network that are not registered yet
-            let spawning = SiteId(u32::from(round) * 5);
-            let sent = a.send_with(&mut scatter, spawning, Bytes::new(), None);
-            assert_eq!(sent, Err(NetError::Overloaded(spawning)));
+            // buckets of this network that are neither registered nor
+            // reserved
+            let unreserved = SiteId(5 + u32::from(round));
+            let sent = a.send_with(&mut scatter, unreserved, Bytes::new(), None);
+            assert_eq!(sent, Err(NetError::Disconnected(unreserved)));
         }
         scatter.wake();
-        assert_eq!(net.stats().rejected(), 2);
+        assert_eq!(net.stats().messages(), 10);
         for s in &sites {
             assert_eq!(s.recv().unwrap().payload[0], 0);
             assert_eq!(s.recv().unwrap().payload[0], 1);
@@ -1007,7 +1024,6 @@ mod tests {
             a.send(a.id(), Bytes::copy_from_slice(&i.to_le_bytes()))
                 .unwrap();
         }
-        assert_eq!(net.stats().rejected(), 0);
         assert_eq!(a.inbox_depth(), n as usize);
     }
 
@@ -1048,16 +1064,6 @@ mod tests {
         assert_eq!(lossy.stats().dropped(), 1);
         assert!(lb.try_recv().is_err());
 
-        // A traced send refused because its destination's spawn is on the
-        // way records a net.reject event *inside* the same trace — the
-        // refusal stays attributable and never fabricates an orphan root.
-        let spawning = SiteId(3);
-        assert_eq!(
-            a.send_traced(spawning, Bytes::from_static(b"early"), Some(ctx)),
-            Err(NetError::Overloaded(spawning))
-        );
-        assert_eq!(net.stats().rejected(), 1);
-
         drop(root);
         let spans = trace::drain_spans();
         let mine: Vec<_> = spans
@@ -1070,13 +1076,6 @@ mod tests {
             .expect("drop event recorded");
         assert_eq!(drop_ev.parent_span_id, ctx.parent_span_id);
         assert_eq!(drop_ev.detail, 4); // payload length
-        let reject_ev = mine
-            .iter()
-            .find(|s| s.name == "net.reject")
-            .expect("reject event recorded");
-        assert_eq!(reject_ev.parent_span_id, ctx.parent_span_id);
-        assert_eq!(reject_ev.detail, 5); // payload length of "early"
-        assert_eq!(reject_ev.site, spawning.0 as i64);
         assert!(mine.iter().any(|s| s.name == "test.net.op"));
         trace::set_tracing(false);
     }

@@ -9,7 +9,6 @@ pub struct NetStats {
     messages: AtomicU64,
     bytes: AtomicU64,
     dropped: AtomicU64,
-    rejected: AtomicU64,
 }
 
 impl NetStats {
@@ -42,13 +41,6 @@ impl NetStats {
         self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_rejected(&self) {
-        // ordering: Relaxed — independent monotonic counter, read only by
-        // snapshots; the sender learns of the rejection through the
-        // Err return, not through this counter
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Total messages delivered.
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed) // ordering: snapshot read, staleness fine
@@ -57,13 +49,6 @@ impl NetStats {
     /// Messages lost to fault injection.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed) // ordering: snapshot read, staleness fine
-    }
-
-    /// Sends refused at the sender with `NetError::Overloaded`: to a
-    /// well-known id this process hosts whose spawn is still on its way,
-    /// or onto a TCP link whose send queue is full.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed) // ordering: snapshot read, staleness fine
     }
 
     /// Total payload bytes delivered.
@@ -78,7 +63,6 @@ impl NetStats {
         self.messages.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed); // ordering: see above
         self.dropped.store(0, Ordering::Relaxed); // ordering: see above
-        self.rejected.store(0, Ordering::Relaxed); // ordering: see above
     }
 }
 
@@ -111,11 +95,9 @@ mod tests {
         let stats = NetStats::new();
         stats.record(100);
         stats.record_dropped();
-        stats.record_rejected();
         stats.reset();
         assert_eq!(stats.messages(), 0);
         assert_eq!(stats.bytes(), 0);
         assert_eq!(stats.dropped(), 0);
-        assert_eq!(stats.rejected(), 0);
     }
 }

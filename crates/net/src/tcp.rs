@@ -9,63 +9,102 @@
 //! peer:
 //!
 //! * **Writer thread per connection.** Senders encode envelopes into
-//!   pooled buffers and enqueue them on the connection (bounded queue —
-//!   a full queue surfaces as `NetError::Overloaded` at the sender, which
-//!   sends again later). The writer drains *everything* queued at that
-//!   moment, concatenates the frames, and issues a single `write`
+//!   pooled buffers and enqueue them on the connection; like an inbox,
+//!   the queue is unbounded. The writer drains *everything* queued at
+//!   that moment, concatenates the frames, and issues a single `write`
 //!   syscall (`TCP_NODELAY` is set, so coalescing is explicit here, not
 //!   delegated to Nagle). Connections dial lazily and re-dial with
 //!   exponential backoff (10 ms doubling to 2 s).
+//! * **Dialed links lose nothing.** Every frame a dialed connection
+//!   queues gets the next number of its *link*, and is kept until the
+//!   acceptor acknowledges it. Each stream the connection establishes
+//!   opens with a link frame naming the link and the number of the oldest
+//!   frame kept; every frame kept goes out again, ahead of the queue, and
+//!   the acceptor drops those it has delivered already. A stream that
+//!   dies while frames are kept is re-dialed at once. Acks ride the
+//!   writes the accepted stream makes anyway; a bare one goes out only
+//!   after [`ACK_FRAMES`] frames, or when a frame arrives [`ACK_AFTER`]
+//!   after the oldest one it owes. Every message from one rank to another,
+//!   and every request of a client, leaves on a dialed link.
+//! * **The accepted direction is best-effort.** Replies to a client,
+//!   NACKs and acks leave on the stream the peer dialed; when it dies,
+//!   what it had not written is lost, and the client's exchange asks
+//!   again.
 //! * **Reader thread per connection** delivering through the site table,
 //!   the one way into a local mailbox a local sender takes too, so
 //!   `Endpoint::recv` and the site runtime above it are
 //!   transport-agnostic. The frames of one `read()` are one [`Scatter`]:
 //!   each local owner is woken once.
-//! * **Unroutable NACKs.** A receiver that cannot route an envelope
-//!   (destination gone — a tombstone, refused at once — not hosted, or
-//!   never registered past a spawn grace window) replies with a NACK
-//!   frame naming the destination. The sender records the destination as
-//!   unroutable: the next send to it fails `Disconnected`, as it does
-//!   in-process — one send later than the channel transport, because the
-//!   wire is asynchronous. The NACKed message itself is lost, which the
+//! * **Unroutable NACKs.** A receiver that cannot route an envelope (a
+//!   tombstone, an id it hosts that is neither registered nor reserved,
+//!   or one it does not host) replies at once with a NACK frame naming
+//!   the destination. The sender records the destination as unroutable:
+//!   the next send to it fails `Disconnected`, as it does in-process —
+//!   one send later than the channel transport, because the wire is
+//!   asynchronous. The NACKed message itself is not delivered, which the
 //!   LH* protocol already tolerates (idempotent retransmits).
 //! * **Routing by id.** Well-known ids (buckets, coordinator, host
 //!   control) map to a rank via the registry. Dynamic client ids are
 //!   announced with hello frames on every connection the client opens
-//!   (and re-announced on reconnect), so any rank can route replies.
+//!   (and re-announced on reconnect), so any rank can route replies. A
+//!   reply that overtakes the announcement — a rank answers a request
+//!   another rank forwarded before the client's link to it is up — waits
+//!   up to [`ROUTE_WAIT`] for it.
 
 use crate::frame::{self, Frame, FrameDecoder};
-use crate::network::{Envelope, Miss, NetError, Scatter, SiteId, Sites};
+use crate::network::{Envelope, NetError, Scatter, SiteId, Sites};
 use crate::pool::PooledBuf;
 use crate::registry::{SiteRegistry, COORD_ID, DYN_BASE};
 use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::BuildHasher;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Encoded frames a connection will buffer before senders see
-/// `Overloaded`. NACKs and hellos bypass the bound (they are tiny, and
-/// routing depends on them).
-const MAX_CONN_QUEUE: usize = 4096;
-
 /// First dial-retry backoff; doubles up to [`MAX_BACKOFF`].
 const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-/// How long a receiver waits for a not-yet-registered well-known id
-/// (rides the remote bucket-spawn race) before NACKing unroutable.
-const SPAWN_GRACE: Duration = Duration::from_secs(2);
+/// Frames an accepted stream delivers before it acknowledges them with a
+/// write of its own, if it has written nothing to carry the ack.
+const ACK_FRAMES: u64 = 128;
 
-enum EnqueueError {
-    Full,
-    Closed,
+/// How old the oldest frame an accepted stream owes an ack for may get
+/// before the next frame to arrive makes the ack a write of its own.
+const ACK_AFTER: Duration = Duration::from_millis(10);
+
+/// How long frames for a dynamic id wait for a route to it. A client
+/// announces its ids to every rank it dials, but the reply to a request
+/// another rank forwarded can overtake the announcement.
+const ROUTE_WAIT: Duration = Duration::from_secs(1);
+
+/// The ack an accepted stream owes its dialer.
+struct OwedAck {
+    /// The number of the link's last frame delivered.
+    seq: u64,
+    /// Frames delivered since the last ack went out.
+    frames: u64,
+    /// When the first of them arrived.
+    since: Instant,
+    /// The writer sends it now, alone if need be.
+    due: bool,
 }
 
 struct ConnState {
-    queue: VecDeque<PooledBuf>,
+    /// Encoded frames, oldest first. Dialed: every frame the acceptor has
+    /// not acknowledged, the first numbered `acked + 1`. Accepted: every
+    /// frame not written yet.
+    frames: VecDeque<PooledBuf>,
+    /// How many of `frames` the current stream has been given.
+    written: usize,
+    /// Dialed: the number of the last frame acknowledged.
+    acked: u64,
+    /// Accepted: the ack owed to the dialer.
+    owed: Option<OwedAck>,
     /// Established stream, kept for `drop_connections`/shutdown; the
     /// writer and reader hold their own clones.
     stream: Option<TcpStream>,
@@ -81,24 +120,78 @@ struct Conn {
     /// `Some(addr)`: this end dials (and re-dials) `addr`. `None`: the
     /// stream was accepted; when it dies the peer is expected to re-dial.
     dial: Option<String>,
+    /// Dialed: the id of this connection's link, drawn once, so that the
+    /// links of a restarted process are new ones.
+    link: u64,
     state: Mutex<ConnState>,
     cond: Condvar,
 }
 
 impl Conn {
-    fn enqueue(&self, buf: PooledBuf, force: bool) -> Result<(), EnqueueError> {
+    fn new(dial: Option<String>, stream: Option<TcpStream>) -> Arc<Conn> {
+        Arc::new(Conn {
+            dial,
+            link: RandomState::new().hash_one(std::process::id()),
+            state: Mutex::new(ConnState {
+                frames: VecDeque::new(),
+                written: 0,
+                acked: 0,
+                owed: None,
+                generation: u64::from(stream.is_some()),
+                stream,
+                closed: false,
+            }),
+            cond: Condvar::new(),
+        })
+    }
+
+    /// Queues an encoded frame for the writer; `false` if the connection
+    /// is closed.
+    fn enqueue(&self, buf: PooledBuf) -> bool {
         {
             let mut st = self.state.lock();
             if st.closed {
-                return Err(EnqueueError::Closed);
+                return false;
             }
-            if !force && st.queue.len() >= MAX_CONN_QUEUE {
-                return Err(EnqueueError::Full);
-            }
-            st.queue.push_back(buf);
+            st.frames.push_back(buf);
         }
         self.cond.notify_one();
-        Ok(())
+        true
+    }
+
+    /// The acceptor has delivered the link's frames up to `seq`: a dialed
+    /// connection lets them go.
+    fn acknowledged(&self, seq: u64) {
+        if self.dial.is_none() {
+            return;
+        }
+        let mut st = self.state.lock();
+        while st.acked < seq && st.frames.pop_front().is_some() {
+            st.acked += 1;
+            st.written = st.written.saturating_sub(1);
+        }
+    }
+
+    /// An accepted stream has delivered its link's frames up to `seq`,
+    /// the last `frames` of them in a read at `now`. The ack goes out
+    /// with the next write, or on its own once it is due.
+    fn owe_ack(&self, seq: u64, frames: u64, now: Instant) {
+        let mut st = self.state.lock();
+        let owed = st.owed.get_or_insert(OwedAck {
+            seq,
+            frames: 0,
+            since: now,
+            due: false,
+        });
+        owed.seq = seq;
+        owed.frames += frames;
+        let due =
+            owed.frames >= ACK_FRAMES || now.saturating_duration_since(owed.since) >= ACK_AFTER;
+        if due && !owed.due {
+            owed.due = true;
+            drop(st);
+            self.cond.notify_one();
+        }
     }
 
     fn close_stream(&self) {
@@ -111,7 +204,8 @@ impl Conn {
 
 /// Handles of the `net.tcp.*` counters the reader and writer loops bump
 /// per frame and per write, resolved once like those of the site table; the
-/// counters of rare events (dials, NACKs, errors) stay looked up by name.
+/// counters of rare events (dials, NACKs, re-sends, errors) stay looked up
+/// by name.
 struct TcpCounters {
     frames_received: sdds_obs::Counter,
     bytes_received: sdds_obs::Counter,
@@ -134,6 +228,47 @@ impl TcpCounters {
     }
 }
 
+/// Which connection reaches each dynamic id, and the frames for the ids
+/// whose announcement is still on its way.
+#[derive(Default)]
+struct Routes {
+    conns: HashMap<u32, Arc<Conn>>,
+    /// When the first frame for the id came, and the frames.
+    waiting: HashMap<u32, (Instant, Vec<PooledBuf>)>,
+}
+
+impl Routes {
+    /// `conn` reaches dynamic id `id`: the frames waiting for it go out.
+    fn learn(&mut self, id: u32, conn: &Arc<Conn>) {
+        if let Some((_, frames)) = self.waiting.remove(&id) {
+            for buf in frames {
+                conn.enqueue(buf);
+            }
+        }
+        self.conns.insert(id, Arc::clone(conn));
+    }
+
+    /// Queues `buf` on the route to `id`, or keeps it until one is
+    /// learned, for up to [`ROUTE_WAIT`]: frames that waited longer are
+    /// dropped, their id's process gone. `false` if the route is closed.
+    fn send(&mut self, id: u32, buf: PooledBuf, dropped: &sdds_obs::Counter) -> bool {
+        if let Some(conn) = self.conns.get(&id) {
+            return conn.enqueue(buf);
+        }
+        let now = Instant::now();
+        self.waiting.retain(|_, (since, frames)| {
+            let wait = now.saturating_duration_since(*since) < ROUTE_WAIT;
+            if !wait {
+                dropped.add(frames.len() as u64);
+            }
+            wait
+        });
+        let (_, frames) = self.waiting.entry(id).or_insert((now, Vec::new()));
+        frames.push(buf);
+        true
+    }
+}
+
 struct Shared {
     registry: SiteRegistry,
     /// The table the readers deliver into.
@@ -144,10 +279,14 @@ struct Shared {
     peers: Mutex<HashMap<usize, Arc<Conn>>>,
     /// Accepted connections (kept alive for shutdown/fault injection).
     inbound: Mutex<Vec<Arc<Conn>>>,
-    /// Learned routes for dynamic ids: which connection reaches them.
-    routes: Mutex<HashMap<u32, Arc<Conn>>>,
+    /// Learned routes for dynamic ids.
+    routes: Mutex<Routes>,
     /// Destination ids a peer NACKed since the last send to them.
     unroutable: Mutex<HashSet<u32>>,
+    /// For every link dialed to this process, the number of its last
+    /// frame delivered, shared by the streams it is re-dialed on. Kept
+    /// for the life of the process: 16 bytes a link.
+    delivered: Mutex<HashMap<u64, Arc<Mutex<u64>>>>,
     listen_addr: Option<String>,
 }
 
@@ -193,8 +332,9 @@ impl TcpFabric {
                 shutdown: AtomicBool::new(false),
                 peers: Mutex::new(HashMap::new()),
                 inbound: Mutex::new(Vec::new()),
-                routes: Mutex::new(HashMap::new()),
+                routes: Mutex::default(),
                 unroutable: Mutex::new(HashSet::new()),
+                delivered: Mutex::new(HashMap::new()),
                 listen_addr,
             }),
         }
@@ -208,7 +348,7 @@ impl TcpFabric {
             if let Some(conn) = self.peer_conn(rank) {
                 let mut buf = PooledBuf::take();
                 frame::encode_hello(id, buf.as_mut_vec());
-                let _ = conn.enqueue(buf, true);
+                conn.enqueue(buf);
             }
         }
     }
@@ -217,10 +357,8 @@ impl TcpFabric {
     /// connections re-establish with backoff; accepted ones wait for the
     /// peer to re-dial.
     pub(crate) fn drop_connections(&self) {
-        for conn in self.shared.peers.lock().values() {
-            conn.close_stream();
-        }
-        for conn in self.shared.inbound.lock().iter() {
+        let (peers, inbound) = (self.shared.peers.lock(), self.shared.inbound.lock());
+        for conn in peers.values().chain(inbound.iter()) {
             conn.close_stream();
         }
         sdds_obs::counter("net.tcp.conn_drops").inc();
@@ -233,16 +371,7 @@ impl TcpFabric {
         if let Some(c) = peers.get(&rank) {
             return Some(Arc::clone(c));
         }
-        let conn = Arc::new(Conn {
-            dial: Some(addr),
-            state: Mutex::new(ConnState {
-                queue: VecDeque::new(),
-                stream: None,
-                generation: 0,
-                closed: false,
-            }),
-            cond: Condvar::new(),
-        });
+        let conn = Conn::new(Some(addr), None);
         peers.insert(rank, Arc::clone(&conn));
         let s = Arc::clone(shared);
         let c = Arc::clone(&conn);
@@ -252,45 +381,33 @@ impl TcpFabric {
 
     /// Sends an envelope for a site another process hosts. Mirrors the
     /// local accounting: stats/counters reflect messages actually
-    /// enqueued, a full link surfaces as `Overloaded`, a lost peer or a
-    /// NACKed destination as `Disconnected`.
+    /// enqueued; a closed route or a NACKed destination is `Disconnected`.
     pub(crate) fn send(&self, env: Envelope) -> Result<(), NetError> {
         let shared = &self.shared;
         let sites = &shared.sites;
-        let (to, len, ctx) = (env.to, env.payload.len(), env.ctx);
+        let (to, len) = (env.to, env.payload.len());
 
         if shared.unroutable.lock().remove(&to.0) {
-            shared.routes.lock().remove(&to.0);
+            shared.routes.lock().conns.remove(&to.0);
             return Err(sites.disconnected(to));
         }
-
-        let conn = match shared.registry.owner_rank(to) {
-            Some(rank) => self.peer_conn(rank),
-            None => {
-                let routes = shared.routes.lock();
-                routes.get(&to.0).map(Arc::clone)
-            }
-        };
-        let Some(conn) = conn else {
-            return Err(sites.disconnected(to));
-        };
 
         let mut buf = PooledBuf::take();
         frame::encode_envelope(&env, buf.as_mut_vec());
         sites.stats.record(len);
-        match conn.enqueue(buf, false) {
-            Ok(()) => {
-                sites.delivered(len);
-                Ok(())
-            }
-            Err(EnqueueError::Full) => {
-                sites.stats.unrecord(len);
-                Err(sites.overloaded(to, len, ctx))
-            }
-            Err(EnqueueError::Closed) => {
-                sites.stats.unrecord(len);
-                Err(sites.disconnected(to))
-            }
+        let sent = match shared.registry.owner_rank(to) {
+            Some(rank) => self.peer_conn(rank).is_some_and(|conn| conn.enqueue(buf)),
+            None => shared
+                .routes
+                .lock()
+                .send(to.0, buf, &shared.tcp.frames_dropped),
+        };
+        if sent {
+            sites.delivered(len);
+            Ok(())
+        } else {
+            sites.stats.unrecord(len);
+            Err(sites.disconnected(to))
         }
     }
 
@@ -300,14 +417,12 @@ impl TcpFabric {
         // ordering: Relaxed — see `is_shutdown`; threads observe the flag
         // at their next poll, which is all teardown needs
         shared.shutdown.store(true, Ordering::Relaxed);
-        for conn in shared.peers.lock().values() {
+        let (peers, inbound) = (shared.peers.lock(), shared.inbound.lock());
+        for conn in peers.values().chain(inbound.iter()) {
             conn.close_stream();
             conn.cond.notify_all();
         }
-        for conn in shared.inbound.lock().iter() {
-            conn.close_stream();
-            conn.cond.notify_all();
-        }
+        drop((peers, inbound));
         // Unblock the accept loop with a throwaway connection.
         if let Some(addr) = &shared.listen_addr {
             let _ = TcpStream::connect(addr);
@@ -337,21 +452,10 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         }
         sdds_obs::counter("net.tcp.accepts").inc();
         let _ = stream.set_nodelay(true);
-        let state_handle = stream.try_clone().ok();
-        let reader_handle = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
+        let Ok(reader_handle) = stream.try_clone() else {
+            continue;
         };
-        let conn = Arc::new(Conn {
-            dial: None,
-            state: Mutex::new(ConnState {
-                queue: VecDeque::new(),
-                stream: state_handle,
-                generation: 1,
-                closed: false,
-            }),
-            cond: Condvar::new(),
-        });
+        let conn = Conn::new(None, Some(stream));
         shared.inbound.lock().push(Arc::clone(&conn));
         {
             let s = Arc::clone(&shared);
@@ -367,107 +471,80 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 }
 
 /// Dials (for dial connections) until a stream is established or the
-/// connection is closed/shut down. Returns the writer's stream handle.
-fn establish(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Option<TcpStream> {
+/// connection is closed/shut down. Returns the writer's stream handle
+/// and its generation.
+fn establish(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Option<(TcpStream, u64)> {
     let addr = conn.dial.as_ref()?;
     let mut backoff = INITIAL_BACKOFF;
     loop {
         if shared.is_shutdown() || conn.state.lock().closed {
             return None;
         }
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let (Ok(state_handle), Ok(reader_handle)) =
-                    (stream.try_clone(), stream.try_clone())
-                else {
-                    sdds_obs::counter("net.tcp.dial_failures").inc();
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(MAX_BACKOFF);
-                    continue;
-                };
-                let generation = {
-                    let mut st = conn.state.lock();
-                    st.generation += 1;
-                    st.stream = Some(state_handle);
-                    st.generation
-                };
-                if generation == 1 {
-                    sdds_obs::counter("net.tcp.connects").inc();
-                } else {
-                    sdds_obs::counter("net.tcp.reconnects").inc();
-                }
-                {
-                    let s = Arc::clone(shared);
-                    let c = Arc::clone(conn);
-                    std::thread::spawn(move || reader_loop(s, c, reader_handle, generation));
-                }
-                return Some(stream);
-            }
-            Err(_) => {
-                sdds_obs::counter("net.tcp.dial_failures").inc();
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(MAX_BACKOFF);
-            }
+        let dialed = TcpStream::connect(addr).and_then(|stream| {
+            let _ = stream.set_nodelay(true);
+            Ok((stream.try_clone()?, stream.try_clone()?, stream))
+        });
+        let Ok((state_handle, reader_handle, stream)) = dialed else {
+            sdds_obs::counter("net.tcp.dial_failures").inc();
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
+            continue;
+        };
+        let generation = {
+            let mut st = conn.state.lock();
+            st.generation += 1;
+            st.stream = Some(state_handle);
+            st.generation
+        };
+        if generation == 1 {
+            sdds_obs::counter("net.tcp.connects").inc();
+        } else {
+            sdds_obs::counter("net.tcp.reconnects").inc();
         }
+        let (s, c) = (Arc::clone(shared), Arc::clone(conn));
+        std::thread::spawn(move || reader_loop(s, c, reader_handle, generation));
+        return Some((stream, generation));
     }
 }
 
 fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
     let mut stream: Option<TcpStream> = None;
     let mut stream_gen = 0u64;
-    let mut coalesce: Vec<u8> = Vec::new();
+    let mut out: Vec<u8> = Vec::new();
     loop {
-        // Wait until there is something to write (or we are done).
+        // Wait until there is something to write: frames the stream has
+        // not been given, a due ack, or frames kept from a dialed stream
+        // that died (or we are done).
         {
             let mut st = conn.state.lock();
             loop {
                 if st.closed || shared.is_shutdown() {
-                    let dropped = st.queue.len();
-                    st.queue.clear();
-                    if dropped > 0 {
-                        shared.tcp.frames_dropped.add(dropped as u64);
-                    }
+                    let unwritten = st.frames.len() - st.written;
+                    shared.tcp.frames_dropped.add(unwritten as u64);
+                    st.frames.clear();
                     return;
                 }
-                if !st.queue.is_empty() {
+                if st.generation != stream_gen || st.stream.is_none() {
+                    stream = None;
+                }
+                let kept = stream.is_none() && !st.frames.is_empty();
+                let due = st.owed.as_ref().is_some_and(|ack| ack.due);
+                if st.frames.len() > st.written || kept || due {
                     break;
                 }
                 st = conn.cond.wait(st);
             }
-            if st.generation != stream_gen {
-                stream = None;
-            }
         }
 
         // Make sure we have a live stream before draining the queue.
+        let mut fresh = false;
         if stream.is_none() {
             match conn.dial {
                 Some(_) => {
-                    stream = establish(&shared, &conn);
-                    if let Some(_s) = &stream {
-                        stream_gen = conn.state.lock().generation;
-                        // (Re)announce our dynamic ids first on every new
-                        // stream so the peer can route replies.
-                        let mut hello = Vec::new();
-                        for id in shared.sites.dynamic_ids() {
-                            frame::encode_hello(id, &mut hello);
-                        }
-                        if !hello.is_empty() {
-                            if let Some(s) = &mut stream {
-                                if s.write_all(&hello).is_ok() {
-                                    shared.tcp.writes.inc();
-                                    shared.tcp.bytes_sent.add(hello.len() as u64);
-                                } else {
-                                    stream = None;
-                                }
-                            }
-                        }
-                    }
-                    if stream.is_none() {
-                        // Closed or shutting down while dialing.
-                        continue;
-                    }
+                    let Some((s, generation)) = establish(&shared, &conn) else {
+                        continue; // closed or shutting down while dialing
+                    };
+                    (stream, stream_gen, fresh) = (Some(s), generation, true);
                 }
                 None => {
                     // Accepted stream: refresh our clone, or give up if it
@@ -487,40 +564,64 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
             }
         }
 
-        // Drain everything queued right now into one buffer: explicit
-        // write coalescing — all frames of one drain batch leave in a
-        // single write syscall.
-        coalesce.clear();
-        let mut frames = 0u64;
-        {
-            let mut st = conn.state.lock();
-            while let Some(buf) = st.queue.pop_front() {
-                coalesce.extend_from_slice(buf.as_slice());
-                frames += 1;
+        // Everything the stream has not been given, in one buffer:
+        // explicit write coalescing — all frames of one drain batch leave
+        // in a single write syscall. A new dialed stream opens with our
+        // dynamic ids, so that the peer can route replies, then the link
+        // frame and every frame kept.
+        out.clear();
+        if fresh {
+            for id in shared.sites.dynamic_ids() {
+                frame::encode_hello(id, &mut out);
             }
         }
-        if frames == 0 {
+        let (batch, resent) = {
+            let mut st = conn.state.lock();
+            let mut resent = 0;
+            if fresh {
+                frame::encode_link(conn.link, st.acked + 1, &mut out);
+                resent = std::mem::take(&mut st.written);
+            }
+            if let Some(ack) = st.owed.take() {
+                frame::encode_ack(ack.seq, &mut out);
+            }
+            for buf in st.frames.range(st.written..) {
+                out.extend_from_slice(buf.as_slice());
+            }
+            let batch = st.frames.len() - st.written;
+            if conn.dial.is_some() {
+                st.written = st.frames.len();
+            } else {
+                st.frames.clear();
+            }
+            (batch, resent)
+        };
+        if out.is_empty() {
             continue;
         }
         let ok = match &mut stream {
-            Some(s) => s.write_all(&coalesce).is_ok(),
+            Some(s) => s.write_all(&out).is_ok(),
             None => false,
         };
         if ok {
             shared.tcp.writes.inc();
-            shared.tcp.frames_sent.add(frames);
-            shared.tcp.bytes_sent.add(coalesce.len() as u64);
+            shared.tcp.frames_sent.add(batch as u64);
+            if resent > 0 {
+                sdds_obs::counter("net.tcp.frames_resent").add(resent as u64);
+            }
+            shared.tcp.bytes_sent.add(out.len() as u64);
         } else {
-            // The frames of this batch are lost — exactly like an
-            // in-flight datagram on a dead link. The protocol retransmits.
-            shared.tcp.frames_dropped.add(frames);
+            // A dialed stream's frames are kept for the next one; an
+            // accepted stream's are lost, exactly like an in-flight
+            // datagram on a dead link, and the client asks again.
             stream = None;
             let mut st = conn.state.lock();
+            if conn.dial.is_none() {
+                shared.tcp.frames_dropped.add(batch as u64);
+            }
             if st.generation == stream_gen {
                 st.stream = None;
-                if conn.dial.is_none() {
-                    st.closed = true;
-                }
+                st.closed |= conn.dial.is_none();
             }
         }
     }
@@ -531,6 +632,9 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
     let mut buf = vec![0u8; 64 * 1024];
     // the frames of one `read()`: each local owner is woken once
     let mut scatter = Scatter::new();
+    // Accepted: the delivery mark of the link this stream carries, and
+    // the number of its next frame.
+    let mut link: Option<(Arc<Mutex<u64>>, u64)> = None;
     'stream: loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => break 'stream,
@@ -538,9 +642,10 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
         };
         shared.tcp.bytes_received.add(n as u64);
         decoder.extend(&buf[..n]);
+        let mut numbered = 0;
         loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => handle_frame(&shared, &conn, frame, &mut scatter),
+            let frame = match decoder.next_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(_) => {
                     // Corrupt stream: drop the connection, never resync.
@@ -548,7 +653,31 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
                     let _ = stream.shutdown(Shutdown::Both);
                     break 'stream;
                 }
+            };
+            match (frame, &mut link) {
+                (Frame::Link { id, next_seq }, _) if conn.dial.is_none() => {
+                    let mark = Arc::clone(shared.delivered.lock().entry(id).or_default());
+                    link = Some((mark, next_seq));
+                }
+                (Frame::Ack { seq }, _) => conn.acknowledged(seq),
+                (frame, Some((delivered, next))) => {
+                    let seq = *next;
+                    *next = seq.wrapping_add(1);
+                    numbered += 1;
+                    let mut last = delivered.lock();
+                    if seq > *last {
+                        handle_frame(&shared, &conn, frame, &mut scatter);
+                        *last = seq;
+                    } else {
+                        // delivered already: it came round again on a re-dial
+                        sdds_obs::counter("net.tcp.duplicates_dropped").inc();
+                    }
+                }
+                (frame, None) => handle_frame(&shared, &conn, frame, &mut scatter),
             }
+        }
+        if let (Some((_, next)), true) = (&link, numbered > 0) {
+            conn.owe_ack(next.wrapping_sub(1), numbered, scatter.now());
         }
         scatter.wake();
         if shared.is_shutdown() {
@@ -561,24 +690,24 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
         let mut st = conn.state.lock();
         if st.generation == generation {
             st.stream = None;
-            if conn.dial.is_none() {
-                st.closed = true;
-            }
+            st.closed |= conn.dial.is_none();
         }
     }
     conn.cond.notify_all();
     if conn.dial.is_none() {
         // Remove the dead inbound connection and any routes through it.
         shared.inbound.lock().retain(|c| !Arc::ptr_eq(c, &conn));
-        shared.routes.lock().retain(|_, c| !Arc::ptr_eq(c, &conn));
+        shared
+            .routes
+            .lock()
+            .conns
+            .retain(|_, c| !Arc::ptr_eq(c, &conn));
     }
 }
 
 fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &mut Scatter) {
     match frame {
-        Frame::Hello { id } => {
-            shared.routes.lock().insert(id.0, Arc::clone(conn));
-        }
+        Frame::Hello { id } => shared.routes.lock().learn(id.0, conn),
         Frame::Nack { to } => {
             sdds_obs::counter("net.tcp.nacks_received").inc();
             shared.unroutable.lock().insert(to.0);
@@ -587,48 +716,31 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
             shared.tcp.frames_received.inc();
             if (DYN_BASE..COORD_ID).contains(&env.from.0) {
                 // Learn the reply route even if the hello raced us.
-                shared.routes.lock().insert(env.from.0, Arc::clone(conn));
+                shared.routes.lock().learn(env.from.0, conn);
             }
             incoming(shared, conn, env, scatter);
         }
+        // a dialer opens its streams with links, and only acceptors ack
+        Frame::Link { .. } | Frame::Ack { .. } => {}
     }
 }
 
 /// Receiver-side delivery of an envelope that arrived over the wire, as
-/// part of the scatter of its `read()`. A spawn in progress, which this
-/// may have to wait for, may itself be waiting for a wake-up the scatter
-/// still owes, so the scatter is woken before every sleep.
-fn incoming(shared: &Arc<Shared>, conn: &Arc<Conn>, mut env: Envelope, scatter: &mut Scatter) {
-    let start = Instant::now();
+/// part of the scatter of its `read()`. An envelope this process cannot
+/// route — a tombstone, an id it hosts that is neither registered nor
+/// reserved, or one it does not host — is NACKed at once.
+fn incoming(shared: &Shared, conn: &Conn, env: Envelope, scatter: &mut Scatter) {
     let to = env.to;
-    loop {
-        match shared.sites.push(env, scatter.now()) {
-            Ok(wake) => {
-                if let Some(wake) = wake {
-                    scatter.defer(wake);
-                }
-                return;
-            }
-            // Not registered yet: ride the remote-spawn race for a
-            // bounded window before refusing.
-            Err(Miss::Absent(e))
-                if shared.sites.owns(to)
-                    && start.elapsed() < SPAWN_GRACE
-                    && !shared.is_shutdown() =>
-            {
-                env = e;
-            }
-            // A tombstone (the endpoint is gone), an id past its spawn
-            // grace, or one this rank does not host: unroutable, now.
-            Err(_) => break,
+    match shared.sites.push(env, scatter.now()) {
+        Ok(Some(wake)) => scatter.defer(wake),
+        Ok(None) => {}
+        Err(_) => {
+            sdds_obs::counter("net.tcp.nacks_sent").inc();
+            let mut buf = PooledBuf::take();
+            frame::encode_nack(to, buf.as_mut_vec());
+            conn.enqueue(buf);
         }
-        scatter.wake();
-        std::thread::sleep(Duration::from_millis(5));
     }
-    sdds_obs::counter("net.tcp.nacks_sent").inc();
-    let mut buf = PooledBuf::take();
-    frame::encode_nack(to, buf.as_mut_vec());
-    let _ = conn.enqueue(buf, true);
 }
 
 #[cfg(test)]
@@ -639,6 +751,10 @@ mod tests {
     use std::time::{Duration, Instant};
 
     const RECV: Duration = Duration::from_secs(5);
+
+    /// Held by the tests that count writes and by the long burst: the
+    /// `net.tcp.*` counters are the process's, not a connection's.
+    static COUNTED: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     #[test]
     fn client_to_server_and_reply() {
@@ -733,15 +849,15 @@ mod tests {
         let _ = server;
     }
 
-    /// A frame for a retired id is NACKed at once, so the frames behind
-    /// it on the same connection are not held up (a retired id used to
-    /// park the reader for the spawn grace once its first NACK had
-    /// removed the entry).
+    /// A frame for a retired id, or for an id the rank hosts that is
+    /// neither registered nor reserved, is NACKed at once, so the frames
+    /// behind it on the same connection are not held up.
     #[test]
     fn a_retired_id_does_not_hold_up_the_connection() {
         let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         drop(server.register_with_id(SiteId(3)).unwrap());
+        let unreserved = SiteId(6);
         let live = server.register_with_id(SiteId(4)).unwrap();
         let clientnet = Network::tcp_client(reg, NetConfig::default());
         let client = clientnet.register();
@@ -749,8 +865,8 @@ mod tests {
         live.recv_timeout(RECV).unwrap();
         for _ in 0..3 {
             let start = Instant::now();
-            for _ in 0..2 {
-                let _ = client.send(SiteId(3), Bytes::from_static(b"gone"));
+            for to in [SiteId(3), unreserved] {
+                let _ = client.send(to, Bytes::from_static(b"gone"));
             }
             client.send(SiteId(4), Bytes::from_static(b"live")).unwrap();
             live.recv_timeout(RECV).unwrap();
@@ -760,6 +876,65 @@ mod tests {
                 "live frame {late:?} late"
             );
         }
+        let deadline = Instant::now() + RECV;
+        while client.send(unreserved, Bytes::new()) != Err(NetError::Disconnected(unreserved)) {
+            assert!(Instant::now() < deadline, "never NACKed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// A frame for a reserved id waits in its mailbox for the endpoint
+    /// that registers it, unNACKed, and the frame behind it for a live id
+    /// is not held up meanwhile.
+    #[test]
+    fn a_frame_for_a_reserved_id_waits_for_its_registration_alone() {
+        let reg = SiteRegistry::loopback(1).unwrap();
+        let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
+        let spawning = SiteId(3);
+        server.reserve(spawning);
+        let live = server.register_with_id(SiteId(4)).unwrap();
+        let clientnet = Network::tcp_client(reg, NetConfig::default());
+        let client = clientnet.register();
+        client.send(SiteId(4), Bytes::from_static(b"dial")).unwrap();
+        live.recv_timeout(RECV).unwrap();
+
+        let start = Instant::now();
+        client.send(spawning, Bytes::from_static(b"early")).unwrap();
+        client.send(SiteId(4), Bytes::from_static(b"live")).unwrap();
+        live.recv_timeout(RECV).unwrap();
+        let late = start.elapsed();
+        assert!(
+            late < Duration::from_millis(100),
+            "live frame {late:?} late"
+        );
+        // a NACKed frame is never delivered
+        let spawned = server.register_with_id(spawning).unwrap();
+        assert_eq!(&spawned.recv_timeout(RECV).unwrap().payload[..], b"early");
+        client.send(spawning, Bytes::from_static(b"late")).unwrap();
+        assert_eq!(&spawned.recv_timeout(RECV).unwrap().payload[..], b"late");
+    }
+
+    /// Frames for a dynamic id with no route wait for one, and go out on
+    /// it once the id's hello is learned; frames that waited past
+    /// `ROUTE_WAIT` are dropped.
+    #[test]
+    fn frames_for_an_unannounced_id_wait_for_its_route() {
+        use super::{Conn, Routes, ROUTE_WAIT};
+        use crate::pool::PooledBuf;
+        let dropped = sdds_obs::counter("net.tcp.frames_dropped");
+        let mut routes = Routes::default();
+        if let Some(long_ago) = Instant::now().checked_sub(ROUTE_WAIT) {
+            routes
+                .waiting
+                .insert(8, (long_ago, vec![PooledBuf::take()]));
+        }
+        assert!(routes.send(7, PooledBuf::take(), &dropped));
+        assert!(!routes.waiting.contains_key(&8), "waited too long");
+        let conn = Conn::new(None, None);
+        routes.learn(7, &conn);
+        assert_eq!(conn.state.lock().frames.len(), 1, "the frame went out");
+        assert!(routes.send(7, PooledBuf::take(), &dropped));
+        assert_eq!(conn.state.lock().frames.len(), 2, "on the route");
     }
 
     #[test]
@@ -775,20 +950,11 @@ mod tests {
 
         let reconnects = sdds_obs::counter("net.tcp.reconnects").get();
         server.drop_connections();
-        std::thread::sleep(Duration::from_millis(50));
 
-        // Retry until the writer re-dials; messages written into the dead
-        // stream are lost, exactly like drops, so resend.
-        let mut delivered = false;
-        for _ in 0..200 {
-            let _ = client.send(SiteId(0), Bytes::from_static(b"two"));
-            if let Ok(env) = bucket.recv_timeout(Duration::from_millis(100)) {
-                assert_eq!(&env.payload[..], b"two");
-                delivered = true;
-                break;
-            }
-        }
-        assert!(delivered, "no delivery after severed connection");
+        // The link re-dials and delivers what the dead stream lost: one
+        // send is enough.
+        client.send(SiteId(0), Bytes::from_static(b"two")).unwrap();
+        assert_eq!(&bucket.recv_timeout(RECV).unwrap().payload[..], b"two");
         assert!(
             sdds_obs::counter("net.tcp.reconnects").get() > reconnects,
             "reconnect counter did not move"
@@ -799,22 +965,59 @@ mod tests {
         bucket
             .send(client.id(), Bytes::from_static(b"reply"))
             .unwrap();
-        let mut reply = None;
-        for _ in 0..50 {
-            if let Ok(env) = client.recv_timeout(Duration::from_millis(100)) {
-                reply = Some(env);
-                break;
+        let reply = client.recv_timeout(RECV).expect("no reply after reconnect");
+        assert_eq!(&reply.payload[..], b"reply");
+    }
+
+    /// Connections severed again and again on both sides while a burst
+    /// is under way: every envelope arrives, once and in order, and no
+    /// application sends one again — the link does.
+    #[test]
+    fn a_burst_arrives_exactly_once_and_in_order_through_severed_connections() {
+        const BURST: u32 = 10_000;
+        let _counted = COUNTED.lock();
+        let reg = SiteRegistry::loopback(1).unwrap();
+        let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
+        let bucket = server.register_with_id(SiteId(0)).unwrap();
+        let clientnet = Network::tcp_client(reg, NetConfig::default());
+        let client = clientnet.register();
+        let resent = sdds_obs::counter("net.tcp.frames_resent");
+        let resent_before = resent.get();
+        let (first_tx, first_rx) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            for i in 0..BURST {
+                let env = bucket.recv_timeout(RECV).expect("an envelope was lost");
+                assert_eq!(env.payload[..], i.to_le_bytes(), "out of order");
+                if i == 0 {
+                    first_tx.send(()).unwrap();
+                }
             }
-            let _ = bucket.send(client.id(), Bytes::from_static(b"reply"));
+            let again = bucket.recv_timeout(Duration::from_millis(200));
+            assert!(again.is_err(), "an envelope arrived twice");
+        });
+        for i in 0..BURST {
+            let payload = Bytes::copy_from_slice(&i.to_le_bytes());
+            client.send(SiteId(0), payload).unwrap();
+            if i == 0 {
+                // Delivered, and not acknowledged: an ack waits for a
+                // reply to ride, or for more frames. The next stream
+                // carries it again, and the acceptor drops it.
+                first_rx.recv().unwrap();
+                clientnet.drop_connections();
+            } else if i % 500 == 250 {
+                match i / 500 % 2 {
+                    0 => clientnet.drop_connections(),
+                    _ => server.drop_connections(),
+                }
+            }
         }
-        assert_eq!(
-            &reply.expect("no reply after reconnect").payload[..],
-            b"reply"
-        );
+        receiver.join().unwrap();
+        assert!(resent.get() > resent_before, "nothing was sent again");
     }
 
     #[test]
     fn writes_coalesce_bursts_into_fewer_syscalls() {
+        let _counted = COUNTED.lock();
         let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();

@@ -22,8 +22,10 @@ fn builder(records: &[Record]) -> StoreBuilder {
     let mut builder = EncryptedSearchStore::builder(config)
         .passphrase("sdds-cli")
         .bucket_capacity(CAPACITY)
-        // short per-attempt timeout: rides out the severed-stream message
-        // losses below in seconds, not the 10s default
+        // short per-attempt timeout: a severed stream below can lose only
+        // replies bound for the client (the links it and the ranks dial
+        // deliver everything), and the client asks again in seconds, not
+        // the 10s default
         .op_timeout(Duration::from_secs(2));
     if config.encoding.is_some() {
         builder = builder.train(records.iter().take(1000).map(|r| r.rc.clone()));
@@ -150,7 +152,7 @@ fn channel_and_tcp_fabrics_agree_on_a_seeded_history() {
     // clients' directory (see `sdds_lh::serve`), and an operation
     // addressed to it loses one attempt to the tombstone's unroutable
     // NACK before it retries through bucket 0 — not this test's topic
-    // (ROADMAP item 1).
+    // (ROADMAP item 12).
     let builder = |records: &[Record]| builder(records).bucket_capacity(128);
     let merges_before = sdds_obs::counter("lh.merges").get();
     let registry = SiteRegistry::loopback(2).expect("registry");
