@@ -17,7 +17,6 @@
 
 use sdds_cipher::{Aes128, MasterKey};
 use sdds_lh::{ClusterConfig, LhClient, LhCluster, LhError, PreparedQuery, ScanFilter};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One encrypted word position: `C_i = ⟨L ⊕ S, R ⊕ F(S)⟩`.
@@ -35,12 +34,31 @@ pub struct SwpScheme {
 
 /// A search trapdoor: reveals the word's pre-encryption and check key,
 /// nothing else.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trapdoor {
     /// `X = E(w)`.
     pub x: [u8; 16],
     /// `k_w = f(L)`.
     pub kw: [u8; 16],
+}
+
+impl Trapdoor {
+    /// The wire form: the 32 bytes `X ‖ k_w`.
+    pub fn to_bytes(&self) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out[..16].copy_from_slice(&self.x);
+        out[16..].copy_from_slice(&self.kw);
+        out
+    }
+
+    /// Reads the wire form; `None` unless `bytes` is exactly 32 long.
+    pub fn from_bytes(bytes: &[u8]) -> Option<Trapdoor> {
+        let (x, kw) = bytes.split_first_chunk::<16>()?;
+        Some(Trapdoor {
+            x: *x,
+            kw: kw.try_into().ok()?,
+        })
+    }
 }
 
 impl SwpScheme {
@@ -119,7 +137,7 @@ pub struct SwpFilter;
 
 impl ScanFilter for SwpFilter {
     fn prepare(&self, query: &[u8]) -> Box<dyn PreparedQuery> {
-        Box::new(PreparedTrapdoor(serde_json::from_slice(query).ok()))
+        Box::new(PreparedTrapdoor(Trapdoor::from_bytes(query)))
     }
 }
 
@@ -173,8 +191,7 @@ impl SwpStore {
 
     /// Word search: returns RIDs whose stream contains the word.
     pub fn search_word(&self, word: &str) -> Result<Vec<u64>, LhError> {
-        let t = self.scheme.trapdoor(word);
-        let query = serde_json::to_vec(&t).expect("trapdoor serializes");
+        let query = self.scheme.trapdoor(word).to_bytes();
         let matches = self.client.scan(&query, true)?;
         Ok(matches.into_iter().map(|m| m.key).collect())
     }
@@ -238,6 +255,15 @@ mod tests {
         let t = s.trapdoor("YU");
         assert!(SwpScheme::matches(&stream[0], &t));
         assert!(SwpScheme::matches(&stream[1], &t));
+    }
+
+    #[test]
+    fn trapdoor_wire_form_is_32_bytes() {
+        let t = scheme().trapdoor("THOMAS");
+        let bytes = t.to_bytes();
+        assert_eq!(Trapdoor::from_bytes(&bytes), Some(t));
+        assert_eq!(Trapdoor::from_bytes(&bytes[..31]), None);
+        assert_eq!(Trapdoor::from_bytes(&[&bytes[..], &[0]].concat()), None);
     }
 
     #[test]

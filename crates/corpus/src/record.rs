@@ -1,11 +1,9 @@
 //! The flat SDDS record of the paper: a Record Identifier and a flat
 //! Record Content string (Figure 1).
 
-use serde::{Deserialize, Serialize};
-
 /// A flat record: `RI` (an artificial, non-sensitive number — here the
 /// phone number as digits) and `RC` (the subscriber name).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     /// Record identifier (the paper's RI/RID); assumed non-sensitive.
     pub rid: u64,

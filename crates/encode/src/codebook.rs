@@ -1,7 +1,6 @@
 //! The frequency-equalising codebook (the paper's Figure 5 object).
 
 use crate::counter::GramCounter;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -42,8 +41,7 @@ impl std::error::Error for EncodeError {}
 /// frequency order (ties toward the lowest bucket index), which
 /// reproduces the paper's Figure 5 byte-for-byte; see
 /// `figure5_reproduction` in the tests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "CodebookRepr", into = "CodebookRepr")]
+#[derive(Debug, Clone)]
 pub struct Codebook {
     g: usize,
     num_codes: usize,
@@ -51,41 +49,6 @@ pub struct Codebook {
     /// Build-time assignment record for reporting (gram, count, code),
     /// descending by count.
     assignments: Vec<(Vec<u16>, u64, u16)>,
-}
-
-/// Serialized form: the map is reconstructed from the assignment list, so
-/// the on-wire format stays JSON-friendly (no non-string map keys).
-#[derive(Serialize, Deserialize)]
-struct CodebookRepr {
-    g: usize,
-    num_codes: usize,
-    assignments: Vec<(Vec<u16>, u64, u16)>,
-}
-
-impl From<CodebookRepr> for Codebook {
-    fn from(r: CodebookRepr) -> Codebook {
-        let map = r
-            .assignments
-            .iter()
-            .map(|(gram, _, code)| (gram.clone(), *code))
-            .collect();
-        Codebook {
-            g: r.g,
-            num_codes: r.num_codes,
-            map,
-            assignments: r.assignments,
-        }
-    }
-}
-
-impl From<Codebook> for CodebookRepr {
-    fn from(c: Codebook) -> CodebookRepr {
-        CodebookRepr {
-            g: c.g,
-            num_codes: c.num_codes,
-            assignments: c.assignments,
-        }
-    }
 }
 
 impl Codebook {
@@ -368,16 +331,5 @@ mod tests {
             .map(|b| book.encode_gram(&[u16::from(b)]))
             .collect();
         assert_eq!(codes.len(), 8);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut counter = GramCounter::new(1);
-        counter.add_record(&syms("AAB"), 0);
-        let book = Codebook::build_equalized(&counter, 2);
-        let json = serde_json::to_string(&book).unwrap();
-        let back: Codebook = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.encode_gram(&syms("A")), book.encode_gram(&syms("A")));
-        assert_eq!(back.num_codes(), 2);
     }
 }

@@ -21,7 +21,6 @@
 //! for free, at a weaker flattening of the frequency profile.
 
 use crate::counter::GramCounter;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A searchable pair compressor over a base alphabet `0..base`.
@@ -40,8 +39,7 @@ use std::collections::{HashMap, HashSet};
 /// let query: Vec<u16> = "NANA".bytes().map(u16::from).collect();
 /// assert!(c.search(&compressed, &query));            // searchable
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "PairRepr", into = "PairRepr")]
+#[derive(Debug, Clone)]
 pub struct PairCompressor {
     base: usize,
     /// pair -> code
@@ -50,37 +48,6 @@ pub struct PairCompressor {
     codes: Vec<(u16, u16)>,
     starters: HashSet<u16>,
     enders: HashSet<u16>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct PairRepr {
-    base: usize,
-    codes: Vec<(u16, u16)>,
-}
-
-impl From<PairRepr> for PairCompressor {
-    fn from(r: PairRepr) -> PairCompressor {
-        let mut c = PairCompressor {
-            base: r.base,
-            pairs: HashMap::new(),
-            codes: Vec::new(),
-            starters: HashSet::new(),
-            enders: HashSet::new(),
-        };
-        for &(a, b) in &r.codes {
-            c.add_pair(a, b);
-        }
-        c
-    }
-}
-
-impl From<PairCompressor> for PairRepr {
-    fn from(c: PairCompressor) -> PairRepr {
-        PairRepr {
-            base: c.base,
-            codes: c.codes,
-        }
-    }
 }
 
 impl PairCompressor {
@@ -345,16 +312,6 @@ mod tests {
         let compressed = c.compress(&syms("MARTINEZ JOSE"));
         assert!(!c.search(&compressed, &syms("QQQQ")));
         assert!(!c.search(&compressed, &syms("JOSEF")));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = trained();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: PairCompressor = serde_json::from_str(&json).unwrap();
-        let s = syms("MARTINEZ");
-        assert_eq!(back.compress(&s), c.compress(&s));
-        assert_eq!(back.alphabet(), c.alphabet());
     }
 
     #[test]

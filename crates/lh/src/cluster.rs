@@ -9,14 +9,14 @@ use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
 use crate::parity::{reconstruct_member, ParityState};
 use crate::runtime::{Machine, Runtime};
-use parking_lot::RwLock;
+use sdds_net::sync::{read, write};
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::Registry;
 use sdds_storage::{MemEngine, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
 /// Names the sites of an LH\* file for whoever routes to them — the
@@ -48,13 +48,13 @@ impl Directory {
     pub(crate) fn spawned(&self, addr: u64) {
         // ordering: Relaxed — a high-water mark read only for reporting
         self.spawned.fetch_max(addr + 1, Ordering::Relaxed);
-        if let Some(retired) = self.retired.write().get_mut(addr as usize) {
+        if let Some(retired) = write(&self.retired).get_mut(addr as usize) {
             *retired = false;
         }
     }
 
     pub(crate) fn retire(&self, addr: u64) {
-        let mut retired = self.retired.write();
+        let mut retired = write(&self.retired);
         if retired.len() <= addr as usize {
             retired.resize(addr as usize + 1, false);
         }
@@ -63,7 +63,7 @@ impl Directory {
 
     /// A read and an array index: the identity, unless `addr` is retired.
     pub(crate) fn bucket_site(&self, addr: u64) -> Option<SiteId> {
-        let retired = self.retired.read().get(addr as usize) == Some(&true);
+        let retired = read(&self.retired).get(addr as usize) == Some(&true);
         (!retired).then(|| SiteRegistry::bucket_id(addr))
     }
 
@@ -74,18 +74,19 @@ impl Directory {
     }
 
     pub(crate) fn set_parity(&self, group: u64, sites: Vec<SiteId>) {
-        self.parity.write().insert(group, sites);
+        write(&self.parity).insert(group, sites);
     }
 
     pub(crate) fn parity_sites(&self, group: u64) -> Vec<SiteId> {
-        self.parity.read().get(&group).cloned().unwrap_or_default()
+        read(&self.parity).get(&group).cloned().unwrap_or_default()
     }
 }
 
 /// A consistent snapshot of an LH\* file: file state plus all bucket
-/// contents. Serializable, so files survive process restarts
-/// (`serde_json::to_string` / `from_str`).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// contents, in memory — what [`LhCluster::restore`] starts a file from.
+/// A file survives process restarts through its buckets' write-ahead
+/// logs (`StorageConfig`, DESIGN.md §10), not through snapshots.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSnapshot {
     /// File level at snapshot time.
     pub level: u8,
@@ -103,7 +104,7 @@ impl FileSnapshot {
 }
 
 /// One bucket's part of a [`FileSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketSnapshot {
     /// Bucket address.
     pub addr: u64,

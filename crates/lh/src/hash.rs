@@ -13,8 +13,6 @@
 //! of index-record keys so sibling index records land in different buckets
 //! (§5).
 
-use serde::{Deserialize, Serialize};
-
 /// `h_i(K) = K mod 2^i`.
 #[inline]
 pub fn h(key: u64, level: u8) -> u64 {
@@ -53,7 +51,7 @@ pub(crate) fn split_children(addr: u64, level: u8) -> impl Iterator<Item = u64> 
 /// Clients start with the primordial image (one bucket) and converge
 /// through Image Adjustment Messages; the guarantee is never more than two
 /// forwarding hops regardless of staleness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientImage {
     /// Presumed file level `i'`.
     pub level: u8,

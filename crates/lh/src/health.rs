@@ -19,9 +19,9 @@
 //! it did not create; a worker deregisters on exit (`Drop`), so shut-down
 //! runtimes never alarm.
 
-use parking_lot::Mutex;
+use sdds_net::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Process epoch for busy timestamps (nanoseconds since first use).
@@ -53,7 +53,7 @@ impl LoopHealth {
     /// Registers a worker with the process watchdog.
     pub(crate) fn register() -> LoopHealth {
         let cell = Arc::new(AtomicU64::new(0));
-        cells().lock().push(cell.clone());
+        lock(cells()).push(cell.clone());
         LoopHealth { cell }
     }
 
@@ -74,7 +74,7 @@ impl LoopHealth {
 
 impl Drop for LoopHealth {
     fn drop(&mut self) {
-        let mut cells = cells().lock();
+        let mut cells = lock(cells());
         if let Some(pos) = cells.iter().position(|c| Arc::ptr_eq(c, &self.cell)) {
             cells.swap_remove(pos);
         }
@@ -88,7 +88,7 @@ impl Drop for LoopHealth {
 pub(crate) fn max_busy_age() -> Duration {
     let now = now_nanos();
     let mut max = 0u64;
-    for cell in cells().lock().iter() {
+    for cell in lock(cells()).iter() {
         // ordering: Relaxed — see LoopHealth::busy.
         let stamp = cell.load(Ordering::Relaxed);
         if stamp != 0 {
@@ -122,6 +122,6 @@ mod tests {
         a.busy(Instant::now());
         let cell = Arc::clone(&a.cell);
         drop(a);
-        assert!(!cells().lock().iter().any(|c| Arc::ptr_eq(c, &cell)));
+        assert!(!lock(cells()).iter().any(|c| Arc::ptr_eq(c, &cell)));
     }
 }

@@ -26,14 +26,14 @@
 use crate::filter::ScanMemo;
 use crate::health::LoopHealth;
 use crate::messages::Wire;
-use parking_lot::{Mutex, RwLock};
+use sdds_net::sync::{lock, read, write};
 use sdds_net::{Endpoint, Envelope, Scatter, Scheduler, SiteId};
 use sdds_obs::trace::{SpanGuard, TraceContext};
 use sdds_obs::{Gauge, Histogram, Registry};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
@@ -141,11 +141,11 @@ pub(crate) struct Runtime {
 
 impl Scheduler for Runtime {
     fn schedule(&self, key: usize) {
-        self.sched.lock().ready.push_back(key);
+        lock(&self.sched).ready.push_back(key);
     }
 
     fn wake(&self) {
-        let sleeper = self.sched.lock().sleeper_for_work(self.slots);
+        let sleeper = lock(&self.sched).sleeper_for_work(self.slots);
         wake(sleeper);
     }
 }
@@ -177,8 +177,8 @@ impl Runtime {
     /// Starts the workers, unless they run already or the runtime
     /// stopped.
     fn hire(self: &Arc<Self>) {
-        let mut workers = self.workers.lock();
-        if !workers.is_empty() || self.sched.lock().stopping {
+        let mut workers = lock(&self.workers);
+        if !workers.is_empty() || lock(&self.sched).stopping {
             return;
         }
         workers.extend((0..self.slots + DISK_WAITERS).map(|_| {
@@ -197,7 +197,7 @@ impl Runtime {
         machine: Box<dyn Machine>,
         obs: &Registry,
     ) {
-        if self.sched.lock().stopping {
+        if lock(&self.sched).stopping {
             return; // dropping the endpoint closes its mailbox
         }
         let site = Arc::new(Site {
@@ -212,7 +212,7 @@ impl Runtime {
             depth: obs.gauge("lh.inbox_depth"),
         });
         let key = {
-            let mut sites = self.sites.write();
+            let mut sites = write(&self.sites);
             sites.push(Some(Arc::clone(&site)));
             sites.len() - 1
         };
@@ -232,11 +232,11 @@ impl Runtime {
         id: SiteId,
         machine: Box<dyn Machine>,
     ) -> Result<(), Box<dyn Machine>> {
-        let sites = self.sites.read();
+        let sites = read(&self.sites);
         let Some(site) = sites.iter().flatten().find(|s| s.endpoint.id() == id) else {
             return Err(machine);
         };
-        let mut cell = site.cell.lock();
+        let mut cell = lock(&site.cell);
         if cell.machine.is_none() {
             return Err(machine);
         }
@@ -249,26 +249,26 @@ impl Runtime {
     /// joins them and drops every site's state — storage engines
     /// included — before returning. Idempotent.
     pub(crate) fn shutdown(&self) {
-        for site in self.sites.read().iter().flatten() {
+        for site in read(&self.sites).iter().flatten() {
             site.endpoint.close();
         }
         let sleeper = {
-            let mut sched = self.sched.lock();
+            let mut sched = lock(&self.sched);
             sched.stopping = true;
             sched.sleepers.pop() // a worker that leaves wakes the next
         };
         wake(sleeper);
-        let workers = std::mem::take(&mut *self.workers.lock());
+        let workers = std::mem::take(&mut *lock(&self.workers));
         for handle in workers {
             let _ = handle.join();
         }
         // Outside the lock: a coordinator's spawner holds this runtime.
-        let sites = std::mem::take(&mut *self.sites.write());
+        let sites = std::mem::take(&mut *write(&self.sites));
         drop(sites);
     }
 
     fn site(&self, key: usize) -> Option<Arc<Site>> {
-        self.sites.read().get(key).cloned().flatten()
+        read(&self.sites).get(key).cloned().flatten()
     }
 
     /// Blocks a worker without a slot until there is a ready site and a
@@ -276,7 +276,7 @@ impl Runtime {
     /// and nothing is left to run.
     fn acquire(&self) -> bool {
         let me = std::thread::current();
-        let mut sched = self.sched.lock();
+        let mut sched = lock(&self.sched);
         loop {
             if sched.running < self.slots && !sched.ready.is_empty() {
                 sched.running += 1;
@@ -291,7 +291,7 @@ impl Runtime {
             sched.sleepers.push(me.clone());
             drop(sched);
             std::thread::park();
-            sched = self.sched.lock();
+            sched = lock(&self.sched);
             // still listed if a stale token ended the sleep
             sched.sleepers.retain(|sleeper| sleeper.id() != me.id());
         }
@@ -301,7 +301,7 @@ impl Runtime {
     /// wait for the disk — to a sleeper, if there is work for one.
     fn release(&self) {
         let sleeper = {
-            let mut sched = self.sched.lock();
+            let mut sched = lock(&self.sched);
             sched.running -= 1;
             sched.sleeper_for_work(self.slots)
         };
@@ -311,7 +311,7 @@ impl Runtime {
     /// The next ready site, if any, for a worker that holds a slot;
     /// never blocks.
     fn next(&self) -> Option<usize> {
-        let mut sched = self.sched.lock();
+        let mut sched = lock(&self.sched);
         let key = sched.ready.pop_front()?;
         // if there is work for another worker, pass the wake-up on
         let sleeper = sched.sleeper_for_work(self.slots);
@@ -332,11 +332,11 @@ impl Runtime {
     /// site whose client waits for exactly this — and ends its round
     /// after that activation, which gives the slot back.
     fn disk_wait_ends(&self) {
-        self.sched.lock().running += 1;
+        lock(&self.sched).running += 1;
     }
 
     fn retire(&self, key: usize) {
-        if let Some(slot) = self.sites.write().get_mut(key) {
+        if let Some(slot) = write(&self.sites).get_mut(key) {
             *slot = None;
         }
     }
@@ -436,7 +436,7 @@ impl Worker {
         let Some(site) = self.runtime.site(key) else {
             return; // retired while queued
         };
-        let mut cell = site.cell.lock();
+        let mut cell = lock(&site.cell);
         self.batch.clear();
         let drained = site.endpoint.drain(DRAIN_BUDGET, &mut self.batch);
         let now = Instant::now();

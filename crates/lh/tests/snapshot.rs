@@ -1,6 +1,6 @@
-//! Snapshot / restore: an LH\* file survives a full process restart.
+//! Snapshot / restore: an LH\* file survives a full cluster restart.
 
-use sdds_lh::{ClusterConfig, FileSnapshot, LhCluster, ParityConfig};
+use sdds_lh::{ClusterConfig, LhCluster, ParityConfig};
 
 fn populated_cluster(n: u64) -> LhCluster {
     let cluster = LhCluster::start(ClusterConfig {
@@ -64,16 +64,6 @@ fn restore_reproduces_the_file() {
     }
     assert_eq!(client.lookup(1050).unwrap(), Some(vec![1]));
     restored.shutdown();
-}
-
-#[test]
-fn snapshot_roundtrips_through_json() {
-    let cluster = populated_cluster(100);
-    let snap = cluster.snapshot().unwrap();
-    cluster.shutdown();
-    let json = serde_json::to_string(&snap).unwrap();
-    let back: FileSnapshot = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, snap);
 }
 
 #[test]

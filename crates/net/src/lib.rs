@@ -68,6 +68,7 @@ mod network;
 mod pool;
 mod registry;
 mod stats;
+pub mod sync;
 mod tcp;
 
 pub use mailbox::{Drained, Scheduler};

@@ -18,9 +18,9 @@
 //! envelopes cost one thread hand-over instead of N.
 
 use crate::network::Envelope;
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{self, lock};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Runs the mailboxes no thread blocks on: the site runtime implements
@@ -123,7 +123,7 @@ impl Mailbox {
         env: Envelope,
         at: Instant,
     ) -> Result<Option<Wake>, Closed> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.closed {
             return Err(Closed);
         }
@@ -139,7 +139,7 @@ impl Mailbox {
     }
 
     /// Queues an attached, idle mailbox with its scheduler.
-    fn schedule(&self, mut st: parking_lot::MutexGuard<'_, State>) -> Option<Wake> {
+    fn schedule(&self, mut st: MutexGuard<'_, State>) -> Option<Wake> {
         if st.scheduled {
             return None;
         }
@@ -153,7 +153,7 @@ impl Mailbox {
 
     /// Delivers the wake-up a push returned as [`Wake::Thread`].
     fn wake(&self) {
-        self.state.lock().wake_owed = false;
+        lock(&self.state).wake_owed = false;
         // all of them: a woken thread takes one envelope, and nothing
         // else would wake a second one for the rest
         self.ready.notify_all();
@@ -162,7 +162,7 @@ impl Mailbox {
     /// Takes the oldest envelope, blocking as long as `wait` allows
     /// while the mailbox is empty and open.
     pub(crate) fn recv(&self, wait: Wait) -> Result<Envelope, RecvError> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         loop {
             if let Some((_, env)) = st.queue.pop_front() {
                 return Ok(env);
@@ -180,45 +180,45 @@ impl Mailbox {
             };
             st.waiting += 1;
             st = match left {
-                None => self.ready.wait(st),
-                Some(left) => self.ready.wait_timeout(st, left).0,
+                None => sync::wait(&self.ready, st),
+                Some(left) => sync::wait_timeout(&self.ready, st, left),
             };
             st.waiting -= 1;
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().queue.len()
+        lock(&self.state).queue.len()
     }
 
     /// Not closed: the id it is registered under is taken.
     pub(crate) fn is_open(&self) -> bool {
-        !self.state.lock().closed
+        !lock(&self.state).closed
     }
 
     /// An open mailbox nobody holds yet.
     pub(crate) fn reserved() -> Arc<Mailbox> {
         let mailbox = Mailbox::new();
-        mailbox.state.lock().reserved = true;
+        lock(&mailbox.state).reserved = true;
         mailbox
     }
 
     /// An endpoint takes a reserved mailbox over, with what it holds;
     /// `false` if an endpoint holds it already (or did: it is closed).
     pub(crate) fn adopt(&self) -> bool {
-        std::mem::take(&mut self.state.lock().reserved)
+        std::mem::take(&mut lock(&self.state).reserved)
     }
 
     /// Threads blocked in `recv` right now (tests wait for this instead
     /// of sleeping).
     #[cfg(test)]
     pub(crate) fn waiting(&self) -> usize {
-        self.state.lock().waiting
+        lock(&self.state).waiting
     }
 
     /// Refuses every later push; what is queued can still be taken.
     pub(crate) fn close(&self) {
-        self.state.lock().closed = true;
+        lock(&self.state).closed = true;
         self.ready.notify_all();
     }
 
@@ -227,7 +227,7 @@ impl Mailbox {
     /// tombstone, to answer later sends with `Closed` until its id is
     /// registered again.
     pub(crate) fn retire(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.closed = true;
         let orphaned = (std::mem::take(&mut st.queue), st.scheduler.take());
         drop(st);
@@ -239,7 +239,7 @@ impl Mailbox {
     /// and queues it there at once, envelopes or not, so that the site
     /// behind it gets a first activation to start up in.
     pub(crate) fn attach(&self, scheduler: Arc<dyn Scheduler>, key: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.scheduler = Some((scheduler, key));
         if let Some(wake) = self.schedule(st) {
             wake.fire();
@@ -248,7 +248,7 @@ impl Mailbox {
 
     /// A worker takes up to `max` envelopes, oldest first.
     pub(crate) fn drain(&self, max: usize, into: &mut Vec<Envelope>) -> Drained {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let take = max.min(st.queue.len());
         let oldest = st.queue.front().map(|(at, _)| *at).filter(|_| take > 0);
         into.extend(st.queue.drain(..take).map(|(_, env)| env));
@@ -262,7 +262,7 @@ impl Mailbox {
     /// meanwhile and the mailbox stays the worker's to queue again;
     /// `false`: it is idle and the next push queues it.
     pub(crate) fn release(&self) -> bool {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.scheduled = !st.queue.is_empty();
         st.scheduled
     }
@@ -403,7 +403,7 @@ mod tests {
 
     impl Scheduler for Counting {
         fn schedule(&self, key: usize) {
-            self.scheduled.lock().push(key);
+            lock(&self.scheduled).push(key);
         }
         fn wake(&self) {
             // ordering: Relaxed — a test tally on one thread
@@ -416,7 +416,7 @@ mod tests {
         let pool = Arc::new(Counting::default());
         let m = Mailbox::new();
         m.attach(pool.clone(), 7);
-        assert_eq!(*pool.scheduled.lock(), [7], "attaching queues it");
+        assert_eq!(*lock(&pool.scheduled), [7], "attaching queues it");
         // ordering: Relaxed — see `Counting::wake`
         assert_eq!(pool.wakes.load(Ordering::Relaxed), 1, "and wakes a worker");
         assert!(push(&m, 1).is_none(), "already queued: nothing owed");
@@ -429,8 +429,8 @@ mod tests {
         assert!(m.drain(1, &mut batch).oldest.is_some());
         assert!(!m.release(), "empty: idle again");
         assert!(matches!(push(&m, 3), Some(Wake::Pool(_))));
-        assert_eq!(*pool.scheduled.lock(), [7, 7], "an idle push queues it");
+        assert_eq!(*lock(&pool.scheduled), [7, 7], "an idle push queues it");
         assert!(push(&m, 4).is_none(), "queued: not twice");
-        assert_eq!(pool.scheduled.lock().len(), 2);
+        assert_eq!(lock(&pool.scheduled).len(), 2);
     }
 }

@@ -3,19 +3,18 @@
 use crate::mailbox::{Closed, Drained, Mailbox, RecvError, Scheduler, Wait, Wake};
 use crate::registry::{owner_rank, SiteRegistry, COORD_ID, DYN_BASE};
 use crate::stats::NetStats;
+use crate::sync::{read, write};
 use crate::tcp::TcpFabric;
 use bytes::Bytes;
-use parking_lot::RwLock;
 use sdds_obs::trace::{self, TraceContext};
 use sdds_obs::Counter;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Address of a site in the multicomputer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for SiteId {
@@ -232,7 +231,7 @@ impl Sites {
     /// was taken — counted first, so that a receiver always observes its
     /// envelope counted, and rolled back on a refusal.
     pub(crate) fn push(&self, env: Envelope, at: Instant) -> Result<Option<Wake>, Miss> {
-        let table = self.table.read();
+        let table = read(&self.table);
         let Some(mailbox) = table.get(env.to) else {
             return Err(Miss::Absent(env));
         };
@@ -253,7 +252,7 @@ impl Sites {
     /// Hands out the next dynamic id, with its mailbox.
     fn register(&self) -> (SiteId, Arc<Mailbox>) {
         let mailbox = Mailbox::new();
-        let mut table = self.table.write();
+        let mut table = write(&self.table);
         let n = table.dynamic.len();
         if n.is_multiple_of(STRIPE as usize) {
             let stripe = claim_stripe(&table.stripes);
@@ -266,7 +265,7 @@ impl Sites {
     /// The mailbox reserved under well-known `id`, or a new one where
     /// there is none or a tombstone; `None` if an endpoint holds it.
     fn register_with_id(&self, id: SiteId) -> Option<Arc<Mailbox>> {
-        let mut table = self.table.write();
+        let mut table = write(&self.table);
         let slot = table.slot(id)?;
         match slot {
             Some(mailbox) if mailbox.adopt() => return Some(Arc::clone(mailbox)),
@@ -281,7 +280,7 @@ impl Sites {
     /// A reserved mailbox under well-known `id`, unless the id was ever
     /// reserved or registered here: a tombstone stays one.
     fn reserve(&self, id: SiteId) {
-        if let Some(slot @ None) = self.table.write().slot(id) {
+        if let Some(slot @ None) = write(&self.table).slot(id) {
             *slot = Some(Mailbox::reserved());
         }
     }
@@ -289,7 +288,7 @@ impl Sites {
     /// The dynamic ids whose mailboxes are open, for a TCP link to
     /// announce.
     pub(crate) fn dynamic_ids(&self) -> Vec<SiteId> {
-        let table = self.table.read();
+        let table = read(&self.table);
         let open = table
             .dynamic
             .iter()
@@ -871,7 +870,7 @@ mod tests {
 
     /// Threads blocked in `recv` on site `id`'s mailbox.
     fn waiting(net: &Network, id: SiteId) -> usize {
-        let table = net.inner.sites.table.read();
+        let table = read(&net.inner.sites.table);
         table.get(id).map_or(0, |mailbox| mailbox.waiting())
     }
 

@@ -14,9 +14,9 @@
 //! forever. `net.buf_pool_hits` / `net.buf_pool_misses` count recycled vs
 //! freshly allocated buffers.
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 use sdds_obs::Counter;
-use std::sync::LazyLock;
+use std::sync::{LazyLock, Mutex};
 
 /// Maximum number of idle buffers the pool retains.
 const MAX_POOLED: usize = 64;
@@ -45,7 +45,7 @@ pub struct PooledBuf {
 impl PooledBuf {
     /// Takes a cleared buffer from the pool, or allocates a fresh one.
     pub fn take() -> PooledBuf {
-        let recycled = POOL.lock().pop();
+        let recycled = lock(&POOL).pop();
         match recycled {
             Some(mut buf) => {
                 buf.clear();
@@ -100,7 +100,7 @@ impl Drop for PooledBuf {
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
             if buf.capacity() <= MAX_RETAIN_CAPACITY {
-                let mut pool = POOL.lock();
+                let mut pool = lock(&POOL);
                 if pool.len() < MAX_POOLED {
                     pool.push(buf);
                 }

@@ -55,14 +55,14 @@ use crate::frame::{self, Frame, FrameDecoder};
 use crate::network::{Envelope, NetError, Scatter, SiteId, Sites};
 use crate::pool::PooledBuf;
 use crate::registry::{SiteRegistry, COORD_ID, DYN_BASE};
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{lock, wait};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::BuildHasher;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// First dial-retry backoff; doubles up to [`MAX_BACKOFF`].
@@ -149,7 +149,7 @@ impl Conn {
     /// is closed.
     fn enqueue(&self, buf: PooledBuf) -> bool {
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             if st.closed {
                 return false;
             }
@@ -165,7 +165,7 @@ impl Conn {
         if self.dial.is_none() {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         while st.acked < seq && st.frames.pop_front().is_some() {
             st.acked += 1;
             st.written = st.written.saturating_sub(1);
@@ -176,7 +176,7 @@ impl Conn {
     /// the last `frames` of them in a read at `now`. The ack goes out
     /// with the next write, or on its own once it is due.
     fn owe_ack(&self, seq: u64, frames: u64, now: Instant) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let owed = st.owed.get_or_insert(OwedAck {
             seq,
             frames: 0,
@@ -195,7 +195,7 @@ impl Conn {
     }
 
     fn close_stream(&self) {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         if let Some(s) = &st.stream {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -357,7 +357,7 @@ impl TcpFabric {
     /// connections re-establish with backoff; accepted ones wait for the
     /// peer to re-dial.
     pub(crate) fn drop_connections(&self) {
-        let (peers, inbound) = (self.shared.peers.lock(), self.shared.inbound.lock());
+        let (peers, inbound) = (lock(&self.shared.peers), lock(&self.shared.inbound));
         for conn in peers.values().chain(inbound.iter()) {
             conn.close_stream();
         }
@@ -367,7 +367,7 @@ impl TcpFabric {
     fn peer_conn(&self, rank: usize) -> Option<Arc<Conn>> {
         let shared = &self.shared;
         let addr = shared.registry.addr(rank)?.to_string();
-        let mut peers = shared.peers.lock();
+        let mut peers = lock(&shared.peers);
         if let Some(c) = peers.get(&rank) {
             return Some(Arc::clone(c));
         }
@@ -387,8 +387,8 @@ impl TcpFabric {
         let sites = &shared.sites;
         let (to, len) = (env.to, env.payload.len());
 
-        if shared.unroutable.lock().remove(&to.0) {
-            shared.routes.lock().conns.remove(&to.0);
+        if lock(&shared.unroutable).remove(&to.0) {
+            lock(&shared.routes).conns.remove(&to.0);
             return Err(sites.disconnected(to));
         }
 
@@ -397,10 +397,7 @@ impl TcpFabric {
         sites.stats.record(len);
         let sent = match shared.registry.owner_rank(to) {
             Some(rank) => self.peer_conn(rank).is_some_and(|conn| conn.enqueue(buf)),
-            None => shared
-                .routes
-                .lock()
-                .send(to.0, buf, &shared.tcp.frames_dropped),
+            None => lock(&shared.routes).send(to.0, buf, &shared.tcp.frames_dropped),
         };
         if sent {
             sites.delivered(len);
@@ -417,7 +414,7 @@ impl TcpFabric {
         // ordering: Relaxed — see `is_shutdown`; threads observe the flag
         // at their next poll, which is all teardown needs
         shared.shutdown.store(true, Ordering::Relaxed);
-        let (peers, inbound) = (shared.peers.lock(), shared.inbound.lock());
+        let (peers, inbound) = (lock(&shared.peers), lock(&shared.inbound));
         for conn in peers.values().chain(inbound.iter()) {
             conn.close_stream();
             conn.cond.notify_all();
@@ -456,7 +453,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
             continue;
         };
         let conn = Conn::new(None, Some(stream));
-        shared.inbound.lock().push(Arc::clone(&conn));
+        lock(&shared.inbound).push(Arc::clone(&conn));
         {
             let s = Arc::clone(&shared);
             let c = Arc::clone(&conn);
@@ -477,7 +474,7 @@ fn establish(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Option<(TcpStream, u64)>
     let addr = conn.dial.as_ref()?;
     let mut backoff = INITIAL_BACKOFF;
     loop {
-        if shared.is_shutdown() || conn.state.lock().closed {
+        if shared.is_shutdown() || lock(&conn.state).closed {
             return None;
         }
         let dialed = TcpStream::connect(addr).and_then(|stream| {
@@ -491,7 +488,7 @@ fn establish(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Option<(TcpStream, u64)>
             continue;
         };
         let generation = {
-            let mut st = conn.state.lock();
+            let mut st = lock(&conn.state);
             st.generation += 1;
             st.stream = Some(state_handle);
             st.generation
@@ -516,7 +513,7 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
         // not been given, a due ack, or frames kept from a dialed stream
         // that died (or we are done).
         {
-            let mut st = conn.state.lock();
+            let mut st = lock(&conn.state);
             loop {
                 if st.closed || shared.is_shutdown() {
                     let unwritten = st.frames.len() - st.written;
@@ -532,7 +529,7 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
                 if st.frames.len() > st.written || kept || due {
                     break;
                 }
-                st = conn.cond.wait(st);
+                st = wait(&conn.cond, st);
             }
         }
 
@@ -549,7 +546,7 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
                 None => {
                     // Accepted stream: refresh our clone, or give up if it
                     // is gone (the peer must re-dial).
-                    let mut st = conn.state.lock();
+                    let mut st = lock(&conn.state);
                     match st.stream.as_ref().and_then(|s| s.try_clone().ok()) {
                         Some(s) => {
                             stream = Some(s);
@@ -576,7 +573,7 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
             }
         }
         let (batch, resent) = {
-            let mut st = conn.state.lock();
+            let mut st = lock(&conn.state);
             let mut resent = 0;
             if fresh {
                 frame::encode_link(conn.link, st.acked + 1, &mut out);
@@ -615,7 +612,7 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
             // accepted stream's are lost, exactly like an in-flight
             // datagram on a dead link, and the client asks again.
             stream = None;
-            let mut st = conn.state.lock();
+            let mut st = lock(&conn.state);
             if conn.dial.is_none() {
                 shared.tcp.frames_dropped.add(batch as u64);
             }
@@ -656,7 +653,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
             };
             match (frame, &mut link) {
                 (Frame::Link { id, next_seq }, _) if conn.dial.is_none() => {
-                    let mark = Arc::clone(shared.delivered.lock().entry(id).or_default());
+                    let mark = Arc::clone(lock(&shared.delivered).entry(id).or_default());
                     link = Some((mark, next_seq));
                 }
                 (Frame::Ack { seq }, _) => conn.acknowledged(seq),
@@ -664,7 +661,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
                     let seq = *next;
                     *next = seq.wrapping_add(1);
                     numbered += 1;
-                    let mut last = delivered.lock();
+                    let mut last = lock(delivered);
                     if seq > *last {
                         handle_frame(&shared, &conn, frame, &mut scatter);
                         *last = seq;
@@ -687,7 +684,7 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
     // Tear down this generation's stream state (unless a newer stream
     // already replaced it).
     {
-        let mut st = conn.state.lock();
+        let mut st = lock(&conn.state);
         if st.generation == generation {
             st.stream = None;
             st.closed |= conn.dial.is_none();
@@ -696,10 +693,8 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
     conn.cond.notify_all();
     if conn.dial.is_none() {
         // Remove the dead inbound connection and any routes through it.
-        shared.inbound.lock().retain(|c| !Arc::ptr_eq(c, &conn));
-        shared
-            .routes
-            .lock()
+        lock(&shared.inbound).retain(|c| !Arc::ptr_eq(c, &conn));
+        lock(&shared.routes)
             .conns
             .retain(|_, c| !Arc::ptr_eq(c, &conn));
     }
@@ -707,16 +702,16 @@ fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, mut stream: TcpStream, gene
 
 fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &mut Scatter) {
     match frame {
-        Frame::Hello { id } => shared.routes.lock().learn(id.0, conn),
+        Frame::Hello { id } => lock(&shared.routes).learn(id.0, conn),
         Frame::Nack { to } => {
             sdds_obs::counter("net.tcp.nacks_received").inc();
-            shared.unroutable.lock().insert(to.0);
+            lock(&shared.unroutable).insert(to.0);
         }
         Frame::Envelope(env) => {
             shared.tcp.frames_received.inc();
             if (DYN_BASE..COORD_ID).contains(&env.from.0) {
                 // Learn the reply route even if the hello raced us.
-                shared.routes.lock().learn(env.from.0, conn);
+                lock(&shared.routes).learn(env.from.0, conn);
             }
             incoming(shared, conn, env, scatter);
         }
@@ -747,14 +742,16 @@ fn incoming(shared: &Shared, conn: &Conn, env: Envelope, scatter: &mut Scatter) 
 mod tests {
     use crate::network::{NetConfig, NetError, Network, SiteId};
     use crate::registry::SiteRegistry;
+    use crate::sync::lock;
     use bytes::Bytes;
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
     const RECV: Duration = Duration::from_secs(5);
 
     /// Held by the tests that count writes and by the long burst: the
     /// `net.tcp.*` counters are the process's, not a connection's.
-    static COUNTED: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    static COUNTED: Mutex<()> = Mutex::new(());
 
     #[test]
     fn client_to_server_and_reply() {
@@ -932,9 +929,9 @@ mod tests {
         assert!(!routes.waiting.contains_key(&8), "waited too long");
         let conn = Conn::new(None, None);
         routes.learn(7, &conn);
-        assert_eq!(conn.state.lock().frames.len(), 1, "the frame went out");
+        assert_eq!(lock(&conn.state).frames.len(), 1, "the frame went out");
         assert!(routes.send(7, PooledBuf::take(), &dropped));
-        assert_eq!(conn.state.lock().frames.len(), 2, "on the route");
+        assert_eq!(lock(&conn.state).frames.len(), 2, "on the route");
     }
 
     #[test]
@@ -975,7 +972,7 @@ mod tests {
     #[test]
     fn a_burst_arrives_exactly_once_and_in_order_through_severed_connections() {
         const BURST: u32 = 10_000;
-        let _counted = COUNTED.lock();
+        let _counted = lock(&COUNTED);
         let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();
@@ -1017,7 +1014,7 @@ mod tests {
 
     #[test]
     fn writes_coalesce_bursts_into_fewer_syscalls() {
-        let _counted = COUNTED.lock();
+        let _counted = lock(&COUNTED);
         let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
         let bucket = server.register_with_id(SiteId(0)).unwrap();

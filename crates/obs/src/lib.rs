@@ -20,6 +20,8 @@
 //!   in one step so tests stop observing counters leaked by earlier
 //!   tests.
 //!
+//! The [`json`] module is the workspace's one JSON reader and writer.
+//!
 //! ```
 //! sdds_obs::counter("demo.requests").inc();
 //! let timer = sdds_obs::histogram("demo.latency_seconds").start_timer();
@@ -34,7 +36,10 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+pub mod json;
 pub mod trace;
+
+use json::{fmt_f64, quote};
 
 /// A monotonically increasing event count. Increments propagate to the
 /// same-named counter of the registry's parent (if any), so the default
@@ -625,10 +630,10 @@ impl MetricsSnapshot {
             histograms: BTreeMap::new(),
         };
         for (k, v) in top.get("counters")?.as_object()? {
-            snap.counters.insert(k.clone(), v.as_f64()? as u64);
+            snap.counters.insert(k.clone(), v.as_u64()?);
         }
         for (k, v) in top.get("gauges")?.as_object()? {
-            snap.gauges.insert(k.clone(), v.as_f64()? as i64);
+            snap.gauges.insert(k.clone(), v.as_i64()?);
         }
         for (k, v) in top.get("float_gauges")?.as_object()? {
             // to_json writes non-finite values as null; read them back as 0
@@ -640,13 +645,13 @@ impl MetricsSnapshot {
             snap.histograms.insert(
                 k.clone(),
                 HistogramSnapshot {
-                    count: h.get("count")?.as_f64()? as u64,
+                    count: h.get("count")?.as_u64()?,
                     sum_seconds: h.get("sum_seconds")?.as_f64()?,
                     buckets: h
                         .get("buckets")?
                         .as_array()?
                         .iter()
-                        .map(|b| b.as_f64().map(|f| f as u64))
+                        .map(json::Value::as_u64)
                         .collect::<Option<Vec<u64>>>()?,
                 },
             );
@@ -699,203 +704,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Minimal recursive-descent JSON reader for the snapshot schema —
-/// dependency-free like the rest of the crate. Accepts any valid JSON
-/// document; only the shapes `to_json` emits are mapped onto snapshots.
-mod json {
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&Vec<Value>> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Option<Value> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn eat(bytes: &[u8], pos: &mut usize, b: u8) -> Option<()> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b'{' => parse_object(bytes, pos),
-            b'[' => parse_array(bytes, pos),
-            b'"' => parse_string(bytes, pos).map(Value::String),
-            b't' => parse_lit(bytes, pos, b"true", Value::Bool(true)),
-            b'f' => parse_lit(bytes, pos, b"false", Value::Bool(false)),
-            b'n' => parse_lit(bytes, pos, b"null", Value::Null),
-            _ => parse_number(bytes, pos),
-        }
-    }
-
-    fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &[u8], value: Value) -> Option<Value> {
-        if bytes[*pos..].starts_with(lit) {
-            *pos += lit.len();
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()?
-            .parse()
-            .ok()
-            .map(Value::Number)
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        eat(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = bytes.get(*pos + 1..*pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            *pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // copy the raw UTF-8 run up to the next quote/escape
-                    let start = *pos;
-                    while *pos < bytes.len() && bytes[*pos] != b'"' && bytes[*pos] != b'\\' {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        eat(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Some(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos)? {
-                b',' => *pos += 1,
-                b']' => {
-                    *pos += 1;
-                    return Some(Value::Array(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        eat(bytes, pos, b'{')?;
-        let mut map = BTreeMap::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Some(Value::Object(map));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            eat(bytes, pos, b':')?;
-            map.insert(key, parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos)? {
-                b',' => *pos += 1,
-                b'}' => {
-                    *pos += 1;
-                    return Some(Value::Object(map));
-                }
-                _ => return None,
-            }
-        }
-    }
-}
-
 fn join<I: Iterator, F: FnMut(&mut String, I::Item)>(out: &mut String, items: I, mut f: F) {
     let mut first = true;
     for item in items {
@@ -904,33 +712,6 @@ fn join<I: Iterator, F: FnMut(&mut String, I::Item)>(out: &mut String, items: I,
         }
         first = false;
         f(out, item);
-    }
-}
-
-pub(crate) fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".into();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 
@@ -1039,6 +820,20 @@ mod tests {
             merged.float_gauges.is_empty(),
             "float gauges do not sum across ranks"
         );
+    }
+
+    /// A peer's report is untrusted text: nesting far past anything this
+    /// workspace writes is rejected, not recursed into until the stack
+    /// overflows.
+    #[test]
+    fn deep_nesting_fails_closed() {
+        const DEPTH: usize = 200_000;
+        let arrays = "[".repeat(DEPTH);
+        let objects = "{\"a\":".repeat(DEPTH);
+        for text in [&arrays, &objects] {
+            assert!(MetricsSnapshot::from_json(text).is_none());
+            assert!(trace::ParsedSpan::parse(text).is_none());
+        }
     }
 
     #[test]

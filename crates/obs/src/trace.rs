@@ -423,7 +423,7 @@ impl SpanRecord {
             self.trace_id,
             self.span_id,
             self.parent_span_id,
-            crate::quote(self.name),
+            crate::json::quote(self.name),
             self.site,
             self.detail,
             self.start_nanos,
@@ -454,38 +454,39 @@ pub struct ParsedSpan {
     pub duration_nanos: u64,
 }
 
-fn json_field<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let tag = format!("\"{field}\":");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn json_u64(line: &str, field: &str) -> Option<u64> {
-    json_field(line, field)?.parse().ok()
-}
-
-fn json_i64(line: &str, field: &str) -> Option<i64> {
-    json_field(line, field)?.parse().ok()
-}
-
 impl ParsedSpan {
     /// Parses one line produced by [`SpanRecord::to_json_line`]; `None`
     /// on malformed input.
     pub fn parse(line: &str) -> Option<ParsedSpan> {
-        let name_raw = json_field(line, "name")?;
-        let name = name_raw.strip_prefix('"')?.strip_suffix('"')?;
+        let value = crate::json::parse(line)?;
+        let fields = value.as_object()?;
+        let field = |name: &str| fields.get(name);
+        let u64_field = |name: &str| field(name)?.as_u64();
         Some(ParsedSpan {
-            trace_id: json_u64(line, "trace_id")?,
-            span_id: json_u64(line, "span_id")?,
-            parent_span_id: json_u64(line, "parent_span_id")?,
-            name: name.replace("\\\"", "\"").replace("\\\\", "\\"),
-            site: json_i64(line, "site")?,
-            detail: json_u64(line, "detail")?,
-            start_nanos: json_u64(line, "start_nanos")?,
-            duration_nanos: json_u64(line, "duration_nanos")?,
+            trace_id: u64_field("trace_id")?,
+            span_id: u64_field("span_id")?,
+            parent_span_id: u64_field("parent_span_id")?,
+            name: field("name")?.as_str()?.to_string(),
+            site: field("site")?.as_i64()?,
+            detail: u64_field("detail")?,
+            start_nanos: u64_field("start_nanos")?,
+            duration_nanos: u64_field("duration_nanos")?,
         })
+    }
+}
+
+impl From<&SpanRecord> for ParsedSpan {
+    fn from(rec: &SpanRecord) -> ParsedSpan {
+        ParsedSpan {
+            trace_id: rec.trace_id,
+            span_id: rec.span_id,
+            parent_span_id: rec.parent_span_id,
+            name: rec.name.to_string(),
+            site: rec.site,
+            detail: rec.detail,
+            start_nanos: rec.start_nanos,
+            duration_nanos: rec.duration_nanos,
+        }
     }
 }
 

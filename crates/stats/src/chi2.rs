@@ -6,7 +6,6 @@
 //! including the never-observed ones (each contributes `E`).
 
 use crate::special::igamc;
-use serde::Serialize;
 
 /// χ² of observed counts against uniform over `k` categories.
 ///
@@ -55,7 +54,7 @@ pub fn chi2_pvalue(stat: f64, df: f64) -> f64 {
 
 /// A χ² report for one symbol stream: the single/doublet/triplet statistics
 /// the paper tabulates, with their degrees of freedom.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Chi2Report {
     /// χ² over single symbols.
     pub single: f64,

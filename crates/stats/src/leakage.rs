@@ -25,7 +25,6 @@
 //!   skewed ratio is the footprint frequency-analysis attacks exploit.
 
 use crate::chi2::{chi2_pvalue, chi2_uniform_from_counts};
-use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 /// Streams stored record bodies and accumulates per-bucket element
@@ -84,7 +83,7 @@ impl Histogram {
 }
 
 /// Uniformity statistics for one element stream (a bucket, or the pool).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LeakageSummary {
     /// Elements observed.
     pub elements: u64,
@@ -102,7 +101,7 @@ pub struct LeakageSummary {
 }
 
 /// Per-bucket uniformity statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BucketLeakage {
     /// Bucket address the elements were stored in.
     pub bucket: u64,
@@ -111,7 +110,7 @@ pub struct BucketLeakage {
 }
 
 /// A full leakage audit: pooled statistics plus a per-bucket breakdown.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LeakageReport {
     /// Element width in bytes the bodies were split into.
     pub element_bytes: usize,
@@ -276,15 +275,5 @@ mod tests {
             assert!((per_bucket - report.buckets[1].summary.chi_square_per_df).abs() < 1e-12);
             per_bucket
         });
-    }
-
-    #[test]
-    fn report_serializes_to_json() {
-        let mut auditor = LeakageAuditor::new(2);
-        auditor.observe(0, &[1, 2, 3, 4]);
-        let json = serde_json::to_string(&auditor.report(4)).unwrap();
-        assert!(json.contains("\"chi_square\""));
-        assert!(json.contains("\"overall\""));
-        assert!(json.contains("\"buckets\""));
     }
 }

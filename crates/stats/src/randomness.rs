@@ -10,10 +10,9 @@
 //! returning a p-value where p < 0.01 conventionally rejects randomness.
 
 use crate::special::{erfc, igamc};
-use serde::Serialize;
 
 /// Outcome of a single randomness test.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TestResult {
     /// Test name.
     pub name: &'static str,
@@ -328,7 +327,7 @@ pub fn spectral(bytes: &[u8]) -> TestResult {
 /// let report = RandomnessReport::run(&obviously_not_random);
 /// assert!(report.passed(0.01) < report.tests.len());
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RandomnessReport {
     /// Individual test outcomes.
     pub tests: Vec<TestResult>,

@@ -1,140 +1,3 @@
-//! Minimal offline stand-in for the `parking_lot` crate.
-//!
-//! Wraps `std::sync::{Mutex, RwLock, Condvar}` with the `parking_lot` call
-//! shape: `lock()` / `read()` / `write()` return guards directly instead of
-//! `Result`s. Poisoned locks are recovered transparently (matching
-//! `parking_lot`, which has no poisoning).
-
-use std::sync::{self, Condvar as StdCondvar};
-use std::time::Duration;
-
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-
-/// A mutual-exclusion lock that never poisons.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    pub const fn new(value: T) -> Self {
-        Mutex {
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock that never poisons.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A condition variable usable with this crate's [`Mutex`].
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: StdCondvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar {
-            inner: StdCondvar::new(),
-        }
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.inner.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        match self.inner.wait_timeout(guard, timeout) {
-            Ok((g, to)) => (g, to.timed_out()),
-            Err(e) => {
-                let (g, to) = e.into_inner();
-                (g, to.timed_out())
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mutex_basics() {
-        let m = Mutex::new(1);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-}
+//! Empty placeholder: no code uses this crate. `benchmark/Cargo.lock`
+//! still names it, so it stays until that lock is next regenerated
+//! (see `shims/README.md`).

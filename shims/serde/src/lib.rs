@@ -1,395 +1,3 @@
-//! Minimal offline stand-in for the `serde` crate.
-//!
-//! Instead of serde's visitor machinery, serialization goes through an
-//! explicit JSON-like [`Value`] tree: [`Serialize`] renders a value into a
-//! `Value` and [`Deserialize`] rebuilds one from it. The companion
-//! `serde_derive` shim generates impls with the same data layout real serde
-//! uses for JSON (named structs → objects, newtype structs transparent,
-//! enums externally tagged), and the `serde_json` shim prints/parses the
-//! `Value` tree, so derived types round-trip through the same JSON text
-//! they would with the real crates.
-
-use std::collections::HashMap;
-use std::fmt;
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// A JSON-shaped value tree.
-///
-/// Object entries preserve insertion order so serialized output is stable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    /// Non-negative integers.
-    U64(u64),
-    /// Negative integers.
-    I64(i64),
-    F64(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Looks up a field of an object value.
-    pub fn get_field(&self, name: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Error produced when a [`Value`] does not match the requested type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError(pub String);
-
-impl DeError {
-    pub fn custom(msg: impl fmt::Display) -> DeError {
-        DeError(msg.to_string())
-    }
-
-    pub fn missing_field(name: &str) -> DeError {
-        DeError(format!("missing field `{name}`"))
-    }
-
-    pub fn unknown_variant(name: &str) -> DeError {
-        DeError(format!("unknown variant `{name}`"))
-    }
-
-    pub fn invalid_type(expected: &str, got: &Value) -> DeError {
-        let kind = match got {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::U64(_) | Value::I64(_) => "integer",
-            Value::F64(_) => "float",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        };
-        DeError(format!("invalid type: expected {expected}, found {kind}"))
-    }
-}
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for DeError {}
-
-/// Renders `self` into a [`Value`] tree.
-pub trait Serialize {
-    fn to_value(&self) -> Value;
-}
-
-/// Rebuilds `Self` from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-}
-
-// ---------------------------------------------------------------------------
-// Primitive impls
-// ---------------------------------------------------------------------------
-
-macro_rules! impl_serde_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    _ => Err(DeError::invalid_type(stringify!($t), v)),
-                }
-            }
-        }
-    )*};
-}
-
-impl_serde_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_serde_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 { Value::U64(n as u64) } else { Value::I64(n) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::I64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    _ => Err(DeError::invalid_type(stringify!($t), v)),
-                }
-            }
-        }
-    )*};
-}
-
-impl_serde_int!(i8, i16, i32, i64, isize);
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::invalid_type("bool", v)),
-        }
-    }
-}
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::F64(x) => Ok(*x),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            _ => Err(DeError::invalid_type("f64", v)),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|x| x as f32)
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(DeError::invalid_type("string", v)),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            _ => Err(DeError::invalid_type("char", v)),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Containers
-// ---------------------------------------------------------------------------
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Arr(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::invalid_type("array", v)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items = Vec::<T>::from_value(v)?;
-        let len = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| DeError::custom(format!("expected array of length {N}, got {len}")))
-    }
-}
-
-macro_rules! impl_serde_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                const ARITY: usize = [$($idx),+].len();
-                match v {
-                    Value::Arr(items) if items.len() == ARITY => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    _ => Err(DeError::invalid_type("tuple array", v)),
-                }
-            }
-        }
-    )*};
-}
-
-impl_serde_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
-impl<K: Serialize + fmt::Display, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        // Sorted for deterministic output (HashMap iteration order is not).
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_value()))
-            .collect();
-        entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Value::Obj(entries)
-    }
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(()),
-            _ => Err(DeError::invalid_type("null", v)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn options_and_vecs_roundtrip() {
-        let x: Option<Vec<u8>> = Some(vec![1, 2]);
-        let v = x.to_value();
-        assert_eq!(Option::<Vec<u8>>::from_value(&v).unwrap(), x);
-        let n: Option<Vec<u8>> = None;
-        assert_eq!(n.to_value(), Value::Null);
-        assert_eq!(Option::<Vec<u8>>::from_value(&Value::Null).unwrap(), None);
-    }
-
-    #[test]
-    fn tuples_and_arrays_roundtrip() {
-        let t = (7u64, vec![1u8, 2]);
-        let v = t.to_value();
-        assert_eq!(<(u64, Vec<u8>)>::from_value(&v).unwrap(), t);
-        let a = [1u8; 16];
-        assert_eq!(<[u8; 16]>::from_value(&a.to_value()).unwrap(), a);
-    }
-
-    #[test]
-    fn type_mismatch_is_an_error() {
-        assert!(u64::from_value(&Value::Str("x".into())).is_err());
-        assert!(u8::from_value(&Value::U64(999)).is_err());
-        assert!(<[u8; 4]>::from_value(&vec![1u8, 2].to_value()).is_err());
-    }
-}
+//! Empty placeholder: no code uses this crate. `benchmark/Cargo.lock`
+//! still names it, so it stays until that lock is next regenerated
+//! (see `shims/README.md`).

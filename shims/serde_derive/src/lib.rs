@@ -1,479 +1,3 @@
-//! Offline stand-in for `serde_derive`, written directly against
-//! `proc_macro` (no `syn`/`quote`).
-//!
-//! Generates impls of the shim `serde` crate's `Serialize`/`Deserialize`
-//! traits with the data layout real serde uses for JSON:
-//!
-//! * named structs → objects keyed by field name;
-//! * single-field tuple structs (newtypes) → the inner value, transparent;
-//! * enums → externally tagged: unit variants as strings, struct variants
-//!   as `{"Variant": {fields…}}`.
-//!
-//! Supported attributes: `#[serde(default)]` on fields, and
-//! `#[serde(from = "T")]` / `#[serde(into = "T")]` on containers. Generic
-//! types are rejected — the workspace derives none.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, Mode::Serialize)
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, Mode::Deserialize)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Serialize,
-    Deserialize,
-}
-
-struct Field {
-    name: String,
-    default: bool,
-}
-
-enum Variant {
-    Unit(String),
-    Struct(String, Vec<Field>),
-}
-
-enum Item {
-    NamedStruct(Vec<Field>),
-    /// Tuple struct with its field count.
-    TupleStruct(usize),
-    Enum(Vec<Variant>),
-}
-
-struct ContainerAttrs {
-    from: Option<String>,
-    into: Option<String>,
-}
-
-fn error(msg: &str) -> TokenStream {
-    format!("compile_error!({msg:?});").parse().unwrap()
-}
-
-fn expand(input: TokenStream, mode: Mode) -> TokenStream {
-    let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut pos = 0;
-
-    let mut attrs = ContainerAttrs {
-        from: None,
-        into: None,
-    };
-    collect_attrs(&tokens, &mut pos, |key, value| match (key, value) {
-        ("from", Some(v)) => attrs.from = Some(v),
-        ("into", Some(v)) => attrs.into = Some(v),
-        _ => {}
-    });
-    skip_visibility(&tokens, &mut pos);
-
-    let kind = match ident_at(&tokens, pos) {
-        Some(k) if k == "struct" || k == "enum" => k,
-        _ => return error("serde shim derive: expected `struct` or `enum`"),
-    };
-    pos += 1;
-    let Some(name) = ident_at(&tokens, pos) else {
-        return error("serde shim derive: expected type name");
-    };
-    pos += 1;
-    if matches!(&tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return error("serde shim derive: generic types are not supported");
-    }
-
-    let item = if kind == "struct" {
-        match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Item::NamedStruct(parse_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Item::TupleStruct(count_tuple_fields(g.stream()))
-            }
-            _ => return error("serde shim derive: unsupported struct body"),
-        }
-    } else {
-        match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                match parse_variants(g.stream()) {
-                    Ok(vs) => Item::Enum(vs),
-                    Err(e) => return error(&e),
-                }
-            }
-            _ => return error("serde shim derive: expected enum body"),
-        }
-    };
-
-    let code = match mode {
-        Mode::Serialize => match &attrs.into {
-            Some(repr) => gen_serialize_into(&name, repr),
-            None => gen_serialize(&name, &item),
-        },
-        Mode::Deserialize => match &attrs.from {
-            Some(repr) => gen_deserialize_from(&name, repr),
-            None => gen_deserialize(&name, &item),
-        },
-    };
-    code.parse().unwrap()
-}
-
-// ---------------------------------------------------------------------------
-// Token-level parsing helpers
-// ---------------------------------------------------------------------------
-
-fn ident_at(tokens: &[TokenTree], pos: usize) -> Option<String> {
-    match tokens.get(pos) {
-        Some(TokenTree::Ident(i)) => Some(i.to_string()),
-        _ => None,
-    }
-}
-
-/// Consumes `#[...]` attributes starting at `pos`, reporting every
-/// `#[serde(key)]` / `#[serde(key = "value")]` entry to `on_serde`.
-fn collect_attrs(
-    tokens: &[TokenTree],
-    pos: &mut usize,
-    mut on_serde: impl FnMut(&str, Option<String>),
-) {
-    while let Some(TokenTree::Punct(p)) = tokens.get(*pos) {
-        if p.as_char() != '#' {
-            break;
-        }
-        let Some(TokenTree::Group(g)) = tokens.get(*pos + 1) else {
-            break;
-        };
-        if g.delimiter() != Delimiter::Bracket {
-            break;
-        }
-        let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-        if matches!(inner.first(), Some(TokenTree::Ident(i)) if i.to_string() == "serde") {
-            if let Some(TokenTree::Group(args)) = inner.get(1) {
-                parse_serde_args(args.stream(), &mut on_serde);
-            }
-        }
-        *pos += 2;
-    }
-}
-
-/// Parses the inside of `serde(...)`: comma-separated `key` or
-/// `key = "value"` entries.
-fn parse_serde_args(stream: TokenStream, on_serde: &mut impl FnMut(&str, Option<String>)) {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut i = 0;
-    while i < tokens.len() {
-        let Some(key) = ident_at(&tokens, i) else {
-            i += 1;
-            continue;
-        };
-        i += 1;
-        let mut value = None;
-        if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
-            if let Some(TokenTree::Literal(lit)) = tokens.get(i + 1) {
-                value = Some(lit.to_string().trim_matches('"').to_string());
-            }
-            i += 2;
-        }
-        on_serde(&key, value);
-        // skip a trailing comma
-        if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            i += 1;
-        }
-    }
-}
-
-fn skip_visibility(tokens: &[TokenTree], pos: &mut usize) {
-    if matches!(ident_at(tokens, *pos).as_deref(), Some("pub")) {
-        *pos += 1;
-        if matches!(tokens.get(*pos), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
-        {
-            *pos += 1;
-        }
-    }
-}
-
-/// Skips type tokens until a top-level comma (angle brackets tracked so
-/// commas inside generic argument lists don't split fields).
-fn skip_type(tokens: &[TokenTree], pos: &mut usize) {
-    let mut angle_depth = 0i32;
-    while let Some(tok) = tokens.get(*pos) {
-        if let TokenTree::Punct(p) = tok {
-            match p.as_char() {
-                '<' => angle_depth += 1,
-                '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => return,
-                _ => {}
-            }
-        }
-        *pos += 1;
-    }
-}
-
-/// Parses the fields of a named struct (or named enum variant) body.
-fn parse_fields(stream: TokenStream) -> Vec<Field> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut fields = Vec::new();
-    let mut pos = 0;
-    while pos < tokens.len() {
-        let mut default = false;
-        collect_attrs(&tokens, &mut pos, |key, _| {
-            if key == "default" {
-                default = true;
-            }
-        });
-        skip_visibility(&tokens, &mut pos);
-        let Some(name) = ident_at(&tokens, pos) else {
-            break;
-        };
-        pos += 1;
-        // ':'
-        pos += 1;
-        skip_type(&tokens, &mut pos);
-        // ','
-        pos += 1;
-        fields.push(Field { name, default });
-    }
-    fields
-}
-
-/// Counts top-level fields of a tuple struct body.
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
-    let mut count = 0;
-    let mut pos = 0;
-    while pos < tokens.len() {
-        // attributes and visibility may precede the type
-        collect_attrs(&tokens, &mut pos, |_, _| {});
-        skip_visibility(&tokens, &mut pos);
-        skip_type(&tokens, &mut pos);
-        count += 1;
-        pos += 1; // the comma
-    }
-    count
-}
-
-fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut variants = Vec::new();
-    let mut pos = 0;
-    while pos < tokens.len() {
-        collect_attrs(&tokens, &mut pos, |_, _| {});
-        let Some(name) = ident_at(&tokens, pos) else {
-            break;
-        };
-        pos += 1;
-        match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                variants.push(Variant::Struct(name, parse_fields(g.stream())));
-                pos += 1;
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                return Err(format!(
-                    "serde shim derive: tuple variant `{name}` is not supported"
-                ));
-            }
-            _ => variants.push(Variant::Unit(name)),
-        }
-        if matches!(tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            pos += 1;
-        }
-    }
-    Ok(variants)
-}
-
-// ---------------------------------------------------------------------------
-// Code generation
-// ---------------------------------------------------------------------------
-
-/// `(String::from("name"), Serialize::to_value(expr))` object entry.
-fn obj_entry(name: &str, value_expr: &str) -> String {
-    format!("(::std::string::String::from({name:?}), ::serde::Serialize::to_value({value_expr}))")
-}
-
-/// Expression deserializing field `name` out of the object `src_expr`.
-fn field_from_value(src_expr: &str, field: &Field) -> String {
-    let name = &field.name;
-    if field.default {
-        format!(
-            "match {src_expr}.get_field({name:?}) {{ \
-               ::std::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?, \
-               ::std::option::Option::None => ::std::default::Default::default(), \
-             }}"
-        )
-    } else {
-        format!(
-            "::serde::Deserialize::from_value({src_expr}.get_field({name:?})\
-             .ok_or_else(|| ::serde::DeError::missing_field({name:?}))?)?"
-        )
-    }
-}
-
-fn gen_serialize(name: &str, item: &Item) -> String {
-    let body = match item {
-        Item::NamedStruct(fields) => {
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| obj_entry(&f.name, &format!("&self.{}", f.name)))
-                .collect();
-            format!("::serde::Value::Obj(vec![{}])", entries.join(", "))
-        }
-        Item::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Item::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Arr(vec![{}])", items.join(", "))
-        }
-        Item::Enum(variants) => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| match v {
-                    Variant::Unit(vn) => format!(
-                        "{name}::{vn} => ::serde::Value::Str(::std::string::String::from({vn:?})),"
-                    ),
-                    Variant::Struct(vn, fields) => {
-                        let bindings: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let entries: Vec<String> =
-                            fields.iter().map(|f| obj_entry(&f.name, &f.name)).collect();
-                        format!(
-                            "{name}::{vn} {{ {} }} => ::serde::Value::Obj(vec![\
-                               (::std::string::String::from({vn:?}), \
-                                ::serde::Value::Obj(vec![{}]))]),",
-                            bindings.join(", "),
-                            entries.join(", ")
-                        )
-                    }
-                })
-                .collect();
-            format!("match self {{ {} }}", arms.join(" "))
-        }
-    };
-    format!(
-        "#[automatically_derived] #[allow(clippy::all)] \
-         impl ::serde::Serialize for {name} {{ \
-           fn to_value(&self) -> ::serde::Value {{ {body} }} \
-         }}"
-    )
-}
-
-fn gen_deserialize(name: &str, item: &Item) -> String {
-    let body = match item {
-        Item::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{}: {}", f.name, field_from_value("__v", f)))
-                .collect();
-            format!(
-                "::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Item::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        Item::TupleStruct(n) => {
-            let inits: Vec<String> = (0..*n)
-                .map(|i| {
-                    format!(
-                        "::serde::Deserialize::from_value(__items.get({i})\
-                         .ok_or_else(|| ::serde::DeError::custom(\"tuple struct too short\"))?)?"
-                    )
-                })
-                .collect();
-            format!(
-                "match __v {{ \
-                   ::serde::Value::Arr(__items) => ::std::result::Result::Ok({name}({})), \
-                   _ => ::std::result::Result::Err(::serde::DeError::invalid_type(\"array\", __v)), \
-                 }}",
-                inits.join(", ")
-            )
-        }
-        Item::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| match v {
-                    Variant::Unit(vn) => Some(format!(
-                        "{vn:?} => ::std::result::Result::Ok({name}::{vn}),"
-                    )),
-                    _ => None,
-                })
-                .collect();
-            let struct_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| match v {
-                    Variant::Struct(vn, fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{}: {}", f.name, field_from_value("__inner", f)))
-                            .collect();
-                        Some(format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn} {{ {} }}),",
-                            inits.join(", ")
-                        ))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let mut arms = Vec::new();
-            if !unit_arms.is_empty() {
-                arms.push(format!(
-                    "::serde::Value::Str(__s) => match __s.as_str() {{ {} \
-                       __other => ::std::result::Result::Err(::serde::DeError::unknown_variant(__other)), }},",
-                    unit_arms.join(" ")
-                ));
-            }
-            if !struct_arms.is_empty() {
-                arms.push(format!(
-                    "::serde::Value::Obj(__entries) if __entries.len() == 1 => {{ \
-                       let (__tag, __inner) = &__entries[0]; \
-                       match __tag.as_str() {{ {} \
-                         __other => ::std::result::Result::Err(::serde::DeError::unknown_variant(__other)), }} }},",
-                    struct_arms.join(" ")
-                ));
-            }
-            arms.push(format!(
-                "_ => ::std::result::Result::Err(::serde::DeError::custom(\
-                   \"invalid representation for enum {name}\")),"
-            ));
-            format!("match __v {{ {} }}", arms.join(" "))
-        }
-    };
-    format!(
-        "#[automatically_derived] #[allow(clippy::all)] \
-         impl ::serde::Deserialize for {name} {{ \
-           fn from_value(__v: &::serde::Value) \
-               -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }} \
-         }}"
-    )
-}
-
-fn gen_serialize_into(name: &str, repr: &str) -> String {
-    format!(
-        "#[automatically_derived] #[allow(clippy::all)] \
-         impl ::serde::Serialize for {name} {{ \
-           fn to_value(&self) -> ::serde::Value {{ \
-             let __repr: {repr} = \
-                 ::std::convert::Into::into(::std::clone::Clone::clone(self)); \
-             ::serde::Serialize::to_value(&__repr) \
-           }} \
-         }}"
-    )
-}
-
-fn gen_deserialize_from(name: &str, repr: &str) -> String {
-    format!(
-        "#[automatically_derived] #[allow(clippy::all)] \
-         impl ::serde::Deserialize for {name} {{ \
-           fn from_value(__v: &::serde::Value) \
-               -> ::std::result::Result<Self, ::serde::DeError> {{ \
-             let __repr: {repr} = ::serde::Deserialize::from_value(__v)?; \
-             ::std::result::Result::Ok(::std::convert::From::from(__repr)) \
-           }} \
-         }}"
-    )
-}
+//! Empty placeholder: no code uses this crate. `benchmark/Cargo.lock`
+//! still names it, so it stays until that lock is next regenerated
+//! (see `shims/README.md`).

@@ -1,450 +1,3 @@
-//! Minimal offline stand-in for the `serde_json` crate.
-//!
-//! Prints and parses JSON text against the shim `serde`'s [`Value`] tree.
-//! Covers the workspace surface: `to_writer`, `to_vec`, `to_string`,
-//! `to_string_pretty`, `from_slice`, `from_str`. Number fidelity matches
-//! what the workspace needs: non-negative integers stay `u64`, negative
-//! integers stay `i64`, anything fractional or out of range becomes `f64`.
-
-use serde::{Deserialize, Serialize, Value};
-use std::fmt;
-use std::io::Write;
-
-/// Error for both serialization and parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Error {
-        Error(e.0)
-    }
-}
-
-pub type Result<T> = std::result::Result<T, Error>;
-
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    // The writer below only ever emits valid UTF-8.
-    to_vec(value).and_then(|v| String::from_utf8(v).map_err(|e| Error::new(e.to_string())))
-}
-
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = Vec::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0)?;
-    String::from_utf8(out).map_err(|e| Error::new(e.to_string()))
-}
-
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    write_value(&mut out, &value.to_value(), None, 0)?;
-    Ok(out)
-}
-
-/// Serializes `value` as compact JSON directly into `writer` — no
-/// intermediate `String`/`Vec` allocation, so callers can stream into a
-/// reusable (pooled) buffer.
-pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
-    write_value(&mut writer, &value.to_value(), None, 0)
-}
-
-fn io_err(e: std::io::Error) -> Error {
-    Error::new(e.to_string())
-}
-
-fn write_value<W: Write>(
-    out: &mut W,
-    v: &Value,
-    indent: Option<usize>,
-    depth: usize,
-) -> Result<()> {
-    match v {
-        Value::Null => out.write_all(b"null").map_err(io_err)?,
-        Value::Bool(b) => out
-            .write_all(if *b { b"true" } else { b"false" })
-            .map_err(io_err)?,
-        Value::U64(n) => write!(out, "{n}").map_err(io_err)?,
-        Value::I64(n) => write!(out, "{n}").map_err(io_err)?,
-        Value::F64(x) => {
-            if !x.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float"));
-            }
-            // Always keep a decimal point / exponent so the value reads
-            // back as a float, matching serde_json.
-            let s = x.to_string();
-            out.write_all(s.as_bytes()).map_err(io_err)?;
-            if !s.contains(['.', 'e', 'E']) {
-                out.write_all(b".0").map_err(io_err)?;
-            }
-        }
-        Value::Str(s) => write_string(out, s)?,
-        Value::Arr(items) => {
-            out.write_all(b"[").map_err(io_err)?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.write_all(b",").map_err(io_err)?;
-                }
-                newline_indent(out, indent, depth + 1)?;
-                write_value(out, item, indent, depth + 1)?;
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, depth)?;
-            }
-            out.write_all(b"]").map_err(io_err)?;
-        }
-        Value::Obj(entries) => {
-            out.write_all(b"{").map_err(io_err)?;
-            for (i, (key, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.write_all(b",").map_err(io_err)?;
-                }
-                newline_indent(out, indent, depth + 1)?;
-                write_string(out, key)?;
-                out.write_all(b":").map_err(io_err)?;
-                if indent.is_some() {
-                    out.write_all(b" ").map_err(io_err)?;
-                }
-                write_value(out, val, indent, depth + 1)?;
-            }
-            if !entries.is_empty() {
-                newline_indent(out, indent, depth)?;
-            }
-            out.write_all(b"}").map_err(io_err)?;
-        }
-    }
-    Ok(())
-}
-
-fn newline_indent<W: Write>(out: &mut W, indent: Option<usize>, depth: usize) -> Result<()> {
-    if let Some(width) = indent {
-        out.write_all(b"\n").map_err(io_err)?;
-        for _ in 0..width * depth {
-            out.write_all(b" ").map_err(io_err)?;
-        }
-    }
-    Ok(())
-}
-
-fn write_string<W: Write>(out: &mut W, s: &str) -> Result<()> {
-    out.write_all(b"\"").map_err(io_err)?;
-    let mut buf = [0u8; 4];
-    for c in s.chars() {
-        match c {
-            '"' => out.write_all(b"\\\"").map_err(io_err)?,
-            '\\' => out.write_all(b"\\\\").map_err(io_err)?,
-            '\n' => out.write_all(b"\\n").map_err(io_err)?,
-            '\r' => out.write_all(b"\\r").map_err(io_err)?,
-            '\t' => out.write_all(b"\\t").map_err(io_err)?,
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).map_err(io_err)?;
-            }
-            c => out
-                .write_all(c.encode_utf8(&mut buf).as_bytes())
-                .map_err(io_err)?,
-        }
-    }
-    out.write_all(b"\"").map_err(io_err)
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
-    let value = parse_value_complete(text)?;
-    Ok(T::from_value(&value)?)
-}
-
-pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
-    let text = std::str::from_utf8(bytes).map_err(|e| Error::new(e.to_string()))?;
-    from_str(text)
-}
-
-fn parse_value_complete(text: &str) -> Result<Value> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.parse_value()?;
-    p.skip_whitespace();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new("trailing characters after JSON value"));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<()> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected {:?} at offset {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(Error::new(format!(
-                "unexpected input at offset {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(Error::new(format!(
-                "invalid literal at offset {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !is_float {
-            if let Some(digits) = text.strip_prefix('-') {
-                if let Ok(n) = digits.parse::<u64>() {
-                    if let Ok(i) = i64::try_from(n) {
-                        return Ok(Value::I64(-i));
-                    }
-                }
-            } else if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::U64(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number {text:?}")))
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error::new("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::new(e.to_string()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(Error::new("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(entries));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(entries));
-                }
-                _ => return Err(Error::new("expected ',' or '}' in object")),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_scalars_and_containers() {
-        let v: Vec<Option<u64>> = vec![Some(1), None, Some(u64::MAX)];
-        let json = to_string(&v).unwrap();
-        assert_eq!(json, format!("[1,null,{}]", u64::MAX));
-        let back: Vec<Option<u64>> = from_str(&json).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn strings_escape_and_unescape() {
-        let s = "a\"b\\c\nd\u{1}é".to_string();
-        let json = to_string(&s).unwrap();
-        let back: String = from_str(&json).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn floats_keep_a_decimal_point() {
-        assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
-        assert_eq!(to_string(&0.5f64).unwrap(), "0.5");
-        let x: f64 = from_str("2.5e3").unwrap();
-        assert_eq!(x, 2500.0);
-    }
-
-    #[test]
-    fn negative_and_large_integers() {
-        let x: i64 = from_str("-42").unwrap();
-        assert_eq!(x, -42);
-        let y: u64 = from_str(&u64::MAX.to_string()).unwrap();
-        assert_eq!(y, u64::MAX);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(from_str::<u64>("not json").is_err());
-        assert!(from_str::<u64>("1 2").is_err());
-        assert!(from_str::<Vec<u8>>("[1,").is_err());
-    }
-
-    #[test]
-    fn pretty_printing_indents() {
-        let v: Vec<u8> = vec![1, 2];
-        assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1,\n  2\n]");
-    }
-
-    #[test]
-    fn to_writer_matches_to_string() {
-        let v: Vec<Option<String>> = vec![Some("a\"b".into()), None];
-        let mut out = Vec::new();
-        to_writer(&mut out, &v).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), to_string(&v).unwrap());
-    }
-}
+//! Empty placeholder: no code uses this crate. `benchmark/Cargo.lock`
+//! still names it, so it stays until that lock is next regenerated
+//! (see `shims/README.md`).

@@ -16,7 +16,7 @@ use sdds_repro::core::{
 };
 use sdds_repro::corpus::{format_directory, parse_directory, DirectoryGenerator, Record};
 use sdds_repro::net::SiteRegistry;
-use sdds_repro::stats::LeakageAuditor;
+use sdds_repro::stats::{LeakageAuditor, LeakageReport, LeakageSummary};
 use sdds_repro::storage::{DiskOptions, FsyncPolicy, StorageConfig};
 use std::collections::HashMap;
 use std::fmt::Display;
@@ -605,16 +605,13 @@ fn report_cluster_scrape(scrape: &sdds_repro::lh::ClusterScrape, flags: &Flags) 
     }
 }
 
-/// Drains this process's flight recorder and re-reads it as parsed spans
-/// (the stitching input type).
+/// Drains this process's flight recorder as parsed spans (the stitching
+/// input type).
 fn local_parsed_spans() -> Vec<sdds_obs::trace::ParsedSpan> {
-    let spans = sdds_obs::trace::drain_spans();
-    let mut text = String::with_capacity(spans.len() * 160);
-    for s in &spans {
-        text.push_str(&s.to_json_line());
-        text.push('\n');
-    }
-    sdds_obs::trace::parse_jsonl(&text).0
+    sdds_obs::trace::drain_spans()
+        .iter()
+        .map(sdds_obs::trace::ParsedSpan::from)
+        .collect()
 }
 
 /// Prints each stitched trace tree with a connectivity summary line.
@@ -745,7 +742,7 @@ fn audit_leakage(flags: &Flags) {
         "{:>7}  {:>10}  {:>9}  {:>10}  {:>8}  {:>11}",
         "bucket", "elements", "distinct", "chi2/df", "p-value", "top-m ratio"
     );
-    let row = |label: &dyn Display, s: &sdds_repro::stats::LeakageSummary| {
+    let row = |label: &dyn Display, s: &LeakageSummary| {
         println!(
             "{label:>7}  {:>10}  {:>9}  {:>10.4}  {:>8.4}  {:>11.6}",
             s.elements, s.distinct, s.chi_square_per_df, s.p_value, s.top_ratio,
@@ -761,11 +758,46 @@ fn audit_leakage(flags: &Flags) {
         report.overall.chi_square,
     );
     if let Some(path) = flags.get("json-out") {
-        let body = serde_json::to_string(&report)
-            .unwrap_or_else(|e| fail(format!("cannot serialize report: {e}")));
-        write_file(path, body, "leakage report");
+        write_file(path, leakage_json(&report), "leakage report");
     }
     maybe_write_metrics(flags);
+}
+
+/// The `--json-out` leakage report: one compact JSON document with keys
+/// in field order (`element_bytes`, `alphabet`, `top_m`, `overall`,
+/// `buckets`; each bucket is `{"bucket", "summary"}`).
+fn leakage_json(report: &LeakageReport) -> String {
+    use sdds_obs::json::fmt_f64;
+    let summary = |s: &LeakageSummary| {
+        format!(
+            "{{\"elements\":{},\"distinct\":{},\"chi_square\":{},\"chi_square_per_df\":{},\"p_value\":{},\"top_ratio\":{}}}",
+            s.elements,
+            s.distinct,
+            fmt_f64(s.chi_square),
+            fmt_f64(s.chi_square_per_df),
+            fmt_f64(s.p_value),
+            fmt_f64(s.top_ratio),
+        )
+    };
+    let buckets: Vec<String> = report
+        .buckets
+        .iter()
+        .map(|b| {
+            format!(
+                "{{\"bucket\":{},\"summary\":{}}}",
+                b.bucket,
+                summary(&b.summary)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"element_bytes\":{},\"alphabet\":{},\"top_m\":{},\"overall\":{},\"buckets\":[{}]}}",
+        report.element_bytes,
+        report.alphabet,
+        report.top_m,
+        summary(&report.overall),
+        buckets.join(","),
+    )
 }
 
 /// A search pattern drawn from the loaded corpus, so the traced search

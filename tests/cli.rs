@@ -74,3 +74,51 @@ fn a_well_formed_search_runs() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(stderr(&out).contains("hit(s)"), "{}", stderr(&out));
 }
+
+#[test]
+fn audit_leakage_writes_the_report_as_json() {
+    let path = std::env::temp_dir().join(format!("sdds-leak-{}.json", std::process::id()));
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    let out = sdds(&["audit-leakage", "--entries", "300", "--json-out", path_arg]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&path).expect("report written");
+    let _ = std::fs::remove_file(&path);
+    assert!(text.starts_with("{\"element_bytes\":"), "{text}");
+    let doc = sdds_obs::json::parse(&text).expect("valid JSON");
+    let top = doc.as_object().expect("object");
+    let keys: Vec<&str> = top.keys().map(String::as_str).collect();
+    assert_eq!(
+        keys,
+        ["alphabet", "buckets", "element_bytes", "overall", "top_m"]
+    );
+    let summary_keys = [
+        "chi_square",
+        "chi_square_per_df",
+        "distinct",
+        "elements",
+        "p_value",
+        "top_ratio",
+    ];
+    let overall = top["overall"].as_object().expect("object");
+    assert_eq!(
+        overall.keys().map(String::as_str).collect::<Vec<_>>(),
+        summary_keys
+    );
+    assert!(overall["elements"].as_u64().is_some_and(|n| n > 0));
+    assert!(overall["chi_square"].as_f64().is_some_and(f64::is_finite));
+    let buckets = top["buckets"].as_array().expect("array");
+    assert!(!buckets.is_empty());
+    for b in buckets {
+        let b = b.as_object().expect("object");
+        assert_eq!(
+            b.keys().map(String::as_str).collect::<Vec<_>>(),
+            ["bucket", "summary"]
+        );
+        assert!(b["bucket"].as_u64().is_some());
+        let s = b["summary"].as_object().expect("object");
+        assert_eq!(
+            s.keys().map(String::as_str).collect::<Vec<_>>(),
+            summary_keys
+        );
+    }
+}
