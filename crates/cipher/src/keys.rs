@@ -110,12 +110,6 @@ impl KeyMaterial {
         seed_from(&self.master.derive("dispersion", 0))
     }
 
-    /// Seed for any keyed choices inside the Stage-2 encoder (e.g. tie
-    /// breaking between equal-frequency chunks).
-    pub fn encoding_seed(&self) -> u64 {
-        seed_from(&self.master.derive("encoding", 0))
-    }
-
     /// Sub-keys for the SWP-chunk index mode (one role key per chunking).
     pub fn swp_key(&self, role: &str, chunking: u32) -> [u8; 16] {
         self.master

@@ -200,12 +200,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Sets the raw master key.
-    pub fn master_key(mut self, key: [u8; 16]) -> StoreBuilder {
-        self.master = MasterKey::new(key);
-        self
-    }
-
     /// Supplies the representative sample for Stage-2 codebook training.
     /// Required iff the config enables encoding.
     pub fn train<I, S>(mut self, sample: I) -> StoreBuilder

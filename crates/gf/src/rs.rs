@@ -111,16 +111,6 @@ impl ReedSolomon {
         })
     }
 
-    /// Number of data shares.
-    pub fn data_shares(&self) -> usize {
-        self.k
-    }
-
-    /// Number of parity shares.
-    pub fn parity_shares(&self) -> usize {
-        self.m
-    }
-
     /// The generator coefficient `coef(p, i)` multiplying data share `i`
     /// in parity share `p` — exposed so incremental schemes (LH\*RS slot
     /// deltas) can update parity without re-encoding whole shares:

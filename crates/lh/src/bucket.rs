@@ -215,11 +215,6 @@ impl BucketState {
         self.capacity / 8
     }
 
-    #[allow(dead_code)] // diagnostics + unit tests
-    pub(crate) fn len(&self) -> usize {
-        self.engine.len()
-    }
-
     /// Processes one message, returning the messages to send out. `memo`
     /// is the running worker's: a `ScanReq` finds its query prepared there
     /// if this worker's previous bucket had the same one.
@@ -946,6 +941,12 @@ mod tests {
     use crate::filter::SubstringFilter;
     use sdds_net::{NetConfig, Network};
     use sdds_storage::MemEngine;
+
+    impl BucketState {
+        fn len(&self) -> usize {
+            self.engine.len()
+        }
+    }
 
     fn mem_bucket(addr: u64, level: u8, capacity: usize) -> BucketState {
         BucketState::new(addr, level, capacity, None, Box::new(MemEngine::new()))

@@ -7,9 +7,10 @@ use crate::hash::{split_children, ClientImage};
 use crate::messages::{drop_wrong_sender, Op, OpResult, ScanMatch, Wire};
 use bytes::Bytes;
 use sdds_net::{Endpoint, NetError, Scatter, SiteId, SiteRegistry, COORD_ID};
-use sdds_obs::trace::{self, TraceContext};
+use sdds_obs::trace;
 use sdds_obs::{Counter, Histogram, Registry};
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
@@ -71,58 +72,160 @@ pub(crate) enum Route {
     /// Bucket `addr`. While it has no directory entry (killed, awaiting
     /// recovery) the request waits for the next attempt.
     Bucket(u64),
-    /// A site at a fixed id: the coordinator, a bucket, a parity site.
+    /// A site at a fixed id: the coordinator, a bucket, a parity site, a host.
     Site(SiteId),
 }
 
-/// A request of an [`Exchange`] that has no answer yet.
-struct Waiting {
-    route: Route,
-    payload: Bytes,
+impl Route {
+    /// Whether `from` may answer a request sent this way: any bucket a
+    /// key request was forwarded to, or the one site it was sent to.
+    fn answered_by(self, from: SiteId) -> bool {
+        match self {
+            Route::Key(_) => SiteRegistry::bucket_addr(from).is_some(),
+            Route::Bucket(addr) => from == SiteRegistry::bucket_id(addr),
+            Route::Site(site) => from == site,
+        }
+    }
 }
 
-/// The requests of one request/reply exchange still owing an answer,
-/// keyed by what their replies name: the `req_id`, or for a scan the
-/// answering bucket (one encoded `ScanReq` serves every bucket). Run by
-/// [`LhClient::exchange`].
+/// Attempts per exchange: a message may be lost (fault injection, a
+/// severed connection). A request sent more than once is idempotent, so
+/// a retry is safe even if only the response was lost.
+const ATTEMPTS: u32 = 5;
+
+/// Requests due to be sent, each with where it goes.
+pub(crate) type Wave = Vec<(Route, Bytes)>;
+
+/// One request/reply exchange, as a value that takes time as an input
+/// and reads no clock ([`LhClient::exchange`] drives it). Requests owing
+/// an answer are keyed by what replies name: the `req_id`, or for a scan
+/// its `req_id` and the answering bucket (one `ScanReq` serves them all).
+/// Each attempt sends every unanswered request, then waits its share.
 pub(crate) struct Exchange<K> {
-    waiting: HashMap<K, Waiting>,
+    waiting: HashMap<K, (Route, Bytes)>,
     /// Requests the next wave sends.
     unsent: Vec<K>,
-    /// The counter of re-sent attempts.
+    /// The key of the request a message from a sender answers, if any.
+    key_of: fn(SiteId, &Wire) -> Option<K>,
+    /// Attempts not started yet, and the length of each.
+    attempts: u32,
+    window: Duration,
+    /// When the running attempt ends, and when its wave went out: the
+    /// time of the step after the one that returned it.
+    ends: Option<Instant>,
+    sent: Option<Instant>,
+    /// The counter of re-sent attempts, and the histogram that times
+    /// each attempt from its wave sent to its last reply taken in.
     retries: &'static str,
-    /// The histogram that times each attempt's gathering, if any.
     gather: Option<&'static str>,
 }
 
-impl<K: Copy + Eq + Hash> Exchange<K> {
-    /// An exchange whose re-sent attempts count in `lh.retries`.
-    pub(crate) fn new() -> Exchange<K> {
-        Exchange::observed("lh.retries", None)
+impl Exchange<u64> {
+    /// An exchange keyed by `req_id`, whose retries count in `lh.retries`.
+    pub(crate) fn new() -> Exchange<u64> {
+        Exchange::observed(|_, msg| msg.reply_id(), "lh.retries", None)
     }
+}
 
-    /// An exchange whose re-sent attempts count in `retries`, and whose
-    /// attempts the histogram `gather` times, if given: each from its
-    /// wave sent to its last reply taken in.
-    pub(crate) fn observed(retries: &'static str, gather: Option<&'static str>) -> Exchange<K> {
+impl<K: Copy + Eq + Hash> Exchange<K> {
+    /// An exchange keyed by `key_of`, whose re-sent attempts count in
+    /// `retries`, and whose attempts the histogram `gather` times.
+    pub(crate) fn observed(
+        key_of: fn(SiteId, &Wire) -> Option<K>,
+        retries: &'static str,
+        gather: Option<&'static str>,
+    ) -> Exchange<K> {
         Exchange {
             waiting: HashMap::new(),
             unsent: Vec::new(),
+            key_of,
+            attempts: ATTEMPTS,
+            window: Duration::ZERO,
+            ends: None,
+            sent: None,
             retries,
             gather,
         }
     }
 
+    /// One attempt of the whole timeout, for requests never sent twice.
+    pub(crate) fn once(mut self) -> Exchange<K> {
+        self.attempts = 1;
+        self
+    }
+
     /// Adds a request that the reply keyed `key` answers. It goes out
-    /// with the next attempt, or at once when a reply handler adds it.
+    /// with the next step.
     pub(crate) fn add(&mut self, key: K, route: Route, payload: Bytes) {
-        self.waiting.insert(key, Waiting { route, payload });
+        self.waiting.insert(key, (route, payload));
         self.unsent.push(key);
     }
 
     /// The keys of the requests not answered yet.
     pub(crate) fn unanswered(&self) -> impl Iterator<Item = K> + '_ {
         self.waiting.keys().copied()
+    }
+
+    /// Takes in `reply`, if one arrived by `now`, and returns the requests
+    /// to send and when to wake, or `None` once every request is
+    /// answered. A reply counts only from a site its request's [`Route`]
+    /// allows; one from another sender is counted in
+    /// `lh.wrong_sender_drops`. An answer goes to `on_reply` with its key
+    /// and sender, and what that adds goes out with this step; a stray,
+    /// such as a late reply to an abandoned request, is dropped. Fails
+    /// [`LhError::Timeout`] after the last attempt, with the requests
+    /// still [`unanswered`](Self::unanswered), or as `on_reply` fails.
+    /// The step after one that returned requests comes once they are
+    /// sent: the attempt's gathering is timed from then.
+    pub(crate) fn step(
+        &mut self,
+        now: Instant,
+        reply: Option<(SiteId, Wire)>,
+        on_reply: &mut impl FnMut(&mut Exchange<K>, K, SiteId, Wire) -> Result<(), LhError>,
+    ) -> Result<Option<(Wave, Instant)>, LhError> {
+        // An attempt is over at its end, once a wait brings nothing more.
+        let over = reply.is_none() && self.ends.is_some_and(|end| now >= end);
+        if self.ends.is_some() {
+            self.sent.get_or_insert(now);
+        }
+        if let Some((from, msg)) = reply {
+            let key = (self.key_of)(from, &msg);
+            if let Some(Entry::Occupied(req)) = key.map(|key| self.waiting.entry(key)) {
+                if req.get().0.answered_by(from) {
+                    let (key, _) = req.remove_entry();
+                    on_reply(self, key, from, msg)?;
+                } else {
+                    drop_wrong_sender(Registry::global())
+                }
+            }
+        }
+        if over || self.waiting.is_empty() {
+            self.ends = None;
+            if let (Some(sent), Some(gather)) = (self.sent.take(), self.gather) {
+                sdds_obs::histogram(gather).observe_duration(now - sent);
+            }
+            if self.waiting.is_empty() {
+                return Ok(None);
+            } else if self.attempts == 0 {
+                return Err(LhError::Timeout);
+            } else if over {
+                sdds_obs::counter(self.retries).inc();
+            }
+        }
+        let wake_at = *self.ends.get_or_insert_with(|| {
+            self.attempts -= 1;
+            // In the map's order, not the order of `add`: a record's
+            // batch names consecutive buckets, which in that order
+            // alternate between the ranks of a TCP cluster, and measured
+            // slower there (inserts of the benchmark's `tcp_mixed`).
+            self.unsent.clear();
+            self.unsent.extend(self.waiting.keys());
+            now + self.window
+        });
+        let sends = (self.unsent.drain(..))
+            .filter_map(|key| self.waiting.get(&key).cloned())
+            .collect();
+        Ok(Some((sends, wake_at)))
     }
 }
 
@@ -209,104 +312,50 @@ impl LhClient {
         self.timeout.set(timeout);
     }
 
-    /// Retransmission attempts per exchange: messages may be lost (fault
-    /// injection, a severed connection), so requests are retried like any
-    /// RPC-over-datagram protocol. Every request an exchange sends is
-    /// idempotent, so a retry is safe even if the original request was
-    /// served and only the response was lost.
-    const ATTEMPTS: u32 = 5;
-
-    /// The client's one request/reply loop. Each of the
-    /// [`ATTEMPTS`](Self::ATTEMPTS) attempts sends the unanswered requests
-    /// of `ex` as one [`Scatter`] wave, then takes replies in for
-    /// `timeout / ATTEMPTS`. `key_of` names the request a message answers,
-    /// given the message and its sender. An answer to a request still
-    /// waiting goes to `on_reply` with its sender, which may add requests
-    /// (they go out at once); anything else is a stray, such as a late
-    /// reply to an abandoned request, and is dropped.
-    ///
-    /// A failed send — the site is gone — sends a key request to bucket 0
-    /// instead, and any other request waits for the next attempt.
-    /// Requests unanswered after the last
-    /// attempt fail the exchange with [`LhError::Timeout`]; they are
-    /// [`Exchange::unanswered`].
+    /// The client's one request/reply loop, and its one clock: it steps
+    /// `ex` at the time it reads, sends what is due as one [`Scatter`]
+    /// wave, and otherwise waits for a reply until the next wake-up. An
+    /// answer goes to `on_reply` (see [`Exchange::step`]). A failed send
+    /// — the site is gone — sends a key request to bucket 0 instead, and
+    /// any other request waits for the next attempt.
     pub(crate) fn exchange<K: Copy + Eq + Hash>(
         &self,
         ex: &mut Exchange<K>,
-        key_of: impl Fn(SiteId, &Wire) -> Option<K>,
         mut on_reply: impl FnMut(&mut Exchange<K>, K, SiteId, Wire) -> Result<(), LhError>,
     ) -> Result<(), LhError> {
-        let ctx = trace::current_context();
-        let window = self.timeout.get() / Self::ATTEMPTS;
-        for attempt in 0..Self::ATTEMPTS {
-            if ex.waiting.is_empty() {
-                return Ok(());
-            }
-            if attempt > 0 {
-                sdds_obs::counter(ex.retries).inc();
-            }
-            // In the map's order, not the order of `add`: a record's
-            // batch names consecutive buckets, which in that order
-            // alternate between the ranks of a TCP cluster, and measured
-            // slower there (inserts of the benchmark's `tcp_mixed`).
-            ex.unsent.clear();
-            ex.unsent.extend(ex.waiting.keys());
-            self.send_wave(ex, ctx);
-            let _gather = ex
-                .gather
-                .map(|name| sdds_obs::histogram(name).start_timer());
-            let deadline = Instant::now() + window;
-            while !ex.waiting.is_empty() {
-                match self.endpoint.recv_until(deadline) {
-                    Ok(env) => {
-                        let msg = Wire::decode(&env.payload);
-                        let key = msg.as_ref().and_then(|msg| key_of(env.from, msg));
-                        if let (Some(msg), Some(key)) = (msg, key) {
-                            if ex.waiting.remove(&key).is_some() {
-                                on_reply(ex, key, env.from, msg)?;
-                            }
-                        }
-                    }
-                    Err(NetError::Timeout) => break,
+        let (ep, ctx) = (&self.endpoint, trace::current_context());
+        ex.window = self.timeout.get() / ex.attempts;
+        let mut reply = None;
+        // lint: allow(determinism) -- the blocking request loop: the client's one clock
+        while let Some((sends, wake_at)) = ex.step(Instant::now(), reply.take(), &mut on_reply)? {
+            if sends.is_empty() {
+                // lint: allow(determinism) -- the blocking request loop waits for a reply
+                reply = match ep.recv_until(wake_at) {
+                    Ok(env) => Wire::decode(&env.payload).map(|msg| (env.from, msg)),
+                    Err(NetError::Timeout) => None,
                     Err(e) => return Err(e.into()),
+                };
+                continue;
+            }
+            // the next step, at once, learns when this wave went out
+            let (image, bucket0) = (self.image.get(), self.directory.bucket_site(0));
+            let mut scatter = Scatter::new();
+            for (route, payload) in sends {
+                let site = match route {
+                    Route::Key(k) => self.directory.bucket_site(image.address(k)).or(bucket0),
+                    Route::Bucket(addr) => self.directory.bucket_site(addr),
+                    Route::Site(site) => Some(site),
+                };
+                let Some(site) = site else {
+                    continue;
+                };
+                let sent = ep.send_with(&mut scatter, site, payload.clone(), ctx);
+                if let (Err(_), Route::Key(_), Some(bucket0)) = (sent, route, bucket0) {
+                    let _ = ep.send_with(&mut scatter, bucket0, payload, ctx);
                 }
-                self.send_wave(ex, ctx);
             }
         }
-        if ex.waiting.is_empty() {
-            Ok(())
-        } else {
-            Err(LhError::Timeout)
-        }
-    }
-
-    /// Sends the unsent requests of `ex` as one wave; see
-    /// [`exchange`](Self::exchange) for what a failed send does.
-    fn send_wave<K: Copy + Eq + Hash>(&self, ex: &mut Exchange<K>, ctx: Option<TraceContext>) {
-        if ex.unsent.is_empty() {
-            return;
-        }
-        let image = self.image.get();
-        let bucket0 = self.directory.bucket_site(0);
-        let ep = &self.endpoint;
-        let mut scatter = Scatter::new();
-        for key in std::mem::take(&mut ex.unsent) {
-            let Some(req) = ex.waiting.get(&key) else {
-                continue;
-            };
-            let site = match req.route {
-                Route::Key(k) => self.directory.bucket_site(image.address(k)).or(bucket0),
-                Route::Bucket(addr) => self.directory.bucket_site(addr),
-                Route::Site(site) => Some(site),
-            };
-            let Some(site) = site else {
-                continue;
-            };
-            let sent = ep.send_with(&mut scatter, site, req.payload.clone(), ctx);
-            if let (Err(_), Route::Key(_), Some(bucket0)) = (sent, req.route, bucket0) {
-                let _ = ep.send_with(&mut scatter, bucket0, req.payload.clone(), ctx);
-            }
-        }
+        Ok(())
     }
 
     /// Adds a request under a fresh `req_id` to `ex`, built by `msg` from
@@ -431,7 +480,7 @@ impl LhClient {
                 op,
             });
         }
-        self.exchange(&mut ex, bucket_reply, |_, req_id, from, msg| {
+        self.exchange(&mut ex, |_, req_id, from, msg| {
             let Wire::Response {
                 result,
                 bucket_level,
@@ -441,7 +490,7 @@ impl LhClient {
             else {
                 return Err(unexpected(&msg));
             };
-            // the serving bucket: `bucket_reply` checked that `from` is one
+            // the serving bucket: only a bucket answers a key request
             self.served(hops, u64::from(from.0), bucket_level);
             answered((req_id - first) as usize, result, hops)
         })
@@ -495,53 +544,40 @@ impl LhClient {
     }
 
     /// Refreshes the image from the coordinator and returns the exact file
-    /// extent (used by scans; one round trip, retried on loss).
+    /// extent (one round trip, retried on loss).
     pub fn refresh_image(&self) -> Result<u64, LhError> {
-        self.refresh_image_detail().map(|(extent, _)| extent)
+        self.read_extent(false)
     }
 
-    /// [`refresh_image`](Self::refresh_image) plus the coordinator's busy
-    /// flag (splits/merges running or queued).
-    fn refresh_image_detail(&self) -> Result<(u64, bool), LhError> {
+    /// [`refresh_image`](Self::refresh_image) once no splits or merges are
+    /// running or queued: the coordinator holds the answer until then.
+    /// Scans and snapshots call this so a record mid-transfer between
+    /// buckets cannot be missed. Under sustained writes the wait can time
+    /// out; a plain read then goes on best effort, and a split can start
+    /// right after it — scans follow those through the levels in the
+    /// answers (see [`scan`](Self::scan)); snapshots and merges keep the
+    /// usual SDDS weak-consistency caveat.
+    pub(crate) fn refresh_image_quiescent(&self) -> Result<u64, LhError> {
+        match self.read_extent(true) {
+            Err(LhError::Timeout) => self.read_extent(false),
+            extent => extent,
+        }
+    }
+
+    /// Reads the file state from the coordinator into the image; with
+    /// `idle`, once the file is idle.
+    fn read_extent(&self, idle: bool) -> Result<u64, LhError> {
         let mut ex = Exchange::new();
-        let coordinator = Route::Site(SiteId(COORD_ID));
-        self.ask(&mut ex, coordinator, |req_id| Wire::ExtentReq { req_id });
-        let mut answer = None;
-        self.exchange(&mut ex, any_reply, |_, _, _, msg| match msg {
-            Wire::ExtentResp {
-                level, split, busy, ..
-            } => {
-                answer = Some((ClientImage { level, split }, busy));
+        let read = |req_id| Wire::ExtentReq { req_id, idle };
+        self.ask(&mut ex, Route::Site(SiteId(COORD_ID)), read);
+        self.exchange(&mut ex, |_, _, _, msg| match msg {
+            Wire::ExtentResp { level, split, .. } => {
+                self.image.set(ClientImage { level, split });
                 Ok(())
             }
             other => Err(unexpected(&other)),
         })?;
-        let (image, busy) = answer.ok_or(LhError::Timeout)?;
-        self.image.set(image);
-        Ok((image.extent(), busy))
-    }
-
-    /// Waits until no splits or merges are running or queued, then returns
-    /// the exact extent. Scans and snapshots call this so a record
-    /// mid-transfer between buckets cannot be missed; with writers still
-    /// active the wait can time out, and a split can start right after it
-    /// — scans follow those through the levels in the answers (see
-    /// [`scan`](Self::scan)); snapshots and merges keep the usual SDDS
-    /// weak-consistency caveat.
-    pub(crate) fn refresh_image_quiescent(&self) -> Result<u64, LhError> {
-        let deadline = Instant::now() + self.timeout.get();
-        loop {
-            let (extent, busy) = self.refresh_image_detail()?;
-            if !busy {
-                return Ok(extent);
-            }
-            if Instant::now() >= deadline {
-                return Ok(extent); // best effort under sustained writes
-            }
-            // a poll interval while the coordinator restructures the
-            // file, not a back-off: nothing was refused
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        Ok(self.image.get().extent())
     }
 
     /// Parallel scan: sends the opaque `query` to every bucket, which
@@ -566,21 +602,15 @@ impl LhClient {
         // A bucket that cannot be addressed stays unanswered: dropping it
         // would let the scan report success while silently missing part
         // of the file.
-        let mut ex = Exchange::observed("lh.scan_retries", Some("lh.scan_gather_seconds"));
+        let gather = Some("lh.scan_gather_seconds");
+        let mut ex = Exchange::observed(scan_answer, "lh.scan_retries", gather);
         for addr in 0..extent {
-            ex.add(addr, Route::Bucket(addr), payload.clone());
+            ex.add((req_id, addr), Route::Bucket(addr), payload.clone());
         }
         // buckets beyond `extent` that answers have revealed (see below)
         let mut late: HashSet<u64> = HashSet::new();
         let mut matches: HashMap<u64, ScanMatch> = HashMap::new();
-        // A scan's replies are keyed by the bucket that sent them.
-        let answering_bucket = |from, msg: &Wire| match msg {
-            Wire::ScanResp { req_id: rid, .. } if *rid == req_id => {
-                SiteRegistry::bucket_addr(from).or_else(|| drop_wrong_sender(Registry::global()))
-            }
-            _ => None,
-        };
-        let gathered = self.exchange(&mut ex, answering_bucket, |ex, bucket, _, msg| {
+        let gathered = self.exchange(&mut ex, |ex, (_, bucket), _, msg| {
             let Wire::ScanResp {
                 level, matches: m, ..
             } = msg
@@ -598,7 +628,7 @@ impl LhClient {
             for child in split_children(bucket, level) {
                 if child >= extent && late.insert(child) {
                     sdds_obs::counter("lh.scan_late_buckets").inc();
-                    ex.add(child, Route::Bucket(child), payload.clone());
+                    ex.add((req_id, child), Route::Bucket(child), payload.clone());
                 }
             }
             Ok(())
@@ -606,7 +636,7 @@ impl LhClient {
         match gathered {
             Err(LhError::Timeout) => {
                 sdds_obs::counter("lh.scan_incomplete").inc();
-                let mut missing: Vec<u64> = ex.unanswered().collect();
+                let mut missing: Vec<u64> = ex.unanswered().map(|(_, addr)| addr).collect();
                 missing.sort_unstable();
                 Err(LhError::ScanIncomplete { missing })
             }
@@ -615,25 +645,14 @@ impl LhClient {
     }
 }
 
-/// The `req_id` a reply answers, as a key for [`LhClient::exchange`],
-/// whoever sent it.
-pub(crate) fn any_reply(_from: SiteId, msg: &Wire) -> Option<u64> {
-    msg.reply_id()
-}
-
-/// The `req_id` a reply answers, as a key for [`LhClient::exchange`] when
-/// the reply is one only a bucket sends: a `Response` or a `DumpState`
-/// from a site that is no bucket is dropped and counted in
-/// `lh.wrong_sender_drops`. Its answerer's address is then the sender's id.
-pub(crate) fn bucket_reply(from: SiteId, msg: &Wire) -> Option<u64> {
-    let from_bucket = SiteRegistry::bucket_addr(from).is_some();
-    match msg {
-        Wire::Response { req_id, .. } | Wire::DumpState { req_id, .. } if from_bucket => {
-            Some(*req_id)
-        }
-        Wire::Response { .. } | Wire::DumpState { .. } => drop_wrong_sender(Registry::global()),
-        _ => msg.reply_id(),
-    }
+/// A scan's answer is keyed by the scan's `req_id` and the bucket that
+/// sent it; one from a site that is no bucket is dropped and counted.
+fn scan_answer(from: SiteId, msg: &Wire) -> Option<(u64, u64)> {
+    let Wire::ScanResp { req_id, .. } = msg else {
+        return None;
+    };
+    let bucket = SiteRegistry::bucket_addr(from).or_else(|| drop_wrong_sender(Registry::global()));
+    Some((*req_id, bucket?))
 }
 
 /// A reply of the wrong kind for its request: a peer protocol violation,
@@ -699,14 +718,13 @@ mod tests {
         let retries = sdds_obs::counter("lh.scan_retries");
         let before = retries.get();
         let scan = std::thread::spawn(move || client.scan(b"q", true));
-        let Some((client_id, Wire::ExtentReq { req_id })) = recv(&coordinator) else {
+        let Some((client_id, Wire::ExtentReq { req_id, .. })) = recv(&coordinator) else {
             panic!("expected ExtentReq");
         };
         let extent = Wire::ExtentResp {
             req_id,
             level: 1,
             split: 0,
-            busy: false,
         };
         coordinator.send(client_id, extent.encode()).unwrap();
         let answer = |ep: &Endpoint, addr: u64| {
@@ -753,14 +771,13 @@ mod tests {
         let late_before = sdds_obs::counter("lh.scan_late_buckets").get();
 
         let scan = std::thread::spawn(move || client.scan(b"q", true));
-        let Some((client, Wire::ExtentReq { req_id })) = recv(&coord_ep) else {
+        let Some((client, Wire::ExtentReq { req_id, .. })) = recv(&coord_ep) else {
             panic!("expected ExtentReq");
         };
         let extent = Wire::ExtentResp {
             req_id,
             level: 1,
             split: 0,
-            busy: false,
         };
         coord_ep.send(client, extent.encode()).unwrap();
         // (bucket, its level when it scans, the key it still holds)
@@ -834,6 +851,84 @@ mod tests {
         assert!(drops.get() > before, "the forged response is counted");
     }
 
+    /// An extent read goes to the coordinator, and only the coordinator
+    /// answers it: an `ExtentResp` from a dynamic id is dropped and
+    /// counted, and leaves the image as it is.
+    #[test]
+    fn an_extent_answer_from_another_site_is_dropped_and_counted() {
+        let (client, _bucket0, coordinator, forger) = one_bucket_rig();
+        let drops = sdds_obs::counter("lh.wrong_sender_drops");
+        let before = drops.get();
+        let refresh = std::thread::spawn(move || (client.refresh_image(), client.image()));
+        let Some((client_id, Wire::ExtentReq { req_id, .. })) = recv(&coordinator) else {
+            panic!("expected ExtentReq");
+        };
+        let extent = |level| Wire::ExtentResp {
+            req_id,
+            level,
+            split: 0,
+        };
+        forger.send(client_id, extent(9).encode()).unwrap();
+        coordinator.send(client_id, extent(0).encode()).unwrap();
+        let (extent, image) = refresh.join().unwrap();
+        assert_eq!((extent, image), (Ok(1), ClientImage::default()));
+        assert!(drops.get() > before, "the forged answer is counted");
+    }
+
+    /// One exchange stepped on a hand-advanced clock, with no thread and
+    /// no endpoint: each attempt sends what is unanswered and wakes at
+    /// its window's end, a reply answers its request, a stray is
+    /// dropped, and a request unanswered after the fifth window fails
+    /// the exchange.
+    #[test]
+    fn an_exchange_steps_through_its_five_windows_on_virtual_time() {
+        let (coordinator, window) = (SiteId(COORD_ID), Duration::from_secs(1));
+        let mut ex = Exchange::new();
+        ex.window = window;
+        ex.add(1, Route::Site(coordinator), Bytes::from_static(b"one"));
+        ex.add(2, Route::Site(coordinator), Bytes::from_static(b"two"));
+        let retries = sdds_obs::counter("lh.retries");
+        let before = retries.get();
+        let answered = Cell::new(None);
+        let mut on_reply = |_: &mut Exchange<u64>, key: u64, _: SiteId, _: Wire| {
+            answered.set(Some(key));
+            Ok(())
+        };
+        let answer = |req_id| {
+            let extent = Wire::ExtentResp {
+                req_id,
+                level: 0,
+                split: 0,
+            };
+            Some((coordinator, extent))
+        };
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let (sends, wake_at) = ex.step(t0, None, &mut on_reply).unwrap().unwrap();
+        assert_eq!((sends.len(), wake_at), (2, t0 + window));
+        let (sends, wake_at) = ex.step(at(10), answer(1), &mut on_reply).unwrap().unwrap();
+        assert_eq!(answered.take(), Some(1), "the reply answers request 1");
+        assert_eq!((sends.len(), wake_at), (0, t0 + window));
+        for stray in [answer(1), answer(7)] {
+            let (sends, wake_at) = ex.step(at(20), stray, &mut on_reply).unwrap().unwrap();
+            assert_eq!(answered.take(), None, "a stray is dropped");
+            assert_eq!((sends.len(), wake_at), (0, t0 + window));
+        }
+        for n in 1..5 {
+            let (sends, wake_at) = ex
+                .step(t0 + window * n, None, &mut on_reply)
+                .unwrap()
+                .unwrap();
+            assert_eq!(wake_at, t0 + window * (n + 1), "window {n} ends");
+            assert_eq!(sends.len(), 1, "request 2 alone is sent again");
+            assert_eq!(&sends[0].1[..], b"two");
+        }
+        let timed_out = ex.step(t0 + window * 5, None, &mut on_reply);
+        assert!(matches!(timed_out, Err(LhError::Timeout)));
+        assert_eq!(ex.unanswered().collect::<Vec<_>>(), [2]);
+        assert!(retries.get() >= before + 4, "four attempts re-sent");
+    }
+
     /// A `ScanResp` is keyed by its sender, the bucket that ran the scan:
     /// one from a dynamic id is dropped and counted, and its matches are
     /// not in the answer.
@@ -843,14 +938,13 @@ mod tests {
         let drops = sdds_obs::counter("lh.wrong_sender_drops");
         let before = drops.get();
         let scan = std::thread::spawn(move || client.scan(b"q", true));
-        let Some((client_id, Wire::ExtentReq { req_id })) = recv(&coordinator) else {
+        let Some((client_id, Wire::ExtentReq { req_id, .. })) = recv(&coordinator) else {
             panic!("expected ExtentReq");
         };
         let extent = Wire::ExtentResp {
             req_id,
             level: 0,
             split: 0,
-            busy: false,
         };
         coordinator.send(client_id, extent.encode()).unwrap();
         let Some((_, Wire::ScanReq { req_id, .. })) = recv(&bucket0) else {

@@ -2,7 +2,7 @@
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
 use crate::bucket::{BucketCtx, BucketSite, BucketState};
-use crate::client::{any_reply, bucket_reply, unexpected, Exchange, LhClient, LhError, Route};
+use crate::client::{unexpected, Exchange, LhClient, LhError, Route};
 use crate::coordinator::{CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
@@ -309,7 +309,8 @@ impl LhCluster {
     /// An observability collector scraping the host loop of every rank
     /// that [`serve`](crate::serve) runs.
     pub fn obs(&self) -> crate::ClusterObs {
-        crate::ClusterObs::new(self.host.network.register(), self.host.ranks)
+        let (client, num_ranks) = (self.client(), self.host.ranks);
+        crate::ClusterObs { client, num_ranks }
     }
 
     /// Severs this process's established connections (they
@@ -398,7 +399,7 @@ impl LhCluster {
             client.ask(&mut reads, Route::Site(site), read);
         }
         // 3. gather
-        client.exchange(&mut reads, any_reply, |_, req_id, from, msg| {
+        client.exchange(&mut reads, |_, req_id, from, msg| {
             match msg {
                 Wire::SlotsState { slots, .. } => {
                     let member = slot_reads.get(&req_id).and_then(|&i| members.get_mut(i));
@@ -450,10 +451,10 @@ impl LhCluster {
             client.ask(&mut dumps, Route::Site(site), dump);
         }
         let mut buckets: Vec<BucketSnapshot> = Vec::new();
-        client.exchange(&mut dumps, bucket_reply, |_, _, from, msg| match msg {
+        client.exchange(&mut dumps, |_, _, from, msg| match msg {
             Wire::DumpState { level, records, .. } => {
                 let bucket = BucketSnapshot {
-                    addr: u64::from(from.0), // checked by `bucket_reply`
+                    addr: u64::from(from.0), // the bucket it was sent to
                     level,
                     records,
                 };
@@ -672,7 +673,7 @@ impl SiteHost {
         }
         let host = Arc::clone(self);
         let site = CoordinatorSite {
-            state: CoordinatorState::new(),
+            state: CoordinatorState::default(),
             spawner: Box::new(move |addr: u64, level: u8| {
                 if host.place(addr, level).is_err() {
                     sdds_obs::counter("lh.serve.spawn_send_failures").inc();

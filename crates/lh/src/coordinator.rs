@@ -27,6 +27,7 @@ enum Change {
     Merge,
 }
 
+#[derive(Default)]
 pub(crate) struct CoordinatorState {
     level: u8,
     split: u64,
@@ -36,28 +37,16 @@ pub(crate) struct CoordinatorState {
     running: Option<(Change, u64)>,
     pending: usize,
     pending_merges: usize,
+    /// Extent reads not answered yet, `(sender, req_id, idle)`: one per
+    /// sender, the latest, so re-sent reads do not pile up.
+    extent_reads: Vec<(SiteId, u64, bool)>,
 }
 
 impl CoordinatorState {
-    pub(crate) fn new() -> CoordinatorState {
-        CoordinatorState {
-            level: 0,
-            split: 0,
-            running: None,
-            pending: 0,
-            pending_merges: 0,
-        }
-    }
-
     /// Whether `from` is the victim of the running `change`.
     fn finished_by(&self, change: Change, from: SiteId) -> bool {
         matches!(self.running, Some((c, victim))
             if c == change && from == SiteRegistry::bucket_id(victim))
-    }
-
-    #[allow(dead_code)] // diagnostics + unit tests
-    pub(crate) fn file_state(&self) -> (u8, u64) {
-        (self.level, self.split)
     }
 
     /// Handles one message from `from`; may call the spawner to create
@@ -72,7 +61,7 @@ impl CoordinatorState {
         directory: &Directory,
     ) -> Vec<(SiteId, Wire)> {
         let from_bucket = SiteRegistry::bucket_addr(from).is_some();
-        match msg {
+        let mut out = match msg {
             Wire::Overflow if from_bucket => {
                 self.pending += 1;
                 self.try_start_work(spawner, directory)
@@ -112,15 +101,11 @@ impl CoordinatorState {
             Wire::Overflow | Wire::Underflow | Wire::SplitDone | Wire::MergeDone => {
                 drop_wrong_sender(Registry::global())
             }
-            Wire::ExtentReq { req_id } => vec![(
-                from,
-                Wire::ExtentResp {
-                    req_id,
-                    level: self.level,
-                    split: self.split,
-                    busy: self.running.is_some() || self.pending > 0 || self.pending_merges > 0,
-                },
-            )],
+            Wire::ExtentReq { req_id, idle } => {
+                self.extent_reads.retain(|&(site, ..)| site != from);
+                self.extent_reads.push((from, req_id, idle));
+                self.answer_extent_reads()
+            }
             Wire::AdoptFileState { level, split } => {
                 debug_assert!(self.running.is_none(), "restore must precede traffic");
                 self.level = level;
@@ -128,7 +113,23 @@ impl CoordinatorState {
                 Vec::new()
             }
             _ => Vec::new(),
-        }
+        };
+        out.extend(self.answer_extent_reads());
+        out
+    }
+
+    /// Answers the extent reads that are due after each message: a plain
+    /// one at once, an idle one once nothing is running or queued.
+    fn answer_extent_reads(&mut self) -> Vec<(SiteId, Wire)> {
+        let idle = self.running.is_none() && self.pending == 0 && self.pending_merges == 0;
+        let (level, split) = (self.level, self.split);
+        let extent = |req_id| Wire::ExtentResp {
+            req_id,
+            level,
+            split,
+        };
+        let due = self.extent_reads.extract_if(.., |read| idle || !read.2);
+        due.map(|(to, req_id, _)| (to, extent(req_id))).collect()
     }
 
     /// Starts the next queued split or merge, splits first. (No pairwise
@@ -223,7 +224,13 @@ mod tests {
     /// site id is its address) and the directory.
     fn harness() -> (CoordinatorState, BucketSpawner, Directory) {
         let spawner: BucketSpawner = Box::new(|_addr, _level| {});
-        (CoordinatorState::new(), spawner, Directory::new())
+        (CoordinatorState::default(), spawner, Directory::new())
+    }
+
+    impl CoordinatorState {
+        fn file_state(&self) -> (u8, u64) {
+            (self.level, self.split)
+        }
     }
 
     /// Bucket `addr`'s site.
@@ -392,23 +399,47 @@ mod tests {
     #[test]
     fn extent_request_reports_file_state() {
         let (mut st, mut spawner, dir) = harness();
+        let idle = false;
         let out = st.handle(
             SiteId(DYN_BASE + 9),
-            Wire::ExtentReq { req_id: 5 },
+            Wire::ExtentReq { req_id: 5, idle },
             &mut spawner,
             &dir,
         );
-        assert_eq!(
-            out,
-            vec![(
-                SiteId(DYN_BASE + 9),
-                Wire::ExtentResp {
-                    req_id: 5,
-                    level: 0,
-                    split: 0,
-                    busy: false
-                }
-            )]
-        );
+        let extent = Wire::ExtentResp {
+            req_id: 5,
+            level: 0,
+            split: 0,
+        };
+        assert_eq!(out, vec![(SiteId(DYN_BASE + 9), extent)]);
+    }
+
+    /// An idle read sent during a split waits for `SplitDone`, a plain
+    /// one is answered at once, and a sender's re-sent idle reads wait
+    /// as one.
+    #[test]
+    fn an_idle_extent_read_waits_for_the_split_to_finish() {
+        let (mut st, mut spawner, dir) = harness();
+        let (client, other) = (SiteId(DYN_BASE + 9), SiteId(DYN_BASE + 10));
+        st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
+        for req_id in [7, 8, 8] {
+            let read = Wire::ExtentReq { req_id, idle: true };
+            assert!(st.handle(client, read, &mut spawner, &dir).is_empty());
+        }
+        assert_eq!(st.extent_reads, [(client, 8, true)], "held once per sender");
+        let plain = Wire::ExtentReq {
+            req_id: 9,
+            idle: false,
+        };
+        let out = st.handle(other, plain, &mut spawner, &dir);
+        let extent = |req_id, level| Wire::ExtentResp {
+            req_id,
+            level,
+            split: 0,
+        };
+        assert_eq!(out, vec![(other, extent(9, 0))], "answered mid-split");
+        let out = st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
+        assert_eq!(out, vec![(client, extent(8, 1))]);
+        assert!(st.extent_reads.is_empty());
     }
 }

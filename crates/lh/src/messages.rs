@@ -178,6 +178,9 @@ pub enum Wire {
     ExtentReq {
         /// Correlation id.
         req_id: u64,
+        /// Answer once no splits or merges are running or queued, so a
+        /// scan does not miss records mid-transfer between buckets.
+        idle: bool,
     },
     /// Coordinator → client.
     ExtentResp {
@@ -187,9 +190,6 @@ pub enum Wire {
         level: u8,
         /// Current split pointer.
         split: u64,
-        /// True while splits/merges are running or queued — scans wait for
-        /// quiescence so records mid-transfer are not missed.
-        busy: bool,
     },
     /// Data bucket → each parity site of its group: a slot changed
     /// (LH*RS). The bucket's address names its group and its member
@@ -608,21 +608,20 @@ impl Wire {
             }
             Wire::TransferAck => out.push(TRANSFER_ACK),
             Wire::SplitDone => out.push(SPLIT_DONE),
-            Wire::ExtentReq { req_id } => {
+            Wire::ExtentReq { req_id, idle } => {
                 out.push(EXTENT_REQ);
                 put_u64(out, *req_id);
+                put_bool(out, *idle);
             }
             Wire::ExtentResp {
                 req_id,
                 level,
                 split,
-                busy,
             } => {
                 out.push(EXTENT_RESP);
                 put_u64(out, *req_id);
                 out.push(*level);
                 put_u64(out, *split);
-                put_bool(out, *busy);
             }
             Wire::ParityUpdate { rank, key, delta } => {
                 out.push(PARITY_UPDATE);
@@ -748,12 +747,14 @@ impl Wire {
             },
             TRANSFER_ACK => Wire::TransferAck,
             SPLIT_DONE => Wire::SplitDone,
-            EXTENT_REQ => Wire::ExtentReq { req_id: r.u64()? },
+            EXTENT_REQ => Wire::ExtentReq {
+                req_id: r.u64()?,
+                idle: r.bool()?,
+            },
             EXTENT_RESP => Wire::ExtentResp {
                 req_id: r.u64()?,
                 level: r.u8()?,
                 split: r.u64()?,
-                busy: r.bool()?,
             },
             PARITY_UPDATE => Wire::ParityUpdate {
                 rank: r.u32()?,
@@ -905,18 +906,23 @@ mod tests {
             },
             Wire::TransferAck,
             Wire::SplitDone,
-            Wire::ExtentReq { req_id: 4 },
+            Wire::ExtentReq {
+                req_id: 4,
+                idle: false,
+            },
+            Wire::ExtentReq {
+                req_id: 4,
+                idle: true,
+            },
             Wire::ExtentResp {
                 req_id: 4,
                 level: 3,
                 split: 1,
-                busy: false,
             },
             Wire::ExtentResp {
                 req_id: 4,
                 level: u8::MAX,
                 split: u64::MAX,
-                busy: true,
             },
             Wire::ParityUpdate {
                 rank: 2,
@@ -1079,6 +1085,17 @@ mod tests {
         };
         assert_eq!(insert.encode().len(), 33);
         assert_eq!(Wire::encode_scan_req(1, b"", false).len(), 14);
+        let extent_read = Wire::ExtentReq {
+            req_id: 1,
+            idle: true,
+        };
+        assert_eq!(extent_read.encode().len(), 10);
+        let extent = Wire::ExtentResp {
+            req_id: 1,
+            level: 2,
+            split: 3,
+        };
+        assert_eq!(extent.encode().len(), 18);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! aggregate extends parent = Σ children one level up), and float
 //! gauges are carried per-rank only — a chi-square does not sum.
 
-use crate::client::LhError;
+use crate::client::{unexpected, Exchange, LhClient, LhError, Route};
 use crate::messages::Wire;
-use sdds_net::{Endpoint, NetError, SiteRegistry, HOST_BASE};
+use sdds_net::SiteRegistry;
 use sdds_obs::trace::{stitch, ParsedSpan, RankedSpan, TraceTree};
 use sdds_obs::MetricsSnapshot;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What a scrape should pull from each rank.
 #[derive(Debug, Clone)]
@@ -90,18 +90,15 @@ impl ClusterScrape {
 }
 
 /// Scrapes a served cluster's observability plane. Obtain one via
-/// [`LhCluster::obs`](crate::LhCluster::obs); it holds its own dynamic
-/// endpoint, so scrapes never contend with the cluster's clients.
+/// [`LhCluster::obs`](crate::LhCluster::obs); it holds its own client on
+/// its own dynamic endpoint, so scrapes never contend with the cluster's
+/// clients.
 pub struct ClusterObs {
-    control: Endpoint,
-    num_ranks: usize,
+    pub(crate) client: LhClient,
+    pub(crate) num_ranks: usize,
 }
 
 impl ClusterObs {
-    pub(crate) fn new(control: Endpoint, num_ranks: usize) -> ClusterObs {
-        ClusterObs { control, num_ranks }
-    }
-
     /// Pulls metrics/spans/history from every rank, merging the metrics
     /// into one aggregate. Ranks that fail to report within the timeout
     /// are listed in [`ClusterScrape::missing`] (and counted in
@@ -109,6 +106,9 @@ impl ClusterObs {
     /// partial visibility into a degraded cluster is the point.
     pub fn scrape(&self, opts: &ScrapeOptions) -> Result<ClusterScrape, LhError> {
         let _timer = sdds_obs::histogram("obs.scrape_seconds").start_timer();
+        // One attempt: a `spans` pull drains the flight recorder, so it
+        // is never sent twice. A report is keyed by the rank asked.
+        let mut ex = Exchange::new().once();
         for rank in 0..self.num_ranks {
             let msg = Wire::ObsPull {
                 req_id: rank as u64,
@@ -116,48 +116,28 @@ impl ClusterObs {
                 spans: opts.spans,
                 history: opts.history,
             };
-            self.control
-                .send(SiteRegistry::host_id(rank), msg.encode())?;
+            let host = Route::Site(SiteRegistry::host_id(rank));
+            ex.add(rank as u64, host, msg.encode());
         }
-        let deadline = Instant::now() + opts.timeout;
+        self.client.set_timeout(opts.timeout);
         let mut ranks: Vec<RankScrape> = Vec::new();
-        let mut seen = vec![false; self.num_ranks];
-        let mut outstanding = self.num_ranks;
-        while outstanding > 0 {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let env = match self.control.recv_timeout(remaining) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => break,
-                Err(e) => return Err(LhError::Net(e)),
-            };
-            // A report's rank is its sender's, and its `req_id` names the
-            // rank it was asked of.
-            let Some(rank) = env.from.0.checked_sub(HOST_BASE).map(|r| r as usize) else {
-                continue;
-            };
-            let Some(Wire::ObsReport {
-                req_id,
+        let pulled = self.client.exchange(&mut ex, |_, rank, _, msg| {
+            let Wire::ObsReport {
                 metrics,
                 sites,
                 spans,
                 history,
-            }) = Wire::decode(&env.payload)
+                ..
+            } = msg
             else {
-                continue;
+                return Err(unexpected(&msg));
             };
-            if rank >= self.num_ranks || seen[rank] || req_id != rank as u64 {
-                continue;
-            }
-            seen[rank] = true;
-            outstanding -= 1;
             let (parsed, skipped) = sdds_obs::trace::parse_jsonl(&spans);
             if skipped > 0 {
                 sdds_obs::counter("obs.scrape_span_decode_failures").add(skipped as u64);
             }
             ranks.push(RankScrape {
-                rank,
+                rank: rank as usize,
                 metrics: metrics.and_then(|m| MetricsSnapshot::from_json(&m)),
                 sites: sites
                     .iter()
@@ -169,16 +149,16 @@ impl ClusterObs {
                     .filter_map(|(t, s)| MetricsSnapshot::from_json(&s).map(|m| (t, m)))
                     .collect(),
             });
-        }
-        let missing: Vec<usize> = seen
-            .iter()
-            .enumerate()
-            .filter(|&(_, &reported)| !reported)
-            .map(|(rank, _)| rank)
-            .collect();
+            Ok(())
+        });
+        let mut missing: Vec<usize> = match pulled {
+            Err(LhError::Timeout) => ex.unanswered().map(|rank| rank as usize).collect(),
+            pulled => pulled.map(|()| Vec::new())?,
+        };
         if !missing.is_empty() {
             sdds_obs::counter("obs.scrape_failures").add(missing.len() as u64);
         }
+        missing.sort_unstable();
         ranks.sort_by_key(|r| r.rank);
         let parts: Vec<MetricsSnapshot> = ranks.iter().filter_map(|r| r.metrics.clone()).collect();
         Ok(ClusterScrape {

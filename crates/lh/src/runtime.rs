@@ -539,12 +539,13 @@ mod tests {
     /// A numbered message: `ExtentReq` is one of the smallest variants
     /// with a payload.
     fn numbered(n: u64) -> Bytes {
-        Wire::ExtentReq { req_id: n }.encode()
+        let idle = false;
+        Wire::ExtentReq { req_id: n, idle }.encode()
     }
 
     fn number(msg: &Wire) -> u64 {
         match msg {
-            Wire::ExtentReq { req_id } => *req_id,
+            Wire::ExtentReq { req_id, .. } => *req_id,
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -822,7 +823,8 @@ mod tests {
         let echo = move |plus: u64| {
             move |_: SiteId, msg: Wire| {
                 let req_id = plus + number(&msg);
-                vec![(to_client, Wire::ExtentReq { req_id })]
+                let idle = false;
+                vec![(to_client, Wire::ExtentReq { req_id, idle })]
             }
         };
         // Hold the one worker while the id's traffic queues up.

@@ -7,7 +7,8 @@
 //! | rule                | protects                                          |
 //! |---------------------|---------------------------------------------------|
 //! | `secret-hygiene`    | key confidentiality (§5 key hierarchy)            |
-//! | `determinism`       | ECB/PRP determinism of the Stage-1 index (§2.1)   |
+//! | `determinism`       | ECB/PRP determinism of the Stage-1 index (§2.1);  |
+//! |                     | LH\* sites and the client exchange read no clock  |
 //! | `unsafe-audit`      | memory-safety rationale coverage                  |
 //! | `panic-freedom`     | availability of library crates (no abort paths)   |
 //! | `atomics-rationale` | justified memory orderings in concurrent code     |
@@ -77,6 +78,17 @@ const PANIC_FREE_CRATES: [&str; 10] = [
 /// (the chunk PRP / ECB). See the paper §2.1.
 fn in_stage1_index_path(path: &str) -> bool {
     path == "crates/core/src/pipeline.rs" || path.starts_with("crates/chunk/src/")
+}
+
+/// LH\* protocol code outside the site runtime, the host loop and its
+/// health watch: the sites and the client's exchange take time as an
+/// input, so a seeded run can replay them.
+fn in_clock_free_scope(path: &str) -> bool {
+    path.starts_with("crates/lh/src/")
+        && !matches!(
+            path,
+            "crates/lh/src/runtime.rs" | "crates/lh/src/serve.rs" | "crates/lh/src/health.rs"
+        )
 }
 
 fn in_panic_free_scope(path: &str) -> bool {
@@ -165,6 +177,7 @@ pub fn check_file(path: &str, s: &Scanned) -> (Vec<Diagnostic>, Vec<UnsafeSite>)
     let mut diags = Vec::new();
     let mut inventory = Vec::new();
     let stage1 = in_stage1_index_path(path);
+    let clock_free = in_clock_free_scope(path);
     let panic_free = in_panic_free_scope(path);
     let atomics = in_atomics_scope(path);
     let cipher = in_cipher(path);
@@ -175,8 +188,8 @@ pub fn check_file(path: &str, s: &Scanned) -> (Vec<Diagnostic>, Vec<UnsafeSite>)
             continue;
         }
         secret_hygiene_line(path, s, line, cipher, &mut diags);
-        if stage1 {
-            determinism_line(path, s, line, &mut diags);
+        if stage1 || clock_free {
+            determinism_line(path, s, line, stage1, &mut diags);
         }
         if panic_free {
             panic_freedom_line(path, s, line, &mut diags);
@@ -365,9 +378,28 @@ fn field_ident(code: &str) -> Option<String> {
 
 /// Rule 2: only deterministic (ECB/PRP) encryption inside the Stage-1
 /// index path. A CBC or CTR call there breaks chunk-equality search
-/// silently — results just go incomplete (§2.1).
-fn determinism_line(path: &str, s: &Scanned, line: usize, out: &mut Vec<Diagnostic>) {
+/// silently — results just go incomplete (§2.1). Elsewhere in scope (LH\*
+/// protocol code) no clock read, sleep or timed receive: the client's one
+/// blocking request loop carries `lint: allow(determinism)`.
+fn determinism_line(path: &str, s: &Scanned, line: usize, stage1: bool, out: &mut Vec<Diagnostic>) {
     const RULE: &str = "determinism";
+    if !stage1 {
+        let clock = [
+            "Instant::now",
+            "SystemTime::now",
+            "thread::sleep",
+            "recv_timeout",
+            "recv_until",
+        ];
+        for what in clock.into_iter().filter(|what| s.code[line].contains(what)) {
+            let message = format!(
+                "`{what}` in LH* protocol code: sites and the client's exchange take time as \
+                 an input; only the client's blocking request loop reads the clock"
+            );
+            push(out, s, path, line, RULE, message);
+        }
+        return;
+    }
     for tok in idents(&s.code[line]) {
         if matches!(tok, "cbc_encrypt" | "cbc_decrypt" | "ctr_xor") {
             push(

@@ -87,6 +87,19 @@ fn determinism_is_scoped_to_the_index_path() {
     assert_eq!(count_rule(&r, "determinism"), 0, "{:?}", r.violations);
 }
 
+/// A clock read, a sleep and a timed receive in LH* protocol code fire;
+/// the allowed request-loop line and test code do not, and the site runtime is
+/// out of scope.
+#[test]
+fn determinism_fires_on_a_clock_in_lh_protocol_code() {
+    let clock = fixture("determinism", "clock.rs");
+    let r = lint_as("crates/lh/src/fixture.rs", &clock);
+    assert_eq!(count_rule(&r, "determinism"), 3, "{:?}", r.violations);
+    assert_eq!(r.allowed.len(), 1, "{:?}", r.allowed);
+    let r = lint_as("crates/lh/src/runtime.rs", &clock);
+    assert_eq!(count_rule(&r, "determinism"), 0, "{:?}", r.violations);
+}
+
 #[test]
 fn unsafe_audit_fires_on_bad_fixture_and_inventories_both() {
     let bad = lint_as("src/fixture.rs", &fixture("unsafe-audit", "bad.rs"));
