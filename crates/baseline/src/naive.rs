@@ -6,7 +6,7 @@
 //! out for any real database size (§1). The store exists so benches can
 //! put numbers (bytes moved, time spent) behind that sentence.
 
-use sdds_cipher::{modes, Aes128, CipherError, KeyMaterial, MasterKey};
+use sdds_cipher::{modes, Aes128, CipherError, KeyMaterial, MasterKey, RecordIvs};
 use sdds_lh::{ClusterConfig, LhClient, LhCluster, LhError, PreparedQuery, ScanFilter};
 use std::sync::Arc;
 
@@ -57,7 +57,7 @@ impl From<LhError> for NaiveError {
 /// search.
 pub struct NaiveStore {
     cipher: Aes128,
-    keys: KeyMaterial,
+    ivs: RecordIvs,
     cluster: LhCluster,
     client: LhClient,
 }
@@ -74,7 +74,7 @@ impl NaiveStore {
         let client = cluster.client();
         NaiveStore {
             cipher: keys.record_cipher(),
-            keys,
+            ivs: keys.record_ivs(),
             cluster,
             client,
         }
@@ -82,7 +82,7 @@ impl NaiveStore {
 
     /// Inserts a record (strongly encrypted).
     pub fn insert(&self, rid: u64, rc: &str) -> Result<(), NaiveError> {
-        let iv = self.keys.record_iv(rid);
+        let iv = self.ivs.iv(rid);
         let ct = modes::cbc_encrypt(&self.cipher, &iv, rc.as_bytes());
         self.client.insert(rid, ct)?;
         Ok(())
@@ -95,7 +95,7 @@ impl NaiveStore {
         let mut hits = Vec::new();
         for m in all {
             let Some(ct) = m.value else { continue };
-            let iv = self.keys.record_iv(m.key);
+            let iv = self.ivs.iv(m.key);
             let pt = modes::cbc_decrypt(&self.cipher, &iv, &ct).map_err(NaiveError::Decrypt)?;
             let matched =
                 pattern.is_empty() || pt.windows(pattern.len()).any(|w| w == pattern.as_bytes());

@@ -1,17 +1,21 @@
-//! AES-128 (FIPS-197) implemented from first principles.
+//! AES-128 (FIPS-197), on the CPU's AES instructions where it has them
+//! and implemented from first principles everywhere else.
 //!
-//! The S-box is *computed* at construction from multiplicative inversion in
-//! GF(2^8) with the Rijndael polynomial `x^8+x^4+x^3+x+1` followed by the
-//! affine transform, rather than pasted in as a table; unit tests pin it
-//! against the published values and the full cipher against the FIPS-197
-//! appendix vectors. This keeps the implementation auditable and exercises
-//! the same finite-field machinery the rest of the system builds on.
+//! [`Aes128::new`] picks the path once per key: the AES-NI module
+//! ([`crate::aes_ni`]) when the CPU reports the `aes` feature, else the
+//! software cipher below. Both compute the same round keys and the same
+//! blocks; tests cross-check them on random keys and blocks and pin both
+//! to the FIPS-197 appendix vectors. There is no option to choose a path.
 //!
-//! Performance: a byte-oriented implementation with table-driven
-//! MixColumns (no unsafe, no AES-NI). The key-independent tables (S-box,
-//! GF multiplication) are computed once per process; `Aes128::new` only
-//! performs key expansion, which matters because the SWP chunk matcher
-//! derives a fresh check cipher per candidate position.
+//! The software cipher's S-box is *computed* at construction from
+//! multiplicative inversion in GF(2^8) with the Rijndael polynomial
+//! `x^8+x^4+x^3+x+1` followed by the affine transform, rather than pasted
+//! in as a table; unit tests pin it against the published values. It is
+//! byte-oriented with table-driven MixColumns, so its timing depends on
+//! key and data through cache behaviour (docs/SECURITY.md); the hardware
+//! path has no tables. The key-independent tables (S-box, GF
+//! multiplication) are computed once per process; constructing a
+//! software cipher only performs key expansion.
 
 /// The Rijndael reduction polynomial, `x^8 + x^4 + x^3 + x + 1`.
 const RIJNDAEL_POLY: u32 = 0x11B;
@@ -110,24 +114,21 @@ fn build_mul_tables() -> MulTables {
 /// AES-128: 10 rounds, 128-bit key, 16-byte blocks.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
-    sbox: &'static [u8; 256],
-    inv_sbox: &'static [u8; 256],
-    mul: &'static MulTables,
+    path: Path,
+}
+
+/// The path [`Aes128::new`] chose for one key.
+#[derive(Clone)]
+enum Path {
+    #[cfg(target_arch = "x86_64")]
+    Hardware(crate::aes_ni::AesNi),
+    Software(Soft),
 }
 
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // never print key material
-        f.write_str("Aes128 {{ .. }}")
-    }
-}
-
-impl Drop for Aes128 {
-    /// Wipes the round-key schedule so key material does not linger in
-    /// freed memory (best effort; see [`crate::zeroize`]).
-    fn drop(&mut self) {
-        self.zeroize_schedule();
+        f.write_str("Aes128 { .. }")
     }
 }
 
@@ -135,8 +136,173 @@ impl Aes128 {
     /// Block size in bytes.
     pub const BLOCK: usize = 16;
 
-    /// Expands a 128-bit key into the 11 round keys.
+    /// Expands a 128-bit key into the 11 round keys, for the CPU's AES
+    /// instructions when it has them.
     pub fn new(key: &[u8; 16]) -> Aes128 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if let Some(ni) = crate::aes_ni::AesNi::new(key) {
+                return Aes128 {
+                    path: Path::Hardware(ni),
+                };
+            }
+        }
+        Aes128::software(key)
+    }
+
+    /// The software cipher whatever the CPU has: the fallback, and the
+    /// reference the tests hold the hardware path to.
+    fn software(key: &[u8; 16]) -> Aes128 {
+        Aes128 {
+            path: Path::Software(Soft::new(key)),
+        }
+    }
+
+    /// Encrypts one 16-byte block in place.
+    ///
+    /// Block bytes are in the natural FIPS-197 order, i.e. `block[i]` is
+    /// state row `i % 4`, column `i / 4` — exactly the wire order.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.path {
+            #[cfg(target_arch = "x86_64")]
+            Path::Hardware(ni) => ni.encrypt_blocks(core::array::from_mut(block)),
+            Path::Software(soft) => soft.encrypt_block(block),
+        }
+    }
+
+    /// Decrypts one 16-byte block in place.
+    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.path {
+            #[cfg(target_arch = "x86_64")]
+            Path::Hardware(ni) => ni.decrypt_blocks(core::array::from_mut(block)),
+            Path::Software(soft) => soft.decrypt_block(block),
+        }
+    }
+
+    /// Encrypts a run of contiguous 16-byte blocks in place (ECB over the
+    /// slice). On the hardware path the blocks go through the rounds
+    /// eight at a time, which is what the batched chunk PRP, CTR and the
+    /// bulk ingest path rely on.
+    ///
+    /// # Panics
+    ///
+    /// If `data.len()` is not a multiple of 16.
+    pub fn encrypt_blocks(&self, data: &mut [u8]) {
+        let blocks = as_blocks(data);
+        match &self.path {
+            #[cfg(target_arch = "x86_64")]
+            Path::Hardware(ni) => ni.encrypt_blocks(blocks),
+            Path::Software(soft) => blocks.iter_mut().for_each(|b| soft.encrypt_block(b)),
+        }
+    }
+
+    /// Decrypts a run of contiguous 16-byte blocks in place (ECB over the
+    /// slice), interleaved like [`encrypt_blocks`](Self::encrypt_blocks).
+    ///
+    /// # Panics
+    ///
+    /// If `data.len()` is not a multiple of 16.
+    pub fn decrypt_blocks(&self, data: &mut [u8]) {
+        let blocks = as_blocks(data);
+        match &self.path {
+            #[cfg(target_arch = "x86_64")]
+            Path::Hardware(ni) => ni.decrypt_blocks(blocks),
+            Path::Software(soft) => blocks.iter_mut().for_each(|b| soft.decrypt_block(b)),
+        }
+    }
+
+    /// Encrypts blocks held as little-endian `u128`s (block byte `i` is
+    /// bits `8i..8i+8`) in place — [`encrypt_blocks`](Self::encrypt_blocks)
+    /// for callers that compute their blocks arithmetically, as the chunk
+    /// PRP does, without a round trip through bytes.
+    pub(crate) fn encrypt_words(&self, words: &mut [u128]) {
+        match &self.path {
+            #[cfg(target_arch = "x86_64")]
+            Path::Hardware(ni) => match words {
+                [word] => *word = ni.encrypt_word(*word),
+                _ => ni.encrypt_blocks(words),
+            },
+            Path::Software(soft) => {
+                for word in words.iter_mut() {
+                    let mut block = word.to_le_bytes();
+                    soft.encrypt_block(&mut block);
+                    *word = u128::from_le_bytes(block);
+                }
+            }
+        }
+    }
+
+    /// A fixed-output-size PRF: `AES_k(pad16(msg_block_chain))` in a
+    /// CBC-MAC-like chain. Only used internally for key derivation and the
+    /// Feistel round function, always on fixed-format inputs, so CBC-MAC's
+    /// variable-length caveats do not apply.
+    pub fn prf(&self, data: &[u8]) -> [u8; 16] {
+        let mut mac = [0u8; 16];
+        let mut iter = data.chunks(16).peekable();
+        if iter.peek().is_none() {
+            // empty message: single padded block
+            let mut block = [0u8; 16];
+            block[0] = 0x80;
+            for (m, b) in mac.iter_mut().zip(block.iter()) {
+                *m ^= b;
+            }
+            self.encrypt_block(&mut mac);
+            return mac;
+        }
+        while let Some(chunk) = iter.next() {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            if chunk.len() < 16 {
+                block[chunk.len()] = 0x80;
+            } else if iter.peek().is_none() {
+                // full final block: flag with a distinct tweak to separate
+                // padded and unpadded finals
+                block[15] ^= 0x01;
+            }
+            for (m, b) in mac.iter_mut().zip(block.iter()) {
+                *m ^= b;
+            }
+            self.encrypt_block(&mut mac);
+        }
+        mac
+    }
+}
+
+/// `data` as 16-byte blocks.
+///
+/// # Panics
+///
+/// If `data.len()` is not a multiple of 16.
+fn as_blocks(data: &mut [u8]) -> &mut [[u8; 16]] {
+    let len = data.len();
+    let (blocks, rest) = data.as_chunks_mut::<16>();
+    assert!(
+        rest.is_empty(),
+        "length {len} not a multiple of the AES block size"
+    );
+    blocks
+}
+
+/// The software AES-128: byte-oriented, table-driven MixColumns.
+#[derive(Clone)]
+struct Soft {
+    round_keys: [[u8; 16]; 11],
+    sbox: &'static [u8; 256],
+    inv_sbox: &'static [u8; 256],
+    mul: &'static MulTables,
+}
+
+impl Drop for Soft {
+    /// Wipes the round-key schedule so key material does not linger in
+    /// freed memory (best effort; see [`crate::zeroize`]).
+    fn drop(&mut self) {
+        self.zeroize_schedule();
+    }
+}
+
+impl Soft {
+    /// Expands a 128-bit key into the 11 round keys.
+    fn new(key: &[u8; 16]) -> Soft {
         let ((sbox, inv_sbox), mul) = tables();
         let mut w = [[0u8; 4]; 44];
         for i in 0..4 {
@@ -168,7 +334,7 @@ impl Aes128 {
         for word in w.iter_mut() {
             crate::zeroize::wipe(word);
         }
-        Aes128 {
+        Soft {
             round_keys,
             sbox,
             inv_sbox,
@@ -257,11 +423,7 @@ impl Aes128 {
         }
     }
 
-    /// Encrypts one 16-byte block in place.
-    ///
-    /// Block bytes are in the natural FIPS-197 order, i.e. `block[i]` is
-    /// state row `i % 4`, column `i / 4` — exactly the wire order.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
         Self::add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
             self.sub_bytes(block);
@@ -274,8 +436,7 @@ impl Aes128 {
         Self::add_round_key(block, &self.round_keys[10]);
     }
 
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    fn decrypt_block(&self, block: &mut [u8; 16]) {
         Self::add_round_key(block, &self.round_keys[10]);
         Self::inv_shift_rows(block);
         self.inv_sub_bytes(block);
@@ -286,80 +447,6 @@ impl Aes128 {
             self.inv_sub_bytes(block);
         }
         Self::add_round_key(block, &self.round_keys[0]);
-    }
-
-    /// Encrypts a run of contiguous 16-byte blocks in place (ECB over the
-    /// slice). The batched form keeps round keys and tables hot across
-    /// blocks, which is where the bulk ingest path spends its cipher time.
-    ///
-    /// # Panics
-    ///
-    /// If `data.len()` is not a multiple of 16.
-    pub fn encrypt_blocks(&self, data: &mut [u8]) {
-        assert!(
-            data.len().is_multiple_of(Self::BLOCK),
-            "length {} not a multiple of the AES block size",
-            data.len()
-        );
-        for block in data.chunks_exact_mut(Self::BLOCK) {
-            // lint: allow(panic-freedom) -- chunks_exact_mut(16) yields 16-byte slices
-            let block: &mut [u8; 16] = block.try_into().expect("chunks_exact yields 16");
-            self.encrypt_block(block);
-        }
-    }
-
-    /// Decrypts a run of contiguous 16-byte blocks in place (ECB over the
-    /// slice).
-    ///
-    /// # Panics
-    ///
-    /// If `data.len()` is not a multiple of 16.
-    pub fn decrypt_blocks(&self, data: &mut [u8]) {
-        assert!(
-            data.len().is_multiple_of(Self::BLOCK),
-            "length {} not a multiple of the AES block size",
-            data.len()
-        );
-        for block in data.chunks_exact_mut(Self::BLOCK) {
-            // lint: allow(panic-freedom) -- chunks_exact_mut(16) yields 16-byte slices
-            let block: &mut [u8; 16] = block.try_into().expect("chunks_exact yields 16");
-            self.decrypt_block(block);
-        }
-    }
-
-    /// A fixed-output-size PRF: `AES_k(pad16(msg_block_chain))` in a
-    /// CBC-MAC-like chain. Only used internally for key derivation and the
-    /// Feistel round function, always on fixed-format inputs, so CBC-MAC's
-    /// variable-length caveats do not apply.
-    pub fn prf(&self, data: &[u8]) -> [u8; 16] {
-        let mut mac = [0u8; 16];
-        let mut iter = data.chunks(16).peekable();
-        if iter.peek().is_none() {
-            // empty message: single padded block
-            let mut block = [0u8; 16];
-            block[0] = 0x80;
-            for (m, b) in mac.iter_mut().zip(block.iter()) {
-                *m ^= b;
-            }
-            self.encrypt_block(&mut mac);
-            return mac;
-        }
-        while let Some(chunk) = iter.next() {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            if chunk.len() < 16 {
-                block[chunk.len()] = 0x80;
-            } else if iter.peek().is_none() {
-                // full final block: flag with a distinct tweak to separate
-                // padded and unpadded finals
-                block[15] ^= 0x01;
-            }
-            for (m, b) in mac.iter_mut().zip(block.iter()) {
-                *m ^= b;
-            }
-            self.encrypt_block(&mut mac);
-        }
-        mac
     }
 }
 
@@ -382,6 +469,27 @@ mod tests {
         }
     }
 
+    /// The software cipher and the one `new` picks (the hardware path on
+    /// a CPU with AES instructions, else the software path again).
+    fn both_paths(key: &[u8; 16]) -> [Aes128; 2] {
+        [Aes128::software(key), Aes128::new(key)]
+    }
+
+    /// A seeded stream of test bytes (SplitMix64).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_block(state: &mut u64) -> [u8; 16] {
+        let lo = splitmix(state).to_le_bytes();
+        let hi = splitmix(state).to_le_bytes();
+        core::array::from_fn(|i| if i < 8 { lo[i] } else { hi[i - 8] })
+    }
+
     #[test]
     fn fips197_appendix_b_vector() {
         // FIPS-197 Appendix B: key 2b7e1516..., plaintext 3243f6a8...
@@ -389,7 +497,7 @@ mod tests {
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
         ];
-        let mut block = [
+        let plain = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
@@ -397,31 +505,59 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expect);
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
+        for aes in both_paths(&key) {
+            let mut block = plain;
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, expect);
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain);
+        }
     }
 
     #[test]
     fn fips197_appendix_c1_vector() {
         // FIPS-197 Appendix C.1: key 000102...0f, plaintext 001122...ff
         let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let mut block: [u8; 16] = core::array::from_fn(|i| (i * 0x11) as u8);
+        let plain: [u8; 16] = core::array::from_fn(|i| (i * 0x11) as u8);
         let expect = [
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expect);
+        for aes in both_paths(&key) {
+            let mut block = plain;
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, expect);
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain);
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn hardware_path_matches_software_on_random_keys_and_blocks() {
+        let trials = if cfg!(miri) { 16 } else { 10_000 };
+        let mut state = 0x5eed_0040;
+        for _ in 0..trials {
+            let key = random_block(&mut state);
+            let Some(ni) = crate::aes_ni::AesNi::new(&key) else {
+                return; // no AES instructions here: the software path is all there is
+            };
+            let soft = Soft::new(&key);
+            assert_eq!(
+                ni.round_keys(),
+                &soft.round_keys,
+                "key schedule, key {key:02x?}"
+            );
+            let plain = random_block(&mut state);
+            let mut hw = plain;
+            let mut sw = plain;
+            ni.encrypt_blocks(core::array::from_mut(&mut hw));
+            soft.encrypt_block(&mut sw);
+            assert_eq!(hw, sw, "encrypt, key {key:02x?}");
+            ni.decrypt_blocks(core::array::from_mut(&mut hw));
+            soft.decrypt_block(&mut sw);
+            assert_eq!((hw, sw), (plain, plain), "decrypt, key {key:02x?}");
+        }
     }
 
     #[test]
@@ -440,8 +576,11 @@ mod tests {
 
     #[test]
     fn encrypt_blocks_matches_per_block_path() {
-        let aes = Aes128::new(&[0x33; 16]);
-        for nblocks in [0usize, 1, 2, 7, 33] {
+        // every tail length of the eight-block interleave, on both paths
+        for (aes, nblocks) in both_paths(&[0x33; 16])
+            .iter()
+            .flat_map(|aes| (0..=17).chain([33]).map(move |n| (aes, n)))
+        {
             let mut batched: Vec<u8> = (0..nblocks * 16).map(|i| (i % 253) as u8).collect();
             let mut singles = batched.clone();
             aes.encrypt_blocks(&mut batched);
@@ -490,7 +629,7 @@ mod tests {
     #[test]
     fn drop_path_wipes_round_key_schedule() {
         // the schedule of a real key is never all-zero bytes
-        let mut aes = Aes128::new(&[0x2b; 16]);
+        let mut aes = Soft::new(&[0x2b; 16]);
         assert!(aes.round_keys.iter().any(|rk| rk.iter().any(|&b| b != 0)));
         aes.zeroize_schedule();
         assert!(

@@ -21,7 +21,7 @@ pub struct MasterKey {
 
 impl std::fmt::Debug for MasterKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("MasterKey {{ .. }}") // never print key material
+        f.write_str("MasterKey { .. }") // never print key material
     }
 }
 
@@ -96,8 +96,15 @@ impl KeyMaterial {
 
     /// Per-record IV derived from the record identifier.
     pub fn record_iv(&self, rid: u64) -> [u8; 16] {
-        let aes = Aes128::new(&self.master.derive("record-iv", 0));
-        aes.prf(&rid.to_le_bytes())
+        self.record_ivs().iv(rid)
+    }
+
+    /// The per-record IV rule with its cipher derived once, for callers
+    /// that encrypt many records.
+    pub fn record_ivs(&self) -> RecordIvs {
+        RecordIvs {
+            cipher: Aes128::new(&self.master.derive("record-iv", 0)),
+        }
     }
 
     /// Chunk-PRP key for one chunking (offset family).
@@ -114,6 +121,26 @@ impl KeyMaterial {
     pub fn swp_key(&self, role: &str, chunking: u32) -> [u8; 16] {
         self.master
             .derive(&format!("swp-chunk-{role}"), chunking as u64)
+    }
+}
+
+/// The per-record IV rule: `iv(rid) = PRF_{k_iv}(rid_le)`, with `k_iv`
+/// derived from the master key under the label `record-iv`.
+#[derive(Clone)]
+pub struct RecordIvs {
+    cipher: Aes128,
+}
+
+impl std::fmt::Debug for RecordIvs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("RecordIvs { .. }") // never print key material
+    }
+}
+
+impl RecordIvs {
+    /// The IV of record `rid`.
+    pub fn iv(&self, rid: u64) -> [u8; 16] {
+        self.cipher.prf(&rid.to_le_bytes())
     }
 }
 
@@ -174,6 +201,16 @@ mod tests {
         let km = KeyMaterial::new(MasterKey::new([0xAB; 16]));
         let s = format!("{km:?}");
         assert!(!s.contains("171") && !s.to_lowercase().contains("ab, ab"));
+    }
+
+    #[test]
+    fn debug_prints_single_braces_and_no_key() {
+        let mk = MasterKey::new([0xAB; 16]);
+        let km = KeyMaterial::new(mk.clone());
+        assert_eq!(format!("{:?}", Aes128::new(&[0xAB; 16])), "Aes128 { .. }");
+        assert_eq!(format!("{mk:?}"), "MasterKey { .. }");
+        assert_eq!(format!("{km:?}"), "KeyMaterial { .. }");
+        assert_eq!(format!("{:?}", km.record_ivs()), "RecordIvs { .. }");
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! `zeroize`-crate technique, reimplemented here because the workspace
 //! builds offline and this is the only place that needs it.
 //!
-//! Scope: this wipes what the cipher types *own* (AES round-key
-//! schedules, the master key bytes). Copies the compiler spilled to the
+//! Scope: this wipes what the cipher types *own* (the software and the
+//! hardware AES round-key schedules, the master key bytes). Copies the compiler spilled to the
 //! stack or moved during `Clone` are inherently out of reach — this is
 //! hygiene, not a hermetic guarantee.
 //!
-//! This module is the only `unsafe` code in the workspace; the crate root
-//! is `#![deny(unsafe_code)]` and every site below carries a `SAFETY:`
-//! rationale audited by `sdds-lint` (rule `unsafe-audit`).
+//! This module and `aes_ni` (the AES instructions) are the only `unsafe`
+//! code in the workspace; the crate root is `#![deny(unsafe_code)]` and
+//! every site carries a `SAFETY:` rationale audited by `sdds-lint` (rule
+//! `unsafe-audit`).
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{compiler_fence, Ordering};

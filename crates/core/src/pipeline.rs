@@ -6,7 +6,7 @@ use crate::pack::{pack_chunk, value_to_bytes};
 use crate::query::{EncryptedQuery, QueryKind};
 use crate::swp_chunks::ChunkSwp;
 use sdds_chunk::ChunkError;
-use sdds_cipher::{modes, ChunkPrp, CipherError, KeyMaterial};
+use sdds_cipher::{modes, Aes128, ChunkPrp, CipherError, KeyMaterial, RecordIvs};
 use sdds_disperse::{DispersalConfig, Disperser};
 use sdds_encode::{Codebook, GramCounter, PairCompressor};
 use std::fmt;
@@ -61,14 +61,19 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// The owner-side engine: holds the key hierarchy, the per-chunking chunk
-/// PRPs, the optional Stage-2 codebook and the Stage-3 disperser.
+/// The owner-side engine: holds the ciphers derived from the key hierarchy
+/// (never the master key itself), the per-chunking chunk PRPs, the
+/// optional Stage-2 codebook and the Stage-3 disperser.
 pub struct IndexPipeline {
     config: SchemeConfig,
-    keys: KeyMaterial,
+    record_cipher: Aes128,
+    record_ivs: RecordIvs,
     prps: Vec<ChunkPrp>,
     swps: Vec<ChunkSwp>,
     codebook: Option<Codebook>,
+    /// Per-symbol encoding only: the code of every symbol below
+    /// `2^effective_symbol_bits`, so a chunk costs no map probes.
+    symbol_codes: Vec<u16>,
     precompressor: Option<PairCompressor>,
     disperser: Option<Disperser>,
 }
@@ -131,12 +136,23 @@ impl IndexPipeline {
                 .collect(),
             IndexKind::EcbChunks => Vec::new(),
         };
+        let symbol_codes = match (&codebook, config.encoding.map(|e| e.granularity)) {
+            (Some(book), Some(EncodingGranularity::PerSymbol)) => {
+                let symbols = 1usize << config.effective_symbol_bits().min(16);
+                (0..symbols)
+                    .map(|sym| book.encode_gram(&[sym as u16]))
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
         Ok(IndexPipeline {
             config,
-            keys,
+            record_cipher: keys.record_cipher(),
+            record_ivs: keys.record_ivs(),
             prps,
             swps,
             codebook,
+            symbol_codes,
             precompressor,
             disperser,
         })
@@ -233,16 +249,15 @@ impl IndexPipeline {
                 // lint: allow(panic-freedom) -- the match arm above only selects when `encoding.map(..)` was Some
                 let bits = self.config.encoding.expect("checked").code_bits();
                 chunk.iter().fold(0u128, |acc, &sym| {
-                    (acc << bits) | u128::from(book.encode_gram(&[sym]))
+                    let code = match self.symbol_codes.get(usize::from(sym)) {
+                        Some(&code) => code,
+                        None => book.encode_gram(&[sym]),
+                    };
+                    (acc << bits) | u128::from(code)
                 })
             }
             _ => pack_chunk(chunk, self.config.effective_symbol_bits()),
         }
-    }
-
-    /// Chunk → (compress) → pack → ECB-encrypt, for chunking `j`.
-    fn chunk_value(&self, j: usize, chunk: &[u16]) -> u128 {
-        self.prps[j].encrypt(self.chunk_plain_value(chunk))
     }
 
     /// Produces all `c·k` index records of an RC.
@@ -296,8 +311,9 @@ impl IndexPipeline {
                 scratch
                     .chunks
                     .chunks_exact(s)
-                    .map(|ch| self.chunk_value(j, ch)),
+                    .map(|ch| self.chunk_plain_value(ch)),
             );
+            self.prps[j].encrypt_many(&mut scratch.values);
             drop(encode_timer);
             match &self.disperser {
                 Some(d) => {
@@ -414,18 +430,17 @@ impl IndexPipeline {
 
     /// Strong encryption of the record store copy (AES-CBC, per-RID IV).
     pub fn encrypt_record(&self, rid: u64, rc: &str) -> Vec<u8> {
-        let aes = self.keys.record_cipher();
-        let iv = self.keys.record_iv(rid);
+        let iv = self.record_ivs.iv(rid);
         // lint: allow(determinism) -- record-store copy (§5), not the Stage-1 index path; CBC is the point here
-        modes::cbc_encrypt(&aes, &iv, rc.as_bytes())
+        modes::cbc_encrypt(&self.record_cipher, &iv, rc.as_bytes())
     }
 
     /// Decrypts a record store copy.
     pub fn decrypt_record(&self, rid: u64, ciphertext: &[u8]) -> Result<String, PipelineError> {
-        let aes = self.keys.record_cipher();
-        let iv = self.keys.record_iv(rid);
+        let iv = self.record_ivs.iv(rid);
         // lint: allow(determinism) -- record-store copy (§5), not the Stage-1 index path; CBC is the point here
-        let bytes = modes::cbc_decrypt(&aes, &iv, ciphertext).map_err(PipelineError::Decrypt)?;
+        let bytes = modes::cbc_decrypt(&self.record_cipher, &iv, ciphertext)
+            .map_err(PipelineError::Decrypt)?;
         String::from_utf8(bytes).map_err(|_| PipelineError::NotUtf8)
     }
 
@@ -489,10 +504,13 @@ impl IndexPipeline {
             let encrypted_series: Vec<Vec<u128>> = series
                 .iter()
                 .map(|ser| {
-                    ser.chunks
+                    let mut vals: Vec<u128> = ser
+                        .chunks
                         .iter()
-                        .map(|ch| self.chunk_value(j, ch))
-                        .collect()
+                        .map(|ch| self.chunk_plain_value(ch))
+                        .collect();
+                    self.prps[j].encrypt_many(&mut vals);
+                    vals
                 })
                 .collect();
             match &self.disperser {
@@ -652,8 +670,9 @@ mod tests {
         // chunk "ABCD" appears aligned in chunking 0 of "ABCD" and in
         // chunking 0 vs chunking 4-pad variants; compare the raw encrypt:
         let chunk: Vec<u16> = "ABCD".bytes().map(u16::from).collect();
-        let v0 = p.chunk_value(0, &chunk);
-        let v1 = p.chunk_value(1, &chunk);
+        let plain = p.chunk_plain_value(&chunk);
+        let v0 = p.prps[0].encrypt(plain);
+        let v1 = p.prps[1].encrypt(plain);
         assert_ne!(v0, v1, "per-chunking keys must differ");
     }
 
@@ -727,6 +746,31 @@ mod tests {
                 assert!(b < 16, "element exceeds code width: {b:#x}");
             }
         }
+    }
+
+    #[test]
+    fn per_symbol_table_matches_encode_gram_for_every_symbol() {
+        let cfg = SchemeConfig::paper_recommended();
+        // a sample that leaves most of the 256 symbols unseen, so the
+        // table holds FNV fallback codes as well as trained ones
+        let book = IndexPipeline::train_codebook(&cfg, ["SCHWARZ", "LITWIN", "MARTINEZ"]);
+        let p = IndexPipeline::new(cfg, keys(), Some(book.clone())).unwrap();
+        assert_eq!(p.symbol_codes.len(), 256);
+        for sym in 0..=u8::MAX {
+            let sym = u16::from(sym);
+            assert_eq!(
+                p.symbol_codes[usize::from(sym)],
+                book.encode_gram(&[sym]),
+                "{sym}"
+            );
+        }
+        // a symbol past the table still gets its encode_gram code
+        let bits = cfg.encoding.unwrap().code_bits();
+        let wide = [300u16; 6];
+        let want = (0..6).fold(0u128, |acc, _| {
+            (acc << bits) | u128::from(book.encode_gram(&[300]))
+        });
+        assert_eq!(p.chunk_plain_value(&wide), want);
     }
 
     #[test]
