@@ -529,8 +529,9 @@ impl BucketState {
     }
 
     /// Applies an incoming split/merge/restore `TransferBatch`: stage the
-    /// whole batch as **one atomic write**, force it durable, and only
-    /// then acknowledge — the [`Wire::TransferAck`] is a promise that the
+    /// whole batch as **one atomic write**, and only then acknowledge —
+    /// the runtime sends the [`Wire::TransferAck`] once the round's log
+    /// commit made the batch durable. The ack is a promise that the
     /// records cannot be lost, which is what licenses the source to
     /// delete its copies. On a storage failure no ack is sent, so the
     /// source keeps the records and nothing is lost.
@@ -610,9 +611,9 @@ impl BucketState {
                 out.push((SiteId(COORD_ID), Wire::SplitDone));
             }
             TransferDone::Merge => {
-                // Dissolved: tear down the durable footprint so a reopen
-                // cannot resurrect a retired bucket. (A crash before this
-                // line leaves an empty — or doomed-copy — directory that
+                // Dissolved: the log records the retirement, so a reopen
+                // cannot resurrect a retired bucket. (A crash before it is
+                // committed leaves an empty — or doomed-copy — bucket that
                 // re-addressing also resolves.)
                 if self.engine.destroy().is_err() {
                     ctx.obs.counter("storage.errors").inc();

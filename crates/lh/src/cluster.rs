@@ -12,7 +12,7 @@ use crate::runtime::{Machine, Runtime};
 use sdds_net::sync::{read, write};
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::Registry;
-use sdds_storage::{MemEngine, StorageConfig, StorageEngine, WriteBatch};
+use sdds_storage::{DiskEngine, HostLog, MemEngine, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,8 +84,8 @@ impl Directory {
 
 /// A consistent snapshot of an LH\* file: file state plus all bucket
 /// contents, in memory — what [`LhCluster::restore`] starts a file from.
-/// A file survives process restarts through its buckets' write-ahead
-/// logs (`StorageConfig`, DESIGN.md §10), not through snapshots.
+/// A file survives process restarts through its hosts' write-ahead logs
+/// (`StorageConfig`, DESIGN.md §10), not through snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSnapshot {
     /// File level at snapshot time.
@@ -178,7 +178,7 @@ pub struct ClusterConfig {
     /// Network parameters: fault injection.
     pub net: NetConfig,
     /// Storage backend for bucket records: volatile in-memory (the
-    /// default) or durable WAL+snapshot directories.
+    /// default) or durable, one write-ahead log per rank.
     pub storage: StorageConfig,
     /// Total per-operation timeout handed to every client this cluster
     /// creates (spread over the client's retransmit attempts). Short
@@ -230,26 +230,32 @@ pub struct LhCluster {
 impl LhCluster {
     /// Starts the file: a fresh one with one bucket and its coordinator,
     /// or, over a data dir that holds buckets already, the file they hold,
-    /// as [`open`](Self::open) does. If that fails, the file starts in
-    /// volatile memory and `storage.open_failures` counts it, as a bucket
-    /// whose storage does not open degrades.
+    /// as [`open`](Self::open) does. If that fails, a fresh file starts
+    /// whose buckets refuse every write (`HostLog::refusing`): a durable
+    /// file never runs in volatile memory. [`open`](Self::open) returns
+    /// the error instead.
     pub fn start(config: ClusterConfig) -> LhCluster {
         LhCluster::open(config.clone()).unwrap_or_else(|_| {
-            sdds_obs::counter("storage.open_failures").inc();
-            // a fresh file in memory: nothing on the way up can fail
-            LhCluster::start(ClusterConfig {
-                storage: StorageConfig::Mem,
-                ..config
-            })
+            let log = match &config.storage {
+                StorageConfig::Mem => None,
+                StorageConfig::Disk { data_dir, options } => {
+                    Some(HostLog::refusing(data_dir, options.clone()))
+                }
+            };
+            let network = Network::new(config.net.clone());
+            let host = SiteHost::new(network, Some(0), 1, config, log);
+            // a fresh network: the coordinator's id is free
+            let _ = host.start(ClientImage::default(), Vec::new());
+            LhCluster { host }
         })
     }
 
-    /// Reopens a durable file from the bucket directories under the
-    /// config's data dir, or starts a fresh one where there are none
-    /// (the in-memory backend included).
+    /// Reopens a durable file from the host log under the config's data
+    /// dir, or starts a fresh one where it holds no bucket (the in-memory
+    /// backend included).
     ///
     /// LH\* file state is never persisted separately: it is *derived* from
-    /// the number of bucket directories via the split invariant
+    /// the buckets the log holds via the split invariant
     /// `n = 2^level + split`. A crash mid-transfer can leave records in a
     /// bucket the derived state no longer maps them to (or in two buckets
     /// at once), so before any site exists, a re-address pass moves every
@@ -267,7 +273,7 @@ impl LhCluster {
         let ranks = registry.num_servers();
         let network = Network::tcp_client(registry, config.net.clone());
         LhCluster {
-            host: SiteHost::new(network, None, ranks, config),
+            host: SiteHost::new(network, None, ranks, config, None),
         }
     }
 
@@ -281,10 +287,14 @@ impl LhCluster {
         ranks: usize,
         config: ClusterConfig,
     ) -> Result<LhCluster, LhError> {
-        let image = reopen(&config.storage, ranks)?;
-        let host = SiteHost::new(network, Some(rank), ranks, config);
+        let Reopened {
+            image,
+            log,
+            engines,
+        } = reopen(&config.storage, ranks)?;
+        let host = SiteHost::new(network, Some(rank), ranks, config, log);
         if rank == 0 {
-            host.start(image)?;
+            host.start(image, engines)?;
         }
         Ok(LhCluster { host })
     }
@@ -542,38 +552,46 @@ fn bucket_level(addr: u64, image: ClientImage) -> u8 {
     }
 }
 
-/// The true state of the file whose buckets `storage` holds, for a rank
-/// of a `ranks`-rank cluster to start from, after the re-address pass
-/// [`LhCluster::open`] describes: level 0 for a fresh data dir (or the
-/// in-memory backend). Only a one-rank cluster holds every bucket to
-/// derive it from, so a rank of several refuses a data dir that holds
-/// any.
-fn reopen(storage: &StorageConfig, ranks: usize) -> Result<ClientImage, LhError> {
-    let addrs = storage
-        .existing_bucket_addrs()
-        .map_err(|e| LhError::Storage(e.to_string()))?;
-    let Some(&hi) = addrs.iter().max() else {
-        return Ok(ClientImage::default());
+/// What a rank starts from (see [`reopen`]).
+struct Reopened {
+    image: ClientImage,
+    log: Option<Arc<HostLog>>,
+    /// The buckets' engines, by address.
+    engines: Vec<DiskEngine>,
+}
+
+/// What a rank starts from: the true state of the file whose buckets
+/// `storage` holds, after the re-address pass [`LhCluster::open`]
+/// describes, the host log they live in, and their engines (level 0 and
+/// none for a fresh data dir or the in-memory backend). Only a one-rank
+/// cluster holds every bucket to derive the state from, so a rank of
+/// several refuses a data dir that holds any.
+fn reopen(storage: &StorageConfig, ranks: usize) -> Result<Reopened, LhError> {
+    let storage_error = |e: sdds_storage::StorageError| LhError::Storage(e.to_string());
+    let fresh = |log| Reopened {
+        image: ClientImage::default(),
+        log,
+        engines: Vec::new(),
+    };
+    let Some((log, mut buckets)) = storage.open_log().map_err(storage_error)? else {
+        return Ok(fresh(None));
+    };
+    let Some(&hi) = buckets.keys().next_back() else {
+        return Ok(fresh(Some(log)));
     };
     if ranks > 1 {
-        let dir = storage.bucket_dir(hi).unwrap_or_default();
         return Err(LhError::Rejected(format!(
-            "{} exists: a rank of a {ranks}-rank cluster starts only from an empty data dir",
-            dir.display()
+            "{} holds buckets: a rank of a {ranks}-rank cluster starts only from an empty data dir",
+            log.dir().display()
         )));
     }
     let n = hi + 1;
     let level = (63 - n.leading_zeros()) as u8;
     let split = n - (1u64 << level);
 
-    // The engines are opened exclusively here and dropped again.
-    let mut engines: Vec<Box<dyn StorageEngine>> = Vec::with_capacity(n as usize);
-    for addr in 0..n {
-        let engine = storage
-            .open_bucket(addr)
-            .map_err(|e| LhError::Storage(format!("bucket {addr}: {e}")))?;
-        engines.push(engine);
-    }
+    let mut engines: Vec<DiskEngine> = (0..n)
+        .map(|addr| buckets.remove(&addr).unwrap_or_else(|| log.engine(addr)))
+        .collect();
     // (source bucket, key, value, home bucket)
     let mut strays: Vec<(usize, u64, Vec<u8>, usize)> = Vec::new();
     for (addr, engine) in engines.iter().enumerate() {
@@ -597,17 +615,17 @@ fn reopen(storage: &StorageConfig, ranks: usize) -> Result<ClientImage, LhError>
             batches[from].delete(key);
         }
         for (addr, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                engines[addr].apply_batch(&batch).map_err(storage_error)?;
             }
-            let engine = &mut engines[addr];
-            engine
-                .apply_batch(&batch)
-                .and_then(|()| engine.flush())
-                .map_err(|e| LhError::Storage(format!("bucket {addr}: {e}")))?;
         }
+        log.commit().map_err(storage_error)?;
     }
-    Ok(ClientImage { level, split })
+    Ok(Reopened {
+        image: ClientImage { level, split },
+        log: Some(log),
+        engines,
+    })
 }
 
 /// One process's share of an LH\* file: its network, its directory, the
@@ -617,6 +635,8 @@ pub(crate) struct SiteHost {
     network: Network,
     directory: Arc<Directory>,
     runtime: Arc<Runtime>,
+    /// The log of this rank's durable buckets, if they are.
+    log: Option<Arc<HostLog>>,
     rank: Option<usize>,
     ranks: usize,
     config: ClusterConfig,
@@ -631,11 +651,13 @@ impl SiteHost {
         rank: Option<usize>,
         ranks: usize,
         config: ClusterConfig,
+        log: Option<Arc<HostLog>>,
     ) -> Arc<SiteHost> {
         Arc::new(SiteHost {
             network,
             directory: Arc::new(Directory::new()),
-            runtime: Runtime::start(),
+            runtime: Runtime::start(log.clone()),
+            log,
             rank,
             ranks,
             config,
@@ -649,11 +671,15 @@ impl SiteHost {
 
     /// Rank 0's part: the coordinator and the buckets of a file whose
     /// true state is `image` — bucket 0 of a new file, or every bucket of
-    /// a reopened one (one rank holds them all), serving what it holds at
-    /// once. The buckets are reserved before the coordinator runs: it
-    /// splits while they reopen, and a victim not spawned yet takes its
-    /// `SplitCmd` all the same.
-    fn start(self: &Arc<Self>, image: ClientImage) -> Result<(), LhError> {
+    /// a reopened one (one rank holds them all), serving what `engines`
+    /// hold at once. The buckets are reserved before the coordinator
+    /// runs: it splits while they reopen, and a victim not spawned yet
+    /// takes its `SplitCmd` all the same.
+    fn start(
+        self: &Arc<Self>,
+        image: ClientImage,
+        engines: Vec<DiskEngine>,
+    ) -> Result<(), LhError> {
         let coordinator = self
             .network
             .register_with_id(SiteId(COORD_ID))
@@ -683,8 +709,13 @@ impl SiteHost {
         };
         self.runtime
             .add(coordinator, Box::new(site), Registry::global());
+        let mut engines = engines.into_iter();
         for addr in 0..image.extent() {
-            self.spawn(addr, bucket_level(addr, image), true);
+            let engine = match engines.next() {
+                Some(engine) => Box::new(engine),
+                None => self.engine(addr),
+            };
+            self.spawn(addr, bucket_level(addr, image), Some(engine));
         }
         Ok(())
     }
@@ -698,7 +729,7 @@ impl SiteHost {
     fn place(&self, addr: u64, level: u8) -> Result<(), NetError> {
         let owner = (addr % self.ranks as u64) as usize;
         if self.rank == Some(owner) {
-            self.spawn(addr, level, false);
+            self.spawn(addr, level, None);
             return Ok(());
         }
         let msg = Wire::Spawn { addr, level }.encode();
@@ -733,15 +764,24 @@ impl SiteHost {
         self.directory.set_parity(group, sites);
     }
 
+    /// A new, empty engine for bucket `addr`: in the host log if the
+    /// buckets are durable. Opening one does no I/O and cannot fail.
+    fn engine(&self, addr: u64) -> Box<dyn StorageEngine> {
+        match &self.log {
+            Some(log) => Box::new(log.engine(addr)),
+            None => Box::new(MemEngine::new()),
+        }
+    }
+
     /// Spawns bucket `addr` at `level` on this rank, under its address:
-    /// its storage engine opened, its group's parity sites there, the
-    /// site handed to the runtime. If the site of the address's last
-    /// incarnation has yet to handle its `Shutdown` — a merge victim split
-    /// off again at once, a killed bucket recovered — the new one takes
-    /// that site's mailbox over at it ([`Runtime::succeed`]). A bucket
-    /// `reopened` over its own records serves at once, and so does the
-    /// primordial bucket 0; every other one was spawned for a split, a
-    /// restore or a recovery and waits for its contents (see
+    /// its engine, its group's parity sites there, the site handed to the
+    /// runtime. If the site of the address's last incarnation has yet to
+    /// handle its `Shutdown` — a merge victim split off again at once, a
+    /// killed bucket recovered — the new one takes that site's mailbox
+    /// over at it ([`Runtime::succeed`]). A bucket `reopened` over its own
+    /// records serves at once, and so does the primordial bucket 0; every
+    /// other one was spawned for a split, a restore or a recovery, gets a
+    /// new engine and waits for its contents (see
     /// [`BucketState::awaiting_records`]).
     ///
     /// The next address this rank will host, `addr + ranks`, is reserved
@@ -750,7 +790,7 @@ impl SiteHost {
     /// address can send it a `TransferBatch`, which may overtake the
     /// `Spawn` on its way to this rank. (A rank's first address is
     /// reserved with its network.)
-    pub(crate) fn spawn(&self, addr: u64, level: u8, reopened: bool) {
+    pub(crate) fn spawn(&self, addr: u64, level: u8, reopened: Option<Box<dyn StorageEngine>>) {
         let next = SiteRegistry::bucket_id(addr + self.ranks as u64);
         self.network.reserve(next);
         self.parity_group(addr);
@@ -763,14 +803,8 @@ impl SiteHost {
             // unaffected while per-site breakdowns become available.
             Registry::with_parent(format!("bucket-{addr}"), Registry::global()),
         );
-        // A spawner cannot report failure (it runs inside the
-        // coordinator's split path); if durable storage cannot open,
-        // degrade this bucket to volatile memory and count it rather than
-        // stall the file.
-        let engine = self.config.storage.open_bucket(addr).unwrap_or_else(|_| {
-            sdds_obs::counter("storage.open_failures").inc();
-            Box::new(MemEngine::new())
-        });
+        let awaiting = reopened.is_none() && addr > 0;
+        let engine = reopened.unwrap_or_else(|| self.engine(addr));
         let mut state = BucketState::new(
             addr,
             level,
@@ -778,7 +812,7 @@ impl SiteHost {
             self.config.filter.index_element_bytes(),
             engine,
         );
-        if !reopened && addr > 0 {
+        if awaiting {
             state = state.awaiting_records();
         }
         let obs = ctx.obs.clone();

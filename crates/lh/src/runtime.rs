@@ -22,17 +22,22 @@
 //! [`ROUND_BUDGET`] envelopes. Clients scatter their fan-outs the same
 //! way, so a scan costs a handful of context switches, not two per
 //! bucket. `DESIGN.md` § "Site runtime" has the numbers.
+//!
+//! Over durable buckets the round is also the commit group of their
+//! host's log ([`HostLog`]): from the first handler that leaves the log
+//! dirty on, the round's sends are held, and it ends with one `fsync` for
+//! every bucket it wrote to, then sends them (DESIGN.md §10).
 
 use crate::filter::ScanMemo;
 use crate::health::LoopHealth;
 use crate::messages::Wire;
+use bytes::Bytes;
 use sdds_net::sync::{lock, read, write};
 use sdds_net::{Endpoint, Envelope, Scatter, Scheduler, SiteId};
 use sdds_obs::trace::{SpanGuard, TraceContext};
 use sdds_obs::{Gauge, Histogram, Registry};
-use std::cell::RefCell;
+use sdds_storage::HostLog;
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
@@ -42,15 +47,10 @@ use std::time::Instant;
 pub(crate) const DRAIN_BUDGET: usize = 64;
 
 /// Most envelopes a worker dispatches before it delivers the wake-ups
-/// its sends owe, however long the ready queue stays non-empty: under
-/// sustained load a reply waits for at most this much other work.
+/// its sends owe (and commits the host log), however long the ready
+/// queue stays non-empty: under sustained load a reply waits for at most
+/// this much other work.
 const ROUND_BUDGET: usize = 16 * DRAIN_BUDGET;
-
-/// Workers beyond the one per processor: as many as can wait for the
-/// disk while the others run, which is how many buckets' `fsync`s
-/// overlap. A durable single-record insert writes to eight buckets (7.2
-/// `fsync`s in flight at once, measured with a thread per bucket).
-const DISK_WAITERS: usize = 8;
 
 /// A site's protocol logic: pure state, driven by the runtime.
 pub(crate) trait Machine: Send {
@@ -96,29 +96,19 @@ struct Cell {
 struct Sched {
     /// Sites with envelopes (or deferred work), each at most once.
     ready: VecDeque<usize>,
-    /// Workers holding a run slot: running activations, not waiting for
-    /// the disk. A sleeper takes a slot only while there are fewer than
-    /// `Runtime::slots`; a worker back from the disk takes one regardless,
-    /// for the rest of its activation.
-    running: usize,
-    /// Workers without a slot, parked until there is a ready site and a
-    /// free slot. The one that fell asleep last is woken first, while
-    /// its stack and thread-locals are still in the cache: woken in
-    /// turn, as a condvar does it, nine workers made a `get` 10 % slower
-    /// than one.
+    /// Workers parked until there is a ready site. The one that fell
+    /// asleep last is woken first, while its stack and thread-locals are
+    /// still in the cache: woken in turn, as a condvar does it, nine
+    /// workers made a `get` 10 % slower than one.
     sleepers: Vec<Thread>,
     stopping: bool,
 }
 
 impl Sched {
-    /// The sleeper to wake, if one has something to get up for: a free
-    /// slot and a ready site.
-    fn sleeper_for_work(&mut self, slots: usize) -> Option<Thread> {
-        if !self.ready.is_empty() && self.running < slots {
-            self.sleepers.pop()
-        } else {
-            None
-        }
+    /// The sleeper to wake, if one has something to get up for.
+    fn sleeper_for_work(&mut self) -> Option<Thread> {
+        self.ready.front()?;
+        self.sleepers.pop()
     }
 }
 
@@ -129,14 +119,22 @@ fn wake(sleeper: Option<Thread>) {
     }
 }
 
+/// A send a round holds until the host log is committed: from, to, what.
+type Held = (Arc<Site>, SiteId, Bytes, Option<TraceContext>);
+
 /// The sites of one process and the workers that run them.
 pub(crate) struct Runtime {
     sched: Mutex<Sched>,
-    /// Workers that may run at once: one per available processor.
+    /// Workers: one per available processor.
     slots: usize,
     /// Indexed by the key a site's mailbox reports; `None` once retired.
     sites: RwLock<Vec<Option<Arc<Site>>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The log of the host's durable buckets, if they are.
+    log: Option<Arc<HostLog>>,
+    /// Sends held for the log's commit, in order: one queue for all
+    /// workers, so a site's sends keep their order whoever commits.
+    held: Mutex<Vec<Held>>,
 }
 
 impl Scheduler for Runtime {
@@ -145,32 +143,33 @@ impl Scheduler for Runtime {
     }
 
     fn wake(&self) {
-        let sleeper = lock(&self.sched).sleeper_for_work(self.slots);
+        let sleeper = lock(&self.sched).sleeper_for_work();
         wake(sleeper);
     }
 }
 
 impl Runtime {
-    /// A runtime that runs one worker per available processor.
-    pub(crate) fn start() -> Arc<Runtime> {
-        Runtime::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    /// A runtime of one worker per processor, over its buckets' log.
+    pub(crate) fn start(log: Option<Arc<HostLog>>) -> Arc<Runtime> {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Runtime::with_workers(workers, log)
     }
 
-    /// Tests pick how many workers run at once; nothing else may.
-    /// [`DISK_WAITERS`] more are started to stand in for those waiting
-    /// for the disk. They start with the first site: a process that
-    /// hosts none, a client, runs no worker.
-    pub(crate) fn with_workers(workers: usize) -> Arc<Runtime> {
+    /// Tests pick how many workers run; nothing else may. They start
+    /// with the first site: a process that hosts none, a client, runs no
+    /// worker.
+    pub(crate) fn with_workers(workers: usize, log: Option<Arc<HostLog>>) -> Arc<Runtime> {
         Arc::new(Runtime {
             sched: Mutex::new(Sched {
                 ready: VecDeque::new(),
-                running: 0,
                 sleepers: Vec::new(),
                 stopping: false,
             }),
             slots: workers.max(1),
             sites: RwLock::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
+            log,
+            held: Mutex::new(Vec::new()),
         })
     }
 
@@ -181,7 +180,7 @@ impl Runtime {
         if !workers.is_empty() || lock(&self.sched).stopping {
             return;
         }
-        workers.extend((0..self.slots + DISK_WAITERS).map(|_| {
+        workers.extend((0..self.slots).map(|_| {
             let runtime = Arc::clone(self);
             std::thread::spawn(move || Worker::new(runtime).run())
         }));
@@ -271,18 +270,16 @@ impl Runtime {
         read(&self.sites).get(key).cloned().flatten()
     }
 
-    /// Blocks a worker without a slot until there is a ready site and a
-    /// free slot, and takes the slot; `false` when the runtime stopped
-    /// and nothing is left to run.
+    /// Blocks a worker until there is a ready site; `false` when the
+    /// runtime stopped and nothing is left to run.
     fn acquire(&self) -> bool {
         let me = std::thread::current();
         let mut sched = lock(&self.sched);
         loop {
-            if sched.running < self.slots && !sched.ready.is_empty() {
-                sched.running += 1;
+            if !sched.ready.is_empty() {
                 return true;
             }
-            if sched.stopping && sched.ready.is_empty() {
+            if sched.stopping {
                 let next = sched.sleepers.pop();
                 drop(sched);
                 wake(next);
@@ -297,42 +294,15 @@ impl Runtime {
         }
     }
 
-    /// Gives a slot up — the worker's round is over, or it is about to
-    /// wait for the disk — to a sleeper, if there is work for one.
-    fn release(&self) {
-        let sleeper = {
-            let mut sched = lock(&self.sched);
-            sched.running -= 1;
-            sched.sleeper_for_work(self.slots)
-        };
-        wake(sleeper);
-    }
-
-    /// The next ready site, if any, for a worker that holds a slot;
-    /// never blocks.
+    /// The next ready site, if any; never blocks.
     fn next(&self) -> Option<usize> {
         let mut sched = lock(&self.sched);
         let key = sched.ready.pop_front()?;
         // if there is work for another worker, pass the wake-up on
-        let sleeper = sched.sleeper_for_work(self.slots);
+        let sleeper = sched.sleeper_for_work();
         drop(sched);
         wake(sleeper);
         Some(key)
-    }
-
-    /// A worker is about to wait for the disk inside a handler: its slot
-    /// goes to a sleeper, so that the buckets behind it, and their
-    /// `fsync`s, need not queue up behind this one.
-    fn disk_wait_begins(&self) {
-        self.release();
-    }
-
-    /// Back from the disk: the worker goes on with its activation at
-    /// once, on a slot of its own if the others are taken — it holds a
-    /// site whose client waits for exactly this — and ends its round
-    /// after that activation, which gives the slot back.
-    fn disk_wait_ends(&self) {
-        lock(&self.sched).running += 1;
     }
 
     fn retire(&self, key: usize) {
@@ -345,13 +315,8 @@ impl Runtime {
 /// One worker thread's state.
 struct Worker {
     runtime: Arc<Runtime>,
-    /// Everything this worker's sites sent in the current round. Shared
-    /// with the thread's disk-wait hook, which runs inside a handler,
-    /// when the worker itself is not sending.
-    scatter: Rc<RefCell<Scatter>>,
-    /// Set by the disk-wait hook: the activation in progress waited for
-    /// the disk, and the round ends with it.
-    waited: Rc<std::cell::Cell<bool>>,
+    /// Everything this worker's sites sent in the current round.
+    scatter: Scatter,
     batch: Vec<Envelope>,
     /// The scan query this worker prepared last, for the next bucket it
     /// activates: a scan sends every bucket the same bytes.
@@ -370,8 +335,7 @@ impl Worker {
     fn new(runtime: Arc<Runtime>) -> Worker {
         Worker {
             runtime,
-            scatter: Rc::new(RefCell::new(Scatter::new())),
-            waited: Rc::default(),
+            scatter: Scatter::new(),
             batch: Vec::with_capacity(DRAIN_BUDGET),
             memo: ScanMemo::default(),
             dispatched: 0,
@@ -382,29 +346,11 @@ impl Worker {
     }
 
     fn run(mut self) {
-        // A handler about to wait for the disk first delivers the
-        // wake-ups the round owes so far — nobody should sleep through
-        // somebody else's fsync — and lends its slot out meanwhile.
-        let (runtime, scatter) = (Arc::clone(&self.runtime), Rc::clone(&self.scatter));
-        let waited = Rc::clone(&self.waited);
-        sdds_storage::set_disk_wait_hook(Box::new(move |begins| {
-            if begins {
-                scatter.borrow_mut().wake();
-                runtime.disk_wait_begins();
-            } else {
-                runtime.disk_wait_ends();
-                waited.set(true);
-            }
-        }));
         while self.runtime.acquire() {
             while let Some(key) = self.runtime.next() {
                 self.activate(key);
-                if self.waited.take() {
-                    break; // the ack the disk was waited for goes out now
-                }
             }
             self.end_round();
-            self.runtime.release();
         }
     }
 
@@ -417,13 +363,29 @@ impl Worker {
         }
     }
 
-    /// The round is over: wake whoever this round's sends owe.
+    /// The round is over: commit the host log if it is dirty, send what
+    /// waited for that, and wake whoever this round's sends owe.
     fn end_round(&mut self) {
         if self.last.is_some() {
             self.lap(Instant::now());
         }
         self.health.idle();
-        self.scatter.borrow_mut().wake();
+        if let Some(log) = &self.runtime.log {
+            let mut held = lock(&self.runtime.held);
+            if log.dirty() || !held.is_empty() {
+                let sends = std::mem::take(&mut *held);
+                // A failed commit closes the log and releases nothing:
+                // what it staged stays uncommitted, so every later round
+                // holds its sends and drops them too (DESIGN.md §10).
+                if log.commit().is_ok() {
+                    for (site, to, payload, ctx) in sends {
+                        // fails only if the peer is gone, which it may be
+                        let _ = site.endpoint.send_with(&mut self.scatter, to, payload, ctx);
+                    }
+                }
+            }
+        }
+        self.scatter.wake();
         if self.dispatched > 0 {
             self.batch_size.observe(self.dispatched as f64);
             self.dispatched = 0;
@@ -442,7 +404,7 @@ impl Worker {
         let now = Instant::now();
         self.lap(now);
         self.health.busy(now);
-        self.scatter.borrow_mut().stamp(now);
+        self.scatter.stamp(now);
         if let Some(oldest) = drained.oldest {
             site.queue_wait
                 .observe_duration(now.saturating_duration_since(oldest));
@@ -455,11 +417,22 @@ impl Worker {
             successor,
         } = &mut *cell;
         let endpoint = &site.endpoint;
-        let send = |out: Vec<(SiteId, Wire)>, ctx: Option<TraceContext>| {
-            let scatter = &mut self.scatter.borrow_mut();
-            for (to, msg) in out {
-                // fails only if the peer is gone, which it may be
-                let _ = endpoint.send_with(scatter, to, msg.encode(), ctx);
+        let (runtime, scatter) = (&self.runtime, &mut self.scatter);
+        let mut send = |out: Vec<(SiteId, Wire)>, ctx: Option<TraceContext>| {
+            let held = runtime.log.as_ref().map(|log| (log, lock(&runtime.held)));
+            match held {
+                // once the log is dirty, sends wait for its commit
+                Some((log, mut held)) if log.dirty() || !held.is_empty() => {
+                    let encode =
+                        |(to, msg): (SiteId, Wire)| (Arc::clone(&site), to, msg.encode(), ctx);
+                    held.extend(out.into_iter().map(encode));
+                }
+                _ => {
+                    for (to, msg) in out {
+                        // fails only if the peer is gone, which it may be
+                        let _ = endpoint.send_with(scatter, to, msg.encode(), ctx);
+                    }
+                }
             }
         };
         if !*started {
@@ -559,7 +532,7 @@ mod tests {
         const SENDERS: usize = 8;
         const PER_PAIR: u64 = if cfg!(miri) { 4 } else { 200 };
         let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(4);
+        let runtime = Runtime::with_workers(4, None);
         let handled = Arc::new(AtomicUsize::new(0));
         let violations = Arc::new(AtomicUsize::new(0));
         let mut site_ids = Vec::new();
@@ -617,7 +590,7 @@ mod tests {
     #[test]
     fn a_flooded_site_yields_after_one_drain_budget() {
         let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(1);
+        let runtime = Runtime::with_workers(1, None);
         let flooded_handled = Arc::new(AtomicUsize::new(0));
         let seen_at_other = Arc::new(AtomicUsize::new(usize::MAX));
         // Hold the one worker inside a third site while the queues fill,
@@ -674,7 +647,7 @@ mod tests {
 
         const BUCKETS: u64 = 64;
         let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(workers);
+        let runtime = Runtime::with_workers(workers, None);
         let client = net.register();
         let filter = Arc::new(CountingFilter::default());
         let directory = Arc::new(Directory::new());
@@ -746,27 +719,40 @@ mod tests {
         );
     }
 
-    /// One worker, a site whose handler waits for an `fsync`, and a
-    /// flooded neighbour queued behind it, which takes the slot over
-    /// meanwhile: back from the disk the site goes on at once and its
-    /// reply leaves with that activation, not when the flood has drained.
+    /// Acked ⇒ synced. One worker, a durable site on a real host log
+    /// under `FsyncPolicy::Always`, and a flooded in-memory neighbour
+    /// queued behind it: when the client receives each reply, the log's
+    /// synced count already covers the write the reply answers, and the
+    /// replies leave when the round ends, after at most `ROUND_BUDGET`
+    /// envelopes of the flood, not after all of it.
+    ///
+    /// Both checks are counts, not clocks. The round that runs the writes
+    /// dispatches the gate's envelope, the three writes and then the
+    /// flood in activations of `DRAIN_BUDGET`, and ends at the first
+    /// activation end past `ROUND_BUDGET` envelopes: after exactly
+    /// `ROUND_BUDGET` of the flood. The flood's handler stops the worker
+    /// at the envelope after those until the client has its replies, so
+    /// a reply held any longer would never come. Do not weaken this into
+    /// a wall-clock check.
     #[test]
     #[cfg_attr(miri, ignore)] // a real file and a real fsync
-    fn a_site_back_from_the_disk_does_not_wait_for_a_flooded_neighbour() {
-        use sdds_storage::{DiskEngine, DiskOptions, FsyncPolicy, StorageEngine};
-        const FLOOD: usize = 2_000;
-        let dir = std::env::temp_dir().join(format!("sdds-lh-diskwait-{}", std::process::id()));
+    fn a_reply_leaves_after_its_write_is_synced_and_within_one_round() {
+        use sdds_storage::{DiskOptions, FsyncPolicy, StorageEngine};
+        const WRITES: u64 = 3;
+        const FLOOD: usize = 4 * ROUND_BUDGET;
+        let dir = std::env::temp_dir().join(format!("sdds-lh-acked-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let options = DiskOptions {
             fsync: FsyncPolicy::Always,
             ..DiskOptions::default()
         };
-        let mut engine = DiskEngine::open(&dir, options).unwrap();
+        let (log, _) = sdds_storage::HostLog::open(&dir, options).unwrap();
+        let mut engine = log.engine(0);
 
         let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(1);
+        let runtime = Runtime::with_workers(1, Some(Arc::clone(&log)));
         let client = net.register();
-        // Hold the one slot inside a third site while the queues fill.
+        // Hold the one worker inside a third site while the queues fill.
         let gate = net.register();
         let gate_id = gate.id();
         let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
@@ -776,37 +762,69 @@ mod tests {
             go_rx.recv().unwrap();
             Vec::new()
         });
+        // Each reply carries how many writes the log had staged once this
+        // one was.
         let durable = net.register();
         let durable_id = durable.id();
+        let staged = Arc::clone(&log);
         add(&runtime, durable, move |from, msg| {
             engine.put(number(&msg), b"synced").unwrap();
-            vec![(from, msg)]
+            let (req_id, idle) = (staged.staged(), false);
+            vec![(from, Wire::ExtentReq { req_id, idle })]
         });
         let flooded = net.register();
         let flooded_id = flooded.id();
         let flooded_handled = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&flooded_handled);
+        let (replied_tx, replied_rx) = std::sync::mpsc::channel::<()>();
         add(&runtime, flooded, move |_, _| {
-            std::thread::sleep(Duration::from_micros(100));
+            if counter.load(Ordering::SeqCst) == ROUND_BUDGET {
+                replied_rx.recv().unwrap();
+            }
             counter.fetch_add(1, Ordering::SeqCst);
             Vec::new()
         });
         client.send(gate_id, numbered(0)).unwrap();
         enter_rx.recv().unwrap();
-        client.send(durable_id, numbered(1)).unwrap();
+        for n in 0..WRITES {
+            client.send(durable_id, numbered(n)).unwrap();
+        }
         for n in 0..FLOOD {
             client.send(flooded_id, numbered(n as u64)).unwrap();
         }
         go_tx.send(()).unwrap();
-        let reply = client.recv_timeout(Duration::from_secs(60)).unwrap();
+        // The client polls rather than sleeps until it is woken: a reply
+        // must not even sit in its mailbox before its write is synced.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for _ in 0..WRITES {
+            let reply = loop {
+                match client.try_recv() {
+                    Ok(env) => break env,
+                    Err(_) => assert!(Instant::now() < deadline, "no reply"),
+                }
+                std::thread::yield_now();
+            };
+            assert_eq!(reply.from, durable_id);
+            let staged = number(&Wire::decode(&reply.payload).unwrap());
+            assert!(
+                log.synced() >= staged,
+                "a reply left before its write was synced: {} < {staged}",
+                log.synced()
+            );
+        }
         let handled_by_then = flooded_handled.load(Ordering::SeqCst);
-        assert_eq!(reply.from, durable_id);
         assert!(
-            handled_by_then < FLOOD,
-            "the reply waited for the whole flood"
+            handled_by_then <= ROUND_BUDGET,
+            "the replies waited for {handled_by_then} envelopes of the flood"
         );
+        replied_tx.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while flooded_handled.load(Ordering::SeqCst) < FLOOD && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         runtime.shutdown();
         assert_eq!(flooded_handled.load(Ordering::SeqCst), FLOOD);
+        assert_eq!(log.synced(), WRITES, "one round, one commit");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -817,7 +835,7 @@ mod tests {
     #[test]
     fn a_successor_takes_the_mailbox_over_at_the_shutdown() {
         let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(1);
+        let runtime = Runtime::with_workers(1, None);
         let client = net.register();
         let to_client = client.id();
         let echo = move |plus: u64| {
@@ -878,7 +896,7 @@ mod tests {
             }
         }
         let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(2);
+        let runtime = Runtime::with_workers(2, None);
         let client = net.register();
         let mut ids = Vec::new();
         let mut dropped = Vec::new();

@@ -127,7 +127,7 @@ impl Host {
     fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
         match msg {
             Wire::Spawn { addr, level } => {
-                self.cluster.host.spawn(addr, level, false);
+                self.cluster.host.spawn(addr, level, None);
                 Vec::new()
             }
             Wire::DropConns => {

@@ -33,10 +33,9 @@ fn a_file_of_200_buckets_runs_on_as_many_threads_as_one_bucket() {
     let client = cluster.client();
     client.insert(0, vec![0]).unwrap();
     let at_one_bucket = threads();
-    // one worker per processor to run, and the runtime's constant eight
-    // more (`DISK_WAITERS`) for those to stand in for that wait on a disk
+    // one worker per processor
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(at_one_bucket - before, cores + 8);
+    assert_eq!(at_one_bucket - before, cores);
 
     for key in 1..2_000u64 {
         client.insert(key, vec![0]).unwrap();

@@ -8,11 +8,11 @@
 //!
 //! `len` counts the kind byte plus the body (so a frame occupies `8 + len`
 //! bytes on the wire) and `crc` is the CRC-32 (IEEE polynomial, the same
-//! variant used by zlib) of the kind byte followed by the body. A frame
-//! whose CRC does not match, whose `len` is zero, or whose `len` exceeds
-//! [`MAX_FRAME_LEN`] is rejected and the connection that produced it is
-//! dropped: framing is only trusted as a unit, never resynchronised
-//! mid-stream.
+//! variant used by zlib: `sdds_obs::crc32`) of the kind byte followed by
+//! the body. A frame whose CRC does not match, whose `len` is zero, or
+//! whose `len` exceeds [`MAX_FRAME_LEN`] is rejected and the connection
+//! that produced it is dropped: framing is only trusted as a unit, never
+//! resynchronised mid-stream.
 //!
 //! Five frame kinds exist:
 //!
@@ -45,6 +45,7 @@
 use crate::codec::{put_u32, put_u64, Reader};
 use crate::network::{Envelope, SiteId};
 use bytes::Bytes;
+use sdds_obs::crc32;
 use sdds_obs::trace::TraceContext;
 
 /// Upper bound on `len` (kind byte + body) for a single frame: 16 MiB.
@@ -115,38 +116,6 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-// CRC-32 (IEEE 802.3 polynomial, reflected: 0xEDB88320), table-driven.
-// The table is computed at compile time; `crc32(b"123456789")` must equal
-// the standard check value 0xCBF4_3926.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// Finishes a frame started at `start` in `out`: fills in the length and
 /// CRC header bytes that were reserved by the caller.

@@ -20,7 +20,8 @@
 //!   in one step so tests stop observing counters leaked by earlier
 //!   tests.
 //!
-//! The [`json`] module is the workspace's one JSON reader and writer.
+//! The [`json`] module is the workspace's one JSON reader and writer, and
+//! [`crc32`] its one checksum (network and write-ahead-log frames).
 //!
 //! ```
 //! sdds_obs::counter("demo.requests").inc();
@@ -36,8 +37,11 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+mod crc;
 pub mod json;
 pub mod trace;
+
+pub use crc::crc32;
 
 use json::{fmt_f64, quote};
 

@@ -1,27 +1,18 @@
 //! Pluggable per-bucket storage engines for the SDDS.
 //!
-//! A bucket site owns exactly one [`StorageEngine`]. The trait is the
-//! narrow waist between LH\*RS bucket logic and persistence: point reads,
-//! ordered iteration, and — crucially — *atomic write batches*, so that a
-//! split/merge `TransferBatch` or a recovery `Adopt` either lands entirely
-//! or not at all across a crash.
-//!
-//! Two backends ship:
-//!
-//! * [`MemEngine`] — the original in-memory `BTreeMap`, refactored onto the
-//!   trait with zero behavior change (and zero I/O failure modes).
-//! * [`DiskEngine`] — a from-scratch, std-only durable backend: an
-//!   append-only CRC-framed write-ahead log with group-commit fsync
-//!   batching, periodic snapshots, crash-recovery replay that truncates at
-//!   the first corrupt frame, and generational segment compaction.
-//!
-//! Engines are deliberately *not* `Sync`: each bucket site owns its
-//! engine exclusively, exactly like the map it replaces.
-//!
-//! An engine call that waits for the disk (a WAL `fsync`) holds up the
-//! thread it runs on. A thread that runs many buckets says so with
-//! [`set_disk_wait_hook`] and is told before and after every such wait,
-//! so that it can let another thread take over meanwhile.
+//! A bucket site owns exactly one [`StorageEngine`]: point reads, ordered
+//! iteration and *atomic write batches*, so that a split/merge
+//! `TransferBatch` or a recovery `Adopt` lands entirely or not at all
+//! across a crash. The engine is the bucket's `BTreeMap`; [`MemEngine`]
+//! keeps it in memory only, [`DiskEngine`] writes it through to its host's
+//! one [`HostLog`] — an append-only CRC-framed write-ahead log whose
+//! entries name their bucket, with snapshot generations and a replay that
+//! truncates a torn tail. Writes only *stage*: the runtime commits the log
+//! — one frame, one `fsync` — at the end of each worker round that wrote,
+//! before the round's sends leave ([`HostLog::commit`]).
+//! [`DiskEngine::open`] is the one-bucket case, a log of its own that
+//! commits every write. Engines are not `Sync`: each bucket site owns its
+//! engine exclusively, like the map it replaces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,46 +20,13 @@
 mod disk;
 mod wal;
 
-pub use disk::{DiskEngine, DiskOptions};
+pub use disk::{DiskEngine, DiskOptions, HostLog, MemEngine};
 pub use wal::FsyncPolicy;
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
-
-/// Called with `true` right before a wait for the disk, `false` after.
-pub type DiskWaitHook = Box<dyn Fn(bool)>;
-
-thread_local! {
-    static DISK_WAIT_HOOK: RefCell<Option<DiskWaitHook>> = const { RefCell::new(None) };
-}
-
-/// Installs the calling thread's disk-wait hook: engines used on this
-/// thread call it with `true` right before they wait for the disk and
-/// with `false` right after. Eight buckets' `fsync`s issued from eight
-/// threads overlap in the file system's journal and take about as long as
-/// three issued one after the other, so a thread that runs many buckets
-/// wants somebody else to run the next one while it waits.
-pub fn set_disk_wait_hook(hook: DiskWaitHook) {
-    DISK_WAIT_HOOK.with(|h| *h.borrow_mut() = Some(hook));
-}
-
-/// Runs `wait`, a call that waits for the disk, between the two calls of
-/// this thread's hook, if it has one.
-pub(crate) fn disk_wait<R>(wait: impl FnOnce() -> R) -> R {
-    DISK_WAIT_HOOK.with(|h| {
-        let hook = h.borrow();
-        if let Some(hook) = hook.as_ref() {
-            hook(true);
-        }
-        let result = wait();
-        if let Some(hook) = hook.as_ref() {
-            hook(false);
-        }
-        result
-    })
-}
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Error surface of a storage engine. The in-memory backend never returns
 /// one; the disk backend maps I/O and corruption failures here.
@@ -109,7 +67,8 @@ impl StorageError {
     }
 }
 
-/// One logical mutation inside a [`WriteBatch`] (and one WAL frame entry).
+/// One logical mutation inside a [`WriteBatch`], and one entry of a log
+/// frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchOp {
     /// Insert or overwrite `key`.
@@ -127,11 +86,19 @@ pub enum BatchOp {
     /// Drop every record. Used by recovery `Adopt` as its first op so the
     /// adopted image replaces — never merges with — stale local state.
     Clear,
+    /// Log only, never in a `WriteBatch`: the entries after it, up to the
+    /// next `Bucket`, are bucket `addr`'s.
+    Bucket {
+        /// Bucket address.
+        addr: u64,
+    },
+    /// Log only, never in a `WriteBatch`: the bucket was merged away. Its
+    /// records go, and a reopen no longer counts it.
+    Retire,
 }
 
-/// An ordered group of mutations applied atomically: the disk backend
-/// writes the whole batch as a single CRC-framed WAL record, so replay
-/// sees all of it or none of it.
+/// An ordered group of mutations applied atomically: the log keeps a
+/// batch inside one CRC-framed frame, so replay sees all of it or none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteBatch {
     ops: Vec<BatchOp>,
@@ -174,8 +141,7 @@ impl WriteBatch {
     }
 }
 
-/// Apply a slice of ops to a map view, in order. Shared by both backends
-/// and by WAL replay so the semantics cannot drift.
+/// Apply a slice of ops to a bucket's map, in order.
 pub(crate) fn apply_ops(map: &mut BTreeMap<u64, Vec<u8>>, ops: &[BatchOp]) {
     for op in ops {
         match op {
@@ -185,7 +151,8 @@ pub(crate) fn apply_ops(map: &mut BTreeMap<u64, Vec<u8>>, ops: &[BatchOp]) {
             BatchOp::Delete { key } => {
                 map.remove(key);
             }
-            BatchOp::Clear => map.clear(),
+            BatchOp::Clear | BatchOp::Retire => map.clear(),
+            BatchOp::Bucket { .. } => {}
         }
     }
 }
@@ -236,71 +203,15 @@ pub trait StorageEngine: Send {
     /// post-write bookkeeping instead of holding a second owned copy.
     fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), StorageError>;
 
-    /// Force everything written so far to stable storage.
+    /// Force everything written so far to stable storage. An engine of a
+    /// runtime's host log only stages here too: the runtime commits the
+    /// log at the end of the round ([`HostLog::commit`]).
     fn flush(&mut self) -> Result<(), StorageError>;
 
-    /// Irrevocably discard all state, including on-disk files. The engine
-    /// stays usable afterwards but is empty and memory-only.
+    /// Irrevocably discard all state: the bucket is merged away, and a
+    /// reopen must not bring it back. The engine stays usable afterwards
+    /// but is empty and memory-only.
     fn destroy(&mut self) -> Result<(), StorageError>;
-}
-
-/// The in-memory backend: the bucket's original `BTreeMap`, verbatim.
-#[derive(Debug, Default)]
-pub struct MemEngine {
-    map: BTreeMap<u64, Vec<u8>>,
-}
-
-impl MemEngine {
-    /// A fresh, empty engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl StorageEngine for MemEngine {
-    fn get_ref(&self, key: u64) -> Option<&[u8]> {
-        self.map.get(&key).map(Vec::as_slice)
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn keys(&self) -> Vec<u64> {
-        self.map.keys().copied().collect()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(u64, &[u8])) {
-        for (k, v) in &self.map {
-            f(*k, v);
-        }
-    }
-
-    fn put(&mut self, key: u64, value: &[u8]) -> Result<Option<Vec<u8>>, StorageError> {
-        Ok(self.map.insert(key, value.to_vec()))
-    }
-
-    fn delete(&mut self, key: u64) -> Result<Option<Vec<u8>>, StorageError> {
-        Ok(self.map.remove(&key))
-    }
-
-    fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), StorageError> {
-        apply_ops(&mut self.map, batch.ops());
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), StorageError> {
-        Ok(())
-    }
-
-    fn destroy(&mut self) -> Result<(), StorageError> {
-        self.map.clear();
-        Ok(())
-    }
 }
 
 /// Which backend a cluster opens for its buckets, plus where.
@@ -309,14 +220,17 @@ pub enum StorageConfig {
     /// Volatile in-memory buckets (the original behavior).
     #[default]
     Mem,
-    /// Durable on-disk buckets under `data_dir/bucket-<addr>/`.
+    /// Durable buckets: one host log under `data_dir` holds them all.
     Disk {
-        /// Root directory holding one subdirectory per bucket.
+        /// Directory holding the host's log and snapshot.
         data_dir: PathBuf,
         /// WAL/snapshot tuning knobs.
         options: DiskOptions,
     },
 }
+
+/// A host log as it opened, and an engine for each bucket it holds.
+pub type OpenedLog = (Arc<HostLog>, BTreeMap<u64, DiskEngine>);
 
 impl StorageConfig {
     /// Disk config with default options.
@@ -340,58 +254,16 @@ impl StorageConfig {
         matches!(self, StorageConfig::Disk { .. })
     }
 
-    /// The directory bucket `addr` lives in (disk only).
-    pub fn bucket_dir(&self, addr: u64) -> Option<PathBuf> {
+    /// Opens — creating or recovering — the host log under the data dir,
+    /// for a runtime to commit; `None` for the in-memory backend.
+    pub fn open_log(&self) -> Result<Option<OpenedLog>, StorageError> {
         match self {
-            StorageConfig::Mem => None,
-            StorageConfig::Disk { data_dir, .. } => Some(data_dir.join(format!("bucket-{addr}"))),
-        }
-    }
-
-    /// Open (creating or recovering as needed) the engine for bucket `addr`.
-    pub fn open_bucket(&self, addr: u64) -> Result<Box<dyn StorageEngine>, StorageError> {
-        match self {
-            StorageConfig::Mem => Ok(Box::new(MemEngine::new())),
+            StorageConfig::Mem => Ok(None),
             StorageConfig::Disk { data_dir, options } => {
-                let dir = data_dir.join(format!("bucket-{addr}"));
-                Ok(Box::new(DiskEngine::open(&dir, options.clone())?))
+                HostLog::open(data_dir, options.clone()).map(Some)
             }
         }
     }
-
-    /// Bucket addresses that already have on-disk state (ascending).
-    /// Empty for the in-memory backend or a data dir that does not exist.
-    pub fn existing_bucket_addrs(&self) -> Result<Vec<u64>, StorageError> {
-        let data_dir = match self {
-            StorageConfig::Mem => return Ok(Vec::new()),
-            StorageConfig::Disk { data_dir, .. } => data_dir,
-        };
-        list_bucket_addrs(data_dir)
-    }
-}
-
-/// Scan `data_dir` for `bucket-<addr>` subdirectories.
-fn list_bucket_addrs(data_dir: &Path) -> Result<Vec<u64>, StorageError> {
-    if !data_dir.exists() {
-        return Ok(Vec::new());
-    }
-    let entries = std::fs::read_dir(data_dir).map_err(|e| StorageError::io("read data dir", e))?;
-    let mut addrs = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| StorageError::io("read data dir entry", e))?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(rest) = name.strip_prefix("bucket-") {
-            if let Ok(addr) = rest.parse::<u64>() {
-                addrs.push(addr);
-            }
-        }
-    }
-    addrs.sort_unstable();
-    Ok(addrs)
 }
 
 #[cfg(test)]
@@ -434,26 +306,26 @@ mod tests {
     }
 
     #[test]
-    fn storage_config_opens_and_lists_buckets() {
+    fn storage_config_opens_one_log_for_every_bucket() {
         let dir = tmpdir("cfg");
         let cfg = StorageConfig::disk(&dir);
         assert!(cfg.is_disk());
-        assert_eq!(cfg.existing_bucket_addrs().unwrap(), Vec::<u64>::new());
+        assert!(StorageConfig::Mem.open_log().unwrap().is_none());
         {
-            let mut b0 = cfg.open_bucket(0).unwrap();
+            let (log, buckets) = cfg.open_log().unwrap().unwrap();
+            assert!(buckets.is_empty());
+            let mut b0 = log.engine(0);
             b0.put(10, b"x").unwrap();
-            b0.flush().unwrap();
-            let mut b3 = cfg.open_bucket(3).unwrap();
+            let mut b3 = log.engine(3);
             b3.put(11, b"y").unwrap();
-            b3.flush().unwrap();
+            log.commit().unwrap();
         }
-        assert_eq!(cfg.existing_bucket_addrs().unwrap(), vec![0, 3]);
-        let reopened = cfg.open_bucket(0).unwrap();
-        assert_eq!(reopened.get(10), Some(b"x".to_vec()));
-        assert!(StorageConfig::Mem
-            .existing_bucket_addrs()
-            .unwrap()
-            .is_empty());
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(entries.len(), 1, "one log file, no directory per bucket");
+        let (_, buckets) = cfg.open_log().unwrap().unwrap();
+        assert_eq!(buckets.keys().copied().collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(buckets[&0].get(10), Some(b"x".to_vec()));
+        assert_eq!(buckets[&3].get(11), Some(b"y".to_vec()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

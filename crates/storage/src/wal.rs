@@ -1,26 +1,20 @@
-//! Append-only CRC-framed write-ahead log.
+//! Append-only CRC-framed write-ahead log: the one log of a host.
 //!
-//! Frame layout (all integers little-endian):
-//!
-//! ```text
-//! [payload_len: u32][crc32(payload): u32][payload: payload_len bytes]
-//! ```
-//!
-//! The payload is one serialized op batch: `op_count: u32` followed by
-//! `op_count` tagged ops (`0 = Put{key u64, vlen u32, value}`,
-//! `1 = Delete{key u64}`, `2 = Clear`). One frame == one atomic batch:
-//! replay applies a frame only if its length, checksum, and payload all
-//! validate, and *physically truncates* the log at the first frame that
-//! does not — a torn tail from a crash mid-append can therefore never
-//! half-apply a batch or poison later appends.
-//!
-//! Durability is group-committed: [`FsyncPolicy`] decides whether `append`
-//! fsyncs every frame, every N frames, or never (leaving durability to the
-//! OS page cache, as a benchmark baseline).
+//! A frame is `[payload_len: u32][crc32(payload): u32][payload]`, all
+//! little-endian; the payload is `count: u32` and `count` tagged entries
+//! (`0 = Put{key u64, vlen u32, value}`, `1 = Delete{key u64}`,
+//! `2 = Clear`, `3 = Bucket{addr u64}`, `4 = Retire`). A `Bucket` entry
+//! says whose the entries after it are (a frame starts at bucket 0).
+//! Replay applies a frame only if length, checksum and payload all
+//! validate, and *physically truncates* the log at the first that does
+//! not, so a torn tail can never half-apply a frame or poison later
+//! appends. A frame is filled ([`WalWriter::stage`]) before it is written
+//! ([`WalWriter::write`]): a runtime writes one per worker round.
 
 use crate::{BatchOp, StorageError};
+use sdds_obs::crc32;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
@@ -32,38 +26,10 @@ const FRAME_HEADER: usize = 8;
 /// can legitimately produce and protects replay from absurd allocations.
 const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`), table-driven.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
+/// An open frame this long is written before more is staged into it.
+const FRAME_SPLIT: usize = (MAX_PAYLOAD / 4) as usize;
 
-/// CRC-32 of `data`.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-/// When `append` forces bytes to stable storage.
+/// When written frames are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every frame: an acknowledged write is durable.
@@ -98,30 +64,30 @@ impl FsyncPolicy {
     }
 }
 
-/// Serialize a batch of ops into one frame payload.
-pub(crate) fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * ops.len() + 4);
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        match op {
-            BatchOp::Put { key, value } => {
-                out.push(0);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
-            }
-            BatchOp::Delete { key } => {
-                out.push(1);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            BatchOp::Clear => out.push(2),
+/// Appends one entry's encoding to `out`.
+fn encode_op(out: &mut Vec<u8>, op: &BatchOp) {
+    match op {
+        BatchOp::Put { key, value } => {
+            out.push(0);
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            out.extend_from_slice(value);
         }
+        BatchOp::Delete { key } => {
+            out.push(1);
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+        BatchOp::Clear => out.push(2),
+        BatchOp::Bucket { addr } => {
+            out.push(3);
+            out.extend_from_slice(&addr.to_le_bytes());
+        }
+        BatchOp::Retire => out.push(4),
     }
-    out
 }
 
-/// Decode one frame payload back into ops. `None` on any malformation:
-/// truncated fields, unknown tags, or trailing garbage.
+/// Decode one frame payload back into entries. `None` on any
+/// malformation: truncated fields, unknown tags, or trailing garbage.
 pub(crate) fn decode_ops(payload: &[u8]) -> Option<Vec<BatchOp>> {
     let mut at = 0usize;
     let count = read_u32(payload, &mut at)? as usize;
@@ -142,6 +108,11 @@ pub(crate) fn decode_ops(payload: &[u8]) -> Option<Vec<BatchOp>> {
                 ops.push(BatchOp::Delete { key });
             }
             2 => ops.push(BatchOp::Clear),
+            3 => {
+                let addr = read_u64(payload, &mut at)?;
+                ops.push(BatchOp::Bucket { addr });
+            }
+            4 => ops.push(BatchOp::Retire),
             _ => return None,
         }
     }
@@ -161,15 +132,6 @@ fn read_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
     let bytes: [u8; 8] = buf.get(*at..*at + 8)?.try_into().ok()?;
     *at += 8;
     Some(u64::from_le_bytes(bytes))
-}
-
-/// Frame a payload: header + body, ready to append.
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
 }
 
 /// Walk frames in `data`, yielding each valid payload slice. Returns the
@@ -198,6 +160,8 @@ pub(crate) fn walk_frames<'a>(data: &'a [u8], mut on_payload: impl FnMut(&'a [u8
     }
 }
 
+type Frames = Vec<Vec<BatchOp>>;
+
 /// Statistics from one [`replay`] pass, surfaced to obs and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReplayStats {
@@ -207,30 +171,38 @@ pub(crate) struct ReplayStats {
     pub truncated: u64,
 }
 
-/// Read `path`, decode every valid frame in order, and truncate the file
-/// at the first invalid frame so subsequent appends extend a clean log.
-/// A missing file replays as empty.
-pub(crate) fn replay(
-    path: &Path,
-    mut on_batch: impl FnMut(Vec<BatchOp>),
-) -> Result<ReplayStats, StorageError> {
-    let t0 = Instant::now();
+/// The file at `path` (empty if missing): the entries of its valid
+/// frames, the length of its valid prefix, its length, and whether a
+/// checksummed frame failed to decode.
+fn read(path: &Path) -> Result<(Frames, usize, usize, bool), StorageError> {
     let data = match std::fs::read(path) {
         Ok(d) => d,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(StorageError::io("wal read", e)),
     };
-    let mut stats = ReplayStats::default();
-    let good = walk_frames(&data, |payload| {
-        // A checksummed-but-undecodable payload can't come from our own
-        // writer; skip it rather than abort replay of later good frames.
-        if let Some(ops) = decode_ops(payload) {
-            stats.frames += 1;
-            on_batch(ops);
-        }
+    let (mut frames, mut undecodable) = (Vec::new(), false);
+    let good = walk_frames(&data, |payload| match decode_ops(payload) {
+        Some(ops) => frames.push(ops),
+        None => undecodable = true,
     });
-    if good < data.len() {
-        stats.truncated = (data.len() - good) as u64;
+    Ok((frames, good, data.len(), undecodable))
+}
+
+/// Read `path`, decode every valid frame in order, and truncate the file
+/// at the first invalid frame so subsequent appends extend a clean log.
+/// A checksummed-but-undecodable frame can't come from our own writer:
+/// it is skipped rather than abort replay of later good frames.
+pub(crate) fn replay(
+    path: &Path,
+    on_batch: impl FnMut(Vec<BatchOp>),
+) -> Result<ReplayStats, StorageError> {
+    let (frames, good, len, _) = read(path)?;
+    let stats = ReplayStats {
+        frames: frames.len() as u64,
+        truncated: (len - good) as u64,
+    };
+    frames.into_iter().for_each(on_batch);
+    if good < len {
         let file = OpenOptions::new()
             .write(true)
             .open(path)
@@ -240,43 +212,36 @@ pub(crate) fn replay(
         file.sync_all()
             .map_err(|e| StorageError::io("wal truncate sync", e))?;
     }
-    sdds_obs::counter("storage.wal_replayed_frames").add(stats.frames);
-    sdds_obs::counter("storage.wal_truncated_bytes").add(stats.truncated);
-    sdds_obs::histogram("storage.replay_seconds").observe_duration(t0.elapsed());
     Ok(stats)
 }
 
 /// Strictly read a frame file (used for snapshots): every byte must parse,
 /// otherwise the whole file is rejected.
-pub(crate) fn read_strict(path: &Path) -> Result<Vec<Vec<BatchOp>>, StorageError> {
-    let mut file = File::open(path).map_err(|e| StorageError::io("snapshot open", e))?;
-    let mut data = Vec::new();
-    file.read_to_end(&mut data)
-        .map_err(|e| StorageError::io("snapshot read", e))?;
-    let mut batches = Vec::new();
-    let mut bad_payload = false;
-    let good = walk_frames(&data, |payload| match decode_ops(payload) {
-        Some(ops) => batches.push(ops),
-        None => bad_payload = true,
-    });
-    if good != data.len() || bad_payload {
+pub(crate) fn read_strict(path: &Path) -> Result<Frames, StorageError> {
+    let (frames, good, len, undecodable) = read(path)?;
+    if good != len || undecodable {
         return Err(StorageError::Corruption(format!(
-            "snapshot {} invalid at byte {good} of {}",
-            path.display(),
-            data.len()
+            "snapshot {} invalid at byte {good} of {len}",
+            path.display()
         )));
     }
-    Ok(batches)
+    Ok(frames)
 }
 
-/// The append side of the log: owns the file handle and the group-commit
-/// bookkeeping.
+/// The append side of the log: the file, the open frame and the
+/// group-commit bookkeeping.
 #[derive(Debug)]
 pub(crate) struct WalWriter {
     file: File,
     policy: FsyncPolicy,
+    /// The open frame, header and entry count reserved; empty if none.
+    frame: Vec<u8>,
+    entries: u32,
+    /// Whose the open frame's next entries are.
+    bucket: u64,
     unsynced: u32,
     bytes: u64,
+    #[cfg(test)]
     fsyncs: u64,
 }
 
@@ -295,43 +260,85 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             policy,
+            frame: Vec::new(),
+            entries: 0,
+            bucket: 0,
             unsynced: 0,
             bytes,
+            #[cfg(test)]
             fsyncs: 0,
         })
     }
 
-    /// Append one batch as a single frame, honoring the fsync policy.
-    pub fn append(&mut self, ops: &[BatchOp]) -> Result<(), StorageError> {
-        let t0 = Instant::now();
-        let framed = frame(&encode_ops(ops));
-        self.file
-            .write_all(&framed)
-            .map_err(|e| StorageError::io("wal append", e))?;
-        self.bytes += framed.len() as u64;
-        sdds_obs::counter("storage.wal_appends").inc();
-        sdds_obs::histogram("storage.append_seconds").observe_duration(t0.elapsed());
-        self.unsynced += 1;
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            self.sync()?;
+    /// Adds bucket `addr`'s `ops` to the open frame (behind a `Bucket`
+    /// entry if need be); writes only a frame grown past [`FRAME_SPLIT`].
+    pub fn stage(&mut self, addr: u64, ops: &[BatchOp]) -> Result<(), StorageError> {
+        if self.frame.len() > FRAME_SPLIT {
+            self.write()?;
         }
+        if self.frame.is_empty() {
+            self.frame.resize(FRAME_HEADER + 4, 0);
+            self.bucket = 0;
+        }
+        if addr != self.bucket {
+            encode_op(&mut self.frame, &BatchOp::Bucket { addr });
+            self.entries += 1;
+            self.bucket = addr;
+        }
+        for op in ops {
+            encode_op(&mut self.frame, op);
+        }
+        self.entries += ops.len() as u32;
         Ok(())
     }
 
-    /// Force buffered frames to stable storage.
+    /// Seals the open frame and writes it (one with no entries is dropped).
+    pub fn write(&mut self) -> Result<(), StorageError> {
+        if self.entries == 0 {
+            self.frame.clear();
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let frame = &mut self.frame;
+        let payload_len = (frame.len() - FRAME_HEADER) as u32;
+        frame[FRAME_HEADER..FRAME_HEADER + 4].copy_from_slice(&self.entries.to_le_bytes());
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let written = self.file.write_all(frame);
+        self.bytes += frame.len() as u64;
+        frame.clear();
+        self.entries = 0;
+        written.map_err(|e| StorageError::io("wal append", e))?;
+        self.unsynced += 1;
+        sdds_obs::counter("storage.wal_appends").inc();
+        sdds_obs::histogram("storage.append_seconds").observe_duration(t0.elapsed());
+        Ok(())
+    }
+
+    /// Whether the policy wants the written frames synced now.
+    pub fn due(&self) -> bool {
+        match self.policy {
+            FsyncPolicy::Always => self.unsynced > 0,
+            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+            FsyncPolicy::Never => false,
+        }
+    }
+
+    /// Force written frames to stable storage.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         if self.unsynced == 0 {
             return Ok(());
         }
         let t0 = Instant::now();
-        crate::disk_wait(|| self.file.sync_data()).map_err(|e| StorageError::io("wal fsync", e))?;
+        self.file
+            .sync_data()
+            .map_err(|e| StorageError::io("wal fsync", e))?;
         self.unsynced = 0;
-        self.fsyncs += 1;
+        #[cfg(test)]
+        {
+            self.fsyncs += 1;
+        }
         sdds_obs::counter("storage.wal_fsyncs").inc();
         sdds_obs::histogram("storage.fsync_seconds").observe_duration(t0.elapsed());
         Ok(())
@@ -341,17 +348,49 @@ impl WalWriter {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// fsyncs issued by this writer since open (group-commit accounting).
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::path::PathBuf;
+
+    /// Serialize a list of entries into one frame payload.
+    pub(crate) fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 * ops.len() + 4);
+        out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        for op in ops {
+            encode_op(&mut out, op);
+        }
+        out
+    }
+
+    /// Frame a payload: header + body, ready to append.
+    pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    impl WalWriter {
+        /// Append one batch as a single frame, honoring the fsync policy:
+        /// the whole commit of a lone engine's write.
+        pub fn append(&mut self, ops: &[BatchOp]) -> Result<(), StorageError> {
+            self.stage(0, ops)?;
+            self.write()?;
+            if self.due() {
+                self.sync()?;
+            }
+            Ok(())
+        }
+
+        /// fsyncs issued by this writer since open.
+        pub fn fsyncs(&self) -> u64 {
+            self.fsyncs
+        }
+    }
 
     fn tmpfile(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
