@@ -216,8 +216,8 @@ impl BucketState {
     }
 
     /// Processes one message, returning the messages to send out. `memo`
-    /// is the running worker's: a `ScanReq` finds its query prepared there
-    /// if this worker's previous bucket had the same one.
+    /// is the running thread's: a `ScanReq` finds its query prepared there
+    /// if this thread's previous bucket had the same one.
     pub(crate) fn handle(
         &mut self,
         from: SiteId,

@@ -5,11 +5,12 @@
 use crate::cluster::Directory;
 use crate::hash::{split_children, ClientImage};
 use crate::messages::{drop_wrong_sender, Op, OpResult, ScanMatch, Wire};
+use crate::runtime::{Runner, Runtime};
 use bytes::Bytes;
 use sdds_net::{Endpoint, NetError, Scatter, SiteId, SiteRegistry, COORD_ID};
 use sdds_obs::trace;
 use sdds_obs::{Counter, Histogram, Registry};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -116,14 +117,14 @@ pub(crate) struct Exchange<K> {
     sent: Option<Instant>,
     /// The counter of re-sent attempts, and the histogram that times
     /// each attempt from its wave sent to its last reply taken in.
-    retries: &'static str,
-    gather: Option<&'static str>,
+    retries: Counter,
+    gather: Option<Histogram>,
 }
 
 impl Exchange<u64> {
-    /// An exchange keyed by `req_id`, whose retries count in `lh.retries`.
-    pub(crate) fn new() -> Exchange<u64> {
-        Exchange::observed(|_, msg| msg.reply_id(), "lh.retries", None)
+    /// An exchange keyed by `req_id`, whose retries count in `retries`.
+    pub(crate) fn new(retries: Counter) -> Exchange<u64> {
+        Exchange::observed(|_, msg| msg.reply_id(), retries, None)
     }
 }
 
@@ -132,8 +133,8 @@ impl<K: Copy + Eq + Hash> Exchange<K> {
     /// `retries`, and whose attempts the histogram `gather` times.
     pub(crate) fn observed(
         key_of: fn(SiteId, &Wire) -> Option<K>,
-        retries: &'static str,
-        gather: Option<&'static str>,
+        retries: Counter,
+        gather: Option<Histogram>,
     ) -> Exchange<K> {
         Exchange {
             waiting: HashMap::new(),
@@ -201,15 +202,15 @@ impl<K: Copy + Eq + Hash> Exchange<K> {
         }
         if over || self.waiting.is_empty() {
             self.ends = None;
-            if let (Some(sent), Some(gather)) = (self.sent.take(), self.gather) {
-                sdds_obs::histogram(gather).observe_duration(now - sent);
+            if let (Some(sent), Some(gather)) = (self.sent.take(), &self.gather) {
+                gather.observe_duration(now - sent);
             }
             if self.waiting.is_empty() {
                 return Ok(None);
             } else if self.attempts == 0 {
                 return Err(LhError::Timeout);
             } else if over {
-                sdds_obs::counter(self.retries).inc();
+                self.retries.inc();
             }
         }
         let wake_at = *self.ends.get_or_insert_with(|| {
@@ -242,6 +243,9 @@ pub struct LhClient {
     /// Total forwarding hops reported — the paper's ≤2 invariant.
     hops: Cell<u64>,
     metrics: ClientMetrics,
+    /// Runs the ready sites of this process's runtime while the client
+    /// waits for a reply (see [`exchange`](Self::exchange)).
+    helper: RefCell<Runner>,
 }
 
 /// Handles of the metrics a request or a reply touches, resolved once: a
@@ -259,6 +263,19 @@ struct ClientMetrics {
     /// counter would leave the invariant unchecked.
     requests_by_hops: [Counter; 4],
     iams: Counter,
+    insert_batch_seconds: Histogram,
+    insert_batch_items: Counter,
+    delete_batch_seconds: Histogram,
+    delete_batch_items: Counter,
+    scan_seconds: Histogram,
+    scans: Counter,
+    scan_fanout_buckets: Counter,
+    scan_late_buckets: Counter,
+    scan_incomplete: Counter,
+    scan_gather_seconds: Histogram,
+    /// Re-sent attempts of a scan's exchange, and of any other.
+    scan_retries: Counter,
+    retries: Counter,
 }
 
 impl ClientMetrics {
@@ -276,6 +293,18 @@ impl ClientMetrics {
                 sdds_obs::counter("lh.requests_hops_gt2"),
             ],
             iams: sdds_obs::counter("lh.iams"),
+            insert_batch_seconds: sdds_obs::histogram("lh.insert_batch_seconds"),
+            insert_batch_items: sdds_obs::counter("lh.insert_batch_items"),
+            delete_batch_seconds: sdds_obs::histogram("lh.delete_batch_seconds"),
+            delete_batch_items: sdds_obs::counter("lh.delete_batch_items"),
+            scan_seconds: sdds_obs::histogram("lh.scan_seconds"),
+            scans: sdds_obs::counter("lh.scans"),
+            scan_fanout_buckets: sdds_obs::counter("lh.scan_fanout_buckets"),
+            scan_late_buckets: sdds_obs::counter("lh.scan_late_buckets"),
+            scan_incomplete: sdds_obs::counter("lh.scan_incomplete"),
+            scan_gather_seconds: sdds_obs::histogram("lh.scan_gather_seconds"),
+            scan_retries: sdds_obs::counter("lh.scan_retries"),
+            retries: sdds_obs::counter("lh.retries"),
         }
     }
 }
@@ -290,7 +319,13 @@ impl fmt::Debug for LhClient {
 }
 
 impl LhClient {
-    pub(crate) fn new(endpoint: Endpoint, directory: Arc<Directory>) -> LhClient {
+    /// A client on `endpoint` that helps `runtime`, its process's, while
+    /// it waits.
+    pub(crate) fn new(
+        endpoint: Endpoint,
+        directory: Arc<Directory>,
+        runtime: Arc<Runtime>,
+    ) -> LhClient {
         // A send lands or fails; nothing asks a client to send again
         // later, so this counter stays 0. The benchmark reads it.
         sdds_obs::counter("lh.rejected_total");
@@ -303,6 +338,7 @@ impl LhClient {
             iams: Cell::new(0),
             hops: Cell::new(0),
             metrics: ClientMetrics::new(),
+            helper: RefCell::new(Runner::new(runtime)),
         }
     }
 
@@ -318,6 +354,12 @@ impl LhClient {
     /// answer goes to `on_reply` (see [`Exchange::step`]). A failed send
     /// — the site is gone — sends a key request to bucket 0 instead, and
     /// any other request waits for the next attempt.
+    ///
+    /// Before it blocks on an empty mailbox, the client runs the ready
+    /// sites of its own process itself ([`Runner::help`]; not for the
+    /// replies of a bulk batch), and only then delivers the wake-ups its
+    /// wave owes: an in-process request is usually answered on this
+    /// thread, and wakes nobody.
     pub(crate) fn exchange<K: Copy + Eq + Hash>(
         &self,
         ex: &mut Exchange<K>,
@@ -326,9 +368,14 @@ impl LhClient {
         let (ep, ctx) = (&self.endpoint, trace::current_context());
         ex.window = self.timeout.get() / ex.attempts;
         let mut reply = None;
+        let mut scatter = Scatter::new();
         // lint: allow(determinism) -- the blocking request loop: the client's one clock
         while let Some((sends, wake_at)) = ex.step(Instant::now(), reply.take(), &mut on_reply)? {
             if sends.is_empty() {
+                if ep.inbox_depth() == 0 {
+                    self.helper.borrow_mut().help(ep, ex.waiting.len());
+                }
+                scatter.wake();
                 // lint: allow(determinism) -- the blocking request loop waits for a reply
                 reply = match ep.recv_until(wake_at) {
                     Ok(env) => Wire::decode(&env.payload).map(|msg| (env.from, msg)),
@@ -339,7 +386,6 @@ impl LhClient {
             }
             // the next step, at once, learns when this wave went out
             let (image, bucket0) = (self.image.get(), self.directory.bucket_site(0));
-            let mut scatter = Scatter::new();
             for (route, payload) in sends {
                 let site = match route {
                     Route::Key(k) => self.directory.bucket_site(image.address(k)).or(bucket0),
@@ -356,6 +402,12 @@ impl LhClient {
             }
         }
         Ok(())
+    }
+
+    /// An exchange keyed by `req_id`, whose retries count in
+    /// `lh.retries`.
+    pub(crate) fn new_exchange(&self) -> Exchange<u64> {
+        Exchange::new(self.metrics.retries.clone())
     }
 
     /// Adds a request under a fresh `req_id` to `ex`, built by `msg` from
@@ -468,7 +520,7 @@ impl LhClient {
         ops: impl IntoIterator<Item = Op>,
         mut answered: impl FnMut(usize, OpResult, u8) -> Result<(), LhError>,
     ) -> Result<(), LhError> {
-        let mut ex = Exchange::new();
+        let mut ex = self.new_exchange();
         let first = self.next_req.get();
         let client = self.endpoint.id().0;
         for op in ops {
@@ -502,8 +554,8 @@ impl LhClient {
     /// together). Lost messages are retransmitted per item.
     pub fn insert_batch(&self, items: Vec<(u64, Vec<u8>)>) -> Result<(), LhError> {
         let _span = trace::child_span("lh.insert_batch");
-        let _timer = sdds_obs::histogram("lh.insert_batch_seconds").start_timer();
-        sdds_obs::counter("lh.insert_batch_items").add(items.len() as u64);
+        let _timer = self.metrics.insert_batch_seconds.start_timer();
+        self.metrics.insert_batch_items.add(items.len() as u64);
         let ops = items
             .into_iter()
             .map(|(key, value)| Op::Insert { key, value });
@@ -523,9 +575,9 @@ impl LhClient {
     /// [`delete`]: Self::delete
     pub fn delete_batch(&self, keys: Vec<u64>) -> Result<Vec<bool>, LhError> {
         let _span = trace::child_span("lh.delete_batch");
-        let _timer = sdds_obs::histogram("lh.delete_batch_seconds").start_timer();
+        let _timer = self.metrics.delete_batch_seconds.start_timer();
         let batch_items = keys.len();
-        sdds_obs::counter("lh.delete_batch_items").add(batch_items as u64);
+        self.metrics.delete_batch_items.add(batch_items as u64);
         let mut existed = vec![false; batch_items];
         let ops = keys.into_iter().map(|key| Op::Delete { key });
         self.key_ops(ops, |slot, result, _| match result {
@@ -567,7 +619,7 @@ impl LhClient {
     /// Reads the file state from the coordinator into the image; with
     /// `idle`, once the file is idle.
     fn read_extent(&self, idle: bool) -> Result<u64, LhError> {
-        let mut ex = Exchange::new();
+        let mut ex = self.new_exchange();
         let read = |req_id| Wire::ExtentReq { req_id, idle };
         self.ask(&mut ex, Route::Site(SiteId(COORD_ID)), read);
         self.exchange(&mut ex, |_, _, _, msg| match msg {
@@ -592,18 +644,19 @@ impl LhClient {
         // retries) carries this context, so each bucket's scan span —
         // index probe or linear fallback — parents under it.
         let mut span = trace::child_span("lh.scan");
-        let _timer = sdds_obs::histogram("lh.scan_seconds").start_timer();
-        sdds_obs::counter("lh.scans").inc();
+        let metrics = &self.metrics;
+        let _timer = metrics.scan_seconds.start_timer();
+        metrics.scans.inc();
         let extent = self.refresh_image_quiescent()?;
         span.set_detail(extent);
-        sdds_obs::counter("lh.scan_fanout_buckets").add(extent);
+        metrics.scan_fanout_buckets.add(extent);
         let req_id = self.fresh_req_id();
         let payload = Wire::encode_scan_req(req_id, query, keys_only);
         // A bucket that cannot be addressed stays unanswered: dropping it
         // would let the scan report success while silently missing part
         // of the file.
-        let gather = Some("lh.scan_gather_seconds");
-        let mut ex = Exchange::observed(scan_answer, "lh.scan_retries", gather);
+        let gather = Some(metrics.scan_gather_seconds.clone());
+        let mut ex = Exchange::observed(scan_answer, metrics.scan_retries.clone(), gather);
         for addr in 0..extent {
             ex.add((req_id, addr), Route::Bucket(addr), payload.clone());
         }
@@ -627,7 +680,7 @@ impl LhClient {
             // so it owes an answer too.
             for child in split_children(bucket, level) {
                 if child >= extent && late.insert(child) {
-                    sdds_obs::counter("lh.scan_late_buckets").inc();
+                    metrics.scan_late_buckets.inc();
                     ex.add((req_id, child), Route::Bucket(child), payload.clone());
                 }
             }
@@ -635,7 +688,7 @@ impl LhClient {
         });
         match gathered {
             Err(LhError::Timeout) => {
-                sdds_obs::counter("lh.scan_incomplete").inc();
+                metrics.scan_incomplete.inc();
                 let mut missing: Vec<u64> = ex.unanswered().map(|(_, addr)| addr).collect();
                 missing.sort_unstable();
                 Err(LhError::ScanIncomplete { missing })
@@ -674,6 +727,13 @@ mod tests {
     use crate::cluster::Directory;
     use sdds_net::{NetConfig, Network, COORD_ID};
 
+    /// A client on a fresh endpoint of `net`, whose process hosts no
+    /// site.
+    fn client_on(net: &Network) -> LhClient {
+        let runtime = Runtime::with_workers(1, None);
+        LhClient::new(net.register(), Arc::new(Directory::new()), runtime)
+    }
+
     /// The next message `ep` receives, with its sender.
     fn recv(ep: &Endpoint) -> Option<(SiteId, Wire)> {
         let env = ep.recv_timeout(Duration::from_secs(5)).ok()?;
@@ -687,7 +747,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let bucket0 = net.register_with_id(SiteId(0)).unwrap();
         drop(net.register_with_id(SiteId(1)).unwrap());
-        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        let client = client_on(&net);
         // key 1 lives in bucket 1, a tombstone
         client.image.set(ClientImage { level: 1, split: 0 });
         let lookup = std::thread::spawn(move || client.lookup(1));
@@ -713,7 +773,7 @@ mod tests {
         let coordinator = net.register_with_id(SiteId(COORD_ID)).unwrap();
         let bucket0 = net.register_with_id(SiteId(0)).unwrap();
         drop(net.register_with_id(SiteId(1)).unwrap());
-        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        let client = client_on(&net);
         client.set_timeout(Duration::from_secs(1));
         let retries = sdds_obs::counter("lh.scan_retries");
         let before = retries.get();
@@ -767,7 +827,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let coord_ep = net.register_with_id(SiteId(COORD_ID)).unwrap();
         let buckets = [0, 1, 2].map(|addr| net.register_with_id(SiteId(addr)).unwrap());
-        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        let client = client_on(&net);
         let late_before = sdds_obs::counter("lh.scan_late_buckets").get();
 
         let scan = std::thread::spawn(move || client.scan(b"q", true));
@@ -813,7 +873,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let bucket0 = net.register_with_id(SiteId(0)).unwrap();
         let coordinator = net.register_with_id(SiteId(COORD_ID)).unwrap();
-        let client = LhClient::new(net.register(), Arc::new(Directory::new()));
+        let client = client_on(&net);
         (client, bucket0, coordinator, net.register())
     }
 
@@ -883,7 +943,7 @@ mod tests {
     #[test]
     fn an_exchange_steps_through_its_five_windows_on_virtual_time() {
         let (coordinator, window) = (SiteId(COORD_ID), Duration::from_secs(1));
-        let mut ex = Exchange::new();
+        let mut ex = Exchange::new(sdds_obs::counter("lh.retries"));
         ex.window = window;
         ex.add(1, Route::Site(coordinator), Bytes::from_static(b"one"));
         ex.add(2, Route::Site(coordinator), Bytes::from_static(b"two"));

@@ -2,7 +2,7 @@
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
 use crate::bucket::{BucketCtx, BucketSite, BucketState};
-use crate::client::{unexpected, Exchange, LhClient, LhError, Route};
+use crate::client::{unexpected, LhClient, LhError, Route};
 use crate::coordinator::{CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
@@ -301,8 +301,10 @@ impl LhCluster {
 
     /// Registers a new client of the file.
     pub fn client(&self) -> LhClient {
-        let client = LhClient::new(self.host.network.register(), self.host.directory.clone());
-        client.set_timeout(self.host.config.client_timeout);
+        let host = &self.host;
+        let runtime = Arc::clone(&host.runtime);
+        let client = LhClient::new(host.network.register(), host.directory.clone(), runtime);
+        client.set_timeout(host.config.client_timeout);
         client
     }
 
@@ -382,7 +384,7 @@ impl LhCluster {
         #[allow(clippy::type_complexity)]
         let mut members: Vec<Option<Vec<Option<(u64, Vec<u8>)>>>> = vec![None; k];
         let mut parities: Vec<Option<Vec<ParityRow>>> = vec![None; m];
-        let mut reads = Exchange::new();
+        let mut reads = client.new_exchange();
         let mut slot_reads: HashMap<u64, usize> = HashMap::new(); // req_id -> member
         #[allow(clippy::needless_range_loop)] // `member` is also arithmetic input
         for member in 0..k {
@@ -450,7 +452,7 @@ impl LhCluster {
         let client = self.client();
         client.refresh_image_quiescent()?;
         let image = client.image();
-        let mut dumps = Exchange::new();
+        let mut dumps = client.new_exchange();
         for addr in 0..image.extent() {
             let Some(site) = self.host.directory.bucket_site(addr) else {
                 return Err(LhError::Rejected(format!(

@@ -10,10 +10,11 @@
 //! A `ScanReq` carries one opaque query, and every bucket of the file
 //! receives the same one. Decoding and validating it is the filter's
 //! [`ScanFilter::prepare`], which returns an owned [`PreparedQuery`] that
-//! is then evaluated per record — and is prepared **once per worker per
-//! distinct query**, not once per bucket: each worker of the site
-//! runtime owns a `ScanMemo`, the last query it prepared next to the
-//! exact bytes it came from, and hands it to every bucket it activates.
+//! is then evaluated per record — and is prepared **once per thread per
+//! distinct query**, not once per bucket: each thread that runs the site
+//! runtime's activations (a worker, or a client while it waits) owns a
+//! `ScanMemo`, the last query it prepared next to the exact bytes it
+//! came from, and hands it to every bucket it activates.
 //! A prepared query may additionally expose [`probes`]: fixed-width
 //! element values that every matching record must contain. Buckets that
 //! maintain a posting index (see [`ScanFilter::index_element_bytes`]) use
@@ -27,8 +28,9 @@ use std::sync::Arc;
 
 /// A query decoded and validated once, then evaluated per record (or per
 /// candidate record when the bucket can probe its posting index). It owns
-/// what it needs: it outlives the `ScanReq` it was prepared from.
-pub trait PreparedQuery {
+/// what it needs: it outlives the `ScanReq` it was prepared from, and
+/// moves with the client thread that may keep it (a `ScanMemo`).
+pub trait PreparedQuery: Send {
     /// True if the record `(key, value)` matches the prepared query.
     fn matches(&self, key: u64, value: &[u8]) -> bool;
 
@@ -70,11 +72,11 @@ pub trait ScanFilter: Send + Sync + 'static {
     }
 }
 
-/// What a runtime worker carries from one bucket's activation to the
+/// What a runtime thread carries from one bucket's activation to the
 /// next: the query it prepared last, with the filter that prepared it
-/// (the buckets of a runtime share one today, but nothing a worker holds
+/// (the buckets of a runtime share one today, but nothing a thread holds
 /// says so) and the bytes it came from. Two scans interleaved on one
-/// worker take turns, and every bucket prepares, as before the memo.
+/// thread take turns, and every bucket prepares, as before the memo.
 #[derive(Default)]
 pub(crate) struct ScanMemo(Option<Kept>);
 
@@ -134,14 +136,14 @@ where
     }
 }
 
-impl<F: Fn(u64, &[u8], &[u8]) -> bool> PreparedQuery for (F, Vec<u8>) {
+impl<F: Fn(u64, &[u8], &[u8]) -> bool + Send> PreparedQuery for (F, Vec<u8>) {
     fn matches(&self, key: u64, value: &[u8]) -> bool {
         (self.0)(key, value, &self.1)
     }
 }
 
 /// Substring search that counts its prepares, for the tests of the memo
-/// here and of the workers that carry it.
+/// here and of the threads that carry it.
 #[cfg(test)]
 #[derive(Default)]
 pub(crate) struct CountingFilter(pub(crate) std::sync::atomic::AtomicUsize);

@@ -1,23 +1,24 @@
 //! Worker health self-reporting.
 //!
-//! Every worker of the site runtime owns a [`LoopHealth`] and brackets
-//! each activation with [`busy`](LoopHealth::busy); the end of its round
-//! marks it [`idle`](LoopHealth::idle). Two signals come out:
+//! Every thread that runs the site runtime's activations — a worker, or
+//! a client running them while it waits — owns a [`LoopHealth`] and
+//! brackets each activation with [`busy`](LoopHealth::busy); the end of
+//! its round marks it [`idle`](LoopHealth::idle). Two signals come out:
 //!
 //! * `lh.loop_stall_seconds` — histogram of how long each activation kept
 //!   its worker away from the other ready sites (recorded by the runtime
 //!   into the activated site's registry). A site wedged on a slow storage
 //!   flush or a huge transfer shows up as a fat tail here.
 //! * `lh.loop_last_tick_age` — gauge (milliseconds) of the *oldest
-//!   activation still running* across this process's workers, refreshed
+//!   activation still running* across this process's threads, refreshed
 //!   by the serve host's observability tick ([`max_busy_age`]). Idle
 //!   workers report 0: sleeping on an empty ready queue is healthy, only
 //!   time spent *handling* counts as age. A wedged rank is therefore
 //!   visible from a cluster scrape before any client times out on it.
 //!
 //! Registration is process-global so the host watchdog can sample workers
-//! it did not create; a worker deregisters on exit (`Drop`), so shut-down
-//! runtimes never alarm.
+//! it did not create; a worker deregisters on exit, a client when it is
+//! dropped (`Drop`), so shut-down runtimes never alarm.
 
 use sdds_net::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,14 +44,14 @@ fn cells() -> &'static Mutex<Vec<Arc<AtomicU64>>> {
     CELLS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// One worker's watchdog cell. Created with the worker, dropped when it
-/// exits (deregistering it from the watchdog).
+/// One runner's watchdog cell (a worker's or a client's). Created with
+/// it, dropped with it (deregistering it from the watchdog).
 pub(crate) struct LoopHealth {
     cell: Arc<AtomicU64>,
 }
 
 impl LoopHealth {
-    /// Registers a worker with the process watchdog.
+    /// Registers a runner with the process watchdog.
     pub(crate) fn register() -> LoopHealth {
         let cell = Arc::new(AtomicU64::new(0));
         lock(cells()).push(cell.clone());

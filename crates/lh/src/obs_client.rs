@@ -11,7 +11,7 @@
 //! aggregate extends parent = Σ children one level up), and float
 //! gauges are carried per-rank only — a chi-square does not sum.
 
-use crate::client::{unexpected, Exchange, LhClient, LhError, Route};
+use crate::client::{unexpected, LhClient, LhError, Route};
 use crate::messages::Wire;
 use sdds_net::SiteRegistry;
 use sdds_obs::trace::{stitch, ParsedSpan, RankedSpan, TraceTree};
@@ -108,7 +108,7 @@ impl ClusterObs {
         let _timer = sdds_obs::histogram("obs.scrape_seconds").start_timer();
         // One attempt: a `spans` pull drains the flight recorder, so it
         // is never sent twice. A report is keyed by the rank asked.
-        let mut ex = Exchange::new().once();
+        let mut ex = self.client.new_exchange().once();
         for rank in 0..self.num_ranks {
             let msg = Wire::ObsPull {
                 req_id: rank as u64,

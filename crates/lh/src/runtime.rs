@@ -1,26 +1,32 @@
 //! The site runtime: every bucket, parity site and coordinator of a
 //! process as a state machine behind a mailbox, run by a fixed set of
-//! worker threads — threads are O(cores), not O(buckets).
+//! worker threads — threads are O(cores), not O(buckets) — and by the
+//! process's clients while they wait.
 //!
 //! A site is `{mailbox, state machine}`. An envelope delivered
 //! to an idle site's mailbox queues the site on the runtime's **ready
-//! queue** (`sdds_net::Scheduler`); a worker pops it and runs one
+//! queue** (`sdds_net::Scheduler`); a thread pops it and runs one
 //! **activation**: it drains up to [`DRAIN_BUDGET`] envelopes, decodes
 //! each, opens its span, hands it to the machine and sends what the
 //! handler returns; a send either lands or fails because its destination
 //! is gone, so nothing is kept to send again. A site is queued or running
-//! at most once, so no two
-//! workers ever enter it together, and one that still has envelopes
-//! after its activation goes to the tail of the queue behind every other
-//! ready site.
+//! at most once, so no two threads ever enter it together, and one that
+//! still has envelopes after its activation goes to the tail of the
+//! queue behind every other ready site.
 //!
-//! The other half is the hand-over. Everything a worker's sites send
+//! Two kinds of thread run activations, each with a [`Runner`]: the
+//! workers, and a client of the process about to block for a reply
+//! ([`Runner::help`]), which runs ready sites until the queue is empty
+//! or a round leaves an envelope in its own mailbox. An in-process `get`
+//! is so answered on the client's thread, with no thread hand-over.
+//!
+//! The other half is the hand-over. Everything a runner's sites send
 //! goes through one [`Scatter`]: enqueued at once, in order, but a
 //! sleeping receiver — the client blocked on its 225 scan answers — is
-//! woken when the worker's **round** ends, which is as soon as the ready
-//! queue is empty (a lone `get` is answered at once) or after
-//! [`ROUND_BUDGET`] envelopes. Clients scatter their fan-outs the same
-//! way, so a scan costs a handful of context switches, not two per
+//! woken when the runner's **round** ends, which is as soon as the ready
+//! queue is empty or after [`ROUND_BUDGET`] envelopes. Clients scatter
+//! their fan-outs the same way and deliver the wake-ups only after they
+//! helped, so a scan costs a handful of context switches, not two per
 //! bucket. `DESIGN.md` § "Site runtime" has the numbers.
 //!
 //! Over durable buckets the round is also the commit group of their
@@ -32,13 +38,13 @@ use crate::filter::ScanMemo;
 use crate::health::LoopHealth;
 use crate::messages::Wire;
 use bytes::Bytes;
-use sdds_net::sync::{lock, read, write};
+use sdds_net::sync::{lock, read, wait, write};
 use sdds_net::{Endpoint, Envelope, Scatter, Scheduler, SiteId};
 use sdds_obs::trace::{SpanGuard, TraceContext};
 use sdds_obs::{Gauge, Histogram, Registry};
 use sdds_storage::HostLog;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
@@ -46,7 +52,7 @@ use std::time::Instant;
 /// goes to the back of the ready queue.
 pub(crate) const DRAIN_BUDGET: usize = 64;
 
-/// Most envelopes a worker dispatches before it delivers the wake-ups
+/// Most envelopes a runner dispatches before it delivers the wake-ups
 /// its sends owe (and commits the host log), however long the ready
 /// queue stays non-empty: under sustained load a reply waits for at most
 /// this much other work.
@@ -60,7 +66,7 @@ pub(crate) trait Machine: Send {
     }
 
     /// Opens the span `msg` is handled under: a child of the sender's
-    /// context (inert for untraced traffic). It is on the worker's span
+    /// context (inert for untraced traffic). It is on the runner's span
     /// stack while [`handle`](Self::handle) runs, so inner spans and the
     /// outgoing messages — replies, forwards, transfer batches — chain
     /// under it. Spans stay per message: causality is per operation, not
@@ -68,14 +74,14 @@ pub(crate) trait Machine: Send {
     fn span(&self, site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard;
 
     /// Processes one message, returning the messages to send out. `memo`
-    /// belongs to the worker, not to the site: it is what a bucket's scan
-    /// leaves for the next bucket the same worker runs.
+    /// belongs to the runner, not to the site: it is what a bucket's scan
+    /// leaves for the next bucket the same thread runs.
     fn handle(&mut self, from: SiteId, msg: Wire, memo: &mut ScanMemo) -> Vec<(SiteId, Wire)>;
 }
 
 struct Site {
     endpoint: Endpoint,
-    /// Taken by the one worker running the site's activation.
+    /// Taken by the one thread running the site's activation.
     cell: Mutex<Cell>,
     queue_wait: Histogram,
     stall: Histogram,
@@ -101,13 +107,22 @@ struct Sched {
     /// still in the cache: woken in turn, as a condvar does it, nine
     /// workers made a `get` 10 % slower than one.
     sleepers: Vec<Thread>,
+    /// Clients inside [`Runner::help`].
+    helpers: usize,
     stopping: bool,
 }
 
 impl Sched {
-    /// The sleeper to wake, if one has something to get up for.
-    fn sleeper_for_work(&mut self) -> Option<Thread> {
+    /// The sleeper to wake, if one has something to get up for and
+    /// fewer threads than `slots`, the processors, run activations: the
+    /// workers not asleep and the helping clients. With one processor a
+    /// worker woken beside a helper would only take turns with it.
+    fn sleeper_for_work(&mut self, slots: usize) -> Option<Thread> {
         self.ready.front()?;
+        let running = slots.saturating_sub(self.sleepers.len()) + self.helpers;
+        if running >= slots {
+            return None;
+        }
         self.sleepers.pop()
     }
 }
@@ -133,8 +148,10 @@ pub(crate) struct Runtime {
     /// The log of the host's durable buckets, if they are.
     log: Option<Arc<HostLog>>,
     /// Sends held for the log's commit, in order: one queue for all
-    /// workers, so a site's sends keep their order whoever commits.
+    /// runners, so a site's sends keep their order whoever commits.
     held: Mutex<Vec<Held>>,
+    /// Notified when the last helper leaves a stopping runtime.
+    helped: Condvar,
 }
 
 impl Scheduler for Runtime {
@@ -143,7 +160,7 @@ impl Scheduler for Runtime {
     }
 
     fn wake(&self) {
-        let sleeper = lock(&self.sched).sleeper_for_work();
+        let sleeper = lock(&self.sched).sleeper_for_work(self.slots);
         wake(sleeper);
     }
 }
@@ -163,6 +180,7 @@ impl Runtime {
             sched: Mutex::new(Sched {
                 ready: VecDeque::new(),
                 sleepers: Vec::new(),
+                helpers: 0,
                 stopping: false,
             }),
             slots: workers.max(1),
@@ -170,6 +188,7 @@ impl Runtime {
             workers: Mutex::new(Vec::new()),
             log,
             held: Mutex::new(Vec::new()),
+            helped: Condvar::new(),
         })
     }
 
@@ -182,7 +201,7 @@ impl Runtime {
         }
         workers.extend((0..self.slots).map(|_| {
             let runtime = Arc::clone(self);
-            std::thread::spawn(move || Worker::new(runtime).run())
+            std::thread::spawn(move || Runner::new(runtime).work())
         }));
     }
 
@@ -245,8 +264,9 @@ impl Runtime {
 
     /// Stops the runtime: closes every mailbox (later sends fail
     /// `Disconnected`), lets the workers finish what is already queued,
-    /// joins them and drops every site's state — storage engines
-    /// included — before returning. Idempotent.
+    /// joins them, waits for the activations helping clients run, and
+    /// drops every site's state — storage engines included — before
+    /// returning. Idempotent.
     pub(crate) fn shutdown(&self) {
         for site in read(&self.sites).iter().flatten() {
             site.endpoint.close();
@@ -261,6 +281,12 @@ impl Runtime {
         for handle in workers {
             let _ = handle.join();
         }
+        // the activations helpers run; they pop nothing after `stopping`
+        let mut sched = lock(&self.sched);
+        while sched.helpers > 0 {
+            sched = wait(&self.helped, sched);
+        }
+        drop(sched);
         // Outside the lock: a coordinator's spawner holds this runtime.
         let sites = std::mem::take(&mut *write(&self.sites));
         drop(sites);
@@ -294,15 +320,30 @@ impl Runtime {
         }
     }
 
-    /// The next ready site, if any; never blocks.
-    fn next(&self) -> Option<usize> {
+    /// The next ready site, if any; never blocks. A worker drains the
+    /// queue after the runtime stopped, a helper takes nothing then.
+    fn next(&self, helping: bool) -> Option<usize> {
         let mut sched = lock(&self.sched);
+        if helping && sched.stopping {
+            return None;
+        }
         let key = sched.ready.pop_front()?;
         // if there is work for another worker, pass the wake-up on
-        let sleeper = sched.sleeper_for_work();
+        let sleeper = sched.sleeper_for_work(self.slots);
         drop(sched);
         wake(sleeper);
         Some(key)
+    }
+
+    /// A client starts helping, if there is a ready site and the runtime
+    /// is not stopping.
+    fn enter(&self) -> Option<Helping<'_>> {
+        let mut sched = lock(&self.sched);
+        if sched.stopping || sched.ready.is_empty() {
+            return None;
+        }
+        sched.helpers += 1;
+        Some(Helping(self))
     }
 
     fn retire(&self, key: usize) {
@@ -312,13 +353,36 @@ impl Runtime {
     }
 }
 
-/// One worker thread's state.
-struct Worker {
+/// A client inside [`Runner::help`]. Dropped, even by a panic, it leaves:
+/// a worker is woken for what the client left in the queue, and
+/// `shutdown` once the last helper of a stopping runtime is gone.
+struct Helping<'a>(&'a Runtime);
+
+impl Drop for Helping<'_> {
+    fn drop(&mut self) {
+        let runtime = self.0;
+        let mut sched = lock(&runtime.sched);
+        sched.helpers -= 1;
+        let sleeper = sched.sleeper_for_work(runtime.slots);
+        let last = sched.stopping && sched.helpers == 0;
+        drop(sched);
+        if last {
+            runtime.helped.notify_all();
+        }
+        wake(sleeper);
+    }
+}
+
+/// What one thread needs to run activations, round after round: a
+/// worker's, or that of a client waiting for a reply ([`help`]).
+///
+/// [`help`]: Runner::help
+pub(crate) struct Runner {
     runtime: Arc<Runtime>,
-    /// Everything this worker's sites sent in the current round.
+    /// Everything this thread's activations sent in the current round.
     scatter: Scatter,
     batch: Vec<Envelope>,
-    /// The scan query this worker prepared last, for the next bucket it
+    /// The scan query this thread prepared last, for the next bucket it
     /// activates: a scan sends every bucket the same bytes.
     memo: ScanMemo,
     /// Envelopes dispatched in the current round.
@@ -331,9 +395,9 @@ struct Worker {
     batch_size: Histogram,
 }
 
-impl Worker {
-    fn new(runtime: Arc<Runtime>) -> Worker {
-        Worker {
+impl Runner {
+    pub(crate) fn new(runtime: Arc<Runtime>) -> Runner {
+        Runner {
             runtime,
             scatter: Scatter::new(),
             batch: Vec::with_capacity(DRAIN_BUDGET),
@@ -345,13 +409,51 @@ impl Worker {
         }
     }
 
-    fn run(mut self) {
+    /// A worker thread's life: rounds until the runtime stops.
+    fn work(mut self) {
         while self.runtime.acquire() {
-            while let Some(key) = self.runtime.next() {
-                self.activate(key);
-            }
-            self.end_round();
+            self.rounds(None);
         }
+    }
+
+    /// Runs the ready activations of the runtime on the calling thread,
+    /// the client that owns `waiter`, which is about to block for
+    /// `awaited` replies: until the ready queue is empty, or until the end
+    /// of a round leaves an envelope in `waiter`'s mailbox. Takes nothing
+    /// once the runtime is stopping; [`Runtime::shutdown`] waits for an
+    /// activation already running.
+    ///
+    /// A client that awaits more replies than one round dispatches (a
+    /// bulk batch) runs nothing: its round would end with the rest of
+    /// its wave still queued, for a worker to take over, and the two
+    /// would take turns on the processor — bulk loads measured ~15 %
+    /// slower that way, on one pinned processor of a 2-vCPU x86-64 VM.
+    pub(crate) fn help(&mut self, waiter: &Endpoint, awaited: usize) {
+        if awaited > ROUND_BUDGET {
+            return;
+        }
+        let runtime = Arc::clone(&self.runtime);
+        let Some(_helping) = runtime.enter() else {
+            return;
+        };
+        self.rounds(Some(waiter));
+    }
+
+    /// Runs ready sites until the queue is empty, and ends a round at
+    /// every [`ROUND_BUDGET`] envelopes and at the end. A helper, the
+    /// owner of `waiter`, stops at a round end that leaves an envelope
+    /// in its mailbox.
+    fn rounds(&mut self, waiter: Option<&Endpoint>) {
+        while let Some(key) = self.runtime.next(waiter.is_some()) {
+            self.activate(key);
+            if self.dispatched >= ROUND_BUDGET {
+                self.end_round();
+                if waiter.is_some_and(|ep| ep.inbox_depth() > 0) {
+                    return;
+                }
+            }
+        }
+        self.end_round();
     }
 
     /// Closes the previous activation's stall sample at clock reading
@@ -476,9 +578,6 @@ impl Worker {
             self.runtime.schedule(key); // more arrived: to the tail
         }
         self.last = Some((now, site));
-        if self.dispatched >= ROUND_BUDGET {
-            self.end_round();
-        }
     }
 }
 
@@ -523,9 +622,10 @@ mod tests {
         }
     }
 
-    /// 4 workers, 64 sites, 8 sender threads: no site is ever inside two
-    /// activations at once, and each site sees each sender's messages in
-    /// the order they were sent.
+    /// 4 workers, 64 sites, 8 sender threads, half of which run ready
+    /// activations themselves after each fan-out, as a waiting client
+    /// does: no site is ever inside two activations at once, and each
+    /// site sees each sender's messages in the order they were sent.
     #[test]
     fn sites_are_exclusive_and_per_sender_fifo_under_concurrency() {
         const SITES: usize = 64;
@@ -559,9 +659,10 @@ mod tests {
             });
         }
         std::thread::scope(|scope| {
-            for _ in 0..SENDERS {
+            for helps in (0..SENDERS).map(|i| i % 2 == 0) {
                 let sender = net.register();
                 let site_ids = &site_ids;
+                let mut helper = helps.then(|| Runner::new(Arc::clone(&runtime)));
                 scope.spawn(move || {
                     for n in 0..PER_PAIR {
                         let mut scatter = Scatter::new();
@@ -569,6 +670,9 @@ mod tests {
                             sender
                                 .send_with(&mut scatter, to, numbered(n), None)
                                 .unwrap();
+                        }
+                        if let Some(helper) = &mut helper {
+                            helper.help(&sender, SITES);
                         }
                     }
                 });
@@ -637,10 +741,12 @@ mod tests {
     }
 
     /// How many prepares one scan of 64 buckets costs a runtime of
-    /// `workers`. Every worker that may run is first held inside a gate
+    /// `workers`, whose client runs ready activations too when it
+    /// `helps`. Every worker that may run is first held inside a gate
     /// site while the scan requests queue up, so that the scan is run by
-    /// those workers and no others, whatever the host schedules when.
-    fn prepares_of_one_scan(workers: usize) -> usize {
+    /// those workers and the client and no others, whatever the host
+    /// schedules when.
+    fn prepares_of_one_scan(workers: usize, helps: bool) -> usize {
         use crate::bucket::{BucketCtx, BucketSite, BucketState};
         use crate::cluster::Directory;
         use crate::filter::CountingFilter;
@@ -692,10 +798,13 @@ mod tests {
                 .send_with(&mut scatter, to, scan.encode(), None)
                 .unwrap();
         }
-        drop(scatter);
         for go in gates {
             go.send(()).unwrap();
         }
+        if helps {
+            Runner::new(Arc::clone(&runtime)).help(&client, BUCKETS as usize);
+        }
+        drop(scatter);
         for _ in 0..BUCKETS {
             let env = client.recv_timeout(Duration::from_secs(60)).unwrap();
             assert!(matches!(
@@ -707,15 +816,20 @@ mod tests {
         filter.0.load(Ordering::SeqCst)
     }
 
-    /// The query of a scan is prepared once per worker that runs any of
-    /// its buckets, not once per bucket.
+    /// The query of a scan is prepared once per thread that runs any of
+    /// its buckets, a worker or a client that helps, not once per bucket.
     #[test]
-    fn a_scan_costs_one_prepare_per_worker_not_per_bucket() {
-        assert_eq!(prepares_of_one_scan(1), 1);
-        let prepares = prepares_of_one_scan(4);
+    fn a_scan_costs_one_prepare_per_thread_not_per_bucket() {
+        assert_eq!(prepares_of_one_scan(1, false), 1);
+        let prepares = prepares_of_one_scan(4, false);
         assert!(
             (1..=4).contains(&prepares),
             "{prepares} prepares, 4 workers"
+        );
+        let prepares = prepares_of_one_scan(2, true);
+        assert!(
+            (1..=3).contains(&prepares),
+            "{prepares} prepares, 2 workers and a client"
         );
     }
 
@@ -826,6 +940,219 @@ mod tests {
         assert_eq!(flooded_handled.load(Ordering::SeqCst), FLOOD);
         assert_eq!(log.synced(), WRITES, "one round, one commit");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Acked ⇒ synced when the client runs the write itself. The one
+    /// worker is held in a gate site, so the client's helper runs the
+    /// writes of a durable site on a real host log under
+    /// `FsyncPolicy::Always`, then a flooded neighbour. The flood's
+    /// handler, on the helper's thread, counts every time it finds a
+    /// reply in the client's mailbox before the log synced the writes;
+    /// the helper stops at the end of its first round, `ROUND_BUDGET`
+    /// envelopes of the flood in, with every reply in the mailbox and
+    /// covered by `log.synced()`. Counts, not clocks.
+    #[test]
+    #[cfg_attr(miri, ignore)] // a real file and a real fsync
+    fn a_reply_to_a_write_the_client_ran_leaves_after_its_sync() {
+        use sdds_storage::{DiskOptions, FsyncPolicy, StorageEngine};
+        const WRITES: u64 = 3;
+        const FLOOD: usize = 2 * ROUND_BUDGET;
+        let dir = std::env::temp_dir().join(format!("sdds-lh-helped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DiskOptions {
+            fsync: FsyncPolicy::Always,
+            ..DiskOptions::default()
+        };
+        let (log, _) = sdds_storage::HostLog::open(&dir, options).unwrap();
+        let mut engine = log.engine(0);
+
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(1, Some(Arc::clone(&log)));
+        let client = Arc::new(net.register());
+        let gate = net.register();
+        let gate_id = gate.id();
+        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        add(&runtime, gate, move |_, _| {
+            enter_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            Vec::new()
+        });
+        let durable = net.register();
+        let durable_id = durable.id();
+        let staged = Arc::clone(&log);
+        add(&runtime, durable, move |from, msg| {
+            engine.put(number(&msg), b"synced").unwrap();
+            let (req_id, idle) = (staged.staged(), false);
+            vec![(from, Wire::ExtentReq { req_id, idle })]
+        });
+        let flooded = net.register();
+        let flooded_id = flooded.id();
+        let (handled, early) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (mailbox, synced) = (Arc::clone(&client), Arc::clone(&log));
+        let (counter, too_early) = (Arc::clone(&handled), Arc::clone(&early));
+        add(&runtime, flooded, move |_, _| {
+            if mailbox.inbox_depth() > 0 && synced.synced() < WRITES {
+                too_early.fetch_add(1, Ordering::SeqCst);
+            }
+            counter.fetch_add(1, Ordering::SeqCst);
+            Vec::new()
+        });
+        client.send(gate_id, numbered(0)).unwrap();
+        enter_rx.recv().unwrap();
+        for n in 0..WRITES {
+            client.send(durable_id, numbered(n)).unwrap();
+        }
+        for n in 0..FLOOD {
+            client.send(flooded_id, numbered(n as u64)).unwrap();
+        }
+        Runner::new(Arc::clone(&runtime)).help(&client, WRITES as usize);
+        assert_eq!(
+            early.load(Ordering::SeqCst),
+            0,
+            "a reply reached the mailbox before its write was synced"
+        );
+        assert_eq!(handled.load(Ordering::SeqCst), ROUND_BUDGET, "one round");
+        assert_eq!(client.inbox_depth(), WRITES as usize);
+        for _ in 0..WRITES {
+            let reply = client.try_recv().unwrap();
+            assert_eq!(reply.from, durable_id);
+            let staged = number(&Wire::decode(&reply.payload).unwrap());
+            assert!(log.synced() >= staged, "{} < {staged}", log.synced());
+        }
+        go_tx.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while handled.load(Ordering::SeqCst) < FLOOD && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        runtime.shutdown();
+        assert_eq!(handled.load(Ordering::SeqCst), FLOOD);
+        assert_eq!(log.synced(), WRITES, "one round, one commit");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With one worker, asleep, a client's fan-out is run by the client
+    /// alone: no pop of its helper wakes the worker beside it. The helper
+    /// stops at the end of its first round, with a reply in its mailbox
+    /// and one envelope of the fan-out still queued; leaving, it wakes
+    /// the worker for that one, although the fan-out's own wake-ups are
+    /// not delivered until the end.
+    #[test]
+    fn a_helper_runs_alone_and_wakes_a_worker_for_what_it_leaves() {
+        const SITES: usize = ROUND_BUDGET / DRAIN_BUDGET;
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(1, None);
+        let client = net.register();
+        let to_client = client.id();
+        let echo = net.register();
+        let echo_id = echo.id();
+        add(&runtime, echo, move |_, msg| vec![(to_client, msg)]);
+        let helper_thread = std::thread::current().id();
+        let beside = Arc::new(AtomicUsize::new(0));
+        let (left_tx, left_rx) = std::sync::mpsc::channel::<()>();
+        let mut fanned = Vec::new();
+        for _ in 0..SITES {
+            let site = net.register();
+            fanned.push(site.id());
+            let (counter, left_tx) = (Arc::clone(&beside), left_tx.clone());
+            add(&runtime, site, move |_, msg| {
+                if number(&msg) == DRAIN_BUDGET as u64 {
+                    left_tx.send(()).unwrap();
+                } else if std::thread::current().id() != helper_thread {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }
+                Vec::new()
+            });
+        }
+        while lock(&runtime.sched).sleepers.is_empty() {
+            std::thread::yield_now(); // until the sites started
+        }
+        let mut scatter = Scatter::new();
+        let mut send = |to, n| client.send_with(&mut scatter, to, numbered(n), None);
+        send(echo_id, 0).unwrap();
+        for &to in &fanned {
+            for n in 0..DRAIN_BUDGET as u64 {
+                send(to, n).unwrap();
+            }
+        }
+        send(fanned[SITES - 1], DRAIN_BUDGET as u64).unwrap();
+        Runner::new(Arc::clone(&runtime)).help(&client, 1);
+        assert_eq!(beside.load(Ordering::SeqCst), 0, "a worker ran beside");
+        assert_eq!(client.inbox_depth(), 1, "one round, then the reply");
+        let left = left_rx.recv_timeout(Duration::from_secs(10));
+        assert!(left.is_ok(), "what the helper left was never run");
+        drop(scatter);
+        runtime.shutdown();
+    }
+
+    /// `shutdown` while another thread helps in a loop: it waits for the
+    /// activation that thread is running, the helper takes nothing more,
+    /// and every site's state is dropped before `shutdown` returns. The
+    /// activation is held until `shutdown` has had 100 ms to return
+    /// early; the wait only gives a wrong `shutdown` its chance to show.
+    #[test]
+    fn shutdown_waits_for_a_helping_client_and_drops_every_site() {
+        struct Flag(Arc<AtomicBool>);
+        impl Drop for Flag {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        const HELD_AT: u64 = if cfg!(miri) { 4 } else { 100 };
+        let net = Network::new(NetConfig::default());
+        let runtime = Runtime::with_workers(1, None);
+        let site = net.register();
+        let id = site.id();
+        let dropped = Arc::new(AtomicBool::new(false));
+        let flag = Flag(Arc::clone(&dropped));
+        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        add(&runtime, site, move |_, msg| {
+            let _keep = &flag;
+            if number(&msg) == HELD_AT {
+                enter_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+            }
+            Vec::new()
+        });
+        let client = net.register();
+        let helping = {
+            let mut helper = Runner::new(Arc::clone(&runtime));
+            std::thread::spawn(move || {
+                let mut scatter = Scatter::new();
+                let mut n = 0;
+                while client
+                    .send_with(&mut scatter, id, numbered(n), None)
+                    .is_ok()
+                {
+                    helper.help(&client, 1);
+                    scatter.wake();
+                    n += 1;
+                }
+            })
+        };
+        enter_rx.recv().unwrap();
+        let (returned_tx, returned_rx) = std::sync::mpsc::channel::<()>();
+        let stopping = {
+            let runtime = Arc::clone(&runtime);
+            std::thread::spawn(move || {
+                runtime.shutdown();
+                returned_tx.send(()).unwrap();
+                dropped.load(Ordering::SeqCst)
+            })
+        };
+        let probe = net.register();
+        while probe.send(id, numbered(0)).is_ok() {
+            std::thread::yield_now(); // until shutdown closed the mailboxes
+        }
+        let early = returned_rx.recv_timeout(Duration::from_millis(100));
+        go_tx.send(()).unwrap();
+        assert!(early.is_err(), "shutdown returned while an activation ran");
+        assert!(
+            stopping.join().unwrap(),
+            "shutdown returned before the site's state was dropped"
+        );
+        helping.join().unwrap();
     }
 
     /// A site spawned under the id of one that has yet to handle its
