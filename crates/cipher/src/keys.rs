@@ -116,12 +116,6 @@ impl KeyMaterial {
     pub fn dispersion_seed(&self) -> u64 {
         seed_from(&self.master.derive("dispersion", 0))
     }
-
-    /// Sub-keys for the SWP-chunk index mode (one role key per chunking).
-    pub fn swp_key(&self, role: &str, chunking: u32) -> [u8; 16] {
-        self.master
-            .derive(&format!("swp-chunk-{role}"), chunking as u64)
-    }
 }
 
 /// The per-record IV rule: `iv(rid) = PRF_{k_iv}(rid_le)`, with `k_iv`

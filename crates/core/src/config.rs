@@ -4,20 +4,6 @@ use sdds_chunk::{ChunkingScheme, PartialChunkPolicy, SearchMode};
 use sdds_disperse::DispersalConfig;
 use std::fmt;
 
-/// How index-record chunks are encrypted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexKind {
-    /// Deterministic ECB chunks — the paper's main scheme. Equal chunks
-    /// have equal images at the sites; Stages 2 and 3 exist to blunt the
-    /// resulting frequency analysis.
-    #[default]
-    EcbChunks,
-    /// SWP-encrypted chunks — the paper's §8 future work: position-
-    /// randomised cipherwords matched through per-query trapdoors. Equal
-    /// chunks look different at rest; incompatible with Stage-3 dispersion.
-    SwpChunks,
-}
-
 /// What Stage 2 assigns codes to.
 ///
 /// §3: the chunk-frequency procedure "becomes impossible for larger chunk
@@ -34,18 +20,6 @@ pub enum EncodingGranularity {
     /// symbol codes — the paper's fallback for large chunks (and the setup
     /// of its Table-4 experiments).
     PerSymbol,
-}
-
-/// Stage-0 searchable pre-compression parameters (§8's "searchable
-/// compression as a main mean of redundancy removal"): record contents are
-/// pair-compressed (losslessly, search-safely) before chunking, shrinking
-/// the index and removing digraph redundancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrecompressionConfig {
-    /// Maximum number of pair codes to learn (output alphabet =
-    /// `2^symbol_bits` literals + pairs; must stay within `symbol_bits`
-    /// widened by one bit, i.e. pairs <= 2^symbol_bits).
-    pub max_pairs: usize,
 }
 
 /// Stage-2 (redundancy removal) parameters.
@@ -94,10 +68,6 @@ pub enum ConfigError {
     Dispersion(sdds_disperse::DisperseError),
     /// Symbol width must be 1..=16 bits.
     BadSymbolBits(u32),
-    /// SWP chunk encryption is position-randomised and cannot be dispersed.
-    SwpWithDispersion,
-    /// Pre-compression pair budget out of range (`1..=2^symbol_bits`).
-    BadPrecompression(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -112,12 +82,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::Dispersion(e) => write!(f, "dispersion: {e}"),
             ConfigError::BadSymbolBits(b) => write!(f, "symbol width {b} outside 1..=16"),
-            ConfigError::SwpWithDispersion => {
-                write!(f, "SWP chunk mode cannot be combined with dispersion")
-            }
-            ConfigError::BadPrecompression(n) => {
-                write!(f, "pre-compression pair budget {n} out of range")
-            }
         }
     }
 }
@@ -153,12 +117,6 @@ pub struct SchemeConfig {
     pub partial_chunks: PartialChunkPolicy,
     /// How many query alignments are sent and how verdicts combine.
     pub search_mode: SearchMode,
-    /// ECB chunks (the paper's scheme) or SWP chunks (its §8 extension).
-    pub index_kind: IndexKind,
-    /// Optional searchable pair pre-compression (§8 extension). When on,
-    /// symbols entering Stage 1 are pair codes over an alphabet of
-    /// `2^(symbol_bits+1)` values.
-    pub precompression: Option<PrecompressionConfig>,
 }
 
 impl SchemeConfig {
@@ -172,8 +130,6 @@ impl SchemeConfig {
             dispersion: None,
             partial_chunks: PartialChunkPolicy::Store,
             search_mode: SearchMode::Minimal,
-            index_kind: IndexKind::EcbChunks,
-            precompression: None,
         }
         .validated()
     }
@@ -195,39 +151,16 @@ impl SchemeConfig {
             dispersion: Some(3),
             partial_chunks: PartialChunkPolicy::Store,
             search_mode: SearchMode::Minimal,
-            index_kind: IndexKind::EcbChunks,
-            precompression: None,
         }
         .validated()
         // lint: allow(panic-freedom) -- the §8 constants above are a fixed, known-valid configuration
         .expect("paper configuration is valid")
     }
 
-    /// The §8 extension: SWP-encrypted chunks (position-randomised at
-    /// rest, trapdoor-matched).
-    pub fn swp_chunks(
-        chunk_size: usize,
-        num_chunkings: usize,
-    ) -> Result<SchemeConfig, ConfigError> {
-        let mut cfg = SchemeConfig::basic(chunk_size, num_chunkings)?;
-        cfg.index_kind = IndexKind::SwpChunks;
-        cfg.validated()
-    }
-
     /// Validates the interplay of all parameters.
     pub fn validated(self) -> Result<SchemeConfig, ConfigError> {
         if !(1..=16).contains(&self.symbol_bits) {
             return Err(ConfigError::BadSymbolBits(self.symbol_bits));
-        }
-        if let Some(pre) = &self.precompression {
-            // pair codes live above the literal alphabet; the effective
-            // symbol width grows by one bit and must stay in range
-            if pre.max_pairs == 0 || pre.max_pairs > (1 << self.symbol_bits) {
-                return Err(ConfigError::BadPrecompression(pre.max_pairs));
-            }
-            if self.effective_symbol_bits() > 16 {
-                return Err(ConfigError::BadSymbolBits(self.effective_symbol_bits()));
-            }
         }
         if let Some(enc) = &self.encoding {
             if !(2..=65536).contains(&enc.num_codes) || !enc.num_codes.is_power_of_two() {
@@ -239,19 +172,10 @@ impl SchemeConfig {
             return Err(ConfigError::ChunkTooWide(width));
         }
         if let Some(k) = self.dispersion {
-            if self.index_kind == IndexKind::SwpChunks {
-                return Err(ConfigError::SwpWithDispersion);
-            }
             // validates divisibility and share width
             DispersalConfig::new(width, k)?;
         }
         Ok(self)
-    }
-
-    /// Symbol width entering Stage 1: the raw `f`, plus one bit when pair
-    /// pre-compression extends the alphabet with pair codes.
-    pub fn effective_symbol_bits(&self) -> u32 {
-        self.symbol_bits + u32::from(self.precompression.is_some())
     }
 
     /// Effective chunk width in bits after Stage 2 (`s·f` raw, or the code
@@ -264,7 +188,7 @@ impl SchemeConfig {
                     self.chunking.chunk_size() * enc.code_bits() as usize
                 }
             },
-            None => self.chunking.chunk_size() * self.effective_symbol_bits() as usize,
+            None => self.chunking.chunk_size() * self.symbol_bits as usize,
         }
     }
 
@@ -286,11 +210,8 @@ impl SchemeConfig {
     }
 
     /// Bytes used to encode one element (share or whole encrypted chunk)
-    /// in an index record body. SWP cipherwords are always 16 bytes.
+    /// in an index record body.
     pub fn element_bytes(&self) -> usize {
-        if self.index_kind == IndexKind::SwpChunks {
-            return crate::swp_chunks::CIPHERWORD_BYTES;
-        }
         let bits = self.chunk_bits() / self.k();
         bits.div_ceil(8)
     }

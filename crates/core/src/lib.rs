@@ -46,12 +46,9 @@ mod pack;
 mod pipeline;
 mod query;
 mod store;
-mod swp_chunks;
 
-pub use config::{
-    ConfigError, EncodingConfig, EncodingGranularity, IndexKind, PrecompressionConfig, SchemeConfig,
-};
-pub use pipeline::{IndexPipeline, IndexRecord, IngestScratch, StorageReport};
+pub use config::{ConfigError, EncodingConfig, EncodingGranularity, SchemeConfig};
+pub use pipeline::{IndexPipeline, IndexRecord, IngestScratch};
 pub use query::{EncryptedIndexFilter, EncryptedQuery};
 pub use store::{
     EncryptedSearchStore, IngestOptions, IngestStats, RemoteStore, SearchOutcome, StoreBuilder,

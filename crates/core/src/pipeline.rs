@@ -1,14 +1,13 @@
 //! The record → index-record transformation pipeline (Stages 1–3) and its
 //! query-side mirror.
 
-use crate::config::{ConfigError, EncodingGranularity, IndexKind, SchemeConfig};
+use crate::config::{ConfigError, EncodingGranularity, SchemeConfig};
 use crate::pack::{pack_chunk, value_to_bytes};
-use crate::query::{EncryptedQuery, QueryKind};
-use crate::swp_chunks::ChunkSwp;
+use crate::query::EncryptedQuery;
 use sdds_chunk::ChunkError;
 use sdds_cipher::{modes, Aes128, ChunkPrp, CipherError, KeyMaterial, RecordIvs};
 use sdds_disperse::{DispersalConfig, Disperser};
-use sdds_encode::{Codebook, GramCounter, PairCompressor};
+use sdds_encode::{Codebook, GramCounter};
 use std::fmt;
 
 /// One index record produced from an RC: the body destined for dispersion
@@ -69,12 +68,10 @@ pub struct IndexPipeline {
     record_cipher: Aes128,
     record_ivs: RecordIvs,
     prps: Vec<ChunkPrp>,
-    swps: Vec<ChunkSwp>,
     codebook: Option<Codebook>,
     /// Per-symbol encoding only: the code of every symbol below
-    /// `2^effective_symbol_bits`, so a chunk costs no map probes.
+    /// `2^symbol_bits`, so a chunk costs no map probes.
     symbol_codes: Vec<u16>,
-    precompressor: Option<PairCompressor>,
     disperser: Option<Disperser>,
 }
 
@@ -96,18 +93,6 @@ impl IndexPipeline {
         keys: KeyMaterial,
         codebook: Option<Codebook>,
     ) -> Result<IndexPipeline, ConfigError> {
-        Self::with_precompressor(config, keys, codebook, None)
-    }
-
-    /// [`new`](Self::new) plus a trained Stage-0 pair compressor (required
-    /// iff the config enables pre-compression; train with
-    /// [`train_precompressor`](Self::train_precompressor)).
-    pub fn with_precompressor(
-        config: SchemeConfig,
-        keys: KeyMaterial,
-        codebook: Option<Codebook>,
-        precompressor: Option<PairCompressor>,
-    ) -> Result<IndexPipeline, ConfigError> {
         let config = config.validated()?;
         if config.encoding.is_some() {
             assert!(
@@ -115,11 +100,6 @@ impl IndexPipeline {
                 "encoding enabled but no codebook supplied; train one first"
             );
         }
-        assert_eq!(
-            config.precompression.is_some(),
-            precompressor.is_some(),
-            "pre-compression config and trained compressor must come together"
-        );
         let width = config.chunk_bits() as u32;
         let prps = (0..config.chunking.num_chunkings())
             // lint: allow(panic-freedom) -- `config.validated()?` above already bounds chunk_bits to the PRP's accepted widths
@@ -130,15 +110,9 @@ impl IndexPipeline {
             let dc = DispersalConfig::new(config.chunk_bits(), k).expect("validated");
             Disperser::from_seed(dc, keys.dispersion_seed())
         });
-        let swps = match config.index_kind {
-            IndexKind::SwpChunks => (0..config.chunking.num_chunkings())
-                .map(|j| ChunkSwp::new(&keys, j as u32))
-                .collect(),
-            IndexKind::EcbChunks => Vec::new(),
-        };
         let symbol_codes = match (&codebook, config.encoding.map(|e| e.granularity)) {
             (Some(book), Some(EncodingGranularity::PerSymbol)) => {
-                let symbols = 1usize << config.effective_symbol_bits().min(16);
+                let symbols = 1usize << config.symbol_bits.min(16);
                 (0..symbols)
                     .map(|sym| book.encode_gram(&[sym as u16]))
                     .collect()
@@ -150,40 +124,10 @@ impl IndexPipeline {
             record_cipher: keys.record_cipher(),
             record_ivs: keys.record_ivs(),
             prps,
-            swps,
             codebook,
             symbol_codes,
-            precompressor,
             disperser,
         })
-    }
-
-    /// Trains the Stage-0 searchable pair compressor on a representative
-    /// sample.
-    pub fn train_precompressor<'a, I>(config: &SchemeConfig, sample: I) -> PairCompressor
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let pre = config
-            .precompression
-            // lint: allow(panic-freedom) -- documented precondition of this training entry point; misuse is a caller bug, not a data-dependent path
-            .expect("training requires a precompression config");
-        let streams: Vec<Vec<u16>> = sample.into_iter().map(rc_symbols).collect();
-        PairCompressor::train(
-            streams.iter().map(|v| v.as_slice()),
-            1 << config.symbol_bits,
-            pre.max_pairs,
-        )
-    }
-
-    /// The record symbols as they enter Stage 1 (pair-compressed when
-    /// Stage 0 is on).
-    fn stage1_symbols(&self, rc: &str) -> Vec<u16> {
-        let symbols = rc_symbols(rc);
-        match &self.precompressor {
-            Some(p) => p.compress(&symbols),
-            None => symbols,
-        }
     }
 
     /// The scheme configuration.
@@ -199,13 +143,6 @@ impl IndexPipeline {
         I: IntoIterator<Item = &'a str>,
     {
         let streams: Vec<Vec<u16>> = sample.into_iter().map(rc_symbols).collect();
-        Self::train_codebook_streams(config, &streams)
-    }
-
-    /// [`train_codebook`](Self::train_codebook) over pre-tokenised symbol
-    /// streams — the form to use when Stage-0 pre-compression feeds
-    /// Stage 2 (train on the *compressed* streams).
-    pub fn train_codebook_streams(config: &SchemeConfig, streams: &[Vec<u16>]) -> Codebook {
         let enc = config
             .encoding
             // lint: allow(panic-freedom) -- documented precondition of this training entry point; misuse is a caller bug, not a data-dependent path
@@ -214,7 +151,7 @@ impl IndexPipeline {
             EncodingGranularity::WholeChunk => {
                 let s = config.chunking.chunk_size();
                 let mut counter = GramCounter::new(s);
-                for symbols in streams {
+                for symbols in &streams {
                     for j in 0..config.chunking.num_chunkings() {
                         for chunk in config
                             .chunking
@@ -229,7 +166,7 @@ impl IndexPipeline {
             EncodingGranularity::PerSymbol => {
                 // §3's large-chunk fallback: equalise single symbols
                 let mut counter = GramCounter::new(1);
-                for symbols in streams {
+                for symbols in &streams {
                     counter.add_record(symbols, 0);
                 }
                 Codebook::build_equalized(&counter, enc.num_codes)
@@ -256,15 +193,12 @@ impl IndexPipeline {
                     (acc << bits) | u128::from(code)
                 })
             }
-            _ => pack_chunk(chunk, self.config.effective_symbol_bits()),
+            _ => pack_chunk(chunk, self.config.symbol_bits),
         }
     }
 
-    /// Produces all `c·k` index records of an RC.
-    ///
-    /// For ECB-chunk configurations the RID only matters to the key
-    /// layout; for SWP chunks it seeds the position stream, so the same RC
-    /// under two RIDs yields unlinkable index records.
+    /// Produces all `c·k` index records of an RC. The RID does not enter
+    /// the bodies; it only matters to the key layout.
     pub fn index_records_for(&self, rid: u64, rc: &str) -> Vec<IndexRecord> {
         let mut scratch = IngestScratch::default();
         let mut out = Vec::new();
@@ -279,18 +213,13 @@ impl IndexPipeline {
     /// records are byte-identical to the allocating path.
     pub fn index_records_into(
         &self,
-        rid: u64,
+        _rid: u64,
         rc: &str,
         scratch: &mut IngestScratch,
         out: &mut Vec<IndexRecord>,
     ) {
         out.clear();
-        let symbols = self.stage1_symbols(rc);
-        if self.config.index_kind == IndexKind::SwpChunks {
-            out.extend(self.swp_index_records(rid, &symbols));
-            self.count_ingest(out);
-            return;
-        }
+        let symbols = rc_symbols(rc);
         let c = self.config.chunking.num_chunkings();
         let k = self.config.k();
         let s = self.config.chunking.chunk_size();
@@ -351,81 +280,15 @@ impl IndexPipeline {
         self.count_ingest(out);
     }
 
-    /// Ingest-side counters shared by every transform path (they are
-    /// process-global atomics, so the parallel path needs no coordination).
+    /// Ingest-side counters of one transformed record (process-global
+    /// atomics, so parallel workers need no coordination).
     fn count_ingest(&self, records: &[IndexRecord]) {
-        let element_bytes = match self.config.index_kind {
-            IndexKind::SwpChunks => 16,
-            IndexKind::EcbChunks => self.config.element_bytes(),
-        };
+        let element_bytes = self.config.element_bytes();
         let bytes: usize = records.iter().map(|r| r.body.len()).sum();
         sdds_obs::counter("core.ingest_records").inc();
         sdds_obs::counter("core.ingest_index_records").add(records.len() as u64);
         sdds_obs::counter("core.ingest_chunks").add((bytes / element_bytes.max(1)) as u64);
         sdds_obs::counter("core.ingest_index_bytes").add(bytes as u64);
-    }
-
-    /// Transforms a batch of records on a worker pool, preserving input
-    /// order: element `i` of the result holds the index records of
-    /// `records[i]`. Each worker keeps one [`IngestScratch`] for its whole
-    /// share of the batch, and every transform is deterministic in
-    /// `(rid, rc)`, so the output is byte-identical to calling
-    /// [`index_records_for`](Self::index_records_for) sequentially —
-    /// regardless of the pool's thread count.
-    pub fn index_records_batch<S>(
-        &self,
-        records: &[(u64, S)],
-        pool: &sdds_par::Pool,
-    ) -> Vec<Vec<IndexRecord>>
-    where
-        S: AsRef<str> + Sync,
-    {
-        // a few chunks per worker lets the cursor balance uneven records
-        let chunk = records.len().div_ceil(pool.threads().max(1) * 4).max(1);
-        let parts = pool.par_map_chunks_with(
-            records,
-            chunk,
-            IngestScratch::default,
-            |scratch, _chunk_index, _start, span| {
-                let mut produced = Vec::with_capacity(span.len());
-                for (rid, rc) in span {
-                    let mut out = Vec::new();
-                    self.index_records_into(*rid, rc.as_ref(), scratch, &mut out);
-                    produced.push(out);
-                }
-                produced
-            },
-        );
-        parts.into_iter().flatten().collect()
-    }
-
-    /// [`index_records_for`](Self::index_records_for) with RID 0 — for
-    /// statistics and experiments that only look at one record's bodies.
-    pub fn index_records(&self, rc: &str) -> Vec<IndexRecord> {
-        self.index_records_for(0, rc)
-    }
-
-    /// The SWP-chunk variant: one body per chunking, 16-byte cipherwords.
-    fn swp_index_records(&self, rid: u64, symbols: &[u16]) -> Vec<IndexRecord> {
-        let c = self.config.chunking.num_chunkings();
-        let mut out = Vec::with_capacity(c);
-        for j in 0..c {
-            let chunks = self
-                .config
-                .chunking
-                .chunk_record(j, symbols, self.config.partial_chunks);
-            let mut body = Vec::with_capacity(chunks.len() * 16);
-            for (pos, chunk) in chunks.iter().enumerate() {
-                let value = self.chunk_plain_value(chunk);
-                body.extend_from_slice(&self.swps[j].encrypt_chunk(rid, pos as u64, value));
-            }
-            out.push(IndexRecord {
-                chunking: j,
-                site: 0,
-                body,
-            });
-        }
-        out
     }
 
     /// Strong encryption of the record store copy (AES-CBC, per-RID IV).
@@ -445,59 +308,17 @@ impl IndexPipeline {
     }
 
     /// Builds the encrypted multi-alignment query for a search pattern.
-    ///
-    /// With Stage-0 pre-compression on, the pattern is compressed into its
-    /// search variants (the text may absorb the pattern's edge symbols
-    /// into pair codes); the query carries the series of every variant.
     pub fn build_query(&self, pattern: &str) -> Result<EncryptedQuery, PipelineError> {
         let _timer = sdds_obs::histogram("core.query_build_seconds").start_timer();
-        let raw = rc_symbols(pattern);
-        let variants: Vec<Vec<u16>> = match &self.precompressor {
-            Some(p) => p.search_variants(&raw),
-            None => vec![raw],
-        };
-        let mut series = Vec::new();
-        for variant in &variants {
-            // Every variant must be searchable: the true occurrence's
-            // compressed image is exactly one of them, so skipping a short
-            // variant would silently lose completeness. Callers see the
-            // usual QueryTooShort and lengthen the pattern (with Stage 0
-            // on, the effective minimum grows accordingly).
-            series.extend(
-                self.config
-                    .chunking
-                    .search_series(variant, self.config.search_mode)
-                    .map_err(PipelineError::Query)?,
-            );
-        }
+        let series = self
+            .config
+            .chunking
+            .search_series(&rc_symbols(pattern), self.config.search_mode)
+            .map_err(PipelineError::Query)?;
         let series_drops: Vec<usize> = series.iter().map(|s| s.drop).collect();
         let c = self.config.chunking.num_chunkings();
         let k = self.config.k();
         let element_bytes = self.config.element_bytes();
-        if self.config.index_kind == IndexKind::SwpChunks {
-            let mut per_tag: Vec<(u32, Vec<Vec<u8>>)> = Vec::with_capacity(c);
-            for j in 0..c {
-                let bodies: Vec<Vec<u8>> = series
-                    .iter()
-                    .map(|ser| {
-                        let mut body = Vec::with_capacity(ser.chunks.len() * 32);
-                        for chunk in &ser.chunks {
-                            let value = self.chunk_plain_value(chunk);
-                            body.extend_from_slice(&self.swps[j].trapdoor(value));
-                        }
-                        body
-                    })
-                    .collect();
-                per_tag.push((self.tag(j, 0), bodies));
-            }
-            return Ok(EncryptedQuery {
-                tag_bits: self.config.tag_bits(),
-                element_bytes,
-                kind: QueryKind::Swp,
-                series_drops,
-                per_tag,
-            });
-        }
         let mut per_tag: Vec<(u32, Vec<Vec<u8>>)> = Vec::with_capacity(c * k);
         for j in 0..c {
             // encrypt every series under chunking j's key
@@ -552,7 +373,6 @@ impl IndexPipeline {
         Ok(EncryptedQuery {
             tag_bits: self.config.tag_bits(),
             element_bytes,
-            kind: QueryKind::Equality,
             series_drops,
             per_tag,
         })
@@ -576,53 +396,6 @@ impl IndexPipeline {
     pub fn parse_key(&self, key: u64) -> (u64, u32) {
         let bits = self.config.tag_bits();
         (key >> bits, (key & ((1 << bits) - 1)) as u32)
-    }
-
-    /// Storage accounting for a set of records: what the configuration
-    /// costs at the sites, per stage (the DESIGN.md ablation axes in
-    /// numbers).
-    pub fn storage_report<'a, I>(&self, records: I) -> StorageReport
-    where
-        I: IntoIterator<Item = (u64, &'a str)>,
-    {
-        let mut report = StorageReport::default();
-        for (rid, rc) in records {
-            report.records += 1;
-            report.plaintext_bytes += rc.len();
-            report.record_store_bytes += self.encrypt_record(rid, rc).len();
-            for rec in self.index_records_for(rid, rc) {
-                report.index_records += 1;
-                report.index_bytes += rec.body.len();
-            }
-        }
-        report
-    }
-}
-
-/// Aggregate storage cost of a configuration over a workload — see
-/// [`IndexPipeline::storage_report`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageReport {
-    /// Records measured.
-    pub records: usize,
-    /// Total plaintext RC bytes.
-    pub plaintext_bytes: usize,
-    /// Total strongly encrypted record store bytes.
-    pub record_store_bytes: usize,
-    /// Total index records produced.
-    pub index_records: usize,
-    /// Total index body bytes across all sites.
-    pub index_bytes: usize,
-}
-
-impl StorageReport {
-    /// Index expansion factor: index bytes per plaintext byte — the price
-    /// of searchability.
-    pub fn expansion(&self) -> f64 {
-        if self.plaintext_bytes == 0 {
-            return 0.0;
-        }
-        self.index_bytes as f64 / self.plaintext_bytes as f64
     }
 }
 
@@ -648,7 +421,7 @@ mod tests {
     #[test]
     fn index_record_count_and_shape() {
         let p = basic_pipeline();
-        let recs = p.index_records("ABCDEFGHIJKL");
+        let recs = p.index_records_for(0, "ABCDEFGHIJKL");
         assert_eq!(recs.len(), 4); // 4 chunkings × k=1
                                    // chunking 0: 3 chunks of 4 bytes each → 12-byte body (4B elements)
         assert_eq!(recs[0].body.len(), 3 * 4);
@@ -659,7 +432,7 @@ mod tests {
     #[test]
     fn equal_chunks_produce_equal_elements_within_a_chunking() {
         let p = basic_pipeline();
-        let recs = p.index_records("ABCDABCD");
+        let recs = p.index_records_for(0, "ABCDABCD");
         let body = &recs[0].body; // chunking 0: two identical chunks "ABCD"
         assert_eq!(&body[0..4], &body[4..8], "deterministic ECB property");
     }
@@ -719,7 +492,7 @@ mod tests {
         cfg.dispersion = Some(4); // 8-bit shares
         let cfg = cfg.validated().unwrap();
         let p = IndexPipeline::new(cfg, keys(), None).unwrap();
-        let recs = p.index_records("ABCDEFGH");
+        let recs = p.index_records_for(0, "ABCDEFGH");
         assert_eq!(recs.len(), 8); // 2 chunkings × 4 sites
         for r in &recs {
             // chunking 0: 2 aligned chunks; chunking 1 (2 pad symbols): 3
@@ -738,7 +511,7 @@ mod tests {
         let sample = ["ABAB", "CDCD", "ABCD"];
         let book = IndexPipeline::train_codebook(&cfg, sample);
         let p = IndexPipeline::new(cfg, keys(), Some(book)).unwrap();
-        let recs = p.index_records("ABCD");
+        let recs = p.index_records_for(0, "ABCD");
         // 4-bit codes → 1-byte elements, 2 chunks in chunking 0
         assert_eq!(recs[0].body.len(), 2);
         for r in &recs {

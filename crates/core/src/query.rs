@@ -10,18 +10,6 @@ use crate::pack::body_elements;
 use sdds_lh::{PreparedQuery, ScanFilter};
 use sdds_net::codec::{put_bytes, put_seq, put_u32, put_usize, Reader};
 
-/// How sites match query series against index-record bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryKind {
-    /// Ciphertext equality of fixed-width elements (ECB chunks, dispersed
-    /// shares) — the paper's main scheme.
-    #[default]
-    Equality,
-    /// SWP trapdoor evaluation: bodies hold 16-byte cipherwords, series
-    /// hold 32-byte trapdoors (§8 extension).
-    Swp,
-}
-
 /// A compiled, encrypted search query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncryptedQuery {
@@ -29,8 +17,6 @@ pub struct EncryptedQuery {
     pub tag_bits: u32,
     /// Fixed element width in the record bodies (per chunk).
     pub element_bytes: usize,
-    /// Matching semantics.
-    pub kind: QueryKind,
     /// Alignment drop of each series (indexes the per-tag body lists;
     /// identical across tags). Needed to translate a chunk-level match
     /// back into a record offset.
@@ -39,20 +25,18 @@ pub struct EncryptedQuery {
     pub per_tag: Vec<(u32, Vec<Vec<u8>>)>,
 }
 
+/// The leading byte of every encoded query. It names the matching
+/// semantics; ciphertext equality is the only one, so any other value
+/// fails to decode.
 const KIND_EQUALITY: u8 = 0;
-const KIND_SWP: u8 = 1;
 
 impl EncryptedQuery {
     /// Serializes for the scan wire, in the binary layout of
-    /// [`sdds_net::codec`]: `kind` as one byte (`0` = equality, `1` =
-    /// SWP), `tag_bits`, `element_bytes`, the counted `series_drops`, then
-    /// per tag its number and its counted, length-prefixed series.
+    /// [`sdds_net::codec`]: the kind byte (always `0`, equality),
+    /// `tag_bits`, `element_bytes`, the counted `series_drops`, then per
+    /// tag its number and its counted, length-prefixed series.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(match self.kind {
-            QueryKind::Equality => KIND_EQUALITY,
-            QueryKind::Swp => KIND_SWP,
-        });
+        let mut out = vec![KIND_EQUALITY];
         put_u32(&mut out, self.tag_bits);
         put_usize(&mut out, self.element_bytes);
         put_seq(&mut out, &self.series_drops, |out, d| put_usize(out, *d));
@@ -68,13 +52,10 @@ impl EncryptedQuery {
     /// against the remaining bytes before anything is allocated.
     pub fn decode(bytes: &[u8]) -> Option<EncryptedQuery> {
         let mut r = Reader::new(bytes);
-        let kind = match r.u8()? {
-            KIND_EQUALITY => QueryKind::Equality,
-            KIND_SWP => QueryKind::Swp,
-            _ => return None,
-        };
+        if r.u8()? != KIND_EQUALITY {
+            return None;
+        }
         let q = EncryptedQuery {
-            kind,
             tag_bits: r.u32()?,
             element_bytes: r.usize()?,
             series_drops: r.seq(8, Reader::usize)?,
@@ -94,63 +75,35 @@ impl EncryptedQuery {
 
     /// All positions (chunk indices) at which `series` matches `body`.
     pub fn match_positions(&self, body: &[u8], series: &[u8]) -> Vec<usize> {
-        match self.kind {
-            QueryKind::Equality => {
-                if !body.len().is_multiple_of(self.element_bytes)
-                    || !series.len().is_multiple_of(self.element_bytes)
-                {
-                    return Vec::new();
-                }
-                let body_el = body_elements(body, self.element_bytes);
-                let series_el = body_elements(series, self.element_bytes);
-                sdds_chunk::find_series(&body_el, &series_el)
-            }
-            QueryKind::Swp => {
-                use crate::swp_chunks::{cipherword_matches, CIPHERWORD_BYTES, TRAPDOOR_BYTES};
-                if !body.len().is_multiple_of(CIPHERWORD_BYTES)
-                    || !series.len().is_multiple_of(TRAPDOOR_BYTES)
-                    || series.is_empty()
-                {
-                    return Vec::new();
-                }
-                let words = body_elements(body, CIPHERWORD_BYTES);
-                let trapdoors = body_elements(series, TRAPDOOR_BYTES);
-                if trapdoors.len() > words.len() {
-                    return Vec::new();
-                }
-                (0..=words.len() - trapdoors.len())
-                    .filter(|&start| {
-                        trapdoors
-                            .iter()
-                            .enumerate()
-                            .all(|(i, t)| cipherword_matches(words[start + i], t))
-                    })
-                    .collect()
-            }
+        if self.element_bytes == 0
+            || !body.len().is_multiple_of(self.element_bytes)
+            || !series.len().is_multiple_of(self.element_bytes)
+        {
+            return Vec::new();
         }
+        let body_el = body_elements(body, self.element_bytes);
+        let series_el = body_elements(series, self.element_bytes);
+        sdds_chunk::find_series(&body_el, &series_el)
     }
 
     /// True if any series of `tag` occurs in `body` (the bucket-side
     /// predicate): `!match_positions(body, series).is_empty()` for one of
-    /// them. A bucket asks this of every candidate, so equality compares a
+    /// them. A bucket asks this of every candidate, so it compares a
     /// series with the element-aligned windows of `body` in place — bodies
     /// are a few dozen elements, and a border table is more work to build
     /// than it saves.
     pub fn matches_body(&self, tag: u32, body: &[u8]) -> bool {
         let w = self.element_bytes;
-        let occurs = |series: &Vec<u8>| match self.kind {
-            // ragged or empty: nowhere; longer than the body: no window
-            QueryKind::Equality => {
-                w > 0
-                    && body.len().is_multiple_of(w)
-                    && series.len().is_multiple_of(w)
-                    && !series.is_empty()
-                    && body
-                        .windows(series.len())
-                        .step_by(w)
-                        .any(|window| window == series)
-            }
-            QueryKind::Swp => !self.match_positions(body, series).is_empty(),
+        // ragged or empty: nowhere; longer than the body: no window
+        let occurs = |series: &Vec<u8>| {
+            w > 0
+                && body.len().is_multiple_of(w)
+                && series.len().is_multiple_of(w)
+                && !series.is_empty()
+                && body
+                    .windows(series.len())
+                    .step_by(w)
+                    .any(|window| window == series)
         };
         self.series_for(tag)
             .is_some_and(|series| series.iter().any(occurs))
@@ -203,22 +156,21 @@ impl EncryptedIndexFilter {
 /// worker runs the scan for.
 ///
 /// `query` is `None` when the wire bytes failed to decode or validate —
-/// such a query matches nothing, and `probes` is `Some(vec![])` so
-/// indexed buckets answer instantly with zero candidates.
+/// such a query matches nothing, and `probes` is empty so indexed
+/// buckets answer instantly with zero candidates.
 struct PreparedEncryptedQuery {
     query: Option<EncryptedQuery>,
     /// First element of every well-formed series, sorted and
     /// deduplicated — every matching record must contain at least one of
-    /// these. `None` when the query kind cannot be probed by element
-    /// equality (SWP).
-    probes: Option<Vec<Vec<u8>>>,
+    /// these.
+    probes: Vec<Vec<u8>>,
 }
 
 impl PreparedEncryptedQuery {
     fn from_wire(bytes: &[u8]) -> PreparedEncryptedQuery {
         let invalid = PreparedEncryptedQuery {
             query: None,
-            probes: Some(Vec::new()),
+            probes: Vec::new(),
         };
         let Some(q) = EncryptedQuery::decode(bytes) else {
             return invalid;
@@ -239,12 +191,8 @@ impl PreparedEncryptedQuery {
 /// body, across all tags, sorted and deduplicated. Sound because a series
 /// matches a body only if the body contains the series' first element;
 /// empty or ragged series match nothing (`find_series`), so skipping them
-/// loses no candidates. SWP trapdoors are matched by keyed test, not
-/// ciphertext equality, so SWP queries cannot be probed at all.
-fn probe_elements(q: &EncryptedQuery) -> Option<Vec<Vec<u8>>> {
-    if q.kind != QueryKind::Equality {
-        return None;
-    }
+/// loses no candidates.
+fn probe_elements(q: &EncryptedQuery) -> Vec<Vec<u8>> {
     let w = q.element_bytes;
     let mut firsts: Vec<&[u8]> = q
         .per_tag
@@ -258,7 +206,7 @@ fn probe_elements(q: &EncryptedQuery) -> Option<Vec<Vec<u8>>> {
     // comparing every first element with every earlier one.
     firsts.sort_unstable();
     firsts.dedup();
-    Some(firsts.into_iter().map(<[u8]>::to_vec).collect())
+    firsts.into_iter().map(<[u8]>::to_vec).collect()
 }
 
 impl PreparedQuery for PreparedEncryptedQuery {
@@ -274,7 +222,7 @@ impl PreparedQuery for PreparedEncryptedQuery {
     }
 
     fn probes(&self) -> Option<&[Vec<u8>]> {
-        self.probes.as_deref()
+        Some(&self.probes)
     }
 }
 
@@ -306,7 +254,6 @@ mod tests {
         EncryptedQuery {
             tag_bits: 2,
             element_bytes: 2,
-            kind: QueryKind::Equality,
             series_drops: vec![0],
             per_tag: vec![
                 (1, vec![vec![0xAA, 0xBB, 0xCC, 0xDD]]), // elements [AABB][CCDD]
@@ -315,22 +262,20 @@ mod tests {
         }
     }
 
-    /// `query()` plus the boundary shapes: nothing at all, SWP, empty
-    /// series, a tag without series, the widest integers.
+    /// `query()` plus the boundary shapes: nothing at all, empty series,
+    /// a tag without series, the widest integers.
     fn samples() -> Vec<EncryptedQuery> {
         vec![
             query(),
             EncryptedQuery {
                 tag_bits: 0,
                 element_bytes: 0,
-                kind: QueryKind::Equality,
                 series_drops: vec![],
                 per_tag: vec![],
             },
             EncryptedQuery {
                 tag_bits: u32::MAX,
                 element_bytes: usize::MAX,
-                kind: QueryKind::Swp,
                 series_drops: vec![0, usize::MAX],
                 per_tag: vec![(u32::MAX, vec![]), (1, vec![vec![], vec![0xEE; 32]])],
             },
@@ -350,6 +295,14 @@ mod tests {
         prefixes_and_bitflips(&encodings, EncryptedQuery::decode);
         assert_eq!(EncryptedQuery::decode(b"junk"), None);
         assert_eq!(EncryptedQuery::decode(&[2]), None, "unknown kind");
+        // a well-formed body behind kind `1`: still an unknown kind, so a
+        // bucket matches nothing and probes to zero candidates
+        let mut kind_one = query().encode();
+        kind_one[0] = 1;
+        assert_eq!(EncryptedQuery::decode(&kind_one), None, "kind 1");
+        let prepared = EncryptedIndexFilter::new(2, 2).prepare(&kind_one);
+        assert_eq!(prepared.probes(), Some(&[][..]));
+        assert!(!prepared.matches(0b100 | 1, &[0xAA, 0xBB, 0xCC, 0xDD]));
         let mut trailing = query().encode();
         trailing.push(0);
         assert_eq!(EncryptedQuery::decode(&trailing), None);
@@ -456,35 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn swp_matches_body_keeps_the_trapdoor_path() {
-        use crate::swp_chunks::ChunkSwp;
-        use sdds_cipher::{KeyMaterial, MasterKey};
-        let swp = ChunkSwp::new(&KeyMaterial::new(MasterKey::new([6; 16])), 0);
-        let body: Vec<u8> = [7u128, 8, 7, 8, 9]
-            .iter()
-            .enumerate()
-            .flat_map(|(at, chunk)| swp.encrypt_chunk(1, at as u64, *chunk))
-            .collect();
-        let trapdoors =
-            |chunks: &[u128]| -> Vec<u8> { chunks.iter().flat_map(|c| swp.trapdoor(*c)).collect() };
-        let mut q = query();
-        q.kind = QueryKind::Swp;
-        for (series, expect) in [
-            (trapdoors(&[7, 8]), true),
-            (trapdoors(&[8, 7, 8, 9]), true),
-            (trapdoors(&[8, 8]), false),
-            (trapdoors(&[7, 8, 7, 8, 9, 7]), false), // longer than the body
-            (trapdoors(&[7])[..31].to_vec(), false), // ragged
-            (vec![], false),
-        ] {
-            q.per_tag = vec![(1, vec![series])];
-            assert_eq!(q.matches_body(1, &body), expect);
-            assert_eq!(some_series_has_a_position(&q, 1, &body), expect);
-            assert!(!q.matches_body(1, &body[..body.len() - 1]), "ragged body");
-        }
-    }
-
-    #[test]
     fn many_series_deduplicate_without_quadratic_compare() {
         let mut q = query();
         // 120 000 series over 60 000 distinct first elements: comparing
@@ -493,7 +417,7 @@ mod tests {
             .map(|i| [i.to_le_bytes(), [0xEE; 2]].concat())
             .collect();
         q.per_tag = vec![(1, series.clone()), (2, series)];
-        let probes = probe_elements(&q).expect("equality queries have probes");
+        let probes = probe_elements(&q);
         assert_eq!(probes.len(), 60_000);
         assert!(probes.windows(2).all(|pair| pair[0] < pair[1]));
     }
@@ -510,8 +434,11 @@ mod tests {
 
     #[test]
     fn ragged_bodies_never_match() {
-        let q = query();
+        let mut q = query();
         assert!(q.match_positions(&[1, 2, 3], &[1, 2]).is_empty());
+        // zero-width elements tile nothing, not even an empty body
+        q.element_bytes = 0;
+        assert!(q.match_positions(&[], &[]).is_empty());
     }
 
     #[test]
@@ -556,7 +483,7 @@ mod tests {
         let f = EncryptedIndexFilter::new(2, 2);
         let wire = q.encode();
         let prepared = f.prepare(&wire);
-        let probes = prepared.probes().expect("equality queries have probes");
+        let probes = prepared.probes().expect("a prepared query always probes");
         // tag 1 series starts [AA BB], tag 2 series starts [11 22]; sorted
         assert_eq!(probes, [vec![0x11, 0x22], vec![0xAA, 0xBB]]);
     }
@@ -567,16 +494,6 @@ mod tests {
         let prepared = f.prepare(b"not a query");
         assert_eq!(prepared.probes(), Some(&[][..]), "zero candidates");
         assert!(!prepared.matches(0b100 | 1, &[0xAA, 0xBB]));
-    }
-
-    #[test]
-    fn swp_queries_fall_back_to_linear() {
-        let mut q = query();
-        q.kind = QueryKind::Swp;
-        let f = EncryptedIndexFilter::new(2, 2);
-        let wire = q.encode();
-        let prepared = f.prepare(&wire);
-        assert!(prepared.probes().is_none(), "SWP cannot be probed");
     }
 
     #[test]

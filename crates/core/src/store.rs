@@ -105,16 +105,6 @@ impl Default for IngestOptions {
     }
 }
 
-impl IngestOptions {
-    /// Options with `threads` workers and the default flush size.
-    pub fn with_threads(threads: usize) -> IngestOptions {
-        IngestOptions {
-            threads,
-            ..IngestOptions::default()
-        }
-    }
-}
-
 /// What a bulk load did — see [`StoreHandle::insert_many_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IngestStats {
@@ -157,8 +147,8 @@ fn rate(n: u64, secs: f64) -> f64 {
 
 /// Intersection of two ascending position lists by a linear two-pointer
 /// merge. [`EncryptedQuery::match_positions`] reports positions in
-/// strictly ascending order (both the Morris–Pratt and the SWP scan walk
-/// the body left to right), so the merge is O(n + m) — replacing the old
+/// strictly ascending order (the Morris–Pratt scan walks the body left
+/// to right), so the merge is O(n + m) — replacing the old
 /// O(n·m) `contains` filter — and its output stays ascending.
 ///
 /// [`EncryptedQuery::match_positions`]: crate::query::EncryptedQuery::match_positions
@@ -330,37 +320,16 @@ impl StoreBuilder {
     /// trains the deterministic pipeline and assembles the cluster config.
     fn build_parts(self) -> (IndexPipeline, ClusterConfig) {
         let keys = KeyMaterial::new(self.master);
-        let need_training = self.config.encoding.is_some() || self.config.precompression.is_some();
         assert!(
-            !need_training || !self.training.is_empty(),
-            "encoding or pre-compression configured: call train() with a \
-             representative sample"
+            self.config.encoding.is_none() || !self.training.is_empty(),
+            "encoding configured: call train() with a representative sample"
         );
-        let precompressor = self.config.precompression.map(|_| {
-            IndexPipeline::train_precompressor(
-                &self.config,
-                self.training.iter().map(|s| s.as_str()),
-            )
-        });
-        // Stage-2 training sees Stage-0 output when both are on
         let codebook = self.config.encoding.map(|_| {
-            let streams: Vec<Vec<u16>> = self
-                .training
-                .iter()
-                .map(|s| {
-                    let raw: Vec<u16> = s.bytes().map(u16::from).collect();
-                    match &precompressor {
-                        Some(pre) => pre.compress(&raw),
-                        None => raw,
-                    }
-                })
-                .collect();
-            IndexPipeline::train_codebook_streams(&self.config, &streams)
+            IndexPipeline::train_codebook(&self.config, self.training.iter().map(|s| s.as_str()))
         });
-        let pipeline =
-            IndexPipeline::with_precompressor(self.config, keys, codebook, precompressor)
-                // lint: allow(panic-freedom) -- the builder validated this config before handing it to us
-                .expect("config validated");
+        let pipeline = IndexPipeline::new(self.config, keys, codebook)
+            // lint: allow(panic-freedom) -- the builder validated this config before handing it to us
+            .expect("config validated");
         let filter = if self.scan_index {
             EncryptedIndexFilter::new(
                 pipeline.config().element_bytes(),
@@ -541,11 +510,6 @@ impl EncryptedSearchStore {
     /// [`StoreHandle::search_detailed`].
     pub fn search_detailed(&self, pattern: &str) -> Result<SearchOutcome, StoreError> {
         self.handle.search_detailed(pattern)
-    }
-
-    /// Occurrence offsets — see [`StoreHandle::search_positions`].
-    pub fn search_positions(&self, pattern: &str) -> Result<HashMap<u64, Vec<usize>>, StoreError> {
-        self.handle.search_positions(pattern)
     }
 
     /// Prefix search — see [`StoreHandle::search_starting_with`].
@@ -882,8 +846,7 @@ impl StoreHandle {
             for m in common.unwrap_or_default() {
                 // the drop-d series starting at chunk m implies the query
                 // occurrence begins at chunk_start(j, m) - drop (an offset
-                // into the Stage-1 symbol stream — the pair-compressed
-                // stream when Stage 0 is on)
+                // into the Stage-1 symbol stream)
                 let start = scheme.chunk_start(chunking, m) - drop as isize;
                 if start >= 0 {
                     offsets.push(start as usize);
@@ -891,13 +854,6 @@ impl StoreHandle {
             }
         }
         offsets
-    }
-
-    /// Searches and reports the candidate occurrence offsets inside each
-    /// matching record — "all sites report a hit at the same offset" (§5)
-    /// turned into a client API.
-    pub fn search_positions(&self, pattern: &str) -> Result<HashMap<u64, Vec<usize>>, StoreError> {
-        Ok(self.search_detailed(pattern)?.positions)
     }
 
     /// Prefix search: records whose content *starts with* the pattern —

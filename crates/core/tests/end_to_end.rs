@@ -2,7 +2,7 @@
 //! every Stage-1/2/3 combination, searching the phone-directory workload.
 
 use sdds_chunk::{PartialChunkPolicy, SearchMode};
-use sdds_core::{EncodingConfig, EncryptedSearchStore, SchemeConfig, StoreError};
+use sdds_core::{EncodingConfig, EncryptedSearchStore, IndexPipeline, SchemeConfig, StoreError};
 use sdds_corpus::DirectoryGenerator;
 
 fn directory(n: usize) -> Vec<sdds_corpus::Record> {
@@ -65,7 +65,7 @@ fn no_plaintext_leaks_into_cluster_traffic() {
     let pipeline = store.pipeline();
     let ct = pipeline.encrypt_record(1, rc);
     assert!(!contains(&ct, rc.as_bytes()));
-    for rec in pipeline.index_records(rc) {
+    for rec in pipeline.index_records_for(0, rc) {
         assert!(
             !contains(&rec.body, rc.as_bytes()) && !contains(&rec.body, b"ABAB"),
             "index body leaks plaintext"
@@ -217,8 +217,31 @@ fn concurrent_handles_search_and_write_in_parallel() {
     store.shutdown();
 }
 
+/// Index records and index body bytes a pipeline makes of `records`.
+struct Footprint {
+    records: usize,
+    bytes: usize,
+}
+
+fn index_footprint<'a>(
+    pipeline: &IndexPipeline,
+    records: impl Iterator<Item = (u64, &'a str)>,
+) -> Footprint {
+    let mut sum = Footprint {
+        records: 0,
+        bytes: 0,
+    };
+    for (rid, rc) in records {
+        for rec in pipeline.index_records_for(rid, rc) {
+            sum.records += 1;
+            sum.bytes += rec.body.len();
+        }
+    }
+    sum
+}
+
 #[test]
-fn storage_report_quantifies_the_ablation_axes() {
+fn index_footprint_quantifies_the_ablation_axes() {
     let records = directory(100);
     let items = || records.iter().map(|r| (r.rid, r.rc.as_str()));
     // full scheme (4 chunkings) vs reduced (2): index bytes halve
@@ -228,11 +251,10 @@ fn storage_report_quantifies_the_ablation_axes() {
     let reduced = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
         .passphrase("x")
         .start();
-    let rf = full.pipeline().storage_report(items());
-    let rr = reduced.pipeline().storage_report(items());
-    assert_eq!(rf.records, 100);
-    assert!(rf.index_records > rr.index_records);
-    let ratio = rf.index_bytes as f64 / rr.index_bytes as f64;
+    let rf = index_footprint(full.pipeline(), items());
+    let rr = index_footprint(reduced.pipeline(), items());
+    assert!(rf.records > rr.records);
+    let ratio = rf.bytes as f64 / rr.bytes as f64;
     assert!(
         (1.8..2.2).contains(&ratio),
         "chunkings halved should ~halve bytes: {ratio}"
@@ -244,12 +266,12 @@ fn storage_report_quantifies_the_ablation_axes() {
         .passphrase("x")
         .train(records.iter().map(|r| r.rc.clone()))
         .start();
-    let rc = compressed.pipeline().storage_report(items());
+    let rc = index_footprint(compressed.pipeline(), items());
     assert!(
-        rc.expansion() < rr.expansion(),
+        rc.bytes < rr.bytes,
         "Stage 2 should shrink the index: {} !< {}",
-        rc.expansion(),
-        rr.expansion()
+        rc.bytes,
+        rr.bytes
     );
     full.shutdown();
     reduced.shutdown();
@@ -263,7 +285,7 @@ fn positions_locate_the_occurrence() {
         .start();
     store.insert(1, "XXXXSCHWARZXXXX").unwrap();
     store.insert(2, "SCHWARZ THOMAS").unwrap();
-    let positions = store.search_positions("SCHWARZ").unwrap();
+    let positions = store.search_detailed("SCHWARZ").unwrap().positions;
     assert!(
         positions[&1].contains(&4),
         "rid 1 positions: {:?}",

@@ -1,18 +1,19 @@
-//! The parallel ingest paths must be *byte-identical* to the sequential
-//! ones: `index_records_batch` per record, and a store loaded with
-//! `insert_many_with` at any thread count must answer searches exactly
-//! like a sequentially loaded one.
+//! The parallel ingest path must be *byte-identical* to the sequential
+//! one: a worker's reused `IngestScratch` yields the same index records
+//! as a fresh one, and a store loaded with `insert_many_with` at any
+//! thread count must answer searches exactly like a sequentially loaded
+//! one.
 
 use proptest::prelude::*;
 use sdds_cipher::{KeyMaterial, MasterKey};
-use sdds_core::{EncodingConfig, EncryptedSearchStore, IndexPipeline, IngestOptions, SchemeConfig};
-use sdds_par::Pool;
+use sdds_core::{
+    EncodingConfig, EncryptedSearchStore, IndexPipeline, IngestOptions, IngestScratch, SchemeConfig,
+};
 
 fn configs() -> Vec<SchemeConfig> {
     let mut v = vec![
         SchemeConfig::basic(4, 4).unwrap(),
         SchemeConfig::basic(8, 4).unwrap(),
-        SchemeConfig::swp_chunks(4, 4).unwrap(),
     ];
     let mut dispersed = SchemeConfig::basic(4, 2).unwrap();
     dispersed.dispersion = Some(4);
@@ -55,24 +56,23 @@ fn corpus(seed: u64, n: usize) -> Vec<(u64, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// A worker of `insert_many_with` carries one scratch through its
+    /// whole share of a window, records of every length in turn.
     #[test]
-    fn batch_transform_is_byte_identical_to_sequential(
+    fn reused_scratch_is_byte_identical_to_fresh(
         seed in any::<u64>(),
-        cfg_idx in 0usize..6,
-        threads in 1usize..=8,
+        cfg_idx in 0usize..5,
         n in 1usize..40,
     ) {
         let cfg = configs()[cfg_idx];
         let records = corpus(seed, n);
         let training: Vec<String> = records.iter().map(|(_, rc)| rc.clone()).collect();
         let pipeline = pipeline_for(cfg, &training);
-        let pairs: Vec<(u64, &str)> = records.iter().map(|(rid, rc)| (*rid, rc.as_str())).collect();
-        let pool = Pool::new(threads);
-        let parallel = pipeline.index_records_batch(&pairs, &pool);
-        prop_assert_eq!(parallel.len(), records.len());
-        for ((rid, rc), batch) in records.iter().zip(&parallel) {
-            let sequential = pipeline.index_records_for(*rid, rc);
-            prop_assert_eq!(batch, &sequential, "rid {} under {} threads", rid, threads);
+        let mut scratch = IngestScratch::default();
+        let mut reused = Vec::new();
+        for (rid, rc) in &records {
+            pipeline.index_records_into(*rid, rc, &mut scratch, &mut reused);
+            prop_assert_eq!(&reused, &pipeline.index_records_for(*rid, rc), "rid {}", rid);
         }
     }
 }

@@ -60,8 +60,6 @@ fn configs() -> Vec<SchemeConfig> {
         SchemeConfig::basic(4, 2).unwrap(),
         SchemeConfig::basic(2, 2).unwrap(),
         SchemeConfig::basic(8, 4).unwrap(),
-        SchemeConfig::swp_chunks(4, 4).unwrap(),
-        SchemeConfig::swp_chunks(4, 2).unwrap(),
     ];
     let mut dispersed = SchemeConfig::basic(4, 2).unwrap();
     dispersed.dispersion = Some(4);
@@ -90,7 +88,7 @@ proptest! {
     #[test]
     fn completeness_across_all_configurations(
         seed in any::<u64>(),
-        cfg_idx in 0usize..10,
+        cfg_idx in 0usize..8,
         start_frac in 0.0f64..1.0,
         rid in 1u64..1000,
     ) {
@@ -119,7 +117,7 @@ proptest! {
     }
 
     #[test]
-    fn key_layout_roundtrip(rid in 0u64..(1 << 50), cfg_idx in 0usize..10) {
+    fn key_layout_roundtrip(rid in 0u64..(1 << 50), cfg_idx in 0usize..8) {
         let cfg = configs()[cfg_idx];
         let training = vec!["ABCDEFAB".to_string()];
         let pipeline = pipeline_for(cfg, &training);
@@ -142,7 +140,7 @@ proptest! {
     #[test]
     fn index_bodies_have_config_width(
         seed in any::<u64>(),
-        cfg_idx in 0usize..10,
+        cfg_idx in 0usize..8,
     ) {
         let cfg = configs()[cfg_idx];
         let rc: String = (0..30)

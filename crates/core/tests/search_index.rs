@@ -149,7 +149,7 @@ proptest! {
         let (indexed, linear) = store_pair(16);
         let batch: Vec<(u64, &str)> =
             records.iter().map(|r| (r.rid, r.rc.as_str())).collect();
-        let opts = IngestOptions::with_threads(threads);
+        let opts = IngestOptions { threads, ..IngestOptions::default() };
         indexed.insert_many_with(batch.clone(), opts).unwrap();
         linear.insert_many_with(batch, opts).unwrap();
         // overwrite some, delete some

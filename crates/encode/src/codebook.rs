@@ -2,38 +2,6 @@
 
 use crate::counter::GramCounter;
 use std::collections::HashMap;
-use std::fmt;
-
-/// Errors from codebook construction/use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncodeError {
-    /// `num_codes` must be at least 2 (one bucket encodes nothing away but
-    /// also cannot be searched) and fit in a `u16` alphabet.
-    BadCodeCount(usize),
-    /// Stream length is not divisible by the gram size at the offset.
-    RaggedStream {
-        /// Length of the stream remainder.
-        remainder: usize,
-    },
-}
-
-impl fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EncodeError::BadCodeCount(n) => {
-                write!(f, "number of codes {n} must be in 2..=65536")
-            }
-            EncodeError::RaggedStream { remainder } => {
-                write!(
-                    f,
-                    "stream leaves {remainder} symbols that do not form a gram"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for EncodeError {}
 
 /// A lossy code: grams of `g` symbols → bucket numbers `0..num_codes`.
 ///
@@ -54,22 +22,14 @@ pub struct Codebook {
 impl Codebook {
     /// Builds the codebook from counted grams.
     ///
-    /// Panics if `num_codes` is outside `2..=65536` (use
-    /// [`try_build_equalized`](Self::try_build_equalized) for a fallible
-    /// version).
+    /// Panics if `num_codes` is outside `2..=65536`: one code encodes
+    /// nothing away and cannot be searched, and codes are `u16`s. A
+    /// `SchemeConfig` validates its code count against the same range.
     pub fn build_equalized(counter: &GramCounter, num_codes: usize) -> Codebook {
-        // lint: allow(panic-freedom) -- documented panicking convenience wrapper; the fallible path is try_build_equalized
-        Self::try_build_equalized(counter, num_codes).expect("valid code count")
-    }
-
-    /// Fallible construction.
-    pub fn try_build_equalized(
-        counter: &GramCounter,
-        num_codes: usize,
-    ) -> Result<Codebook, EncodeError> {
-        if !(2..=65536).contains(&num_codes) {
-            return Err(EncodeError::BadCodeCount(num_codes));
-        }
+        assert!(
+            (2..=65536).contains(&num_codes),
+            "number of codes {num_codes} must be in 2..=65536"
+        );
         let mut loads = vec![0u64; num_codes];
         let mut map = HashMap::new();
         let mut assignments = Vec::new();
@@ -87,22 +47,12 @@ impl Codebook {
             map.insert(gram.clone(), best as u16);
             assignments.push((gram, count, best as u16));
         }
-        Ok(Codebook {
+        Codebook {
             g: counter.gram_size(),
             num_codes,
             map,
             assignments,
-        })
-    }
-
-    /// Gram size `g`.
-    pub fn gram_size(&self) -> usize {
-        self.g
-    }
-
-    /// Code alphabet size.
-    pub fn num_codes(&self) -> usize {
-        self.num_codes
+        }
     }
 
     /// The build-time assignment table `(gram, count, code)` in descending
@@ -237,19 +187,11 @@ mod tests {
     #[test]
     fn rejects_bad_code_counts() {
         let c = GramCounter::new(1);
-        assert!(matches!(
-            Codebook::try_build_equalized(&c, 1),
-            Err(EncodeError::BadCodeCount(1))
-        ));
-        assert!(matches!(
-            Codebook::try_build_equalized(&c, 0),
-            Err(EncodeError::BadCodeCount(0))
-        ));
-        assert!(Codebook::try_build_equalized(&c, 65536).is_ok());
-        assert!(matches!(
-            Codebook::try_build_equalized(&c, 65537),
-            Err(EncodeError::BadCodeCount(_))
-        ));
+        for bad in [0, 1, 65537] {
+            let built = std::panic::catch_unwind(|| Codebook::build_equalized(&c, bad));
+            assert!(built.is_err(), "{bad} codes");
+        }
+        Codebook::build_equalized(&c, 65536);
     }
 
     #[test]

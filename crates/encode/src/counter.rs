@@ -11,7 +11,6 @@ use std::collections::HashMap;
 pub struct GramCounter {
     g: usize,
     counts: HashMap<Vec<u16>, u64>,
-    total: u64,
 }
 
 impl GramCounter {
@@ -21,7 +20,6 @@ impl GramCounter {
         GramCounter {
             g,
             counts: HashMap::new(),
-            total: 0,
         }
     }
 
@@ -38,7 +36,6 @@ impl GramCounter {
         }
         for gram in symbols[offset..].chunks_exact(self.g) {
             *self.counts.entry(gram.to_vec()).or_insert(0) += 1;
-            self.total += 1;
         }
     }
 
@@ -50,19 +47,9 @@ impl GramCounter {
         }
     }
 
-    /// Total grams counted.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Number of distinct grams.
     pub fn distinct(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Count of one gram.
-    pub fn count(&self, gram: &[u16]) -> u64 {
-        self.counts.get(gram).copied().unwrap_or(0)
     }
 
     /// Grams sorted by descending count; ties broken by gram value so the
@@ -83,13 +70,23 @@ mod tests {
         s.bytes().map(u16::from).collect()
     }
 
+    /// Every counted gram with its count, most frequent first.
+    fn counted(c: &GramCounter) -> Vec<(String, u64)> {
+        c.sorted_by_frequency()
+            .into_iter()
+            .map(|(gram, n)| (gram.iter().map(|&s| char::from(s as u8)).collect(), n))
+            .collect()
+    }
+
+    fn grams(expect: &[(&str, u64)]) -> Vec<(String, u64)> {
+        expect.iter().map(|&(g, n)| (g.to_string(), n)).collect()
+    }
+
     #[test]
     fn counts_single_symbols() {
         let mut c = GramCounter::new(1);
         c.add_record(&syms("AABA"), 0);
-        assert_eq!(c.count(&syms("A")), 3);
-        assert_eq!(c.count(&syms("B")), 1);
-        assert_eq!(c.total(), 4);
+        assert_eq!(counted(&c), grams(&[("A", 3), ("B", 1)]));
     }
 
     #[test]
@@ -97,18 +94,14 @@ mod tests {
         let mut c = GramCounter::new(2);
         c.add_record(&syms("ABCDE"), 1);
         // grams: BC, DE (A skipped, no tail)
-        assert_eq!(c.count(&syms("BC")), 1);
-        assert_eq!(c.count(&syms("DE")), 1);
-        assert_eq!(c.count(&syms("AB")), 0);
-        assert_eq!(c.total(), 2);
+        assert_eq!(counted(&c), grams(&[("BC", 1), ("DE", 1)]));
     }
 
     #[test]
     fn tail_discarded() {
         let mut c = GramCounter::new(2);
         c.add_record(&syms("ABC"), 0);
-        assert_eq!(c.count(&syms("AB")), 1);
-        assert_eq!(c.total(), 1, "partial gram C dropped");
+        assert_eq!(counted(&c), grams(&[("AB", 1)]), "partial gram C dropped");
     }
 
     #[test]
@@ -116,17 +109,15 @@ mod tests {
         // "ABOGADO…" creates chunks [AB],[OG],… and [BO],[GA],…
         let mut c = GramCounter::new(2);
         c.add_record_all_offsets(&syms("ABOG"));
-        assert_eq!(c.count(&syms("AB")), 1);
-        assert_eq!(c.count(&syms("OG")), 1);
-        assert_eq!(c.count(&syms("BO")), 1);
-        assert_eq!(c.total(), 3); // AB, OG, BO (GA ragged in offset-1)
+        // AB, OG, BO (GA ragged in offset-1)
+        assert_eq!(counted(&c), grams(&[("AB", 1), ("BO", 1), ("OG", 1)]));
     }
 
     #[test]
     fn offset_beyond_record_is_noop() {
         let mut c = GramCounter::new(2);
         c.add_record(&syms("AB"), 5);
-        assert_eq!(c.total(), 0);
+        assert_eq!(counted(&c), grams(&[]));
     }
 
     #[test]

@@ -32,8 +32,6 @@
 
 mod codebook;
 mod counter;
-pub mod pairs;
 
-pub use codebook::{Codebook, EncodeError};
+pub use codebook::Codebook;
 pub use counter::GramCounter;
-pub use pairs::PairCompressor;

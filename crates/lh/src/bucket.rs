@@ -78,7 +78,7 @@ pub(crate) struct BucketState {
     /// parent at that site, so it no longer serves key operations itself
     /// (see [`Self::merge_into`]).
     merged_into: Option<SiteId>,
-    /// `Some` while a bucket spawned for a split, restore or recovery
+    /// `Some` while a bucket spawned for a split or a recovery
     /// waits for the `TransferBatch`/`Adopt` that brings its records: the
     /// key operations that reached it first, in arrival order (see
     /// [`Self::awaiting_records`]).
@@ -163,13 +163,13 @@ impl BucketState {
         }
     }
 
-    /// Marks a bucket the spawner created for a split, restore or
-    /// recovery: it is addressable from the moment it is in the directory,
-    /// but its records arrive later, in one `TransferBatch` or `Adopt`. A
-    /// client whose image is ahead of a shrunken file addresses it
-    /// directly, and a lookup served before the records land reads `None`
-    /// for a record that exists — so until they are applied, `Request`s
-    /// are held, then served in arrival order.
+    /// Marks a bucket the spawner created for a split or a recovery: it
+    /// is addressable from the moment it is in the directory, but its
+    /// records arrive later, in one `TransferBatch` or `Adopt`. A client
+    /// whose image is ahead of a shrunken file addresses it directly, and
+    /// a lookup served before the records land reads `None` for a record
+    /// that exists — so until they are applied, `Request`s are held, then
+    /// served in arrival order.
     pub(crate) fn awaiting_records(mut self) -> BucketState {
         self.held = Some(Vec::new());
         self
@@ -528,7 +528,7 @@ impl BucketState {
         Ok(out)
     }
 
-    /// Applies an incoming split/merge/restore `TransferBatch`: stage the
+    /// Applies an incoming split or merge `TransferBatch`: stage the
     /// whole batch as **one atomic write**, and only then acknowledge —
     /// the runtime sends the [`Wire::TransferAck`] once the round's log
     /// commit made the batch durable. The ack is a promise that the
@@ -1176,7 +1176,7 @@ mod tests {
             &ctx,
             &mut ScanMemo::default(),
         );
-        // no transfer pending: an ack (e.g. a restore replay echo) is a no-op
+        // no transfer pending: an ack (e.g. a duplicate) is a no-op
         let out = b.handle(SiteId(7), Wire::TransferAck, &ctx, &mut ScanMemo::default());
         assert!(out.is_empty());
         assert_eq!(b.len(), 1);

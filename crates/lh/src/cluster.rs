@@ -83,7 +83,7 @@ impl Directory {
 }
 
 /// A consistent snapshot of an LH\* file: file state plus all bucket
-/// contents, in memory — what [`LhCluster::restore`] starts a file from.
+/// contents, in memory.
 /// A file survives process restarts through its hosts' write-ahead logs
 /// (`StorageConfig`, DESIGN.md §10), not through snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -483,46 +483,6 @@ impl LhCluster {
         })
     }
 
-    /// Starts a fresh cluster and repopulates it from a snapshot: the
-    /// coordinator adopts the file state, the bucket sites are spawned at
-    /// their recorded levels, and contents are replayed (rebuilding
-    /// LH\*<sub>RS</sub> parity when the new config enables it).
-    pub fn restore(config: ClusterConfig, snapshot: &FileSnapshot) -> Result<LhCluster, LhError> {
-        if let Some(p) = config.parity {
-            // the replay path bypasses the insert-time size check, so an
-            // oversized value would panic the bucket's slot encoder
-            for b in &snapshot.buckets {
-                if let Some((key, v)) = b.records.iter().find(|(_, v)| v.len() + 2 > p.slot_size) {
-                    return Err(LhError::Rejected(format!(
-                        "snapshot record {key} ({} bytes) exceeds the parity slot                          capacity {}; restore with a larger slot_size or without parity",
-                        v.len(),
-                        p.slot_size - 2
-                    )));
-                }
-            }
-        }
-        let cluster = LhCluster::start(config);
-        let control = cluster.host.control();
-        let adopt = Wire::AdoptFileState {
-            level: snapshot.level,
-            split: snapshot.split,
-        };
-        control.send(SiteId(COORD_ID), adopt.encode())?;
-        for b in &snapshot.buckets {
-            if b.addr > 0 {
-                cluster.host.place(b.addr, b.level)?;
-            }
-        }
-        for b in &snapshot.buckets {
-            let batch = Wire::TransferBatch {
-                level: b.level,
-                records: b.records.clone(),
-            };
-            control.send(SiteRegistry::bucket_id(b.addr), batch.encode())?;
-        }
-        Ok(cluster)
-    }
-
     /// Stops the cluster: every other rank's host loop is told to shut
     /// down (a served rank's `serve` returns once its sites have stopped),
     /// then this process's sites finish what is already in their inboxes,
@@ -782,7 +742,7 @@ impl SiteHost {
     /// killed bucket recovered — the new one takes that site's mailbox
     /// over at it ([`Runtime::succeed`]). A bucket `reopened` over its own
     /// records serves at once, and so does the primordial bucket 0; every
-    /// other one was spawned for a split, a restore or a recovery, gets a
+    /// other one was spawned for a split or a recovery, gets a
     /// new engine and waits for its contents (see
     /// [`BucketState::awaiting_records`]).
     ///

@@ -107,7 +107,10 @@ impl CoordinatorState {
                 self.answer_extent_reads()
             }
             Wire::AdoptFileState { level, split } => {
-                debug_assert!(self.running.is_none(), "restore must precede traffic");
+                debug_assert!(
+                    self.running.is_none(),
+                    "a reopened file's state must precede traffic"
+                );
                 self.level = level;
                 self.split = split;
                 Vec::new()

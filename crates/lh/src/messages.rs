@@ -251,8 +251,9 @@ pub enum Wire {
         /// All records.
         records: Vec<(u64, Vec<u8>)>,
     },
-    /// Restore protocol: cluster facade → coordinator, adopt this file
-    /// state (level, split pointer) before any traffic flows.
+    /// Reopen: a rank's start-up → coordinator, adopt the file state
+    /// (level, split pointer) derived from the data dir before any
+    /// traffic flows.
     AdoptFileState {
         /// File level to adopt.
         level: u8,

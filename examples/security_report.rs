@@ -37,7 +37,7 @@ fn site_view(p: &IndexPipeline, rcs: &[String]) -> (Vec<Vec<u64>>, u32, Vec<u8>)
     let mut streams = Vec::new();
     let mut bits: Vec<bool> = Vec::new();
     for rc in rcs {
-        let recs = p.index_records(rc);
+        let recs = p.index_records_for(0, rc);
         let body = &recs[0].body;
         let elements: Vec<u64> = body
             .chunks(element_bytes)

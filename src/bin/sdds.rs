@@ -3,7 +3,7 @@
 //! ```text
 //! sdds generate --entries 1000 --seed 7 --out directory.txt
 //! sdds search --pattern MARTINEZ [--file directory.txt | --entries 2000]
-//!             [--config basic|paper|swp] [--exact]
+//!             [--config basic|paper] [--exact]
 //! sdds metrics --cluster --servers 2
 //! ```
 //!
@@ -42,7 +42,7 @@ const CORPUS: &[Flag] = &[("file", "FILE"), ("entries", "N"), ("seed", "S")];
 
 /// Scheme, keys and bucket backend of the store a command builds.
 const STORE: &[Flag] = &[
-    ("config", "basic|paper|swp"),
+    ("config", "basic|paper"),
     ("passphrase", "P"),
     ("storage", "mem|disk"),
     ("data-dir", "DIR"),
@@ -121,7 +121,7 @@ const COMMANDS: &[Command] = &[
                 ("registry", "FILE"),
                 ("entries", "N"),
                 ("seed", "S"),
-                ("config", "basic|paper|swp"),
+                ("config", "basic|paper"),
                 ("storage", "mem|disk"),
                 ("data-dir", "DIR"),
                 ("fsync", "always|never|N"),
@@ -260,8 +260,7 @@ fn config_for(flags: &Flags) -> SchemeConfig {
     match flags.get("config").map(String::as_str).unwrap_or("basic") {
         "basic" => SchemeConfig::basic(4, 4).expect("valid"),
         "paper" => SchemeConfig::paper_recommended(),
-        "swp" => SchemeConfig::swp_chunks(4, 4).expect("valid"),
-        other => usage_error(format!("unknown --config {other:?}; use basic|paper|swp")),
+        other => usage_error(format!("unknown --config {other:?}; use basic|paper")),
     }
 }
 

@@ -47,6 +47,21 @@ fn the_removed_bench_commands_are_unknown() {
 }
 
 #[test]
+fn the_removed_swp_config_is_unknown() {
+    let out = sdds(&[
+        "search",
+        "--pattern",
+        "X",
+        "--entries",
+        "5",
+        "--config",
+        "swp",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("use basic|paper"), "{}", stderr(&out));
+}
+
+#[test]
 fn help_lists_exactly_the_six_commands() {
     let out = sdds(&["--help"]);
     assert_eq!(out.status.code(), Some(0));

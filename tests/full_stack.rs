@@ -205,59 +205,6 @@ fn our_aes_ctr_keystream_passes_our_randomness_battery() {
     assert!(zeros.passed(0.001) < zeros.tests.len() / 2);
 }
 
-#[test]
-fn snapshot_of_an_encrypted_store_restores_searchably() {
-    // cross-crate: core store -> lh snapshot -> fresh cluster -> same
-    // encrypted index answers (the pipeline is key-derived, so a new store
-    // with the same passphrase produces compatible queries)
-    use sdds_repro::lh::LhCluster;
-    let records = DirectoryGenerator::new(88).generate(150);
-    let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
-        .passphrase("persist")
-        .start();
-    store
-        .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
-        .unwrap();
-    let truth: Vec<u64> = records
-        .iter()
-        .filter(|r| r.rc.contains("MARTINEZ"))
-        .map(|r| r.rid)
-        .collect();
-    let before = store.search("MARTINEZ").unwrap();
-    let snap = store.cluster().snapshot().unwrap();
-    store.shutdown();
-
-    // restore the file into a fresh cluster wired with the same filter
-    let restored_cluster = LhCluster::restore(
-        sdds_repro::lh::ClusterConfig {
-            filter: std::sync::Arc::new(sdds_repro::core::EncryptedIndexFilter::default()),
-            ..Default::default()
-        },
-        &snap,
-    )
-    .unwrap();
-    // a new store facade over the same key material rebuilds the pipeline;
-    // here we query through a raw client + pipeline to avoid re-inserting
-    let probe = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
-        .passphrase("persist")
-        .start();
-    let query = probe.pipeline().build_query("MARTINEZ").unwrap();
-    let client = restored_cluster.client();
-    let matches = client.scan(&query.encode(), true).unwrap();
-    let mut hit_rids: Vec<u64> = matches
-        .iter()
-        .map(|m| probe.pipeline().parse_key(m.key).0)
-        .collect();
-    hit_rids.sort_unstable();
-    hit_rids.dedup();
-    for rid in &truth {
-        assert!(hit_rids.contains(rid), "restored index lost rid {rid}");
-    }
-    assert!(!before.is_empty());
-    probe.shutdown();
-    restored_cluster.shutdown();
-}
-
 /// Soak test: a paper-scale slice of the directory through the full
 /// distributed store. Run with `cargo test --release -- --ignored`.
 #[test]
@@ -320,7 +267,7 @@ fn index_bodies_flatten_statistics_versus_plaintext() {
     let site_streams: Vec<Vec<u16>> = records
         .iter()
         .map(|r| {
-            pipeline.index_records(&r.rc)[0]
+            pipeline.index_records_for(0, &r.rc)[0]
                 .body
                 .iter()
                 .map(|&b| u16::from(b))
