@@ -50,8 +50,9 @@ fn run_row(n: usize, seed: u64) -> ScalingRow {
         .passphrase("scaling")
         .bucket_capacity(64)
         .start();
+    let client = store.handle();
     let t0 = Instant::now();
-    store
+    client
         .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
         .expect("bulk load");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -60,7 +61,7 @@ fn run_row(n: usize, seed: u64) -> ScalingRow {
     let probes = 200;
     let t0 = Instant::now();
     for r in records.iter().step_by(records.len() / probes) {
-        store.get(r.rid).expect("lookup").expect("record present");
+        client.get(r.rid).expect("lookup").expect("record present");
     }
     let lookup_us = t0.elapsed().as_secs_f64() * 1e6 / probes as f64;
 
@@ -69,7 +70,7 @@ fn run_row(n: usize, seed: u64) -> ScalingRow {
     let reps = 5;
     let t0 = Instant::now();
     for _ in 0..reps {
-        store.search("MARTINEZ").expect("search");
+        client.search("MARTINEZ").expect("search");
     }
     let search_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
     let stats = store.cluster().network().stats();

@@ -32,10 +32,11 @@
 //! let store = EncryptedSearchStore::builder(config)
 //!     .passphrase("correct horse battery staple")
 //!     .start();
-//! store.insert(7, "SCHWARZ THOMAS").unwrap();
-//! let hits = store.search("THOMAS").unwrap();
+//! let client = store.handle();
+//! client.insert(7, "SCHWARZ THOMAS").unwrap();
+//! let hits = client.search("THOMAS").unwrap();
 //! assert_eq!(hits, vec![7]);
-//! assert_eq!(store.get(7).unwrap(), Some("SCHWARZ THOMAS".into()));
+//! assert_eq!(client.get(7).unwrap(), Some("SCHWARZ THOMAS".into()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,8 +52,8 @@ pub use config::{ConfigError, EncodingConfig, EncodingGranularity, SchemeConfig}
 pub use pipeline::{IndexPipeline, IndexRecord, IngestScratch};
 pub use query::{EncryptedIndexFilter, EncryptedQuery};
 pub use store::{
-    EncryptedSearchStore, IngestOptions, IngestStats, RemoteStore, SearchOutcome, StoreBuilder,
-    StoreError, StoreHandle,
+    EncryptedSearchStore, IngestOptions, RemoteStore, SearchOutcome, StoreBuilder, StoreError,
+    StoreHandle,
 };
 // The storage backend selectors `StoreBuilder::storage` takes.
 pub use sdds_lh::{DiskOptions, FsyncPolicy, StorageConfig};

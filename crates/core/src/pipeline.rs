@@ -23,11 +23,13 @@ pub struct IndexRecord {
 }
 
 /// Reusable intermediate buffers for the ingest hot path. One instance per
-/// worker (or per long-lived caller) makes steady-state ingest free of
-/// per-chunk allocation — see
+/// long-lived caller makes steady-state ingest allocate only the index
+/// bodies it hands out — see
 /// [`index_records_into`](IndexPipeline::index_records_into).
 #[derive(Debug, Default)]
 pub struct IngestScratch {
+    /// The record's Stage-1 symbol stream.
+    symbols: Vec<u16>,
     /// Flat chunk buffer: chunk `m` of the current chunking occupies
     /// `chunks[m*s..(m+1)*s]`.
     chunks: Vec<u16>,
@@ -208,9 +210,9 @@ impl IndexPipeline {
 
     /// [`index_records_for`](Self::index_records_for) with caller-owned
     /// buffers: `out` receives the records (cleared first) and `scratch`
-    /// holds the intermediate chunk/value/plane buffers, so a caller
-    /// looping over a corpus does no per-chunk allocation. The produced
-    /// records are byte-identical to the allocating path.
+    /// holds the intermediate symbol/chunk/value/plane buffers, so a
+    /// caller looping over a corpus allocates only the bodies. The
+    /// produced records are byte-identical to the allocating path.
     pub fn index_records_into(
         &self,
         _rid: u64,
@@ -219,7 +221,8 @@ impl IndexPipeline {
         out: &mut Vec<IndexRecord>,
     ) {
         out.clear();
-        let symbols = rc_symbols(rc);
+        scratch.symbols.clear();
+        scratch.symbols.extend(rc.bytes().map(u16::from));
         let c = self.config.chunking.num_chunkings();
         let k = self.config.k();
         let s = self.config.chunking.chunk_size();
@@ -229,7 +232,7 @@ impl IndexPipeline {
             let chunk_timer = sdds_obs::histogram("core.chunk_seconds").start_timer();
             let nchunks = self.config.chunking.chunk_record_flat(
                 j,
-                &symbols,
+                &scratch.symbols,
                 self.config.partial_chunks,
                 &mut scratch.chunks,
             );
@@ -280,8 +283,7 @@ impl IndexPipeline {
         self.count_ingest(out);
     }
 
-    /// Ingest-side counters of one transformed record (process-global
-    /// atomics, so parallel workers need no coordination).
+    /// Ingest-side counters of one transformed record.
     fn count_ingest(&self, records: &[IndexRecord]) {
         let element_bytes = self.config.element_bytes();
         let bytes: usize = records.iter().map(|r| r.body.len()).sum();

@@ -1,7 +1,7 @@
 //! The client-facing store: the complete scheme over a live LH\* cluster.
 
 use crate::config::{ConfigError, SchemeConfig};
-use crate::pipeline::{IndexPipeline, IngestScratch, PipelineError};
+use crate::pipeline::{IndexPipeline, IndexRecord, IngestScratch, PipelineError};
 use crate::query::EncryptedIndexFilter;
 use sdds_chunk::CombinationRule;
 use sdds_cipher::{KeyMaterial, MasterKey};
@@ -11,7 +11,7 @@ use sdds_obs::trace;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Store-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,21 +74,9 @@ pub struct SearchOutcome {
     pub positions: HashMap<u64, Vec<usize>>,
 }
 
-/// The per-stage ingest histograms paired with the throughput gauges
-/// derived from them. Both names are static so the obs-drift lint can
-/// reconcile them against `docs/OBSERVABILITY.md`.
-const STAGE_HISTOGRAMS: [(&str, &str); 3] = [
-    ("core.chunk_seconds", "core.chunk_chunks_per_sec"),
-    ("core.encode_seconds", "core.encode_chunks_per_sec"),
-    ("core.disperse_seconds", "core.disperse_chunks_per_sec"),
-];
-
-/// Tuning knobs for bulk ingest — see [`StoreHandle::insert_many_with`].
+/// Tuning knobs for bulk ingest — see [`StoreHandle::insert_many`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestOptions {
-    /// Worker threads for the record → index-record transform (1 runs the
-    /// transform inline on the calling thread).
-    pub threads: usize,
     /// Target number of keyed entries per LH\* flush; the load proceeds in
     /// windows of `flush_index_records / (1 + c·k)` records so bucket
     /// mailboxes and split pressure stay bounded no matter how large the
@@ -99,49 +87,8 @@ pub struct IngestOptions {
 impl Default for IngestOptions {
     fn default() -> IngestOptions {
         IngestOptions {
-            threads: 1,
             flush_index_records: 1024,
         }
-    }
-}
-
-/// What a bulk load did — see [`StoreHandle::insert_many_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IngestStats {
-    /// Records loaded.
-    pub records: u64,
-    /// Index records produced (excluding the record-store copies).
-    pub index_records: u64,
-    /// Chunks transformed across all chunkings.
-    pub chunks: u64,
-    /// Index body bytes shipped to the sites.
-    pub index_bytes: u64,
-    /// Wall-clock duration of the load in seconds.
-    pub elapsed_seconds: f64,
-}
-
-impl IngestStats {
-    /// Records ingested per second.
-    pub fn records_per_sec(&self) -> f64 {
-        rate(self.records, self.elapsed_seconds)
-    }
-
-    /// Chunks transformed per second.
-    pub fn chunks_per_sec(&self) -> f64 {
-        rate(self.chunks, self.elapsed_seconds)
-    }
-
-    /// Index bytes produced per second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        rate(self.index_bytes, self.elapsed_seconds)
-    }
-}
-
-fn rate(n: u64, secs: f64) -> f64 {
-    if secs > 0.0 {
-        n as f64 / secs
-    } else {
-        0.0
     }
 }
 
@@ -264,13 +211,7 @@ impl StoreBuilder {
     /// nothing (§3).
     pub fn start(self) -> EncryptedSearchStore {
         let (pipeline, cluster_config) = self.build_parts();
-        let cluster = LhCluster::start(cluster_config);
-        let client = cluster.client();
-        let handle = StoreHandle {
-            pipeline: Arc::new(pipeline),
-            client,
-        };
-        EncryptedSearchStore { handle, cluster }
+        EncryptedSearchStore::new(pipeline, LhCluster::start(cluster_config))
     }
 
     /// Reopens a durable store from its data directory (see
@@ -282,13 +223,10 @@ impl StoreBuilder {
     /// Panics under the same conditions as `start`.
     pub fn open(self) -> Result<EncryptedSearchStore, StoreError> {
         let (pipeline, cluster_config) = self.build_parts();
-        let cluster = LhCluster::open(cluster_config)?;
-        let client = cluster.client();
-        let handle = StoreHandle {
-            pipeline: Arc::new(pipeline),
-            client,
-        };
-        Ok(EncryptedSearchStore { handle, cluster })
+        Ok(EncryptedSearchStore::new(
+            pipeline,
+            LhCluster::open(cluster_config)?,
+        ))
     }
 
     /// Splits the builder into its deterministic pipeline and the cluster
@@ -316,7 +254,8 @@ impl StoreBuilder {
         }
     }
 
-    /// The shared tail of [`start`](Self::start) and [`open`](Self::open):
+    /// The shared head of [`start`](Self::start), [`open`](Self::open),
+    /// [`serve_parts`](Self::serve_parts) and [`connect`](Self::connect):
     /// trains the deterministic pipeline and assembles the cluster config.
     fn build_parts(self) -> (IndexPipeline, ClusterConfig) {
         let keys = KeyMaterial::new(self.master);
@@ -351,9 +290,12 @@ impl StoreBuilder {
     }
 }
 
-/// An encrypted, content-searchable scalable distributed data structure.
+/// An encrypted, content-searchable scalable distributed data structure:
+/// the deterministic pipeline plus the in-process cluster it runs on.
+/// Every operation goes through a [`StoreHandle`] from
+/// [`handle`](Self::handle).
 pub struct EncryptedSearchStore {
-    handle: StoreHandle,
+    pipeline: Arc<IndexPipeline>,
     cluster: LhCluster,
 }
 
@@ -372,10 +314,7 @@ impl RemoteStore {
     /// [`StoreHandle`] API — ingest, get, search — works unchanged over
     /// TCP.
     pub fn handle(&self) -> StoreHandle {
-        StoreHandle {
-            pipeline: self.pipeline.clone(),
-            client: self.cluster.client(),
-        }
+        StoreHandle::new(&self.pipeline, &self.cluster)
     }
 
     /// The transformation pipeline (for experiments that bypass the
@@ -404,8 +343,9 @@ impl RemoteStore {
 
 /// An independent client handle on a running store: owns its own network
 /// endpoint and file image, shares the key material and codebooks. Create
-/// one per thread with [`EncryptedSearchStore::handle`] — the paper's
-/// setting has many clients searching the same file concurrently.
+/// one per thread with [`EncryptedSearchStore::handle`] (or
+/// [`RemoteStore::handle`]) — the paper's setting has many clients
+/// searching the same file concurrently.
 pub struct StoreHandle {
     pipeline: Arc<IndexPipeline>,
     client: LhClient,
@@ -414,7 +354,7 @@ pub struct StoreHandle {
 impl fmt::Debug for EncryptedSearchStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EncryptedSearchStore")
-            .field("config", self.handle.pipeline.config())
+            .field("config", self.pipeline.config())
             .field("buckets", &self.cluster.num_buckets())
             .finish()
     }
@@ -437,10 +377,17 @@ impl EncryptedSearchStore {
         }
     }
 
+    fn new(pipeline: IndexPipeline, cluster: LhCluster) -> EncryptedSearchStore {
+        EncryptedSearchStore {
+            pipeline: Arc::new(pipeline),
+            cluster,
+        }
+    }
+
     /// The transformation pipeline (for experiments that bypass the
     /// cluster).
     pub fn pipeline(&self) -> &IndexPipeline {
-        &self.handle.pipeline
+        &self.pipeline
     }
 
     /// The underlying cluster (for traffic statistics and fault
@@ -449,77 +396,10 @@ impl EncryptedSearchStore {
         &self.cluster
     }
 
-    /// A fresh, independently routable client handle for concurrent use
-    /// from other threads (each handle owns its endpoint and image).
+    /// A fresh, independently routable client handle (each handle owns
+    /// its endpoint and image; create one per thread).
     pub fn handle(&self) -> StoreHandle {
-        StoreHandle {
-            pipeline: self.handle.pipeline.clone(),
-            client: self.cluster.client(),
-        }
-    }
-
-    /// Stores a record — see [`StoreHandle::insert`].
-    pub fn insert(&self, rid: u64, rc: &str) -> Result<(), StoreError> {
-        self.handle.insert(rid, rc)
-    }
-
-    /// Bulk load — see [`StoreHandle::insert_many`].
-    pub fn insert_many<'a, I>(&self, records: I) -> Result<(), StoreError>
-    where
-        I: IntoIterator<Item = (u64, &'a str)>,
-    {
-        self.handle.insert_many(records)
-    }
-
-    /// Tuned bulk load — see [`StoreHandle::insert_many_with`].
-    pub fn insert_many_with<'a, I>(
-        &self,
-        records: I,
-        opts: IngestOptions,
-    ) -> Result<IngestStats, StoreError>
-    where
-        I: IntoIterator<Item = (u64, &'a str)>,
-    {
-        self.handle.insert_many_with(records, opts)
-    }
-
-    /// Fetches and decrypts a record — see [`StoreHandle::get`].
-    pub fn get(&self, rid: u64) -> Result<Option<String>, StoreError> {
-        self.handle.get(rid)
-    }
-
-    /// Deletes a record — see [`StoreHandle::delete`].
-    pub fn delete(&self, rid: u64) -> Result<bool, StoreError> {
-        self.handle.delete(rid)
-    }
-
-    /// Bulk delete — see [`StoreHandle::delete_many`].
-    pub fn delete_many<I>(&self, rids: I) -> Result<u64, StoreError>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        self.handle.delete_many(rids)
-    }
-
-    /// Substring search — see [`StoreHandle::search`].
-    pub fn search(&self, pattern: &str) -> Result<Vec<u64>, StoreError> {
-        self.handle.search(pattern)
-    }
-
-    /// Search with combination details — see
-    /// [`StoreHandle::search_detailed`].
-    pub fn search_detailed(&self, pattern: &str) -> Result<SearchOutcome, StoreError> {
-        self.handle.search_detailed(pattern)
-    }
-
-    /// Prefix search — see [`StoreHandle::search_starting_with`].
-    pub fn search_starting_with(&self, pattern: &str) -> Result<Vec<u64>, StoreError> {
-        self.handle.search_starting_with(pattern)
-    }
-
-    /// Exact-answer fetch — see [`StoreHandle::fetch_matching`].
-    pub fn fetch_matching(&self, pattern: &str) -> Result<Vec<(u64, String)>, StoreError> {
-        self.handle.fetch_matching(pattern)
+        StoreHandle::new(&self.pipeline, &self.cluster)
     }
 
     /// Stops the cluster.
@@ -529,11 +409,45 @@ impl EncryptedSearchStore {
 }
 
 impl StoreHandle {
+    fn new(pipeline: &Arc<IndexPipeline>, cluster: &LhCluster) -> StoreHandle {
+        StoreHandle {
+            pipeline: pipeline.clone(),
+            client: cluster.client(),
+        }
+    }
+
     fn check_rid(&self, rid: u64) -> Result<(), StoreError> {
         let bits = self.pipeline.config().tag_bits();
         if rid >= (1u64 << (64 - bits)) {
             return Err(StoreError::RidTooLarge(rid));
         }
+        Ok(())
+    }
+
+    /// Checks every RID of `records`, then sends their `1 + c·k` keyed
+    /// entries each — the strongly encrypted record-store copy under tag
+    /// 0, then the index records — as one pipelined batch. `scratch` and
+    /// `index` are the transform's reusable buffers.
+    fn send_records(
+        &self,
+        records: &[(u64, &str)],
+        scratch: &mut IngestScratch,
+        index: &mut Vec<IndexRecord>,
+    ) -> Result<(), StoreError> {
+        for &(rid, _) in records {
+            self.check_rid(rid)?;
+        }
+        let p = &self.pipeline;
+        let per = 1 + p.config().index_records_per_record();
+        let mut batch = Vec::with_capacity(records.len() * per);
+        for &(rid, rc) in records {
+            batch.push((p.lh_key(rid, 0), p.encrypt_record(rid, rc)));
+            p.index_records_into(rid, rc, scratch, index);
+            for rec in index.drain(..) {
+                batch.push((p.lh_key(rid, p.tag(rec.chunking, rec.site)), rec.body));
+            }
+        }
+        self.client.insert_batch(batch)?;
         Ok(())
     }
 
@@ -545,122 +459,35 @@ impl StoreHandle {
         // the batched LH* inserts below inherit this context.
         let mut span = trace::child_span("client.insert");
         span.set_detail(rid);
-        self.check_rid(rid)?;
-        let mut batch = Vec::with_capacity(1 + self.pipeline.config().index_records_per_record());
-        batch.push((
-            self.pipeline.lh_key(rid, 0),
-            self.pipeline.encrypt_record(rid, rc),
-        ));
-        for rec in self.pipeline.index_records_for(rid, rc) {
-            let tag = self.pipeline.tag(rec.chunking, rec.site);
-            batch.push((self.pipeline.lh_key(rid, tag), rec.body));
-        }
-        self.client.insert_batch(batch)?;
-        Ok(())
+        self.send_records(&[(rid, rc)], &mut IngestScratch::default(), &mut Vec::new())
     }
 
-    /// Bulk load: pipelines many records' inserts into large batches —
-    /// the fastest way to populate a file. Flushes in fixed-size windows
-    /// (the [`IngestOptions`] default of ~1k index records per flush), so
-    /// memory stays bounded for arbitrarily large inputs.
+    /// Bulk load: the fastest way to populate a file, and memory stays
+    /// bounded for arbitrarily large inputs. The input is pulled in
+    /// windows of [`IngestOptions`]' default `flush_index_records /
+    /// (1 + c·k)` records. Every RID of a window is checked before any of
+    /// it is sent; the window is then transformed on the calling thread,
+    /// one [`IngestScratch`] serving the whole call, and sent as one
+    /// batch — the way [`insert`](Self::insert) sends its one record, so
+    /// the stored key → value content is exactly that of single inserts.
     pub fn insert_many<'a, I>(&self, records: I) -> Result<(), StoreError>
     where
         I: IntoIterator<Item = (u64, &'a str)>,
     {
-        self.insert_many_with(records, IngestOptions::default())
-            .map(|_| ())
-    }
-
-    /// Bulk load with explicit threading and flush tuning.
-    ///
-    /// The record → index-record transform (Stages 1–3 plus the strong
-    /// record encryption) fans out over `opts.threads` workers, each with
-    /// its own reusable [`IngestScratch`]; the resulting keyed entries are
-    /// flushed to the LH\* file **from the calling thread, in record
-    /// order**. Every transform is deterministic in `(rid, rc)`, so the
-    /// stored key → value content is byte-identical whatever the thread
-    /// count (only the cluster's internal split timing varies run to run).
-    ///
-    /// On return the throughput gauges `core.ingest_records_per_sec`,
-    /// `core.ingest_chunks_per_sec` and `core.ingest_bytes_per_sec`
-    /// describe this load, and the per-stage gauges
-    /// `core.{chunk,encode,disperse}_chunks_per_sec` give each stage's
-    /// isolated rate (chunks over in-stage seconds).
-    pub fn insert_many_with<'a, I>(
-        &self,
-        records: I,
-        opts: IngestOptions,
-    ) -> Result<IngestStats, StoreError>
-    where
-        I: IntoIterator<Item = (u64, &'a str)>,
-    {
         let _span = trace::child_span("client.insert_many");
-        let start = Instant::now();
-        let pipeline: &IndexPipeline = &self.pipeline;
-        let per = 1 + pipeline.config().index_records_per_record();
-        let window_records = opts.flush_index_records.max(1).div_ceil(per).max(1);
-        let pool = sdds_par::Pool::new(opts.threads);
-        let index_records0 = sdds_obs::counter("core.ingest_index_records").get();
-        let chunks0 = sdds_obs::counter("core.ingest_chunks").get();
-        let bytes0 = sdds_obs::counter("core.ingest_index_bytes").get();
-        let stage0: Vec<f64> = STAGE_HISTOGRAMS
-            .iter()
-            .map(|(hist, _)| sdds_obs::histogram(hist).sum())
-            .collect();
-        let mut stats = IngestStats::default();
-        let mut iter = records.into_iter();
+        let per = 1 + self.pipeline.config().index_records_per_record();
+        let window_records = IngestOptions::default().flush_index_records.div_ceil(per);
+        let (mut scratch, mut index) = (IngestScratch::default(), Vec::new());
+        let mut window = Vec::with_capacity(window_records);
+        let mut records = records.into_iter();
         loop {
-            let window: Vec<(u64, &'a str)> = iter.by_ref().take(window_records).collect();
+            window.clear();
+            window.extend(records.by_ref().take(window_records));
             if window.is_empty() {
-                break;
+                return Ok(());
             }
-            for &(rid, _) in &window {
-                self.check_rid(rid)?;
-            }
-            // a few spans per worker lets the cursor balance uneven records
-            let span = window.len().div_ceil(pool.threads() * 4).max(1);
-            let parts = pool.par_map_chunks_with(
-                &window,
-                span,
-                IngestScratch::default,
-                |scratch, _chunk_index, _start, records| {
-                    let mut entries = Vec::with_capacity(records.len() * per);
-                    let mut recs = Vec::new();
-                    for &(rid, rc) in records {
-                        entries.push((pipeline.lh_key(rid, 0), pipeline.encrypt_record(rid, rc)));
-                        pipeline.index_records_into(rid, rc, scratch, &mut recs);
-                        for rec in recs.drain(..) {
-                            let tag = pipeline.tag(rec.chunking, rec.site);
-                            entries.push((pipeline.lh_key(rid, tag), rec.body));
-                        }
-                    }
-                    entries
-                },
-            );
-            stats.records += window.len() as u64;
-            // one ordered flush per window from the calling thread: the
-            // file receives the same batches in the same order whatever
-            // the thread count (bucket *split timing* still varies run to
-            // run — the cluster splits concurrently — but the stored
-            // key → value content is identical)
-            let mut batch = Vec::with_capacity(window.len() * per);
-            for part in parts {
-                batch.extend(part);
-            }
-            self.client.insert_batch(batch)?;
+            self.send_records(&window, &mut scratch, &mut index)?;
         }
-        stats.index_records = sdds_obs::counter("core.ingest_index_records").get() - index_records0;
-        stats.chunks = sdds_obs::counter("core.ingest_chunks").get() - chunks0;
-        stats.index_bytes = sdds_obs::counter("core.ingest_index_bytes").get() - bytes0;
-        stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        sdds_obs::gauge("core.ingest_records_per_sec").set(stats.records_per_sec() as i64);
-        sdds_obs::gauge("core.ingest_chunks_per_sec").set(stats.chunks_per_sec() as i64);
-        sdds_obs::gauge("core.ingest_bytes_per_sec").set(stats.bytes_per_sec() as i64);
-        for ((hist, gauge), &before) in STAGE_HISTOGRAMS.iter().zip(&stage0) {
-            let in_stage = sdds_obs::histogram(hist).sum() - before;
-            sdds_obs::gauge(gauge).set(rate(stats.chunks, in_stage) as i64);
-        }
-        Ok(stats)
     }
 
     /// Fetches and decrypts a record by RID.
@@ -692,29 +519,6 @@ impl StoreHandle {
         Ok(existed.first().copied().unwrap_or(false))
     }
 
-    /// Bulk delete: pipelines every record's `1 + c·k` deletes into one
-    /// batched round trip. Returns how many of the given records existed.
-    pub fn delete_many<I>(&self, rids: I) -> Result<u64, StoreError>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let _span = trace::child_span("client.delete_many");
-        let per = self.pipeline.config().index_records_per_record() as u32;
-        let mut keys = Vec::new();
-        // input slots of the tag-0 record-store copies
-        let mut record_slots = Vec::new();
-        for rid in rids {
-            self.check_rid(rid)?;
-            record_slots.push(keys.len());
-            keys.extend((0..=per).map(|tag| self.pipeline.lh_key(rid, tag)));
-        }
-        let existed = self.client.delete_batch(keys)?;
-        Ok(record_slots
-            .into_iter()
-            .filter(|&slot| existed.get(slot).copied().unwrap_or(false))
-            .count() as u64)
-    }
-
     /// Searches for a substring pattern; returns matching RIDs (with the
     /// scheme's designed false positives).
     pub fn search(&self, pattern: &str) -> Result<Vec<u64>, StoreError> {
@@ -737,7 +541,7 @@ impl StoreHandle {
         let in_search = hist.sum();
         if in_search > 0.0 {
             sdds_obs::gauge("core.search_queries_per_sec")
-                .set(rate(hist.count(), in_search) as i64);
+                .set((hist.count() as f64 / in_search) as i64);
         }
         outcome
     }

@@ -12,6 +12,7 @@
 
 use sdds_core::{
     DiskOptions, EncryptedSearchStore, FsyncPolicy, SchemeConfig, StorageConfig, StoreBuilder,
+    StoreHandle,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -84,14 +85,15 @@ fn collect_acks(child: &mut Child, kill_after: Option<usize>) -> Vec<u64> {
 /// its unique token, and that record-store reads return the exact text.
 fn assert_acked_survive(data_dir: &Path, acked: &[u64]) {
     let store = builder(data_dir).open().expect("reopen after crash");
+    let client = store.handle();
     for &rid in acked {
-        let hits = store.search(&format!("USER{rid:06}")).unwrap();
+        let hits = client.search(&format!("USER{rid:06}")).unwrap();
         assert!(
             hits.contains(&rid),
             "acked rid {rid} lost after crash recovery (hits: {hits:?})"
         );
         assert_eq!(
-            store.get(rid).unwrap().as_deref(),
+            client.get(rid).unwrap().as_deref(),
             Some(record_text(rid).as_str()),
             "acked rid {rid} record-store copy lost after crash recovery"
         );
@@ -107,9 +109,10 @@ fn child_ingest(total: u64) {
         .expect("child dir")
         .into();
     let store = builder(&data_dir).open().expect("child open");
+    let client = store.handle();
     let mut out = std::io::stdout();
     for rid in 0..total {
-        store.insert(rid, &record_text(rid)).expect("child insert");
+        client.insert(rid, &record_text(rid)).expect("child insert");
         writeln!(out, "ACK {rid}").unwrap();
         out.flush().unwrap();
     }
@@ -195,27 +198,33 @@ fn graceful_reopen_preserves_all_records() {
         .bucket_capacity(CAPACITY)
         .start();
     let disk = builder(&data_dir).open().expect("fresh disk store");
+    let (mem_client, disk_client) = (mem.handle(), disk.handle());
     for (rid, rc) in &records {
-        mem.insert(*rid, rc).unwrap();
-        disk.insert(*rid, rc).unwrap();
+        mem_client.insert(*rid, rc).unwrap();
+        disk_client.insert(*rid, rc).unwrap();
     }
-    let mem_hits = |s: &EncryptedSearchStore, p: &str| {
+    let hits = |s: &StoreHandle, p: &str| {
         let mut v = s.search(p).unwrap();
         v.sort_unstable();
         v
     };
     let patterns = ["USER000007", "SMITH", "415-555"];
-    let expected: Vec<Vec<u64>> = patterns.iter().map(|p| mem_hits(&mem, p)).collect();
+    let expected: Vec<Vec<u64>> = patterns.iter().map(|p| hits(&mem_client, p)).collect();
     for (p, e) in patterns.iter().zip(&expected) {
-        assert_eq!(&mem_hits(&disk, p), e, "backends disagree on {p:?}");
+        assert_eq!(&hits(&disk_client, p), e, "backends disagree on {p:?}");
     }
     mem.shutdown();
     disk.shutdown();
 
     // reopen and compare again
     let disk = builder(&data_dir).open().expect("reopen disk store");
+    let disk_client = disk.handle();
     for (p, e) in patterns.iter().zip(&expected) {
-        assert_eq!(&mem_hits(&disk, p), e, "reopen changed results for {p:?}");
+        assert_eq!(
+            &hits(&disk_client, p),
+            e,
+            "reopen changed results for {p:?}"
+        );
     }
     disk.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);

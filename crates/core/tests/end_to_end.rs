@@ -2,7 +2,9 @@
 //! every Stage-1/2/3 combination, searching the phone-directory workload.
 
 use sdds_chunk::{PartialChunkPolicy, SearchMode};
-use sdds_core::{EncodingConfig, EncryptedSearchStore, IndexPipeline, SchemeConfig, StoreError};
+use sdds_core::{
+    EncodingConfig, EncryptedSearchStore, IndexPipeline, SchemeConfig, StoreError, StoreHandle,
+};
 use sdds_corpus::DirectoryGenerator;
 
 fn directory(n: usize) -> Vec<sdds_corpus::Record> {
@@ -20,8 +22,8 @@ fn truth(records: &[sdds_corpus::Record], pattern: &str) -> Vec<u64> {
     v
 }
 
-fn assert_complete(store: &EncryptedSearchStore, records: &[sdds_corpus::Record], pattern: &str) {
-    let hits = store.search(pattern).unwrap();
+fn assert_complete(client: &StoreHandle, records: &[sdds_corpus::Record], pattern: &str) {
+    let hits = client.search(pattern).unwrap();
     for rid in truth(records, pattern) {
         assert!(
             hits.contains(&rid),
@@ -35,19 +37,20 @@ fn basic_store_insert_search_get_delete() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 4).unwrap())
         .passphrase("test")
         .start();
-    store.insert(7, "SCHWARZ THOMAS").unwrap();
-    store.insert(8, "LITWIN WITOLD").unwrap();
-    store.insert(9, "TSUI PETER").unwrap();
+    let client = store.handle();
+    client.insert(7, "SCHWARZ THOMAS").unwrap();
+    client.insert(8, "LITWIN WITOLD").unwrap();
+    client.insert(9, "TSUI PETER").unwrap();
 
-    assert_eq!(store.search("THOMAS").unwrap(), vec![7]);
-    assert_eq!(store.search("WITOLD").unwrap(), vec![8]);
-    assert!(store.search("NOBODY HERE").unwrap().is_empty());
+    assert_eq!(client.search("THOMAS").unwrap(), vec![7]);
+    assert_eq!(client.search("WITOLD").unwrap(), vec![8]);
+    assert!(client.search("NOBODY HERE").unwrap().is_empty());
 
-    assert_eq!(store.get(7).unwrap(), Some("SCHWARZ THOMAS".into()));
-    assert!(store.delete(7).unwrap());
-    assert_eq!(store.get(7).unwrap(), None);
+    assert_eq!(client.get(7).unwrap(), Some("SCHWARZ THOMAS".into()));
+    assert!(client.delete(7).unwrap());
+    assert_eq!(client.get(7).unwrap(), None);
     assert!(
-        store.search("THOMAS").unwrap().is_empty(),
+        client.search("THOMAS").unwrap().is_empty(),
         "index cleaned up"
     );
     store.shutdown();
@@ -60,8 +63,9 @@ fn no_plaintext_leaks_into_cluster_traffic() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
         .passphrase("secrecy")
         .start();
+    let client = store.handle();
     let rc = "ABABABABABAB";
-    store.insert(1, rc).unwrap();
+    client.insert(1, rc).unwrap();
     let pipeline = store.pipeline();
     let ct = pipeline.encrypt_record(1, rc);
     assert!(!contains(&ct, rc.as_bytes()));
@@ -85,11 +89,12 @@ fn phonebook_search_is_complete_basic_scheme() {
         .passphrase("pb")
         .bucket_capacity(32)
         .start();
+    let client = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        client.insert(r.rid, &r.rc).unwrap();
     }
     for pattern in ["MARTINEZ", "JOHNSON", "NGUYEN", "GARCIA"] {
-        assert_complete(&store, &records, pattern);
+        assert_complete(&client, &records, pattern);
     }
     store.shutdown();
 }
@@ -105,12 +110,13 @@ fn encoded_scheme_is_complete_and_lossy() {
         .bucket_capacity(32)
         .train(records.iter().map(|r| r.rc.clone()))
         .start();
+    let client = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        client.insert(r.rid, &r.rc).unwrap();
     }
     // completeness must survive the lossy encoding
     for pattern in ["MARTINEZ", "WILLIAMS", "ANDERSON"] {
-        assert_complete(&store, &records, pattern);
+        assert_complete(&client, &records, pattern);
     }
     store.shutdown();
 }
@@ -125,11 +131,12 @@ fn dispersed_scheme_is_complete() {
         .passphrase("pb")
         .bucket_capacity(32)
         .start();
+    let client = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        client.insert(r.rid, &r.rc).unwrap();
     }
     for pattern in ["MARTINEZ", "JOHNSON"] {
-        assert_complete(&store, &records, pattern);
+        assert_complete(&client, &records, pattern);
     }
     store.shutdown();
 }
@@ -142,13 +149,14 @@ fn paper_recommended_configuration_end_to_end() {
         .bucket_capacity(32)
         .train(records.iter().map(|r| r.rc.clone()))
         .start();
+    let client = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        client.insert(r.rid, &r.rc).unwrap();
     }
     // paper scheme: chunk 6, two chunkings → min query length 6+3-1 = 8
-    assert_complete(&store, &records, "MARTINEZ");
+    assert_complete(&client, &records, "MARTINEZ");
     // fetch_matching removes the designed false positives
-    let fetched = store.fetch_matching("MARTINEZ").unwrap();
+    let fetched = client.fetch_matching("MARTINEZ").unwrap();
     let expect = truth(&records, "MARTINEZ");
     let got: Vec<u64> = fetched.iter().map(|(rid, _)| *rid).collect();
     assert_eq!(got, expect);
@@ -166,13 +174,14 @@ fn exhaustive_mode_reduces_candidates() {
     cfg.search_mode = SearchMode::Exhaustive;
     let cfg = cfg.validated().unwrap();
     let store = EncryptedSearchStore::builder(cfg).passphrase("x").start();
-    store.insert(1, "ABCDEFGHIJKLMNOPQRSTUVWXYZ").unwrap();
+    let client = store.handle();
+    client.insert(1, "ABCDEFGHIJKLMNOPQRSTUVWXYZ").unwrap();
     // true substring (min length 2s-1 = 7)
-    let out = store.search_detailed("BCDEFGHIJK").unwrap();
+    let out = client.search_detailed("BCDEFGHIJK").unwrap();
     assert_eq!(out.rids, vec![1]);
     // phantom string sharing one aligned series ("ACDEFGHI" from §2.4,
     // padded to meet the exhaustive minimum length)
-    let out = store.search_detailed("ACDEFGHIJK").unwrap();
+    let out = client.search_detailed("ACDEFGHIJK").unwrap();
     assert!(out.rids.is_empty(), "AND rule must reject: {out:?}");
     store.shutdown();
 }
@@ -184,7 +193,8 @@ fn concurrent_handles_search_and_write_in_parallel() {
         .passphrase("mt")
         .bucket_capacity(64)
         .start();
-    store
+    let client = store.handle();
+    client
         .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
         .unwrap();
     std::thread::scope(|scope| {
@@ -211,7 +221,7 @@ fn concurrent_handles_search_and_write_in_parallel() {
     });
     // writes landed
     assert_eq!(
-        store.get(9_000_000).unwrap(),
+        client.get(9_000_000).unwrap(),
         Some("CONCURRENT WRITER".into())
     );
     store.shutdown();
@@ -283,9 +293,10 @@ fn positions_locate_the_occurrence() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 4).unwrap())
         .passphrase("pos")
         .start();
-    store.insert(1, "XXXXSCHWARZXXXX").unwrap();
-    store.insert(2, "SCHWARZ THOMAS").unwrap();
-    let positions = store.search_detailed("SCHWARZ").unwrap().positions;
+    let client = store.handle();
+    client.insert(1, "XXXXSCHWARZXXXX").unwrap();
+    client.insert(2, "SCHWARZ THOMAS").unwrap();
+    let positions = client.search_detailed("SCHWARZ").unwrap().positions;
     assert!(
         positions[&1].contains(&4),
         "rid 1 positions: {:?}",
@@ -304,14 +315,15 @@ fn prefix_search_filters_by_offset_zero() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 4).unwrap())
         .passphrase("prefix")
         .start();
-    store.insert(1, "SCHWARZ THOMAS").unwrap();
-    store.insert(2, "VON SCHWARZ K").unwrap();
-    store.insert(3, "SCHWARZENEGGER A").unwrap();
-    let mut hits = store.search_starting_with("SCHWARZ").unwrap();
+    let client = store.handle();
+    client.insert(1, "SCHWARZ THOMAS").unwrap();
+    client.insert(2, "VON SCHWARZ K").unwrap();
+    client.insert(3, "SCHWARZENEGGER A").unwrap();
+    let mut hits = client.search_starting_with("SCHWARZ").unwrap();
     hits.sort_unstable();
     assert_eq!(hits, vec![1, 3], "only records *starting* with the pattern");
     // the plain search still finds the interior occurrence
-    assert_eq!(store.search("SCHWARZ").unwrap(), vec![1, 2, 3]);
+    assert_eq!(client.search("SCHWARZ").unwrap(), vec![1, 2, 3]);
     store.shutdown();
 }
 
@@ -320,7 +332,8 @@ fn short_query_rejected_with_proper_error() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 4).unwrap())
         .passphrase("x")
         .start();
-    let err = store.search("ABC").unwrap_err();
+    let client = store.handle();
+    let err = client.search("ABC").unwrap_err();
     assert!(matches!(err, StoreError::Pipeline(_)), "{err:?}");
     store.shutdown();
 }
@@ -330,9 +343,10 @@ fn rid_capacity_is_enforced() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 4).unwrap())
         .passphrase("x")
         .start();
+    let client = store.handle();
     let too_big = 1u64 << 62; // tag_bits for 5 variants = 3 → max rid 2^61
     assert!(matches!(
-        store.insert(too_big, "X"),
+        client.insert(too_big, "X"),
         Err(StoreError::RidTooLarge(_))
     ));
     store.shutdown();
@@ -345,8 +359,9 @@ fn store_scales_across_buckets_with_index_fan_out() {
         .passphrase("scale")
         .bucket_capacity(16)
         .start();
+    let client = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        client.insert(r.rid, &r.rc).unwrap();
     }
     // 150 records × (1 + 2 index) = 450 LH* records at capacity 16
     assert!(
@@ -356,10 +371,10 @@ fn store_scales_across_buckets_with_index_fan_out() {
     );
     // records still retrievable and searchable after all the splits
     assert_eq!(
-        store.get(records[0].rid).unwrap(),
+        client.get(records[0].rid).unwrap(),
         Some(records[0].rc.clone())
     );
-    assert_complete(&store, &records, "MARTINEZ");
+    assert_complete(&client, &records, "MARTINEZ");
     store.shutdown();
 }
 
@@ -369,8 +384,9 @@ fn partial_chunk_drop_policy_still_finds_interior_patterns() {
     cfg.partial_chunks = PartialChunkPolicy::Drop;
     let cfg = cfg.validated().unwrap();
     let store = EncryptedSearchStore::builder(cfg).passphrase("x").start();
-    store.insert(1, "ABCDEFGHIJKLMNOPQRSTUVWX").unwrap();
+    let client = store.handle();
+    client.insert(1, "ABCDEFGHIJKLMNOPQRSTUVWX").unwrap();
     // interior pattern: found
-    assert_eq!(store.search("EFGHIJKLMNOP").unwrap(), vec![1]);
+    assert_eq!(client.search("EFGHIJKLMNOP").unwrap(), vec![1]);
     store.shutdown();
 }

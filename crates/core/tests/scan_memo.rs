@@ -25,8 +25,9 @@ fn store(scan_index: bool) -> EncryptedSearchStore {
 /// Record by record: a bucket reports its overflow once until it has
 /// split, so a bulk load leaves few, overfull buckets.
 fn load(store: &EncryptedSearchStore, records: &[sdds_corpus::Record]) {
+    let client = store.handle();
     for r in records {
-        store.insert(r.rid, &r.rc).unwrap();
+        client.insert(r.rid, &r.rc).unwrap();
     }
 }
 

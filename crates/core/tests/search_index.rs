@@ -4,7 +4,7 @@
 //! merges, overwrites and deletes, for every search API.
 
 use proptest::prelude::*;
-use sdds_core::{EncryptedSearchStore, IngestOptions, SchemeConfig, SearchOutcome};
+use sdds_core::{EncryptedSearchStore, SchemeConfig, SearchOutcome, StoreHandle};
 use sdds_corpus::DirectoryGenerator;
 
 fn directory(n: usize) -> Vec<sdds_corpus::Record> {
@@ -41,11 +41,7 @@ fn assert_same_outcome(a: &SearchOutcome, b: &SearchOutcome, pattern: &str) {
     assert_eq!(a.positions, b.positions, "positions differ for {pattern:?}");
 }
 
-fn assert_searches_agree(
-    indexed: &EncryptedSearchStore,
-    linear: &EncryptedSearchStore,
-    patterns: &[&str],
-) {
+fn assert_searches_agree(indexed: &StoreHandle, linear: &StoreHandle, patterns: &[&str]) {
     for pattern in patterns {
         let a = indexed.search_detailed(pattern).unwrap();
         let b = linear.search_detailed(pattern).unwrap();
@@ -57,14 +53,15 @@ fn assert_searches_agree(
 fn indexed_search_equals_linear_oracle_through_splits() {
     let probes0 = sdds_obs::counter("lh.scan_index_probes").get();
     let candidates0 = sdds_obs::counter("lh.scan_index_candidates").get();
-    let (indexed, linear) = store_pair(16);
+    let (indexed_store, linear_store) = store_pair(16);
+    let (indexed, linear) = (indexed_store.handle(), linear_store.handle());
     let records = directory(150);
     for r in &records {
         indexed.insert(r.rid, &r.rc).unwrap();
         linear.insert(r.rid, &r.rc).unwrap();
     }
     assert!(
-        indexed.cluster().num_buckets() > 4,
+        indexed_store.cluster().num_buckets() > 4,
         "the load must force splits"
     );
     let patterns = ["SCHWARZ", "MART", "SMITH", "6993", "ZZZZNOBODY"];
@@ -77,13 +74,14 @@ fn indexed_search_equals_linear_oracle_through_splits() {
         sdds_obs::counter("lh.scan_index_candidates").get() > candidates0,
         "probes must surface candidates"
     );
-    indexed.shutdown();
-    linear.shutdown();
+    indexed_store.shutdown();
+    linear_store.shutdown();
 }
 
 #[test]
 fn delete_and_overwrite_leave_no_stale_postings() {
-    let (indexed, linear) = store_pair(16);
+    let (indexed_store, linear_store) = store_pair(16);
+    let (indexed, linear) = (indexed_store.handle(), linear_store.handle());
     let records = directory(120);
     for r in &records {
         indexed.insert(r.rid, &r.rc).unwrap();
@@ -103,11 +101,11 @@ fn delete_and_overwrite_leave_no_stale_postings() {
         .collect();
     for &rid in &doomed {
         assert!(indexed.delete(rid).unwrap());
+        assert!(linear.delete(rid).unwrap());
     }
-    assert_eq!(
-        linear.delete_many(doomed.iter().copied()).unwrap(),
-        doomed.len() as u64
-    );
+    // only a record that exists reports a delete
+    assert!(!indexed.delete(doomed[0]).unwrap());
+    assert!(!indexed.delete(9_999_999).unwrap());
     let patterns = ["OVERWRITTEN", "SCHWARZ", "MART", "SMITH"];
     assert_searches_agree(&indexed, &linear, &patterns);
     // deleted records must be gone from both views
@@ -115,43 +113,29 @@ fn delete_and_overwrite_leave_no_stale_postings() {
         assert_eq!(indexed.get(rid).unwrap(), None);
         assert_eq!(linear.get(rid).unwrap(), None);
     }
-    indexed.shutdown();
-    linear.shutdown();
-}
-
-#[test]
-fn delete_many_counts_only_existing_records() {
-    let (indexed, _linear) = store_pair(32);
-    for rid in 0..20u64 {
-        indexed.insert(rid, "SOME RECORD CONTENT").unwrap();
-    }
-    let n = indexed.delete_many([3, 4, 100, 5, 200]).unwrap();
-    assert_eq!(n, 3, "only the records that existed count");
-    assert_eq!(indexed.get(3).unwrap(), None);
-    assert_eq!(indexed.get(6).unwrap(), Some("SOME RECORD CONTENT".into()));
-    indexed.shutdown();
+    indexed_store.shutdown();
+    linear_store.shutdown();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random workloads at every ingest thread count: whatever mix of
-    /// bulk inserts, overwrites and deletes ran, indexed and linear
-    /// stores answer every search identically.
+    /// Random workloads: whatever mix of bulk inserts, overwrites and
+    /// deletes ran, indexed and linear stores answer every search
+    /// identically.
     #[test]
-    fn random_workloads_agree_across_thread_counts(
+    fn random_bulk_workloads_agree_with_the_linear_oracle(
         seed in 0u64..1000,
-        threads in 1usize..=4,
         n in 40usize..100,
         drop_mod in 2u64..5,
     ) {
         let records = DirectoryGenerator::new(seed).generate(n);
-        let (indexed, linear) = store_pair(16);
+        let (indexed_store, linear_store) = store_pair(16);
+        let (indexed, linear) = (indexed_store.handle(), linear_store.handle());
         let batch: Vec<(u64, &str)> =
             records.iter().map(|r| (r.rid, r.rc.as_str())).collect();
-        let opts = IngestOptions { threads, ..IngestOptions::default() };
-        indexed.insert_many_with(batch.clone(), opts).unwrap();
-        linear.insert_many_with(batch, opts).unwrap();
+        indexed.insert_many(batch.iter().copied()).unwrap();
+        linear.insert_many(batch).unwrap();
         // overwrite some, delete some
         for r in records.iter().filter(|r| r.rid % drop_mod == 0) {
             let rc = format!("REWRITTEN {}", r.rc);
@@ -163,8 +147,10 @@ proptest! {
             .map(|r| r.rid)
             .filter(|rid| rid % drop_mod == 1)
             .collect();
-        indexed.delete_many(doomed.iter().copied()).unwrap();
-        linear.delete_many(doomed.iter().copied()).unwrap();
+        for &rid in &doomed {
+            indexed.delete(rid).unwrap();
+            linear.delete(rid).unwrap();
+        }
         let patterns = ["REWRITTEN", "SCHWARZ", "MART", "5555", "NOSUCHNAME"];
         for pattern in patterns {
             let a = indexed.search_detailed(pattern).unwrap();
@@ -180,7 +166,7 @@ proptest! {
             );
             prop_assert_eq!(&a.positions, &b.positions, "positions differ for {:?}", pattern);
         }
-        indexed.shutdown();
-        linear.shutdown();
+        indexed_store.shutdown();
+        linear_store.shutdown();
     }
 }

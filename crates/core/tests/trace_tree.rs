@@ -19,7 +19,8 @@ fn search_emits_a_single_connected_span_tree() {
         .passphrase("trace-tree")
         .bucket_capacity(64)
         .start();
-    store
+    let client = store.handle();
+    client
         .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
         .unwrap();
     assert!(
@@ -29,7 +30,7 @@ fn search_emits_a_single_connected_span_tree() {
 
     let _ = trace::drain_spans();
     trace::set_tracing(true);
-    let outcome = store.search_detailed("MARTINEZ").unwrap();
+    let outcome = client.search_detailed("MARTINEZ").unwrap();
     trace::set_tracing(false);
     // Shutdown joins the runtime's workers, so spans the sites were still
     // closing when the reply raced back are recorded before the drain.

@@ -3,10 +3,10 @@
 //! The paper's guarantees are invariants of the *code*: Stage-1 index
 //! chunks must be encrypted deterministically or chunk-equality search
 //! silently breaks, key material must never reach a log or a metrics
-//! label, and the hand-rolled concurrency in `sdds-par`/`sdds-net` must
-//! justify its memory orderings. A careless refactor can void any of
-//! these without failing a functional test, so this crate machine-checks
-//! them on every CI run:
+//! label, and the hand-rolled concurrency in `sdds-net` must justify its
+//! memory orderings. A careless refactor can void any of these without
+//! failing a functional test, so this crate machine-checks them on every
+//! CI run:
 //!
 //! ```text
 //! cargo run -p sdds-lint -- --workspace [--json lint.json]

@@ -70,8 +70,8 @@ pub const RULES: [&str; 8] = [
 
 /// Library crates whose non-test code must be panic-free (ISSUE 3). The
 /// binaries (`src/`, `crates/bench`) and test-support crates are exempt.
-const PANIC_FREE_CRATES: [&str; 10] = [
-    "gf", "cipher", "chunk", "encode", "disperse", "core", "lh", "net", "par", "storage",
+const PANIC_FREE_CRATES: [&str; 9] = [
+    "gf", "cipher", "chunk", "encode", "disperse", "core", "lh", "net", "storage",
 ];
 
 /// Stage-1 index path: the only encryption allowed here is deterministic
@@ -98,7 +98,7 @@ fn in_panic_free_scope(path: &str) -> bool {
 }
 
 fn in_atomics_scope(path: &str) -> bool {
-    path.starts_with("crates/par/src/") || path.starts_with("crates/net/src/")
+    path.starts_with("crates/net/src/")
 }
 
 fn in_cipher(path: &str) -> bool {

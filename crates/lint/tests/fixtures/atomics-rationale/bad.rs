@@ -1,5 +1,5 @@
 //! Seeded atomics-rationale violation. The rule test replays this file as
-//! `crates/par/src/fixture.rs`; never compiled.
+//! `crates/net/src/fixture.rs`; never compiled.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -146,7 +146,7 @@ fn panic_freedom_is_scoped_to_library_crates() {
 #[test]
 fn atomics_rationale_fires_on_bad_fixture() {
     let r = lint_as(
-        "crates/par/src/fixture.rs",
+        "crates/net/src/fixture.rs",
         &fixture("atomics-rationale", "bad.rs"),
     );
     assert_eq!(count_rule(&r, "atomics-rationale"), 1, "{:?}", r.violations);
@@ -155,7 +155,7 @@ fn atomics_rationale_fires_on_bad_fixture() {
 #[test]
 fn atomics_rationale_clean_fixture_passes() {
     let r = lint_as(
-        "crates/par/src/fixture.rs",
+        "crates/net/src/fixture.rs",
         &fixture("atomics-rationale", "clean.rs"),
     );
     assert!(r.is_clean(), "unexpected: {:?}", r.violations);

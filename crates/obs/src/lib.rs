@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 mod crc;
@@ -272,9 +272,24 @@ fn lookup_or_register<M: Clone>(
     map.entry(name.to_string()).or_insert_with(create).clone()
 }
 
-fn site_registries() -> &'static Mutex<Vec<Registry>> {
-    static SITES: OnceLock<Mutex<Vec<Registry>>> = OnceLock::new();
+/// Every per-site registry, held weakly: a site's registry dies with its
+/// site (a merged-away bucket, a stopped cluster). Its metrics' history
+/// stays in the parent, which received every update.
+fn site_registries() -> &'static Mutex<Vec<Weak<RegistryInner>>> {
+    static SITES: OnceLock<Mutex<Vec<Weak<RegistryInner>>>> = OnceLock::new();
     SITES.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// The per-site registries still alive, in creation order; the dead are
+/// pruned from the list.
+fn live_sites() -> Vec<Registry> {
+    let mut sites = site_registries().lock().unwrap_or_else(|e| e.into_inner());
+    sites.retain(|site| site.strong_count() > 0);
+    sites
+        .iter()
+        .filter_map(Weak::upgrade)
+        .map(Registry)
+        .collect()
 }
 
 impl Registry {
@@ -300,18 +315,17 @@ impl Registry {
 
     /// A labeled child registry (one per simulated site). Updates to its
     /// metrics propagate to the same-named metric of `parent`. The child
-    /// is also remembered process-wide so [`capture_sites`] can list
-    /// per-site snapshots.
+    /// is also remembered process-wide, until its last handle drops, so
+    /// [`capture_sites`] can list per-site snapshots.
     pub fn with_parent(label: impl Into<String>, parent: &Registry) -> Registry {
         let reg = Registry(Arc::new(RegistryInner {
             label: label.into(),
             parent: Some(parent.clone()),
             ..RegistryInner::default()
         }));
-        site_registries()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(reg.clone());
+        let mut sites = site_registries().lock().unwrap_or_else(|e| e.into_inner());
+        sites.retain(|site| site.strong_count() > 0);
+        sites.push(Arc::downgrade(&reg.0));
         reg
     }
 
@@ -489,11 +503,7 @@ pub fn reset() {
     // zeroed it holds only direct (non-site) contributions. The reverse
     // order re-corrupts the aggregate — the children's values flow back
     // into freshly-zeroed parents as negative residue.
-    for site in site_registries()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-    {
+    for site in live_sites() {
         site.reset_values();
     }
     Registry::global().reset_values();
@@ -509,15 +519,10 @@ pub fn snapshot_reset() -> MetricsSnapshot {
     snap
 }
 
-/// Point-in-time snapshots of every registered per-site registry, in
-/// creation order, each labeled with its site.
+/// Point-in-time snapshots of every live per-site registry, in creation
+/// order, each labeled with its site.
 pub fn capture_sites() -> Vec<MetricsSnapshot> {
-    site_registries()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|r| r.snapshot())
-        .collect()
+    live_sites().iter().map(Registry::snapshot).collect()
 }
 
 /// A point-in-time copy of every registered metric.
@@ -861,6 +866,19 @@ mod tests {
         site_a.histogram("reg.test.lat").observe(0.001);
         site_b.histogram("reg.test.lat").observe(0.002);
         assert_eq!(parent.histogram("reg.test.lat").count(), 2);
+    }
+
+    #[test]
+    fn a_dropped_site_registry_leaves_the_site_list() {
+        let parent = Registry::new("drop-parent");
+        let labels = || -> Vec<String> { capture_sites().into_iter().map(|s| s.label).collect() };
+        let site = Registry::with_parent("drop-site", &parent);
+        site.counter("reg.drop.ops").add(2);
+        assert!(labels().iter().any(|l| l == "drop-site"));
+        drop(site);
+        assert!(!labels().iter().any(|l| l == "drop-site"));
+        // the parent keeps what the site reported
+        assert_eq!(parent.counter("reg.drop.ops").get(), 2);
     }
 
     #[test]

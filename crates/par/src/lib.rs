@@ -1,359 +1,3 @@
-//! A dependency-free scoped worker pool for the batch ingest/search hot
-//! paths.
-//!
-//! The workspace builds fully offline (see `shims/README.md`), so instead
-//! of `rayon` this crate provides the small subset the pipeline needs:
-//! fork/join maps over slices with deterministic output order, worker-id
-//! aware closures, and per-worker scratch state so steady-state work does
-//! no per-item allocation.
-//!
-//! Design: a [`Pool`] is a *configuration* (thread count); execution uses
-//! [`std::thread::scope`], so worker threads may borrow the caller's data
-//! without `'static` bounds or any unsafe lifetime erasure. Threads are
-//! spawned per call and joined before the call returns — for the batch
-//! sizes the ingest pipeline uses (hundreds of records, thousands of
-//! chunks per dispatch) the ~tens of microseconds of spawn cost vanish
-//! against the work, and there is no idle-pool state to leak, poison, or
-//! shut down out of order.
-//!
-//! Work distribution is dynamic: workers pull chunk indices from a shared
-//! atomic cursor, so a straggler chunk (one very long record) does not
-//! stall the other workers. Results are returned **in chunk order**
-//! regardless of which worker computed them — callers that need
-//! byte-identical output to a sequential run get it for free.
-//!
-//! Panic policy: a panicking closure does not deadlock the scope. All
-//! remaining chunks are abandoned (workers check a poison flag between
-//! chunks), every worker is joined, and the *first* panic payload is
-//! re-raised on the calling thread. The pool itself carries no state and
-//! stays usable after a panic.
-//!
-//! ```
-//! use sdds_par::Pool;
-//!
-//! let pool = Pool::new(4);
-//! let data: Vec<u64> = (0..1000).collect();
-//! let sums = pool.par_map_chunks(&data, 128, |_worker, _chunk_idx, chunk| {
-//!     chunk.iter().sum::<u64>()
-//! });
-//! assert_eq!(sums.iter().sum::<u64>(), 1000 * 999 / 2);
-//! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A scoped worker pool: holds the parallelism degree, spawns scoped
-/// threads per dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pool {
-    threads: usize,
-}
-
-impl Default for Pool {
-    /// A pool sized to the machine (`available_parallelism`, min 1).
-    fn default() -> Pool {
-        Pool::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-}
-
-impl Pool {
-    /// Creates a pool of `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Pool {
-        Pool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The parallelism degree.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Splits `items` into contiguous chunks of at most `chunk_size` and
-    /// maps `f` over them in parallel. `f` receives
-    /// `(worker_id, chunk_index, chunk)`; results come back in chunk
-    /// order. Runs inline on the caller thread when one worker (or one
-    /// chunk) suffices.
-    pub fn par_map_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, usize, &[T]) -> R + Sync,
-    {
-        self.par_map_chunks_with(items, chunk_size, || (), |(), w, i, c| f(w, i, c))
-    }
-
-    /// [`par_map_chunks`](Self::par_map_chunks) with per-worker scratch
-    /// state: `init` runs once on each worker thread, and the resulting
-    /// `S` is passed mutably to every chunk that worker processes — the
-    /// hook that lets the ingest pipeline reuse chunk/encode/dispersal
-    /// buffers across records instead of allocating per chunk.
-    pub fn par_map_chunks_with<S, T, R, I, F>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        init: I,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, usize, &[T]) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let nchunks = items.len().div_ceil(chunk_size);
-        let workers = self.threads.min(nchunks);
-        if workers <= 1 {
-            // inline fast path: no threads, same observable behavior
-            let mut scratch = init();
-            return items
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(i, c)| f(&mut scratch, 0, i, c))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let poisoned = AtomicBool::new(false);
-        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(nchunks).collect();
-        let slots: Vec<Mutex<&mut Option<R>>> = out.iter_mut().map(Mutex::new).collect();
-        let first_panic = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let cursor = &cursor;
-                    let poisoned = &poisoned;
-                    let slots = &slots;
-                    let init = &init;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut scratch = init();
-                        loop {
-                            // ordering: Relaxed — advisory early-exit flag;
-                            // results are published via the Mutex slots and
-                            // the thread join, not through this load
-                            if poisoned.load(Ordering::Relaxed) {
-                                return Ok(());
-                            }
-                            // ordering: Relaxed — the atomic RMW alone hands
-                            // each worker a unique index; no other memory is
-                            // published through the cursor
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= nchunks {
-                                return Ok(());
-                            }
-                            let chunk =
-                                &items[idx * chunk_size..((idx + 1) * chunk_size).min(items.len())];
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                f(&mut scratch, worker, idx, chunk)
-                            })) {
-                                Ok(r) => {
-                                    let mut slot =
-                                        slots[idx].lock().unwrap_or_else(|e| e.into_inner());
-                                    **slot = Some(r);
-                                }
-                                Err(payload) => {
-                                    // ordering: Relaxed — flag only requests
-                                    // early exit; the panic payload itself
-                                    // synchronizes via the join handle
-                                    poisoned.store(true, Ordering::Relaxed);
-                                    return Err(payload);
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            let mut first_panic = None;
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(payload)) => {
-                        // closure panic, caught and carried out of the worker
-                        first_panic.get_or_insert(payload);
-                    }
-                    Err(payload) => {
-                        // the worker itself panicked (shouldn't happen: the
-                        // closure runs under catch_unwind) — propagate anyway
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-            }
-            first_panic
-        });
-        drop(slots);
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        out.into_iter()
-            // lint: allow(panic-freedom) -- a None slot means a worker died without unwinding, which resume_unwind above already rules out
-            .map(|r| r.expect("all chunks completed"))
-            .collect()
-    }
-
-    /// Maps `f` over every item in parallel (an item-granular convenience
-    /// wrapper; prefer [`par_map_chunks`](Self::par_map_chunks) when per-
-    /// item work is small).
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        // chunk granularity: ~4 dispatches per worker for load balance
-        let chunk = items.len().div_ceil(self.threads * 4).max(1);
-        self.par_map_chunks(items, chunk, |_, _, c| c.iter().map(&f).collect::<Vec<R>>())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn results_in_chunk_order_match_sequential() {
-        let data: Vec<u32> = (0..10_000).collect();
-        let seq: Vec<u64> = data
-            .chunks(97)
-            .map(|c| c.iter().map(|&x| x as u64).sum())
-            .collect();
-        for threads in [1, 2, 3, 4, 8] {
-            let pool = Pool::new(threads);
-            let par = pool.par_map_chunks(&data, 97, |_, _, c| {
-                c.iter().map(|&x| x as u64).sum::<u64>()
-            });
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunk_indices_cover_input_exactly_once() {
-        let data = vec![1u8; 1003];
-        let pool = Pool::new(4);
-        let idxs = pool.par_map_chunks(&data, 10, |_, idx, c| (idx, c.len()));
-        let seen: HashSet<usize> = idxs.iter().map(|&(i, _)| i).collect();
-        assert_eq!(seen.len(), 1003usize.div_ceil(10));
-        assert_eq!(idxs.iter().map(|&(_, n)| n).sum::<usize>(), 1003);
-        // final partial chunk
-        assert_eq!(idxs.last().unwrap().1, 3);
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let pool = Pool::new(8);
-        let out: Vec<u32> = pool.par_map_chunks(&[] as &[u8], 16, |_, _, _| 1);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn zero_chunk_size_is_clamped() {
-        let pool = Pool::new(2);
-        let out = pool.par_map_chunks(&[1, 2, 3], 0, |_, _, c: &[i32]| c.len());
-        assert_eq!(out, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn more_threads_than_chunks_is_fine() {
-        let pool = Pool::new(64);
-        let out = pool.par_map_chunks(&[1u8, 2, 3], 1, |_, _, c| c[0] * 2);
-        assert_eq!(out, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn scratch_initialized_once_per_worker_and_reused() {
-        let inits = AtomicU64::new(0);
-        let data = vec![0u8; 256];
-        let pool = Pool::new(3);
-        let counts = pool.par_map_chunks_with(
-            &data,
-            8,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |scratch, _, _, _| {
-                *scratch += 1;
-                *scratch
-            },
-        );
-        // each worker's scratch counted its own chunks; totals add up
-        assert_eq!(counts.len(), 32);
-        let worker_count = inits.load(Ordering::Relaxed);
-        assert!(
-            (1..=3).contains(&worker_count),
-            "scratch built per worker, not per chunk: {worker_count}"
-        );
-        let max_per_worker: u64 = counts.iter().copied().max().unwrap();
-        assert!(max_per_worker > 1, "workers reuse scratch across chunks");
-    }
-
-    #[test]
-    fn panicking_worker_propagates_and_does_not_deadlock() {
-        let pool = Pool::new(4);
-        let data: Vec<u32> = (0..1000).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map_chunks(&data, 10, |_, idx, _| {
-                if idx == 57 {
-                    panic!("boom at chunk 57");
-                }
-                idx
-            })
-        }));
-        let payload = result.expect_err("panic must propagate to the caller");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("boom at chunk 57"), "payload preserved: {msg}");
-    }
-
-    #[test]
-    fn pool_usable_after_a_panic() {
-        // the shutdown property: a poisoned dispatch leaves no residue
-        let pool = Pool::new(4);
-        let data = vec![1u64; 100];
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map_chunks(&data, 5, |_, _, _| panic!("first call dies"))
-        }));
-        let sums = pool.par_map_chunks(&data, 5, |_, _, c| c.iter().sum::<u64>());
-        assert_eq!(sums.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn inline_path_used_for_single_worker() {
-        // threads=1 must not spawn: closure sees worker id 0 for all chunks
-        let pool = Pool::new(1);
-        let data = vec![0u8; 64];
-        let ids = pool.par_map_chunks(&data, 4, |worker, _, _| worker);
-        assert!(ids.iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn par_map_matches_sequential_map() {
-        let data: Vec<u32> = (0..501).collect();
-        let pool = Pool::new(4);
-        assert_eq!(
-            pool.par_map(&data, |&x| x * 3),
-            data.iter().map(|&x| x * 3).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn default_pool_has_at_least_one_thread() {
-        assert!(Pool::default().threads() >= 1);
-    }
-}
+//! Empty placeholder: no code uses this crate. `benchmark/Cargo.lock`
+//! still records it as a dependency of `sdds-core`, so it stays until
+//! that lock is next regenerated (see `shims/README.md`).

@@ -33,10 +33,11 @@ fn main() {
         // Stage 2 needs a representative sample to equalise frequencies on
         .train(records.iter().take(500).map(|r| r.rc.clone()))
         .start();
+    let client = store.handle();
 
     let t0 = std::time::Instant::now();
     for r in &records {
-        store.insert(r.rid, &r.rc).expect("insert");
+        client.insert(r.rid, &r.rc).expect("insert");
     }
     println!(
         "\nloaded {n} records into {} LH* buckets in {:?}",
@@ -65,7 +66,7 @@ fn main() {
             .collect();
         let stats = store.cluster().network().stats();
         stats.reset();
-        let hits = store.search(pattern).expect("search");
+        let hits = client.search(pattern).expect("search");
         let fps = hits.iter().filter(|rid| !truth.contains(rid)).count();
         let missed = truth.iter().filter(|rid| !hits.contains(rid)).count();
         println!(
@@ -82,7 +83,7 @@ fn main() {
     }
 
     println!("\nclient-side post-filtering (fetch_matching) gives exact answers:");
-    let exact = store.fetch_matching("MARTINEZ").expect("fetch");
+    let exact = client.fetch_matching("MARTINEZ").expect("fetch");
     println!("  MARTINEZ -> {} exact records", exact.len());
 
     store.shutdown();

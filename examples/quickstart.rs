@@ -18,6 +18,7 @@ fn main() {
     let store = EncryptedSearchStore::builder(config)
         .passphrase("correct horse battery staple")
         .start();
+    let client = store.handle();
 
     // Insert phone-directory style records: RID = number, RC = name.
     let entries = [
@@ -31,22 +32,22 @@ fn main() {
         (4154095678, "LITWIN WITOLD"),
     ];
     for (rid, name) in entries {
-        store.insert(rid, name).expect("insert");
+        client.insert(rid, name).expect("insert");
     }
     println!("inserted {} records", entries.len());
 
     // Content search runs in parallel at all storage sites — on ciphertext.
     for pattern in ["THOMAS", "MARIA", "AKIMOTO"] {
-        let rids = store.search(pattern).expect("search");
+        let rids = client.search(pattern).expect("search");
         println!("search {pattern:?} -> {rids:?}");
     }
 
     // Key lookup + decryption of the strongly encrypted record copy.
-    let rc = store.get(4154091234).expect("get").expect("present");
+    let rc = client.get(4154091234).expect("get").expect("present");
     println!("get 4154091234 -> {rc:?}");
 
     // fetch_matching post-filters the scheme's designed false positives.
-    let matches = store.fetch_matching("WITOLD").expect("fetch");
+    let matches = client.fetch_matching("WITOLD").expect("fetch");
     println!("fetch_matching \"WITOLD\" -> {matches:?}");
 
     // What did all of that cost on the (simulated) network?

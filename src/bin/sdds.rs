@@ -350,6 +350,7 @@ fn search(flags: &Flags) {
     let records = load_records(flags);
     let t0 = Instant::now();
     let store = loaded_store(&records, flags);
+    let client = store.handle();
     eprintln!(
         "loaded into {} LH* buckets in {:?}",
         store.cluster().num_buckets(),
@@ -365,17 +366,17 @@ fn search(flags: &Flags) {
     store.cluster().network().stats().reset();
     let t0 = Instant::now();
     let result = if flags.contains_key("exact") {
-        store.fetch_matching(pattern).map(|hits| {
+        client.fetch_matching(pattern).map(|hits| {
             hits.into_iter()
                 .map(|(rid, rc)| (rid, Some(rc)))
                 .collect::<Vec<_>>()
         })
     } else if flags.contains_key("prefix") {
-        store
+        client
             .search_starting_with(pattern)
             .map(|rids| rids.into_iter().map(|rid| (rid, None)).collect())
     } else {
-        store
+        client
             .search(pattern)
             .map(|rids| rids.into_iter().map(|rid| (rid, None)).collect())
     };

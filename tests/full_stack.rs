@@ -19,10 +19,11 @@ fn directory_file_roundtrip_feeds_the_store() {
     let store = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
         .passphrase("roundtrip")
         .start();
+    let handle = store.handle();
     for r in &parsed {
-        store.insert(r.rid, &r.rc).unwrap();
+        handle.insert(r.rid, &r.rc).unwrap();
     }
-    let hits = store.search("MARTINEZ").unwrap();
+    let hits = handle.search("MARTINEZ").unwrap();
     for r in records.iter().filter(|r| r.rc.contains("MARTINEZ")) {
         assert!(hits.contains(&r.rid));
     }
@@ -39,8 +40,9 @@ fn malformed_query_in_a_well_formed_scan_matches_nothing() {
         .passphrase("malformed")
         .bucket_capacity(16)
         .start();
+    let handle = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        handle.insert(r.rid, &r.rc).unwrap();
     }
     assert!(store.cluster().num_buckets() > 4, "scan must fan out");
     let client = store.cluster().client();
@@ -69,10 +71,11 @@ fn all_three_systems_agree_on_word_searches() {
     let scheme = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
         .passphrase("agree")
         .start();
+    let scheme_client = scheme.handle();
     let swp = SwpStore::start(&master, 64);
     let naive = NaiveStore::start(&master, 64);
     for r in &records {
-        scheme.insert(r.rid, &r.rc).unwrap();
+        scheme_client.insert(r.rid, &r.rc).unwrap();
         swp.insert(r.rid, &r.rc).unwrap();
         naive.insert(r.rid, &r.rc).unwrap();
     }
@@ -97,7 +100,7 @@ fn all_three_systems_agree_on_word_searches() {
         substr_truth.sort_unstable();
         let naive_hits = naive.search(word).unwrap();
         assert_eq!(naive_hits, substr_truth, "naive for {word}");
-        let mut exact: Vec<u64> = scheme
+        let mut exact: Vec<u64> = scheme_client
             .fetch_matching(word)
             .unwrap()
             .into_iter()
@@ -119,9 +122,10 @@ fn substring_queries_beat_word_granularity() {
     let scheme = EncryptedSearchStore::builder(SchemeConfig::basic(4, 2).unwrap())
         .passphrase("frag")
         .start();
+    let scheme_client = scheme.handle();
     let swp = SwpStore::start(&master, 64);
     for r in &records {
-        scheme.insert(r.rid, &r.rc).unwrap();
+        scheme_client.insert(r.rid, &r.rc).unwrap();
         swp.insert(r.rid, &r.rc).unwrap();
     }
     // "ARTINE" occurs inside MARTINEZ
@@ -131,7 +135,7 @@ fn substring_queries_beat_word_granularity() {
         .map(|r| r.rid)
         .collect();
     if !truth.is_empty() {
-        let scheme_hits = scheme.search("ARTINE").unwrap();
+        let scheme_hits = scheme_client.search("ARTINE").unwrap();
         for rid in &truth {
             assert!(
                 scheme_hits.contains(rid),
@@ -163,8 +167,9 @@ fn encrypted_store_survives_bucket_loss_with_parity() {
         })
         .train(records.iter().map(|r| r.rc.clone()))
         .start();
+    let handle = store.handle();
     for r in &records {
-        store.insert(r.rid, &r.rc).unwrap();
+        handle.insert(r.rid, &r.rc).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(300)); // drain parity
     store.cluster().kill_bucket(1);
@@ -172,13 +177,13 @@ fn encrypted_store_survives_bucket_loss_with_parity() {
     // all record copies and index records intact: search + get still work
     for r in records.iter().take(30) {
         assert_eq!(
-            store.get(r.rid).unwrap(),
+            handle.get(r.rid).unwrap(),
             Some(r.rc.clone()),
             "rid {}",
             r.rid
         );
     }
-    let hits = store.search("MARTINEZ").unwrap();
+    let hits = handle.search("MARTINEZ").unwrap();
     for r in records.iter().filter(|r| r.rc.contains("MARTINEZ")) {
         assert!(hits.contains(&r.rid));
     }
@@ -215,8 +220,9 @@ fn soak_twenty_thousand_records() {
         .passphrase("soak")
         .bucket_capacity(256)
         .start();
+    let handle = store.handle();
     let t0 = std::time::Instant::now();
-    store
+    handle
         .insert_many(records.iter().map(|r| (r.rid, r.rc.as_str())))
         .unwrap();
     let load = t0.elapsed();
@@ -227,7 +233,7 @@ fn soak_twenty_thousand_records() {
             .filter(|r| r.rc.contains(pattern))
             .map(|r| r.rid)
             .collect();
-        let hits = store.search(pattern).unwrap();
+        let hits = handle.search(pattern).unwrap();
         for rid in &truth {
             assert!(hits.contains(rid), "missed {pattern} in {rid}");
         }
@@ -240,7 +246,7 @@ fn soak_twenty_thousand_records() {
     );
     // spot-check retrieval
     for r in records.iter().step_by(997) {
-        assert_eq!(store.get(r.rid).unwrap(), Some(r.rc.clone()));
+        assert_eq!(handle.get(r.rid).unwrap(), Some(r.rc.clone()));
     }
     store.shutdown();
 }

@@ -89,7 +89,8 @@ fn three_process_cluster_rides_out_severed_connections_and_matches_in_process() 
     let records = DirectoryGenerator::new(SEED).generate(ENTRIES);
 
     // the uninterrupted in-process reference run
-    let reference = builder(&records).start();
+    let reference_store = builder(&records).start();
+    let reference = reference_store.handle();
     for r in &records {
         reference.insert(r.rid, &r.rc).expect("reference insert");
     }
@@ -137,7 +138,7 @@ fn three_process_cluster_rides_out_severed_connections_and_matches_in_process() 
     remote.shutdown_cluster();
     wait_children(children);
     let _ = std::fs::remove_file(&registry_path);
-    reference.shutdown();
+    reference_store.shutdown();
 }
 
 /// The same seeded insert / overwrite / delete / search history on the
