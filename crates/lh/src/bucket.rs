@@ -1,4 +1,5 @@
-//! The LH\* bucket: a site owning one bucket of the file.
+//! The LH\* bucket: one bucket of the file, kept with its rank's other
+//! buckets by a shard (`crate::shard`).
 //!
 //! Buckets hold records, serve key operations with the classical LH\*
 //! forwarding rule (each hop re-addresses with the *receiving* bucket's
@@ -12,9 +13,9 @@ use crate::hash::h;
 use crate::index::PostingIndex;
 use crate::messages::{drop_wrong_sender, Op, OpResult, ScanMatch, Wire};
 use crate::parity::{slot_delta, slot_of};
-use crate::runtime::Machine;
+use crate::runtime::Sends;
 use sdds_net::{SiteId, SiteRegistry, COORD_ID};
-use sdds_obs::trace::{self, SpanGuard, TraceContext};
+use sdds_obs::trace;
 use sdds_obs::{Counter, Histogram, Registry};
 use sdds_storage::{BatchOp, StorageEngine, StorageError, WriteBatch};
 use std::collections::HashMap;
@@ -77,12 +78,12 @@ pub(crate) struct BucketState {
     /// Set by a `MergeCmd`: this bucket's records have been shipped to the
     /// parent at that site, so it no longer serves key operations itself
     /// (see [`Self::merge_into`]).
-    merged_into: Option<SiteId>,
+    pub(crate) merged_into: Option<SiteId>,
     /// `Some` while a bucket spawned for a split or a recovery
     /// waits for the `TransferBatch`/`Adopt` that brings its records: the
     /// key operations that reached it first, in arrival order (see
     /// [`Self::awaiting_records`]).
-    held: Option<Vec<(SiteId, Wire)>>,
+    held: Option<Sends>,
 }
 
 /// Immutable wiring a bucket needs to route messages.
@@ -180,7 +181,7 @@ impl BucketState {
     /// records the engine recovered from disk, and report an overflow if
     /// the recovered bucket is already past capacity (the crash may have
     /// eaten the original report). A fresh, empty engine is a no-op.
-    pub(crate) fn startup(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    pub(crate) fn startup(&mut self, ctx: &BucketCtx) -> Sends {
         if self.engine.is_empty() {
             return Vec::new();
         }
@@ -193,10 +194,12 @@ impl BucketState {
                 }
             });
         }
-        if ctx.parity.is_some() {
+        let mut out = Vec::new();
+        if let Some(cfg) = &ctx.parity {
             // Deterministic rank assignment (ascending keys). Parity sites
             // hold no persistent state, so recovered ranks need only be
-            // self-consistent, not identical to the pre-crash assignment.
+            // self-consistent, not identical to the pre-crash assignment;
+            // each is announced to the group's fresh parity sites, in order.
             self.ranks.clear();
             self.key_rank.clear();
             self.free_ranks.clear();
@@ -204,9 +207,13 @@ impl BucketState {
                 let rank = self.ranks.len() as u32;
                 self.ranks.push(Some(key));
                 self.key_rank.insert(key, rank);
+                let value = self.engine.get(key);
+                let delta = slot_delta(None, value.as_deref(), cfg.slot_size);
+                out.extend(self.parity_update(rank, Some(key), delta, true, cfg, ctx));
             }
         }
-        self.maybe_report_overflow()
+        out.extend(self.maybe_report_overflow());
+        out
     }
 
     /// Shrink threshold: an eighth of the capacity (hysteresis well below
@@ -224,7 +231,7 @@ impl BucketState {
         msg: Wire,
         ctx: &BucketCtx,
         memo: &mut ScanMemo,
-    ) -> Vec<(SiteId, Wire)> {
+    ) -> Sends {
         if matches!(msg, Wire::Request { .. }) {
             if let Some(parent) = self.merged_into {
                 // Not an addressing error of the sender's, so `hops` stays
@@ -300,7 +307,7 @@ impl BucketState {
         hops: u8,
         op: Op,
         ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
+    ) -> Sends {
         let key = op.key();
         // The LH* server address computation (A1 of [LNS96]): re-address
         // with *this* bucket's level; the h_{j-1} guard stops the forward
@@ -420,7 +427,7 @@ impl BucketState {
         key: u64,
         value: Vec<u8>,
         ctx: &BucketCtx,
-    ) -> Result<(bool, Vec<(SiteId, Wire)>), StorageError> {
+    ) -> Result<(bool, Sends), StorageError> {
         let old = self.engine.put(key, &value)?;
         let existed = old.is_some();
         let msgs = self.note_put(key, &value, old, ctx);
@@ -429,11 +436,7 @@ impl BucketState {
 
     /// Deletes a record durably, then runs the bookkeeping. Returns
     /// whether the key existed plus the parity messages.
-    fn remove(
-        &mut self,
-        key: u64,
-        ctx: &BucketCtx,
-    ) -> Result<(bool, Vec<(SiteId, Wire)>), StorageError> {
+    fn remove(&mut self, key: u64, ctx: &BucketCtx) -> Result<(bool, Sends), StorageError> {
         let old = self.engine.delete(key)?;
         let existed = old.is_some();
         let msgs = self.note_delete(key, old, ctx);
@@ -442,13 +445,7 @@ impl BucketState {
 
     /// Post-write bookkeeping for one stored record: posting index, rank
     /// table, parity deltas. `old` is the value the write replaced.
-    fn note_put(
-        &mut self,
-        key: u64,
-        value: &[u8],
-        old: Option<Vec<u8>>,
-        ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
+    fn note_put(&mut self, key: u64, value: &[u8], old: Option<Vec<u8>>, ctx: &BucketCtx) -> Sends {
         if let Some(idx) = &mut self.index {
             if ctx.filter.should_index(key) {
                 if let Some(prev) = &old {
@@ -460,8 +457,8 @@ impl BucketState {
         let Some(cfg) = &ctx.parity else {
             return Vec::new();
         };
-        let rank = match self.key_rank.get(&key) {
-            Some(&r) => r,
+        let (rank, taken) = match self.key_rank.get(&key) {
+            Some(&r) => (r, false),
             None => {
                 let r = self.free_ranks.pop().unwrap_or_else(|| {
                     self.ranks.push(None);
@@ -469,23 +466,18 @@ impl BucketState {
                 });
                 self.key_rank.insert(key, r);
                 self.ranks[r as usize] = Some(key);
-                r
+                (r, true)
             }
         };
         let delta = slot_delta(old.as_deref(), Some(value), cfg.slot_size);
-        self.parity_update(rank, Some(key), delta, cfg, ctx)
+        self.parity_update(rank, Some(key), delta, taken, cfg, ctx)
     }
 
     /// Post-delete bookkeeping for one removed record. `old` is the value
     /// the delete removed; a `None` means the key was absent, and every
     /// table — including `key_rank` — must stay untouched so rank slots
     /// are never freed twice.
-    fn note_delete(
-        &mut self,
-        key: u64,
-        old: Option<Vec<u8>>,
-        ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
+    fn note_delete(&mut self, key: u64, old: Option<Vec<u8>>, ctx: &BucketCtx) -> Sends {
         let Some(prev) = old else {
             return Vec::new();
         };
@@ -501,17 +493,13 @@ impl BucketState {
         self.ranks[rank as usize] = None;
         self.free_ranks.push(rank);
         let delta = slot_delta(Some(&prev), None, cfg.slot_size);
-        self.parity_update(rank, None, delta, cfg, ctx)
+        self.parity_update(rank, None, delta, true, cfg, ctx)
     }
 
     /// Deletes `keys` as **one atomic batch** (a single WAL frame), then
     /// runs per-key bookkeeping. Parity deltas come from the pre-delete
     /// values, captured before the batch applies.
-    fn remove_many(
-        &mut self,
-        keys: &[u64],
-        ctx: &BucketCtx,
-    ) -> Result<Vec<(SiteId, Wire)>, StorageError> {
+    fn remove_many(&mut self, keys: &[u64], ctx: &BucketCtx) -> Result<Sends, StorageError> {
         let mut batch = WriteBatch::new();
         let olds: Vec<(u64, Option<Vec<u8>>)> = keys
             .iter()
@@ -540,7 +528,7 @@ impl BucketState {
         from: SiteId,
         records: Vec<(u64, Vec<u8>)>,
         ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
+    ) -> Sends {
         let olds: Vec<Option<Vec<u8>>> = records.iter().map(|(k, _)| self.engine.get(*k)).collect();
         // move the records into the batch — the batch is the only owned
         // copy the write path needs; bookkeeping below borrows it back
@@ -573,7 +561,7 @@ impl BucketState {
 
     /// The records are in: serves what [`Self::awaiting_records`] held
     /// back, in arrival order.
-    fn serve_held(&mut self, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn serve_held(&mut self, ctx: &BucketCtx) -> Sends {
         let mut out = Vec::new();
         for (from, msg) in self.held.take().unwrap_or_default() {
             // only `Request`s are ever held, and none of them scans
@@ -587,7 +575,7 @@ impl BucketState {
     /// atomic batch) and only now tell the coordinator the operation
     /// finished. An ack with no transfer pending is ignored; one from a
     /// site other than the target is dropped and counted.
-    fn transfer_acked(&mut self, from: SiteId, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn transfer_acked(&mut self, from: SiteId, ctx: &BucketCtx) -> Sends {
         let Some(pending) = self.pending_transfer.take() else {
             return Vec::new();
         };
@@ -624,15 +612,20 @@ impl BucketState {
         out
     }
 
+    /// The update of `rank` to the group's parity sites. One that changes
+    /// neither the slot nor the rank's key (`rekeyed`) is not sent; a rank
+    /// taken or freed always is, even for an empty value, so that the
+    /// parity sites see every rank in the order it is taken.
     fn parity_update(
         &self,
         rank: u32,
         key: Option<u64>,
         delta: Vec<u8>,
+        rekeyed: bool,
         cfg: &ParityConfig,
         ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
-        if delta.iter().all(|&b| b == 0) {
+    ) -> Sends {
+        if !rekeyed && delta.iter().all(|&b| b == 0) {
             return Vec::new();
         }
         let group = self.addr / cfg.group_size as u64;
@@ -651,12 +644,7 @@ impl BucketState {
     /// records. The replacement is staged as one atomic `Clear` + puts
     /// batch, so a crash mid-adoption cannot leave a half-restored image
     /// on disk.
-    fn adopt(
-        &mut self,
-        level: u8,
-        slots: Vec<Option<(u64, Vec<u8>)>>,
-        ctx: &BucketCtx,
-    ) -> Vec<(SiteId, Wire)> {
+    fn adopt(&mut self, level: u8, slots: Vec<Option<(u64, Vec<u8>)>>, ctx: &BucketCtx) -> Sends {
         let mut batch = WriteBatch::new();
         batch.clear_all();
         // move each record into the batch once (no per-value clone); the
@@ -713,7 +701,7 @@ impl BucketState {
         self.serve_held(ctx)
     }
 
-    fn maybe_report_overflow(&mut self) -> Vec<(SiteId, Wire)> {
+    fn maybe_report_overflow(&mut self) -> Sends {
         if self.engine.len() > self.capacity && !self.overflow_reported {
             self.overflow_reported = true;
             self.underflow_reported = false;
@@ -723,7 +711,7 @@ impl BucketState {
         }
     }
 
-    fn maybe_report_underflow(&mut self) -> Vec<(SiteId, Wire)> {
+    fn maybe_report_underflow(&mut self) -> Sends {
         if self.engine.len() < self.underflow_threshold() && !self.underflow_reported {
             self.underflow_reported = true;
             self.overflow_reported = false;
@@ -742,7 +730,7 @@ impl BucketState {
     /// queued behind the `MergeCmd` would otherwise be acked and then
     /// destroyed with the engine. Per-pair FIFO delivers the forwards
     /// behind the `TransferBatch`, so the parent sees the records first.
-    fn merge_into(&mut self, into_addr: u64, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn merge_into(&mut self, into_addr: u64, ctx: &BucketCtx) -> Sends {
         ctx.obs.counter("lh.merges").inc();
         let keys = self.engine.keys();
         let mut batch = Vec::with_capacity(keys.len());
@@ -776,8 +764,12 @@ impl BucketState {
     /// unsent — until the target durably acknowledges the transfer (see
     /// [`Self::transfer_acked`]); until then the coordinator keeps the
     /// file marked busy, so scans cannot observe the duplicates.
-    fn split(&mut self, new_addr: u64, ctx: &BucketCtx) -> Vec<(SiteId, Wire)> {
+    fn split(&mut self, new_addr: u64, ctx: &BucketCtx) -> Sends {
         ctx.obs.counter("lh.splits").inc();
+        // Routed to from now on: the coordinator sent the new bucket's
+        // `Spawn` before this command, so whatever reaches it from here on
+        // finds it born.
+        ctx.directory.spawned(new_addr);
         self.level += 1;
         let moving: Vec<u64> = self
             .engine
@@ -893,8 +885,8 @@ impl BucketState {
     }
 }
 
-/// Static span name for a message a bucket site handles.
-fn wire_span_name(msg: &Wire) -> &'static str {
+/// Static span name for a message a bucket handles.
+pub(crate) fn span_name(msg: &Wire) -> &'static str {
     match msg {
         Wire::Request { .. } => "bucket.request",
         Wire::ScanReq { .. } => "bucket.scan",
@@ -906,33 +898,6 @@ fn wire_span_name(msg: &Wire) -> &'static str {
         Wire::Adopt { .. } => "bucket.adopt",
         Wire::Dump { .. } => "bucket.dump",
         _ => "bucket.msg",
-    }
-}
-
-/// A bucket as the runtime sees it: the state plus its wiring.
-pub(crate) struct BucketSite {
-    pub state: BucketState,
-    pub ctx: BucketCtx,
-}
-
-impl Machine for BucketSite {
-    /// A reopened bucket first rebuilds its volatile bookkeeping from the
-    /// recovered records (and may immediately re-report an overflow).
-    fn start(&mut self) -> Vec<(SiteId, Wire)> {
-        self.state.startup(&self.ctx)
-    }
-
-    fn span(&self, _site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
-        let mut span = trace::remote_span(wire_span_name(msg), ctx);
-        span.set_site(self.state.addr as i64);
-        if let Wire::Request { hops, .. } = msg {
-            span.set_detail(*hops as u64);
-        }
-        span
-    }
-
-    fn handle(&mut self, from: SiteId, msg: Wire, memo: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
-        self.state.handle(from, msg, &self.ctx, memo)
     }
 }
 

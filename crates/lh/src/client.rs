@@ -67,8 +67,9 @@ impl From<NetError> for LhError {
 pub(crate) enum Route {
     /// A key operation: the key's bucket under the client's current
     /// image. Bucket 0, which always exists and forwards correctly, when
-    /// that bucket has no directory entry or the send to it fails (merged
-    /// away since the directory was read).
+    /// that bucket has no directory entry; one merged away since the
+    /// directory was read is absent from its shard, which sends the
+    /// request on to bucket 0 itself.
     Key(u64),
     /// Bucket `addr`. While it has no directory entry (killed, awaiting
     /// recovery) the request waits for the next attempt.
@@ -395,10 +396,8 @@ impl LhClient {
                 let Some(site) = site else {
                     continue;
                 };
-                let sent = ep.send_with(&mut scatter, site, payload.clone(), ctx);
-                if let (Err(_), Route::Key(_), Some(bucket0)) = (sent, route, bucket0) {
-                    let _ = ep.send_with(&mut scatter, bucket0, payload, ctx);
-                }
+                // fails only if the site is gone: the next attempt asks again
+                let _ = ep.send_with(&mut scatter, site, payload, ctx);
             }
         }
         Ok(())
@@ -738,30 +737,6 @@ mod tests {
     fn recv(ep: &Endpoint) -> Option<(SiteId, Wire)> {
         let env = ep.recv_timeout(Duration::from_secs(5)).ok()?;
         Some((env.from, Wire::decode(&env.payload)?))
-    }
-
-    /// A key request whose bucket refuses the send — a tombstone — goes
-    /// to bucket 0 in the same wave.
-    #[test]
-    fn a_refused_key_request_goes_to_bucket_0() {
-        let net = Network::new(NetConfig::default());
-        let bucket0 = net.register_with_id(SiteId(0)).unwrap();
-        drop(net.register_with_id(SiteId(1)).unwrap());
-        let client = client_on(&net);
-        // key 1 lives in bucket 1, a tombstone
-        client.image.set(ClientImage { level: 1, split: 0 });
-        let lookup = std::thread::spawn(move || client.lookup(1));
-        let Some((client_id, Wire::Request { req_id, .. })) = recv(&bucket0) else {
-            panic!("expected Request at bucket 0");
-        };
-        let response = Wire::Response {
-            req_id,
-            result: OpResult::Found { value: None },
-            bucket_level: 1,
-            hops: 0,
-        };
-        bucket0.send(client_id, response.encode()).unwrap();
-        assert_eq!(lookup.join().unwrap(), Ok(None));
     }
 
     /// A scan request refused by a tombstone waits for the next attempt,

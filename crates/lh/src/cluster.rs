@@ -1,18 +1,17 @@
 //! The cluster facade: spawns sites, wires the directory, manages
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
-use crate::bucket::{BucketCtx, BucketSite, BucketState};
 use crate::client::{unexpected, LhClient, LhError, Route};
 use crate::coordinator::{CoordinatorSite, CoordinatorState};
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
 use crate::parity::{reconstruct_member, ParityState};
-use crate::runtime::{Machine, Runtime};
+use crate::runtime::{shards_for, workers, Runtime};
+use crate::shard::{BucketKit, Shard};
 use sdds_net::sync::{read, write};
-use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
-use sdds_obs::Registry;
-use sdds_storage::{DiskEngine, HostLog, MemEngine, StorageConfig, StorageEngine, WriteBatch};
+use sdds_net::{Endpoint, NetConfig, Network, Scatter, SiteId, SiteRegistry, COORD_ID};
+use sdds_storage::{DiskEngine, HostLog, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,10 +241,11 @@ impl LhCluster {
                     Some(HostLog::refusing(data_dir, options.clone()))
                 }
             };
-            let network = Network::new(config.net.clone());
-            let host = SiteHost::new(network, Some(0), 1, config, log);
+            let workers = workers();
+            let (network, shards) = Network::sharded(shards_for(workers), config.net.clone());
+            let host = SiteHost::new(network, Some(0), 1, config, log, workers);
             // a fresh network: the coordinator's id is free
-            let _ = host.start(ClientImage::default(), Vec::new());
+            let _ = host.start(shards, Some((ClientImage::default(), Vec::new())));
             LhCluster { host }
         })
     }
@@ -263,7 +263,14 @@ impl LhCluster {
     /// left duplicates, since the home copy was the one durably
     /// acknowledged. Every rank start-up does this, a served one too.
     pub fn open(config: ClusterConfig) -> Result<LhCluster, LhError> {
-        LhCluster::up(Network::new(config.net.clone()), 0, 1, config)
+        LhCluster::open_on(workers(), config)
+    }
+
+    /// [`open`](Self::open) on a runtime of `workers` workers, and as many
+    /// shards as that makes.
+    pub(crate) fn open_on(workers: usize, config: ClusterConfig) -> Result<LhCluster, LhError> {
+        let (network, shards) = Network::sharded(shards_for(workers), config.net.clone());
+        LhCluster::up(workers, network, shards, 0, 1, config)
     }
 
     /// A client process of a served cluster: it hosts no site and runs
@@ -273,16 +280,19 @@ impl LhCluster {
         let ranks = registry.num_servers();
         let network = Network::tcp_client(registry, config.net.clone());
         LhCluster {
-            host: SiteHost::new(network, None, ranks, config, None),
+            host: SiteHost::new(network, None, ranks, config, None, workers()),
         }
     }
 
-    /// Brings this process up as rank `rank` of `ranks` over `network`:
-    /// the file state derived from the rank's data dir ([`reopen`]), and
-    /// on rank 0 the coordinator and the buckets of that file, serving
-    /// what they hold at once.
+    /// Brings this process up as rank `rank` of `ranks` over `network`,
+    /// on a runtime of `workers` workers that runs `shards`: the file
+    /// state derived from the rank's data dir ([`reopen`]), and on rank 0
+    /// the coordinator and the buckets of that file, serving what they
+    /// hold at once.
     pub(crate) fn up(
+        workers: usize,
         network: Network,
+        shards: Vec<Endpoint>,
         rank: usize,
         ranks: usize,
         config: ClusterConfig,
@@ -292,10 +302,8 @@ impl LhCluster {
             log,
             engines,
         } = reopen(&config.storage, ranks)?;
-        let host = SiteHost::new(network, Some(rank), ranks, config, log);
-        if rank == 0 {
-            host.start(image, engines)?;
-        }
+        let host = SiteHost::new(network, Some(rank), ranks, config, log, workers);
+        host.start(shards, (rank == 0).then_some((image, engines)))?;
         Ok(LhCluster { host })
     }
 
@@ -338,9 +346,9 @@ impl LhCluster {
         Ok(self.host.control().send(SiteRegistry::host_id(rank), msg)?)
     }
 
-    /// Kills a bucket site (crash simulation for LH\*<sub>RS</sub> tests).
-    /// The address is kept reserved; [`recover_bucket`](Self::recover_bucket)
-    /// restores it.
+    /// Kills a bucket (crash simulation for LH\*<sub>RS</sub> tests): its
+    /// shard drops it at the `Shutdown`, and the directory stops routing
+    /// to it; [`recover_bucket`](Self::recover_bucket) restores it.
     pub fn kill_bucket(&self, addr: u64) {
         if let Some(site) = self.host.directory.bucket_site(addr) {
             let _ = self.host.control().send(site, Wire::Shutdown.encode());
@@ -349,7 +357,8 @@ impl LhCluster {
     }
 
     /// Recovers a killed bucket from its group's survivors and parity
-    /// sites, spawning a fresh site that adopts the reconstructed state.
+    /// sites: the `Adopt` of the reconstructed state births a fresh
+    /// bucket in the address's shard.
     ///
     /// Requires parity to be enabled and mutations to the group to be
     /// quiescent during the recovery (as in LH\*RS, where the coordinator
@@ -433,13 +442,15 @@ impl LhCluster {
         // 4. reconstruct
         let slots = reconstruct_member(k, m, cfg.slot_size, failed, &members, &parities)
             .map_err(LhError::Rejected)?;
-        // 5. spawn a fresh site on the owning rank and adopt at the level
-        // the true file state implies.
+        // 5. birth the bucket at the level the true file state implies,
+        // with the reconstructed state, and route to it once that is on
+        // its way.
         let level = bucket_level(addr, extent);
-        self.host.place(addr, level)?;
         let site = SiteRegistry::bucket_id(addr);
         let adopt = Wire::Adopt { level, slots }.encode();
-        Ok(self.host.control().send(site, adopt)?)
+        self.host.control().send(site, adopt)?;
+        self.host.directory.spawned(addr);
+        Ok(())
     }
 
     /// Takes a consistent snapshot of the file: the coordinator's state
@@ -592,7 +603,7 @@ fn reopen(storage: &StorageConfig, ranks: usize) -> Result<Reopened, LhError> {
 
 /// One process's share of an LH\* file: its network, its directory, the
 /// runtime that runs its sites, its rank — `None` for a client — of
-/// `ranks`, and what it takes to spawn a site.
+/// `ranks`, and what its buckets are made of.
 pub(crate) struct SiteHost {
     network: Network,
     directory: Arc<Directory>,
@@ -614,11 +625,12 @@ impl SiteHost {
         ranks: usize,
         config: ClusterConfig,
         log: Option<Arc<HostLog>>,
+        workers: usize,
     ) -> Arc<SiteHost> {
         Arc::new(SiteHost {
             network,
             directory: Arc::new(Directory::new()),
-            runtime: Runtime::start(log.clone()),
+            runtime: Runtime::with_workers(workers, log.clone()),
             log,
             rank,
             ranks,
@@ -631,17 +643,52 @@ impl SiteHost {
         self.control.get_or_init(|| self.network.register())
     }
 
-    /// Rank 0's part: the coordinator and the buckets of a file whose
-    /// true state is `image` — bucket 0 of a new file, or every bucket of
-    /// a reopened one (one rank holds them all), serving what `engines`
-    /// hold at once. The buckets are reserved before the coordinator
-    /// runs: it splits while they reopen, and a victim not spawned yet
-    /// takes its `SplitCmd` all the same.
+    /// Starts the rank's sites: its shards, which hold its buckets, and
+    /// on rank 0 (`file`) the coordinator and the buckets of a file whose
+    /// true state is the image given — bucket 0 of a new file, or every
+    /// bucket of a reopened one (one rank holds them all), serving what
+    /// the engines given hold at once. Bucket `a` goes to shard
+    /// `a mod shards`, the shard the network delivers its envelopes to.
     fn start(
         self: &Arc<Self>,
-        image: ClientImage,
-        engines: Vec<DiskEngine>,
+        shards: Vec<Endpoint>,
+        file: Option<(ClientImage, Vec<DiskEngine>)>,
     ) -> Result<(), LhError> {
+        let kit = BucketKit {
+            directory: self.directory.clone(),
+            filter: self.config.filter.clone(),
+            parity: self.config.parity,
+            capacity: self.config.bucket_capacity,
+            log: self.log.clone(),
+        };
+        let mut machines: Vec<Shard> = shards.iter().map(|_| Shard::new(kit.clone())).collect();
+        if let Some((image, engines)) = file {
+            self.start_coordinator(image)?;
+            let (mut engines, mut scatter) = (engines.into_iter(), Scatter::new());
+            for addr in 0..image.extent() {
+                self.parity_group(addr);
+                let engine = engines
+                    .next()
+                    .map(|e| Box::new(e) as Box<dyn StorageEngine>);
+                let (mut state, ctx) = kit.bucket(addr, bucket_level(addr, image), engine);
+                // A reopened bucket rebuilds its volatile bookkeeping from
+                // its records, and may report an overflow at once.
+                let (shard, from) = (addr as usize % shards.len(), SiteRegistry::bucket_id(addr));
+                for (to, msg) in state.startup(&ctx) {
+                    let _ = shards[shard].send_as(&mut scatter, from, to, msg.encode(), None);
+                }
+                machines[shard].insert(addr, (state, ctx));
+                self.directory.spawned(addr);
+            }
+        }
+        for (endpoint, shard) in shards.into_iter().zip(machines) {
+            self.runtime.add(endpoint, Box::new(shard));
+        }
+        Ok(())
+    }
+
+    /// Rank 0's coordinator, at file state `image`.
+    fn start_coordinator(self: &Arc<Self>, image: ClientImage) -> Result<(), LhError> {
         let coordinator = self
             .network
             .register_with_id(SiteId(COORD_ID))
@@ -649,55 +696,21 @@ impl SiteHost {
         if image != ClientImage::default() {
             // The coordinator must adopt the file state before any
             // recovered bucket can report an overflow: its mailbox takes
-            // this before any bucket runs.
+            // this before any shard runs.
             let msg = Wire::AdoptFileState {
                 level: image.level,
                 split: image.split,
             };
             self.control().send(SiteId(COORD_ID), msg.encode())?;
         }
-        for addr in 0..image.extent() {
-            self.network.reserve(SiteRegistry::bucket_id(addr));
-        }
         let host = Arc::clone(self);
         let site = CoordinatorSite {
             state: CoordinatorState::default(),
-            spawner: Box::new(move |addr: u64, level: u8| {
-                if host.place(addr, level).is_err() {
-                    sdds_obs::counter("lh.serve.spawn_send_failures").inc();
-                }
-            }),
+            spawner: Box::new(move |addr: u64| host.parity_group(addr)),
             directory: self.directory.clone(),
         };
-        self.runtime
-            .add(coordinator, Box::new(site), Registry::global());
-        let mut engines = engines.into_iter();
-        for addr in 0..image.extent() {
-            let engine = match engines.next() {
-                Some(engine) => Box::new(engine),
-                None => self.engine(addr),
-            };
-            self.spawn(addr, bucket_level(addr, image), Some(engine));
-        }
+        self.runtime.add(coordinator, Box::new(site));
         Ok(())
-    }
-
-    /// Materialises bucket `addr` at `level` on the rank that owns it
-    /// (`addr mod ranks`): here, or by a [`Wire::Spawn`] to that rank's
-    /// host endpoint. Either way the new site's id is the bucket address,
-    /// so a coordinator can hand it to the split victim at once; a
-    /// `TransferBatch` that overtakes a remote registration waits in the
-    /// address's reserved mailbox (see [`spawn`](Self::spawn)).
-    fn place(&self, addr: u64, level: u8) -> Result<(), NetError> {
-        let owner = (addr % self.ranks as u64) as usize;
-        if self.rank == Some(owner) {
-            self.spawn(addr, level, None);
-            return Ok(());
-        }
-        let msg = Wire::Spawn { addr, level }.encode();
-        let sent = self.control().send(SiteRegistry::host_id(owner), msg);
-        self.directory.spawned(addr);
-        sent
     }
 
     /// Creates bucket `addr`'s group's parity sites, if parity is on and
@@ -721,76 +734,70 @@ impl SiteHost {
                 cfg.parity_count,
                 cfg.slot_size,
             );
-            self.runtime.add(ep, Box::new(state), Registry::global());
+            self.runtime.add(ep, Box::new(state));
         }
         self.directory.set_parity(group, sites);
     }
+}
 
-    /// A new, empty engine for bucket `addr`: in the host log if the
-    /// buckets are durable. Opening one does no I/O and cannot fail.
-    fn engine(&self, addr: u64) -> Box<dyn StorageEngine> {
-        match &self.log {
-            Some(log) => Box::new(log.engine(addr)),
-            None => Box::new(MemEngine::new()),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Grows a file, merges it back to half or less and grows it again,
+    /// on `workers` workers: one gives one shard, two give two, so the
+    /// early splits and the last merges cross shards. Every acked write
+    /// is found by RID and by search, and every deleted one by neither,
+    /// within two hops.
+    fn grow_merge_grow(workers: usize) {
+        let config = ClusterConfig {
+            bucket_capacity: 8,
+            ..ClusterConfig::default()
+        };
+        let cluster = LhCluster::open_on(workers, config).unwrap();
+        let client = cluster.client();
+        let value = |key: u64| format!("rec-{key:04}").into_bytes();
+        for key in 0..400u64 {
+            client.insert(key, value(key)).unwrap();
         }
+        let grown = cluster.snapshot().unwrap().buckets.len();
+        for key in 10..400u64 {
+            client.delete(key).unwrap();
+        }
+        let shrunk = cluster.snapshot().unwrap().buckets.len();
+        assert!(shrunk * 2 <= grown, "{grown} -> {shrunk} buckets");
+        for key in 400..800u64 {
+            client.insert(key, value(key)).unwrap();
+        }
+        let regrown = cluster.snapshot().unwrap().buckets.len();
+        // most merged-away addresses are split off again
+        let again = regrown * 2 > grown + shrunk;
+        assert!(again, "{grown} -> {shrunk} -> {regrown} buckets");
+
+        let live: Vec<u64> = (0..10).chain(400..800).collect();
+        for key in 0..800u64 {
+            let expected = live.contains(&key).then(|| value(key));
+            assert_eq!(client.lookup(key).unwrap(), expected, "key {key}");
+        }
+        let mut found: Vec<u64> = client
+            .scan(b"rec-", true)
+            .unwrap()
+            .iter()
+            .map(|m| m.key)
+            .collect();
+        found.sort_unstable();
+        assert_eq!(found, live);
+        assert_eq!(sdds_obs::counter("lh.requests_hops_gt2").get(), 0);
+        cluster.shutdown();
     }
 
-    /// Spawns bucket `addr` at `level` on this rank, under its address:
-    /// its engine, its group's parity sites there, the site handed to the
-    /// runtime. If the site of the address's last incarnation has yet to
-    /// handle its `Shutdown` — a merge victim split off again at once, a
-    /// killed bucket recovered — the new one takes that site's mailbox
-    /// over at it ([`Runtime::succeed`]). A bucket `reopened` over its own
-    /// records serves at once, and so does the primordial bucket 0; every
-    /// other one was spawned for a split or a recovery, gets a
-    /// new engine and waits for its contents (see
-    /// [`BucketState::awaiting_records`]).
-    ///
-    /// The next address this rank will host, `addr + ranks`, is reserved
-    /// first, before this site runs. LH\* grows one address at a time, so
-    /// the reservation is in place before the split that creates that
-    /// address can send it a `TransferBatch`, which may overtake the
-    /// `Spawn` on its way to this rank. (A rank's first address is
-    /// reserved with its network.)
-    pub(crate) fn spawn(&self, addr: u64, level: u8, reopened: Option<Box<dyn StorageEngine>>) {
-        let next = SiteRegistry::bucket_id(addr + self.ranks as u64);
-        self.network.reserve(next);
-        self.parity_group(addr);
-        let ctx = BucketCtx::new(
-            self.directory.clone(),
-            self.config.filter.clone(),
-            self.config.parity,
-            // Each site gets its own labeled registry; updates flow into
-            // the global aggregate so existing metric readers are
-            // unaffected while per-site breakdowns become available.
-            Registry::with_parent(format!("bucket-{addr}"), Registry::global()),
-        );
-        let awaiting = reopened.is_none() && addr > 0;
-        let engine = reopened.unwrap_or_else(|| self.engine(addr));
-        let mut state = BucketState::new(
-            addr,
-            level,
-            self.config.bucket_capacity,
-            self.config.filter.index_element_bytes(),
-            engine,
-        );
-        if awaiting {
-            state = state.awaiting_records();
-        }
-        let obs = ctx.obs.clone();
-        let site: Box<dyn Machine> = Box::new(BucketSite { state, ctx });
-        let id = SiteRegistry::bucket_id(addr);
-        let site = match self.network.register_with_id(id) {
-            Some(ep) => Some((ep, site)),
-            None => match self.runtime.succeed(id, site) {
-                Ok(()) => None,
-                // it has handled its `Shutdown` meanwhile: the id is free
-                Err(site) => self.network.register_with_id(id).map(|ep| (ep, site)),
-            },
-        };
-        if let Some((ep, site)) = site {
-            self.runtime.add(ep, site, &obs);
-        }
-        self.directory.spawned(addr);
+    #[test]
+    fn a_file_grows_merges_and_grows_again_in_one_shard() {
+        grow_merge_grow(1);
+    }
+
+    #[test]
+    fn a_file_grows_merges_and_grows_again_across_two_shards() {
+        grow_merge_grow(2);
     }
 }

@@ -10,15 +10,16 @@ use crate::cluster::Directory;
 use crate::filter::ScanMemo;
 use crate::hash::extent;
 use crate::messages::{drop_wrong_sender, Wire};
-use crate::runtime::Machine;
+use crate::runtime::{Machine, Sends};
 use sdds_net::{SiteId, SiteRegistry};
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
 use sdds_obs::Registry;
 use std::sync::Arc;
 
-/// Callback that materialises a new bucket site, here or on the rank
-/// that owns its address. The site's id is the address.
-pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) + Send>;
+/// Readies the coordinator's host for bucket `addr`, whose `Spawn` the
+/// coordinator is about to send: creates the parity sites of its group,
+/// if parity is on and they do not exist yet.
+pub(crate) type ParitySpawner = Box<dyn FnMut(u64) + Send>;
 
 /// A structural change of the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,17 +50,17 @@ impl CoordinatorState {
             if c == change && from == SiteRegistry::bucket_id(victim))
     }
 
-    /// Handles one message from `from`; may call the spawner to create
-    /// bucket sites. Load reports come from buckets, and a split or merge
-    /// is reported done by its victim; anything else is dropped and
-    /// counted.
+    /// Handles one message from `from`; may call the spawner before a
+    /// split births a bucket. Load reports come from buckets, and a split
+    /// or merge is reported done by its victim; anything else is dropped
+    /// and counted.
     pub(crate) fn handle(
         &mut self,
         from: SiteId,
         msg: Wire,
-        spawner: &mut BucketSpawner,
+        spawner: &mut ParitySpawner,
         directory: &Directory,
-    ) -> Vec<(SiteId, Wire)> {
+    ) -> Sends {
         let from_bucket = SiteRegistry::bucket_addr(from).is_some();
         let mut out = match msg {
             Wire::Overflow if from_bucket => {
@@ -71,6 +72,9 @@ impl CoordinatorState {
                 self.try_start_work(spawner, directory)
             }
             Wire::SplitDone if self.finished_by(Change::Split, from) => {
+                // the victim routes to the new bucket already; a rank that
+                // does not host it learns it here
+                directory.spawned(extent(self.level, self.split));
                 self.split += 1;
                 if self.split == 1u64 << self.level {
                     self.level += 1;
@@ -94,7 +98,11 @@ impl CoordinatorState {
                     // still reaches it (see `BucketState::merge_into`).
                     directory.retire(victim);
                 }
-                let mut out = vec![(from, Wire::Shutdown)]; // retire the site
+                // Retire the bucket. A split queued behind the merge may
+                // birth the address again at once: the `Spawn` leaves after
+                // this `Shutdown`, from the same sender, so it arrives
+                // after it.
+                let mut out = vec![(from, Wire::Shutdown)];
                 out.extend(self.try_start_work(spawner, directory));
                 out
             }
@@ -123,7 +131,7 @@ impl CoordinatorState {
 
     /// Answers the extent reads that are due after each message: a plain
     /// one at once, an idle one once nothing is running or queued.
-    fn answer_extent_reads(&mut self) -> Vec<(SiteId, Wire)> {
+    fn answer_extent_reads(&mut self) -> Sends {
         let idle = self.running.is_none() && self.pending == 0 && self.pending_merges == 0;
         let (level, split) = (self.level, self.split);
         let extent = |req_id| Wire::ExtentResp {
@@ -139,11 +147,7 @@ impl CoordinatorState {
     /// cancellation: a bucket's overflow report is latched until it splits
     /// or receives a transfer, so dropping a queued split could leave an
     /// over-capacity bucket that never re-reports.)
-    fn try_start_work(
-        &mut self,
-        spawner: &mut BucketSpawner,
-        directory: &Directory,
-    ) -> Vec<(SiteId, Wire)> {
+    fn try_start_work(&mut self, spawner: &mut ParitySpawner, directory: &Directory) -> Sends {
         if self.running.is_some() {
             return Vec::new();
         }
@@ -152,10 +156,18 @@ impl CoordinatorState {
             let victim = self.split;
             self.running = Some((Change::Split, victim));
             let new_addr = extent(self.level, self.split); // n + 2^i
-            spawner(new_addr, self.level + 1);
+            spawner(new_addr);
             // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and a bucket's site id is its address: only a merged-away or killed one has no directory entry
             let victim_site = directory.bucket_site(victim).expect("split victim exists");
-            return vec![(victim_site, Wire::SplitCmd { new_addr })];
+            // The new bucket is born before the victim splits into it.
+            let spawn = Wire::Spawn {
+                level: self.level + 1,
+            };
+            let split = Wire::SplitCmd { new_addr };
+            return vec![
+                (SiteRegistry::bucket_id(new_addr), spawn),
+                (victim_site, split),
+            ];
         }
         if self.pending_merges > 0 {
             self.pending_merges -= 1;
@@ -184,11 +196,10 @@ impl CoordinatorState {
 
 /// The coordinator as the runtime sees it: the file state plus the
 /// directory it retires merged-away buckets from and the spawner of the
-/// buckets its splits create. A split command whose victim's spawn is
-/// still on its way waits in the victim's reserved mailbox.
+/// parity sites of the buckets its splits birth.
 pub(crate) struct CoordinatorSite {
     pub state: CoordinatorState,
-    pub spawner: BucketSpawner,
+    pub spawner: ParitySpawner,
     pub directory: Arc<Directory>,
 }
 
@@ -199,7 +210,7 @@ impl Machine for CoordinatorSite {
         trace::remote_span(coord_span_name(msg), ctx)
     }
 
-    fn handle(&mut self, from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
+    fn handle(&mut self, from: SiteId, _: SiteId, msg: Wire, _: &mut ScanMemo) -> Sends {
         self.state
             .handle(from, msg, &mut self.spawner, &self.directory)
     }
@@ -223,10 +234,10 @@ mod tests {
     use super::*;
     use sdds_net::DYN_BASE;
 
-    /// A coordinator, a spawner that materialises nothing (a bucket's
-    /// site id is its address) and the directory.
-    fn harness() -> (CoordinatorState, BucketSpawner, Directory) {
-        let spawner: BucketSpawner = Box::new(|_addr, _level| {});
+    /// A coordinator, a spawner that makes no parity site and the
+    /// directory.
+    fn harness() -> (CoordinatorState, ParitySpawner, Directory) {
+        let spawner: ParitySpawner = Box::new(|_addr| {});
         (CoordinatorState::default(), spawner, Directory::new())
     }
 
@@ -241,13 +252,15 @@ mod tests {
         SiteRegistry::bucket_id(addr)
     }
 
+    /// The split births its new bucket first, then orders the victim at
+    /// the split pointer to split into it.
     #[test]
     fn overflow_triggers_split_of_split_pointer() {
         let (mut st, mut spawner, dir) = harness();
-        let out = st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SiteId(0)); // bucket 0's site
-        assert_eq!(out[0].1, Wire::SplitCmd { new_addr: 1 });
+        let out = st.handle(bucket(2), Wire::Overflow, &mut spawner, &dir);
+        let spawn = Wire::Spawn { level: 1 };
+        let split = Wire::SplitCmd { new_addr: 1 };
+        assert_eq!(out, vec![(bucket(1), spawn), (bucket(0), split)]);
     }
 
     #[test]
@@ -259,7 +272,7 @@ mod tests {
         assert_eq!(st.file_state(), (1, 0));
         // next split victim is bucket 0 again, creating bucket 2
         let out = st.handle(bucket(1), Wire::Overflow, &mut spawner, &dir);
-        assert_eq!(out[0], (bucket(0), Wire::SplitCmd { new_addr: 2 }));
+        assert_eq!(out[1], (bucket(0), Wire::SplitCmd { new_addr: 2 }));
         st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (1, 1));
     }
@@ -296,13 +309,15 @@ mod tests {
     fn one_split_at_a_time_and_queueing() {
         let (mut st, mut spawner, dir) = harness();
         let first = st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
-        assert_eq!(first.len(), 1);
+        assert_eq!(first.len(), 2, "spawn and split");
         // overflow during the running split queues
         let second = st.handle(bucket(0), Wire::Overflow, &mut spawner, &dir);
         assert!(second.is_empty(), "split must not start while one runs");
         // completion starts the queued split immediately
         let third = st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
-        assert_eq!(third, vec![(bucket(0), Wire::SplitCmd { new_addr: 2 })]);
+        let spawn = Wire::Spawn { level: 2 };
+        let split = Wire::SplitCmd { new_addr: 2 };
+        assert_eq!(third, vec![(bucket(2), spawn), (bucket(0), split)]);
     }
 
     #[test]
@@ -357,6 +372,37 @@ mod tests {
         assert_eq!(out[0].1, Wire::MergeCmd { into_addr: 0 });
         st.handle(bucket(1), Wire::MergeDone, &mut spawner, &dir);
         assert_eq!(st.file_state(), (0, 0));
+    }
+
+    /// A split queued behind a merge births the merged-away address again
+    /// in the step that retired it: the `Shutdown`, the `Spawn` and the
+    /// split command leave in that order, from the coordinator, so the
+    /// address's shard retires the old bucket before it births the new
+    /// one. The address is routed to again once the split is done.
+    #[test]
+    fn a_re_split_spawns_the_address_after_its_shutdown() {
+        let (mut st, mut spawner, dir) = harness();
+        let grow_shrink_grow = [
+            Wire::Overflow,
+            Wire::SplitDone,
+            Wire::Underflow,
+            Wire::Overflow,
+        ];
+        for msg in grow_shrink_grow {
+            st.handle(bucket(0), msg, &mut spawner, &dir);
+        }
+        let out = st.handle(bucket(1), Wire::MergeDone, &mut spawner, &dir);
+        let spawn = Wire::Spawn { level: 1 };
+        let split = Wire::SplitCmd { new_addr: 1 };
+        let expected = vec![
+            (bucket(1), Wire::Shutdown),
+            (bucket(1), spawn),
+            (bucket(0), split),
+        ];
+        assert_eq!(out, expected);
+        assert!(dir.bucket_site(1).is_none(), "retired until the split");
+        st.handle(bucket(0), Wire::SplitDone, &mut spawner, &dir);
+        assert!(dir.bucket_site(1).is_some());
     }
 
     #[test]

@@ -54,6 +54,7 @@ mod obs_client;
 mod parity;
 mod runtime;
 mod serve;
+mod shard;
 
 pub use client::{LhClient, LhError};
 pub use cluster::{

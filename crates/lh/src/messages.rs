@@ -260,14 +260,11 @@ pub enum Wire {
         /// Split pointer to adopt.
         split: u64,
     },
-    /// The addressee stops: a site retires (the runtime drops its state
-    /// and closes its mailbox), a rank's host loop stops the rank.
+    /// The addressee stops: a bucket retires (its shard drops it), a
+    /// rank's host loop stops the rank.
     Shutdown,
-    /// Any process → the host loop of the rank that owns `addr`:
-    /// materialise bucket `addr` at `level`.
+    /// Coordinator → a bucket not born yet: be born at `level`.
     Spawn {
-        /// Bucket address (also its site id).
-        addr: u64,
         /// Initial bucket level.
         level: u8,
     },
@@ -673,9 +670,8 @@ impl Wire {
                 put_u64(out, *split);
             }
             Wire::Shutdown => out.push(SHUTDOWN),
-            Wire::Spawn { addr, level } => {
+            Wire::Spawn { level } => {
                 out.push(SPAWN);
-                put_u64(out, *addr);
                 out.push(*level);
             }
             Wire::DropConns => out.push(DROP_CONNS),
@@ -787,10 +783,7 @@ impl Wire {
                 split: r.u64()?,
             },
             SHUTDOWN => Wire::Shutdown,
-            SPAWN => Wire::Spawn {
-                addr: r.u64()?,
-                level: r.u8()?,
-            },
+            SPAWN => Wire::Spawn { level: r.u8()? },
             DROP_CONNS => Wire::DropConns,
             OBS_PULL => Wire::ObsPull {
                 req_id: r.u64()?,
@@ -971,10 +964,7 @@ mod tests {
             },
             Wire::AdoptFileState { level: 3, split: 2 },
             Wire::Shutdown,
-            Wire::Spawn {
-                addr: u64::MAX,
-                level: 7,
-            },
+            Wire::Spawn { level: 7 },
             Wire::DropConns,
             Wire::ObsPull {
                 req_id: 1,

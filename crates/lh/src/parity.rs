@@ -15,7 +15,7 @@
 
 use crate::filter::ScanMemo;
 use crate::messages::{drop_wrong_sender, ParityRow, Wire};
-use crate::runtime::Machine;
+use crate::runtime::{Machine, Sends};
 use sdds_gf::rs::ReedSolomon;
 use sdds_net::{SiteId, SiteRegistry};
 use sdds_obs::trace::{self, SpanGuard, TraceContext};
@@ -126,15 +126,19 @@ impl ParityState {
 
     /// Handles one message from `from`. An update comes from a bucket of
     /// this site's group, whose address names its member index; one from
-    /// anywhere else is dropped and counted, and so is one whose delta is
-    /// not `slot_size` bytes long.
-    pub(crate) fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+    /// anywhere else is dropped and counted. So is one whose delta is not
+    /// `slot_size` bytes long, and one whose rank no member could hold: a
+    /// bucket announces every rank it takes in order, and takes a new one
+    /// only when all below it are taken, so a member's next rank is at
+    /// most the number of rows.
+    pub(crate) fn handle(&mut self, from: SiteId, msg: Wire) -> Sends {
         match msg {
             Wire::ParityUpdate { rank, key, delta } => {
                 let k = self.k as u64;
                 match SiteRegistry::bucket_addr(from) {
                     Some(addr) if addr / k == self.group => {
-                        if delta.len() == self.slot_size {
+                        let held = rank as usize <= self.rows.len();
+                        if held && delta.len() == self.slot_size {
                             self.apply((addr % k) as usize, rank, key, &delta);
                         } else {
                             sdds_obs::counter("lh.parity_bad_delta_drops").inc();
@@ -171,7 +175,7 @@ impl Machine for ParityState {
         span
     }
 
-    fn handle(&mut self, from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
+    fn handle(&mut self, from: SiteId, _: SiteId, msg: Wire, _: &mut ScanMemo) -> Sends {
         self.handle(from, msg)
     }
 }
@@ -434,6 +438,27 @@ mod tests {
         }
         assert!(drops.get() >= before + 3, "all three drops counted");
         assert!(p.rows().is_empty(), "no row touched");
+    }
+
+    /// A rank past the next one a member could take would make the site
+    /// allocate a row for every rank up to it: the update is dropped,
+    /// counted, and adds no row.
+    #[test]
+    fn an_update_for_a_rank_no_member_could_hold_is_dropped() {
+        let mut p = ParityState::new(0, 0, 2, 1, 16);
+        let drops = sdds_obs::counter("lh.parity_bad_delta_drops");
+        let before = drops.get();
+        let update = |rank| Wire::ParityUpdate {
+            rank,
+            key: Some(1),
+            delta: slot_delta(None, Some(b"v"), 16),
+        };
+        assert!(p.handle(SiteId(0), update(10_000)).is_empty());
+        assert!(drops.get() > before, "counted");
+        assert!(p.rows().is_empty(), "no row added");
+        p.handle(SiteId(0), update(0));
+        p.handle(SiteId(1), update(1));
+        assert_eq!(p.rows().len(), 2, "the next rank is taken");
     }
 
     #[test]

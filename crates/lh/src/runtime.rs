@@ -1,7 +1,8 @@
-//! The site runtime: every bucket, parity site and coordinator of a
+//! The site runtime: every shard, parity site and coordinator of a
 //! process as a state machine behind a mailbox, run by a fixed set of
 //! worker threads — threads are O(cores), not O(buckets) — and by the
-//! process's clients while they wait.
+//! process's clients while they wait. A shard's buckets are data in its
+//! machine ([`crate::shard`]), not sites.
 //!
 //! A site is `{mailbox, state machine}`. An envelope delivered
 //! to an idle site's mailbox queues the site on the runtime's **ready
@@ -41,7 +42,7 @@ use bytes::Bytes;
 use sdds_net::sync::{lock, read, wait, write};
 use sdds_net::{Endpoint, Envelope, Scatter, Scheduler, SiteId};
 use sdds_obs::trace::{SpanGuard, TraceContext};
-use sdds_obs::{Gauge, Histogram, Registry};
+use sdds_obs::{Gauge, Histogram};
 use sdds_storage::HostLog;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -58,45 +59,47 @@ pub(crate) const DRAIN_BUDGET: usize = 64;
 /// this much other work.
 const ROUND_BUDGET: usize = 16 * DRAIN_BUDGET;
 
-/// A site's protocol logic: pure state, driven by the runtime.
-pub(crate) trait Machine: Send {
-    /// One-time work in the site's first activation, before any message.
-    fn start(&mut self) -> Vec<(SiteId, Wire)> {
-        Vec::new()
-    }
+/// Messages to send, each with its destination.
+pub(crate) type Sends = Vec<(SiteId, Wire)>;
 
-    /// Opens the span `msg` is handled under: a child of the sender's
-    /// context (inert for untraced traffic). It is on the runner's span
-    /// stack while [`handle`](Self::handle) runs, so inner spans and the
-    /// outgoing messages — replies, forwards, transfer batches — chain
-    /// under it. Spans stay per message: causality is per operation, not
-    /// per activation.
+/// Shards a runtime of `workers` workers runs: the worker count rounded
+/// down to a power of two, so that a split, which adds `2^i` to an
+/// address, stays inside its shard once `2^i` is past the shard count.
+pub(crate) fn shards_for(workers: usize) -> usize {
+    1 << workers.max(1).ilog2()
+}
+
+/// Workers a runtime runs: one per processor this process may use.
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A site's protocol logic: pure state, driven by the runtime. A machine
+/// answers for every id its mailbox receives: what it returns for an
+/// envelope leaves from the envelope's `to`.
+pub(crate) trait Machine: Send {
+    /// Opens the span `msg`, addressed to `site`, is handled under: a
+    /// child of the sender's context (inert for untraced traffic). It is
+    /// on the runner's span stack while [`handle`](Self::handle) runs, so
+    /// inner spans and the outgoing messages — replies, forwards, transfer
+    /// batches — chain under it. Spans stay per message: causality is per
+    /// operation, not per activation.
     fn span(&self, site: SiteId, msg: &Wire, ctx: Option<TraceContext>) -> SpanGuard;
 
-    /// Processes one message, returning the messages to send out. `memo`
-    /// belongs to the runner, not to the site: it is what a bucket's scan
-    /// leaves for the next bucket the same thread runs.
-    fn handle(&mut self, from: SiteId, msg: Wire, memo: &mut ScanMemo) -> Vec<(SiteId, Wire)>;
+    /// Processes one message from `from` to `to`, returning the messages
+    /// to send out. `memo` belongs to the runner, not to the site: it is
+    /// what a bucket's scan leaves for the next bucket the same thread
+    /// runs.
+    fn handle(&mut self, from: SiteId, to: SiteId, msg: Wire, memo: &mut ScanMemo) -> Sends;
 }
 
 struct Site {
     endpoint: Endpoint,
     /// Taken by the one thread running the site's activation.
-    cell: Mutex<Cell>,
+    machine: Mutex<Box<dyn Machine>>,
     queue_wait: Histogram,
     stall: Histogram,
     depth: Gauge,
-}
-
-struct Cell {
-    /// `None` once a `Shutdown` with no successor has retired the site:
-    /// the machine is dropped, then the mailbox closed.
-    machine: Option<Box<dyn Machine>>,
-    started: bool,
-    /// The next incarnation of this site, spawned under its id while
-    /// this one still ran: it takes the mailbox over at the `Shutdown`
-    /// that ends this one, with whatever was sent after it.
-    successor: Option<Box<dyn Machine>>,
 }
 
 struct Sched {
@@ -134,16 +137,17 @@ fn wake(sleeper: Option<Thread>) {
     }
 }
 
-/// A send a round holds until the host log is committed: from, to, what.
-type Held = (Arc<Site>, SiteId, Bytes, Option<TraceContext>);
+/// A send a round holds until the host log is committed: the site, the
+/// id it sends as, to, what.
+type Held = (Arc<Site>, SiteId, SiteId, Bytes, Option<TraceContext>);
 
 /// The sites of one process and the workers that run them.
 pub(crate) struct Runtime {
     sched: Mutex<Sched>,
     /// Workers: one per available processor.
     slots: usize,
-    /// Indexed by the key a site's mailbox reports; `None` once retired.
-    sites: RwLock<Vec<Option<Arc<Site>>>>,
+    /// Indexed by the key a site's mailbox reports.
+    sites: RwLock<Vec<Arc<Site>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// The log of the host's durable buckets, if they are.
     log: Option<Arc<HostLog>>,
@@ -166,15 +170,10 @@ impl Scheduler for Runtime {
 }
 
 impl Runtime {
-    /// A runtime of one worker per processor, over its buckets' log.
-    pub(crate) fn start(log: Option<Arc<HostLog>>) -> Arc<Runtime> {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Runtime::with_workers(workers, log)
-    }
-
-    /// Tests pick how many workers run; nothing else may. They start
-    /// with the first site: a process that hosts none, a client, runs no
-    /// worker.
+    /// A runtime of `workers` workers over its buckets' log: [`workers()`]
+    /// of them, or as many as a test picks; nothing else sets the count.
+    /// They start with the first site: a process that hosts none, a
+    /// client, runs no worker.
     pub(crate) fn with_workers(workers: usize, log: Option<Arc<HostLog>>) -> Arc<Runtime> {
         Arc::new(Runtime {
             sched: Mutex::new(Sched {
@@ -206,60 +205,27 @@ impl Runtime {
     }
 
     /// Registers a site: from here on the runtime drains `endpoint`'s
-    /// mailbox into `machine`. The first activation (queued at once)
-    /// runs [`Machine::start`]. `obs` receives the site's queue-wait,
-    /// stall and inbox-depth metrics.
-    pub(crate) fn add(
-        self: &Arc<Self>,
-        endpoint: Endpoint,
-        machine: Box<dyn Machine>,
-        obs: &Registry,
-    ) {
+    /// mailbox into `machine`. The site's queue-wait, stall and
+    /// inbox-depth metrics go to the global registry.
+    pub(crate) fn add(self: &Arc<Self>, endpoint: Endpoint, machine: Box<dyn Machine>) {
         if lock(&self.sched).stopping {
             return; // dropping the endpoint closes its mailbox
         }
         let site = Arc::new(Site {
             endpoint,
-            cell: Mutex::new(Cell {
-                machine: Some(machine),
-                started: false,
-                successor: None,
-            }),
-            queue_wait: obs.histogram("lh.queue_wait_seconds"),
-            stall: obs.histogram("lh.loop_stall_seconds"),
-            depth: obs.gauge("lh.inbox_depth"),
+            machine: Mutex::new(machine),
+            queue_wait: sdds_obs::histogram("lh.queue_wait_seconds"),
+            stall: sdds_obs::histogram("lh.loop_stall_seconds"),
+            depth: sdds_obs::gauge("lh.inbox_depth"),
         });
         let key = {
             let mut sites = write(&self.sites);
-            sites.push(Some(Arc::clone(&site)));
+            sites.push(Arc::clone(&site));
             sites.len() - 1
         };
         self.hire();
         site.endpoint
             .attach(Arc::clone(self) as Arc<dyn Scheduler>, key);
-    }
-
-    /// Hands `machine` the mailbox of the site that runs under `id` at
-    /// the `Shutdown` that ends it (see [`Cell::successor`]): how an id
-    /// whose last incarnation has yet to handle its `Shutdown` — a merge
-    /// victim split off again at once, a killed bucket recovered — is
-    /// spawned again. The machine comes back if no site runs under `id`
-    /// any more; its mailbox is closed then, and the id free.
-    pub(crate) fn succeed(
-        &self,
-        id: SiteId,
-        machine: Box<dyn Machine>,
-    ) -> Result<(), Box<dyn Machine>> {
-        let sites = read(&self.sites);
-        let Some(site) = sites.iter().flatten().find(|s| s.endpoint.id() == id) else {
-            return Err(machine);
-        };
-        let mut cell = lock(&site.cell);
-        if cell.machine.is_none() {
-            return Err(machine);
-        }
-        cell.successor = Some(machine);
-        Ok(())
     }
 
     /// Stops the runtime: closes every mailbox (later sends fail
@@ -268,7 +234,7 @@ impl Runtime {
     /// drops every site's state — storage engines included — before
     /// returning. Idempotent.
     pub(crate) fn shutdown(&self) {
-        for site in read(&self.sites).iter().flatten() {
+        for site in read(&self.sites).iter() {
             site.endpoint.close();
         }
         let sleeper = {
@@ -293,7 +259,7 @@ impl Runtime {
     }
 
     fn site(&self, key: usize) -> Option<Arc<Site>> {
-        read(&self.sites).get(key).cloned().flatten()
+        read(&self.sites).get(key).cloned()
     }
 
     /// Blocks a worker until there is a ready site; `false` when the
@@ -344,12 +310,6 @@ impl Runtime {
         }
         sched.helpers += 1;
         Some(Helping(self))
-    }
-
-    fn retire(&self, key: usize) {
-        if let Some(slot) = write(&self.sites).get_mut(key) {
-            *slot = None;
-        }
     }
 }
 
@@ -480,9 +440,10 @@ impl Runner {
                 // what it staged stays uncommitted, so every later round
                 // holds its sends and drops them too (DESIGN.md §10).
                 if log.commit().is_ok() {
-                    for (site, to, payload, ctx) in sends {
+                    for (site, from, to, payload, ctx) in sends {
                         // fails only if the peer is gone, which it may be
-                        let _ = site.endpoint.send_with(&mut self.scatter, to, payload, ctx);
+                        let scatter = &mut self.scatter;
+                        let _ = site.endpoint.send_as(scatter, from, to, payload, ctx);
                     }
                 }
             }
@@ -498,9 +459,9 @@ impl Runner {
     /// run to completion.
     fn activate(&mut self, key: usize) {
         let Some(site) = self.runtime.site(key) else {
-            return; // retired while queued
+            return;
         };
-        let mut cell = lock(&site.cell);
+        let mut machine = lock(&site.machine);
         self.batch.clear();
         let drained = site.endpoint.drain(DRAIN_BUDGET, &mut self.batch);
         let now = Instant::now();
@@ -513,67 +474,36 @@ impl Runner {
         }
         site.depth.set(drained.left as i64);
 
-        let Cell {
-            machine,
-            started,
-            successor,
-        } = &mut *cell;
-        let endpoint = &site.endpoint;
-        let (runtime, scatter) = (&self.runtime, &mut self.scatter);
-        let mut send = |out: Vec<(SiteId, Wire)>, ctx: Option<TraceContext>| {
-            let held = runtime.log.as_ref().map(|log| (log, lock(&runtime.held)));
-            match held {
-                // once the log is dirty, sends wait for its commit
-                Some((log, mut held)) if log.dirty() || !held.is_empty() => {
-                    let encode =
-                        |(to, msg): (SiteId, Wire)| (Arc::clone(&site), to, msg.encode(), ctx);
-                    held.extend(out.into_iter().map(encode));
-                }
-                _ => {
-                    for (to, msg) in out {
-                        // fails only if the peer is gone, which it may be
-                        let _ = endpoint.send_with(scatter, to, msg.encode(), ctx);
-                    }
-                }
-            }
-        };
-        if !*started {
-            *started = true;
-            if let Some(machine) = machine {
-                send(machine.start(), None);
-            }
-        }
         for env in self.batch.drain(..) {
             self.dispatched += 1;
             let Some(msg) = Wire::decode(&env.payload) else {
                 continue;
             };
-            if matches!(msg, Wire::Shutdown) {
-                if let Some(next) = successor.take() {
-                    send(machine.insert(next).start(), None);
-                    continue;
+            let span = machine.span(env.to, &msg, env.ctx);
+            let ctx = span.context();
+            let out = machine.handle(env.from, env.to, msg, &mut self.memo);
+            let runtime = &self.runtime;
+            match runtime.log.as_ref().map(|log| (log, lock(&runtime.held))) {
+                // once the log is dirty, sends wait for its commit
+                Some((log, mut held)) if log.dirty() || !held.is_empty() => {
+                    let hold = |(to, msg): (SiteId, Wire)| {
+                        (Arc::clone(&site), env.to, to, msg.encode(), ctx)
+                    };
+                    held.extend(out.into_iter().map(hold));
                 }
-                // The machine goes first, so that whoever finds the id
-                // free finds its state gone; what is still queued is
-                // dropped with the site.
-                *machine = None;
-                endpoint.close();
-                break;
+                _ => {
+                    for (to, msg) in out {
+                        // fails only if the peer is gone, which it may be
+                        let scatter = &mut self.scatter;
+                        let _ = site
+                            .endpoint
+                            .send_as(scatter, env.to, to, msg.encode(), ctx);
+                    }
+                }
             }
-            let Some(machine) = machine else {
-                break;
-            };
-            let span = machine.span(endpoint.id(), &msg, env.ctx);
-            let out_ctx = span.context();
-            send(machine.handle(env.from, msg, &mut self.memo), out_ctx);
         }
-        let retired = machine.is_none();
-        drop(cell);
+        drop(machine);
 
-        if retired {
-            self.runtime.retire(key);
-            return;
-        }
         if site.endpoint.release() {
             self.runtime.schedule(key); // more arrived: to the tail
         }
@@ -585,7 +515,7 @@ impl Runner {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use sdds_net::{NetConfig, NetError, Network};
+    use sdds_net::{NetConfig, Network};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -596,7 +526,7 @@ mod tests {
         fn span(&self, _: SiteId, _: &Wire, ctx: Option<TraceContext>) -> SpanGuard {
             sdds_obs::trace::remote_span("bucket.msg", ctx)
         }
-        fn handle(&mut self, from: SiteId, msg: Wire, _: &mut ScanMemo) -> Vec<(SiteId, Wire)> {
+        fn handle(&mut self, from: SiteId, _: SiteId, msg: Wire, _: &mut ScanMemo) -> Sends {
             (self.0)(from, msg)
         }
     }
@@ -605,7 +535,7 @@ mod tests {
     where
         F: FnMut(SiteId, Wire) -> Vec<(SiteId, Wire)> + Send + 'static,
     {
-        runtime.add(endpoint, Box::new(Probe(f)), &Registry::new("runtime-test"));
+        runtime.add(endpoint, Box::new(Probe(f)));
     }
 
     /// A numbered message: `ExtentReq` is one of the smallest variants
@@ -740,34 +670,37 @@ mod tests {
         assert_eq!(seen_at_other.load(Ordering::SeqCst), DRAIN_BUDGET);
     }
 
-    /// How many prepares one scan of 64 buckets costs a runtime of
-    /// `workers`, whose client runs ready activations too when it
-    /// `helps`. Every worker that may run is first held inside a gate
-    /// site while the scan requests queue up, so that the scan is run by
-    /// those workers and the client and no others, whatever the host
-    /// schedules when.
-    fn prepares_of_one_scan(workers: usize, helps: bool) -> usize {
-        use crate::bucket::{BucketCtx, BucketSite, BucketState};
+    /// How many prepares one scan of 64 buckets, in `shards` shards,
+    /// costs a runtime of `workers`, whose client runs ready activations
+    /// too when it `helps`. Every worker that may run is first held
+    /// inside a gate site while the scan requests queue up, so that the
+    /// scan is run by those workers and the client and no others,
+    /// whatever the host schedules when.
+    fn prepares_of_one_scan(workers: usize, shards: usize, helps: bool) -> usize {
         use crate::cluster::Directory;
         use crate::filter::CountingFilter;
+        use crate::shard::{BucketKit, Shard};
 
         const BUCKETS: u64 = 64;
-        let net = Network::new(NetConfig::default());
+        let (net, endpoints) = Network::sharded(shards, NetConfig::default());
         let runtime = Runtime::with_workers(workers, None);
         let client = net.register();
         let filter = Arc::new(CountingFilter::default());
-        let directory = Arc::new(Directory::new());
-        let mut buckets = Vec::new();
+        let kit = BucketKit {
+            directory: Arc::new(Directory::new()),
+            filter: filter.clone(),
+            parity: None,
+            capacity: 100,
+            log: None,
+        };
+        let mut machines: Vec<Shard> = endpoints.iter().map(|_| Shard::new(kit.clone())).collect();
+        let buckets: Vec<SiteId> = (0..BUCKETS).map(|addr| SiteId(addr as u32)).collect();
         for addr in 0..BUCKETS {
-            let endpoint = net.register_with_id(SiteId(addr as u32)).unwrap();
-            buckets.push(endpoint.id());
-            let obs = Registry::new(format!("bucket-{addr}"));
             let engine = Box::new(sdds_storage::MemEngine::new());
-            let site = BucketSite {
-                state: BucketState::new(addr, 6, 100, None, engine),
-                ctx: BucketCtx::new(directory.clone(), filter.clone(), None, obs.clone()),
-            };
-            runtime.add(endpoint, Box::new(site), &obs);
+            machines[addr as usize % shards].insert(addr, kit.bucket(addr, 6, Some(engine)));
+        }
+        for (endpoint, shard) in endpoints.into_iter().zip(machines) {
+            runtime.add(endpoint, Box::new(shard));
         }
         let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
         let mut gates = Vec::new();
@@ -820,13 +753,13 @@ mod tests {
     /// its buckets, a worker or a client that helps, not once per bucket.
     #[test]
     fn a_scan_costs_one_prepare_per_thread_not_per_bucket() {
-        assert_eq!(prepares_of_one_scan(1, false), 1);
-        let prepares = prepares_of_one_scan(4, false);
+        assert_eq!(prepares_of_one_scan(1, 1, false), 1);
+        let prepares = prepares_of_one_scan(4, 4, false);
         assert!(
             (1..=4).contains(&prepares),
             "{prepares} prepares, 4 workers"
         );
-        let prepares = prepares_of_one_scan(2, true);
+        let prepares = prepares_of_one_scan(2, 2, true);
         assert!(
             (1..=3).contains(&prepares),
             "{prepares} prepares, 2 workers and a client"
@@ -1153,111 +1086,5 @@ mod tests {
             "shutdown returned before the site's state was dropped"
         );
         helping.join().unwrap();
-    }
-
-    /// A site spawned under the id of one that has yet to handle its
-    /// `Shutdown` takes the mailbox over there: what was sent before the
-    /// `Shutdown` reaches the old incarnation, what after it the new one.
-    /// One with no successor frees the id at its `Shutdown`.
-    #[test]
-    fn a_successor_takes_the_mailbox_over_at_the_shutdown() {
-        let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(1, None);
-        let client = net.register();
-        let to_client = client.id();
-        let echo = move |plus: u64| {
-            move |_: SiteId, msg: Wire| {
-                let req_id = plus + number(&msg);
-                let idle = false;
-                vec![(to_client, Wire::ExtentReq { req_id, idle })]
-            }
-        };
-        // Hold the one worker while the id's traffic queues up.
-        let gate = net.register();
-        let gate_id = gate.id();
-        let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        add(&runtime, gate, move |_, _| {
-            enter_tx.send(()).unwrap();
-            go_rx.recv().unwrap();
-            Vec::new()
-        });
-        client.send(gate_id, numbered(0)).unwrap();
-        enter_rx.recv().unwrap();
-        let id = SiteId(5);
-        add(&runtime, net.register_with_id(id).unwrap(), echo(0));
-        client.send(id, numbered(1)).unwrap();
-        client.send(id, Wire::Shutdown.encode()).unwrap();
-        assert!(net.register_with_id(id).is_none(), "the old one holds it");
-        assert!(runtime.succeed(id, Box::new(Probe(echo(100)))).is_ok());
-        client.send(id, numbered(2)).unwrap();
-        go_tx.send(()).unwrap();
-        let mut answers = (0..2).map(|_| {
-            let env = client.recv_timeout(Duration::from_secs(10)).unwrap();
-            number(&Wire::decode(&env.payload).unwrap())
-        });
-        assert_eq!((answers.next(), answers.next()), (Some(1), Some(102)));
-        client.send(id, Wire::Shutdown.encode()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while client.send(id, numbered(3)) != Err(NetError::Disconnected(id)) {
-            assert!(Instant::now() < deadline, "never retired");
-            std::thread::yield_now();
-        }
-        assert!(runtime.succeed(id, Box::new(Probe(echo(0)))).is_err());
-        assert!(
-            net.register_with_id(id).is_some(),
-            "a tombstone registers again"
-        );
-        runtime.shutdown();
-    }
-
-    /// `Wire::Shutdown` retires one site: its state is dropped and later
-    /// sends to it fail; its neighbours keep running until `shutdown`,
-    /// which drops theirs.
-    #[test]
-    fn shutdown_message_retires_one_site_and_shutdown_drops_the_rest() {
-        struct Flag(Arc<AtomicBool>);
-        impl Drop for Flag {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let net = Network::new(NetConfig::default());
-        let runtime = Runtime::with_workers(2, None);
-        let client = net.register();
-        let mut ids = Vec::new();
-        let mut dropped = Vec::new();
-        for _ in 0..2 {
-            let endpoint = net.register();
-            ids.push(endpoint.id());
-            let flag = Arc::new(AtomicBool::new(false));
-            dropped.push(Arc::clone(&flag));
-            let flag = Flag(flag);
-            let to_client = client.id();
-            add(&runtime, endpoint, move |_, msg| {
-                let _keep = &flag;
-                vec![(to_client, msg)]
-            });
-        }
-        client.send(ids[0], Wire::Shutdown.encode()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while client.send(ids[0], numbered(1)) != Err(NetError::Disconnected(ids[0])) {
-            assert!(Instant::now() < deadline, "site 0 never retired");
-            std::thread::yield_now();
-        }
-        assert!(dropped[0].load(Ordering::SeqCst), "retired state dropped");
-        assert!(!dropped[1].load(Ordering::SeqCst));
-        client.send(ids[1], numbered(2)).unwrap();
-        let env = client.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(env.from, ids[1]);
-        runtime.shutdown();
-        assert!(
-            dropped[1].load(Ordering::SeqCst),
-            "shutdown drops every site"
-        );
-        assert_eq!(
-            client.send(ids[1], numbered(3)),
-            Err(NetError::Disconnected(ids[1]))
-        );
     }
 }

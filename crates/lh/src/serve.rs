@@ -4,15 +4,16 @@
 //! rank) that owns every bucket whose address hashes to its rank
 //! (`addr % num_servers`). It is an [`LhCluster`] brought up the way an
 //! in-process one is — rank 0 derives the file state from its data dir
-//! and runs the split coordinator — plus the host loop that answers
-//! the [`Wire`] messages sent to the rank's host id (`Spawn`,
-//! `DropConns`, `ObsPull`, `Shutdown`). A bucket's site id is its
-//! address on both fabrics
+//! and runs the split coordinator, and every rank keeps its buckets in
+//! its shards (`crate::shard`) — plus the host loop that answers the
+//! [`Wire`] messages sent to the rank's host id (`DropConns`, `ObsPull`,
+//! `Shutdown`). A bucket's site id is its address on both fabrics
 //! (`SiteRegistry::bucket_id`), and the registry's modular partition
-//! decides which process answers. Clients are
-//! [`LhCluster::connect`]ed processes that host no site.
-//! A `Spawn` or `TransferBatch` that reaches the rank before the site it
-//! is for waits in that site's reserved mailbox, and what the rank sends
+//! decides which process answers. Clients are [`LhCluster::connect`]ed
+//! processes that host no site.
+//! The rank's shard mailboxes exist before its listener binds, and a
+//! bucket is born in its shard when the coordinator's `Spawn`, or the
+//! `TransferBatch` that may overtake it, arrives; what the rank sends
 //! other ranks leaves on links that deliver it: nothing here re-sends.
 //!
 //! Scope: kill and snapshot address sites by id and work on both
@@ -21,18 +22,16 @@
 //! provides — so `serve` rejects parity configs. Merges retire addresses
 //! only in rank 0's directory (a merged-away address is no corner case:
 //! `tcp_mixed` deletes a tenth of its operations). A rank above 0, or a
-//! client, that still addresses one reaches its tombstone on the owning
-//! rank, which NACKs the frame unroutable at once: that costs a client
-//! one attempt before it retries through bucket 0, which forwards
-//! correctly. The address can be split off again later; the new bucket
-//! registers over the tombstone. A rank of a multi-rank cluster starts
-//! only from an empty data dir: no one rank holds every bucket to derive
-//! the file state from.
+//! client, that still addresses one reaches the shard that held it,
+//! which sends a key request on to bucket 0, which forwards correctly.
+//! A rank of a multi-rank cluster starts only from an empty data dir: no
+//! one rank holds every bucket to derive the file state from.
 
 use crate::client::LhError;
 use crate::cluster::{ClusterConfig, LhCluster, ObsOptions};
 use crate::health;
 use crate::messages::Wire;
+use crate::runtime::{shards_for, workers, Sends};
 use sdds_net::{Endpoint, NetError, Network, SiteId, SiteRegistry};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
@@ -74,10 +73,12 @@ pub fn serve(
             "rank {rank} out of range: registry lists {ranks} servers"
         )));
     }
-    let network = Network::tcp_serve(registry, rank, config.net.clone())
-        .map_err(|e| LhError::Rejected(format!("rank {rank}: bind failed: {e}")))?;
+    let workers = workers();
+    let (network, shards) =
+        Network::tcp_serve_sharded(registry, rank, shards_for(workers), config.net.clone())
+            .map_err(|e| LhError::Rejected(format!("rank {rank}: bind failed: {e}")))?;
     let obs = config.obs.clone();
-    let cluster = LhCluster::up(network, rank, ranks, config)?;
+    let cluster = LhCluster::up(workers, network, shards, rank, ranks, config)?;
     let host_ep = cluster
         .network()
         .register_with_id(SiteRegistry::host_id(rank))
@@ -121,15 +122,10 @@ impl Host {
     }
 
     /// Handles one message from `from`, returning the messages to send
-    /// out: spawns the buckets the coordinator assigns to this rank,
-    /// severs connections on request, answers observability scrapes.
+    /// out: severs connections on request, answers observability scrapes.
     /// `Shutdown` is the loop's.
-    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+    fn handle(&mut self, from: SiteId, msg: Wire) -> Sends {
         match msg {
-            Wire::Spawn { addr, level } => {
-                self.cluster.host.spawn(addr, level, None);
-                Vec::new()
-            }
             Wire::DropConns => {
                 self.cluster.drop_connections();
                 Vec::new()

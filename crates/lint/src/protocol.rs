@@ -49,7 +49,7 @@ const HANDLER_FILES: [&str; 8] = [
     "crates/lh/src/obs_client.rs",
     "crates/lh/src/parity.rs",
     HOST_FILE,
-    DISPATCH_FILE,
+    SHARD_FILE,
 ];
 
 /// The site state machines, the host loop and the loop that runs the
@@ -59,15 +59,16 @@ const LOOP_FILES: [&str; 5] = [
     "crates/lh/src/coordinator.rs",
     "crates/lh/src/parity.rs",
     HOST_FILE,
-    DISPATCH_FILE,
+    SHARD_FILE,
 ];
 
 /// A rank's host loop: it answers the messages sent to the rank's host
 /// id.
 const HOST_FILE: &str = "crates/lh/src/serve.rs";
 
-/// The one dispatch loop: it retires a site on `Shutdown`.
-const DISPATCH_FILE: &str = "crates/lh/src/runtime.rs";
+/// A rank's shards: they birth a bucket on `Spawn`, `TransferBatch` or
+/// `Adopt`, retire one on `Shutdown`, and dispatch the rest to it.
+const SHARD_FILE: &str = "crates/lh/src/shard.rs";
 
 /// Request-shaped variants and the response each handler must emit.
 /// The responses are the variants `Wire::reply_id` names.

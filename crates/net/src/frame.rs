@@ -21,7 +21,7 @@
 //!   `trace_id: u64 LE` + `parent_span_id: u64 LE`, then the payload bytes.
 //! * kind `1` — a NACK: `to: u32 LE`, the destination of an envelope the
 //!   receiver could not route (a retired id, one it does not host, or one
-//!   it hosts that is neither registered nor reserved). The sender fails
+//!   it hosts that has no mailbox). The sender fails
 //!   its next send to `to` with `NetError::Disconnected`, as the channel
 //!   fabric fails it at once.
 //! * kind `2` — a hello: `id: u32 LE`. Sent by a connecting process for

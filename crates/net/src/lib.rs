@@ -38,10 +38,9 @@
 //! deliver into a local mailbox the same way.
 //!
 //! A send either lands or fails `Disconnected`; nothing asks the sender
-//! to try again later. A well-known id a process will host can be
-//! [reserved](Network::reserve): sends to it queue until its endpoint
-//! registers. An id the process hosts that is neither registered nor
-//! reserved is `Disconnected`, and so is a dropped endpoint's id, whose
+//! to try again later. Shard `id mod shards` ([`Network::sharded`]) takes
+//! every bucket id its rank hosts. An id the process hosts that has no
+//! mailbox is `Disconnected`, and so is a dropped endpoint's id, whose
 //! mailbox stays behind as a tombstone until the id is registered again.
 //! `docs/PROTOCOL.md` documents the wire format.
 //!

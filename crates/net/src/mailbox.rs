@@ -236,8 +236,9 @@ impl Mailbox {
     }
 
     /// Hands the mailbox to `scheduler`, which will know it as `key`,
-    /// and queues it there at once, envelopes or not, so that the site
-    /// behind it gets a first activation to start up in.
+    /// and queues it there at once, envelopes or not, so that what
+    /// arrived before — a shard's mailbox takes envelopes from the
+    /// network's start — is run.
     pub(crate) fn attach(&self, scheduler: Arc<dyn Scheduler>, key: usize) {
         let mut st = lock(&self.state);
         st.scheduler = Some((scheduler, key));

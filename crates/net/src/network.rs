@@ -45,7 +45,7 @@ pub enum NetError {
     /// Destination site was never registered.
     UnknownSite(SiteId),
     /// The destination endpoint has been dropped, or is an id its
-    /// process hosts that is neither registered nor reserved.
+    /// process hosts that has no mailbox.
     Disconnected(SiteId),
     /// A blocking receive timed out.
     Timeout,
@@ -101,33 +101,33 @@ fn claim_stripe(taken: &[u32]) -> u32 {
         .unwrap_or(first)
 }
 
-/// The mailboxes of the sites one process hosts, by id in the registry's
-/// id space (`registry.rs`) on both fabrics: a bucket's id is its
-/// address, the coordinator is `COORD_ID`, a host-control endpoint
-/// `HOST_BASE + rank`; clients and parity sites draw dynamic ids. A
-/// *reserved* well-known id holds an open mailbox no endpoint owns yet:
-/// sends queue there until the id is registered. A dropped endpoint
-/// leaves its closed mailbox behind as a *tombstone*: sends to it fail
-/// `Disconnected` until the id is registered again.
+/// The mailboxes of the sites one process hosts, by id (`registry.rs`):
+/// a bucket id goes to shard `id mod shards`. A *reserved* named id holds
+/// an open mailbox no endpoint owns yet, where sends queue until the id
+/// is registered; a dropped endpoint leaves its closed mailbox behind as
+/// a *tombstone*, failing sends until the id is registered again.
 #[derive(Default)]
 struct Table {
-    /// Bucket ids, by address.
-    buckets: Vec<Option<Arc<Mailbox>>>,
+    /// The shards' mailboxes; none on a network that hosts no bucket.
+    shards: Vec<Arc<Mailbox>>,
     /// Dynamic ids in the order they were handed out: the `n`th is
     /// offset `n % STRIPE` of stripe `stripes[n / STRIPE]`.
     dynamic: Vec<Arc<Mailbox>>,
     stripes: Vec<u32>,
-    /// The coordinator and host-control endpoints: a few, scanned.
-    named: Vec<(SiteId, Option<Arc<Mailbox>>)>,
+    /// The coordinator, host-control endpoints and the bucket ids of a
+    /// network with no shards: a few, scanned.
+    named: Vec<(SiteId, Arc<Mailbox>)>,
 }
 
 impl Table {
-    /// A read and an array index for bucket ids and this process's
-    /// dynamic ids.
-    fn get(&self, id: SiteId) -> Option<&Arc<Mailbox>> {
+    /// A read and an array index for this process's dynamic ids and for
+    /// a bucket id it hosts (`hosted`), a short scan for the others.
+    fn get(&self, id: SiteId, hosted: bool) -> Option<&Arc<Mailbox>> {
         match id.0 {
-            x if x < DYN_BASE => self.buckets.get(x as usize)?.as_ref(),
-            x if x < COORD_ID => {
+            x if x < DYN_BASE && hosted && !self.shards.is_empty() => {
+                self.shards.get(x as usize % self.shards.len())
+            }
+            x if (DYN_BASE..COORD_ID).contains(&x) => {
                 let k = self
                     .stripes
                     .iter()
@@ -135,7 +135,7 @@ impl Table {
                 self.dynamic
                     .get(k * STRIPE as usize + (x % STRIPE) as usize)
             }
-            _ => self.named.iter().find(|(n, _)| *n == id)?.1.as_ref(),
+            _ => self.named.iter().find(|(n, _)| *n == id).map(|(_, m)| m),
         }
     }
 
@@ -143,35 +143,11 @@ impl Table {
         let stripe = self.stripes[n / STRIPE as usize];
         SiteId(DYN_BASE + stripe * STRIPE + n as u32 % STRIPE)
     }
-
-    /// The slot of well-known `id`, made if need be; `None` for a
-    /// dynamic id, which is the allocator's.
-    fn slot(&mut self, id: SiteId) -> Option<&mut Option<Arc<Mailbox>>> {
-        match id.0 {
-            x if x < DYN_BASE => {
-                let x = x as usize;
-                if self.buckets.len() <= x {
-                    self.buckets.resize(x + 1, None);
-                }
-                Some(&mut self.buckets[x])
-            }
-            x if x < COORD_ID => None,
-            _ => {
-                let named = &mut self.named;
-                let i = named.iter().position(|(n, _)| *n == id).unwrap_or_else(|| {
-                    named.push((id, None));
-                    named.len() - 1
-                });
-                Some(&mut named[i].1)
-            }
-        }
-    }
 }
 
 /// Why [`Sites::push`] did not enqueue.
 pub(crate) enum Miss {
-    /// Nothing was ever registered or reserved under the id in this
-    /// process.
+    /// This process has no mailbox under the id.
     Absent(Envelope),
     /// The mailbox is a tombstone.
     Closed,
@@ -195,28 +171,28 @@ pub(crate) struct Sites {
 }
 
 impl Sites {
-    /// The table of rank `rank` of `ranks`. A serving rank's own named
-    /// ids (its host id, and the coordinator's on rank 0) and the first
-    /// bucket address it hosts are reserved before its listener binds:
-    /// a peer may address them before the rank has started its sites.
-    fn new(rank: Option<usize>, ranks: usize) -> Arc<Sites> {
-        let sites = Sites {
-            table: RwLock::new(Table::default()),
+    /// The table of rank `rank` of `ranks`, with `shards` shards. A
+    /// serving rank's shards and its own named ids (its host id, and the
+    /// coordinator's on rank 0) exist before its listener binds: a peer
+    /// may address them before the rank has started its sites.
+    fn new(rank: Option<usize>, ranks: usize, shards: usize) -> Arc<Sites> {
+        let own = rank.map(SiteRegistry::host_id);
+        let coordinator = (rank == Some(0)).then_some(SiteId(COORD_ID));
+        let reserved = own.into_iter().chain(coordinator);
+        let table = Table {
+            shards: (0..shards).map(|_| Mailbox::new()).collect(),
+            named: reserved.map(|id| (id, Mailbox::reserved())).collect(),
+            ..Table::default()
+        };
+        Arc::new(Sites {
+            table: RwLock::new(table),
             rank,
             ranks,
             stats: NetStats::new(),
             messages: sdds_obs::counter("net.messages"),
             bytes: sdds_obs::counter("net.bytes"),
             send_failures: sdds_obs::counter("net.send_failures"),
-        };
-        if let Some(rank) = rank {
-            sites.reserve(SiteRegistry::host_id(rank));
-            sites.reserve(SiteRegistry::bucket_id(rank as u64));
-            if rank == 0 {
-                sites.reserve(SiteId(COORD_ID));
-            }
-        }
-        Arc::new(sites)
+        })
     }
 
     /// Whether `id` is a well-known id this process hosts, registered
@@ -232,7 +208,7 @@ impl Sites {
     /// envelope counted, and rolled back on a refusal.
     pub(crate) fn push(&self, env: Envelope, at: Instant) -> Result<Option<Wake>, Miss> {
         let table = read(&self.table);
-        let Some(mailbox) = table.get(env.to) else {
+        let Some(mailbox) = table.get(env.to, self.owns(env.to)) else {
             return Err(Miss::Absent(env));
         };
         let len = env.payload.len();
@@ -262,26 +238,24 @@ impl Sites {
         (table.dynamic_id(n), mailbox)
     }
 
-    /// The mailbox reserved under well-known `id`, or a new one where
-    /// there is none or a tombstone; `None` if an endpoint holds it.
+    /// The mailbox reserved under named `id`, or a new one where there
+    /// is none or a tombstone; `None` if an endpoint holds it.
     fn register_with_id(&self, id: SiteId) -> Option<Arc<Mailbox>> {
-        let mut table = write(&self.table);
-        let slot = table.slot(id)?;
-        match slot {
-            Some(mailbox) if mailbox.adopt() => return Some(Arc::clone(mailbox)),
-            Some(mailbox) if mailbox.is_open() => return None,
-            _ => {}
+        if (DYN_BASE..COORD_ID).contains(&id.0) {
+            return None; // the allocator's
         }
-        let mailbox = Mailbox::new();
-        *slot = Some(Arc::clone(&mailbox));
-        Some(mailbox)
-    }
-
-    /// A reserved mailbox under well-known `id`, unless the id was ever
-    /// reserved or registered here: a tombstone stays one.
-    fn reserve(&self, id: SiteId) {
-        if let Some(slot @ None) = write(&self.table).slot(id) {
-            *slot = Some(Mailbox::reserved());
+        let named = &mut write(&self.table).named;
+        match named.iter_mut().find(|(n, _)| *n == id) {
+            Some((_, mailbox)) if mailbox.adopt() => Some(Arc::clone(mailbox)),
+            Some((_, mailbox)) if mailbox.is_open() => None,
+            Some((_, tombstone)) => {
+                *tombstone = Mailbox::new();
+                Some(Arc::clone(tombstone))
+            }
+            None => {
+                named.push((id, Mailbox::new()));
+                named.last().map(|(_, mailbox)| Arc::clone(mailbox))
+            }
         }
     }
 
@@ -329,19 +303,37 @@ pub struct Network {
 
 impl Network {
     /// Creates an empty in-process (channel-transport) network: it hosts
-    /// every site, as the one rank of a one-rank cluster.
+    /// every site, as the one rank of a one-rank cluster, and no shard.
     pub fn new(config: NetConfig) -> Network {
-        Network::with(Sites::new(Some(0), 1), None, &config)
+        Network::sharded(0, config).0
     }
 
-    /// Creates a serving TCP network: binds rank `rank`'s listener from
-    /// the registry and accepts connections from peers.
+    /// An in-process network whose buckets live in `shards` shard sites,
+    /// with their endpoints: shard `s` receives every bucket id `a` with
+    /// `a mod shards == s`.
+    pub fn sharded(shards: usize, config: NetConfig) -> (Network, Vec<Endpoint>) {
+        Network::with(Sites::new(Some(0), 1, shards), None, &config)
+    }
+
+    /// Creates a serving TCP network with no shard: binds rank `rank`'s
+    /// listener from the registry and accepts connections from peers.
     pub fn tcp_serve(
         registry: SiteRegistry,
         rank: usize,
         config: NetConfig,
     ) -> std::io::Result<Network> {
-        let sites = Sites::new(Some(rank), registry.num_servers());
+        Ok(Network::tcp_serve_sharded(registry, rank, 0, config)?.0)
+    }
+
+    /// [`tcp_serve`](Self::tcp_serve) with shards, as in
+    /// [`sharded`](Self::sharded).
+    pub fn tcp_serve_sharded(
+        registry: SiteRegistry,
+        rank: usize,
+        shards: usize,
+        config: NetConfig,
+    ) -> std::io::Result<(Network, Vec<Endpoint>)> {
+        let sites = Sites::new(Some(rank), registry.num_servers(), shards);
         let links = TcpFabric::serve(registry, rank, Arc::clone(&sites))?;
         Ok(Network::with(sites, Some(links), &config))
     }
@@ -350,13 +342,20 @@ impl Network {
     /// registered on it receive dynamically allocated site ids announced
     /// to every server rank.
     pub fn tcp_client(registry: SiteRegistry, config: NetConfig) -> Network {
-        let sites = Sites::new(None, registry.num_servers());
+        let sites = Sites::new(None, registry.num_servers(), 0);
         let links = TcpFabric::client(registry, Arc::clone(&sites));
-        Network::with(sites, Some(links), &config)
+        Network::with(sites, Some(links), &config).0
     }
 
-    fn with(sites: Arc<Sites>, links: Option<TcpFabric>, config: &NetConfig) -> Network {
-        Network {
+    /// The network over `sites`, and its shards' endpoints: shard `s`'s
+    /// carries bucket id `s`, and sends as other buckets too.
+    fn with(
+        sites: Arc<Sites>,
+        links: Option<TcpFabric>,
+        config: &NetConfig,
+    ) -> (Network, Vec<Endpoint>) {
+        let shards = read(&sites.table).shards.clone();
+        let network = Network {
             inner: Arc::new(Inner {
                 sites,
                 links,
@@ -364,7 +363,11 @@ impl Network {
                 fault_rng: AtomicU64::new(config.fault_seed | 1),
                 dropped: sdds_obs::counter("net.dropped"),
             }),
-        }
+        };
+        let ids = (0..).map(SiteRegistry::bucket_id);
+        let shards = ids.zip(shards).map(|(id, m)| network.endpoint(id, m));
+        let shards = shards.collect();
+        (network, shards)
     }
 
     fn endpoint(&self, id: SiteId, mailbox: Arc<Mailbox>) -> Endpoint {
@@ -385,22 +388,15 @@ impl Network {
         self.endpoint(id, mailbox)
     }
 
-    /// Registers an endpoint under a well-known id: a bucket address,
-    /// the coordinator, a host-control endpoint. The endpoint adopts the
-    /// id's reserved mailbox, with what was sent to it meanwhile. `None`
-    /// for a dynamic id or if an open endpoint holds the id in this
-    /// process; the id of a dropped one is free again.
+    /// Registers an endpoint under a well-known id: the coordinator, a
+    /// host-control endpoint, or a bucket address of a network with no
+    /// shards. The endpoint adopts the id's reserved mailbox, with what
+    /// was sent to it meanwhile. `None` for a dynamic id or if an open
+    /// endpoint holds the id in this process; the id of a dropped one is
+    /// free again.
     pub fn register_with_id(&self, id: SiteId) -> Option<Endpoint> {
         let mailbox = self.inner.sites.register_with_id(id)?;
         Some(self.endpoint(id, mailbox))
-    }
-
-    /// Reserves well-known `id` for an endpoint to come: sends to it
-    /// queue until [`register_with_id`](Self::register_with_id) adopts
-    /// them. No-op for a dynamic id, or one registered or reserved here
-    /// before: a tombstone stays one.
-    pub fn reserve(&self, id: SiteId) {
-        self.inner.sites.reserve(id);
     }
 
     /// Severs every established TCP stream (fault injection for tests:
@@ -442,7 +438,7 @@ impl Network {
                 Some(links) => links.send(env).map(|()| None),
                 None => Err(NetError::UnknownSite(to)),
             },
-            // a tombstone, or ours but neither registered nor reserved
+            // a tombstone, or ours but with no mailbox
             Err(_) => Err(sites.disconnected(to)),
         }
     }
@@ -586,13 +582,8 @@ impl Endpoint {
         payload: Bytes,
         ctx: Option<TraceContext>,
     ) -> Result<(), NetError> {
-        let wake = self
-            .network
-            .deliver(self.envelope(to, payload, ctx), Instant::now())?;
-        if let Some(wake) = wake {
-            wake.fire();
-        }
-        Ok(())
+        // the scatter of one send wakes its destination when dropped
+        self.send_with(&mut Scatter::new(), to, payload, ctx)
     }
 
     /// [`send_traced`](Self::send_traced) as part of `scatter`: the
@@ -605,21 +596,30 @@ impl Endpoint {
         payload: Bytes,
         ctx: Option<TraceContext>,
     ) -> Result<(), NetError> {
-        let at = scatter.now();
-        let wake = self.network.deliver(self.envelope(to, payload, ctx), at)?;
+        self.send_as(scatter, self.id, to, payload, ctx)
+    }
+
+    /// [`send_with`](Self::send_with) from `from`: a shard's endpoint
+    /// sends as the bucket whose envelope it is answering.
+    pub fn send_as(
+        &self,
+        scatter: &mut Scatter,
+        from: SiteId,
+        to: SiteId,
+        payload: Bytes,
+        ctx: Option<TraceContext>,
+    ) -> Result<(), NetError> {
+        let env = Envelope {
+            from,
+            to,
+            payload,
+            ctx,
+        };
+        let wake = self.network.deliver(env, scatter.now())?;
         if let Some(wake) = wake {
             scatter.defer(wake);
         }
         Ok(())
-    }
-
-    fn envelope(&self, to: SiteId, payload: Bytes, ctx: Option<TraceContext>) -> Envelope {
-        Envelope {
-            from: self.id,
-            to,
-            payload,
-            ctx,
-        }
     }
 
     fn receive(&self, wait: Wait) -> Result<Envelope, NetError> {
@@ -657,8 +657,8 @@ impl Endpoint {
     }
 
     /// Hands this endpoint's inbox to `scheduler` — no thread will block
-    /// on it any more. The scheduler is told `key` at once (a first
-    /// activation, for the site to start up in) and from then on
+    /// on it any more. The scheduler is told `key` at once (for what
+    /// arrived before) and from then on
     /// whenever an envelope arrives while the inbox is idle; its workers
     /// take envelopes with [`drain`](Self::drain) and give the inbox
     /// back with [`release`](Self::release).
@@ -737,16 +737,16 @@ mod tests {
         });
     }
 
-    /// A reserved id takes sends before anything registers it, and the
+    /// A rank's named ids are reserved with its network: the
+    /// coordinator's takes sends before anything registers it, and the
     /// endpoint registered under it receives them; an id this process
-    /// hosts that is neither registered nor reserved is `Disconnected`
-    /// at once, and the failed send is not traffic.
+    /// hosts that has no mailbox — a bucket id of a network with no shards
+    /// — is `Disconnected` at once, and the failed send is not traffic.
     #[test]
     fn a_reserved_id_queues_until_registered_and_an_unreserved_one_is_disconnected() {
         both(NetConfig::default(), |net| {
             let a = net.register();
-            let spawning = SiteId(3);
-            net.reserve(spawning);
+            let spawning = SiteId(COORD_ID);
             a.send(spawning, Bytes::from_static(b"early")).unwrap();
             let unreserved = SiteId(5);
             let sent = a.send(unreserved, Bytes::from_static(b"lost"));
@@ -758,12 +758,44 @@ mod tests {
             a.send(spawning, Bytes::from_static(b"late")).unwrap();
             assert_eq!(&b.recv().unwrap().payload[..], b"early");
             assert_eq!(&b.recv().unwrap().payload[..], b"late");
-            // a tombstone is not reserved again
             drop(b);
-            net.reserve(spawning);
             let sent = a.send(spawning, Bytes::from_static(b"gone"));
             assert_eq!(sent, Err(NetError::Disconnected(spawning)));
         });
+    }
+
+    /// A rank's bucket ids reach its shards, `a mod shards`, with the
+    /// bucket in `to`; what a shard sends as the bucket leaves from it,
+    /// and no bucket id has a mailbox of its own.
+    #[test]
+    fn bucket_ids_reach_their_shard_and_its_sends_leave_as_the_bucket() {
+        let tcp = (!cfg!(miri)).then(|| {
+            let registry = SiteRegistry::loopback(1).unwrap();
+            Network::tcp_serve_sharded(registry, 0, 2, NetConfig::default()).unwrap()
+        });
+        for (net, shards) in std::iter::once(Network::sharded(2, NetConfig::default())).chain(tcp) {
+            let client = net.register();
+            for addr in 0..5u32 {
+                client.send(SiteId(addr), Bytes::new()).unwrap();
+            }
+            for (s, shard) in shards.iter().enumerate() {
+                let expected = (0..5).filter(|a| a % 2 == s as u32).map(SiteId);
+                for to in expected {
+                    let env = shard.try_recv().unwrap();
+                    assert_eq!((env.from, env.to), (client.id(), to));
+                    let mut scatter = Scatter::new();
+                    shard
+                        .send_as(&mut scatter, to, client.id(), Bytes::new(), None)
+                        .unwrap();
+                    assert_eq!(client.recv().unwrap().from, to);
+                }
+                assert_eq!(shard.try_recv().unwrap_err(), NetError::Empty);
+            }
+            assert!(
+                read(&net.inner.sites.table).named.len() <= 2,
+                "host, coordinator"
+            );
+        }
     }
 
     #[test]
@@ -786,7 +818,7 @@ mod tests {
     }
 
     /// A bucket's id is its address; an id this process hosts is
-    /// `Disconnected` until it is registered or reserved, a dynamic one it
+    /// `Disconnected` until it is registered, a dynamic one it
     /// never handed out is unknown.
     #[test]
     fn registration_is_by_address_and_dynamic_ids_are_the_allocators() {
@@ -854,8 +886,7 @@ mod tests {
                     a.send_with(&mut scatter, s.id(), Bytes::copy_from_slice(&[round]), None);
                 assert_eq!(sent, Ok(()));
             }
-            // buckets of this network that are neither registered nor
-            // reserved
+            // buckets of this network that have no mailbox
             let unreserved = SiteId(5 + u32::from(round));
             let sent = a.send_with(&mut scatter, unreserved, Bytes::new(), None);
             assert_eq!(sent, Err(NetError::Disconnected(unreserved)));
@@ -871,7 +902,7 @@ mod tests {
     /// Threads blocked in `recv` on site `id`'s mailbox.
     fn waiting(net: &Network, id: SiteId) -> usize {
         let table = read(&net.inner.sites.table);
-        table.get(id).map_or(0, |mailbox| mailbox.waiting())
+        table.get(id, false).map_or(0, |mailbox| mailbox.waiting())
     }
 
     /// A receiver blocked before the scatter starts sleeps through all

@@ -36,8 +36,8 @@
 //!   transport-agnostic. The frames of one `read()` are one [`Scatter`]:
 //!   each local owner is woken once.
 //! * **Unroutable NACKs.** A receiver that cannot route an envelope (a
-//!   tombstone, an id it hosts that is neither registered nor reserved,
-//!   or one it does not host) replies at once with a NACK frame naming
+//!   tombstone, an id it hosts that has no mailbox, or one it does not
+//!   host) replies at once with a NACK frame naming
 //!   the destination. The sender records the destination as unroutable:
 //!   the next send to it fails `Disconnected`, as it does in-process —
 //!   one send later than the channel transport, because the wire is
@@ -722,8 +722,8 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame, scatter: &
 
 /// Receiver-side delivery of an envelope that arrived over the wire, as
 /// part of the scatter of its `read()`. An envelope this process cannot
-/// route — a tombstone, an id it hosts that is neither registered nor
-/// reserved, or one it does not host — is NACKed at once.
+/// route — a tombstone, an id it hosts that has no mailbox, or one it
+/// does not host — is NACKed at once.
 fn incoming(shared: &Shared, conn: &Conn, env: Envelope, scatter: &mut Scatter) {
     let to = env.to;
     match shared.sites.push(env, scatter.now()) {
@@ -846,8 +846,8 @@ mod tests {
         let _ = server;
     }
 
-    /// A frame for a retired id, or for an id the rank hosts that is
-    /// neither registered nor reserved, is NACKed at once, so the frames
+    /// A frame for a retired id, or for an id the rank hosts that has no
+    /// mailbox, is NACKed at once, so the frames
     /// behind it on the same connection are not held up.
     #[test]
     fn a_retired_id_does_not_hold_up_the_connection() {
@@ -880,15 +880,15 @@ mod tests {
         }
     }
 
-    /// A frame for a reserved id waits in its mailbox for the endpoint
-    /// that registers it, unNACKed, and the frame behind it for a live id
-    /// is not held up meanwhile.
+    /// A frame for a reserved id — the rank's host id, reserved with its
+    /// network — waits in its mailbox for the endpoint that registers it,
+    /// unNACKed, and the frame behind it for a live id is not held up
+    /// meanwhile.
     #[test]
     fn a_frame_for_a_reserved_id_waits_for_its_registration_alone() {
         let reg = SiteRegistry::loopback(1).unwrap();
         let server = Network::tcp_serve(reg.clone(), 0, NetConfig::default()).unwrap();
-        let spawning = SiteId(3);
-        server.reserve(spawning);
+        let spawning = SiteRegistry::host_id(0);
         let live = server.register_with_id(SiteId(4)).unwrap();
         let clientnet = Network::tcp_client(reg, NetConfig::default());
         let client = clientnet.register();
